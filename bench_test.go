@@ -12,7 +12,6 @@ package remotepeering
 // paper-vs-measured comparison.
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -636,37 +635,44 @@ func durationMs(ms float64) time.Duration {
 	return time.Duration(ms * float64(time.Millisecond))
 }
 
-// BenchmarkSnapshotRoundTrip measures the snapshot codec over the
-// paper-scale world and traffic dataset: one full Save (encode + CRC +
-// digest) and Load (verify + decode + rehydrate derived tables) per
-// iteration. The reported bytes metric is the file size — the cost of
-// feeding rpserve one warm start.
+// BenchmarkSnapshotRoundTrip measures the snapshot round trip over the
+// paper-scale world and traffic dataset: one full save (encode + CRC +
+// digest + atomic write), attach, and materialize (decode + rehydrate
+// derived tables) per iteration. The reported bytes metric is the file
+// size — the cost of feeding rpserve one warm start.
 func BenchmarkSnapshotRoundTrip(b *testing.B) {
 	w, _, ds, _ := fixtures(b)
+	path := filepath.Join(b.TempDir(), "bench.flat")
 	var size int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := WriteSnapshot(&buf, &Snapshot{World: w, Dataset: ds}); err != nil {
+		if _, err := SaveSnapshot(path, &Snapshot{World: w, Dataset: ds}); err != nil {
 			b.Fatal(err)
 		}
-		size = buf.Len()
-		loaded, err := ReadSnapshot(&buf)
+		a, err := AttachSnapshot(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		size = a.Size()
+		loaded, err := a.Snapshot()
 		if err != nil {
 			b.Fatal(err)
 		}
 		if loaded.World.Graph.Len() != w.Graph.Len() {
-			b.Fatal("loaded world lost networks")
+			b.Fatal("attached world lost networks")
+		}
+		if err := a.Close(); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(size), "snapshot_bytes")
 }
 
-// BenchmarkSnapshotAttach measures the v2 flat format's core claim: a
+// BenchmarkSnapshotAttach measures the flat format's core claim: a
 // paper-scale world+dataset attaches in microseconds — header and
-// directory validation only, O(sections) not O(file) — where the v1 load
-// above pays tens of milliseconds of decoding. Like
+// directory validation only, O(sections) not O(file) — where the
+// materialization the round trip above pays costs tens of milliseconds. Like
 // BenchmarkServeWhatifCached, the acceptance bar is enforced in-bench
 // (< 1 ms and < 1,000 allocations per attach); the one-time lazy
 // materialization is timed separately and reported as a metric.
@@ -674,7 +680,7 @@ func BenchmarkSnapshotAttach(b *testing.B) {
 	w, _, ds, _ := fixtures(b)
 	ds.SeriesTotal(nil) // warm the series cache so the flat file carries the month
 	path := filepath.Join(b.TempDir(), "bench.flat")
-	if _, err := SaveFlatSnapshot(path, &Snapshot{World: w, Dataset: ds}); err != nil {
+	if _, err := SaveSnapshot(path, &Snapshot{World: w, Dataset: ds}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -737,11 +743,16 @@ func BenchmarkServeWhatifCached(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, &Snapshot{World: w}); err != nil {
+	path := filepath.Join(b.TempDir(), "bench.flat")
+	if _, err := SaveSnapshot(path, &Snapshot{World: w}); err != nil {
 		b.Fatal(err)
 	}
-	snap, err := ReadSnapshot(&buf)
+	a, err := AttachSnapshot(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { a.Close() })
+	snap, err := a.Snapshot()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -804,7 +815,7 @@ func BenchmarkCatalogAttachEvict(b *testing.B) {
 			b.Fatal(err)
 		}
 		path := filepath.Join(dir, fmt.Sprintf("w%d.flat", i+1))
-		if digests[i], err = SaveFlatSnapshot(path, &Snapshot{World: w}); err != nil {
+		if digests[i], err = SaveSnapshot(path, &Snapshot{World: w}); err != nil {
 			b.Fatal(err)
 		}
 		fi, err := os.Stat(path)

@@ -10,9 +10,8 @@
 //
 // Usage:
 //
-//	rpworld -seed 1 -save world.rpsnap            # v1 (canonical)
-//	rpworld -seed 1 -save-flat world.flat         # v2 (mmap attach)
-//	rpserve -snapshot world.rpsnap -listen :8080 &
+//	rpworld -seed 1 -save world.flat
+//	rpserve -snapshot world.flat -listen :8080 &
 //	rpserve -snapshot-dir worlds/ -resident-mb 256 -listen :8080 &
 //	curl 'localhost:8080/v1/worlds'
 //	curl 'localhost:8080/v1/whatif?scenarios=ams-outage%3Doutage%3AAMS-IX'
@@ -141,7 +140,7 @@ func main() {
 	}
 	switch {
 	case *snapPath == "" && *snapDir == "":
-		fatal(fmt.Errorf("missing -snapshot or -snapshot-dir (build one with: rpworld -save world.rpsnap)"))
+		fatal(fmt.Errorf("missing -snapshot or -snapshot-dir (build one with: rpworld -save world.flat)"))
 	case *snapPath != "" && *snapDir != "":
 		fatal(fmt.Errorf("-snapshot and -snapshot-dir are mutually exclusive"))
 	}
@@ -201,28 +200,20 @@ func main() {
 		slog.Info("catalog opened", "worlds", cat.Len(), "dir", *snapDir,
 			"elapsed", time.Since(start).Round(time.Millisecond), "resident_mb", *residentMB)
 	} else {
-		flat, err := remotepeering.SnapshotIsFlat(*snapPath)
+		// Microseconds to map and validate the directory, then one lazy
+		// materialization. The mapping stays live for the whole process —
+		// the snapshot's hot arrays alias it.
+		a, err := remotepeering.AttachSnapshot(*snapPath)
 		if err != nil {
 			fatal(err)
 		}
-		var snap *remotepeering.Snapshot
-		if flat {
-			// Attach the flat format: microseconds to map and validate the
-			// directory, then one lazy materialization. The mapping stays live
-			// for the whole process — the snapshot's hot arrays alias it.
-			a, err := remotepeering.AttachSnapshot(*snapPath)
-			if err != nil {
-				fatal(err)
-			}
-			attached := time.Since(start)
-			if snap, err = a.Snapshot(); err != nil {
-				fatal(err)
-			}
-			slog.Info("attached flat snapshot", "attach", attached.Round(time.Microsecond),
-				"materialize", (time.Since(start) - attached).Round(time.Millisecond))
-		} else if snap, err = remotepeering.LoadSnapshot(*snapPath); err != nil {
+		attached := time.Since(start)
+		snap, err := a.Snapshot()
+		if err != nil {
 			fatal(err)
 		}
+		slog.Info("attached snapshot", "attach", attached.Round(time.Microsecond),
+			"materialize", (time.Since(start) - attached).Round(time.Millisecond))
 		cfg.Snapshot = snap
 		slog.Info("snapshot loaded", "path", *snapPath,
 			"elapsed", time.Since(start).Round(time.Millisecond), "digest", snap.Digest[:12],

@@ -9,7 +9,7 @@
 //	rpwhatif [-seed N] [-leaves N] [-workers N] \
 //	         [-scenarios "name=op,op;name=op"] [-seeds 0,1] \
 //	         [-k N] [-greedy N] [-days N] [-intervals N] [-csv] [-json] \
-//	         [-load world.rpsnap] [-save world.rpsnap]
+//	         [-load world.flat] [-save world.flat]
 //
 // -json emits the same stable rendering rpserve's /v1/whatif embeds, so a
 // batch run and a server response diff cleanly. -load evaluates the grid

@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	rpworld [-seed N] [-leaves N] [-ixp ACRONYM] [-save world.rpsnap] [-load world.rpsnap]
+//	rpworld [-seed N] [-leaves N] [-ixp ACRONYM] [-save world.flat] [-load world.flat]
 //	rpworld -seed 1 -ticks 50 -journal evo/ -tick 'joins=3,leaves=2,outage=0.02'
 //
 // -save persists the generated (or evolved) world as a snapshot for
@@ -123,7 +123,7 @@ func main() {
 // evolve runs the living world: build or recover the tick engine, advance
 // to the absolute target, narrate each committed tick, print the window's
 // newspaper, and hand back the evolved snapshot payload (world + Tick
-// section) for -save/-save-flat.
+// section) for -save.
 func evolve(w *remotepeering.World, target int, dir, spec, fsync string, workers int) (*remotepeering.Snapshot, error) {
 	cfg, err := remotepeering.ParseTickConfig(spec)
 	if err != nil {

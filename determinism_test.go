@@ -7,6 +7,9 @@ package remotepeering
 // is the contract future sharding/batching work must keep.
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -31,11 +34,30 @@ func detWorld(t *testing.T) *World {
 	return detWorldCache
 }
 
+// flatImage saves s through the facade and returns the file's bytes and
+// content digest. A snapshot's bytes — and so the digest the serve tier
+// keys, routes, and traces by — depend on content alone, never on the
+// worker count that produced it.
+func flatImage(t *testing.T, s *Snapshot) ([]byte, string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "det.flat")
+	digest, err := SaveSnapshot(path, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img, digest
+}
+
 func TestGenerateWorldIdenticalAcrossWorkers(t *testing.T) {
 	base, err := GenerateWorld(WorldConfig{Seed: 23, LeafNetworks: 1500, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	baseImg, baseDigest := flatImage(t, &Snapshot{World: base})
 	for _, workers := range workerCounts[1:] {
 		w, err := GenerateWorld(WorldConfig{Seed: 23, LeafNetworks: 1500, Workers: workers})
 		if err != nil {
@@ -48,6 +70,9 @@ func TestGenerateWorldIdenticalAcrossWorkers(t *testing.T) {
 			if !reflect.DeepEqual(w.IXPs[i].Members, base.IXPs[i].Members) {
 				t.Errorf("workers=%d: IXP %s membership differs", workers, base.IXPs[i].Acronym)
 			}
+		}
+		if img, digest := flatImage(t, &Snapshot{World: w}); !bytes.Equal(img, baseImg) {
+			t.Errorf("workers=%d: world snapshot digest %.12s, workers=1 saved %.12s", workers, digest, baseDigest)
 		}
 	}
 }
@@ -101,6 +126,7 @@ func TestCollectTrafficIdenticalAcrossWorkers(t *testing.T) {
 	}
 	base := collect(1)
 	baseIn, baseOut := base.SeriesTotal(nil)
+	baseImg, baseDigest := flatImage(t, &Snapshot{World: w, Dataset: base})
 	for _, workers := range workerCounts[1:] {
 		ds := collect(workers)
 		if !reflect.DeepEqual(ds.Entries, base.Entries) {
@@ -128,6 +154,11 @@ func TestCollectTrafficIdenticalAcrossWorkers(t *testing.T) {
 					workers, asn, gt, gin, gout, bt, bin, bout)
 				break
 			}
+		}
+		// The warmed series ride along, so this pins the world, entry
+		// table, and month of series bytes at once.
+		if img, digest := flatImage(t, &Snapshot{World: w, Dataset: ds}); !bytes.Equal(img, baseImg) {
+			t.Errorf("workers=%d: world+dataset snapshot digest %.12s, workers=1 saved %.12s", workers, digest, baseDigest)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package catalog is the multi-world layer under the serve tier: a
 // content-addressed store of snapshot files (keyed by the same SHA-256
-// digests Save/Attach stamp) with a bounded set of resident, attached
-// worlds managed LRU under a byte budget.
+// digests SaveFlatFile returns and Attach stamps) with a bounded set of
+// resident, attached worlds managed LRU under a byte budget.
 //
 // The semantics the fleet design leans on:
 //
@@ -14,7 +14,8 @@
 //     while a lease holds it. Eviction takes idle worlds only, least
 //     recently used first.
 //   - quarantine: a snapshot that fails validation (CRC mismatch,
-//     truncation, wrong magic) is marked Quarantined and never retried;
+//     truncation, wrong magic, a retired format version) is marked
+//     Quarantined and never retried;
 //     transient attach failures retry with capped, deterministically
 //     jittered backoff.
 //   - injectable faults: a *fault.Plane threads through the attach path
@@ -110,7 +111,6 @@ type entry struct {
 	digest string
 	path   string
 	size   int64
-	flat   bool
 
 	state     Health
 	refs      int
@@ -142,10 +142,10 @@ func New(opts Options) *Catalog {
 	return &Catalog{opts: opts.withDefaults(), byDigest: make(map[string]*entry)}
 }
 
-// Open scans dir (non-recursively) for snapshot files in either format
-// and catalogs them by content digest. Files that are not snapshots are
-// skipped; an unreadable file is an error. An empty catalog is an error —
-// a serve tier with zero worlds is a misconfiguration.
+// Open scans dir (non-recursively) for snapshot files and catalogs them
+// by content digest. Files that are not snapshots are skipped; an
+// unreadable file is an error. An empty catalog is an error — a serve
+// tier with zero worlds is a misconfiguration.
 func Open(dir string, opts Options) (*Catalog, error) {
 	c := New(opts)
 	ents, err := os.ReadDir(dir)
@@ -157,11 +157,11 @@ func Open(dir string, opts Options) (*Catalog, error) {
 			continue
 		}
 		path := filepath.Join(dir, de.Name())
-		v1, flat, err := snapshot.Sniff(path)
+		ok, err := snapshot.Sniff(path)
 		if err != nil {
 			return nil, fmt.Errorf("catalog: %w", err)
 		}
-		if !v1 && !flat {
+		if !ok {
 			continue
 		}
 		if _, err := c.Add(path); err != nil {
@@ -178,11 +178,11 @@ func Open(dir string, opts Options) (*Catalog, error) {
 // digest. Re-adding identical content is a no-op; two files with the
 // same digest are the same world.
 func (c *Catalog) Add(path string) (string, error) {
-	v1, flat, err := snapshot.Sniff(path)
+	ok, err := snapshot.Sniff(path)
 	if err != nil {
 		return "", fmt.Errorf("catalog: %w", err)
 	}
-	if !v1 && !flat {
+	if !ok {
 		return "", fmt.Errorf("catalog: %s is not a snapshot file", path)
 	}
 	digest, err := snapshot.DigestFile(path)
@@ -198,7 +198,7 @@ func (c *Catalog) Add(path string) (string, error) {
 	if _, ok := c.byDigest[digest]; ok {
 		return digest, nil
 	}
-	e := &entry{digest: digest, path: path, size: fi.Size(), flat: flat}
+	e := &entry{digest: digest, path: path, size: fi.Size()}
 	c.byDigest[digest] = e
 	c.list = append(c.list, e)
 	sort.Slice(c.list, func(i, j int) bool { return c.list[i].path < c.list[j].path })
@@ -221,7 +221,6 @@ type WorldInfo struct {
 	Digest string `json:"digest"`
 	Path   string `json:"path"`
 	Bytes  int64  `json:"bytes"`
-	Flat   bool   `json:"flat"`
 	State  string `json:"state"`
 	Refs   int    `json:"refs"`
 	Error  string `json:"error,omitempty"`
@@ -240,7 +239,7 @@ func (c *Catalog) Worlds() []WorldInfo {
 
 func infoLocked(e *entry) WorldInfo {
 	wi := WorldInfo{
-		Digest: e.digest, Path: e.path, Bytes: e.size, Flat: e.flat,
+		Digest: e.digest, Path: e.path, Bytes: e.size,
 		State: e.state.String(), Refs: e.refs,
 	}
 	if e.qerr != nil {
@@ -455,10 +454,8 @@ func (c *Catalog) makeRoomLocked(size int64) bool {
 func (c *Catalog) evictLocked(e *entry) {
 	e.state = Cold
 	e.snap = nil
-	if e.att != nil {
-		e.att.Close()
-		e.att = nil
-	}
+	e.att.Close()
+	e.att = nil
 	c.resident -= e.size
 	c.evictions.Add(1)
 }
@@ -528,34 +525,24 @@ func (c *Catalog) attachOnce(e *entry) (*snapshot.Snapshot, *snapshot.Attached, 
 	if err := p.Err(fault.AttachFail, e.digest); err != nil {
 		return nil, nil, err
 	}
-	var snap *snapshot.Snapshot
-	var att *snapshot.Attached
-	if !e.flat {
-		var err error
-		if snap, err = snapshot.LoadFile(e.path); err != nil {
-			return nil, nil, err
-		}
-	} else {
-		var err error
-		if att, err = snapshot.Attach(e.path); err != nil {
-			return nil, nil, err
-		}
-		// Materialize eagerly: Ready must mean "usable snapshot", and the
-		// per-section CRC sweep this triggers is what catches payload
-		// corruption an attach-time directory check cannot.
-		if snap, err = att.Snapshot(); err != nil {
-			att.Close()
-			return nil, nil, err
-		}
+	att, err := snapshot.Attach(e.path)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Materialize eagerly: Ready must mean "usable snapshot", and the
+	// per-section CRC sweep this triggers is what catches payload
+	// corruption an attach-time directory check cannot.
+	snap, err := att.Snapshot()
+	if err != nil {
+		att.Close()
+		return nil, nil, err
 	}
 	c.mu.Lock()
 	hook := c.onAttach
 	c.mu.Unlock()
 	if hook != nil {
 		if err := hook(snap); err != nil {
-			if att != nil {
-				att.Close()
-			}
+			att.Close()
 			return nil, nil, fmt.Errorf("catalog: on-attach hook: %w", err)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,13 +15,13 @@ import (
 	"remotepeering/internal/worldgen"
 )
 
-// The fixture: three small worlds (two flat, one v1) saved once into a
-// shared directory, plus a deliberately corrupted flat copy. Worlds are
-// world-only snapshots — the catalog machinery is format- and
-// content-agnostic, so the cheapest possible files exercise all of it.
+// The fixture: three small worlds saved once into a shared directory,
+// plus a deliberately corrupted copy. Worlds are world-only snapshots —
+// the catalog machinery is content-agnostic, so the cheapest possible
+// files exercise all of it.
 var (
 	fixDir     string
-	fixPaths   []string // w1.flat, w2.flat, w3.rpsnap
+	fixPaths   []string // w1.flat, w2.flat, w3.flat
 	fixDigests []string
 	fixBadPath string // corrupted copy of w1.flat
 	fixNets    []int  // Graph.Len() per world, for identity checks
@@ -37,20 +38,8 @@ func TestMain(m *testing.M) {
 		if err != nil {
 			panic(err)
 		}
-		snap := &snapshot.Snapshot{World: w}
-		var path string
-		if i < 2 {
-			path = filepath.Join(dir, fmt.Sprintf("w%d.flat", i+1))
-			if _, err := snapshot.SaveFlatFile(path, snap); err != nil {
-				panic(err)
-			}
-		} else {
-			path = filepath.Join(dir, fmt.Sprintf("w%d.rpsnap", i+1))
-			if err := snapshot.SaveFile(path, snap); err != nil {
-				panic(err)
-			}
-		}
-		digest, err := snapshot.DigestFile(path)
+		path := filepath.Join(dir, fmt.Sprintf("w%d.flat", i+1))
+		digest, err := snapshot.SaveFlatFile(path, &snapshot.Snapshot{World: w})
 		if err != nil {
 			panic(err)
 		}
@@ -283,6 +272,24 @@ func TestQuarantineOnCorrupt(t *testing.T) {
 	}
 	if c.ResidentBytes() != 0 {
 		t.Errorf("quarantined world left %d resident bytes reserved", c.ResidentBytes())
+	}
+
+	// A snapshot from a retired container is catalogued (it is a
+	// snapshot, not a foreign file) and quarantines with the version
+	// error, so the operator sees why and regenerates it.
+	retired := filepath.Join(t.TempDir(), "old.rpsnap")
+	if err := os.WriteFile(retired, []byte("RPSNAP1\n\x00\x01 a retired stream"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old, err := c.Add(retired)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Acquire(context.Background(), old); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("acquire of a retired snapshot: %v, want ErrQuarantined", err)
+	}
+	if wi, _ := c.Lookup(old); !strings.Contains(wi.Error, "regenerate") {
+		t.Errorf("retired snapshot's quarantine reason %q gives no regeneration advice", wi.Error)
 	}
 }
 

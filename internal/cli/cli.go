@@ -97,22 +97,19 @@ func (c Common) WorldConfig() worldgen.Config {
 }
 
 // Snapshot holds the -save/-load flags every rp* tool shares: -load
-// rehydrates the world (and whatever heavier artifacts the file carries)
+// attaches the world (and whatever heavier artifacts the file carries)
 // instead of regenerating, -save persists the run's artifacts for rpserve
 // and later runs.
 type Snapshot struct {
-	Save     *string
-	SaveFlat *string
-	Load     *string
+	Save *string
+	Load *string
 }
 
-// SnapshotFlags registers -save, -save-flat, and -load on the default
-// flag set.
+// SnapshotFlags registers -save and -load on the default flag set.
 func SnapshotFlags() Snapshot {
 	return Snapshot{
-		Save:     flag.String("save", "", "write a snapshot of this run's artifacts to the given path"),
-		SaveFlat: flag.String("save-flat", "", "also write the v2 flat (mmap-attachable) snapshot to the given path"),
-		Load:     flag.String("load", "", "load the world (and any heavier artifacts) from a snapshot (either format) instead of regenerating"),
+		Save: flag.String("save", "", "write a snapshot of this run's artifacts to the given path"),
+		Load: flag.String("load", "", "attach the world (and any heavier artifacts) from a snapshot instead of regenerating"),
 	}
 }
 
@@ -127,9 +124,8 @@ func (s Snapshot) ResolveWorld(c Common) (*worldgen.World, *snapshot.Snapshot, e
 		w, err := worldgen.Generate(c.WorldConfig())
 		return w, nil, err
 	}
-	// OpenFile sniffs the format: v1 files load, v2 flat files attach and
-	// materialize (the mapping lives as long as the process, which is the
-	// snapshot's lifetime in every CLI tool).
+	// The mapping lives as long as the process, which is the snapshot's
+	// lifetime in every CLI tool.
 	snap, err := snapshot.OpenFile(*s.Load)
 	if err != nil {
 		return nil, nil, err
@@ -171,24 +167,17 @@ func MergeSnapshot(loaded *snapshot.Snapshot, w *worldgen.World) *snapshot.Snaps
 	return out
 }
 
-// SaveSnapshot writes the snapshot if -save and/or -save-flat were given,
-// reporting each path and digest to stderr so pipelines can log
-// provenance. The two digests differ — they address different byte
-// images of the same artifacts.
+// SaveSnapshot writes the snapshot if -save was given, reporting the
+// path and content digest to stderr so pipelines can log provenance.
 func (s Snapshot) SaveSnapshot(snap *snapshot.Snapshot) error {
-	if *s.Save != "" {
-		if err := snapshot.SaveFile(*s.Save, snap); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "snapshot: wrote %s (digest %s)\n", *s.Save, snap.Digest)
+	if *s.Save == "" {
+		return nil
 	}
-	if *s.SaveFlat != "" {
-		digest, err := snapshot.SaveFlatFile(*s.SaveFlat, snap)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "snapshot: wrote flat %s (digest %s)\n", *s.SaveFlat, digest)
+	digest, err := snapshot.SaveFlatFile(*s.Save, snap)
+	if err != nil {
+		return err
 	}
+	fmt.Fprintf(os.Stderr, "snapshot: wrote %s (digest %s)\n", *s.Save, digest)
 	return nil
 }
 

@@ -21,7 +21,8 @@
 //     candidate after a p99-derived delay: first response wins, the
 //     loser is cancelled via context. Only idempotent requests hedge —
 //     POST /v1/tick advances a timeline and is never hedged or retried,
-//     keeping tick commits exactly-once.
+//     keeping tick commits exactly-once — and only for frozen worlds: a
+//     ticked world's views live on its journal owner alone.
 //   - large what-if grids fan out across workers by grid coordinate:
 //     the seed axis is split (cell RNG streams are keyed by scenario
 //     index and seed value, both preserved under seed-splitting), each

@@ -360,6 +360,40 @@ func TestTickNeverHedgesOrRetries(t *testing.T) {
 	}
 }
 
+// TestLiveWorldReadsNeverHedge pins that reads of a ticked world stay on
+// its journal owner: the "@tick" views, /v1/since, and /v1/newspaper
+// exist only there, so a hedge to the next-ranked worker could win with
+// a fast 404 or frozen genesis data.
+func TestLiveWorldReadsNeverHedge(t *testing.T) {
+	w1 := newStubWorker(t, "w1", digA)
+	w2 := newStubWorker(t, "w2", digA)
+	cfg := fastConfig(w1.url(), w2.url())
+	cfg.HedgeDelay = 5 * time.Millisecond // hair-trigger: any hedge would fire
+	r := newTestRouter(t, cfg)
+
+	cands, _ := r.candidates(digA)
+	owner := w1
+	if cands[0].url == w2.url() {
+		owner = w2
+	}
+
+	req := httptest.NewRequest(http.MethodPost, "/v1/tick?world="+digA+"&n=1", nil)
+	rec := httptest.NewRecorder()
+	r.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("tick status = %d", rec.Code)
+	}
+
+	owner.delay.Store(int64(100 * time.Millisecond))
+	status, _, body := routerGet(t, r, "/v1/newspaper?world="+digA)
+	if status != http.StatusOK || !strings.Contains(string(body), `"worker":"`+owner.name+`"`) {
+		t.Errorf("live world's newspaper: status %d body %s, want the owner %s's answer", status, body, owner.name)
+	}
+	if r.hedges.Value() != 0 {
+		t.Errorf("a live-world read was hedged (%d)", r.hedges.Value())
+	}
+}
+
 func TestOrphanedWorldDegradesGracefully(t *testing.T) {
 	w1 := newStubWorker(t, "w1", digA)
 	w2 := newStubWorker(t, "w2", digB)

@@ -63,11 +63,16 @@ func testSnap(t testing.TB) *snapshot.Snapshot {
 			return
 		}
 		var buf bytes.Buffer
-		if err := snapshot.Save(&buf, &snapshot.Snapshot{World: w, Dataset: ds, Spread: sp}); err != nil {
+		if _, err := snapshot.WriteFlat(&buf, &snapshot.Snapshot{World: w, Dataset: ds, Spread: sp}); err != nil {
 			snapErr = err
 			return
 		}
-		snapVal, snapErr = snapshot.Load(&buf)
+		a, err := snapshot.AttachBytes(buf.Bytes())
+		if err != nil {
+			snapErr = err
+			return
+		}
+		snapVal, snapErr = a.Snapshot()
 	})
 	if snapErr != nil {
 		t.Fatal(snapErr)
@@ -217,7 +222,10 @@ func TestChaosByteIdentity(t *testing.T) {
 		Delay: 2 * time.Millisecond,
 	})
 	r := newTestRouter(t, cfg)
-	waitFor(t, "a member up", func() bool { return len(r.upMembers()) > 0 })
+	// A member can come up on a heartbeat whose /v1/worlds read was
+	// dropped; wait until its advertisement lands, or the first query
+	// is a 404 for a world the router has not heard of yet.
+	waitFor(t, "the world advertised", func() bool { _, err := r.resolve(digest); return err == nil })
 
 	// Both endpoints are pure functions of the snapshot — /v1/world is
 	// deliberately absent: its body reports mutable server state

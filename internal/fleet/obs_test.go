@@ -192,6 +192,29 @@ func TestTracePropagation(t *testing.T) {
 		t.Errorf("trace %s seen by %d worker requests, want exactly 1", fwd.Trace, len(got))
 	}
 
+	// Hedged (before the tick below: a live world never hedges): both
+	// legs carry the same ID; the router record shows the hedge launch
+	// and the hedge win.
+	cands, _ := r.candidates(digA)
+	owner, survivor := w1, w2
+	if cands[0].url == w2.url() {
+		owner, survivor = w2, w1
+	}
+	owner.delay.Store(int64(200 * time.Millisecond))
+	r.cfg.HedgeDelay = 10 * time.Millisecond
+	if status, _, body := routerGet(t, r, "/v1/spread?world="+digA); status != http.StatusOK {
+		t.Fatalf("hedge status = %d, body %s", status, body)
+	}
+	owner.delay.Store(0)
+	r.cfg.HedgeDelay = 500 * time.Millisecond
+	hedged := lastRecord(t, routerRec, http.MethodGet, "/v1/spread")
+	if !hasSpan(hedged, "hedge-launch") || !hasSpan(hedged, "hedge-win") {
+		t.Errorf("hedged record missing hedge spans: %+v", hedged.Spans)
+	}
+	if got := workerRecords(hedged.Trace); len(got) < 1 {
+		t.Errorf("hedged trace %s reached no worker recorder", hedged.Trace)
+	}
+
 	// Routed tick: same ID router- and worker-side, and exactly one
 	// worker-side application fleet-wide.
 	if status, _, body := routerGet(t, r, "/v1/tick?world="+digA); status != http.StatusOK {
@@ -212,28 +235,6 @@ func TestTracePropagation(t *testing.T) {
 	}
 	if applied != 1 {
 		t.Fatalf("tick trace %s applied on %d workers, want exactly 1", tick.Trace, applied)
-	}
-
-	// Hedged: both legs carry the same ID; the router record shows the
-	// hedge launch and the hedge win.
-	cands, _ := r.candidates(digA)
-	owner, survivor := w1, w2
-	if cands[0].url == w2.url() {
-		owner, survivor = w2, w1
-	}
-	owner.delay.Store(int64(200 * time.Millisecond))
-	r.cfg.HedgeDelay = 10 * time.Millisecond
-	if status, _, body := routerGet(t, r, "/v1/spread?world="+digA); status != http.StatusOK {
-		t.Fatalf("hedge status = %d, body %s", status, body)
-	}
-	owner.delay.Store(0)
-	r.cfg.HedgeDelay = 500 * time.Millisecond
-	hedged := lastRecord(t, routerRec, http.MethodGet, "/v1/spread")
-	if !hasSpan(hedged, "hedge-launch") || !hasSpan(hedged, "hedge-win") {
-		t.Errorf("hedged record missing hedge spans: %+v", hedged.Spans)
-	}
-	if got := workerRecords(hedged.Trace); len(got) < 1 {
-		t.Errorf("hedged trace %s reached no worker recorder", hedged.Trace)
 	}
 
 	// Failed-over: the corpse never records the trace; the survivor does,

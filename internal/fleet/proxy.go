@@ -161,18 +161,22 @@ func (r *Router) forward(ctx context.Context, m *member, method, path, query str
 }
 
 // send routes one world-scoped request: rendezvous-ranked candidates,
-// hedged duplicates for slow owners (idempotent requests only), and
-// rehash-and-retry failover with capped, deterministically-jittered
-// backoff when an owner is dead or partitioned. A transport error means
-// no response byte arrived, so retrying is safe even for non-idempotent
-// requests — but those never hedge and never retry after bytes may have
-// been processed, which for POST /v1/tick means one attempt, period.
+// hedged duplicates for slow owners (idempotent requests to frozen worlds
+// only), and rehash-and-retry failover with capped,
+// deterministically-jittered backoff when an owner is dead or
+// partitioned. A transport error means no response byte arrived, so
+// retrying is safe even for non-idempotent requests — but those never
+// hedge and never retry after bytes may have been processed, which for
+// POST /v1/tick means one attempt, period. A live world never hedges
+// either: its "@tick" views exist only on its journal owner, so the
+// next-ranked worker's fast answer would be a 404 or frozen genesis data.
 func (r *Router) send(ctx context.Context, digest string, idempotent bool, method, path, query string, hdr http.Header, body []byte) (*response, error) {
 	class := method + " " + path
 	attempts := r.cfg.MaxAttempts
 	if !idempotent {
 		attempts = 1
 	}
+	hedge := idempotent && !r.isLive(digest)
 	var lastErr error
 	tried := make(map[string]bool)
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -211,7 +215,7 @@ func (r *Router) send(ctx context.Context, digest string, idempotent bool, metho
 			}
 		}
 		for _, c := range cands {
-			if c != primary {
+			if hedge && c != primary {
 				hedgeTo = c
 				break
 			}
@@ -219,7 +223,7 @@ func (r *Router) send(ctx context.Context, digest string, idempotent bool, metho
 		tried[primary.url] = true
 
 		start := time.Now()
-		resp, err := r.race(ctx, primary, hedgeTo, idempotent, class, method, path, query, hdr, body)
+		resp, err := r.race(ctx, primary, hedgeTo, class, method, path, query, hdr, body)
 		if err != nil {
 			lastErr = err
 			continue
@@ -235,11 +239,12 @@ func (r *Router) send(ctx context.Context, digest string, idempotent bool, metho
 }
 
 // race runs the primary forward and, if it is still in flight after the
-// class's p99-derived hedge delay, one duplicate against the next-ranked
-// candidate. The first response wins; the loser's context is cancelled.
-// Hedging is reserved for idempotent requests — a duplicate of one is at
-// worst wasted work, never a duplicated side effect.
-func (r *Router) race(ctx context.Context, primary, hedgeTo *member, idempotent bool, class, method, path, query string, hdr http.Header, body []byte) (*response, error) {
+// class's p99-derived hedge delay, one duplicate against hedgeTo. The
+// first response wins; the loser's context is cancelled. A nil hedgeTo
+// runs the primary alone: send passes one only for idempotent requests
+// to frozen worlds, where a duplicate is at worst wasted work, never a
+// duplicated side effect or a wrong answer.
+func (r *Router) race(ctx context.Context, primary, hedgeTo *member, class, method, path, query string, hdr http.Header, body []byte) (*response, error) {
 	type result struct {
 		resp *response
 		err  error
@@ -252,7 +257,7 @@ func (r *Router) race(ctx context.Context, primary, hedgeTo *member, idempotent 
 		ch <- result{resp, err}
 	}()
 
-	if !idempotent || hedgeTo == nil {
+	if hedgeTo == nil {
 		res := <-ch
 		return res.resp, res.err
 	}

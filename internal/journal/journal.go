@@ -1,7 +1,7 @@
 // Package journal is the append-only event log of an evolving world: one
 // binary file recording, per tick, the events the tick engine applied and
 // the RNG stream key their application drew from, plus checkpoint markers
-// pointing at periodic v2 flat snapshots. Together with the genesis
+// pointing at periodic flat snapshots. Together with the genesis
 // configuration in the header, the journal is a complete recipe for
 // rebuilding the world at any recorded tick — replay is byte-identical to
 // the live run, at any worker count.
@@ -91,7 +91,7 @@ type Record struct {
 }
 
 // Checkpoint marks a periodic snapshot: at Tick, the engine's full state
-// was written to File (a v2 flat snapshot, path relative to the journal's
+// was written to File (a flat snapshot, path relative to the journal's
 // directory) with the given content digest. Recovery attaches the newest
 // checkpoint whose file still matches its digest and replays the tail.
 type Checkpoint struct {

@@ -29,10 +29,14 @@ func liveServer(t testing.TB) (*Server, string) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := snapshot.Save(&buf, &snapshot.Snapshot{World: w}); err != nil {
+	if _, err := snapshot.WriteFlat(&buf, &snapshot.Snapshot{World: w}); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := snapshot.Load(&buf)
+	a, err := snapshot.AttachBytes(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := a.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}

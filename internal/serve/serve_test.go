@@ -57,14 +57,20 @@ func testServer(t testing.TB) *Server {
 			testSrvErr = err
 			return
 		}
-		// Round-trip through the codec so the tests exercise exactly what
-		// a production server sees: rehydrated artifacts, a real digest.
+		// Round-trip through the flat container so the tests exercise
+		// exactly what a production server sees: rehydrated artifacts, a
+		// real digest.
 		var buf bytes.Buffer
-		if err := snapshot.Save(&buf, &snapshot.Snapshot{World: w, Dataset: ds, Spread: sp}); err != nil {
+		if _, err := snapshot.WriteFlat(&buf, &snapshot.Snapshot{World: w, Dataset: ds, Spread: sp}); err != nil {
 			testSrvErr = err
 			return
 		}
-		snap, err := snapshot.Load(&buf)
+		a, err := snapshot.AttachBytes(buf.Bytes())
+		if err != nil {
+			testSrvErr = err
+			return
+		}
+		snap, err := a.Snapshot()
 		if err != nil {
 			testSrvErr = err
 			return

@@ -1,4 +1,4 @@
-// Attach: the zero-copy read side of the v2 flat format. Attach maps a
+// Attach: the zero-copy read side of the flat format. Attach maps a
 // flat snapshot into the address space and validates only the fixed-size
 // header and section directory — microseconds of work independent of file
 // size — so a serve-tier worker can hold thousands of catalogued worlds
@@ -8,7 +8,7 @@
 // cone rows, the dense AS-id plane) are adopted as views over the mapping
 // rather than copied. Scenario clones over an attached world stay
 // copy-on-write: the ops' dirty-stage masks decide which sections a cell
-// rebuilds, exactly as they do over a v1-loaded world.
+// rebuilds, exactly as they do over a freshly generated world.
 package snapshot
 
 import (
@@ -92,27 +92,25 @@ func AttachBytes(data []byte) (*Attached, error) {
 }
 
 func attach(data []byte, unmap func() error) (*Attached, error) {
-	if len(data) < len(magic2) {
-		if bytes.HasPrefix(magic2, data) {
+	if len(data) < len(magic) {
+		if bytes.HasPrefix(magic, data) {
 			return nil, fmt.Errorf("%w: %d bytes is shorter than the header", ErrTruncated, len(data))
 		}
 		return nil, ErrBadMagic
 	}
-	if !bytes.Equal(data[:len(magic2)], magic2) {
-		if bytes.Equal(data[:len(magic)], magic) {
-			return nil, fmt.Errorf("%w: v1 snapshot (read it with Load, not Attach)", ErrVersion)
+	if !bytes.Equal(data[:len(magic)], magic) {
+		if bytes.HasPrefix(data, magicFamily) {
+			return nil, fmt.Errorf("%w: retired snapshot container %q; regenerate it from its seed",
+				ErrVersion, bytes.TrimRight(data[:len(magic)], "\n"))
 		}
 		return nil, ErrBadMagic
 	}
 	if len(data) < flatHeaderSize {
 		return nil, fmt.Errorf("%w: missing flat header", ErrTruncated)
 	}
-	ver := binary.LittleEndian.Uint16(data[8:])
-	if ver > FlatVersion {
-		return nil, fmt.Errorf("%w: file has flat version %d, this build reads ≤ %d", ErrVersion, ver, FlatVersion)
-	}
-	if ver < FlatVersion {
-		return nil, fmt.Errorf("%w: impossible flat version %d", ErrCorrupt, ver)
+	if ver := binary.LittleEndian.Uint16(data[8:]); ver != FlatVersion {
+		return nil, fmt.Errorf("%w: file has flat version %d, this build reads only %d (regenerate older files from their seeds)",
+			ErrVersion, ver, FlatVersion)
 	}
 	count := int64(binary.LittleEndian.Uint32(data[12:]))
 	dirEnd := int64(flatHeaderSize) + count*flatDirEntSize
@@ -153,19 +151,11 @@ func attach(data []byte, unmap func() error) (*Attached, error) {
 	return &Attached{data: data, unmap: unmap, dir: dir}, nil
 }
 
-// OpenFile reads a snapshot in whichever format the file carries: v1
-// files go through LoadFile, v2 flat files are attached and materialized.
-// For flat files the mapping is deliberately retained for the snapshot's
-// lifetime (the materialized artifacts alias it); callers that need to
-// unmap eagerly should use Attach directly and manage Close themselves.
+// OpenFile attaches the snapshot at path and materializes it. The mapping
+// is deliberately retained for the snapshot's lifetime (the materialized
+// artifacts alias it); callers that need to unmap eagerly should use
+// Attach directly and manage Close themselves.
 func OpenFile(path string) (*Snapshot, error) {
-	flat, err := SniffFlat(path)
-	if err != nil {
-		return nil, err
-	}
-	if !flat {
-		return LoadFile(path)
-	}
 	a, err := Attach(path)
 	if err != nil {
 		return nil, err
@@ -203,9 +193,8 @@ func (a *Attached) Close() error {
 	return nil
 }
 
-// section returns the named payload, verifying its CRC — the lazy
-// counterpart of the v1 reader's up-front sweep: a section is checked the
-// first (and only) time materialization consumes it.
+// section returns the named payload, verifying its CRC lazily: a section
+// is checked the first (and only) time materialization consumes it.
 func (a *Attached) section(name string) ([]byte, bool, error) {
 	for _, e := range a.dir {
 		if e.name != name {
@@ -244,7 +233,7 @@ func (a *Attached) has(name string) bool {
 
 // Snapshot materializes the attached file into a fully-rehydrated
 // *Snapshot, once; further calls return the same value. Reports computed
-// from it are byte-identical to reports computed from the v1 load path —
+// from it are byte-identical to reports computed from the live objects —
 // pinned by snapshot_equiv_test.go. The flat hot-path arrays (all-transit
 // series, cone rows) are adopted as views over the mapping, not copied.
 func (a *Attached) Snapshot() (*Snapshot, error) {
@@ -260,7 +249,7 @@ func (a *Attached) materialize() (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, err := decodeWorldBody(worldPayload)
+	w, err := decodeWorld(worldPayload)
 	if err != nil {
 		return nil, err
 	}

@@ -1,14 +1,16 @@
-// The binary codec of the snapshot format: a magic header, a format
-// version, and a sequence of named sections, each protected by its own
-// CRC-32. The encoding is deterministic — equal artifacts produce equal
-// bytes — which is what makes a snapshot's SHA-256 digest usable as a
-// content address (the serve layer keys its result cache on it).
+// The varint payload codec inside the flat container: the world, dataset,
+// spread.cfg, and obs.strs sections are byte strings written by enc and
+// read back by dec. The encoding is deterministic — equal artifacts
+// produce equal bytes — which is what makes a snapshot's SHA-256 digest
+// usable as a content address (the serve layer keys its result cache on
+// it).
 //
 // Integrity failures map to typed sentinel errors so callers can tell a
 // wrong file apart from a damaged one:
 //
 //	ErrBadMagic  — not a snapshot file at all
-//	ErrVersion   — a snapshot from a future (incompatible) format
+//	ErrVersion   — a snapshot this build does not read: a future format,
+//	               or a retired one that must be regenerated from its seed
 //	ErrTruncated — the file ends mid-structure
 //	ErrCorrupt   — a section's payload fails its checksum, or decodes
 //	               inconsistently after passing it
@@ -18,39 +20,17 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"net/netip"
 )
 
-// Magic identifies a snapshot file. The trailing newline makes an
-// accidental text file misread fail fast.
-var magic = []byte("RPSNAP1\n")
-
-// Version is the current format version. Readers reject snapshots with a
-// larger version (the format is not forward-compatible); smaller versions
-// would be migrated here if the format ever evolves.
-const Version uint16 = 1
-
-// Typed integrity errors. Load never panics and never returns a
+// Typed integrity errors. Attach never panics and never returns a
 // silently-wrong artifact: every malformed input lands on one of these.
 var (
 	ErrBadMagic  = errors.New("snapshot: not a snapshot file (bad magic)")
 	ErrVersion   = errors.New("snapshot: unsupported format version")
 	ErrTruncated = errors.New("snapshot: truncated file")
 	ErrCorrupt   = errors.New("snapshot: corrupt section")
-)
-
-// Section names of the current format. Unknown sections are skipped on
-// load (their CRC is still verified), so additive extensions stay
-// readable by this version's writer counterpart.
-const (
-	secWorld   = "world"
-	secDataset = "dataset"
-	secSeries  = "series"
-	secSpread  = "spread"
-	secCones   = "cones"
-	secTick    = "tick"
 )
 
 // enc is the append-only payload encoder. All integers are varint or
@@ -60,9 +40,9 @@ type enc struct {
 	buf []byte
 }
 
-func (e *enc) uvarint(v uint64)  { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *enc) varint(v int64)    { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *enc) u8(v uint8)        { e.buf = append(e.buf, v) }
+func (e *enc) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
+func (e *enc) varint(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
+func (e *enc) u8(v uint8)       { e.buf = append(e.buf, v) }
 func (e *enc) boolv(v bool) {
 	if v {
 		e.u8(1)
@@ -70,16 +50,10 @@ func (e *enc) boolv(v bool) {
 		e.u8(0)
 	}
 }
-func (e *enc) f64(v float64)     { e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v)) }
-func (e *enc) bytes(b []byte)    { e.uvarint(uint64(len(b))); e.buf = append(e.buf, b...) }
-func (e *enc) str(s string)      { e.bytes([]byte(s)) }
-func (e *enc) intv(v int)        { e.varint(int64(v)) }
-func (e *enc) f64s(xs []float64) {
-	e.uvarint(uint64(len(xs)))
-	for _, x := range xs {
-		e.f64(x)
-	}
-}
+func (e *enc) f64(v float64)  { e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v)) }
+func (e *enc) bytes(b []byte) { e.uvarint(uint64(len(b))); e.buf = append(e.buf, b...) }
+func (e *enc) str(s string)   { e.bytes([]byte(s)) }
+func (e *enc) intv(v int)     { e.varint(int64(v)) }
 
 // addr encodes a netip.Addr via its canonical binary form, which
 // round-trips exactly for both families (every address in the generated
@@ -191,18 +165,6 @@ func (d *dec) bytes() []byte {
 func (d *dec) str() string { return string(d.bytes()) }
 func (d *dec) intv() int   { return int(d.varint()) }
 
-func (d *dec) f64s() []float64 {
-	n := d.uvarint()
-	if d.err != nil || !d.fits(n, 8) {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.f64()
-	}
-	return out
-}
-
 // fits guards count-prefixed allocations: a corrupt count that implies
 // more payload than the section holds fails decoding instead of
 // attempting a huge allocation. elemSize is the minimum encoded size of
@@ -279,38 +241,4 @@ func decodeStringTable(d *dec) []string {
 		out[i] = d.str()
 	}
 	return out
-}
-
-// section frames one named payload: name, length, payload, CRC-32 (IEEE)
-// of the payload.
-func appendSection(out []byte, name string, payload []byte) []byte {
-	var h enc
-	h.str(name)
-	h.uvarint(uint64(len(payload)))
-	out = append(out, h.buf...)
-	out = append(out, payload...)
-	return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-}
-
-// readSection consumes one section from buf at off, verifying its CRC.
-func readSection(buf []byte, off int) (name string, payload []byte, next int, err error) {
-	d := &dec{buf: buf, off: off}
-	name = d.str()
-	n := d.uvarint()
-	if d.err != nil {
-		return "", nil, 0, fmt.Errorf("%w: section header at offset %d", ErrTruncated, off)
-	}
-	// Compare against the remainder without computing n+4: a corrupt
-	// header can declare a length near 2^64, and the addition would wrap
-	// past the guard into a panicking slice expression.
-	rem := uint64(len(buf) - d.off)
-	if n > rem || rem-n < 4 {
-		return "", nil, 0, fmt.Errorf("%w: section %q wants %d payload bytes, %d remain", ErrTruncated, name, n, rem)
-	}
-	payload = buf[d.off : d.off+int(n)]
-	sum := binary.BigEndian.Uint32(buf[d.off+int(n):])
-	if crc32.ChecksumIEEE(payload) != sum {
-		return "", nil, 0, fmt.Errorf("%w: section %q checksum mismatch", ErrCorrupt, name)
-	}
-	return name, payload, d.off + int(n) + 4, nil
 }

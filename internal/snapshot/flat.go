@@ -1,13 +1,13 @@
-// The v2 "flat" snapshot format: an offset-indexed, page-aligned,
-// little-endian section layout built to be mmap'd and queried in place.
+// The flat snapshot format — the repo's one on-disk container: an
+// offset-indexed, page-aligned, little-endian section layout built to be
+// mmap'd and queried in place.
 //
-// Where the v1 codec varint-packs everything into one stream that must be
-// decoded front to back, v2 puts a fixed-size directory at the front of
-// the file and lays every hot read-side artifact out as a fixed-width
-// array the reader can view through unsafe.Slice without copying:
+// A fixed-size directory sits at the front of the file, and every hot
+// read-side artifact is laid out as a fixed-width array the reader can
+// view through unsafe.Slice without copying:
 //
 //	offset 0      magic "RPSNAP2\n"
-//	offset 8      u16 version (=2), u16 reserved (=0)
+//	offset 8      u16 version (=3), u16 reserved (=0)
 //	offset 12     u32 section count n
 //	offset 16     n × 48-byte directory entries:
 //	                name [24]byte (NUL-padded)
@@ -22,11 +22,11 @@
 // All integers are little-endian. Array sections carry raw fixed-width
 // elements (f64 bit images, u32/i32) with no per-element framing, so a
 // page-aligned mmap of the file yields correctly-aligned slices for free.
-// The pointer-rich structures (the world graph, the dataset entry table)
-// keep the v1 varint payloads — the current codec stays the writer-side
-// canonical form — while the artifacts the query hot paths touch (the
-// dense AS-id plane, the all-transit series caches, the cone tables, the
-// spread observation and ground-truth tables) get flat sections.
+// The pointer-rich structures (the world graph, the dataset entry table,
+// the campaign config) are varint payloads (codec.go), while the
+// artifacts the query hot paths touch (the dense AS-id plane, the
+// all-transit series caches, the cone tables, the spread observation and
+// ground-truth tables) get flat sections.
 //
 // Attach (attach.go) validates only the header and directory up front;
 // each section's CRC is verified the first time the section is
@@ -34,6 +34,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -50,26 +51,34 @@ import (
 	"remotepeering/internal/lg"
 )
 
-// magic2 identifies a v2 flat snapshot file.
-var magic2 = []byte("RPSNAP2\n")
+// magic identifies a flat snapshot file.
+var magic = []byte("RPSNAP2\n")
 
-// FlatVersion is the flat format's version. Attach rejects larger
-// versions; v1 files are a different magic entirely (use Load for those).
-const FlatVersion uint16 = 2
+// magicFamily is the prefix every snapshot container this repo has ever
+// written starts with — the retired RPSNAP1 stream included — so a file
+// from an older build is recognised as a snapshot and refused with
+// ErrVersion rather than mistaken for a foreign file.
+var magicFamily = []byte("RPSNAP")
 
-// Flat section names. The world/dataset/spread.cfg payloads reuse the v1
-// varint encodings verbatim; the rest are fixed-width arrays.
+// FlatVersion is the flat format's version. Attach reads exactly this
+// version: version 3 stopped writing the Workers knobs into the world and
+// dataset payloads, so older files are refused with ErrVersion and must be
+// regenerated from their seeds.
+const FlatVersion uint16 = 3
+
+// Flat section names. The world/dataset/spread.cfg/obs.strs payloads are
+// varint encodings (codec.go); the rest are fixed-width arrays.
 const (
-	flatWorld      = "world"       // v1 varint world payload
-	flatDataset    = "dataset"     // v1 varint dataset payload
+	flatWorld      = "world"       // varint world payload
+	flatDataset    = "dataset"     // varint dataset payload
 	flatASNs       = "asn.ids"     // u32[] dense-id → ASN plane, ascending
 	flatSeriesIn   = "series.in"   // f64[] all-transit inbound series
 	flatSeriesOut  = "series.out"  // f64[] all-transit outbound series
 	flatConeIDs    = "cones.ids"   // i32[] dense ids with persisted cone rows
 	flatConeOffs   = "cones.offs"  // u32[len(ids)+1] prefix offsets into cones.data
 	flatConeData   = "cones.data"  // i32[] concatenated cone rows
-	flatSpreadCfg  = "spread.cfg"  // v1 varint seed+campaign+detector config
-	flatObsStrs    = "obs.strs"    // v1 varint string table (acronyms, families)
+	flatSpreadCfg  = "spread.cfg"  // varint seed+campaign+detector config
+	flatObsStrs    = "obs.strs"    // varint string table (acronyms, families)
 	flatObsRows    = "obs.rows"    // 48-byte fixed observation rows
 	flatTruthIXPs  = "truth.ixps"  // i32[] studied-IXP indices, ascending
 	flatTruthOffs  = "truth.offs"  // u32[len(ixps)+1] prefix offsets into truth.addrs
@@ -216,8 +225,7 @@ func decodeRowAddr(ip []byte, ipLen uint8) (netip.Addr, error) {
 }
 
 // encodeObsRows packs the raw observation stream into fixed-width rows,
-// interning acronym/family strings into table (first-appearance order,
-// exactly like the v1 section).
+// interning acronym/family strings into table (first-appearance order).
 func encodeObsRows(raw []lg.Observation, table *stringTable) []byte {
 	buf := make([]byte, len(raw)*obsRowSize)
 	for i := range raw {
@@ -304,8 +312,8 @@ type flatSection struct {
 	payload []byte
 }
 
-// flatSections assembles the v2 section list for a snapshot, in the fixed
-// file order. The world and dataset payloads are the v1 encodings; the
+// flatSections assembles the section list for a snapshot, in the fixed
+// file order. The world and dataset payloads are varint encodings; the
 // hot artifacts are flattened.
 func flatSections(s *Snapshot) ([]flatSection, error) {
 	if s == nil || s.World == nil {
@@ -388,7 +396,7 @@ func flatSections(s *Snapshot) ([]flatSection, error) {
 // alignUp rounds n up to the next multiple of a (a power of two).
 func alignUp(n, a int) int { return (n + a - 1) &^ (a - 1) }
 
-// encodeFlat renders the complete v2 file image.
+// encodeFlat renders the complete file image.
 func encodeFlat(s *Snapshot) ([]byte, error) {
 	secs, err := flatSections(s)
 	if err != nil {
@@ -406,7 +414,7 @@ func encodeFlat(s *Snapshot) ([]byte, error) {
 	total := offs[len(offs)-1] + len(secs[len(secs)-1].payload)
 
 	out := make([]byte, total)
-	copy(out, magic2)
+	copy(out, magic)
 	binary.LittleEndian.PutUint16(out[8:], FlatVersion)
 	binary.LittleEndian.PutUint32(out[12:], uint32(len(secs)))
 	for i, sec := range secs {
@@ -424,9 +432,9 @@ func encodeFlat(s *Snapshot) ([]byte, error) {
 	return out, nil
 }
 
-// WriteFlat encodes the snapshot in the v2 flat format and returns the
-// file's SHA-256 content digest. The v1 codec (Save) remains the
-// canonical writer form; WriteFlat is the serve-tier attach artifact.
+// WriteFlat encodes the snapshot and returns the image's SHA-256 content
+// digest — SaveFlatFile over an arbitrary writer (in-memory fixtures,
+// fuzz corpora).
 func WriteFlat(w io.Writer, s *Snapshot) (digest string, err error) {
 	out, err := encodeFlat(s)
 	if err != nil {
@@ -439,8 +447,9 @@ func WriteFlat(w io.Writer, s *Snapshot) (digest string, err error) {
 	return digest, nil
 }
 
-// SaveFlatFile writes the v2 flat snapshot atomically (temp file +
-// rename) and returns its content digest.
+// SaveFlatFile writes the snapshot atomically (temp file + rename), so a
+// crash mid-save never leaves a truncated snapshot under the target path,
+// and returns its content digest.
 func SaveFlatFile(path string, s *Snapshot) (digest string, err error) {
 	out, err := encodeFlat(s)
 	if err != nil {
@@ -465,45 +474,23 @@ func SaveFlatFile(path string, s *Snapshot) (digest string, err error) {
 	return digestOf(out), nil
 }
 
-// SniffFlat reports whether the file at path starts with the v2 flat
-// magic — the dispatch predicate for tools accepting either format.
-func SniffFlat(path string) (bool, error) {
+// Sniff reports whether the file at path is a snapshot at all: it starts
+// with the snapshot magic family, current container or retired. The
+// catalog scanner uses it to skip foreign files; whether this build reads
+// a snapshot is Attach's call (a retired one lands on ErrVersion).
+func Sniff(path string) (bool, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return false, fmt.Errorf("snapshot: %w", err)
 	}
 	defer f.Close()
-	var hdr [8]byte
-	n, _ := io.ReadFull(f, hdr[:])
-	return n == len(magic2) && string(hdr[:]) == string(magic2), nil
-}
-
-// Sniff reports which snapshot format the file at path carries: v1
-// (read it with Load) or v2 flat (Attach). Both false means the file is
-// not a snapshot at all — the catalog scanner uses that to skip foreign
-// files instead of erroring on them.
-func Sniff(path string) (v1, flat bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, false, fmt.Errorf("snapshot: %w", err)
-	}
-	defer f.Close()
-	var hdr [8]byte
-	n, _ := io.ReadFull(f, hdr[:])
-	if n != len(magic) {
-		return false, false, nil
-	}
-	switch string(hdr[:]) {
-	case string(magic):
-		return true, false, nil
-	case string(magic2):
-		return false, true, nil
-	}
-	return false, false, nil
+	hdr := make([]byte, len(magicFamily))
+	n, _ := io.ReadFull(f, hdr)
+	return n == len(hdr) && bytes.Equal(hdr, magicFamily), nil
 }
 
 // DigestFile computes the file's content digest — the same hex SHA-256
-// of the complete file image Save/Load/Attach stamp on a Snapshot — by
+// of the complete file image SaveFlatFile returns and Attach stamps — by
 // streaming, without decoding or holding the file in memory. It is how
 // the catalog names worlds it has not attached yet.
 func DigestFile(path string) (string, error) {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -16,7 +17,7 @@ import (
 	"remotepeering/internal/spread"
 )
 
-// flatImage renders s in the v2 flat format.
+// flatImage renders s as an in-memory flat image.
 func flatImage(t testing.TB, s *Snapshot) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -26,7 +27,8 @@ func flatImage(t testing.TB, s *Snapshot) []byte {
 	return buf.Bytes()
 }
 
-// flatRoundTrip encodes s as a v2 image, attaches it, and materializes.
+// flatRoundTrip encodes s as an in-memory image, attaches it, and
+// materializes.
 func flatRoundTrip(t testing.TB, s *Snapshot) *Snapshot {
 	t.Helper()
 	a, err := AttachBytes(flatImage(t, s))
@@ -49,9 +51,9 @@ func refixDirCRC(img []byte) {
 	binary.LittleEndian.PutUint32(img[dirEnd:], crc32.ChecksumIEEE(img[:dirEnd]))
 }
 
-// TestFlatWorldRoundTrip pins the strongest guarantee for the v2 path:
-// the materialized World is deeply equal to the saved one — including
-// the index rebuilt from the persisted dense-id plane.
+// TestFlatWorldRoundTrip pins the strongest world guarantee over an
+// in-memory image: the materialized World is deeply equal to the saved
+// one — including the index rebuilt from the persisted dense-id plane.
 func TestFlatWorldRoundTrip(t *testing.T) {
 	w := testWorld(t)
 	got := flatRoundTrip(t, &Snapshot{World: w}).World
@@ -61,9 +63,9 @@ func TestFlatWorldRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFlatFullRoundTrip drives every section group through the flat
-// format at once and pins the analyses byte-for-byte against the live
-// objects — the v2 counterpart of the per-artifact v1 tests.
+// TestFlatFullRoundTrip drives every section group through one in-memory
+// image at once and pins the analyses byte-for-byte against the live
+// objects — the all-at-once counterpart of the per-artifact tests.
 func TestFlatFullRoundTrip(t *testing.T) {
 	w := testWorld(t)
 	ds, err := netflow.Collect(w, netflow.Config{Seed: 11, Intervals: 96})
@@ -140,7 +142,8 @@ func TestFlatFullRoundTrip(t *testing.T) {
 
 // TestFlatDigestsAgree pins the digest semantics: WriteFlat, SaveFlatFile,
 // and the materialized snapshot all name the same content digest — the
-// serve tier's cache key is format-dependent but path-independent.
+// serve tier's cache key is path-independent — and Sniff tells snapshot
+// files from foreign ones.
 func TestFlatDigestsAgree(t *testing.T) {
 	w := testWorld(t)
 	s := &Snapshot{World: w}
@@ -174,17 +177,17 @@ func TestFlatDigestsAgree(t *testing.T) {
 		t.Errorf("materialized digest %s != write digest %s", got.Digest, wDigest)
 	}
 
-	ok, err := SniffFlat(path)
+	ok, err := Sniff(path)
 	if err != nil || !ok {
-		t.Errorf("SniffFlat(flat file) = %v, %v; want true", ok, err)
+		t.Errorf("Sniff(flat file) = %v, %v; want true", ok, err)
 	}
-	v1 := filepath.Join(t.TempDir(), "world.rpsnap")
-	if err := SaveFile(v1, s); err != nil {
+	foreign := filepath.Join(t.TempDir(), "README.txt")
+	if err := os.WriteFile(foreign, []byte("not a snapshot\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ok, err = SniffFlat(v1)
+	ok, err = Sniff(foreign)
 	if err != nil || ok {
-		t.Errorf("SniffFlat(v1 file) = %v, %v; want false", ok, err)
+		t.Errorf("Sniff(foreign file) = %v, %v; want false", ok, err)
 	}
 }
 
@@ -225,17 +228,6 @@ func TestFlatIntegrityFailures(t *testing.T) {
 
 	garbage := append([]byte("definitely not a snapshot file, "), good...)
 	attachErr("text file", garbage, ErrBadMagic)
-
-	// A v1 file handed to Attach is a version error with advice, not a
-	// magic error — and a v2 file handed to Load is a magic error.
-	var v1buf bytes.Buffer
-	if err := Save(&v1buf, &Snapshot{World: w}); err != nil {
-		t.Fatal(err)
-	}
-	attachErr("v1 file", v1buf.Bytes(), ErrVersion)
-	if _, err := Load(bytes.NewReader(good)); !errors.Is(err, ErrBadMagic) {
-		t.Errorf("Load(v2 image) err = %v, want ErrBadMagic", err)
-	}
 
 	future := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint16(future[8:], FlatVersion+1)

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"sync"
 	"testing"
@@ -14,10 +15,10 @@ import (
 	"remotepeering/internal/worldgen"
 )
 
-// fuzzSeeds builds one small-but-complete snapshot and renders it in both
-// formats, once per process — the corpus seeds and the oracle images the
-// fuzz body mutates.
-var fuzzSeeds = sync.OnceValues(func() (v1, v2 []byte) {
+// fuzzSeeds builds one small-but-complete snapshot and a world-only one
+// and renders both as flat images, once per process — the corpus seeds
+// and the oracle images the fuzz body mutates.
+var fuzzSeeds = sync.OnceValues(func() (full, world []byte) {
 	w, err := worldgen.Generate(worldgen.Config{Seed: 13, LeafNetworks: 80})
 	if err != nil {
 		panic(err)
@@ -43,35 +44,44 @@ var fuzzSeeds = sync.OnceValues(func() (v1, v2 []byte) {
 	if err != nil {
 		panic(err)
 	}
-	s := &Snapshot{World: w, Dataset: ds, Cones: cones, Spread: res}
 	var b1, b2 bytes.Buffer
-	if err := Save(&b1, s); err != nil {
+	if _, err := WriteFlat(&b1, &Snapshot{World: w, Dataset: ds, Cones: cones, Spread: res}); err != nil {
 		panic(err)
 	}
-	if _, err := WriteFlat(&b2, s); err != nil {
+	if _, err := WriteFlat(&b2, &Snapshot{World: w}); err != nil {
 		panic(err)
 	}
 	return b1.Bytes(), b2.Bytes()
 })
 
-// FuzzReadSnapshot pins the decoder contract for both formats: arbitrary
-// input produces either a valid snapshot or a typed error — never a
-// panic, never an untyped error. The hand-rolled bounds checks in the v1
-// uvarint paths and the v2 directory/offset arithmetic are exactly the
-// code this exercises.
+// FuzzReadSnapshot pins the decoder contract: arbitrary input produces
+// either a valid snapshot or a typed error — never a panic, never an
+// untyped error. The flat directory/offset arithmetic and the
+// hand-rolled bounds checks of the varint payloads inside it are exactly
+// the code this exercises.
 func FuzzReadSnapshot(f *testing.F) {
-	v1, v2 := fuzzSeeds()
-	f.Add(v1)
-	f.Add(v2)
-	for _, img := range [][]byte{v1, v2} {
-		f.Add(img[:len(img)/2])
-		f.Add(img[:len(img)-1])
-		for _, at := range []int{9, 13, len(img) / 3, len(img) - 5} {
-			mut := append([]byte(nil), img...)
-			mut[at] ^= 0x40
-			f.Add(mut)
-		}
+	full, world := fuzzSeeds()
+	f.Add(full)
+	f.Add(world)
+	f.Add(full[:len(full)/2])
+	f.Add(full[:len(full)-1])
+	f.Add(full[:flatHeaderSize+10]) // directory cut
+	f.Add(world[:len(world)/2])
+	// Flips in the version, the section count, a directory name, the
+	// first payload, and two deeper payload offsets.
+	for _, at := range []int{9, 13, flatHeaderSize + 1, flatPayloadBase + 3, len(full) / 3, len(full) - 5} {
+		mut := append([]byte(nil), full...)
+		mut[at] ^= 0x40
+		f.Add(mut)
 	}
+	worldFlip := append([]byte(nil), world...)
+	worldFlip[flatPayloadBase+7] ^= 0x40
+	f.Add(worldFlip)
+	// A retired flat version with a valid directory CRC.
+	old := append([]byte(nil), world...)
+	binary.LittleEndian.PutUint16(old[8:], FlatVersion-1)
+	refixDirCRC(old)
+	f.Add(old)
 	f.Add([]byte("RPSNAP1\n"))
 	f.Add([]byte("RPSNAP2\n"))
 	f.Add([]byte{})
@@ -88,20 +98,14 @@ func FuzzReadSnapshot(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Load(bytes.NewReader(data))
-		typed(t, err)
-		if err == nil && (s == nil || s.World == nil) {
-			t.Error("Load returned success without a world")
-		}
-
 		a, err := AttachBytes(data)
 		typed(t, err)
 		if err != nil {
 			return
 		}
-		s2, err := a.Snapshot()
+		s, err := a.Snapshot()
 		typed(t, err)
-		if err == nil && (s2 == nil || s2.World == nil) {
+		if err == nil && (s == nil || s.World == nil) {
 			t.Error("Attach materialized success without a world")
 		}
 	})

@@ -1,31 +1,33 @@
 // Package snapshot persists the reproduction's expensive artifacts — the
 // generated world, the collected traffic dataset, the measurement
 // campaign, the customer-cone tables, and the synthesised all-transit
-// series — to a versioned, CRC-protected binary file, and rehydrates them
-// so that every report computed from a loaded snapshot is byte-identical
-// to the one computed from the live objects.
+// series — in one versioned, CRC-protected, mmap-able container (the flat
+// format, flat.go), and rehydrates them so that every report computed
+// from an attached snapshot is byte-identical to the one computed from
+// the live objects.
 //
 // The guarantee rests on two facts the rest of the repo already enforces:
 // the analyses are deterministic pure functions of their inputs, and the
 // codec round-trips those inputs exactly (adjacency-list order, entry
 // order, observation order, IEEE-754 bit images). Derived state that is
-// cheap to recompute (ASN indexes, registry views, transient accounting)
-// is rebuilt on load through the owning packages' rehydration hooks
-// rather than persisted, so the file stays small and the derivations stay
-// in one place.
+// cheap to recompute (registry views, transient accounting) is rebuilt on
+// attach through the owning packages' rehydration hooks rather than
+// persisted, so the file stays small and the derivations stay in one
+// place.
+//
+// The file's bytes depend on content alone: runtime knobs such as the
+// worldgen and netflow Workers counts are never written (they never
+// change a result), so the same world saves to the same bytes — and the
+// same digest — at any worker count. Decoded configs carry Workers 0, the
+// documented one-per-CPU default.
 package snapshot
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
-	"net/netip"
-	"os"
-	"path/filepath"
 	"time"
 
-	"remotepeering/internal/asindex"
 	"remotepeering/internal/core"
 	"remotepeering/internal/lg"
 	"remotepeering/internal/netflow"
@@ -46,194 +48,41 @@ type Snapshot struct {
 	Dataset *netflow.Dataset
 	// Spread is the measurement campaign, if present: raw observations,
 	// configs, and ground truth; the detector report is recomputed on
-	// load (deterministically, so byte-identically).
+	// attach (deterministically, so byte-identically).
 	Spread *spread.Result
 	// Cones shares customer-cone tables across studies over the world's
-	// graph, if present. Save persists the rows filled so far; Load
-	// returns a cache primed with them and bound to the loaded world.
+	// graph, if present. Saving persists the rows filled so far; attach
+	// returns a cache primed with them and bound to the attached world.
 	Cones *offload.ConeCache
 	// Tick is the evolution layer, if present: the world's position on a
 	// living-world timeline plus the regime state accumulated by its
 	// events. Tick-engine checkpoints carry it; frozen worlds omit it.
 	Tick *TickState
 
-	// Digest is the SHA-256 of the encoded file, set by Save and Load —
-	// the content address the serve layer keys its result cache on.
+	// Digest is the SHA-256 of the encoded file, set when an attached
+	// file materializes — the content address the serve layer keys its
+	// result cache on, and the name the fleet routes and traces by.
 	Digest string
 }
 
-// Save encodes the snapshot to w and stamps s.Digest.
-func Save(w io.Writer, s *Snapshot) error {
-	if s == nil || s.World == nil {
-		return fmt.Errorf("snapshot: nil snapshot or world")
-	}
-	out := append([]byte(nil), magic...)
-	var vbuf [2]byte
-	vbuf[0] = byte(Version >> 8)
-	vbuf[1] = byte(Version)
-	out = append(out, vbuf[:]...)
-
-	out = appendSection(out, secWorld, encodeWorld(s.World))
-	if s.Dataset != nil {
-		out = appendSection(out, secDataset, encodeDataset(s.Dataset))
-		if in, outSeries, ok := s.Dataset.AllTransitSeriesCached(); ok {
-			out = appendSection(out, secSeries, encodeSeries(in, outSeries))
-		}
-	}
-	if s.Spread != nil {
-		out = appendSection(out, secSpread, encodeSpread(s.Spread))
-	}
-	if s.Cones != nil {
-		if ids, cones := s.Cones.Export(); len(ids) > 0 {
-			out = appendSection(out, secCones, encodeCones(ids, cones))
-		}
-	}
-	if s.Tick != nil {
-		out = appendSection(out, secTick, encodeTick(s.Tick))
-	}
-
-	s.Digest = digestOf(out)
-	_, err := w.Write(out)
-	return err
-}
-
-// digestOf is the content digest shared by both formats: the SHA-256 of
-// the complete file image, hex-encoded. It names a world in the serve
-// tier's cache keys regardless of which format carried it.
+// digestOf is the content digest: the SHA-256 of the complete file
+// image, hex-encoded.
 func digestOf(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
 
 // WorldDigest is the content address of a world alone: the SHA-256 of its
-// v1 section encoding. The journal's genesis header records it so
+// world-section payload. The journal's genesis header records it so
 // recovery can verify a regenerated (or separately loaded) world really
 // is the one the history grew from — the codec round-trips worlds
-// exactly, so equal digests mean equal worlds.
+// exactly and writes no runtime knob, so equal digests mean equal worlds,
+// whatever worker count generated them.
 func WorldDigest(w *worldgen.World) (string, error) {
 	if w == nil {
 		return "", fmt.Errorf("snapshot: nil world")
 	}
 	return digestOf(encodeWorld(w)), nil
-}
-
-// Load decodes a snapshot from r, verifying the magic, the format
-// version, and every section checksum, and rehydrates the artifacts
-// against the decoded world. All failure paths return typed errors
-// (ErrBadMagic, ErrVersion, ErrTruncated, ErrCorrupt) — never a panic,
-// never a silently-wrong world.
-func Load(r io.Reader) (*Snapshot, error) {
-	buf, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: read: %w", err)
-	}
-	if len(buf) < len(magic) {
-		if string(buf) == string(magic[:len(buf)]) {
-			return nil, fmt.Errorf("%w: %d bytes is shorter than the header", ErrTruncated, len(buf))
-		}
-		return nil, ErrBadMagic
-	}
-	if string(buf[:len(magic)]) != string(magic) {
-		return nil, ErrBadMagic
-	}
-	if len(buf) < len(magic)+2 {
-		return nil, fmt.Errorf("%w: missing format version", ErrTruncated)
-	}
-	ver := uint16(buf[len(magic)])<<8 | uint16(buf[len(magic)+1])
-	if ver > Version {
-		return nil, fmt.Errorf("%w: file has version %d, this build reads ≤ %d", ErrVersion, ver, Version)
-	}
-
-	s := &Snapshot{Digest: digestOf(buf)}
-	var seriesIn, seriesOut []float64
-	haveSeries := false
-	for off := len(magic) + 2; off < len(buf); {
-		name, payload, next, err := readSection(buf, off)
-		if err != nil {
-			return nil, err
-		}
-		off = next
-		switch name {
-		case secWorld:
-			if s.World, err = decodeWorld(payload); err != nil {
-				return nil, err
-			}
-		case secDataset:
-			if s.World == nil {
-				return nil, fmt.Errorf("%w: dataset section before world section", ErrCorrupt)
-			}
-			if s.Dataset, err = decodeDataset(payload, s.World); err != nil {
-				return nil, err
-			}
-		case secSeries:
-			if seriesIn, seriesOut, err = decodeSeries(payload); err != nil {
-				return nil, err
-			}
-			haveSeries = true
-		case secSpread:
-			if s.World == nil {
-				return nil, fmt.Errorf("%w: spread section before world section", ErrCorrupt)
-			}
-			if s.Spread, err = decodeSpread(payload, s.World); err != nil {
-				return nil, err
-			}
-		case secCones:
-			if s.World == nil {
-				return nil, fmt.Errorf("%w: cones section before world section", ErrCorrupt)
-			}
-			if s.Cones, err = decodeCones(payload, s.World); err != nil {
-				return nil, err
-			}
-		case secTick:
-			if s.Tick, err = decodeTick(payload); err != nil {
-				return nil, err
-			}
-		default:
-			// Unknown section (an additive extension): checksum verified,
-			// content skipped.
-		}
-	}
-	if s.World == nil {
-		return nil, fmt.Errorf("%w: no world section", ErrTruncated)
-	}
-	if haveSeries {
-		if s.Dataset == nil {
-			return nil, fmt.Errorf("%w: series section without dataset section", ErrCorrupt)
-		}
-		if err := s.Dataset.PrimeAllTransitSeries(seriesIn, seriesOut); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-	}
-	return s, nil
-}
-
-// SaveFile writes the snapshot atomically (temp file + rename), so a
-// crash mid-save never leaves a truncated snapshot under the target path.
-func SaveFile(path string, s *Snapshot) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".snapshot-*")
-	if err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if err := Save(tmp, s); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("snapshot: %w", err)
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// LoadFile reads a snapshot from a file.
-func LoadFile(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	defer f.Close()
-	return Load(f)
 }
 
 // --- world ---
@@ -246,7 +95,6 @@ func encodeWorld(w *worldgen.World) []byte {
 	e.intv(w.Cfg.LeafNetworks)
 	e.f64(w.Cfg.RegistryASNCoverage)
 	e.intv(w.Cfg.CampaignDays)
-	e.intv(w.Cfg.Workers)
 
 	// Networks, in ascending ASN order (the graph's own canonical order).
 	asns := w.Graph.ASNs()
@@ -352,25 +200,10 @@ func encodeWorld(w *worldgen.World) []byte {
 	return e.buf
 }
 
+// decodeWorld decodes the world payload without building the derived
+// state (dense index, spec table): attach restores the index from the
+// persisted dense-id plane instead of re-deriving it.
 func decodeWorld(payload []byte) (*worldgen.World, error) {
-	w, err := decodeWorldBody(payload)
-	if err != nil {
-		return nil, err
-	}
-	// Derived state: the dense index from the restored universe, the
-	// static spec table from the package constants.
-	w.Index = asindex.New(w.Graph.ASNs())
-	if err := w.RestoreSpecTable(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return w, nil
-}
-
-// decodeWorldBody decodes the world payload without building the derived
-// state (dense index, spec table) — shared between the v1 load path and
-// the v2 attach path, which restores the index from the persisted
-// dense-id plane instead of re-deriving it.
-func decodeWorldBody(payload []byte) (*worldgen.World, error) {
 	d := &dec{buf: payload}
 	w := &worldgen.World{}
 
@@ -378,7 +211,6 @@ func decodeWorldBody(payload []byte) (*worldgen.World, error) {
 	w.Cfg.LeafNetworks = d.intv()
 	w.Cfg.RegistryASNCoverage = d.f64()
 	w.Cfg.CampaignDays = d.intv()
-	w.Cfg.Workers = d.intv()
 
 	nNets := d.uvarint()
 	if d.err != nil || !d.fits(nNets, 7) {
@@ -538,7 +370,6 @@ func encodeDataset(ds *netflow.Dataset) []byte {
 	e.f64(ds.Cfg.TotalInboundBps)
 	e.f64(ds.Cfg.TotalOutboundBps)
 	e.f64(ds.Cfg.PhaseHours)
-	e.intv(ds.Cfg.Workers)
 	e.uvarint(uint64(len(ds.Entries)))
 	for i := range ds.Entries {
 		en := &ds.Entries[i]
@@ -563,7 +394,6 @@ func decodeDataset(payload []byte, w *worldgen.World) (*netflow.Dataset, error) 
 	cfg.TotalInboundBps = d.f64()
 	cfg.TotalOutboundBps = d.f64()
 	cfg.PhaseHours = d.f64()
-	cfg.Workers = d.intv()
 	n := d.uvarint()
 	if d.err != nil || !d.fits(n, 20) {
 		return nil, d.err
@@ -599,69 +429,10 @@ func decodeDataset(payload []byte, w *worldgen.World) (*netflow.Dataset, error) 
 	return ds, nil
 }
 
-// --- series cache ---
-
-func encodeSeries(in, out []float64) []byte {
-	var e enc
-	e.f64s(in)
-	e.f64s(out)
-	return e.buf
-}
-
-func decodeSeries(payload []byte) (in, out []float64, err error) {
-	d := &dec{buf: payload}
-	in = d.f64s()
-	out = d.f64s()
-	if d.err != nil {
-		return nil, nil, d.err
-	}
-	if d.off != len(d.buf) {
-		return nil, nil, fmt.Errorf("%w: %d trailing bytes in series section", ErrCorrupt, len(d.buf)-d.off)
-	}
-	return in, out, nil
-}
-
 // --- spread campaign ---
 
-func encodeSpread(r *spread.Result) []byte {
-	var e enc
-	encodeSpreadCfg(&e, r)
-
-	// Ground truth.
-	ixps, remote := r.RemoteTruth()
-	e.uvarint(uint64(len(ixps)))
-	for k, idx := range ixps {
-		e.intv(idx)
-		e.uvarint(uint64(len(remote[k])))
-		for _, ip := range remote[k] {
-			e.addr(ip)
-		}
-	}
-
-	// Raw observations, with interned acronym/family strings. The table
-	// is built in first-appearance order and emitted before the rows.
-	var table stringTable
-	var rows enc
-	for i := range r.Raw {
-		o := &r.Raw[i]
-		rows.intv(o.IXPIndex)
-		rows.uvarint(table.ref(o.Acronym))
-		rows.uvarint(table.ref(o.Family))
-		rows.addr(o.Target)
-		rows.varint(int64(o.SentAt))
-		rows.varint(int64(o.RTT))
-		rows.u8(o.TTL)
-		rows.boolv(o.TimedOut)
-	}
-	table.encode(&e)
-	e.uvarint(uint64(len(r.Raw)))
-	e.buf = append(e.buf, rows.buf...)
-	return e.buf
-}
-
 // encodeSpreadCfg emits the campaign's scalar configuration — measurement
-// seed, probing regime, detector parameters — shared by the v1 spread
-// section and the v2 spread.cfg section (identical bytes in both).
+// seed, probing regime, detector parameters — the spread.cfg section.
 func encodeSpreadCfg(e *enc, r *spread.Result) {
 	// Measurement seed + campaign config.
 	e.varint(r.Seed)
@@ -700,71 +471,7 @@ func encodeSpreadCfg(e *enc, r *spread.Result) {
 	}
 }
 
-func decodeSpread(payload []byte, w *worldgen.World) (*spread.Result, error) {
-	d := &dec{buf: payload}
-	seed, campaign, detector, err := decodeSpreadCfg(d)
-	if err != nil {
-		return nil, err
-	}
-
-	nIXPs := d.uvarint()
-	if d.err != nil || !d.fits(nIXPs, 2) {
-		return nil, d.err
-	}
-	ixps := make([]int, nIXPs)
-	remoteSets := make([][]netip.Addr, nIXPs)
-	for k := range ixps {
-		ixps[k] = d.intv()
-		n := d.uvarint()
-		if d.err != nil || !d.fits(n, 1) {
-			return nil, d.err
-		}
-		ips := make([]netip.Addr, n)
-		for i := range ips {
-			ips[i] = d.addr()
-		}
-		remoteSets[k] = ips
-	}
-
-	table := decodeStringTable(d)
-	nObs := d.uvarint()
-	if d.err != nil || !d.fits(nObs, 8) {
-		return nil, d.err
-	}
-	raw := make([]lg.Observation, nObs)
-	lookup := func(i uint64) string {
-		if i >= uint64(len(table)) {
-			d.fail()
-			return ""
-		}
-		return table[i]
-	}
-	for i := range raw {
-		o := &raw[i]
-		o.IXPIndex = d.intv()
-		o.Acronym = lookup(d.uvarint())
-		o.Family = lookup(d.uvarint())
-		o.Target = d.addr()
-		o.SentAt = time.Duration(d.varint())
-		o.RTT = time.Duration(d.varint())
-		o.TTL = d.u8()
-		o.TimedOut = d.boolv()
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(d.buf) {
-		return nil, fmt.Errorf("%w: %d trailing bytes in spread section", ErrCorrupt, len(d.buf)-d.off)
-	}
-	res, err := spread.Rehydrate(w, seed, campaign, detector, raw, ixps, remoteSets)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return res, nil
-}
-
-// decodeSpreadCfg is encodeSpreadCfg's inverse, shared by the v1 and v2
-// read paths.
+// decodeSpreadCfg is encodeSpreadCfg's inverse.
 func decodeSpreadCfg(d *dec) (seed int64, campaign lg.Config, detector core.Config, err error) {
 	seed = d.varint()
 	campaign.Duration = time.Duration(d.varint())
@@ -801,57 +508,4 @@ func decodeSpreadCfg(d *dec) (seed int64, campaign lg.Config, detector core.Conf
 		}
 	}
 	return seed, campaign, detector, d.err
-}
-
-// --- cone tables ---
-
-func encodeCones(ids []int32, cones [][]int32) []byte {
-	var e enc
-	e.uvarint(uint64(len(ids)))
-	for k, id := range ids {
-		e.uvarint(uint64(uint32(id)))
-		e.uvarint(uint64(len(cones[k])))
-		// Cones are sorted ascending; delta encoding keeps rows compact.
-		prev := int32(0)
-		for _, c := range cones[k] {
-			e.uvarint(uint64(uint32(c - prev)))
-			prev = c
-		}
-	}
-	return e.buf
-}
-
-func decodeCones(payload []byte, w *worldgen.World) (*offload.ConeCache, error) {
-	d := &dec{buf: payload}
-	n := d.uvarint()
-	if d.err != nil || !d.fits(n, 2) {
-		return nil, d.err
-	}
-	ids := make([]int32, n)
-	cones := make([][]int32, n)
-	for k := range ids {
-		ids[k] = int32(uint32(d.uvarint()))
-		m := d.uvarint()
-		if d.err != nil || !d.fits(m, 1) {
-			return nil, d.err
-		}
-		row := make([]int32, m)
-		prev := int32(0)
-		for i := range row {
-			prev += int32(uint32(d.uvarint()))
-			row[i] = prev
-		}
-		cones[k] = row
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(d.buf) {
-		return nil, fmt.Errorf("%w: %d trailing bytes in cones section", ErrCorrupt, len(d.buf)-d.off)
-	}
-	cc := offload.NewConeCache()
-	if err := cc.Prime(w, ids, cones); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return cc, nil
 }

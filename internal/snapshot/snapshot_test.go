@@ -1,9 +1,12 @@
 package snapshot
 
 import (
-	"bytes"
+	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,26 +27,36 @@ func testWorld(t testing.TB) *worldgen.World {
 	return w
 }
 
+// roundTrip saves s to a file, attaches it through the mmap path, and
+// materializes — the file-backed sibling of flatRoundTrip's in-memory
+// image. The mapping stays open until test cleanup because the
+// materialized series and cone tables alias it.
 func roundTrip(t testing.TB, s *Snapshot) *Snapshot {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := Save(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
+	path := filepath.Join(t.TempDir(), "world.flat")
+	digest, err := SaveFlatFile(path, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Digest != s.Digest {
-		t.Errorf("digest mismatch: save %s, load %s", s.Digest, loaded.Digest)
+	a, err := Attach(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	loaded, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Digest != digest {
+		t.Errorf("digest mismatch: save %s, attach %s", digest, loaded.Digest)
 	}
 	return loaded
 }
 
 // TestWorldRoundTrip pins the strongest world guarantee the format can
-// give: the loaded World is deeply equal to the saved one — graph,
-// adjacency order, memberships, interface records, derived index, and the
-// restored spec table included.
+// give over a mapped file: the attached World is deeply equal to the
+// saved one — graph, adjacency order, memberships, interface records,
+// derived index, and the restored spec table included.
 func TestWorldRoundTrip(t *testing.T) {
 	w := testWorld(t)
 	loaded := roundTrip(t, &Snapshot{World: w}).World
@@ -195,126 +208,102 @@ func TestConesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestIntegrityFailures pins the typed-error contract of Load: truncated
-// files, flipped bytes, future versions, and non-snapshot files all land
-// on the right sentinel and never panic.
+// TestIntegrityFailures pins the typed-error contract of OpenFile on
+// real files: retired containers (the RPSNAP1 stream, flat version 2)
+// land on ErrVersion with regeneration advice, foreign files on
+// ErrBadMagic, and a byte flipped anywhere in a flat file on ErrCorrupt
+// or ErrTruncated — never success, never a panic.
 func TestIntegrityFailures(t *testing.T) {
 	w := testWorld(t)
-	var buf bytes.Buffer
-	if err := Save(&buf, &Snapshot{World: w}); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
+	good := flatImage(t, &Snapshot{World: w})
+	dir := t.TempDir()
 
-	check := func(name string, data []byte, want error) {
+	open := func(name string, data []byte) error {
 		t.Helper()
-		s, err := Load(bytes.NewReader(data))
-		if !errors.Is(err, want) {
-			t.Errorf("%s: err = %v, want %v", name, err, want)
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenFile(path)
+		if err == nil {
+			t.Errorf("%s: open succeeded", name)
 		}
 		if s != nil {
 			t.Errorf("%s: got a non-nil snapshot alongside the error", name)
 		}
+		return err
 	}
 
-	check("empty file", nil, ErrTruncated)
-	check("half a magic", good[:4], ErrTruncated)
-	check("missing version", good[:len(magic)], ErrTruncated)
-	check("header only", good[:len(magic)+2], ErrTruncated)
-	check("mid-section cut", good[:len(good)*2/3], ErrTruncated)
-	check("last byte missing", good[:len(good)-1], ErrTruncated)
+	if _, err := OpenFile(filepath.Join(dir, "missing.flat")); err == nil {
+		t.Error("opening a missing file should fail")
+	}
+	if err := open("text file", []byte("hello, not a snapshot")); !errors.Is(err, ErrBadMagic) {
+		t.Errorf("text file: err = %v, want ErrBadMagic", err)
+	}
 
-	garbage := append([]byte("definitely not a snapshot file, "), good...)
-	check("text file", garbage, ErrBadMagic)
-	wrongMagic := append([]byte(nil), good...)
-	wrongMagic[0] ^= 0xFF
-	check("flipped magic byte", wrongMagic, ErrBadMagic)
+	// A retired RPSNAP1 stream (magic + version 1 + a world section
+	// header) and a flat file from before the content-only digest are
+	// both snapshots this build refuses by version, with advice.
+	v1 := append([]byte("RPSNAP1\n\x00\x01\x05world"), make([]byte, 64)...)
+	v2 := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint16(v2[8:], 2)
+	refixDirCRC(v2)
+	for name, img := range map[string][]byte{"v1.rpsnap": v1, "v2.flat": v2} {
+		err := open(name, img)
+		if !errors.Is(err, ErrVersion) {
+			t.Errorf("%s: err = %v, want ErrVersion", name, err)
+		} else if !strings.Contains(err.Error(), "regenerate") {
+			t.Errorf("%s: version error %q gives no regeneration advice", name, err)
+		}
+	}
 
-	future := append([]byte(nil), good...)
-	future[len(magic)] = 0xFF // version 0xFF00+
-	check("future version", future, ErrVersion)
-
-	// Flip one byte deep inside a section payload: the section CRC must
-	// catch it. Several offsets, to cover different sections/fields.
-	for _, off := range []int{len(magic) + 20, len(good) / 3, len(good) / 2, len(good) - 10} {
+	// Flip one byte at several depths — magic, header, directory, payload
+	// — and the open must fail typed.
+	for _, off := range []int{0, 9, flatHeaderSize + 30, flatPayloadBase + 20, len(good) / 3, len(good) / 2, len(good) - 10} {
 		flipped := append([]byte(nil), good...)
 		flipped[off] ^= 0x40
-		s, err := Load(bytes.NewReader(flipped))
-		// Depending on where the flip lands (payload vs section framing),
-		// the loader reports corruption or truncation — but never
-		// success, never a panic.
-		if err == nil {
-			t.Errorf("flip at %d: load succeeded on corrupt data", off)
-		} else if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
-			t.Errorf("flip at %d: err = %v, want ErrCorrupt or ErrTruncated", off, err)
-		}
-		if s != nil {
-			t.Errorf("flip at %d: got a non-nil snapshot alongside the error", off)
+		err := open("flipped.flat", flipped)
+		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) &&
+			!errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrVersion) {
+			t.Errorf("flip at %d: err = %v, want a typed integrity error", off, err)
 		}
 	}
 }
 
-// TestHugeSectionLengthNoPanic pins the overflow edge of the section
-// framing: a corrupt header declaring a near-2^64 payload length must
-// land on ErrTruncated, not wrap the bounds check into a slice panic.
-func TestHugeSectionLengthNoPanic(t *testing.T) {
-	header := append([]byte(nil), magic...)
-	header = append(header, byte(Version>>8), byte(Version))
-	var e enc
-	e.str("world")
-	e.uvarint(^uint64(0)) // 2^64-1: n+4 would wrap to 3
-	evil := append(header, e.buf...)
-	evil = append(evil, []byte("some trailing bytes")...)
-	s, err := Load(bytes.NewReader(evil))
-	if !errors.Is(err, ErrTruncated) {
-		t.Errorf("huge section length: err = %v, want ErrTruncated", err)
-	}
-	if s != nil {
-		t.Error("got a non-nil snapshot alongside the error")
-	}
-}
-
-// TestUnknownSectionSkipped pins forward compatibility inside a format
-// version: an additive section this build does not know is skipped (after
-// CRC verification) rather than rejected.
-func TestUnknownSectionSkipped(t *testing.T) {
-	w := testWorld(t)
-	var buf bytes.Buffer
-	if err := Save(&buf, &Snapshot{World: w}); err != nil {
-		t.Fatal(err)
-	}
-	extended := appendSection(buf.Bytes(), "future-extension", []byte("opaque payload"))
-	s, err := Load(bytes.NewReader(extended))
-	if err != nil {
-		t.Fatalf("load with unknown section: %v", err)
-	}
-	if s.World == nil {
-		t.Fatal("world lost while skipping unknown section")
-	}
-}
-
-// TestSaveFileAtomic pins SaveFile/LoadFile and that the digest is stable
-// across processes (same artifacts → same bytes → same digest).
+// TestSaveFileAtomic pins SaveFlatFile and that the digest is stable
+// across processes (same artifacts → same bytes → same digest): two saves
+// of the same world agree, the file on disk hashes to the returned digest,
+// and no temp file outlives the rename.
 func TestSaveFileAtomic(t *testing.T) {
 	w := testWorld(t)
-	path := t.TempDir() + "/world.rpsnap"
-	s1 := &Snapshot{World: w}
-	if err := SaveFile(path, s1); err != nil {
-		t.Fatal(err)
-	}
-	s2 := &Snapshot{World: w}
-	var buf bytes.Buffer
-	if err := Save(&buf, s2); err != nil {
-		t.Fatal(err)
-	}
-	if s1.Digest != s2.Digest {
-		t.Errorf("digest not deterministic: %s vs %s", s1.Digest, s2.Digest)
-	}
-	loaded, err := LoadFile(path)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "world.flat")
+	d1, err := SaveFlatFile(path, &Snapshot{World: w})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Digest != s1.Digest {
-		t.Errorf("file digest %s differs from save digest %s", loaded.Digest, s1.Digest)
+	d2, err := SaveFlatFile(filepath.Join(dir, "again.flat"), &Snapshot{World: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d1 != d2 {
+		t.Errorf("digest not deterministic: %s vs %s", d1, d2)
+	}
+	if onDisk, err := DigestFile(path); err != nil || onDisk != d1 {
+		t.Errorf("file digest %s (%v) differs from save digest %s", onDisk, err, d1)
+	}
+	loaded, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Digest != d1 {
+		t.Errorf("opened digest %s differs from save digest %s", loaded.Digest, d1)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 2 {
+		t.Errorf("directory holds %d files after two saves, want 2 (a temp file leaked?)", len(ents))
 	}
 }

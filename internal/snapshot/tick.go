@@ -16,9 +16,9 @@ import (
 // replays the journal tail; a snapshot without it is an ordinary frozen
 // world at tick 0.
 //
-// The payload is JSON inside the section frame — tiny, additive, and
-// debuggable — while the section CRC (v1) or directory CRC (v2 flat)
-// still covers every byte.
+// The payload is JSON inside the tick section — tiny, additive, and
+// debuggable — while the section's directory CRC still covers every
+// byte.
 type TickState struct {
 	// Tick is the world's position on its timeline.
 	Tick uint64 `json:"tick"`

@@ -14,7 +14,7 @@
 // byte-identical across live runs, replays, and worker counts. The
 // journal (internal/journal) makes the timeline durable: every committed
 // tick appends its events and RNG stream key, periodic checkpoints
-// persist the full state as v2 flat snapshots, and recovery attaches the
+// persist the full state as flat snapshots, and recovery attaches the
 // nearest checkpoint and replays the tail to exactly the bytes the
 // uninterrupted run would have produced.
 //
@@ -621,8 +621,8 @@ func (e *Engine) MetricsAt(t uint64) (scenario.Metrics, bool) {
 	return scenario.Metrics{}, false
 }
 
-// Checkpoint persists the engine's current state as a v2 flat snapshot
-// next to the journal and records the marker. It requires an attached
+// Checkpoint persists the engine's current state as a flat snapshot next
+// to the journal and records the marker. It requires an attached
 // journal (Open).
 func (e *Engine) Checkpoint() error {
 	if e.jr == nil {
@@ -671,8 +671,10 @@ type header struct {
 }
 
 func (e *Engine) header() header {
+	world := e.worldCfg
+	world.Workers = 0 // runtime-only: a regeneration picks its own
 	return header{
-		World:           e.worldCfg,
+		World:           world,
 		GenesisDigest:   e.genesis,
 		Seed:            e.cfg.Seed,
 		ChurnIXPs:       e.cfg.ChurnIXPs,

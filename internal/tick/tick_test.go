@@ -1,10 +1,10 @@
 package tick
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -67,11 +67,11 @@ func stateDigest(t testing.TB, e *Engine) string {
 		World: e.World(),
 		Tick:  &snapshot.TickState{Tick: e.Tick(), Seed: 7, Traffic: tr, Econ: ec},
 	}
-	var buf bytes.Buffer
-	if err := snapshot.Save(&buf, s); err != nil {
+	digest, err := snapshot.WriteFlat(io.Discard, s)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return s.Digest
+	return digest
 }
 
 // TestReplayEquivalence is the tentpole property: the world at tick N is
@@ -248,6 +248,69 @@ func TestReplayEquivalence(t *testing.T) {
 		t.Errorf("genesis-replay recovery: tick %d digest %.12s, want 15 %.12s", fromGenesis.Tick(), d, recDigest)
 	}
 	fromGenesis.Close()
+}
+
+// TestResumeAcrossWorldWorkers pins that a world's worker count is not
+// part of its identity: a journal grown from a genesis generated with
+// Workers 1 resumes over the same world generated with Workers 2, lands
+// on exactly the bytes of an uninterrupted run, and records a recipe
+// without the runtime knob.
+func TestResumeAcrossWorldWorkers(t *testing.T) {
+	gen := func(workers int) *worldgen.World {
+		w, err := worldgen.Generate(worldgen.Config{Seed: 11, LeafNetworks: 1200, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	ctx := context.Background()
+	dir := t.TempDir()
+
+	first, err := Open(ctx, dir, gen(1), testConfig(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.AdvanceTo(ctx, 5); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed, err := Open(ctx, dir, gen(2), testConfig(0))
+	if err != nil {
+		t.Fatalf("resume over the same world at another worker count: %v", err)
+	}
+	if _, err := resumed.AdvanceTo(ctx, 7); err != nil {
+		t.Fatal(err)
+	}
+	got := stateDigest(t, resumed)
+	if err := resumed.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	unint, err := New(ctx, gen(1), testConfig(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := unint.AdvanceTo(ctx, 7); err != nil {
+		t.Fatal(err)
+	}
+	if want := stateDigest(t, unint); got != want {
+		t.Errorf("resumed state digest %.12s, uninterrupted %.12s", got, want)
+	}
+
+	c, err := journal.Read(filepath.Join(dir, JournalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hdr header
+	if err := json.Unmarshal(c.Header, &hdr); err != nil {
+		t.Fatal(err)
+	}
+	if hdr.World.Workers != 0 {
+		t.Errorf("journal header records world Workers %d; runtime knobs stay out of the recipe", hdr.World.Workers)
+	}
 }
 
 // TestAtomicRollbackUnderChaos pins the satellite invariant: a panic

@@ -331,7 +331,7 @@ type (
 	// Snapshot bundles the persistable artifacts: the world, and
 	// optionally the traffic dataset (plus its synthesised all-transit
 	// series), the measurement campaign, and the customer-cone tables.
-	// Reports computed from a loaded snapshot are byte-identical to
+	// Reports computed from an attached snapshot are byte-identical to
 	// reports computed from the live objects.
 	Snapshot = snapshot.Snapshot
 	// ConeCache shares customer-cone tables between offload studies (and
@@ -368,9 +368,10 @@ type (
 )
 
 // Typed snapshot integrity errors: a wrong file (ErrSnapshotBadMagic), a
-// future format (ErrSnapshotVersion), a short file (ErrSnapshotTruncated),
-// and a damaged one (ErrSnapshotCorrupt). LoadSnapshot never panics and
-// never returns a silently-wrong world.
+// format this build does not read — a future one, or a retired one to
+// regenerate from its seed — (ErrSnapshotVersion), a short file
+// (ErrSnapshotTruncated), and a damaged one (ErrSnapshotCorrupt). Opening
+// a snapshot never panics and never returns a silently-wrong world.
 var (
 	ErrSnapshotBadMagic  = snapshot.ErrBadMagic
 	ErrSnapshotVersion   = snapshot.ErrVersion
@@ -381,61 +382,30 @@ var (
 // NewConeCache returns an empty shareable customer-cone cache.
 func NewConeCache() *ConeCache { return offload.NewConeCache() }
 
-// SaveSnapshot writes the snapshot to path atomically and stamps
-// s.Digest with the file's SHA-256 content address.
-func SaveSnapshot(path string, s *Snapshot) error {
-	return snapshot.SaveFile(path, s)
+// SaveSnapshot writes the snapshot to path atomically in the flat
+// (mmap-able) format and returns its SHA-256 content digest. The bytes
+// depend on the artifacts alone — never on a Workers knob — so the same
+// world saves to the same digest at any worker count.
+func SaveSnapshot(path string, s *Snapshot) (digest string, err error) {
+	return snapshot.SaveFlatFile(path, s)
 }
 
-// LoadSnapshot reads and rehydrates a snapshot. Every artifact answers
-// queries byte-identically to the live objects it was saved from.
-func LoadSnapshot(path string) (*Snapshot, error) {
-	return snapshot.LoadFile(path)
-}
-
-// WriteSnapshot is SaveSnapshot over an arbitrary writer (pipes, network
-// transports, in-memory buffers).
-func WriteSnapshot(w io.Writer, s *Snapshot) error {
-	return snapshot.Save(w, s)
-}
-
-// ReadSnapshot is LoadSnapshot over an arbitrary reader.
-func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	return snapshot.Load(r)
-}
-
-// AttachedSnapshot is a v2 flat snapshot mapped into memory: attach costs
+// AttachedSnapshot is a snapshot file mapped into memory: attach costs
 // microseconds regardless of file size, and the world materializes lazily
 // on the first Snapshot() call, with the hot arrays viewed in place
 // rather than copied. Close only after the last use of the materialized
 // snapshot — its series and cone tables alias the mapping.
 type AttachedSnapshot = snapshot.Attached
 
-// SaveFlatSnapshot writes the snapshot in the v2 flat (mmap-able) format
-// atomically and returns its SHA-256 content digest. The v1 format
-// (SaveSnapshot) remains the canonical writer form; the flat file is the
-// serve-tier attach artifact.
-func SaveFlatSnapshot(path string, s *Snapshot) (digest string, err error) {
-	return snapshot.SaveFlatFile(path, s)
-}
-
-// AttachSnapshot maps the v2 flat snapshot at path, validating only the
-// header and section directory.
+// AttachSnapshot maps the snapshot at path, validating only the header
+// and section directory.
 func AttachSnapshot(path string) (*AttachedSnapshot, error) {
 	return snapshot.Attach(path)
 }
 
-// SnapshotIsFlat reports whether the file at path is a v2 flat snapshot
-// (as opposed to a v1 varint snapshot or something else entirely).
-func SnapshotIsFlat(path string) (bool, error) {
-	return snapshot.SniffFlat(path)
-}
-
-// OpenSnapshot reads a snapshot in whichever format the file carries: v1
-// files are fully loaded, v2 flat files are attached and materialized
-// (their mapping stays live for the snapshot's lifetime). The digests of
-// the two formats differ — they address different byte images — but the
-// rehydrated artifacts answer queries identically.
+// OpenSnapshot attaches the snapshot at path and materializes it; the
+// mapping stays live for the snapshot's lifetime. Every artifact answers
+// queries byte-identically to the live objects it was saved from.
 func OpenSnapshot(path string) (*Snapshot, error) {
 	return snapshot.OpenFile(path)
 }
@@ -450,8 +420,8 @@ var (
 	ErrNoWorldSlot      = catalog.ErrNoSlot
 )
 
-// OpenCatalog scans dir for snapshot files (either format) and catalogs
-// them by content digest; non-snapshot files are skipped. Worlds attach
+// OpenCatalog scans dir for snapshot files and catalogs them by content
+// digest; non-snapshot files are skipped. Worlds attach
 // on demand when leased (Catalog.Acquire) and evict LRU under
 // opts.ResidentBytes.
 func OpenCatalog(dir string, opts CatalogOptions) (*Catalog, error) {

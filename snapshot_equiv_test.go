@@ -1,7 +1,7 @@
 package remotepeering
 
 // The snapshot round-trip extension of the equivalence suite: every
-// report computed from a loaded snapshot must be byte-identical to the
+// report computed from an attached snapshot must be byte-identical to the
 // same report computed from the live GenerateWorld/CollectTraffic/
 // RunSpreadStudy objects. Floats compare with ==, never a tolerance —
 // the snapshot layer is persistence, not approximation. The bitset
@@ -10,6 +10,7 @@ package remotepeering
 // from two directions.
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -17,31 +18,13 @@ import (
 	"time"
 )
 
-// snapshotRoundTrip saves s to a temp file and loads it back.
-func snapshotRoundTrip(t *testing.T, s *Snapshot) *Snapshot {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "equiv.rpsnap")
-	if err := SaveSnapshot(path, s); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Digest != s.Digest {
-		t.Fatalf("digest mismatch: saved %s, loaded %s", s.Digest, loaded.Digest)
-	}
-	return loaded
-}
-
-// flatAttachRoundTrip saves s in the v2 flat format, attaches the file,
-// and materializes — the zero-copy sibling of snapshotRoundTrip. The
+// flatAttachRoundTrip saves s, attaches the file, and materializes. The
 // mapping stays open until test cleanup because the materialized
 // snapshot's series and cone tables alias it.
 func flatAttachRoundTrip(t *testing.T, s *Snapshot) *Snapshot {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "equiv.flat")
-	digest, err := SaveFlatSnapshot(path, s)
+	digest, err := SaveSnapshot(path, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +43,9 @@ func flatAttachRoundTrip(t *testing.T, s *Snapshot) *Snapshot {
 	return got
 }
 
-// roundTrips drives a comparison body through both persistence paths, so
-// every equivalence below pins v1 load and v2 attach against the same
-// live objects.
+// roundTrips drives a comparison body through the one persistence path:
+// save, attach, materialize.
 func roundTrips(t *testing.T, s *Snapshot, check func(t *testing.T, loaded *Snapshot)) {
-	t.Run("v1-load", func(t *testing.T) { check(t, snapshotRoundTrip(t, s)) })
 	t.Run("v2-attach", func(t *testing.T) { check(t, flatAttachRoundTrip(t, s)) })
 }
 
@@ -238,14 +219,21 @@ func TestSnapshotScenarioEquivalence(t *testing.T) {
 // files (the internal suite covers the byte-level cases).
 func TestSnapshotFileErrors(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := LoadSnapshot(filepath.Join(dir, "missing.rpsnap")); err == nil {
-		t.Error("loading a missing file should fail")
+	if _, err := OpenSnapshot(filepath.Join(dir, "missing.flat")); err == nil {
+		t.Error("opening a missing file should fail")
 	}
-	bogus := filepath.Join(dir, "bogus.rpsnap")
+	bogus := filepath.Join(dir, "bogus.flat")
 	if err := os.WriteFile(bogus, []byte("hello, not a snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSnapshot(bogus); err == nil {
-		t.Error("loading a non-snapshot file should fail")
+	if _, err := OpenSnapshot(bogus); !errors.Is(err, ErrSnapshotBadMagic) {
+		t.Errorf("opening a non-snapshot file: err = %v, want ErrSnapshotBadMagic", err)
+	}
+	retired := filepath.Join(dir, "world.rpsnap")
+	if err := os.WriteFile(retired, []byte("RPSNAP1\n\x00\x01 a retired stream"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenSnapshot(retired); !errors.Is(err, ErrSnapshotVersion) {
+		t.Errorf("opening a retired snapshot: err = %v, want ErrSnapshotVersion", err)
 	}
 }
