@@ -246,6 +246,17 @@ func main() {
 		if err := hs.Shutdown(shutdownCtx); err != nil {
 			fatal(err)
 		}
+		// Computations can outlive their requests; Close cancels and
+		// awaits them, so every world lease is back before the catalog
+		// closes.
+		if err := srv.Close(); err != nil {
+			slog.Error("server close failed", "err", err)
+		}
+		if cfg.Catalog != nil {
+			if err := cfg.Catalog.Close(); err != nil {
+				slog.Error("catalog close failed", "err", err)
+			}
+		}
 		slog.Info("bye")
 	}
 }

@@ -60,8 +60,9 @@ const (
 	// decision per key, made on the key's first draw — sticky).
 	Partition
 	// SlowNode makes every response from a drawn node take the plane's
-	// full Delay — the degraded-but-alive peer that hedging exists for.
-	// Per-node draw, sticky like Partition.
+	// full Delay — a degraded-but-alive peer, which the router waits for
+	// because it still answers its heartbeats. Per-node draw, sticky like
+	// Partition.
 	SlowNode
 
 	numClasses

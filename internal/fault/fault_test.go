@@ -17,8 +17,8 @@ func TestNilPlaneIsDisabled(t *testing.T) {
 	if err := p.Err(AttachFail, "k"); err != nil {
 		t.Errorf("nil plane injected %v", err)
 	}
-	p.Sleep("k")    // must not panic
-	p.PanicIf("k")  // must not panic
+	p.Sleep("k")   // must not panic
+	p.PanicIf("k") // must not panic
 	if p.Injected(EvalPanic) != 0 || p.InjectedTotal() != 0 {
 		t.Error("nil plane counted injections")
 	}

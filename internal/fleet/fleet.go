@@ -17,18 +17,14 @@
 //     fails over along the rendezvous ranking with capped exponential
 //     backoff and deterministic jitter (fault.Backoff), so retries never
 //     thunder and never perturb results.
-//   - a slow owner triggers one hedged duplicate to the next-ranked
-//     candidate after a p99-derived delay: first response wins, the
-//     loser is cancelled via context. Only idempotent requests hedge —
-//     POST /v1/tick advances a timeline and is never hedged or retried,
-//     keeping tick commits exactly-once — and only for frozen worlds: a
-//     ticked world's views live on its journal owner alone.
-//   - large what-if grids fan out across workers by grid coordinate:
-//     the seed axis is split (cell RNG streams are keyed by scenario
-//     index and seed value, both preserved under seed-splitting), each
-//     worker computes its slice plus the shared baseline, and the
-//     router merges the slices back into the exact bytes a single
-//     process would have produced.
+//   - a hung owner is cut loose when the heartbeat moves it to Down:
+//     every forward in flight to it is cancelled and fails over like a
+//     dropped connection. A slow but healthy owner is waited for — the
+//     next-ranked worker has neither the owner's result cache nor,
+//     usually, the attached world, so a duplicate would recompute from
+//     cold.
+//   - POST /v1/tick advances a timeline, so it gets exactly one attempt
+//     and is never retried, keeping tick commits exactly-once.
 //   - degradation is graceful and stable: a world whose every advertiser
 //     is Down answers a fixed 503 JSON body with Retry-After while every
 //     other world keeps serving; a world nobody has ever advertised is a
@@ -101,15 +97,6 @@ type Config struct {
 	// failover attempts (zero values use fault.Backoff's defaults).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// HedgeDelay fixes the hedge trigger delay; 0 derives it from the
-	// per-class p99 (clamped to [HedgeMin, HedgeMax], defaults 25ms/2s).
-	HedgeDelay time.Duration
-	HedgeMin   time.Duration
-	HedgeMax   time.Duration
-	// FanoutSeeds is the minimum seed-axis length at which a what-if
-	// grid fans out across workers (default 2; negative disables
-	// fan-out).
-	FanoutSeeds int
 	// Faults injects the network fault classes (conndrop, netdelay,
 	// partition, slownode) into every outbound request and heartbeat.
 	// nil is production: no faults.
@@ -117,9 +104,8 @@ type Config struct {
 	// Transport overrides the base HTTP transport (tests). nil uses a
 	// keepalive transport.
 	Transport http.RoundTripper
-	// Logger receives router events — membership transitions, route
-	// failures, fanout fallbacks — as structured records (nil discards
-	// them).
+	// Logger receives router events — membership transitions and route
+	// failures — as structured records (nil discards them).
 	Logger *slog.Logger
 	// Metrics, when set, hosts the router's counters, the per-class
 	// latency histograms, and the member-state gauges, and mounts the
@@ -127,9 +113,9 @@ type Config struct {
 	// registry (so /v1/fleet still reports them) without an exposition
 	// endpoint on the /v1 surface.
 	Metrics *obs.Registry
-	// Recorder, when set, captures per-request span records — forward,
-	// failover, and hedge legs included — into a bounded flight recorder
-	// mounted at GET /debug/requests.
+	// Recorder, when set, captures per-request span records — forward
+	// and failover legs included — into a bounded flight recorder mounted
+	// at GET /debug/requests.
 	Recorder *obs.FlightRecorder
 }
 
@@ -149,15 +135,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
 	}
-	if c.HedgeMin <= 0 {
-		c.HedgeMin = 25 * time.Millisecond
-	}
-	if c.HedgeMax <= 0 {
-		c.HedgeMax = 2 * time.Second
-	}
-	if c.FanoutSeeds == 0 {
-		c.FanoutSeeds = 2
-	}
 	return c
 }
 
@@ -169,6 +146,20 @@ type member struct {
 	state  State
 	misses int
 	worlds map[string]bool // advertised genesis digests
+	// ctx lives while the member is routable: miss cancels it when the
+	// member goes Down, which aborts every forward in flight to it, and
+	// beat replaces it when the member comes back Up.
+	ctx    context.Context
+	cancel context.CancelFunc
+}
+
+// newMember returns a member in the Down state, its context already
+// cancelled until the first heartbeat succeeds.
+func newMember(url string) *member {
+	m := &member{url: url, worlds: make(map[string]bool)}
+	m.ctx, m.cancel = context.WithCancel(context.Background())
+	m.cancel()
+	return m
 }
 
 // snapshotWorlds returns the advertised digests under the lock.
@@ -189,6 +180,13 @@ func (m *member) getState() State {
 	return m.state
 }
 
+// alive returns the context that ends when the member goes Down.
+func (m *member) alive() context.Context {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.ctx
+}
+
 // advertises reports whether the member has ever advertised the digest.
 // Advertisements survive the member going Down — that memory is what
 // lets the router answer 503 (known world, no owner) instead of 404.
@@ -203,6 +201,9 @@ func (m *member) beat(worlds []string) (changed bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	changed = m.state != Up
+	if m.state == Down {
+		m.ctx, m.cancel = context.WithCancel(context.Background())
+	}
 	m.state = Up
 	m.misses = 0
 	if worlds != nil {
@@ -228,22 +229,19 @@ func (m *member) miss(cfg Config) (now State, changed bool) {
 	case m.misses >= cfg.SuspectAfter && m.state == Up:
 		m.state = Suspect
 	}
+	if m.state == Down && was != Down {
+		m.cancel()
+	}
 	return m.state, m.state != was
 }
 
 // Router is the fleet's front door: health-gated membership plus
-// rendezvous-hash routing with failover, hedging, and grid fan-out.
+// rendezvous-hash routing with failover.
 type Router struct {
 	cfg     Config
 	client  *http.Client
 	members []*member
 	log     *slog.Logger
-
-	// liveMu guards live: digests the router has forwarded a successful
-	// POST /v1/tick for. Ticked worlds never fan out — their serving
-	// digest is "<base>@<tick>", which only the owner knows.
-	liveMu sync.Mutex
-	live   map[string]bool
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -251,9 +249,8 @@ type Router struct {
 	// The observability plane. reg is the registry the routing counters
 	// and histograms live on — Config.Metrics when provided, else a
 	// private one so /v1/fleet always reports. lat is the per-class
-	// successful-forward latency histogram the hedger derives its p99
-	// from; requests is the inbound request histogram the middleware
-	// feeds.
+	// successful-forward latency histogram; requests is the inbound
+	// request histogram the middleware feeds.
 	reg      *obs.Registry
 	lat      *obs.HistogramVec
 	requests *obs.HistogramVec
@@ -261,9 +258,6 @@ type Router struct {
 
 	forwards   *obs.Counter
 	failovers  *obs.Counter
-	hedges     *obs.Counter
-	hedgeWins  *obs.Counter
-	fanouts    *obs.Counter
 	unroutable *obs.Counter
 }
 
@@ -294,7 +288,6 @@ func New(cfg Config) (*Router, error) {
 	r := &Router{
 		cfg:      cfg,
 		client:   &http.Client{Transport: rt},
-		live:     make(map[string]bool),
 		stop:     make(chan struct{}),
 		log:      cfg.Logger,
 		recorder: cfg.Recorder,
@@ -309,7 +302,7 @@ func New(cfg Config) (*Router, error) {
 			continue
 		}
 		seen[p] = true
-		r.members = append(r.members, &member{url: p, worlds: make(map[string]bool)})
+		r.members = append(r.members, newMember(p))
 	}
 	if len(r.members) == 0 {
 		return nil, fmt.Errorf("fleet: no usable peers in %q", cfg.Peers)
@@ -329,11 +322,8 @@ func (r *Router) instrument() {
 	r.reg = reg
 	r.forwards = reg.Counter("rp_fleet_forwards_total", "Requests successfully forwarded to a worker.")
 	r.failovers = reg.Counter("rp_fleet_failovers_total", "Failover attempts after a tried owner failed.")
-	r.hedges = reg.Counter("rp_fleet_hedges_total", "Hedged duplicate requests launched.")
-	r.hedgeWins = reg.Counter("rp_fleet_hedge_wins_total", "Hedged requests won by the duplicate leg.")
-	r.fanouts = reg.Counter("rp_fleet_fanouts_total", "What-if grids fanned out across workers and merged.")
 	r.unroutable = reg.Counter("rp_fleet_unroutable_total", "Requests answered 503 because no routable member owns the world.")
-	r.lat = reg.HistogramVec("rp_fleet_forward_seconds", "Successful-forward latency by request class (the hedger's p99 source).", nil, "class")
+	r.lat = reg.HistogramVec("rp_fleet_forward_seconds", "Successful-forward latency by request class.", nil, "class")
 	r.requests = reg.HistogramVec("rp_fleet_request_seconds", "Router request latency by endpoint class.", nil, "class")
 	for _, st := range []State{Up, Suspect, Down} {
 		st := st
@@ -588,20 +578,6 @@ func (r *Router) resolve(key string) (string, error) {
 	}
 }
 
-// markLive remembers that a world's timeline has been started through
-// this router; its grids no longer fan out.
-func (r *Router) markLive(digest string) {
-	r.liveMu.Lock()
-	r.live[digest] = true
-	r.liveMu.Unlock()
-}
-
-func (r *Router) isLive(digest string) bool {
-	r.liveMu.Lock()
-	defer r.liveMu.Unlock()
-	return r.live[digest]
-}
-
 // --- chaos transport ---
 
 // chaosTransport injects the fault plane's network classes into every
@@ -630,31 +606,4 @@ func (t *chaosTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		}
 	}
 	return t.base.RoundTrip(req)
-}
-
-// --- hedge-delay derivation ---
-
-// hedgeDelay is how long the router waits on the primary before
-// launching the hedge: the configured override, or the class's p99×1.25
-// clamped to [HedgeMin, HedgeMax]; with fewer than 8 observations it is
-// HedgeMax (a hedge should be rare, not a default). The p99 comes from
-// the shared rp_fleet_forward_seconds histogram — the same series a
-// dashboard scrapes, at the same bucket resolution.
-func (r *Router) hedgeDelay(class string) time.Duration {
-	if r.cfg.HedgeDelay > 0 {
-		return r.cfg.HedgeDelay
-	}
-	h := r.lat.With(class)
-	if h.Count() < 8 {
-		return r.cfg.HedgeMax
-	}
-	d := h.Quantile(0.99)
-	d += d / 4
-	if d < r.cfg.HedgeMin {
-		d = r.cfg.HedgeMin
-	}
-	if d > r.cfg.HedgeMax {
-		d = r.cfg.HedgeMax
-	}
-	return d
 }

@@ -15,7 +15,6 @@ import (
 
 	"remotepeering/internal/catalog"
 	"remotepeering/internal/fault"
-	"remotepeering/internal/obs"
 )
 
 // stubWorker is a fake rpserve: real HTTP, canned bodies. It lets the
@@ -26,6 +25,7 @@ type stubWorker struct {
 
 	healthy atomic.Bool
 	delay   atomic.Int64 // per-request sleep, nanoseconds
+	hang    atomic.Bool  // accept world-scoped requests, never answer them
 
 	ticks    atomic.Int64 // POST /v1/tick requests observed
 	requests atomic.Int64 // world-scoped requests observed
@@ -71,6 +71,12 @@ func (sw *stubWorker) handler() http.Handler {
 		sw.requests.Add(1)
 		if r.Method == http.MethodPost && r.URL.Path == "/v1/tick" {
 			sw.ticks.Add(1)
+		}
+		if sw.hang.Load() {
+			// A hung process: the request is held until the caller gives
+			// up on it.
+			<-r.Context().Done()
+			return
 		}
 		// The canned body names the worker so tests can tell who answered.
 		fmt.Fprintf(w, `{"worker":%q,"path":%q,"world":%q}`, sw.name, r.URL.Path, r.URL.Query().Get("world"))
@@ -137,22 +143,22 @@ const (
 
 func TestResolvePrecedence(t *testing.T) {
 	// Two synthetic members, no HTTP: resolution is pure membership math.
-	shortA := "aaaa0000"                              // unique prefix of digA
-	exact := shortA                                   // and also an exact digest on m2
+	shortA := "aaaa0000" // unique prefix of digA
+	exact := shortA      // and also an exact digest on m2
 	m1 := &member{url: "http://a", state: Up, worlds: map[string]bool{digA: true, digB: true}}
 	m2 := &member{url: "http://b", state: Up, worlds: map[string]bool{exact: true}}
-	r := &Router{members: []*member{m1, m2}, live: map[string]bool{}}
+	r := &Router{members: []*member{m1, m2}}
 
 	cases := []struct {
 		key  string
 		want string
 		err  error
 	}{
-		{digA, digA, nil},             // full digest
-		{exact, exact, nil},           // exact match beats treating it as a prefix of digA
-		{"aaaa0000111", digA, nil},    // longer than the exact world: unique prefix of digA
-		{"bbbb", digB, nil},           // unique prefix
-		{"bbbb@7", digB, nil},         // live view suffix stripped for ownership
+		{digA, digA, nil},          // full digest
+		{exact, exact, nil},        // exact match beats treating it as a prefix of digA
+		{"aaaa0000111", digA, nil}, // longer than the exact world: unique prefix of digA
+		{"bbbb", digB, nil},        // unique prefix
+		{"bbbb@7", digB, nil},      // live view suffix stripped for ownership
 		{"ffff", "", catalog.ErrUnknownWorld},
 		{"", "", catalog.ErrAmbiguous}, // three worlds known
 	}
@@ -174,7 +180,7 @@ func TestResolvePrecedence(t *testing.T) {
 		t.Errorf("resolve(aaaa) err = %v, want ErrAmbiguous", err)
 	}
 	// Single-world fleet: the empty key resolves.
-	solo := &Router{members: []*member{{url: "http://a", state: Up, worlds: map[string]bool{digA: true}}}, live: map[string]bool{}}
+	solo := &Router{members: []*member{{url: "http://a", state: Up, worlds: map[string]bool{digA: true}}}}
 	if got, err := solo.resolve(""); err != nil || got != digA {
 		t.Errorf("solo resolve(\"\") = %q, %v; want %s", got, err, digA)
 	}
@@ -186,7 +192,7 @@ func TestCandidateRanking(t *testing.T) {
 	mSus := &member{url: "http://sus", state: Suspect, worlds: map[string]bool{digA: true}}
 	mDown := &member{url: "http://down", state: Down, worlds: map[string]bool{digA: true}}
 	mOther := &member{url: "http://other", state: Up, worlds: map[string]bool{digB: true}}
-	r := &Router{members: []*member{mSus, mDown, mUp1, mUp2, mOther}, live: map[string]bool{}}
+	r := &Router{members: []*member{mSus, mDown, mUp1, mUp2, mOther}}
 
 	cands, known := r.candidates(digA)
 	if !known {
@@ -295,44 +301,80 @@ func TestFailoverToSurvivor(t *testing.T) {
 	}
 }
 
-func TestHedgeRacesSlowOwner(t *testing.T) {
+// TestHungOwnerFailsOverAtDown pins what the router does about an owner
+// that accepts a request and never answers: once the heartbeat moves it
+// to Down, the forward in flight to it is cancelled and fails over to
+// the survivor like a dropped connection — while a tick, which never
+// retries, answers the orphan 503 instead. Bringing the owner back Up
+// must give it a fresh context, or its next forward would abort at once.
+func TestHungOwnerFailsOverAtDown(t *testing.T) {
 	w1 := newStubWorker(t, "w1", digA)
 	w2 := newStubWorker(t, "w2", digA)
-	cfg := fastConfig(w1.url(), w2.url())
-	cfg.HedgeDelay = 10 * time.Millisecond
-	r := newTestRouter(t, cfg)
+	r := newTestRouter(t, fastConfig(w1.url(), w2.url()))
 
 	cands, _ := r.candidates(digA)
-	var owner, backup *stubWorker
-	if cands[0].url == w1.url() {
-		owner, backup = w1, w2
-	} else {
-		owner, backup = w2, w1
+	owner, survivor := w1, w2
+	if cands[0].url == w2.url() {
+		owner, survivor = w2, w1
 	}
-	owner.delay.Store(int64(400 * time.Millisecond))
+	owner.hang.Store(true)
 
-	start := time.Now()
-	status, _, body := routerGet(t, r, "/v1/world?world="+digA)
-	if status != http.StatusOK {
-		t.Fatalf("status = %d", status)
+	// hangThenDown sends one request, waits until the owner holds it,
+	// then fails the owner's heartbeats.
+	hangThenDown := func(method, target string, held func() bool) *httptest.ResponseRecorder {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			r.Handler().ServeHTTP(rec, httptest.NewRequest(method, target, nil))
+		}()
+		waitFor(t, "the owner to hold the request", held)
+		owner.healthy.Store(false)
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			// Drop the held connection so the stub's Close can return.
+			owner.srv.CloseClientConnections()
+			t.Fatal("the request to the hung owner never returned")
+		}
+		return rec
 	}
-	if !strings.Contains(string(body), backup.name) {
-		t.Fatalf("hedge should have won with the backup's body, got %s", body)
+
+	rec := hangThenDown(http.MethodGet, "/v1/world?world="+digA,
+		func() bool { return owner.requests.Load() == 1 })
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"worker":"`+survivor.name+`"`) {
+		t.Fatalf("routed GET: status %d body %s, want the survivor %s's answer", rec.Code, rec.Body, survivor.name)
 	}
-	if d := time.Since(start); d > 300*time.Millisecond {
-		t.Errorf("hedged request took %v, want well under the owner's 400ms", d)
+	if got := r.memberByURL(owner.url()).getState(); got != Down {
+		t.Errorf("owner state = %v, want down", got)
 	}
-	if r.hedges.Value() == 0 || r.hedgeWins.Value() == 0 {
-		t.Errorf("hedges=%d hedgeWins=%d, want both > 0", r.hedges.Value(), r.hedgeWins.Value())
+	if got := r.failovers.Value(); got != 1 {
+		t.Errorf("failovers = %d, want 1", got)
+	}
+	if got := owner.requests.Load(); got != 1 {
+		t.Errorf("owner saw %d requests, want exactly 1", got)
+	}
+
+	owner.healthy.Store(true)
+	waitFor(t, "the owner back up", func() bool { return r.memberByURL(owner.url()).getState() == Up })
+	rec = hangThenDown(http.MethodPost, "/v1/tick?world="+digA+"&n=1",
+		func() bool { return owner.ticks.Load() == 1 })
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("tick to a hung owner: status %d body %s, want the orphan 503", rec.Code, rec.Body)
+	}
+	if total := w1.ticks.Load() + w2.ticks.Load(); total != 1 {
+		t.Errorf("tick reached workers %d times, want exactly 1", total)
+	}
+	if got := r.failovers.Value(); got != 1 {
+		t.Errorf("failovers = %d after the tick, want still 1", got)
 	}
 }
 
-func TestTickNeverHedgesOrRetries(t *testing.T) {
+func TestTickIsNeverRetried(t *testing.T) {
 	w1 := newStubWorker(t, "w1", digA)
 	w2 := newStubWorker(t, "w2", digA)
-	cfg := fastConfig(w1.url(), w2.url())
-	cfg.HedgeDelay = 5 * time.Millisecond // hair-trigger: any hedge would fire
-	r := newTestRouter(t, cfg)
+	r := newTestRouter(t, fastConfig(w1.url(), w2.url()))
 
 	cands, _ := r.candidates(digA)
 	var owner *stubWorker
@@ -352,24 +394,19 @@ func TestTickNeverHedgesOrRetries(t *testing.T) {
 	if total := w1.ticks.Load() + w2.ticks.Load(); total != 1 {
 		t.Fatalf("tick request reached workers %d times, want exactly 1", total)
 	}
-	if r.hedges.Value() != 0 {
-		t.Errorf("a tick was hedged (%d)", r.hedges.Value())
-	}
-	if !r.isLive(digA) {
-		t.Error("successful tick should mark the world live (fan-out off)")
+	if !strings.Contains(rec.Body.String(), `"worker":"`+owner.name+`"`) {
+		t.Errorf("tick answered by %s, want the owner %s", rec.Body, owner.name)
 	}
 }
 
-// TestLiveWorldReadsNeverHedge pins that reads of a ticked world stay on
+// TestLiveWorldReadsStayOnOwner pins that reads of a ticked world go to
 // its journal owner: the "@tick" views, /v1/since, and /v1/newspaper
-// exist only there, so a hedge to the next-ranked worker could win with
-// a fast 404 or frozen genesis data.
-func TestLiveWorldReadsNeverHedge(t *testing.T) {
+// exist only there, so any other worker's answer would be a 404 or
+// frozen genesis data.
+func TestLiveWorldReadsStayOnOwner(t *testing.T) {
 	w1 := newStubWorker(t, "w1", digA)
 	w2 := newStubWorker(t, "w2", digA)
-	cfg := fastConfig(w1.url(), w2.url())
-	cfg.HedgeDelay = 5 * time.Millisecond // hair-trigger: any hedge would fire
-	r := newTestRouter(t, cfg)
+	r := newTestRouter(t, fastConfig(w1.url(), w2.url()))
 
 	cands, _ := r.candidates(digA)
 	owner := w1
@@ -389,8 +426,8 @@ func TestLiveWorldReadsNeverHedge(t *testing.T) {
 	if status != http.StatusOK || !strings.Contains(string(body), `"worker":"`+owner.name+`"`) {
 		t.Errorf("live world's newspaper: status %d body %s, want the owner %s's answer", status, body, owner.name)
 	}
-	if r.hedges.Value() != 0 {
-		t.Errorf("a live-world read was hedged (%d)", r.hedges.Value())
+	if total := w1.requests.Load() + w2.requests.Load(); total != 2 {
+		t.Errorf("workers saw %d world-scoped requests, want 2 (the tick and the read)", total)
 	}
 }
 
@@ -509,58 +546,5 @@ func TestWorldsAggregation(t *testing.T) {
 	}
 	if !seen[digA] || !seen[digB] {
 		t.Errorf("missing worlds in aggregate: %s", body)
-	}
-}
-
-func TestHedgeDelayDerivation(t *testing.T) {
-	reg := obs.NewRegistry()
-	r := &Router{
-		cfg: Config{HedgeMin: 25 * time.Millisecond, HedgeMax: 2 * time.Second},
-		lat: reg.HistogramVec("rp_fleet_forward_seconds", "Outbound forward latency.", nil, "class"),
-	}
-
-	// No signal yet: hedge at the max, not eagerly.
-	if got := r.hedgeDelay("GET /v1/world"); got != 2*time.Second {
-		t.Errorf("cold hedge delay = %v, want HedgeMax", got)
-	}
-	// A tight latency distribution pulls the trigger close to p99×1.25,
-	// floored at HedgeMin.
-	for i := 0; i < 64; i++ {
-		r.lat.With("GET /v1/world").Observe(2 * time.Millisecond)
-	}
-	if got := r.hedgeDelay("GET /v1/world"); got != 25*time.Millisecond {
-		t.Errorf("hedge delay = %v, want the 25ms floor", got)
-	}
-	for i := 0; i < 64; i++ {
-		r.lat.With("GET /v1/world").Observe(200 * time.Millisecond)
-	}
-	got := r.hedgeDelay("GET /v1/world")
-	if got < 200*time.Millisecond || got > 300*time.Millisecond {
-		t.Errorf("hedge delay = %v, want ≈ p99×1.25 = 250ms", got)
-	}
-	// A fixed override wins.
-	r.cfg.HedgeDelay = 7 * time.Millisecond
-	if got := r.hedgeDelay("GET /v1/world"); got != 7*time.Millisecond {
-		t.Errorf("override ignored: %v", got)
-	}
-}
-
-func TestSplitSeeds(t *testing.T) {
-	seeds := []int64{1, 2, 3, 4, 5, 6, 7}
-	parts := splitSeeds(seeds, 3)
-	if len(parts) != 3 {
-		t.Fatalf("got %d parts", len(parts))
-	}
-	var flat []int64
-	for _, p := range parts {
-		flat = append(flat, p...)
-	}
-	if fmt.Sprint(flat) != fmt.Sprint(seeds) {
-		t.Errorf("split loses order or elements: %v", parts)
-	}
-	for _, p := range parts {
-		if len(p) < 2 || len(p) > 3 {
-			t.Errorf("unbalanced split: %v", parts)
-		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -122,7 +123,7 @@ func do(t *testing.T, h http.Handler, method, target string, body []byte) (int, 
 	return res.StatusCode, res.Header, out
 }
 
-// gridQuery is the divisible what-if the fan-out tests share: two
+// gridQuery is the what-if grid the routed-grid tests share: two
 // scenarios × three seed offsets, reduced campaign and traffic month.
 func gridQuery(world string) string {
 	v := url.Values{}
@@ -136,10 +137,16 @@ func gridQuery(world string) string {
 	return "/v1/whatif?" + v.Encode()
 }
 
-// TestFanoutByteIdentity is the tentpole acceptance test: the same grid
-// answered by a 1-, 2-, and 3-worker fleet produces exactly the bytes a
-// single process produces, and the multi-worker runs actually fan out.
-func TestFanoutByteIdentity(t *testing.T) {
+// gridBody is gridQuery as a POST body; GET and POST meet in the same
+// canonical query.
+const gridBody = `{"scenarios":"cheap-remote=remoteprice:0.5;surge=traffic:1.4","seeds":[1,2,3],"k":3,"greedy":8,"intervals":96,"days":5}`
+
+// TestRoutedGridByteIdentity pins that the router delivers a what-if
+// grid whole to its owner and hands back the owner's bytes untouched:
+// the same grid, sent by GET and by POST through a 1-, 2-, and 3-worker
+// fleet and again after the owner dies, is byte-equal to one worker's
+// answer.
+func TestRoutedGridByteIdentity(t *testing.T) {
 	snap := testSnap(t)
 	digest := snap.Digest
 
@@ -155,53 +162,46 @@ func TestFanoutByteIdentity(t *testing.T) {
 		t.Fatalf("reference grid failed: %d %s", refStatus, ref)
 	}
 
+	requireRef := func(t *testing.T, r *Router, what string) {
+		t.Helper()
+		for _, req := range []struct {
+			method, target string
+			body           []byte
+		}{
+			{http.MethodGet, gridQuery(digest[:12]), nil},
+			{http.MethodPost, "/v1/whatif?world=" + digest[:12], []byte(gridBody)},
+		} {
+			status, _, body := do(t, r.Handler(), req.method, req.target, req.body)
+			if status != http.StatusOK {
+				t.Fatalf("%s %s: %d %s", what, req.method, status, body)
+			}
+			if !bytes.Equal(body, ref) {
+				t.Fatalf("%s %s bytes differ from single-process reference:\n fleet: %.200s\n ref:   %.200s", what, req.method, body, ref)
+			}
+		}
+	}
+
 	for _, n := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {
 			peers := make([]string, n)
 			for i := 0; i < n; i++ {
 				peers[i] = handlers[i].URL
 			}
-			r := newTestRouter(t, fastConfig(peers...))
-			before := r.fanouts.Value()
-
-			status, hdr, body := routerGet(t, r, gridQuery(digest[:12]))
-			if status != http.StatusOK {
-				t.Fatalf("fleet grid failed: %d %s", status, body)
-			}
-			if !bytes.Equal(body, ref) {
-				t.Fatalf("fleet(%d) bytes differ from single-process reference:\n fleet: %.200s\n ref:   %.200s", n, body, ref)
-			}
-			fanned := r.fanouts.Value() > before
-			if n >= 2 && !fanned {
-				t.Errorf("fleet(%d) did not fan out (header %q)", n, hdr.Get("X-Fleet-Fanout"))
-			}
-			if n == 1 && fanned {
-				t.Error("fleet(1) claims to have fanned out with one worker")
-			}
+			requireRef(t, newTestRouter(t, fastConfig(peers...)), fmt.Sprintf("fleet(%d)", n))
 		})
 	}
 
-	// POST and GET meet in the same canonical query, fanned out or not.
-	payload := []byte(`{"scenarios":"cheap-remote=remoteprice:0.5;surge=traffic:1.4","seeds":[1,2,3],"k":3,"greedy":8,"intervals":96,"days":5}`)
+	// Kill the 3-worker fleet's owner of the world: the grid moves to the
+	// next-ranked worker, and the bytes do not change.
 	r := newTestRouter(t, fastConfig(handlers[0].URL, handlers[1].URL, handlers[2].URL))
-	req := httptest.NewRequest(http.MethodPost, "/v1/whatif?world="+digest[:12], bytes.NewReader(payload))
-	req.Header.Set("Content-Type", "application/json")
-	rec := httptest.NewRecorder()
-	r.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), ref) {
-		t.Errorf("POST via fleet: status %d, identical=%v", rec.Code, bytes.Equal(rec.Body.Bytes(), ref))
+	cands, _ := r.candidates(digest)
+	for _, hs := range handlers {
+		if hs.URL == cands[0].url {
+			hs.CloseClientConnections()
+			hs.Close()
+		}
 	}
-
-	// Kill one worker: the remaining fleet still answers the same bytes.
-	handlers[2].CloseClientConnections()
-	handlers[2].Close()
-	status, _, body := routerGet(t, r, gridQuery(digest[:12]))
-	if status != http.StatusOK {
-		t.Fatalf("grid after worker death: %d %s", status, body)
-	}
-	if !bytes.Equal(body, ref) {
-		t.Error("bytes changed after losing a worker")
-	}
+	requireRef(t, r, "fleet after the owner's death")
 }
 
 // TestChaosByteIdentity drives requests through a router whose transport
@@ -267,8 +267,7 @@ func TestChaosByteIdentity(t *testing.T) {
 }
 
 // TestExactlyOnceTickJournal pins the side-effect contract: a tick
-// routed through the fleet lands on exactly one worker's journal, once —
-// even with a hair-trigger hedge delay armed for every other endpoint.
+// routed through the fleet lands on exactly one worker's journal, once.
 func TestExactlyOnceTickJournal(t *testing.T) {
 	snap := testSnap(t)
 	digest := snap.Digest
@@ -277,9 +276,7 @@ func TestExactlyOnceTickJournal(t *testing.T) {
 	_, hs1 := newWorker(t, serve.Config{LiveDir: live1})
 	_, hs2 := newWorker(t, serve.Config{LiveDir: live2})
 
-	cfg := fastConfig(hs1.URL, hs2.URL)
-	cfg.HedgeDelay = time.Millisecond
-	r := newTestRouter(t, cfg)
+	r := newTestRouter(t, fastConfig(hs1.URL, hs2.URL))
 
 	tick := func(n int) {
 		t.Helper()
@@ -292,10 +289,6 @@ func TestExactlyOnceTickJournal(t *testing.T) {
 	}
 	tick(3)
 	tick(2)
-
-	if r.hedges.Value() != 0 {
-		t.Errorf("ticks were hedged %d times; the duplicate would double-advance a timeline", r.hedges.Value())
-	}
 
 	// Exactly one journal exists across the fleet, and it acked exactly
 	// tick 5 — no duplicated, no lost advances.
@@ -319,8 +312,29 @@ func TestExactlyOnceTickJournal(t *testing.T) {
 	if status != http.StatusOK {
 		t.Errorf("live tick status: %d %s", status, body)
 	}
-	if !r.isLive(digest) {
-		t.Error("router lost track of the live world")
+}
+
+// TestOversizedWhatifBody pins that a what-if body over the worker's
+// 1 MiB cap gets the worker's own 413 from the router, rather than a
+// truncated body forwarded for the worker to misread as bad JSON.
+func TestOversizedWhatifBody(t *testing.T) {
+	digest := testSnap(t).Digest
+	_, hs := newWorker(t, serve.Config{})
+	r := newTestRouter(t, fastConfig(hs.URL))
+
+	head, tail := `{"scenarios":"`, `"}`
+	payload := []byte(head + strings.Repeat("x", 1<<20+1-len(head)-len(tail)) + tail)
+	target := "/v1/whatif?world=" + digest
+	wantStatus, _, want := do(t, hs.Config.Handler, http.MethodPost, target, payload)
+	if wantStatus != http.StatusRequestEntityTooLarge {
+		t.Fatalf("worker answered %d %s, want 413", wantStatus, want)
+	}
+	status, _, body := do(t, r.Handler(), http.MethodPost, target, payload)
+	if status != http.StatusRequestEntityTooLarge || !bytes.Equal(body, want) {
+		t.Errorf("router answered %d %s, want the worker's 413 %s", status, body, want)
+	}
+	if got := r.forwards.Value(); got != 0 {
+		t.Errorf("forwards = %d, want 0: the router must not forward an oversized body", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -24,7 +25,6 @@ func frozenConfig(peers ...string) Config {
 		MaxAttempts:      3,
 		BackoffBase:      time.Millisecond,
 		BackoffMax:       2 * time.Millisecond,
-		HedgeDelay:       500 * time.Millisecond, // stubs answer in µs: never hedge unless a step lowers this
 	}
 }
 
@@ -41,20 +41,21 @@ func setState(t *testing.T, r *Router, url string, st State) {
 
 // TestCounterExactness drives a deterministic request script and asserts
 // the fleet counters land on exact values — not just "moved". In
-// particular it pins the failover-counter fix: an orphaned world (no
-// candidate ever tried) counts as unroutable, never as failovers.
+// particular it pins that an orphaned world (no candidate ever tried)
+// counts as unroutable, never as failovers, and that a client hang-up
+// counts as neither.
 func TestCounterExactness(t *testing.T) {
 	w1 := newStubWorker(t, "w1", digA)
 	w2 := newStubWorker(t, "w2", digA)
 	w3 := newStubWorker(t, "w3", digB)
 	r := newTestRouter(t, frozenConfig(w1.url(), w2.url(), w3.url()))
 
-	check := func(step string, forwards, failovers, hedges, wins, unroutable int64) {
+	check := func(step string, forwards, failovers, unroutable int64) {
 		t.Helper()
-		got := [5]int64{r.forwards.Value(), r.failovers.Value(), r.hedges.Value(), r.hedgeWins.Value(), r.unroutable.Value()}
-		want := [5]int64{forwards, failovers, hedges, wins, unroutable}
+		got := [3]int64{r.forwards.Value(), r.failovers.Value(), r.unroutable.Value()}
+		want := [3]int64{forwards, failovers, unroutable}
 		if got != want {
-			t.Fatalf("%s: [forwards failovers hedges wins unroutable] = %v, want %v", step, got, want)
+			t.Fatalf("%s: [forwards failovers unroutable] = %v, want %v", step, got, want)
 		}
 	}
 
@@ -64,24 +65,23 @@ func TestCounterExactness(t *testing.T) {
 			t.Fatalf("step 1 status = %d, body %s", status, body)
 		}
 	}
-	check("after 3 clean forwards", 3, 0, 0, 0, 0)
+	check("after 3 clean forwards", 3, 0, 0)
 
-	// Step 2: a slow owner and a hair-trigger hedge delay: exactly one
-	// hedge, won by the backup. The cancelled loser leg must not bump
-	// anything.
-	cands, _ := r.candidates(digA)
-	owner := w1
-	if cands[0].url == w2.url() {
-		owner = w2
+	// Step 2: the client gives up before either owner answers. Its
+	// request ends on its own side — a 499, as on a worker — so nothing
+	// failed over and the world is not unroutable: no counter moves.
+	w1.delay.Store(int64(300 * time.Millisecond))
+	w2.delay.Store(int64(300 * time.Millisecond))
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	rec := httptest.NewRecorder()
+	r.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/world?world="+digA, nil).WithContext(ctx))
+	cancel()
+	w1.delay.Store(0)
+	w2.delay.Store(0)
+	if rec.Code != 499 {
+		t.Fatalf("step 2 status = %d, body %s, want 499", rec.Code, rec.Body)
 	}
-	owner.delay.Store(int64(400 * time.Millisecond))
-	r.cfg.HedgeDelay = 10 * time.Millisecond
-	if status, _, body := routerGet(t, r, "/v1/world?world="+digA); status != http.StatusOK {
-		t.Fatalf("step 2 status = %d, body %s", status, body)
-	}
-	owner.delay.Store(0)
-	r.cfg.HedgeDelay = 500 * time.Millisecond
-	check("after hedged request", 4, 0, 1, 1, 0)
+	check("after client hang-up", 3, 0, 0)
 
 	// Step 3: orphaned world — the only owner is Down. 503, unroutable
 	// moves by exactly 1, and failovers must NOT move: no candidate was
@@ -92,24 +92,29 @@ func TestCounterExactness(t *testing.T) {
 	if status, _, body := routerGet(t, r, "/v1/world?world="+digB); status != http.StatusServiceUnavailable {
 		t.Fatalf("step 3 status = %d, body %s", status, body)
 	}
-	check("after orphaned world", 4, 0, 1, 1, 1)
+	check("after orphaned world", 3, 0, 1)
 
 	// Step 4: unknown world is a 404 and moves nothing — not unroutable,
 	// which is reserved for worlds the fleet knows.
 	if status, _, body := routerGet(t, r, "/v1/world?world=ffff"); status != http.StatusNotFound {
 		t.Fatalf("step 4 status = %d, body %s", status, body)
 	}
-	check("after unknown world", 4, 0, 1, 1, 1)
+	check("after unknown world", 3, 0, 1)
 
 	// Step 5: kill digA's primary without letting membership notice
 	// (frozen heartbeats): attempt 0 fails against the corpse, attempt 1
 	// succeeds on the survivor — exactly one failover.
+	cands, _ := r.candidates(digA)
+	owner := w1
+	if cands[0].url == w2.url() {
+		owner = w2
+	}
 	owner.srv.CloseClientConnections()
 	owner.srv.Close()
 	if status, _, body := routerGet(t, r, "/v1/world?world="+digA); status != http.StatusOK {
 		t.Fatalf("step 5 status = %d, body %s", status, body)
 	}
-	check("after failover", 5, 1, 1, 1, 1)
+	check("after failover", 4, 1, 1)
 }
 
 // newTracedWorker is a stub worker wrapped in obs.Instrument with its
@@ -157,9 +162,8 @@ func hasSpan(rec obs.Record, name string) bool {
 
 // TestTracePropagation pins the one-ID-per-client-request contract: the
 // trace ID the router derives shows up, via X-RP-Trace, in the flight
-// recorder of every worker that served a leg — across plain forwards,
-// hedges, and failovers — and a routed tick applies on exactly one
-// worker.
+// recorder of every worker that served a leg — across plain forwards
+// and failovers — and a routed tick applies on exactly one worker.
 func TestTracePropagation(t *testing.T) {
 	w1, rec1 := newTracedWorker(t, "w1", digA)
 	w2, rec2 := newTracedWorker(t, "w2", digA)
@@ -192,29 +196,6 @@ func TestTracePropagation(t *testing.T) {
 		t.Errorf("trace %s seen by %d worker requests, want exactly 1", fwd.Trace, len(got))
 	}
 
-	// Hedged (before the tick below: a live world never hedges): both
-	// legs carry the same ID; the router record shows the hedge launch
-	// and the hedge win.
-	cands, _ := r.candidates(digA)
-	owner, survivor := w1, w2
-	if cands[0].url == w2.url() {
-		owner, survivor = w2, w1
-	}
-	owner.delay.Store(int64(200 * time.Millisecond))
-	r.cfg.HedgeDelay = 10 * time.Millisecond
-	if status, _, body := routerGet(t, r, "/v1/spread?world="+digA); status != http.StatusOK {
-		t.Fatalf("hedge status = %d, body %s", status, body)
-	}
-	owner.delay.Store(0)
-	r.cfg.HedgeDelay = 500 * time.Millisecond
-	hedged := lastRecord(t, routerRec, http.MethodGet, "/v1/spread")
-	if !hasSpan(hedged, "hedge-launch") || !hasSpan(hedged, "hedge-win") {
-		t.Errorf("hedged record missing hedge spans: %+v", hedged.Spans)
-	}
-	if got := workerRecords(hedged.Trace); len(got) < 1 {
-		t.Errorf("hedged trace %s reached no worker recorder", hedged.Trace)
-	}
-
 	// Routed tick: same ID router- and worker-side, and exactly one
 	// worker-side application fleet-wide.
 	if status, _, body := routerGet(t, r, "/v1/tick?world="+digA); status != http.StatusOK {
@@ -239,6 +220,11 @@ func TestTracePropagation(t *testing.T) {
 
 	// Failed-over: the corpse never records the trace; the survivor does,
 	// under the router's ID, and the router narrates the failover.
+	cands, _ := r.candidates(digA)
+	owner, survivor := w1, w2
+	if cands[0].url == w2.url() {
+		owner, survivor = w2, w1
+	}
 	owner.srv.CloseClientConnections()
 	owner.srv.Close()
 	if status, _, body := routerGet(t, r, "/v1/offload?world="+digA); status != http.StatusOK {

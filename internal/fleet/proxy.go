@@ -24,8 +24,8 @@ import (
 const maxProxyBody = 1 << 20
 
 // response is a fully-buffered worker reply: buffering is what lets the
-// router replay requests across failover attempts and race hedges
-// without streaming complications.
+// router replay requests across failover attempts without streaming
+// complications.
 type response struct {
 	status int
 	header http.Header
@@ -61,10 +61,9 @@ func (r *Router) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/readyz", r.handleReadyz)
 	mux.HandleFunc("GET /v1/worlds", r.handleWorlds)
 	mux.HandleFunc("GET /v1/report/{id}", r.handleReport)
-	mux.HandleFunc("GET /v1/whatif", r.handleWhatif)
-	mux.HandleFunc("POST /v1/whatif", r.handleWhatif)
 	for _, route := range []string{
 		"GET /v1/world", "GET /v1/spread", "GET /v1/offload",
+		"GET /v1/whatif", "POST /v1/whatif",
 		"GET /v1/tick", "POST /v1/tick", "GET /v1/since", "GET /v1/newspaper",
 	} {
 		mux.HandleFunc(route, r.handleRouted)
@@ -123,8 +122,20 @@ func (r *Router) orphan503(w http.ResponseWriter, digest string) {
 	fmt.Fprintf(w, "{\n  \"error\": \"world %.16s has no live owner (fleet degraded)\"\n}\n", digest)
 }
 
-// forward issues one request to one member and buffers the reply.
+// errMemberDown is the cause of a forward aborted because the heartbeat
+// moved its member to Down while the request was in flight.
+var errMemberDown = errors.New("member went down")
+
+// forward issues one request to one member and buffers the reply. The
+// request is tied to the member's life: if the heartbeat moves the
+// member to Down first, the forward aborts with a transport error, so a
+// hung owner's requests fail over like dropped connections.
 func (r *Router) forward(ctx context.Context, m *member, method, path, query string, hdr http.Header, body []byte) (*response, error) {
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	stop := context.AfterFunc(m.alive(), func() { cancel(errMemberDown) })
+	defer stop()
+
 	url := m.url + path
 	if query != "" {
 		url += "?" + query
@@ -145,54 +156,56 @@ func (r *Router) forward(ctx context.Context, m *member, method, path, query str
 		req.Header.Set(obs.TraceHeader, id)
 	}
 	start := time.Now()
-	resp, err := r.client.Do(req)
-	if err != nil {
+	fail := func(err error) (*response, error) {
+		if cause := context.Cause(ctx); errors.Is(cause, errMemberDown) {
+			err = fmt.Errorf("%s: %w", m.url, cause)
+		}
 		tr.Add("forward-error", m.url+": "+err.Error(), start, time.Since(start))
 		return nil, err
+	}
+	resp, err := r.client.Do(req)
+	if err != nil {
+		return fail(err)
 	}
 	defer resp.Body.Close()
 	buf, err := io.ReadAll(resp.Body)
 	if err != nil {
-		tr.Add("forward-error", m.url+": "+err.Error(), start, time.Since(start))
-		return nil, err
+		return fail(err)
 	}
 	tr.Add("forward", m.url, start, time.Since(start))
 	return &response{status: resp.StatusCode, header: resp.Header, body: buf, member: m.url}, nil
 }
 
-// send routes one world-scoped request: rendezvous-ranked candidates,
-// hedged duplicates for slow owners (idempotent requests to frozen worlds
-// only), and rehash-and-retry failover with capped,
-// deterministically-jittered backoff when an owner is dead or
-// partitioned. A transport error means no response byte arrived, so
-// retrying is safe even for non-idempotent requests — but those never
-// hedge and never retry after bytes may have been processed, which for
-// POST /v1/tick means one attempt, period. A live world never hedges
-// either: its "@tick" views exist only on its journal owner, so the
-// next-ranked worker's fast answer would be a 404 or frozen genesis data.
+// send routes one world-scoped request to its rendezvous owner, and on
+// a transport failure — a dead or partitioned owner, or one the
+// heartbeat moved to Down mid-request — rehashes and retries along the
+// ranking with capped, deterministically-jittered backoff. A transport
+// error means no response byte arrived, so retrying an idempotent
+// request is safe; POST /v1/tick advances a timeline and gets exactly
+// one attempt. A request whose own context ended is not retried and not
+// counted: the client is gone, nothing failed over.
 func (r *Router) send(ctx context.Context, digest string, idempotent bool, method, path, query string, hdr http.Header, body []byte) (*response, error) {
 	class := method + " " + path
 	attempts := r.cfg.MaxAttempts
 	if !idempotent {
 		attempts = 1
 	}
-	hedge := idempotent && !r.isLive(digest)
 	var lastErr error
 	tried := make(map[string]bool)
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
+			d := fault.Backoff(r.cfg.BackoffBase, r.cfg.BackoffMax, "fleet|"+digest+"|"+class, attempt-1)
+			select {
+			case <-time.After(d):
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
 			// A failover is a retry after a member actually failed us. An
 			// orphaned world (no candidate was ever tried) is not one — it
 			// is counted once, as unroutable, when the 503 is written.
 			if len(tried) > 0 {
 				r.failovers.Add(1)
 				obs.TraceFromContext(ctx).Event("failover", "attempt "+strconv.Itoa(attempt))
-			}
-			d := fault.Backoff(r.cfg.BackoffBase, r.cfg.BackoffMax, "fleet|"+digest+"|"+class, attempt-1)
-			select {
-			case <-time.After(d):
-			case <-ctx.Done():
-				return nil, ctx.Err()
 			}
 		}
 		// Rehash on every attempt: membership may have shifted while we
@@ -206,25 +219,21 @@ func (r *Router) send(ctx context.Context, digest string, idempotent bool, metho
 			lastErr = fmt.Errorf("no routable owner for %.16s", digest)
 			continue
 		}
-		primary := cands[0]
-		var hedgeTo *member
+		owner := cands[0]
 		for _, c := range cands {
 			if !tried[c.url] {
-				primary = c
+				owner = c
 				break
 			}
 		}
-		for _, c := range cands {
-			if hedge && c != primary {
-				hedgeTo = c
-				break
-			}
-		}
-		tried[primary.url] = true
+		tried[owner.url] = true
 
 		start := time.Now()
-		resp, err := r.race(ctx, primary, hedgeTo, class, method, path, query, hdr, body)
+		resp, err := r.forward(ctx, owner, method, path, query, hdr, body)
 		if err != nil {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
 			lastErr = err
 			continue
 		}
@@ -236,80 +245,6 @@ func (r *Router) send(ctx context.Context, digest string, idempotent bool, metho
 		lastErr = fmt.Errorf("no routable owner for %.16s", digest)
 	}
 	return nil, lastErr
-}
-
-// race runs the primary forward and, if it is still in flight after the
-// class's p99-derived hedge delay, one duplicate against hedgeTo. The
-// first response wins; the loser's context is cancelled. A nil hedgeTo
-// runs the primary alone: send passes one only for idempotent requests
-// to frozen worlds, where a duplicate is at worst wasted work, never a
-// duplicated side effect or a wrong answer.
-func (r *Router) race(ctx context.Context, primary, hedgeTo *member, class, method, path, query string, hdr http.Header, body []byte) (*response, error) {
-	type result struct {
-		resp *response
-		err  error
-	}
-	pctx, pcancel := context.WithCancel(ctx)
-	defer pcancel()
-	ch := make(chan result, 2)
-	go func() {
-		resp, err := r.forward(pctx, primary, method, path, query, hdr, body)
-		ch <- result{resp, err}
-	}()
-
-	if hedgeTo == nil {
-		res := <-ch
-		return res.resp, res.err
-	}
-
-	hedgeTimer := time.NewTimer(r.hedgeDelay(class))
-	defer hedgeTimer.Stop()
-
-	var hctx context.Context
-	var hcancel context.CancelFunc
-	launched := false
-	inFlight := 1
-	var firstErr error
-	for {
-		select {
-		case res := <-ch:
-			inFlight--
-			if res.err == nil {
-				// First response wins; cancel the other leg.
-				pcancel()
-				if hcancel != nil {
-					hcancel()
-				}
-				if launched && res.resp.member != primary.url {
-					r.hedgeWins.Add(1)
-					obs.TraceFromContext(ctx).Event("hedge-win", res.resp.member)
-				}
-				return res.resp, nil
-			}
-			if firstErr == nil {
-				firstErr = res.err
-			}
-			if inFlight == 0 {
-				return nil, firstErr
-			}
-		case <-hedgeTimer.C:
-			if launched {
-				continue
-			}
-			launched = true
-			inFlight++
-			r.hedges.Add(1)
-			obs.TraceFromContext(ctx).Event("hedge-launch", hedgeTo.url)
-			hctx, hcancel = context.WithCancel(ctx)
-			defer hcancel()
-			go func() {
-				resp, err := r.forward(hctx, hedgeTo, method, path, query, hdr, body)
-				ch <- result{resp, err}
-			}()
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
 }
 
 // handleRouted is the generic world-scoped proxy: resolve the world key
@@ -327,35 +262,35 @@ func (r *Router) handleRouted(w http.ResponseWriter, req *http.Request) {
 	isTick := req.Method == http.MethodPost && req.URL.Path == "/v1/tick"
 	var body []byte
 	if req.Body != nil && req.Method == http.MethodPost {
-		body, err = io.ReadAll(io.LimitReader(req.Body, maxProxyBody))
+		body, err = io.ReadAll(http.MaxBytesReader(w, req.Body, maxProxyBody))
 		if err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				routerError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+				return
+			}
 			routerError(w, http.StatusBadRequest, "read body: %v", err)
 			return
 		}
 	}
-	resp, err := r.send(req.Context(), digest, !isTick, req.Method, req.URL.Path,
+	ctx := req.Context()
+	resp, err := r.send(ctx, digest, !isTick, req.Method, req.URL.Path,
 		query, req.Header, body)
-	if err != nil {
-		r.routeFailure(w, digest, err)
-		return
-	}
-	if isTick && resp.status/100 == 2 {
-		// The timeline moved: this world now serves "<base>@<tick>" views
-		// only its journal owner can answer, so its grids stop fanning out.
-		r.markLive(digest)
-	}
-	resp.write(w)
-}
-
-// routeFailure maps a send error: unknown world → 404, everything else —
-// dead owners, partitions, exhausted retries — is the orphaned-world 503.
-func (r *Router) routeFailure(w http.ResponseWriter, digest string, err error) {
-	if errors.Is(err, catalog.ErrUnknownWorld) {
+	switch {
+	case err == nil:
+		resp.write(w)
+	case errors.Is(err, catalog.ErrUnknownWorld):
 		routerError(w, http.StatusNotFound, "%v", err)
-		return
+	case ctx.Err() != nil:
+		// The client hung up or ran out of its own deadline: the status is
+		// for logs and tests, as on a worker.
+		routerError(w, 499, "request cancelled: %v", ctx.Err())
+	default:
+		// Dead owners, partitions, exhausted retries: the orphaned-world
+		// 503.
+		r.log.Warn("route failed", "world", digest[:min(16, len(digest))], "err", err)
+		r.orphan503(w, digest)
 	}
-	r.log.Warn("route failed", "world", digest[:min(16, len(digest))], "err", err)
-	r.orphan503(w, digest)
 }
 
 // --- router-local endpoints ---
@@ -383,9 +318,6 @@ type fleetResponse struct {
 	Members    []memberJSON `json:"members"`
 	Forwards   int64        `json:"forwards"`
 	Failovers  int64        `json:"failovers"`
-	Hedges     int64        `json:"hedges"`
-	HedgeWins  int64        `json:"hedge_wins"`
-	Fanouts    int64        `json:"fanouts"`
 	Unroutable int64        `json:"unroutable"`
 }
 
@@ -393,9 +325,6 @@ func (r *Router) handleFleet(w http.ResponseWriter, _ *http.Request) {
 	resp := fleetResponse{
 		Forwards:   r.forwards.Value(),
 		Failovers:  r.failovers.Value(),
-		Hedges:     r.hedges.Value(),
-		HedgeWins:  r.hedgeWins.Value(),
-		Fanouts:    r.fanouts.Value(),
 		Unroutable: r.unroutable.Value(),
 	}
 	for _, m := range r.members {

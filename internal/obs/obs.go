@@ -33,8 +33,8 @@ import (
 
 // DefBuckets are the default latency histogram bounds, in seconds: a
 // 1-2-5 ladder from 100µs to 60s. Exact request durations land on their
-// bucket's upper bound at exposition and quantile time, so the ladder is
-// also the resolution of every p99 the system derives from itself.
+// bucket's upper bound at exposition time, so the ladder is also the
+// resolution of every quantile a scraper derives from them.
 var DefBuckets = []float64{
 	0.0001, 0.0002, 0.0005,
 	0.001, 0.002, 0.005,
@@ -129,35 +129,8 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
-// Quantile estimates the q-quantile (0 < q ≤ 1) as the upper bound of
-// the bucket containing that rank — the resolution the bucket ladder
-// affords, which is exactly what a scraped Prometheus histogram would
-// yield. Returns 0 with no observations; observations above the last
-// bound report the last bound.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(q * float64(total))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i := range h.cells {
-		cum += h.cells[i].Load()
-		if cum >= rank {
-			return time.Duration(h.bounds[i] * float64(time.Second))
-		}
-	}
-	return time.Duration(h.bounds[len(h.bounds)-1] * float64(time.Second))
-}
-
-// HistogramVec is a family of histograms split by one label: the
-// per-class request-latency family the fleet hedger reads its p99 from.
+// HistogramVec is a family of histograms split by one label, such as
+// the per-class request-latency families of the serve and fleet tiers.
 // With is a single lock-free map read once a class has been observed.
 type HistogramVec struct {
 	reg      *Registry

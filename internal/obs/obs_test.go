@@ -33,7 +33,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 	g.Add(-2)
 	h.Observe(time.Millisecond)
 	v.With("a").Observe(time.Millisecond)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Quantile(0.99) != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Fatalf("nil instruments must read zero")
 	}
 	var buf bytes.Buffer
@@ -56,38 +56,6 @@ func TestRegistrationIsIdempotent(t *testing.T) {
 	a.Add(3)
 	if b.Value() != 3 {
 		t.Fatalf("aliased cells out of sync")
-	}
-}
-
-// TestHistogramQuantile pins the bucket-upper-bound quantile rule the
-// fleet hedger depends on: 64 observations at 2ms put p99 in the 2ms
-// bucket; adding 64 at 200ms moves rank 127/128 into the 200ms bucket.
-func TestHistogramQuantile(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("lat_seconds", "latency", nil)
-	if h.Quantile(0.99) != 0 {
-		t.Fatalf("empty histogram must report 0")
-	}
-	for i := 0; i < 64; i++ {
-		h.Observe(2 * time.Millisecond)
-	}
-	if got := h.Quantile(0.99); got != 2*time.Millisecond {
-		t.Fatalf("p99 of 64×2ms = %v, want 2ms", got)
-	}
-	for i := 0; i < 64; i++ {
-		h.Observe(200 * time.Millisecond)
-	}
-	if got := h.Quantile(0.99); got != 200*time.Millisecond {
-		t.Fatalf("p99 of mixed = %v, want 200ms", got)
-	}
-	if h.Count() != 128 {
-		t.Fatalf("count = %d, want 128", h.Count())
-	}
-	// Beyond the last bound lands in +Inf but reports the last bound.
-	h2 := reg.Histogram("lat2_seconds", "latency", nil)
-	h2.Observe(5 * time.Minute)
-	if got := h2.Quantile(0.5); got != 60*time.Second {
-		t.Fatalf("overflow quantile = %v, want 60s", got)
 	}
 }
 

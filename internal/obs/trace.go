@@ -28,7 +28,7 @@ func TraceFromContext(ctx context.Context) *Trace {
 }
 
 // TraceHeader carries the trace ID router→worker, so one client request
-// yields one ID across every forward, failover, and hedge leg.
+// yields one ID across every forward and failover leg.
 const TraceHeader = "X-RP-Trace"
 
 // TraceID derives the deterministic trace ID for a request: the first
@@ -47,7 +47,7 @@ func TraceID(digest, canonical string, attempt int) string {
 }
 
 // Span is one timed step inside a request: queue wait, attach, eval,
-// cache hit, a failover or hedge leg.
+// cache hit, a forward or failover leg.
 type Span struct {
 	Name  string        `json:"name"`
 	Start time.Duration `json:"start"` // offset from request start
@@ -56,7 +56,8 @@ type Span struct {
 }
 
 // Trace accumulates spans for one in-flight request. Methods are
-// nil-safe and mutex-guarded — hedge legs append concurrently.
+// nil-safe and mutex-guarded — a worker's computation appends from its
+// own goroutine while the request that founded it may still be live.
 type Trace struct {
 	mu    sync.Mutex
 	id    string

@@ -232,4 +232,3 @@ func Blocks(n, size int) []Range {
 	}
 	return out
 }
-

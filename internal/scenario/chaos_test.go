@@ -107,7 +107,7 @@ func TestRealPanicIsContained(t *testing.T) {
 // panicOp is a test-only op that panics on apply.
 type panicOp struct{}
 
-func (panicOp) String() string           { return "panic-op" }
-func (panicOp) apply(*state) error       { panic("panic-op fired") }
-func (panicOp) stages() StageMask        { return StageAll }
+func (panicOp) String() string              { return "panic-op" }
+func (panicOp) apply(*state) error          { panic("panic-op fired") }
+func (panicOp) stages() StageMask           { return StageAll }
 func (panicOp) dirtySims() (bool, []string) { return true, nil }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -403,5 +404,47 @@ func TestServeChaosByteIdentity(t *testing.T) {
 	}
 	if err := cat.Close(); err != nil {
 		t.Errorf("catalog close after drain: %v", err)
+	}
+}
+
+// TestCloseStopsComputations pins the shutdown contract: Close cancels a
+// grid that is still evaluating, waits for it to return, and leaves no
+// world lease pinned, so the catalog closes cleanly. A query arriving
+// after Close is refused with a 503 instead of starting work.
+func TestCloseStopsComputations(t *testing.T) {
+	s, cat := catServer(t, catalog.Options{}, Config{})
+	h := s.Handler()
+	grid := worldWhatifURL(catDigests[0], "cheap%3Dremoteprice%3A0.5%3Bsurge%3Dtraffic%3A1.4") + "&seeds=1,2,3"
+	status := make(chan int, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, grid, nil))
+		status <- rec.Code
+	}()
+	for deadline := time.Now().Add(10 * time.Second); cat.PinnedRefs() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the grid never attached its world")
+		}
+	}
+
+	if err := s.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if p := s.Pending(); p != 0 {
+		t.Errorf("Pending() = %d after Close, want 0", p)
+	}
+	if err := cat.Close(); err != nil {
+		t.Errorf("catalog close after server close: %v", err)
+	}
+	if st := <-status; st != http.StatusServiceUnavailable {
+		t.Errorf("grid cut off by Close answered %d, want 503", st)
+	}
+
+	evals := s.Evaluations()
+	if st, _, body := get(t, h, worldWhatifURL(catDigests[1], "surge%3Dtraffic%3A1.3")); st != http.StatusServiceUnavailable {
+		t.Errorf("query after Close: status %d body %s, want 503", st, body)
+	}
+	if got := s.Evaluations(); got != evals {
+		t.Errorf("a query after Close started %d evaluations", got-evals)
 	}
 }

@@ -81,12 +81,10 @@ func (lw *liveWorld) publish() *tickView {
 	return v
 }
 
-// Close shuts the living-world registry down: every engine (and its
+// closeLive shuts the living-world registry down: every engine (and its
 // journal, when the server journals live worlds) is closed and every
-// pinned catalog lease released. Callers stop the HTTP server first; a
-// query still holding a view keeps reading its immutable world safely,
-// but no new ticks can commit.
-func (s *Server) Close() error {
+// pinned catalog lease released. No new ticks can commit.
+func (s *Server) closeLive() error {
 	s.liveMu.Lock()
 	live := s.live
 	s.live = make(map[string]*liveWorld)

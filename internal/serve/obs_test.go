@@ -301,6 +301,6 @@ func BenchmarkRequestPathOverhead(b *testing.B) {
 
 type nullResponseWriter struct{ h http.Header }
 
-func (n *nullResponseWriter) Header() http.Header        { return n.h }
+func (n *nullResponseWriter) Header() http.Header         { return n.h }
 func (n *nullResponseWriter) Write(b []byte) (int, error) { return len(b), nil }
-func (n *nullResponseWriter) WriteHeader(int)            {}
+func (n *nullResponseWriter) WriteHeader(int)             {}

@@ -169,6 +169,8 @@ type Server struct {
 	cache        *lruCache
 	mu           sync.Mutex
 	inflight     map[string]*call
+	closed       bool           // set by Close under mu: no new computations
+	leads        sync.WaitGroup // running lead goroutines, awaited by Close
 
 	// The living-world registry: evolving worlds keyed by genesis digest.
 	tickCfg tick.Config
@@ -402,6 +404,7 @@ var (
 	errOverloaded   = errors.New("serve: overloaded")
 	errQueryTimeout = errors.New("serve: query deadline exceeded")
 	errInternal     = errors.New("internal server error")
+	errClosed       = errors.New("serve: server closed")
 )
 
 // overloadError is an admission-control shed carrying the backoff hint
@@ -473,6 +476,10 @@ func (s *Server) do(ctx context.Context, id string, fn func(context.Context) ([]
 		s.mu.Lock()
 		c, joined := s.inflight[id]
 		if !joined {
+			if s.closed {
+				s.mu.Unlock()
+				return nil, false, errClosed
+			}
 			// Admission: a new computation is only admitted while the
 			// pending set has room. Joining an existing computation adds
 			// no work and is never shed; cache hits never reach here.
@@ -493,6 +500,7 @@ func (s *Server) do(ctx context.Context, id string, fn func(context.Context) ([]
 			compCtx = obs.ContextWithTrace(compCtx, tr)
 			c = &call{done: make(chan struct{}), cancel: cancel, queuedAt: time.Now()}
 			s.inflight[id] = c
+			s.leads.Add(1)
 			go s.lead(compCtx, id, c, fn)
 		}
 		c.waiters++
@@ -553,6 +561,7 @@ func (s *Server) computationContext() (context.Context, context.CancelFunc) {
 // (respecting the computation context, so a fully-abandoned queued query
 // never starts), evaluates — absorbing any panic — publishes, and caches.
 func (s *Server) lead(ctx context.Context, id string, c *call, fn func(context.Context) ([]byte, error)) {
+	defer s.leads.Done()
 	defer func() {
 		s.mu.Lock()
 		delete(s.inflight, id)
@@ -606,11 +615,25 @@ func (s *Server) leave(c *call) {
 	}
 }
 
-// QueryID derives the content address of a canonical query against a
+// Close shuts the server down: it refuses new computations, cancels the
+// ones in flight and waits for them to return — so every world lease a
+// computation held is released and the catalog can close — and then
+// closes the living-world registry. Callers stop the HTTP server first.
+func (s *Server) Close() error {
+	s.mu.Lock()
+	s.closed = true
+	for _, c := range s.inflight {
+		c.cancel()
+	}
+	s.mu.Unlock()
+	s.leads.Wait()
+	return s.closeLive()
+}
+
+// queryID derives the content address of a canonical query against a
 // world: the cache key, the dedup key, and the public report id are all
-// this value. It is exported for the fleet router, which must reproduce
-// a worker's response envelope byte-for-byte when it fans a grid out.
-func QueryID(digest, canonical string) string {
+// this value.
+func queryID(digest, canonical string) string {
 	sum := sha256.Sum256([]byte(digest + "\n" + canonical))
 	return hex.EncodeToString(sum[:16])
 }
@@ -781,7 +804,7 @@ func (s *Server) handleSpread(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	canonical := fmt.Sprintf("spread|seed=%d|days=%d", seed, days)
-	id := QueryID(digest, canonical)
+	id := queryID(digest, canonical)
 	obs.TraceFrom(r).EnsureID(obs.TraceID(digest, canonical, 0))
 	body, hit, err := s.do(r.Context(), id, func(ctx context.Context) ([]byte, error) {
 		ws, release, err := s.acquireView(ctx, digest, view)
@@ -841,8 +864,8 @@ type offloadResponse struct {
 	// with no intervals parameter the server uses the snapshot's dataset
 	// as-is, so the echoed length is how a caller tells a short-run
 	// snapshot from the full paper month.
-	TrafficSeed int64 `json:"traffic_seed"`
-	Intervals   int   `json:"intervals"`
+	TrafficSeed    int64         `json:"traffic_seed"`
+	Intervals      int           `json:"intervals"`
 	PotentialPeers int           `json:"potential_peers"`
 	TransitInBps   float64       `json:"transit_in_bps"`
 	TransitOutBps  float64       `json:"transit_out_bps"`
@@ -885,7 +908,7 @@ func (s *Server) handleOffload(w http.ResponseWriter, r *http.Request) {
 	}
 	canonical := fmt.Sprintf("offload|group=%d|k=%d|greedy=%d|tseed=%d|intervals=%d",
 		group, k, depth, trafficSeed, intervals)
-	id := QueryID(digest, canonical)
+	id := queryID(digest, canonical)
 	obs.TraceFrom(r).EnsureID(obs.TraceID(digest, canonical, 0))
 	body, hit, err := s.do(r.Context(), id, func(ctx context.Context) ([]byte, error) {
 		ws, release, err := s.acquireView(ctx, digest, view)
@@ -955,9 +978,7 @@ func (s *Server) handleOffload(w http.ResponseWriter, r *http.Request) {
 }
 
 // WhatifRequest is the /v1/whatif query: the same knobs cmd/rpwhatif
-// exposes, accepted as GET query parameters or a POST JSON body. It is
-// exported for the fleet router, which parses, splits, and re-issues
-// what-if grids against workers.
+// exposes, accepted as GET query parameters or a POST JSON body.
 type WhatifRequest struct {
 	Scenarios   string  `json:"scenarios"`
 	Seeds       []int64 `json:"seeds,omitempty"`
@@ -986,9 +1007,8 @@ func (wr WhatifRequest) Canonical() string {
 		wr.K, wr.Greedy, wr.Intervals, wr.Days)
 }
 
-// ApplyDefaults fills the zero-valued knobs with the server defaults —
-// the same normalization every node applies, so a router and its
-// workers agree on Canonical and QueryID.
+// ApplyDefaults fills the zero-valued knobs with the server defaults, so
+// a defaulted and an explicit request share one Canonical form.
 func (wr *WhatifRequest) ApplyDefaults() {
 	if wr.MeasureSeed == 0 {
 		wr.MeasureSeed = 2
@@ -1004,10 +1024,9 @@ func (wr *WhatifRequest) ApplyDefaults() {
 	}
 }
 
-// ParseWhatifRequest decodes a /v1/whatif request — GET query parameters
-// or a capped POST JSON body — without applying defaults. Exported so
-// the fleet router parses requests exactly as a worker would.
-func ParseWhatifRequest(w http.ResponseWriter, r *http.Request) (WhatifRequest, error) {
+// parseWhatifRequest decodes a /v1/whatif request — GET query parameters
+// or a capped POST JSON body — without applying defaults.
+func parseWhatifRequest(w http.ResponseWriter, r *http.Request) (WhatifRequest, error) {
 	var req WhatifRequest
 	switch r.Method {
 	case http.MethodPost:
@@ -1063,7 +1082,7 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, err := ParseWhatifRequest(w, r)
+	req, err := parseWhatifRequest(w, r)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -1090,7 +1109,7 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	}
 	grid.Seeds = req.Seeds
 
-	id := QueryID(digest, req.Canonical())
+	id := queryID(digest, req.Canonical())
 	obs.TraceFrom(r).EnsureID(obs.TraceID(digest, req.Canonical(), 0))
 	body, hit, err := s.do(r.Context(), id, func(ctx context.Context) ([]byte, error) {
 		ws, release, err := s.acquireView(ctx, digest, view)
@@ -1172,9 +1191,8 @@ func marshalBody(v any) ([]byte, error) {
 }
 
 // MarshalBody renders a response body exactly as the server does —
-// indented JSON plus a trailing newline. The fleet router uses it to
-// reproduce a worker's bytes when assembling a fanned-out grid's
-// response.
+// indented JSON plus a trailing newline. The fleet router uses it for
+// its own JSON answers, so they match a worker's shape.
 func MarshalBody(v any) ([]byte, error) { return marshalBody(v) }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -1195,8 +1213,8 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 // finish writes a computed (or cached) body, mapping each failure mode
 // of the request path to its own status: client hang-up → 499, query
 // deadline → 504, admission shed or no resident slot → 429 with a
-// Retry-After, quarantined world → 503, recovered panic → a stable 500
-// that carries no internals.
+// Retry-After, quarantined world or closed server → 503, recovered
+// panic → a stable 500 that carries no internals.
 func finish(w http.ResponseWriter, r *http.Request, body []byte, hit bool, err error) {
 	switch {
 	case err == nil:
@@ -1217,7 +1235,7 @@ func finish(w http.ResponseWriter, r *http.Request, body []byte, hit bool, err e
 		httpError(w, http.StatusTooManyRequests, "%v", err)
 	case errors.Is(err, errQueryTimeout):
 		httpError(w, http.StatusGatewayTimeout, "%v", err)
-	case errors.Is(err, catalog.ErrQuarantined):
+	case errors.Is(err, catalog.ErrQuarantined) || errors.Is(err, errClosed):
 		httpError(w, http.StatusServiceUnavailable, "%v", err)
 	case errors.Is(err, catalog.ErrUnknownWorld):
 		httpError(w, http.StatusNotFound, "%v", err)

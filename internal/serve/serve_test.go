@@ -281,8 +281,8 @@ func TestWhatifDedup(t *testing.T) {
 func TestWhatifBadRequests(t *testing.T) {
 	s := testServer(t)
 	for _, url := range []string{
-		"/v1/whatif",                          // no scenarios
-		"/v1/whatif?scenarios=bogus%3Aop",     // unknown op
+		"/v1/whatif",                      // no scenarios
+		"/v1/whatif?scenarios=bogus%3Aop", // unknown op
 		"/v1/whatif?scenarios=x%3Dtraffic%3A1.5&seeds=abc", // bad seeds
 	} {
 		if st, _, body := get(t, s.Handler(), url); st != http.StatusBadRequest {
@@ -440,4 +440,3 @@ func TestPostWhatifEquivalentToGet(t *testing.T) {
 		t.Error("POST and GET responses differ for the same canonical query")
 	}
 }
-

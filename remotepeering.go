@@ -551,8 +551,8 @@ func OpenTickEngine(ctx context.Context, dir string, genesis *World, cfg TickCon
 
 type (
 	// FleetRouter fronts a fleet of rpserve workers: health-gated
-	// membership, rendezvous-hash routing with failover and hedging, and
-	// byte-identical what-if grid fan-out.
+	// membership and rendezvous-hash routing with failover, where each
+	// request goes whole to the worker that owns its world.
 	FleetRouter = fleet.Router
 	// FleetConfig parameterises a FleetRouter.
 	FleetConfig = fleet.Config
