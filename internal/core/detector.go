@@ -16,7 +16,7 @@ package core
 import (
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"remotepeering/internal/geo"
@@ -154,6 +154,13 @@ type Report struct {
 }
 
 // Analyze runs the detection pipeline over a campaign's observations.
+//
+// The detector reads observations in canonical order (lg.Compare), where
+// each interface's observations form one contiguous run and each LG
+// family's a contiguous sub-run, and judges every run in place. Input in
+// any other order is analyzed through a sorted copy; the caller's slice
+// is never reordered. An interface's Acronym is its first observation's
+// in canonical order.
 func Analyze(obs []lg.Observation, reg *registry.Registry, campaign time.Duration, cfg Config) (*Report, error) {
 	if len(obs) == 0 {
 		return nil, fmt.Errorf("core: no observations")
@@ -162,210 +169,204 @@ func Analyze(obs []lg.Observation, reg *registry.Registry, campaign time.Duratio
 		return nil, fmt.Errorf("core: non-positive campaign duration %v", campaign)
 	}
 	cfg = cfg.withDefaults()
-
-	type ifaceKey struct {
-		ixp int
-		ip  netip.Addr
+	runs, canonical := countRuns(obs)
+	if !canonical {
+		obs = slices.Clone(obs)
+		lg.Sort(obs)
+		runs, _ = countRuns(obs)
 	}
-	type ifaceObs struct {
-		acronym  string
-		families map[string][]lg.Observation // replies only, per LG family
-		replies  int
+	rep := &Report{
+		Cfg:        cfg,
+		Interfaces: make([]InterfaceResult, 0, runs),
+		Discards:   make(map[Filter]int),
 	}
-	groups := make(map[ifaceKey]*ifaceObs)
-	var order []ifaceKey
-	for _, o := range obs {
-		k := ifaceKey{o.IXPIndex, o.Target}
-		g, ok := groups[k]
-		if !ok {
-			g = &ifaceObs{acronym: o.Acronym, families: make(map[string][]lg.Observation)}
-			groups[k] = g
-			order = append(order, k)
+	for lo := 0; lo < len(obs); {
+		hi := lo + 1
+		for hi < len(obs) && sameInterface(&obs[lo], &obs[hi]) {
+			hi++
 		}
-		if _, seen := g.families[o.Family]; !seen {
-			g.families[o.Family] = nil
-		}
-		if !o.TimedOut {
-			g.families[o.Family] = append(g.families[o.Family], o)
-			g.replies++
-		}
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].ixp != order[j].ixp {
-			return order[i].ixp < order[j].ixp
-		}
-		return order[i].ip.Less(order[j].ip)
-	})
-
-	rep := &Report{Cfg: cfg, Discards: make(map[Filter]int)}
-	accepted := func(ttl uint8) bool {
-		for _, t := range cfg.AcceptedTTLs {
-			if ttl == t {
-				return true
-			}
-		}
-		return false
-	}
-	enabled := func(f Filter) bool { return !cfg.Disabled[f] }
-
-	for _, k := range order {
-		g := groups[k]
-		res := InterfaceResult{
-			IXPIndex: k.ixp,
-			Acronym:  g.acronym,
-			IP:       k.ip,
-			Replies:  g.replies,
-		}
-
-		// Identification (used by the ASN-change filter and the network
-		// analyses): registry lookups at campaign start and end.
-		asnEarly, okEarly := reg.LookupASN(k.ixp, k.ip, 0)
-		asnLate, okLate := reg.LookupASN(k.ixp, k.ip, 1)
-		if okEarly {
-			res.ASN = asnEarly
-			res.Identified = true
-		}
-
-		res.Discard = func() Filter {
-			// 1. Sample-size: every probing LG server must have returned
-			// at least MinRepliesPerLG replies.
-			if enabled(FilterSampleSize) {
-				for _, replies := range g.families {
-					if len(replies) < cfg.MinRepliesPerLG {
-						return FilterSampleSize
-					}
-				}
-			}
-
-			// 2. TTL-switch: the reply TTL must not change during the
-			// measurement period.
-			ttls := map[uint8]bool{}
-			for _, replies := range g.families {
-				for _, o := range replies {
-					ttls[o.TTL] = true
-				}
-			}
-			if enabled(FilterTTLSwitch) && len(ttls) > 1 {
-				return FilterTTLSwitch
-			}
-
-			// 3. TTL-match: the reply TTL must be one of the expected
-			// initial values; anything else betrays an extra IP hop or
-			// an unusual OS.
-			if enabled(FilterTTLMatch) {
-				for t := range ttls {
-					if !accepted(t) {
-						return FilterTTLMatch
-					}
-				}
-			}
-
-			// 4. RTT-consistent: at least MinConsistentReplies of the
-			// collected replies must sit within the window above the
-			// minimum RTT.
-			min, consistent := minAndWithin(g.families, cfg)
-			if enabled(FilterRTTConsistent) && consistent < cfg.MinConsistentReplies {
-				return FilterRTTConsistent
-			}
-			_ = min
-
-			// 5. LG-consistent: when both LG families probed the
-			// interface, their per-family minimum RTTs must agree within
-			// the window.
-			if enabled(FilterLGConsistent) && len(g.families) >= 2 {
-				var mins []time.Duration
-				for _, replies := range g.families {
-					if m, ok := minRTT(replies); ok {
-						mins = append(mins, m)
-					}
-				}
-				if len(mins) >= 2 {
-					lo, hi := mins[0], mins[0]
-					for _, m := range mins[1:] {
-						if m < lo {
-							lo = m
-						}
-						if m > hi {
-							hi = m
-						}
-					}
-					if hi > lo+cfg.window(lo) {
-						return FilterLGConsistent
-					}
-				}
-			}
-
-			// 6. ASN-change: the registry identification must be stable
-			// across the campaign.
-			if enabled(FilterASNChange) && okEarly && okLate && asnEarly != asnLate {
-				return FilterASNChange
-			}
-			return FilterNone
-		}()
-
-		if res.Discard == FilterNone {
-			var all []lg.Observation
-			for _, replies := range g.families {
-				all = append(all, replies...)
-			}
-			m, ok := minRTT(all)
-			if !ok {
-				// No replies at all and the sample-size filter was
-				// disabled: treat as a sample-size discard regardless,
-				// since there is nothing to classify.
-				res.Discard = FilterSampleSize
-			} else {
-				res.MinRTT = m
-				res.Class = geo.ClassifyRTT(m)
-				res.Remote = m >= cfg.RemoteThreshold
-			}
-		}
+		res := cfg.judge(obs[lo:hi], reg)
 		if res.Discard != FilterNone {
 			rep.Discards[res.Discard]++
 		}
 		rep.Interfaces = append(rep.Interfaces, res)
+		lo = hi
 	}
 	return rep, nil
 }
 
-// minRTT returns the minimum RTT among replies.
-func minRTT(replies []lg.Observation) (time.Duration, bool) {
-	if len(replies) == 0 {
-		return 0, false
-	}
-	m := replies[0].RTT
-	for _, o := range replies[1:] {
-		if o.RTT < m {
-			m = o.RTT
+// countRuns counts the interface runs in obs and reports whether obs is
+// in canonical order, comparing each adjacent pair once. The count is
+// meaningful only for canonical input.
+func countRuns(obs []lg.Observation) (runs int, canonical bool) {
+	runs = 1
+	for i := 1; i < len(obs); i++ {
+		a, b := &obs[i-1], &obs[i]
+		if lg.Compare(a, b) > 0 {
+			return 0, false
+		}
+		if !sameInterface(a, b) {
+			runs++
 		}
 	}
-	return m, true
+	return runs, true
 }
 
-// minAndWithin returns the pooled minimum RTT and the number of replies
-// within the consistency window above it.
-func minAndWithin(families map[string][]lg.Observation, cfg Config) (time.Duration, int) {
-	var min time.Duration
-	first := true
-	for _, replies := range families {
-		for _, o := range replies {
-			if first || o.RTT < min {
-				min = o.RTT
-				first = false
+// sameInterface reports whether two observations probed the same IXP
+// interface.
+func sameInterface(a, b *lg.Observation) bool {
+	return a.IXPIndex == b.IXPIndex && a.Target == b.Target
+}
+
+// runStats summarizes one interface's run of observations: everything the
+// six filters and the classification read, gathered without copying a
+// reply.
+type runStats struct {
+	// fewestReplies is the smallest reply count of any LG family that
+	// probed the interface, and replied counts the families with at
+	// least one reply.
+	fewestReplies, replied int
+	// lo and hi are the lowest and highest per-family minimum RTTs; lo
+	// is also the pooled minimum.
+	lo, hi time.Duration
+	// replies counts the pooled replies.
+	replies int
+	// ttlSwitch reports replies carrying more than one TTL, and badTTL a
+	// reply TTL outside the accepted set.
+	ttlSwitch, badTTL bool
+	// consistent counts the replies within the consistency window above
+	// lo.
+	consistent int
+}
+
+// summarize walks one interface's run, family sub-run by family sub-run.
+func (c Config) summarize(run []lg.Observation) runStats {
+	var st runStats
+	var ttl uint8
+	for lo := 0; lo < len(run); {
+		hi := lo
+		n := 0
+		var famMin time.Duration
+		for ; hi < len(run) && run[hi].Family == run[lo].Family; hi++ {
+			o := &run[hi]
+			if o.TimedOut {
+				continue
 			}
+			if n == 0 || o.RTT < famMin {
+				famMin = o.RTT
+			}
+			if st.replies == 0 {
+				ttl = o.TTL
+			} else if o.TTL != ttl {
+				st.ttlSwitch = true
+			}
+			if !c.acceptedTTL(o.TTL) {
+				st.badTTL = true
+			}
+			n++
+			st.replies++
+		}
+		if lo == 0 || n < st.fewestReplies {
+			st.fewestReplies = n
+		}
+		if n > 0 {
+			if st.replied == 0 || famMin < st.lo {
+				st.lo = famMin
+			}
+			if st.replied == 0 || famMin > st.hi {
+				st.hi = famMin
+			}
+			st.replied++
+		}
+		lo = hi
+	}
+	if st.replies == 0 {
+		return st
+	}
+	limit := st.lo + c.window(st.lo)
+	for i := range run {
+		if !run[i].TimedOut && run[i].RTT <= limit {
+			st.consistent++
 		}
 	}
-	if first {
-		return 0, 0
+	return st
+}
+
+func (c Config) acceptedTTL(ttl uint8) bool {
+	return slices.Contains(c.AcceptedTTLs, ttl)
+}
+
+// judge applies the six filters, in the paper's order, to one
+// interface's run of observations and classifies a survivor.
+func (c Config) judge(run []lg.Observation, reg *registry.Registry) InterfaceResult {
+	first := run[0]
+	st := c.summarize(run)
+	res := InterfaceResult{
+		IXPIndex: first.IXPIndex,
+		Acronym:  first.Acronym,
+		IP:       first.Target,
+		Replies:  st.replies,
 	}
-	limit := min + cfg.window(min)
-	n := 0
-	for _, replies := range families {
-		for _, o := range replies {
-			if o.RTT <= limit {
-				n++
-			}
+
+	// Identification (used by the ASN-change filter and the network
+	// analyses): registry lookups at campaign start and end.
+	asnEarly, okEarly := reg.LookupASN(first.IXPIndex, first.Target, 0)
+	asnLate, okLate := reg.LookupASN(first.IXPIndex, first.Target, 1)
+	if okEarly {
+		res.ASN = asnEarly
+		res.Identified = true
+	}
+
+	enabled := func(f Filter) bool { return !c.Disabled[f] }
+	res.Discard = func() Filter {
+		// 1. Sample-size: every probing LG server must have returned at
+		// least MinRepliesPerLG replies. A family whose pings all timed
+		// out still probed.
+		if enabled(FilterSampleSize) && st.fewestReplies < c.MinRepliesPerLG {
+			return FilterSampleSize
+		}
+		// 2. TTL-switch: the reply TTL must not change during the
+		// measurement period.
+		if enabled(FilterTTLSwitch) && st.ttlSwitch {
+			return FilterTTLSwitch
+		}
+		// 3. TTL-match: the reply TTL must be one of the expected
+		// initial values; anything else betrays an extra IP hop or an
+		// unusual OS.
+		if enabled(FilterTTLMatch) && st.badTTL {
+			return FilterTTLMatch
+		}
+		// 4. RTT-consistent: at least MinConsistentReplies of the
+		// collected replies must sit within the window above the minimum
+		// RTT.
+		if enabled(FilterRTTConsistent) && st.consistent < c.MinConsistentReplies {
+			return FilterRTTConsistent
+		}
+		// 5. LG-consistent: when both LG families probed the interface,
+		// their per-family minimum RTTs must agree within the window. A
+		// family whose pings all timed out has no minimum to compare.
+		if enabled(FilterLGConsistent) && st.replied >= 2 && st.hi > st.lo+c.window(st.lo) {
+			return FilterLGConsistent
+		}
+		// 6. ASN-change: the registry identification must be stable
+		// across the campaign.
+		if enabled(FilterASNChange) && okEarly && okLate && asnEarly != asnLate {
+			return FilterASNChange
+		}
+		return FilterNone
+	}()
+
+	if res.Discard == FilterNone {
+		if st.replies == 0 {
+			// No replies at all and the sample-size filter was disabled:
+			// treat as a sample-size discard regardless, since there is
+			// nothing to classify.
+			res.Discard = FilterSampleSize
+		} else {
+			res.MinRTT = st.lo
+			res.Class = geo.ClassifyRTT(st.lo)
+			res.Remote = st.lo >= c.RemoteThreshold
 		}
 	}
-	return min, n
+	return res
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"net/netip"
 	"testing"
 	"time"
@@ -320,5 +321,35 @@ func TestMinRTTAcrossFamilies(t *testing.T) {
 	res := analyzeOne(t, b, Config{})
 	if res.MinRTT != 14*time.Millisecond {
 		t.Errorf("MinRTT = %v, want the RIPE minimum", res.MinRTT)
+	}
+}
+
+// TestAnalyzeAllocsIndependentOfReplies pins the in-place walk over
+// canonical input: Analyze allocates per report and per interface, never
+// per reply, so doubling every interface's replies adds no allocation.
+func TestAnalyzeAllocsIndependentOfReplies(t *testing.T) {
+	campaign := func(replies int) []lg.Observation {
+		var obs []lg.Observation
+		for i := 0; i < 20; i++ {
+			rtt := time.Duration(1+i) * time.Millisecond
+			obs = append(obs, newObs(0, fmt.Sprintf("10.1.0.%d", 10+i)).
+				replies("PCH", replies, rtt, 64).
+				replies("RIPE", replies, rtt, 64).obs...)
+		}
+		return obs
+	}
+	reg := emptyRegistry()
+	allocs := func(obs []lg.Observation) float64 {
+		if _, canonical := countRuns(obs); !canonical {
+			t.Fatal("test campaign is not in canonical order")
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Analyze(obs, reg, 120*day, Config{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if base, doubled := allocs(campaign(16)), allocs(campaign(32)); doubled > base {
+		t.Errorf("Analyze allocates %.0f times at 32 replies per family, %.0f at 16: it copies replies", doubled, base)
 	}
 }

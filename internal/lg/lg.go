@@ -10,6 +10,7 @@ package lg
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"net/netip"
 	"slices"
 	"time"
@@ -78,11 +79,22 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// budget returns the query rounds per target and the pings per query of
+// an LG family.
+func (c Config) budget(family string) (rounds, pings int) {
+	if family == ixpsim.FamilyRIPE {
+		return c.RIPERounds, c.PingsPerQueryRIPE
+	}
+	return c.PCHRounds, c.PingsPerQueryPCH
+}
+
 // Campaign schedules and collects a measurement campaign across a set of
 // simulated IXPs sharing one engine.
 type Campaign struct {
 	cfg Config
 	obs []Observation
+	// scheduled counts the pings Schedule has enqueued, collected or not.
+	scheduled int
 }
 
 // NewCampaign creates a campaign with the given configuration.
@@ -96,12 +108,20 @@ func (c *Campaign) Schedule(e *netsim.Engine, sim *ixpsim.SimIXP, src *stats.Sou
 	if len(sim.Targets) == 0 {
 		return fmt.Errorf("lg: IXP %s has no probe targets", sim.Acronym)
 	}
+	// Node.Ping calls back exactly once per echo request, reply or
+	// timeout, so the schedule fixes how many observations the engine
+	// will deliver: size the buffer for all of them now rather than
+	// growing it by doubling while the engine runs.
+	for _, server := range sim.LGs {
+		rounds, pings := c.cfg.budget(server.Family)
+		c.scheduled += rounds * len(sim.Targets) * pings
+	}
+	if c.scheduled > cap(c.obs) {
+		c.obs = append(make([]Observation, 0, c.scheduled), c.obs...)
+	}
 	for _, server := range sim.LGs {
 		server := server
-		rounds, pings := c.cfg.PCHRounds, c.cfg.PingsPerQueryPCH
-		if server.Family == ixpsim.FamilyRIPE {
-			rounds, pings = c.cfg.RIPERounds, c.cfg.PingsPerQueryRIPE
-		}
+		rounds, pings := c.cfg.budget(server.Family)
 		roundSpan := c.cfg.Duration / time.Duration(rounds)
 		for r := 0; r < rounds; r++ {
 			// Each round starts at a different time of day and day of
@@ -152,32 +172,68 @@ func (c *Campaign) Observations() []Observation {
 // the concatenation once instead of paying a sort per campaign.
 func (c *Campaign) Raw() []Observation { return c.obs }
 
-// Sort orders observations by IXP, target, family, and send time — the
-// canonical order downstream analysis expects. The sort is stable, and all
-// four-way key ties originate from a single IXP's engine, whose execution
-// order is deterministic; this is what lets a parallel campaign merge
-// per-IXP observation streams into a byte-identical result for any worker
-// count.
+// Compare orders observations canonically: by IXP index, then target
+// address, then LG family, then send time. It is the one definition of
+// the canonical order; Sort orders by it and the detector checks its
+// input against it. It takes pointers so that neither caller copies two
+// 88-byte observations per comparison.
+func Compare(a, b *Observation) int {
+	if a.IXPIndex != b.IXPIndex {
+		return cmp.Compare(a.IXPIndex, b.IXPIndex)
+	}
+	if a.Target != b.Target {
+		return a.Target.Compare(b.Target)
+	}
+	if a.Family != b.Family {
+		return cmp.Compare(a.Family, b.Family)
+	}
+	return cmp.Compare(a.SentAt, b.SentAt)
+}
+
+// Sort puts observations in canonical order (Compare), keeping ties in
+// their input order. All four-way key ties originate from a single IXP's
+// engine, whose execution order is deterministic; this is what lets a
+// parallel campaign merge per-IXP observation streams into a
+// byte-identical result for any worker count.
+//
+// Sort orders 4-byte indices rather than moving 88-byte observations
+// through a stable merge sort. The index is the last key, which makes the
+// order strict and total, so an unstable sort of the indices yields
+// exactly the stable order; the permutation is then applied in place.
+// Sort panics beyond math.MaxInt32 observations, which no campaign nears.
 func Sort(obs []Observation) {
-	// SortStableFunc rather than sort.SliceStable: the campaign merge
-	// sorts hundreds of thousands of observations, and the generic sort
-	// moves elements directly instead of through reflection-based swaps.
-	// Same comparator, same stable order, same bytes out.
-	slices.SortStableFunc(obs, func(a, b Observation) int {
-		if a.IXPIndex != b.IXPIndex {
-			return cmp.Compare(a.IXPIndex, b.IXPIndex)
+	if len(obs) > math.MaxInt32 {
+		panic("lg: Sort of more than math.MaxInt32 observations")
+	}
+	perm := make([]int32, len(obs))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(i, j int32) int {
+		if c := Compare(&obs[i], &obs[j]); c != 0 {
+			return c
 		}
-		if a.Target != b.Target {
-			if a.Target.Less(b.Target) {
-				return -1
-			}
-			return 1
-		}
-		if a.Family != b.Family {
-			return cmp.Compare(a.Family, b.Family)
-		}
-		return cmp.Compare(a.SentAt, b.SentAt)
+		return cmp.Compare(i, j)
 	})
+	// perm[k] names the observation that belongs at position k. Walk
+	// each cycle once, marking a filled position with perm[k] = k.
+	for start := range perm {
+		if int(perm[start]) == start {
+			continue
+		}
+		held := obs[start]
+		k := start
+		for {
+			next := int(perm[k])
+			perm[k] = int32(k)
+			if next == start {
+				obs[k] = held
+				break
+			}
+			obs[k] = obs[next]
+			k = next
+		}
+	}
 }
 
 // Config returns the effective configuration.

@@ -1,6 +1,10 @@
 package lg
 
 import (
+	"cmp"
+	"fmt"
+	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -198,6 +202,99 @@ func TestRateLimitRespected(t *testing.T) {
 		for i := 1; i < len(times); i++ {
 			if gap := times[i] - times[i-1]; gap < time.Minute {
 				t.Fatalf("%s: queries %v apart, limit is 1/min", fam, gap)
+			}
+		}
+	}
+}
+
+func TestScheduleSizesObservationsExactly(t *testing.T) {
+	// Node.Ping calls back once per echo request, so Schedule can size
+	// the observation buffer for the whole campaign: after the run it is
+	// full, never grown past the schedule. Two IXPs share one engine and
+	// one campaign, as the package allows.
+	w := smallWorld(t)
+	var e netsim.Engine
+	src := stats.NewSource(21)
+	cfg := Config{PCHRounds: 2, RIPERounds: 3, PingsPerQueryPCH: 4, PingsPerQueryRIPE: 2}
+	camp := NewCampaign(cfg)
+	want := 0
+	for _, idx := range []int{19, 20} {
+		sim, err := ixpsim.Build(&e, w, idx, 120*24*time.Hour, src.Split(fmt.Sprintf("sim-%d", idx)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := camp.Schedule(&e, sim, src.Split(fmt.Sprintf("camp-%d", idx))); err != nil {
+			t.Fatal(err)
+		}
+		for _, server := range sim.LGs {
+			rounds, pings := cfg.PCHRounds, cfg.PingsPerQueryPCH
+			if server.Family == ixpsim.FamilyRIPE {
+				rounds, pings = cfg.RIPERounds, cfg.PingsPerQueryRIPE
+			}
+			want += rounds * len(sim.Targets) * pings
+		}
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	raw := camp.Raw()
+	if len(raw) != want || cap(raw) != want {
+		t.Errorf("len %d, cap %d after the run; the schedule implies exactly %d observations", len(raw), cap(raw), want)
+	}
+}
+
+// refCompare is the canonical comparator as Sort applied it through a
+// stable merge sort before Sort permuted indices; it stays here as the
+// reference order.
+func refCompare(a, b Observation) int {
+	if a.IXPIndex != b.IXPIndex {
+		return cmp.Compare(a.IXPIndex, b.IXPIndex)
+	}
+	if a.Target != b.Target {
+		if a.Target.Less(b.Target) {
+			return -1
+		}
+		return 1
+	}
+	if a.Family != b.Family {
+		return cmp.Compare(a.Family, b.Family)
+	}
+	return cmp.Compare(a.SentAt, b.SentAt)
+}
+
+func TestSortMatchesStableSortProperty(t *testing.T) {
+	// Few distinct keys force (IXP, target, family, send time) ties;
+	// distinct RTTs make every tie's order visible. Sort must produce
+	// exactly the stable order of the reference comparator.
+	targets := []netip.Addr{
+		netip.MustParseAddr("10.1.0.10"), netip.MustParseAddr("10.1.0.9"),
+		netip.MustParseAddr("10.2.0.1"), netip.MustParseAddr("2001:db8::1"),
+		netip.MustParseAddr("::ffff:10.1.0.10"),
+	}
+	families := []string{ixpsim.FamilyPCH, ixpsim.FamilyRIPE}
+	for seed := int64(0); seed < 300; seed++ {
+		src := stats.NewSource(seed)
+		obs := make([]Observation, src.Intn(400))
+		for i := range obs {
+			obs[i] = Observation{
+				IXPIndex: src.Intn(3),
+				Family:   families[src.Intn(len(families))],
+				Target:   targets[src.Intn(len(targets))],
+				SentAt:   time.Duration(src.Intn(3)) * time.Second,
+				RTT:      time.Duration(i),
+			}
+		}
+		for i := 1; i < len(obs); i++ {
+			if got, want := Compare(&obs[i-1], &obs[i]), refCompare(obs[i-1], obs[i]); got != want {
+				t.Fatalf("seed %d: Compare(%+v, %+v) = %d, reference %d", seed, obs[i-1], obs[i], got, want)
+			}
+		}
+		want := slices.Clone(obs)
+		slices.SortStableFunc(want, refCompare)
+		Sort(obs)
+		for i := range obs {
+			if obs[i] != want[i] {
+				t.Fatalf("seed %d: position %d of %d holds %+v, stable order wants %+v", seed, i, len(obs), obs[i], want[i])
 			}
 		}
 	}

@@ -69,6 +69,18 @@ const (
 // "intervals 0 = full month" request.
 const DefaultIntervals = 8064
 
+// validate rejects the knobs that have no meaning below zero, before
+// they can reach an allocation size.
+func (c Config) validate() error {
+	if c.Intervals < 0 {
+		return fmt.Errorf("netflow: negative Intervals %d (use 0 for the full month)", c.Intervals)
+	}
+	if c.Workers < 0 {
+		return fmt.Errorf("netflow: negative Workers %d (use 0 for one per CPU)", c.Workers)
+	}
+	return nil
+}
+
 func (c Config) withDefaults() Config {
 	if c.Intervals == 0 {
 		c.Intervals = DefaultIntervals
@@ -151,8 +163,8 @@ type Dataset struct {
 
 // Collect builds the dataset from the world.
 func Collect(w *worldgen.World, cfg Config) (*Dataset, error) {
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("netflow: negative Workers %d (use 0 for one per CPU)", cfg.Workers)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	cfg = cfg.withDefaults()
 	src := stats.NewSource(cfg.Seed).Split("netflow")
@@ -311,8 +323,8 @@ func Rehydrate(w *worldgen.World, cfg Config, entries []Entry) (*Dataset, error)
 	if w == nil {
 		return nil, fmt.Errorf("netflow: nil world")
 	}
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("netflow: negative Workers %d (use 0 for one per CPU)", cfg.Workers)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	cfg = cfg.withDefaults()
 	ix := w.Index

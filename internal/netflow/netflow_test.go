@@ -307,3 +307,17 @@ func TestConfigDefaults(t *testing.T) {
 		t.Errorf("traffic defaults: %+v", c)
 	}
 }
+
+func TestRejectsNegativeKnobs(t *testing.T) {
+	// A negative interval count used to pass Collect and panic in the
+	// first series synthesis; both knobs are now typed errors.
+	w, ds := testData(t)
+	for _, cfg := range []Config{{Seed: 7, Intervals: -1}, {Seed: 7, Workers: -1}} {
+		if _, err := Collect(w, cfg); err == nil {
+			t.Errorf("Collect accepted %+v", cfg)
+		}
+		if _, err := Rehydrate(w, cfg, ds.Entries); err == nil {
+			t.Errorf("Rehydrate accepted %+v", cfg)
+		}
+	}
+}

@@ -136,8 +136,8 @@ func EvalEvolved(ctx context.Context, es *EvolveState, d Dirty, prev *Artifacts,
 			Campaign: opts.Campaign,
 			Detector: opts.Detector,
 			// Every evolved evaluation is the next tick's reuse source, so
-			// every one retains its per-IXP segments (unlike the grid,
-			// where only the baseline pays the retention memory).
+			// every one records its per-IXP segments (unlike the grid,
+			// where only the baseline is ever spliced).
 			Retain: true,
 		},
 		Econ: es.Econ,

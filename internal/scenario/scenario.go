@@ -463,7 +463,7 @@ func evalCell(ctx context.Context, w *worldgen.World, spec cellSpec, opts Option
 			Campaign: opts.Campaign,
 			Detector: opts.Detector,
 			// Only the baseline's per-IXP streams are ever spliced, so
-			// only it pays the retention memory.
+			// only it records them.
 			Retain: base == nil && !opts.NoReuse,
 		},
 		Econ: opts.Econ,

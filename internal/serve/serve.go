@@ -799,6 +799,9 @@ func (s *Server) handleSpread(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	days, err := intParam(q.Get("days"), 0)
+	if err == nil && days < 0 {
+		err = fmt.Errorf("negative %d (use 0 for the snapshot's campaign)", days)
+	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad days: %v", err)
 		return
@@ -902,6 +905,9 @@ func (s *Server) handleOffload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	intervals, err := intParam(q.Get("intervals"), 0)
+	if err == nil && intervals < 0 {
+		err = fmt.Errorf("negative %d (use 0 for the snapshot's dataset)", intervals)
+	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad intervals: %v", err)
 		return
@@ -1007,6 +1013,20 @@ func (wr WhatifRequest) Canonical() string {
 		wr.K, wr.Greedy, wr.Intervals, wr.Days)
 }
 
+// validate rejects knobs below zero, where zero already means the
+// default.
+func (wr WhatifRequest) validate() error {
+	for _, p := range []struct {
+		name string
+		v    int
+	}{{"k", wr.K}, {"greedy", wr.Greedy}, {"intervals", wr.Intervals}, {"days", wr.Days}} {
+		if p.v < 0 {
+			return fmt.Errorf("bad %s: negative %d (use 0 for the default)", p.name, p.v)
+		}
+	}
+	return nil
+}
+
 // ApplyDefaults fills the zero-valued knobs with the server defaults, so
 // a defaulted and an explicit request share one Canonical form.
 func (wr *WhatifRequest) ApplyDefaults() {
@@ -1098,6 +1118,10 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Scenarios == "" {
 		httpError(w, http.StatusBadRequest, "missing scenarios (e.g. ?scenarios=ams-outage=outage:AMS-IX)")
+		return
+	}
+	if err := req.validate(); err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	req.ApplyDefaults()

@@ -291,6 +291,39 @@ func TestWhatifBadRequests(t *testing.T) {
 	}
 }
 
+// TestNegativeKnobsRejected pins that a knob below zero is a 400, not a
+// computation under its own cache key that silently ran the default.
+func TestNegativeKnobsRejected(t *testing.T) {
+	s := testServer(t)
+	const whatif = "/v1/whatif?scenarios=x%3Dtraffic%3A1.5"
+	for _, tc := range []struct {
+		method, url, body string
+	}{
+		{http.MethodGet, "/v1/offload?intervals=-1", ""},
+		{http.MethodGet, "/v1/offload?k=-2", ""},
+		{http.MethodGet, "/v1/offload?greedy=-1", ""},
+		{http.MethodGet, "/v1/spread?days=-3", ""},
+		{http.MethodGet, whatif + "&intervals=-1", ""},
+		{http.MethodGet, whatif + "&k=-2", ""},
+		{http.MethodGet, whatif + "&greedy=-1", ""},
+		{http.MethodGet, whatif + "&days=-1", ""},
+		{http.MethodPost, "/v1/whatif", `{"scenarios":"x=traffic:1.5","k":-2}`},
+		{http.MethodPost, "/v1/whatif", `{"scenarios":"x=traffic:1.5","intervals":-1}`},
+		{http.MethodPost, "/v1/whatif", `{"scenarios":"x=traffic:1.5","days":-1}`},
+	} {
+		before := s.Evaluations()
+		req := httptest.NewRequest(tc.method, tc.url, strings.NewReader(tc.body))
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s %s %s: status %d, want 400; body %s", tc.method, tc.url, tc.body, rec.Code, rec.Body)
+		}
+		if s.Evaluations() != before {
+			t.Errorf("%s %s %s: evaluated a negative knob", tc.method, tc.url, tc.body)
+		}
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("nil snapshot should fail")

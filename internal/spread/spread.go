@@ -49,10 +49,9 @@ type Options struct {
 	// view is global, so a membership change anywhere can move
 	// cross-IXP aggregates). See Reuse for the caller's obligations.
 	Reuse *Reuse
-	// Retain keeps the per-IXP observation segments alive on the Result
-	// so a later Run can splice them through Reuse. It roughly doubles
-	// the campaign's observation memory (the segments duplicate Raw), so
-	// only reuse sources — the scenario grid's baseline cell — set it.
+	// Retain records the per-IXP observation segments on the Result so a
+	// later Run can splice them through Reuse. The segments are
+	// sub-slices of Raw, so retaining them costs one map entry per IXP.
 	Retain bool
 }
 
@@ -102,9 +101,9 @@ type Result struct {
 	Detector core.Config
 	Seed     int64
 
-	// perIXP retains each simulated (or spliced) IXP's raw observation
-	// stream (only when Options.Retain was set) so a later Run can splice
-	// clean IXPs through Options.Reuse. truth holds each IXP's ground-truth
+	// perIXP maps each simulated (or spliced) IXP to its segment of Raw
+	// (only when Options.Retain was set) so a later Run can splice clean
+	// IXPs through Options.Reuse. truth holds each IXP's ground-truth
 	// table (target IP → remoteness) — the one piece of the discrete-event
 	// simulation that outlives it, always retained: Validate, Reuse, and
 	// snapshot persistence all read remoteness through it.
@@ -206,16 +205,9 @@ func RunCtx(ctx context.Context, w *worldgen.World, opts Options) (*Result, erro
 	}
 
 	truths := make(map[int]map[netip.Addr]bool, len(ixps))
-	var perIXP map[int][]lg.Observation
-	if opts.Retain {
-		perIXP = make(map[int][]lg.Observation, len(ixps))
-	}
 	total := 0
 	for k, r := range runs {
 		truths[ixps[k]] = r.truth
-		if perIXP != nil {
-			perIXP[ixps[k]] = r.obs
-		}
 		total += len(r.obs)
 	}
 	order := make([]int, len(ixps))
@@ -223,22 +215,38 @@ func RunCtx(ctx context.Context, w *worldgen.World, opts Options) (*Result, erro
 		order[i] = i
 	}
 	sort.Slice(order, func(a, b int) bool { return ixps[order[a]] < ixps[order[b]] })
-	obs := make([]lg.Observation, 0, total)
 	dup := false
 	for i := 1; i < len(order); i++ {
 		if ixps[order[i]] == ixps[order[i-1]] {
 			dup = true
 		}
 	}
+	var perIXP map[int][]lg.Observation
+	if opts.Retain && !dup {
+		perIXP = make(map[int][]lg.Observation, len(ixps))
+	}
+	obs := make([]lg.Observation, 0, total)
+	// Build the registry between allocating the merged stream and filling
+	// it. At paper scale that allocation is ~27 MB, about the GC's whole
+	// trigger-to-goal runway, so it can start a cycle with the heap at its
+	// goal; every goroutine that allocates must then help mark until the
+	// cycle ends. Allocating the registry's maps here makes this goroutine
+	// help first, before the long copy, which shortens the cycle and the
+	// stall it puts on concurrent requests.
+	reg := registry.FromWorld(w)
 	for _, k := range order {
+		lo := len(obs)
 		obs = append(obs, runs[k].obs...)
+		if perIXP != nil {
+			perIXP[ixps[k]] = obs[lo:len(obs):len(obs)]
+		}
 	}
 	if dup {
 		// A duplicated IXP selection interleaves segments under the
-		// canonical order; fall back to the global sort.
+		// canonical order; fall back to the global sort. It retains no
+		// segments, so a later Reuse re-simulates those IXPs.
 		lg.Sort(obs)
 	}
-	reg := registry.FromWorld(w)
 	report, err := core.Analyze(obs, reg, campaignCfg.Duration, opts.Detector)
 	if err != nil {
 		return nil, fmt.Errorf("spread: detector: %w", err)
