@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -794,6 +795,56 @@ func BenchmarkServeWhatifCached(b *testing.B) {
 	b.ReportMetric(speedup, "speedup_x")
 	if speedup < 10 {
 		b.Errorf("cached query only %.1f× faster than cold (%v vs %v) — acceptance bar is 10×", speedup, warm, cold)
+	}
+}
+
+// BenchmarkServeWhatifCold measures the cold path of the query service on
+// a held baseline: one attached world whose holder one what-if warms
+// before the timer starts, then a distinct churn-plus-traffic what-if per
+// iteration, so every query misses the result cache but takes its
+// baseline campaign and dataset from the holder — it simulates only the
+// churned exchange and collects only the scaled traffic.
+func BenchmarkServeWhatifCold(b *testing.B) {
+	w, err := GenerateWorld(WorldConfig{Seed: 1, LeafNetworks: 3000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "bench.flat")
+	if _, err := SaveSnapshot(path, &Snapshot{World: w}); err != nil {
+		b.Fatal(err)
+	}
+	a, err := AttachSnapshot(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { a.Close() })
+	snap, err := a.Snapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := NewServer(ServeConfig{Snapshot: snap})
+	if err != nil {
+		b.Fatal(err)
+	}
+	handler := srv.Handler()
+	query := func(i int) {
+		scenarios := url.QueryEscape(fmt.Sprintf("c=churn:DE-CIX:%d:%d,traffic:%.3f", 1+i%8, 1+i%4, 1+float64(i+1)/1000))
+		req := httptest.NewRequest("GET", "/v1/whatif?scenarios="+scenarios+"&days=6&intervals=96&k=3&greedy=8", nil)
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, req)
+		res := rec.Result()
+		if body, _ := io.ReadAll(res.Body); res.StatusCode != 200 {
+			b.Fatalf("status %d: %s", res.StatusCode, body)
+		}
+		if cache := res.Header.Get("X-Cache"); cache != "miss" {
+			b.Fatalf("query %d X-Cache = %q, want miss", i, cache)
+		}
+	}
+	query(0) // warms the holder: the one query that computes the baseline
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		query(i + 1)
 	}
 }
 

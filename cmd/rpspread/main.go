@@ -40,7 +40,7 @@ func main() {
 		fatal(err)
 	}
 	var res *remotepeering.SpreadResult
-	if snap != nil && snap.Spread != nil && snap.Spread.Seed == *measureSeed {
+	if cli.SpreadMatches(snap, *measureSeed) {
 		// The snapshot carries this exact campaign: the rehydrated report
 		// is byte-identical to a re-run, minus the four-month simulation.
 		res = snap.Spread

@@ -28,6 +28,7 @@ import (
 
 	"remotepeering"
 	"remotepeering/internal/cli"
+	"remotepeering/internal/scenario"
 )
 
 var fatal = cli.Fataler("rpwhatif")
@@ -86,8 +87,11 @@ func main() {
 	if *days > 0 {
 		opts.Campaign.Duration = time.Duration(*days) * 24 * time.Hour
 	}
-	if snap != nil && snap.Cones != nil {
+	if snap != nil {
+		// Whatever the snapshot persisted serves as the baseline when its
+		// recorded inputs match this grid's.
 		opts.Cones = snap.Cones
+		opts.Baseline = scenario.NewBaseline(snap.Spread, snap.Dataset)
 	}
 	report, err := remotepeering.RunScenarios(w, grid, opts)
 	if err != nil {

@@ -118,6 +118,7 @@ type entry struct {
 	attaching chan struct{} // non-nil iff state == Attaching
 	snap      *snapshot.Snapshot
 	att       *snapshot.Attached
+	held      any   // the attach hook's value for this residency
 	qerr      error // quarantine reason
 }
 
@@ -130,7 +131,7 @@ type Catalog struct {
 	list     []*entry // path-sorted, for stable listings
 	resident int64    // bytes of Ready+Attaching worlds
 	clock    uint64   // LRU tick
-	onAttach func(*snapshot.Snapshot) error
+	onAttach func(*snapshot.Snapshot) (any, error)
 
 	attaches  atomic.Int64
 	evictions atomic.Int64
@@ -208,9 +209,11 @@ func (c *Catalog) Add(path string) (string, error) {
 // OnAttach registers fn to run after every successful attach, before the
 // world is published Ready — the serve tier materializes a snapshot's
 // lazily-built caches here, once, so concurrent queries only ever read.
-// A hook failure counts as a transient attach failure (the attempt
-// retries). Register before the first Acquire.
-func (c *Catalog) OnAttach(fn func(*snapshot.Snapshot) error) {
+// The value fn returns belongs to that residency: every lease hands it
+// out (Lease.Held), and eviction drops it with the snapshot. A hook
+// failure counts as a transient attach failure (the attempt retries).
+// Register before the first Acquire.
+func (c *Catalog) OnAttach(fn func(*snapshot.Snapshot) (any, error)) {
 	c.mu.Lock()
 	c.onAttach = fn
 	c.mu.Unlock()
@@ -347,6 +350,10 @@ type Lease struct {
 // Snapshot returns the leased world's materialized snapshot.
 func (l *Lease) Snapshot() *snapshot.Snapshot { return l.e.snap }
 
+// Held returns the attach hook's value for the leased residency (nil
+// without a hook).
+func (l *Lease) Held() any { return l.e.held }
+
 // Digest returns the leased world's content digest.
 func (l *Lease) Digest() string { return l.e.digest }
 
@@ -449,11 +456,11 @@ func (c *Catalog) makeRoomLocked(size int64) bool {
 }
 
 // evictLocked returns a Ready, unreferenced world to Cold, dropping its
-// snapshot and unmapping its file. Callers guarantee refs == 0 — the
-// invariant that makes the unmap safe.
+// snapshot and held value and unmapping its file. Callers guarantee
+// refs == 0 — the invariant that makes the unmap safe.
 func (c *Catalog) evictLocked(e *entry) {
 	e.state = Cold
-	e.snap = nil
+	e.snap, e.held = nil, nil
 	e.att.Close()
 	e.att = nil
 	c.resident -= e.size
@@ -468,43 +475,42 @@ func (c *Catalog) attachEntry(ctx context.Context, e *entry) error {
 	var lastErr error
 	for attempt := 0; attempt < c.opts.AttachAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
-			c.publish(e, Cold, nil, nil, nil)
+			c.publish(e, Cold, residency{}, nil)
 			return err
 		}
-		snap, att, err := c.attachOnce(e)
+		res, err := c.attachOnce(e)
 		if err == nil {
 			c.attaches.Add(1)
-			c.publish(e, Ready, snap, att, nil)
+			c.publish(e, Ready, res, nil)
 			return nil
 		}
 		lastErr = err
 		if isCorruptErr(err) {
-			c.publish(e, Quarantined, nil, nil, err)
+			c.publish(e, Quarantined, residency{}, err)
 			return fmt.Errorf("%w: %s (%s): %v", ErrQuarantined, e.digest[:12], e.path, err)
 		}
 		if attempt < c.opts.AttachAttempts-1 {
 			select {
 			case <-time.After(fault.Backoff(c.opts.BackoffBase, c.opts.BackoffMax, e.digest, attempt)):
 			case <-ctx.Done():
-				c.publish(e, Cold, nil, nil, nil)
+				c.publish(e, Cold, residency{}, nil)
 				return ctx.Err()
 			}
 		}
 	}
 	// Transient failure exhausted its retries: back to Cold so a later
 	// acquire gets a fresh chance, and the leader's caller sees the error.
-	c.publish(e, Cold, nil, nil, nil)
+	c.publish(e, Cold, residency{}, nil)
 	return fmt.Errorf("catalog: attach %s (%s): %w", e.digest[:12], e.path, lastErr)
 }
 
 // publish installs the attach outcome and wakes the waiters. Quarantined
 // and Cold outcomes release the reserved resident bytes.
-func (c *Catalog) publish(e *entry, state Health, snap *snapshot.Snapshot, att *snapshot.Attached, qerr error) {
+func (c *Catalog) publish(e *entry, state Health, res residency, qerr error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e.state = state
-	e.snap = snap
-	e.att = att
+	e.snap, e.att, e.held = res.snap, res.att, res.held
 	e.qerr = qerr
 	if state != Ready {
 		c.resident -= e.size
@@ -513,21 +519,28 @@ func (c *Catalog) publish(e *entry, state Health, snap *snapshot.Snapshot, att *
 	e.attaching = nil
 }
 
+// residency is what one successful attach installs on its entry.
+type residency struct {
+	snap *snapshot.Snapshot
+	att  *snapshot.Attached
+	held any
+}
+
 // attachOnce performs one attach attempt, fault plane first: an
 // injected delay, a corrupt read (quarantines, like a real CRC
 // mismatch), or a transient failure (retries).
-func (c *Catalog) attachOnce(e *entry) (*snapshot.Snapshot, *snapshot.Attached, error) {
+func (c *Catalog) attachOnce(e *entry) (residency, error) {
 	p := c.opts.Faults
 	p.Sleep(e.digest)
 	if err := p.Err(fault.AttachCorrupt, e.digest); err != nil {
-		return nil, nil, err
+		return residency{}, err
 	}
 	if err := p.Err(fault.AttachFail, e.digest); err != nil {
-		return nil, nil, err
+		return residency{}, err
 	}
 	att, err := snapshot.Attach(e.path)
 	if err != nil {
-		return nil, nil, err
+		return residency{}, err
 	}
 	// Materialize eagerly: Ready must mean "usable snapshot", and the
 	// per-section CRC sweep this triggers is what catches payload
@@ -535,18 +548,19 @@ func (c *Catalog) attachOnce(e *entry) (*snapshot.Snapshot, *snapshot.Attached, 
 	snap, err := att.Snapshot()
 	if err != nil {
 		att.Close()
-		return nil, nil, err
+		return residency{}, err
 	}
 	c.mu.Lock()
 	hook := c.onAttach
 	c.mu.Unlock()
+	var held any
 	if hook != nil {
-		if err := hook(snap); err != nil {
+		if held, err = hook(snap); err != nil {
 			att.Close()
-			return nil, nil, fmt.Errorf("catalog: on-attach hook: %w", err)
+			return residency{}, fmt.Errorf("catalog: on-attach hook: %w", err)
 		}
 	}
-	return snap, att, nil
+	return residency{snap: snap, att: att, held: held}, nil
 }
 
 // isCorruptErr classifies failures that quarantine (a damaged or

@@ -244,6 +244,51 @@ func TestEvictionNeverTakesPinned(t *testing.T) {
 	}
 }
 
+// TestHeldValueLivesWithResidency pins the attach hook's per-residency
+// value: every lease of one residency hands out the same value, eviction
+// and Close drop it, and a re-attach installs a fresh one.
+func TestHeldValueLivesWithResidency(t *testing.T) {
+	c := New(Options{ResidentBytes: max(worldSize(t, 0), worldSize(t, 1))})
+	for i := 0; i < 2; i++ {
+		if _, err := c.Add(fixPaths[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	attaches := 0
+	c.OnAttach(func(*snapshot.Snapshot) (any, error) {
+		attaches++
+		return attaches, nil
+	})
+	held := func(i int) any {
+		t.Helper()
+		l, err := c.Acquire(context.Background(), fixDigests[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Release()
+		return l.Held()
+	}
+	first := held(0)
+	if first != 1 || held(0) != first {
+		t.Fatalf("leases of one residency hold %v and %v, want 1 twice", first, held(0))
+	}
+	held(1) // over budget: evicts world 0
+	if got := c.byDigest[fixDigests[0]].held; got != nil {
+		t.Errorf("evicted world still holds %v", got)
+	}
+	if got := held(0); got != 3 {
+		t.Errorf("re-attached world holds %v, want the fresh hook value 3", got)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range fixDigests[:2] {
+		if got := c.byDigest[d].held; got != nil {
+			t.Errorf("world %.12s holds %v after Close", d, got)
+		}
+	}
+}
+
 // TestQuarantineOnCorrupt pins that a damaged file is quarantined on
 // first attach and refused thereafter without re-reading it.
 func TestQuarantineOnCorrupt(t *testing.T) {

@@ -13,8 +13,11 @@ import (
 	"strconv"
 	"strings"
 
+	"remotepeering/internal/core"
+	"remotepeering/internal/lg"
 	"remotepeering/internal/netflow"
 	"remotepeering/internal/snapshot"
+	"remotepeering/internal/spread"
 	"remotepeering/internal/worldgen"
 )
 
@@ -137,19 +140,25 @@ func (s Snapshot) ResolveWorld(c Common) (*worldgen.World, *snapshot.Snapshot, e
 	return snap.World, snap, nil
 }
 
-// DatasetMatches reports whether a loaded snapshot carries a dataset that
-// satisfies a request for (trafficSeed, intervals) — with intervals 0
-// meaning the full paper month, exactly as the tools' -intervals flags
-// document. Centralising the predicate keeps "0 = full month" from
-// silently accepting a short-run dataset in one tool but not another.
+// DatasetMatches reports whether a loaded snapshot carries the dataset a
+// tool would collect for (trafficSeed, intervals) in the paper's traffic
+// regime — with intervals 0 meaning the full paper month, exactly as the
+// tools' -intervals flags document. It is the one traffic predicate,
+// netflow.Config.Matches, so the tools, the server and the what-if engine
+// agree on when a persisted dataset stands in for a collection.
 func DatasetMatches(snap *snapshot.Snapshot, trafficSeed int64, intervals int) bool {
-	if snap == nil || snap.Dataset == nil {
+	return snap != nil && netflow.Config{Seed: trafficSeed, Intervals: intervals}.Matches(snap.Dataset)
+}
+
+// SpreadMatches reports whether a loaded snapshot carries the campaign
+// rpspread would measure at measureSeed: the paper's campaign and
+// detector over every studied IXP.
+func SpreadMatches(snap *snapshot.Snapshot, measureSeed int64) bool {
+	if snap == nil || snap.Spread == nil {
 		return false
 	}
-	if intervals == 0 {
-		intervals = netflow.DefaultIntervals
-	}
-	return snap.Dataset.Cfg.Seed == trafficSeed && snap.Dataset.Cfg.Intervals == intervals
+	key, err := spread.NewCampaignKey(snap.World, measureSeed, lg.Config{}, core.Config{}, nil)
+	return err == nil && key.Matches(snap.Spread)
 }
 
 // MergeSnapshot starts a -save payload from the loaded snapshot's layers

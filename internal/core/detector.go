@@ -112,6 +112,24 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Equal reports whether two configurations judge every interface
+// identically: equal once defaults are applied, with Disabled compared on
+// the filters it actually switches off.
+func (c Config) Equal(o Config) bool {
+	c, o = c.withDefaults(), o.withDefaults()
+	if c.RemoteThreshold != o.RemoteThreshold || c.MinRepliesPerLG != o.MinRepliesPerLG ||
+		c.MinConsistentReplies != o.MinConsistentReplies || c.ConsistencyAbs != o.ConsistencyAbs ||
+		c.ConsistencyFrac != o.ConsistencyFrac || !slices.Equal(c.AcceptedTTLs, o.AcceptedTTLs) {
+		return false
+	}
+	for _, f := range AllFilters {
+		if c.Disabled[f] != o.Disabled[f] {
+			return false
+		}
+	}
+	return true
+}
+
 // window returns the consistency window around a minimum RTT.
 func (c Config) window(min time.Duration) time.Duration {
 	frac := time.Duration(c.ConsistencyFrac * float64(min))
@@ -175,24 +193,46 @@ func Analyze(obs []lg.Observation, reg *registry.Registry, campaign time.Duratio
 		lg.Sort(obs)
 		runs, _ = countRuns(obs)
 	}
-	rep := &Report{
-		Cfg:        cfg,
-		Interfaces: make([]InterfaceResult, 0, runs),
-		Discards:   make(map[Filter]int),
-	}
+	verdicts := make([]InterfaceResult, 0, runs)
 	for lo := 0; lo < len(obs); {
 		hi := lo + 1
 		for hi < len(obs) && sameInterface(&obs[lo], &obs[hi]) {
 			hi++
 		}
-		res := cfg.judge(obs[lo:hi], reg)
-		if res.Discard != FilterNone {
-			rep.Discards[res.Discard]++
-		}
-		rep.Interfaces = append(rep.Interfaces, res)
+		verdicts = append(verdicts, cfg.judge(obs[lo:hi], reg))
 		lo = hi
 	}
-	return rep, nil
+	return newReport(cfg, verdicts), nil
+}
+
+// NewReport assembles a Report from verdicts judged under cfg, given as
+// consecutive segments already in canonical order (IXP, then address) —
+// the splice point of a campaign that reuses some IXPs' verdicts from an
+// earlier run. A verdict reads only its own interface's observations and
+// its (IXP, address) registry entry, so verdicts judged in separate
+// passes assemble into exactly the Report one pass over all their
+// observations would produce.
+func NewReport(cfg Config, segments ...[]InterfaceResult) *Report {
+	n := 0
+	for _, seg := range segments {
+		n += len(seg)
+	}
+	verdicts := make([]InterfaceResult, 0, n)
+	for _, seg := range segments {
+		verdicts = append(verdicts, seg...)
+	}
+	return newReport(cfg.withDefaults(), verdicts)
+}
+
+// newReport wraps verdicts, which it keeps, and counts the discards.
+func newReport(cfg Config, verdicts []InterfaceResult) *Report {
+	rep := &Report{Cfg: cfg, Interfaces: verdicts, Discards: make(map[Filter]int)}
+	for _, v := range verdicts {
+		if v.Discard != FilterNone {
+			rep.Discards[v.Discard]++
+		}
+	}
+	return rep
 }
 
 // countRuns counts the interface runs in obs and reports whether obs is

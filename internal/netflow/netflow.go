@@ -97,6 +97,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Matches reports whether ds was collected under exactly c's inputs —
+// the one test every held or persisted dataset passes before it stands
+// in for a collection. Defaults are applied first, and Workers, which
+// never changes a byte, is ignored.
+func (c Config) Matches(ds *Dataset) bool {
+	return ds != nil && ds.Cfg.key() == c.key()
+}
+
+// key is the configuration a dataset is a pure function of.
+func (c Config) key() Config {
+	c = c.withDefaults()
+	c.Workers = 0
+	return c
+}
+
 // Entry is one network's aggregate association with the RedIRIS border
 // traffic.
 type Entry struct {

@@ -80,9 +80,8 @@ func ApplyOps(es *EvolveState, ops []Op, src *stats.Source) (Dirty, error) {
 
 // Artifacts are the retained products of one full pipeline evaluation
 // over an evolved state: the exported mirror of the grid's internal
-// cellArtifacts. The spread result always retains its per-IXP observation
-// segments, so the next tick can splice clean exchanges through the
-// spread reuse path.
+// cellArtifacts. The spread result records its per-IXP verdicts, so the
+// next tick can splice clean exchanges through the spread reuse path.
 type Artifacts struct {
 	Spread  *spread.Result
 	Dataset *netflow.Dataset
@@ -135,10 +134,6 @@ func EvalEvolved(ctx context.Context, es *EvolveState, d Dirty, prev *Artifacts,
 			Workers:  opts.Workers,
 			Campaign: opts.Campaign,
 			Detector: opts.Detector,
-			// Every evolved evaluation is the next tick's reuse source, so
-			// every one records its per-IXP segments (unlike the grid,
-			// where only the baseline is ever spliced).
-			Retain: true,
 		},
 		Econ: es.Econ,
 	}

@@ -89,6 +89,12 @@ type Options struct {
 	// cost, never results; a cache bound to a different index is ignored
 	// by the offload layer.
 	Cones *offload.ConeCache
+	// Baseline, when set, holds the world view's baseline parts: the
+	// baseline cell takes its campaign and traffic dataset from it when
+	// their recorded inputs equal this run's exactly, and stores the parts
+	// it had to compute. Like Cones it carries artifacts, not a setting —
+	// the report is byte-identical either way. NoReuse ignores it.
+	Baseline *Baseline
 	// Faults is the injectable fault plane (nil in production): it can
 	// panic an evaluation goroutine mid-cell, which the retry layer
 	// below must absorb.
@@ -192,6 +198,15 @@ type Report struct {
 	Cells        []CellResult
 	CoverageIXPs int
 	GreedyIXPs   int
+	// Held reports which baseline parts came from Options.Baseline instead
+	// of being computed. It is not rendered: the report's bytes are the
+	// same either way.
+	Held HeldParts
+}
+
+// HeldParts names the baseline parts a run took from its holder.
+type HeldParts struct {
+	Campaign, Traffic bool
 }
 
 // cellSpec pairs a scenario with one seed offset and its RNG stream.
@@ -274,8 +289,8 @@ func RunCtx(ctx context.Context, w *worldgen.World, grid Grid, opts Options) (*R
 	// The baseline runs first, alone, with the grid's worker budget fanned
 	// into its inner stages (each stage is worker-count-invariant, so this
 	// changes wall time, never results). Its artifacts — the unperturbed
-	// clone, per-IXP observation streams, dataset, cone cache — are what
-	// the scenario cells reuse for every stage their ops leave clean.
+	// clone, per-IXP verdicts, dataset, cone cache — are what the scenario
+	// cells reuse for every stage their ops leave clean.
 	cones := opts.Cones
 	if cones == nil {
 		cones = offload.NewConeCache()
@@ -302,6 +317,7 @@ func RunCtx(ctx context.Context, w *worldgen.World, grid Grid, opts Options) (*R
 		Baseline:     results[0],
 		CoverageIXPs: opts.CoverageIXPs,
 		GreedyIXPs:   opts.GreedyIXPs,
+		Held:         base.held,
 	}
 	for i, spec := range cells {
 		rep.Cells = append(rep.Cells, CellResult{
@@ -409,6 +425,7 @@ type cellArtifacts struct {
 	spread *spread.Result
 	ds     *netflow.Dataset
 	m      Metrics
+	held   HeldParts
 }
 
 // evalCell evaluates one cell. With base == nil (the baseline, or
@@ -462,9 +479,6 @@ func evalCell(ctx context.Context, w *worldgen.World, spec cellSpec, opts Option
 			Workers:  innerWorkers,
 			Campaign: opts.Campaign,
 			Detector: opts.Detector,
-			// Only the baseline's per-IXP streams are ever spliced, so
-			// only it records them.
-			Retain: base == nil && !opts.NoReuse,
 		},
 		Econ: opts.Econ,
 		src:  spec.newSrc(),
@@ -486,6 +500,10 @@ func evalCell(ctx context.Context, w *worldgen.World, spec cellSpec, opts Option
 		st.World.RefreshIndex()
 	}
 
+	var held *Baseline
+	if spec.base && !opts.NoReuse {
+		held = opts.Baseline
+	}
 	return runStages(ctx, stageArgs{
 		st:           st,
 		mask:         mask,
@@ -493,6 +511,7 @@ func evalCell(ctx context.Context, w *worldgen.World, spec cellSpec, opts Option
 		dirtyAllSims: dirtyAllSims,
 		dirtySims:    dirtySimList,
 		base:         base,
+		held:         held,
 		cones:        cones,
 		opts:         opts,
 		workers:      innerWorkers,
@@ -511,6 +530,7 @@ type stageArgs struct {
 	dirtyAllSims bool
 	dirtySims    []string
 	base         *cellArtifacts
+	held         *Baseline // the baseline cell's holder (nil elsewhere)
 	cones        *offload.ConeCache
 	opts         Options
 	workers      int
@@ -540,66 +560,38 @@ func runStages(ctx context.Context, a stageArgs) (*cellArtifacts, error) {
 		m.DetectedRemote = base.m.DetectedRemote
 		m.BandCounts = base.m.BandCounts
 	} else {
-		// A dark IXP has nothing to probe: schedule only the (possibly
-		// opts-restricted) studied IXPs that still expose registry-listed
-		// targets. In the baseline this is the full selection, so the
-		// explicit list matches the unrestricted campaign.
-		wanted := opts.IXPs
-		if len(wanted) == 0 {
-			wanted = make([]int, st.World.NumStudied())
-			for i := range wanted {
-				wanted[i] = i
-			}
-		}
-		hasTargets := make([]bool, st.World.NumStudied())
-		for _, rec := range st.World.Ifaces {
-			hasTargets[rec.IXPIndex] = true
-		}
-		live := make([]int, 0, len(wanted))
-		for _, i := range wanted {
-			if i < 0 || i >= len(hasTargets) {
-				return nil, fmt.Errorf("scenario: IXP index %d is not a studied IXP", i)
-			}
-			if hasTargets[i] {
-				live = append(live, i)
-			}
-		}
-		if len(live) == 0 {
-			return nil, fmt.Errorf("scenario: every selected studied IXP is dark")
-		}
-		st.Spread.IXPs = live
-		if base != nil && !a.dirtyAllSims {
-			// Membership ops name the exchanges they touched; every other
-			// IXP's simulation inputs are identical to the baseline's, so
-			// its observation stream is spliced instead of re-simulated
-			// (the detector still re-runs over the merged streams).
-			dirty := make(map[int]bool, len(a.dirtySims))
-			for _, acr := range a.dirtySims {
-				if _, xi, err := st.World.IXPByAcronym(acr); err == nil {
-					dirty[xi] = true
-				}
-			}
-			st.Spread.Reuse = &spread.Reuse{
-				From:  base.spread,
-				Dirty: func(idx int) bool { return dirty[idx] },
-			}
-		}
-
-		sp, err := spread.RunCtx(ctx, st.World, st.Spread)
+		// A dark IXP has nothing to probe: the key's selection holds only
+		// the (possibly opts-restricted) studied IXPs that still expose
+		// registry-listed targets.
+		key, err := spread.NewCampaignKey(st.World, st.Spread.Seed, st.Spread.Campaign, st.Spread.Detector, opts.IXPs)
 		if err != nil {
 			return nil, err
 		}
-		art.spread = sp
-		m.Observations = sp.Observations
-		m.AnalyzedIfaces = len(sp.Report.Analyzed())
-		for _, row := range sp.Report.Table1() {
-			m.DetectedRemote += row.Remote
+		sp, held := a.held.Campaign(key)
+		if !held {
+			st.Spread.IXPs = key.IXPs
+			if base != nil && !a.dirtyAllSims {
+				// Membership ops name the exchanges they touched; every
+				// other IXP's inputs are identical to the baseline's, so
+				// its verdicts are spliced instead of re-measured.
+				dirty := make(map[int]bool, len(a.dirtySims))
+				for _, acr := range a.dirtySims {
+					if _, xi, err := st.World.IXPByAcronym(acr); err == nil {
+						dirty[xi] = true
+					}
+				}
+				st.Spread.Reuse = &spread.Reuse{
+					From:  base.spread,
+					Dirty: func(idx int) bool { return dirty[idx] },
+				}
+			}
+			if sp, err = spread.RunCtx(ctx, st.World, st.Spread); err != nil {
+				return nil, err
+			}
+			a.held.StoreCampaign(sp)
 		}
-		for _, row := range sp.Report.Figure3() {
-			m.BandCounts[0] += row.Counts[1]
-			m.BandCounts[1] += row.Counts[2]
-			m.BandCounts[2] += row.Counts[3]
-		}
+		art.spread, art.held.Campaign = sp, held
+		spreadMetrics(m, sp)
 	}
 
 	// --- Section 4.1: the traffic dataset ---
@@ -609,11 +601,15 @@ func runStages(ctx context.Context, a stageArgs) (*cellArtifacts, error) {
 	if mask&StageTraffic == 0 {
 		art.ds = base.ds
 	} else {
-		ds, err := netflow.Collect(st.World, st.Traffic)
-		if err != nil {
-			return nil, err
+		ds, held := a.held.Traffic(st.Traffic)
+		if !held {
+			var err error
+			if ds, err = netflow.Collect(st.World, st.Traffic); err != nil {
+				return nil, err
+			}
+			a.held.StoreTraffic(ds)
 		}
-		art.ds = ds
+		art.ds, art.held.Traffic = ds, held
 	}
 
 	// --- Section 4: the offload analysis ---
@@ -692,4 +688,19 @@ func runStages(ctx context.Context, a stageArgs) (*cellArtifacts, error) {
 		m.Viable = params.RemoteViable()
 	}
 	return art, nil
+}
+
+// spreadMetrics derives a cell's Section 3 metrics from its campaign,
+// whether the cell ran it or took it from a holder.
+func spreadMetrics(m *Metrics, sp *spread.Result) {
+	m.Observations = sp.Observations
+	m.AnalyzedIfaces = len(sp.Report.Analyzed())
+	for _, row := range sp.Report.Table1() {
+		m.DetectedRemote += row.Remote
+	}
+	for _, row := range sp.Report.Figure3() {
+		m.BandCounts[0] += row.Counts[1]
+		m.BandCounts[1] += row.Counts[2]
+		m.BandCounts[2] += row.Counts[3]
+	}
 }

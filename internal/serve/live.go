@@ -73,6 +73,7 @@ func (lw *liveWorld) publish() *tickView {
 			ds:     art.Dataset,
 			spread: art.Spread,
 			cones:  lw.eng.Cones(),
+			base:   scenario.NewBaseline(art.Spread, art.Dataset),
 		},
 		metrics: lw.eng.Metrics(),
 		hist:    lw.eng.History(),

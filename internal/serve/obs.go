@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"context"
 	"net/http"
+	"strings"
 	"time"
 
 	"remotepeering/internal/obs"
@@ -16,7 +18,21 @@ type serveMetrics struct {
 	cacheMisses    *obs.Counter
 	cacheHitBytes  *obs.Counter
 	cacheMissBytes *obs.Counter
+	// baseline counts baseline parts by [part][held]:
+	// rp_serve_baseline_total{part="campaign|traffic",outcome="computed|held"}.
+	baseline [2][2]*obs.Counter
 }
+
+// Baseline parts, indexing serveMetrics.baseline.
+const (
+	partCampaign = iota
+	partTraffic
+)
+
+var (
+	partNames    = [2]string{"campaign", "traffic"}
+	outcomeNames = [2]string{"computed", "held"}
+)
 
 // instrument registers the serve scheduler's surface on reg and returns
 // the hot-path handles. The existing atomic counters stay authoritative
@@ -39,13 +55,46 @@ func (s *Server) instrument(reg *obs.Registry) *serveMetrics {
 		func() float64 { return float64(s.cache.Len()) })
 	reg.GaugeFunc("rp_serve_cache_bytes", "Bytes resident in the result cache.",
 		func() float64 { return float64(s.cache.Bytes()) })
-	return &serveMetrics{
+	m := &serveMetrics{
 		requests:       reg.HistogramVec("rp_serve_request_seconds", "Request latency by endpoint class.", nil, "class"),
 		cacheHits:      reg.Counter("rp_serve_cache_hits_total", "Queries answered from the result cache."),
 		cacheMisses:    reg.Counter("rp_serve_cache_misses_total", "Queries that ran (or joined) a computation."),
 		cacheHitBytes:  reg.Counter("rp_serve_cache_hit_bytes_total", "Bytes served from the result cache."),
 		cacheMissBytes: reg.Counter("rp_serve_cache_miss_bytes_total", "Bytes served from fresh computations."),
 	}
+	for part, name := range partNames {
+		for held, outcome := range outcomeNames {
+			m.baseline[part][held] = reg.Counter("rp_serve_baseline_total",
+				"Baseline parts a computation took from its world view's holder (held) or computed.",
+				"part", name, "outcome", outcome)
+		}
+	}
+	return m
+}
+
+// partOutcome is one baseline part a computation needed, and whether its
+// world view held it.
+type partOutcome struct {
+	part int
+	held bool
+}
+
+// noteBaseline records whether a computation held or computed each
+// baseline part it needed: one counter step per part, and one "baseline"
+// event on the computation's trace, inside its eval span.
+func (s *Server) noteBaseline(ctx context.Context, parts ...partOutcome) {
+	notes := make([]string, len(parts))
+	for i, p := range parts {
+		held := 0
+		if p.held {
+			held = 1
+		}
+		if s.om != nil {
+			s.om.baseline[p.part][held].Inc()
+		}
+		notes[i] = partNames[p.part] + "=" + outcomeNames[held]
+	}
+	obs.TraceFromContext(ctx).Event("baseline", strings.Join(notes, " "))
 }
 
 func (m *serveMetrics) hit(n int) {

@@ -51,8 +51,10 @@ import (
 	"time"
 
 	"remotepeering/internal/catalog"
+	"remotepeering/internal/core"
 	"remotepeering/internal/econ"
 	"remotepeering/internal/fault"
+	"remotepeering/internal/lg"
 	"remotepeering/internal/netflow"
 	"remotepeering/internal/obs"
 	"remotepeering/internal/offload"
@@ -153,6 +155,9 @@ type worldState struct {
 	ds     *netflow.Dataset
 	spread *spread.Result
 	cones  *offload.ConeCache
+	// base is the view's held baseline: the residency's for a static
+	// world, the current tick's for a live one.
+	base *scenario.Baseline
 }
 
 // Server answers the /v1 API over one immutable snapshot or a catalog
@@ -275,9 +280,18 @@ func New(cfg Config) (*Server, error) {
 		if err := materialize(cfg.Snapshot); err != nil {
 			return nil, err
 		}
-		s.single = stateOf(cfg.Snapshot)
+		// The server owns its single residency's holder: the snapshot may
+		// be shared with other servers, the holder is not.
+		s.single = stateOf(cfg.Snapshot, scenario.NewBaseline(cfg.Snapshot.Spread, cfg.Snapshot.Dataset))
 	} else {
-		s.cat.OnAttach(materialize)
+		// Each residency holds its own baseline, which the catalog drops
+		// with the snapshot at eviction and at Close.
+		s.cat.OnAttach(func(snap *snapshot.Snapshot) (any, error) {
+			if err := materialize(snap); err != nil {
+				return nil, err
+			}
+			return scenario.NewBaseline(snap.Spread, snap.Dataset), nil
+		})
 	}
 	return s, nil
 }
@@ -301,13 +315,14 @@ func materialize(snap *snapshot.Snapshot) error {
 	return nil
 }
 
-func stateOf(snap *snapshot.Snapshot) *worldState {
+func stateOf(snap *snapshot.Snapshot, base *scenario.Baseline) *worldState {
 	return &worldState{
 		digest: snap.Digest,
 		world:  snap.World,
 		ds:     snap.Dataset,
 		spread: snap.Spread,
 		cones:  snap.Cones,
+		base:   base,
 	}
 }
 
@@ -341,7 +356,8 @@ func (s *Server) acquire(ctx context.Context, digest string) (*worldState, func(
 	if err != nil {
 		return nil, nil, err
 	}
-	return stateOf(lease.Snapshot()), lease.Release, nil
+	base, _ := lease.Held().(*scenario.Baseline)
+	return stateOf(lease.Snapshot(), base), lease.Release, nil
 }
 
 // Handler returns the HTTP handler serving the /v1 API.
@@ -617,8 +633,10 @@ func (s *Server) leave(c *call) {
 
 // Close shuts the server down: it refuses new computations, cancels the
 // ones in flight and waits for them to return — so every world lease a
-// computation held is released and the catalog can close — and then
-// closes the living-world registry. Callers stop the HTTP server first.
+// computation held is released and the catalog can close — drops the
+// single world's computed baseline parts (a catalog's go with its
+// residencies), and then closes the living-world registry. Callers stop
+// the HTTP server first.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
@@ -627,6 +645,9 @@ func (s *Server) Close() error {
 	}
 	s.mu.Unlock()
 	s.leads.Wait()
+	if s.single != nil {
+		s.single.base.Reset()
+	}
 	return s.closeLive()
 }
 
@@ -815,23 +836,25 @@ func (s *Server) handleSpread(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		defer release()
-		res := ws.spread
-		// The persisted campaign serves queries that match its recorded
-		// seed and duration; anything else re-runs the study over the
-		// snapshot world.
-		usable := res != nil && seed == res.Seed &&
-			(days == 0 || time.Duration(days)*24*time.Hour == res.Campaign.Duration)
-		if !usable {
-			opts := spread.Options{Seed: seed, Workers: s.workers}
-			if days > 0 {
-				opts.Campaign.Duration = time.Duration(days) * 24 * time.Hour
-			}
-			fresh, runErr := spread.RunCtx(ctx, ws.world, opts)
-			if runErr != nil {
-				return nil, runErr
-			}
-			res = fresh
+		// The query wants the paper's detector over every studied IXP;
+		// days=0 asks for the view's own campaign length when the view
+		// carries a campaign of this seed, the world's otherwise.
+		campaign := lg.Config{Duration: time.Duration(days) * 24 * time.Hour}
+		if days == 0 && ws.spread != nil && ws.spread.Seed == seed {
+			campaign.Duration = ws.spread.Campaign.Duration
 		}
+		key, err := spread.NewCampaignKey(ws.world, seed, campaign, core.Config{}, nil)
+		if err != nil {
+			return nil, err
+		}
+		res, held := ws.base.Campaign(key)
+		if !held {
+			if res, err = spread.RunCtx(ctx, ws.world, spread.Options{Seed: seed, Campaign: campaign, Workers: s.workers}); err != nil {
+				return nil, err
+			}
+			ws.base.StoreCampaign(res)
+		}
+		s.noteBaseline(ctx, partOutcome{partCampaign, held})
 		detected := 0
 		for _, row := range res.Report.Table1() {
 			detected += row.Remote
@@ -922,15 +945,24 @@ func (s *Server) handleOffload(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		defer release()
-		ds := ws.ds
-		if ds == nil || (ds.Cfg.Seed != trafficSeed) || (intervals != 0 && int(intervals) != ds.Cfg.Intervals) {
-			ds, err = netflow.Collect(ws.world, netflow.Config{
-				Seed: trafficSeed, Intervals: int(intervals), Workers: s.workers,
-			})
-			if err != nil {
+		// The view's own dataset answers when its seed matches and the
+		// query asks for its length (intervals=0: whatever length it
+		// has); anything else is a collection in the paper's traffic
+		// regime (intervals=0: the full month). The key is the config the
+		// answer comes from, so a held dataset can stand in only for that.
+		key := netflow.Config{Seed: trafficSeed, Intervals: int(intervals), Workers: s.workers}
+		if ws.ds != nil && ws.ds.Cfg.Seed == trafficSeed && (intervals == 0 || int(intervals) == ws.ds.Cfg.Intervals) {
+			key = ws.ds.Cfg
+			key.Workers = s.workers
+		}
+		ds, held := ws.base.Traffic(key)
+		if !held {
+			if ds, err = netflow.Collect(ws.world, key); err != nil {
 				return nil, err
 			}
+			ws.base.StoreTraffic(ds)
 		}
+		s.noteBaseline(ctx, partOutcome{partTraffic, held})
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -1149,6 +1181,7 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 			GreedyIXPs:   req.Greedy,
 			Intervals:    req.Intervals,
 			Cones:        ws.cones,
+			Baseline:     ws.base,
 			Faults:       s.faults,
 			FaultKey:     id,
 		}
@@ -1159,6 +1192,7 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
+		s.noteBaseline(ctx, partOutcome{partCampaign, rep.Held.Campaign}, partOutcome{partTraffic, rep.Held.Traffic})
 		return marshalBody(WhatifResponse{ID: id, Digest: digest, Report: rep.JSONReport()})
 	})
 	finish(w, r, body, hit, err)

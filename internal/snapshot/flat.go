@@ -49,6 +49,7 @@ import (
 	"unsafe"
 
 	"remotepeering/internal/lg"
+	"remotepeering/internal/spread"
 )
 
 // magic identifies a flat snapshot file.
@@ -360,6 +361,9 @@ func flatSections(s *Snapshot) ([]flatSection, error) {
 	}
 
 	if s.Spread != nil {
+		if len(s.Spread.Raw) != s.Spread.Observations {
+			return nil, spread.ErrPartialRaw
+		}
 		var cfg enc
 		encodeSpreadCfg(&cfg, s.Spread)
 		var table stringTable

@@ -349,3 +349,28 @@ func TestFlatClosedAttachment(t *testing.T) {
 		t.Error("materialize after Close should fail")
 	}
 }
+
+// TestFlatRefusesPartialRaw pins that a campaign whose Raw holds only its
+// re-simulated IXPs (a run through Reuse) is refused with a typed error
+// rather than persisted as if it were the whole campaign.
+func TestFlatRefusesPartialRaw(t *testing.T) {
+	w := testWorld(t)
+	opts := spread.Options{
+		Seed:     5,
+		IXPs:     []int{0, 2},
+		Campaign: lg.Config{Duration: 10 * 24 * time.Hour, PCHRounds: 4, RIPERounds: 3},
+	}
+	full, err := spread.Run(w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Reuse = &spread.Reuse{From: full, Dirty: func(idx int) bool { return idx == 2 }}
+	spliced, err := spread.Run(w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := WriteFlat(&buf, &Snapshot{World: w, Spread: spliced}); !errors.Is(err, spread.ErrPartialRaw) {
+		t.Fatalf("WriteFlat of a spliced campaign: %v, want ErrPartialRaw", err)
+	}
+}

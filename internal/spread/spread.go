@@ -9,10 +9,11 @@ package spread
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
-	"time"
 
 	"remotepeering/internal/core"
 	"remotepeering/internal/ixpsim"
@@ -24,12 +25,24 @@ import (
 	"remotepeering/internal/worldgen"
 )
 
+// Typed failures of Run and of the Result methods.
+var (
+	// ErrDuplicateIXP rejects a selection that names an IXP twice: it
+	// would measure one exchange twice on identical streams.
+	ErrDuplicateIXP = errors.New("spread: IXP selected twice")
+	// ErrPartialRaw rejects re-analyzing or persisting a Result whose Raw
+	// holds only the IXPs its run simulated: a run through Reuse splices
+	// the clean IXPs' verdicts, not their observations.
+	ErrPartialRaw = errors.New("spread: Raw holds only the re-simulated IXPs' observations")
+)
+
 // Options controls Run.
 type Options struct {
 	// Seed drives the measurement-side randomness (noise, scheduling);
 	// it is independent of the world's seed.
 	Seed int64
-	// IXPs selects studied-IXP indices to measure; nil means all 22.
+	// IXPs selects studied-IXP indices to measure, each at most once;
+	// nil means all 22.
 	IXPs []int
 	// Workers bounds the number of IXP simulations run concurrently
 	// (0 = one per CPU). Results are byte-identical for every value: each
@@ -42,30 +55,30 @@ type Options struct {
 	// paper's: 10 ms threshold, 8 replies per LG, 4-reply consistency,
 	// 5 ms / 10% windows, TTLs {64, 255}).
 	Detector core.Config
-	// Reuse, when set, lets Run skip the discrete-event simulation of
-	// IXPs whose inputs are unchanged since a prior campaign and splice
-	// that campaign's raw per-IXP observation streams in instead. The
-	// detector always re-runs over the merged observations (its registry
-	// view is global, so a membership change anywhere can move
-	// cross-IXP aggregates). See Reuse for the caller's obligations.
+	// Reuse, when set, lets Run skip IXPs whose inputs are unchanged
+	// since a prior campaign and splice that campaign's detector verdicts,
+	// observation counts and ground truth for them instead. See Reuse for
+	// the caller's obligations.
 	Reuse *Reuse
-	// Retain records the per-IXP observation segments on the Result so a
-	// later Run can splice them through Reuse. The segments are
-	// sub-slices of Raw, so retaining them costs one map entry per IXP.
+	// Retain is a no-op, kept so existing callers compile: every Result
+	// records what a later Run splices.
 	Retain bool
 }
 
-// Reuse points Run at a prior Result whose per-IXP observation streams
-// may be spliced into a new campaign. The caller asserts that for every
-// IXP the Dirty predicate clears, the simulation inputs are identical to
-// From's: same measurement seed, same campaign config, and a world whose
-// IXP-scoped state (members, interface records, inter-site layout) and
-// global physics (pseudowire delay shifts) are unchanged. Because each
-// IXP simulates in its own engine with RNG streams keyed by (seed, IXP
-// index) alone, an unchanged IXP reproduces its observation stream
-// byte-for-byte — splicing is a pure cost optimisation, pinned by the
-// scenario engine's reuse-equivalence tests. A Result rehydrated from a
-// snapshot (Rehydrate) is a valid From under the same obligations.
+// Reuse points Run at a prior Result whose per-IXP verdicts may be
+// spliced into a new campaign. The prior campaign must have run under the
+// same seed, campaign and detector configuration (Run checks), and the
+// caller asserts that for every IXP the Dirty predicate clears, the
+// world's IXP-scoped state (members, interface records, inter-site
+// layout) and global physics (pseudowire delay shifts) are unchanged.
+// Each IXP simulates in its own engine with RNG streams keyed by (seed,
+// IXP index) alone, so an unchanged IXP reproduces its observation stream
+// byte-for-byte; and the detector judges an interface from its own
+// observations and its (IXP, address) registry entry, which is built
+// from that IXP's interface records alone — so an unchanged IXP's
+// verdicts are byte-identical too, and splicing them is a pure cost
+// optimisation, pinned by the reuse-equivalence tests. A Result
+// rehydrated from a snapshot (Rehydrate) is a valid From.
 type Reuse struct {
 	// From is the prior campaign.
 	From *Result
@@ -85,9 +98,12 @@ type Result struct {
 	// truth — the reproduction's analogue of the paper's TorIX/E4A/
 	// Invitel validation, but exhaustive.
 	Validation core.Validation
-	// Raw holds the collected ping outcomes, so callers can re-run the
-	// detector under alternative configurations (threshold sweeps,
-	// filter ablations) without repeating the campaign.
+	// Raw holds the ping outcomes this run simulated, in canonical order,
+	// so callers can re-run the detector under alternative configurations
+	// (threshold sweeps, filter ablations) without repeating the
+	// campaign. A run without Reuse simulates every IXP, so its Raw holds
+	// all Observations; a run through Reuse holds only the re-simulated
+	// IXPs' (Reanalyze and the snapshot encoder refuse it, ErrPartialRaw).
 	Raw []lg.Observation
 	// Truth reports the ground-truth remoteness of a probed interface.
 	Truth func(ixpIndex int, ip netip.Addr) bool
@@ -101,19 +117,39 @@ type Result struct {
 	Detector core.Config
 	Seed     int64
 
-	// perIXP maps each simulated (or spliced) IXP to its segment of Raw
-	// (only when Options.Retain was set) so a later Run can splice clean
-	// IXPs through Options.Reuse. truth holds each IXP's ground-truth
-	// table (target IP → remoteness) — the one piece of the discrete-event
-	// simulation that outlives it, always retained: Validate, Reuse, and
-	// snapshot persistence all read remoteness through it.
-	perIXP map[int][]lg.Observation
-	truth  map[int]map[netip.Addr]bool
+	// ixps records, for every measured (or spliced) IXP, what a later
+	// Run splices in its place.
+	ixps map[int]ixpRecord
+}
+
+// ixpRecord is one IXP's share of a campaign: its verdicts (a cap == len
+// sub-slice of Report.Interfaces, contiguous because the IXP index leads
+// the canonical order), its observation count, and its ground-truth table
+// (target IP → remoteness) — the one piece of the discrete-event
+// simulation that outlives it.
+type ixpRecord struct {
+	verdicts []core.InterfaceResult
+	obs      int
+	truth    map[netip.Addr]bool
+}
+
+// measured returns the studied-IXP indices the campaign measured,
+// ascending.
+func (r *Result) measured() []int {
+	out := make([]int, 0, len(r.ixps))
+	for idx := range r.ixps {
+		out = append(out, idx)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // Reanalyze re-runs the detector over the campaign's raw observations with
 // a different configuration — the ablation entry point.
 func (r *Result) Reanalyze(w *worldgen.World, cfg core.Config) (*core.Report, error) {
+	if len(r.Raw) != r.Observations {
+		return nil, ErrPartialRaw
+	}
 	return core.Analyze(r.Raw, registry.FromWorld(w), r.Campaign.Duration, cfg)
 }
 
@@ -137,139 +173,153 @@ func RunCtx(ctx context.Context, w *worldgen.World, opts Options) (*Result, erro
 	if opts.Workers < 0 {
 		return nil, fmt.Errorf("spread: negative Workers %d (use 0 for one per CPU)", opts.Workers)
 	}
-	ixps := opts.IXPs
+	ixps := slices.Clone(opts.IXPs)
 	if len(ixps) == 0 {
 		ixps = make([]int, w.NumStudied())
 		for i := range ixps {
 			ixps[i] = i
 		}
 	}
-	campaignCfg := opts.Campaign
-	if campaignCfg.Duration == 0 {
-		campaignCfg.Duration = time.Duration(w.CampaignDuration()) * 24 * time.Hour
+	slices.Sort(ixps)
+	for i := 1; i < len(ixps); i++ {
+		if ixps[i] == ixps[i-1] {
+			return nil, fmt.Errorf("%w: %d", ErrDuplicateIXP, ixps[i])
+		}
+	}
+	campaignCfg := effectiveCampaign(w, opts.Campaign)
+	var from *Result
+	clean := func(int) bool { return false }
+	if r := opts.Reuse; r != nil && r.From != nil {
+		from = r.From
+		if !(CampaignKey{Seed: opts.Seed, Campaign: campaignCfg, Detector: opts.Detector}).sameRun(from) {
+			return nil, fmt.Errorf("spread: Reuse.From ran under a different seed, campaign or detector")
+		}
+		clean = func(idx int) bool { return r.Dirty == nil || !r.Dirty(idx) }
 	}
 
 	// The IXP simulations are mutually independent — separate fabrics,
-	// nodes, and event queues — so each runs in its own engine and the
-	// per-IXP observation streams merge afterwards. The RNG sources are
-	// split serially up front, labelled by IXP index (the same labels the
-	// serial implementation used), so every IXP sees the same streams
-	// regardless of worker count or scheduling: the merged, sorted result
-	// is byte-identical to a single-threaded run.
+	// nodes, and event queues — so each runs in its own engine. Its RNG
+	// streams are split from the seed by labels naming the IXP index
+	// (Split is pure), so every IXP sees the same streams regardless of
+	// worker count, scheduling, or which other IXPs are spliced.
 	src := stats.NewSource(opts.Seed)
-	simSrcs := make([]*stats.Source, len(ixps))
-	campSrcs := make([]*stats.Source, len(ixps))
-	for k, idx := range ixps {
-		simSrcs[k] = src.Split(fmt.Sprintf("ixp-%d", idx))
-		campSrcs[k] = src.Split(fmt.Sprintf("campaign-%d", idx))
-	}
-
 	type ixpRun struct {
-		truth map[netip.Addr]bool
-		obs   []lg.Observation
+		rec     ixpRecord
+		obs     []lg.Observation
+		spliced bool
 	}
 	runs, err := parallel.MapErrCtx(ctx, opts.Workers, len(ixps), func(k int) (ixpRun, error) {
 		idx := ixps[k]
-		if r := opts.Reuse; r != nil && r.From != nil && (r.Dirty == nil || !r.Dirty(idx)) {
-			if obs, ok := r.From.perIXP[idx]; ok {
-				// Unchanged IXP: splice the prior campaign's raw stream
-				// (and its ground-truth table) instead of re-running the
-				// discrete-event simulation.
-				return ixpRun{truth: r.From.truth[idx], obs: obs}, nil
-			}
+		if rec, ok := from.record(idx); ok && clean(idx) {
+			return ixpRun{rec: rec, spliced: true}, nil
 		}
 		var e netsim.Engine
 		camp := lg.NewCampaign(campaignCfg)
-		sim, err := ixpsim.Build(&e, w, idx, campaignCfg.Duration, simSrcs[k])
+		sim, err := ixpsim.Build(&e, w, idx, campaignCfg.Duration, src.Split(fmt.Sprintf("ixp-%d", idx)))
 		if err != nil {
 			return ixpRun{}, fmt.Errorf("spread: build IXP %d: %w", idx, err)
 		}
-		if err := camp.Schedule(&e, sim, campSrcs[k]); err != nil {
+		if err := camp.Schedule(&e, sim, src.Split(fmt.Sprintf("campaign-%d", idx))); err != nil {
 			return ixpRun{}, fmt.Errorf("spread: schedule IXP %d: %w", idx, err)
 		}
 		if err := e.Run(); err != nil {
 			return ixpRun{}, fmt.Errorf("spread: campaign IXP %d: %w", idx, err)
 		}
-		// Canonicalise each stream inside its own worker: the merge below
-		// concatenates segments in ascending IXP order, and because the
-		// canonical sort's leading key is the IXP index, per-segment
-		// stable sorts compose into exactly the sequence one global
-		// stable sort would produce — cheaper (smaller sorts, in
-		// parallel), and spliced streams arrive pre-sorted for free.
+		// Canonicalise each stream inside its own worker: the canonical
+		// order's leading key is the IXP index, so per-IXP sorts
+		// concatenated in ascending IXP order are exactly the sequence
+		// one global sort would produce.
 		obs := camp.Raw()
 		lg.Sort(obs)
-		return ixpRun{truth: sim.TruthMap(), obs: obs}, nil
+		return ixpRun{rec: ixpRecord{obs: len(obs), truth: sim.TruthMap()}, obs: obs}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	truths := make(map[int]map[netip.Addr]bool, len(ixps))
-	total := 0
-	for k, r := range runs {
-		truths[ixps[k]] = r.truth
+	// Merge and judge only the simulated streams. Build the registry
+	// between allocating the merged stream and filling it: at paper scale
+	// a full merge is ~27 MB, about the GC's whole trigger-to-goal runway,
+	// so it can start a cycle with the heap at its goal; allocating the
+	// registry's maps here makes this goroutine help mark first, before
+	// the long copy, which shortens the stall on concurrent requests.
+	total, observations := 0, 0
+	for _, r := range runs {
 		total += len(r.obs)
+		observations += r.rec.obs
 	}
-	order := make([]int, len(ixps))
-	for i := range order {
-		order[i] = i
+	if observations == 0 {
+		return nil, fmt.Errorf("spread: detector: core: no observations")
 	}
-	sort.Slice(order, func(a, b int) bool { return ixps[order[a]] < ixps[order[b]] })
-	dup := false
-	for i := 1; i < len(order); i++ {
-		if ixps[order[i]] == ixps[order[i-1]] {
-			dup = true
+	raw := make([]lg.Observation, 0, total)
+	var fresh map[int][]core.InterfaceResult
+	if total > 0 {
+		reg := registry.FromWorld(w)
+		for _, r := range runs {
+			raw = append(raw, r.obs...)
+		}
+		rep, err := core.Analyze(raw, reg, campaignCfg.Duration, opts.Detector)
+		if err != nil {
+			return nil, fmt.Errorf("spread: detector: %w", err)
+		}
+		fresh = byIXP(rep.Interfaces)
+	}
+	segments := make([][]core.InterfaceResult, len(runs))
+	for k, r := range runs {
+		segments[k] = fresh[ixps[k]]
+		if r.spliced {
+			segments[k] = r.rec.verdicts
 		}
 	}
-	var perIXP map[int][]lg.Observation
-	if opts.Retain && !dup {
-		perIXP = make(map[int][]lg.Observation, len(ixps))
+	report := core.NewReport(opts.Detector, segments...)
+	ranges := byIXP(report.Interfaces)
+	recs := make(map[int]ixpRecord, len(ixps))
+	for k, r := range runs {
+		r.rec.verdicts = ranges[ixps[k]]
+		recs[ixps[k]] = r.rec
 	}
-	obs := make([]lg.Observation, 0, total)
-	// Build the registry between allocating the merged stream and filling
-	// it. At paper scale that allocation is ~27 MB, about the GC's whole
-	// trigger-to-goal runway, so it can start a cycle with the heap at its
-	// goal; every goroutine that allocates must then help mark until the
-	// cycle ends. Allocating the registry's maps here makes this goroutine
-	// help first, before the long copy, which shortens the cycle and the
-	// stall it puts on concurrent requests.
-	reg := registry.FromWorld(w)
-	for _, k := range order {
-		lo := len(obs)
-		obs = append(obs, runs[k].obs...)
-		if perIXP != nil {
-			perIXP[ixps[k]] = obs[lo:len(obs):len(obs)]
-		}
-	}
-	if dup {
-		// A duplicated IXP selection interleaves segments under the
-		// canonical order; fall back to the global sort. It retains no
-		// segments, so a later Reuse re-simulates those IXPs.
-		lg.Sort(obs)
-	}
-	report, err := core.Analyze(obs, reg, campaignCfg.Duration, opts.Detector)
-	if err != nil {
-		return nil, fmt.Errorf("spread: detector: %w", err)
-	}
-	truth := truthFunc(truths)
+	truth := truthFunc(recs)
 	return &Result{
 		Report:       report,
-		Observations: len(obs),
+		Observations: observations,
 		Validation:   report.Validate(truth),
-		Raw:          obs,
+		Raw:          raw,
 		Truth:        truth,
 		Campaign:     campaignCfg,
 		Detector:     opts.Detector,
 		Seed:         opts.Seed,
-		perIXP:       perIXP,
-		truth:        truths,
+		ixps:         recs,
 	}, nil
 }
 
+// byIXP splits verdicts in canonical order into per-IXP ranges, each a
+// cap == len sub-slice so an append cannot overwrite the next IXP's.
+func byIXP(verdicts []core.InterfaceResult) map[int][]core.InterfaceResult {
+	out := make(map[int][]core.InterfaceResult)
+	for lo := 0; lo < len(verdicts); {
+		hi := lo + 1
+		for hi < len(verdicts) && verdicts[hi].IXPIndex == verdicts[lo].IXPIndex {
+			hi++
+		}
+		out[verdicts[lo].IXPIndex] = verdicts[lo:hi:hi]
+		lo = hi
+	}
+	return out
+}
+
+// record returns the IXP's record, if r (which may be nil) measured it.
+func (r *Result) record(idx int) (ixpRecord, bool) {
+	if r == nil {
+		return ixpRecord{}, false
+	}
+	rec, ok := r.ixps[idx]
+	return rec, ok
+}
+
 // truthFunc wraps per-IXP ground-truth tables as a Result.Truth closure.
-func truthFunc(truths map[int]map[netip.Addr]bool) func(int, netip.Addr) bool {
+func truthFunc(recs map[int]ixpRecord) func(int, netip.Addr) bool {
 	return func(ixpIndex int, ip netip.Addr) bool {
-		return truths[ixpIndex][ip]
+		return recs[ixpIndex].truth[ip]
 	}
 }
 
@@ -279,15 +329,11 @@ func truthFunc(truths map[int]map[netip.Addr]bool) func(int, netip.Addr) bool {
 // themselves — including IXPs with no remote targets, so rehydration
 // restores exactly the same key set.
 func (r *Result) RemoteTruth() (ixps []int, remote [][]netip.Addr) {
-	ixps = make([]int, 0, len(r.truth))
-	for idx := range r.truth {
-		ixps = append(ixps, idx)
-	}
-	sort.Ints(ixps)
+	ixps = r.measured()
 	remote = make([][]netip.Addr, len(ixps))
 	for k, idx := range ixps {
 		var ips []netip.Addr
-		for ip, isRemote := range r.truth[idx] {
+		for ip, isRemote := range r.ixps[idx].truth {
 			if isRemote {
 				ips = append(ips, ip)
 			}
@@ -303,10 +349,9 @@ func (r *Result) RemoteTruth() (ixps []int, remote [][]netip.Addr) {
 // configurations, and the per-IXP remote-truth sets from RemoteTruth.
 // The detector re-runs over the raw stream against the world's registry
 // view — both pure functions of their inputs — so the rehydrated Report,
-// Validation, and Observations are byte-identical to the live Result's.
-// Per-IXP segments are recovered by splitting the canonical stream on its
-// leading sort key, which makes a rehydrated Result a valid splice source
-// for Options.Reuse.
+// Validation, and Observations are byte-identical to the live Result's,
+// and the per-IXP records it derives make it a valid splice source for
+// Options.Reuse.
 func Rehydrate(w *worldgen.World, seed int64, campaign lg.Config, detector core.Config, raw []lg.Observation, ixps []int, remote [][]netip.Addr) (*Result, error) {
 	if w == nil {
 		return nil, fmt.Errorf("spread: nil world")
@@ -314,32 +359,40 @@ func Rehydrate(w *worldgen.World, seed int64, campaign lg.Config, detector core.
 	if len(ixps) != len(remote) {
 		return nil, fmt.Errorf("spread: truth table mismatch: %d IXPs, %d remote sets", len(ixps), len(remote))
 	}
-	truths := make(map[int]map[netip.Addr]bool, len(ixps))
+	recs := make(map[int]ixpRecord, len(ixps))
 	for k, idx := range ixps {
 		m := make(map[netip.Addr]bool, len(remote[k]))
 		for _, ip := range remote[k] {
 			m[ip] = true
 		}
-		truths[idx] = m
+		recs[idx] = ixpRecord{truth: m}
 	}
-	perIXP := make(map[int][]lg.Observation, len(ixps))
-	lo := 0
-	for lo < len(raw) {
+	seen := make(map[int]bool, len(ixps))
+	for lo := 0; lo < len(raw); {
+		idx := raw[lo].IXPIndex
 		hi := lo + 1
-		for hi < len(raw) && raw[hi].IXPIndex == raw[lo].IXPIndex {
+		for hi < len(raw) && raw[hi].IXPIndex == idx {
 			hi++
 		}
-		if _, ok := perIXP[raw[lo].IXPIndex]; ok {
-			return nil, fmt.Errorf("spread: raw stream not in canonical order (IXP %d segments split)", raw[lo].IXPIndex)
+		if seen[idx] {
+			return nil, fmt.Errorf("spread: raw stream not in canonical order (IXP %d segments split)", idx)
 		}
-		perIXP[raw[lo].IXPIndex] = raw[lo:hi:hi]
+		seen[idx] = true
+		rec := recs[idx]
+		rec.obs = hi - lo
+		recs[idx] = rec
 		lo = hi
 	}
 	report, err := core.Analyze(raw, registry.FromWorld(w), campaign.Duration, detector)
 	if err != nil {
 		return nil, fmt.Errorf("spread: rehydrate detector: %w", err)
 	}
-	truth := truthFunc(truths)
+	for idx, verdicts := range byIXP(report.Interfaces) {
+		rec := recs[idx]
+		rec.verdicts = verdicts
+		recs[idx] = rec
+	}
+	truth := truthFunc(recs)
 	return &Result{
 		Report:       report,
 		Observations: len(raw),
@@ -349,7 +402,6 @@ func Rehydrate(w *worldgen.World, seed int64, campaign lg.Config, detector core.
 		Campaign:     campaign,
 		Detector:     detector,
 		Seed:         seed,
-		perIXP:       perIXP,
-		truth:        truths,
+		ixps:         recs,
 	}, nil
 }

@@ -1,6 +1,7 @@
 package spread
 
 import (
+	"errors"
 	"reflect"
 	"slices"
 	"sync"
@@ -53,14 +54,25 @@ func run(t *testing.T, opts Options) *Result {
 }
 
 // sameResult compares the fields a campaign's consumers read. Truth is a
-// closure, so whole Results cannot be compared.
-func sameResult(t *testing.T, what string, got, want *Result) {
+// closure, so whole Results cannot be compared. simulated names the IXPs
+// got's run simulated (nil: all of them, a fresh run): its Raw must hold
+// exactly their share of want's observations.
+func sameResult(t *testing.T, what string, got, want *Result, simulated func(ixp int) bool) {
 	t.Helper()
 	if !reflect.DeepEqual(got.Report, want.Report) {
 		t.Errorf("%s: Report differs", what)
 	}
-	if !slices.Equal(got.Raw, want.Raw) {
-		t.Errorf("%s: Raw differs (%d vs %d observations)", what, len(got.Raw), len(want.Raw))
+	wantRaw := want.Raw
+	if simulated != nil {
+		wantRaw = nil
+		for _, o := range want.Raw {
+			if simulated(o.IXPIndex) {
+				wantRaw = append(wantRaw, o)
+			}
+		}
+	}
+	if !slices.Equal(got.Raw, wantRaw) {
+		t.Errorf("%s: Raw differs (%d vs %d observations)", what, len(got.Raw), len(wantRaw))
 	}
 	if got.Validation != want.Validation {
 		t.Errorf("%s: Validation %+v, want %+v", what, got.Validation, want.Validation)
@@ -70,19 +82,22 @@ func sameResult(t *testing.T, what string, got, want *Result) {
 	}
 }
 
+func only(ixp int) func(int) bool { return func(idx int) bool { return idx == ixp } }
+
 func TestReuseAllCleanReproducesSource(t *testing.T) {
 	opts := testOptions(1)
-	opts.Retain = true
 	from := run(t, opts)
-	opts.Retain = false
 	opts.Reuse = &Reuse{From: from}
-	sameResult(t, "all-clean reuse", run(t, opts), from)
+	got := run(t, opts)
+	sameResult(t, "all-clean reuse", got, from, func(int) bool { return false })
 
-	// The clean IXPs were spliced from segments of the source's Raw, so
-	// a change to it shows through.
-	from.Raw[0].RTT++
-	if got := run(t, opts); got.Raw[0] != from.Raw[0] {
-		t.Error("all-clean reuse did not splice the source's Raw")
+	// Every IXP was spliced as verdicts: the run simulated and allocated
+	// no observation.
+	if cap(got.Raw) != 0 {
+		t.Errorf("all-clean reuse allocated room for %d observations", cap(got.Raw))
+	}
+	if _, err := got.Reanalyze(testWorld(t), opts.Detector); !errors.Is(err, ErrPartialRaw) {
+		t.Errorf("Reanalyze of a spliced result: %v, want ErrPartialRaw", err)
 	}
 }
 
@@ -90,53 +105,63 @@ func TestReuseOneDirtyMatchesFreshRun(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		fresh := run(t, testOptions(workers))
 		opts := testOptions(workers)
-		opts.Retain = true
 		from := run(t, opts)
-		opts.Retain = false
-		opts.Reuse = &Reuse{From: from, Dirty: func(idx int) bool { return idx == 1 }}
-		sameResult(t, "one-dirty reuse", run(t, opts), fresh)
+		opts.Reuse = &Reuse{From: from, Dirty: only(1)}
+		sameResult(t, "one-dirty reuse", run(t, opts), fresh, only(1))
 	}
 }
 
-func TestRetainedSegmentsAliasRaw(t *testing.T) {
+func TestVerdictRangesAliasReport(t *testing.T) {
 	opts := testOptions(2)
-	opts.Retain = true
 	res := run(t, opts)
-	if len(res.perIXP) != len(opts.IXPs) {
-		t.Fatalf("retained %d segments for %d IXPs", len(res.perIXP), len(opts.IXPs))
+	if !slices.Equal(res.measured(), opts.IXPs) {
+		t.Fatalf("recorded IXPs %v, want %v", res.measured(), opts.IXPs)
 	}
-	for idx, seg := range res.perIXP {
-		lo := slices.IndexFunc(res.Raw, func(o lg.Observation) bool { return o.IXPIndex == idx })
-		if lo < 0 || len(seg) == 0 {
-			t.Fatalf("IXP %d: empty segment or absent from Raw", idx)
-		}
+	lo := 0
+	for _, idx := range res.measured() {
+		seg := res.ixps[idx].verdicts
 		hi := lo
-		for hi < len(res.Raw) && res.Raw[hi].IXPIndex == idx {
+		for hi < len(res.Report.Interfaces) && res.Report.Interfaces[hi].IXPIndex == idx {
 			hi++
 		}
-		if &seg[0] != &res.Raw[lo] || len(seg) != hi-lo {
-			t.Errorf("IXP %d: segment is not Raw[%d:%d]", idx, lo, hi)
+		if len(seg) == 0 || hi == lo {
+			t.Fatalf("IXP %d: empty verdict range", idx)
+		}
+		if &seg[0] != &res.Report.Interfaces[lo] || len(seg) != hi-lo {
+			t.Errorf("IXP %d: verdict range is not Report.Interfaces[%d:%d]", idx, lo, hi)
 		}
 		if cap(seg) != len(seg) {
-			t.Errorf("IXP %d: segment cap %d, len %d; an append could overwrite the next IXP", idx, cap(seg), len(seg))
+			t.Errorf("IXP %d: verdict range cap %d, len %d; an append could overwrite the next IXP", idx, cap(seg), len(seg))
 		}
+		lo = hi
+	}
+	if lo != len(res.Report.Interfaces) {
+		t.Errorf("verdict ranges cover %d of %d interfaces", lo, len(res.Report.Interfaces))
 	}
 }
 
-func TestDuplicatedSelectionRetainsNothing(t *testing.T) {
-	// A duplicated selection merges through the global sort and keeps no
-	// segments, so a Reuse from it re-simulates every IXP.
+func TestDuplicatedSelectionIsTypedError(t *testing.T) {
 	opts := testOptions(1)
 	opts.IXPs = []int{1, 0, 1}
-	opts.Retain = true
-	dup := run(t, opts)
-	if len(dup.perIXP) != 0 {
-		t.Fatalf("duplicated selection retained %d segments", len(dup.perIXP))
+	if _, err := Run(testWorld(t), opts); !errors.Is(err, ErrDuplicateIXP) {
+		t.Fatalf("duplicated selection: %v, want ErrDuplicateIXP", err)
 	}
-	fresh := run(t, testOptions(1))
-	opts = testOptions(1)
-	opts.Reuse = &Reuse{From: dup}
-	sameResult(t, "reuse from a duplicated selection", run(t, opts), fresh)
+}
+
+func TestReuseRejectsOtherInputs(t *testing.T) {
+	from := run(t, testOptions(1))
+	for name, edit := range map[string]func(*Options){
+		"seed":     func(o *Options) { o.Seed++ },
+		"campaign": func(o *Options) { o.Campaign.PCHRounds++ },
+		"detector": func(o *Options) { o.Detector.RemoteThreshold = 20 * time.Millisecond },
+	} {
+		opts := testOptions(1)
+		edit(&opts)
+		opts.Reuse = &Reuse{From: from, Dirty: only(1)}
+		if _, err := Run(testWorld(t), opts); err == nil {
+			t.Errorf("Reuse across a different %s was accepted", name)
+		}
+	}
 }
 
 func TestRehydrateMatchesLiveResult(t *testing.T) {
@@ -147,7 +172,7 @@ func TestRehydrateMatchesLiveResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, "rehydrated", re, live)
+	sameResult(t, "rehydrated", re, live, nil)
 	for _, r := range live.Report.Interfaces {
 		if re.Truth(r.IXPIndex, r.IP) != live.Truth(r.IXPIndex, r.IP) {
 			t.Fatalf("IXP %d %v: rehydrated truth differs", r.IXPIndex, r.IP)
@@ -156,8 +181,8 @@ func TestRehydrateMatchesLiveResult(t *testing.T) {
 
 	// A rehydrated Result is a splice source.
 	opts := testOptions(2)
-	opts.Reuse = &Reuse{From: re, Dirty: func(idx int) bool { return idx == 2 }}
-	sameResult(t, "reuse from a rehydrated result", run(t, opts), live)
+	opts.Reuse = &Reuse{From: re, Dirty: only(2)}
+	sameResult(t, "reuse from a rehydrated result", run(t, opts), live, only(2))
 }
 
 func TestRejectsBadInput(t *testing.T) {

@@ -15,20 +15,16 @@
 //     bit-identical values, substantially cheaper cold seeding.
 //
 // The replica must emit exactly the stream math/rand would: Source.Split
-// seeds are part of the repo's pinned determinism contract. Rather than
-// embedding a copy of the generator's cooked seeding table (7.8e12 steps
-// to regenerate), initFastSource lifts it out of a live rand.NewSource
-// instance via its (long-stable) struct layout, then verifies the replica
-// against math/rand on several seeds; any mismatch — say a future Go
-// release changing the layout or the algorithm — silently disables the
-// fast path and every Source falls back to rand.NewSource itself.
+// seeds are part of the repo's pinned determinism contract. It seeds from
+// math/rand's cooked table, generated into rngcooked.go by gen_cooked.go,
+// and TestNewRandSourceMatchesMathRand pins it to rand.NewSource.
 package stats
+
+//go:generate go run gen_cooked.go
 
 import (
 	"math/rand"
-	"reflect"
 	"sync"
-	"unsafe"
 )
 
 const (
@@ -107,12 +103,6 @@ func seedState(vec *rngState, seed int64) {
 }
 
 var (
-	// rngCooked is the generator's cooked seeding table, extracted at
-	// init; fastSourceOK gates the whole fast path on the extraction
-	// having been verified against math/rand.
-	rngCooked    rngState
-	fastSourceOK bool
-
 	// seedCache memoises seeded states. Entries are immutable once
 	// stored; FIFO eviction bounds it to ~80 MB (16k states of 4.8 KB —
 	// sized so a paper-scale 22-IXP campaign's per-member streams fit
@@ -124,63 +114,9 @@ var (
 
 const seedCacheMax = 16384
 
-func init() {
-	// The layout of math/rand's unexported rngSource: two ints of tap
-	// state, then the seeded vector. Stable since Go 1.0; guarded by the
-	// output verification below, not by faith.
-	type rngSourceLayout struct {
-		tap, feed int
-		vec       rngState
-	}
-	src := rand.NewSource(1)
-	v := reflect.ValueOf(src)
-	if v.Kind() != reflect.Ptr {
-		return
-	}
-	// Refuse to dereference through the assumed layout unless the real
-	// type's size matches exactly — a reorder within the same size is
-	// caught by the output verification below, but a smaller struct
-	// would make the vec reads walk past the allocation before that
-	// verification could run.
-	if v.Elem().Type().Size() != unsafe.Sizeof(rngSourceLayout{}) {
-		return
-	}
-	raw := (*rngSourceLayout)(unsafe.Pointer(v.Pointer()))
-	// cooked[i] = vec[i] ^ (seeding x-chain for seed 1), by construction
-	// of Seed; the x-chain is recomputable from the public algorithm.
-	seed := int64(1)
-	x := int32(seed)
-	for i := -20; i < rngLen; i++ {
-		x = seedrand(x)
-		if i >= 0 {
-			u := int64(x) << 40
-			x = seedrand(x)
-			u ^= int64(x) << 20
-			x = seedrand(x)
-			u ^= int64(x)
-			rngCooked[i] = raw.vec[i] ^ u
-		}
-	}
-	// Verify the replica end to end before trusting it.
-	for _, s := range []int64{1, 0, -7, 42, 1 << 40, -1 << 35} {
-		want := rand.NewSource(s).(rand.Source64)
-		got := &lfsrSource{}
-		got.Seed(s)
-		for i := 0; i < 32; i++ {
-			if want.Uint64() != got.Uint64() {
-				return
-			}
-		}
-	}
-	fastSourceOK = true
-}
-
 // newRandSource returns a rand.Source64 seeded like rand.NewSource(seed),
 // from the state cache when possible.
 func newRandSource(seed int64) rand.Source64 {
-	if !fastSourceOK {
-		return rand.NewSource(seed).(rand.Source64)
-	}
 	s := &lfsrSource{tap: 0, feed: rngLen - rngTap}
 	seedCacheMu.Lock()
 	st := seedCache[seed]

@@ -424,9 +424,6 @@ func TestSourceUniformHelpers(t *testing.T) {
 // source against math/rand across seeds and derived distributions: the
 // Split determinism contract depends on the streams being identical.
 func TestFastSourceMatchesMathRand(t *testing.T) {
-	if !fastSourceOK {
-		t.Skip("fast source disabled on this toolchain; Sources fall back to math/rand itself")
-	}
 	for _, seed := range []int64{0, 1, -1, 42, 987654321, -87654321, 1 << 62, -(1 << 55)} {
 		want := rand.New(rand.NewSource(seed))
 		got := rand.New(newRandSource(seed))
@@ -455,15 +452,36 @@ func TestFastSourceMatchesMathRand(t *testing.T) {
 // TestFastSourceCacheHitIdentical re-requests a seed already in the state
 // cache and checks the stream is identical to a cold seeding.
 func TestFastSourceCacheHitIdentical(t *testing.T) {
-	if !fastSourceOK {
-		t.Skip("fast source disabled")
-	}
 	const seed = 192837465
 	cold := newRandSource(seed) // populates cache
 	warm := newRandSource(seed) // cache hit
 	for i := 0; i < 2000; i++ {
 		if c, w := cold.Uint64(), warm.Uint64(); c != w {
 			t.Fatalf("step %d: cold %d != warm %d", i, c, w)
+		}
+	}
+}
+
+// TestNewRandSourceMatchesMathRand pins the replica, seeded from the
+// generated cooked table, to rand.NewSource over 1,024 seeds: the edge
+// cases of the seed reduction (0, negatives, int32max multiples, 1<<40,
+// math.MinInt64) and a seeded spread over the whole int64 range.
+func TestNewRandSourceMatchesMathRand(t *testing.T) {
+	seeds := []int64{0, 1, -1, 89482311, 1<<31 - 1, -(1<<31 - 1), 2 * (1<<31 - 1), 1 << 40, -(1 << 40),
+		math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
+	draw := rand.New(rand.NewSource(20260617))
+	for len(seeds) < 1024 {
+		seeds = append(seeds, int64(draw.Uint64()))
+	}
+	for _, seed := range seeds {
+		want := rand.NewSource(seed).(rand.Source64)
+		got := newRandSource(seed)
+		// 650 steps touch every word of the 607-word state, so every
+		// entry of the cooked table is checked for every seed.
+		for i := 0; i < 650; i++ {
+			if w, g := want.Uint64(), got.Uint64(); w != g {
+				t.Fatalf("seed %d step %d: Uint64 %d, want %d", seed, i, g, w)
+			}
 		}
 	}
 }
