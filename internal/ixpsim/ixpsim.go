@@ -211,7 +211,7 @@ func (s *SimIXP) addMember(e *netsim.Engine, w *worldgen.World, subnet netip.Pre
 		if initTTL == 255 {
 			newTTL = 64
 		}
-		e.Schedule(at, func() { node.SetInitTTL(newTTL) })
+		node.SetInitTTLAt(at, newTTL)
 	case worldgen.HazardCongested:
 		// A persistently busy port: almost every sample pays a 7 ms+
 		// queueing excess; the rare idle samples anchor the minimum RTT

@@ -113,9 +113,7 @@ func TestEndToEndSingleIXP(t *testing.T) {
 	if err := camp.Schedule(&e, s, src.Split("camp")); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e.Run()
 	obs := camp.Observations()
 	if len(obs) == 0 {
 		t.Fatal("no observations")
@@ -159,9 +157,7 @@ func TestEndToEndDualLGMultiSite(t *testing.T) {
 	if err := camp.Schedule(&e, s, src.Split("camp")); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e.Run()
 	rep, err := core.Analyze(camp.Observations(), registry.FromWorld(w), campaign, core.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -197,10 +193,9 @@ func TestMisdirectedInterfaceRepliesWithDecrementedTTL(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got netsim.PingResult
-	s.LGs[0].Node.Ping(target.IP, 5*time.Second, func(r netsim.PingResult) { got = r })
-	if err := e.RunUntil(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	e.OnPing(func(r netsim.PingResult) { got = r })
+	s.LGs[0].Node.Ping(0, target.IP, 5*time.Second, 0)
+	e.Run()
 	if got.TimedOut {
 		t.Fatal("misdirected target should still answer (via the far host)")
 	}
@@ -218,17 +213,11 @@ func TestDeterministicRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out []netsim.PingResult
+		e.OnPing(func(r netsim.PingResult) { out = append(out, r) })
 		for i, target := range s.Targets {
-			target := target
-			e.Schedule(time.Duration(i)*time.Minute, func() {
-				s.LGs[0].Node.Ping(target, 5*time.Second, func(r netsim.PingResult) {
-					out = append(out, r)
-				})
-			})
+			s.LGs[0].Node.Ping(time.Duration(i)*time.Minute, target, 5*time.Second, 0)
 		}
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
+		e.Run()
 		return out
 	}
 	a, b := run(), run()

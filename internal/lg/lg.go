@@ -9,6 +9,7 @@ package lg
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"net/netip"
@@ -79,6 +80,43 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// ErrBadConfig rejects a campaign configuration Schedule cannot run.
+var ErrBadConfig = errors.New("lg: bad campaign configuration")
+
+// MaxDays is the longest campaign, in whole days, whose Duration a
+// time.Duration can hold.
+const MaxDays = int(math.MaxInt64 / int64(24*time.Hour))
+
+// Validate reports whether the configuration, after defaults, is a
+// campaign Schedule can run: every count and duration positive, and each
+// LG family's rounds at least 2 ns apart so a round's start can be
+// jittered. Errors wrap ErrBadConfig.
+func (c Config) Validate() error {
+	c = c.withDefaults()
+	for _, k := range []struct {
+		name string
+		v    int64
+	}{
+		{"Duration", int64(c.Duration)},
+		{"PCHRounds", int64(c.PCHRounds)},
+		{"RIPERounds", int64(c.RIPERounds)},
+		{"PingsPerQueryPCH", int64(c.PingsPerQueryPCH)},
+		{"PingsPerQueryRIPE", int64(c.PingsPerQueryRIPE)},
+		{"QuerySpacing", int64(c.QuerySpacing)},
+		{"PingTimeout", int64(c.PingTimeout)},
+	} {
+		if k.v < 0 {
+			return fmt.Errorf("%w: negative %s %d", ErrBadConfig, k.name, k.v)
+		}
+	}
+	for _, rounds := range []int{c.PCHRounds, c.RIPERounds} {
+		if c.Duration/time.Duration(rounds)/2 == 0 {
+			return fmt.Errorf("%w: Duration %v too short for %d rounds", ErrBadConfig, c.Duration, rounds)
+		}
+	}
+	return nil
+}
+
 // budget returns the query rounds per target and the pings per query of
 // an LG family.
 func (c Config) budget(family string) (rounds, pings int) {
@@ -93,8 +131,18 @@ func (c Config) budget(family string) (rounds, pings int) {
 type Campaign struct {
 	cfg Config
 	obs []Observation
-	// scheduled counts the pings Schedule has enqueued, collected or not.
+	// scheduled counts the pings Schedule has planned, collected or not.
 	scheduled int
+	// sources labels the LG servers Schedule has planned pings from; a
+	// ping's tag indexes it.
+	sources []source
+}
+
+// source is one LG server's share of the campaign: what its observations
+// record besides the ping result.
+type source struct {
+	ixp             int
+	acronym, family string
 }
 
 // NewCampaign creates a campaign with the given configuration.
@@ -102,25 +150,31 @@ func NewCampaign(cfg Config) *Campaign {
 	return &Campaign{cfg: cfg.withDefaults()}
 }
 
-// Schedule enqueues all probe events for the given simulated IXP onto the
-// engine. Call once per IXP, then run the engine, then read Observations.
+// Schedule plans all probes for the given simulated IXP on the engine and
+// registers the campaign as the engine's ping sink. Call once per IXP,
+// then run the engine, then read Observations.
 func (c *Campaign) Schedule(e *netsim.Engine, sim *ixpsim.SimIXP, src *stats.Source) error {
 	if len(sim.Targets) == 0 {
 		return fmt.Errorf("lg: IXP %s has no probe targets", sim.Acronym)
 	}
-	// Node.Ping calls back exactly once per echo request, reply or
-	// timeout, so the schedule fixes how many observations the engine
-	// will deliver: size the buffer for all of them now rather than
-	// growing it by doubling while the engine runs.
+	// Every planned ping completes exactly once, reply or timeout, so
+	// the schedule fixes how many observations the engine will deliver:
+	// size the plan and the buffer for all of them now rather than
+	// growing them by doubling.
+	planned := 0
 	for _, server := range sim.LGs {
 		rounds, pings := c.cfg.budget(server.Family)
-		c.scheduled += rounds * len(sim.Targets) * pings
+		planned += rounds * len(sim.Targets) * pings
 	}
+	c.scheduled += planned
 	if c.scheduled > cap(c.obs) {
 		c.obs = append(make([]Observation, 0, c.scheduled), c.obs...)
 	}
+	e.ReservePings(planned)
+	e.OnPing(c.collect)
 	for _, server := range sim.LGs {
-		server := server
+		tag := int32(len(c.sources))
+		c.sources = append(c.sources, source{ixp: sim.IXPIndex, acronym: sim.Acronym, family: server.Family})
 		rounds, pings := c.cfg.budget(server.Family)
 		roundSpan := c.cfg.Duration / time.Duration(rounds)
 		for r := 0; r < rounds; r++ {
@@ -130,34 +184,30 @@ func (c *Campaign) Schedule(e *netsim.Engine, sim *ixpsim.SimIXP, src *stats.Sou
 			jitter := time.Duration(src.Int63n(int64(roundSpan / 2)))
 			roundStart := base + jitter
 			for ti, target := range sim.Targets {
+				// One LG query: `pings` echo requests one second apart.
 				qAt := roundStart + time.Duration(ti)*c.cfg.QuerySpacing
-				c.scheduleQuery(e, sim, server, target, qAt, pings)
+				for p := 0; p < pings; p++ {
+					server.Node.Ping(qAt+time.Duration(p)*time.Second, target, c.cfg.PingTimeout, tag)
+				}
 			}
 		}
 	}
 	return nil
 }
 
-// scheduleQuery issues one LG query: `pings` echo requests spaced one
-// second apart.
-func (c *Campaign) scheduleQuery(e *netsim.Engine, sim *ixpsim.SimIXP, server *ixpsim.LGServer, target netip.Addr, at time.Duration, pings int) {
-	for p := 0; p < pings; p++ {
-		sendAt := at + time.Duration(p)*time.Second
-		e.Schedule(sendAt, func() {
-			server.Node.Ping(target, c.cfg.PingTimeout, func(r netsim.PingResult) {
-				c.obs = append(c.obs, Observation{
-					IXPIndex: sim.IXPIndex,
-					Acronym:  sim.Acronym,
-					Family:   server.Family,
-					Target:   target,
-					SentAt:   r.SentAt,
-					RTT:      r.RTT,
-					TTL:      r.TTL,
-					TimedOut: r.TimedOut,
-				})
-			})
-		})
-	}
+// collect is the engine's ping sink.
+func (c *Campaign) collect(r netsim.PingResult) {
+	s := &c.sources[r.Tag]
+	c.obs = append(c.obs, Observation{
+		IXPIndex: s.ixp,
+		Acronym:  s.acronym,
+		Family:   s.family,
+		Target:   r.Target,
+		SentAt:   r.SentAt,
+		RTT:      r.RTT,
+		TTL:      r.TTL,
+		TimedOut: r.TimedOut,
+	})
 }
 
 // Observations returns everything collected so far, sorted by IXP, target,

@@ -1,13 +1,26 @@
-// Package netsim is a deterministic discrete-event packet-level simulator
-// of the layer-2/layer-3 world the paper measures: IXP switching fabrics
+// Package netsim is a deterministic discrete-event simulator of the
+// layer-2/layer-3 world the paper measures: IXP switching fabrics
 // (possibly spanning multiple locations), remote-peering pseudowires that
-// attach distant routers to those fabrics, IP routers and hosts with real
-// TTL semantics, and ICMP echo. It reproduces the observables the paper's
+// attach distant routers to those fabrics, IP routers and hosts with TTL
+// semantics, and ICMP echo. It reproduces the observables the paper's
 // detector consumes — ping RTTs and reply TTLs from looking-glass servers —
 // including every failure mode the detector's six filters were designed
 // for: congestion jitter, replies that take an extra IP hop, operating
 // systems that change their initial TTL mid-campaign, blackholing, and
 // multi-location IXP fabrics.
+//
+// Packets are values, not bytes. A frame carries exactly what the
+// simulation reads — TTL, IPv4 source and destination, ICMP type, ident
+// and seq — and is handed straight to the interface it reaches; a router
+// decrements its TTL in place. No wire format is built, checksummed or
+// parsed: nothing the detector observes depends on one.
+//
+// Events are typed records (a kind, node/interface/probe ids, and the
+// frame by value) in one 4-ary heap, and a campaign's pings are planned
+// before Run as one run sorted by (time, sequence) that the engine merges
+// with the heap. Ping results complete into one sink per engine. So the
+// simulator allocates per engine — tables sized by the topology and the
+// plan — not per packet.
 //
 // The simulator is single-threaded and deterministic: all randomness comes
 // from stats.Source streams seeded by the caller, and events at equal
@@ -15,41 +28,85 @@
 package netsim
 
 import (
-	"errors"
+	"cmp"
+	"net/netip"
+	"slices"
 	"time"
 )
 
 // Engine is the discrete-event core. The zero value is ready to use.
 type Engine struct {
-	now    time.Duration
-	queue  eventQueue
-	seq    uint64
-	halted bool
+	now   time.Duration
+	seq   uint64
+	queue eventQueue
+
+	// plan holds the planned pings; plan[next:] have not been sent yet
+	// and are in (at, seq) order unless unsorted is set.
+	plan     []plannedPing
+	next     int
+	unsorted bool
+
+	nodes  []*Node
+	ifaces []*Iface
+	traces []*traceState
+
+	onPing  func(PingResult)
+	onTrace func(TracerouteResult)
 }
 
+// eventKind says what an event does when it fires.
+type eventKind uint8
+
+const (
+	// evDeliver hands frame to interface id.
+	evDeliver eventKind = iota
+	// evSend routes and transmits frame from node id (an ICMP answer,
+	// after the node's processing delay).
+	evSend
+	// evExpire ends probe serial of node id if it is still unanswered.
+	evExpire
+	// evSetTTL switches node id's initial TTL to frame.ttl.
+	evSetTTL
+	// evTrace starts traceroute id.
+	evTrace
+)
+
+// event is one scheduled action. It holds no pointers, so the queue is
+// never scanned by the garbage collector.
 type event struct {
-	at  time.Duration
-	seq uint64
-	fn  func()
+	at     time.Duration
+	seq    uint64
+	frame  frame
+	id     int32
+	serial uint32
+	kind   eventKind
 }
 
-// before is the total event order: time, then schedule sequence. (at, seq)
-// pairs are unique, so the pop order of any min-heap over this relation is
-// fully determined — the queue's internal layout never leaks into results.
-func (e event) before(o event) bool {
-	if e.at != o.at {
-		return e.at < o.at
+// plannedPing is one echo request planned before Run.
+type plannedPing struct {
+	at      time.Duration
+	seq     uint64
+	timeout time.Duration
+	dst     netip.Addr
+	node    int32
+	tag     int32
+}
+
+// earlier is the total event order: time, then schedule sequence. (at,
+// seq) pairs are unique, so the execution order of the heap merged with
+// the plan is fully determined — neither one's layout leaks into results.
+func earlier(at time.Duration, seq uint64, oat time.Duration, oseq uint64) bool {
+	if at != oat {
+		return at < oat
 	}
-	return e.seq < o.seq
+	return seq < oseq
 }
 
-// eventQueue is an inlined 4-ary min-heap keyed on (at, seq). It replaces
-// the container/heap binary heap: heap.Push/heap.Pop box every event into
-// an interface{} (one allocation per scheduled event) and call Less/Swap
-// through the heap.Interface method table; this version is monomorphic,
-// allocation-free after slice growth, and — being 4-ary — does about half
-// the sift-down levels per pop, which is where a discrete-event simulator
-// spends its queue time.
+func (e event) before(o event) bool { return earlier(e.at, e.seq, o.at, o.seq) }
+
+// eventQueue is an inlined 4-ary min-heap keyed on (at, seq): monomorphic,
+// allocation-free after slice growth, and — being 4-ary — about half the
+// sift-down levels per pop of a binary heap.
 type eventQueue []event
 
 func (q *eventQueue) push(ev event) {
@@ -71,7 +128,6 @@ func (q *eventQueue) pop() event {
 	root := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
-	h[last] = event{} // release the closure for GC
 	h = h[:last]
 	*q = h
 	i := 0
@@ -104,64 +160,85 @@ func (q *eventQueue) pop() event {
 // October-2013 measurement campaign).
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Schedule runs fn at the absolute simulation time at. Scheduling in the
-// past is an error and panics: it always indicates a bug in a model
-// component, and silently reordering events would destroy determinism.
-func (e *Engine) Schedule(at time.Duration, fn func()) {
+// OnPing registers the sink every ping of the engine completes into:
+// exactly once per planned ping, with the reply or with TimedOut set.
+func (e *Engine) OnPing(sink func(PingResult)) { e.onPing = sink }
+
+// OnTraceroute registers the sink every traceroute of the engine
+// completes into, once per traceroute.
+func (e *Engine) OnTraceroute(sink func(TracerouteResult)) { e.onTrace = sink }
+
+// ReservePings grows the plan's capacity for n more pings, so a caller
+// that knows its whole schedule plans it into one exact-size run.
+func (e *Engine) ReservePings(n int) { e.plan = slices.Grow(e.plan, n) }
+
+// schedule queues ev at the absolute simulation time at. Scheduling in
+// the past panics: it always indicates a bug in a model component, and
+// silently reordering events would destroy determinism.
+func (e *Engine) schedule(at time.Duration, ev event) {
 	if at < e.now {
 		panic("netsim: scheduling into the past")
 	}
 	e.seq++
-	e.queue.push(event{at: at, seq: e.seq, fn: fn})
+	ev.at, ev.seq = at, e.seq
+	e.queue.push(ev)
 }
 
-// After schedules fn after a delay from the current time.
-func (e *Engine) After(d time.Duration, fn func()) {
-	e.Schedule(e.now+d, fn)
+// planPing adds one echo request to the plan.
+func (e *Engine) planPing(at time.Duration, n *Node, dst netip.Addr, timeout time.Duration, tag int32) {
+	if at < e.now {
+		panic("netsim: scheduling into the past")
+	}
+	e.seq++
+	e.unsorted = e.unsorted || e.next < len(e.plan) && at < e.plan[len(e.plan)-1].at
+	e.plan = append(e.plan, plannedPing{at: at, seq: e.seq, timeout: timeout, dst: dst, node: n.id, tag: tag})
 }
 
-// ErrHalted is returned by Run variants when Halt was called.
-var ErrHalted = errors.New("netsim: engine halted")
+// Run executes events until the heap and the plan are both drained.
+func (e *Engine) Run() {
+	for e.step() {
+	}
+	e.plan, e.next = nil, 0
+}
 
-// Run executes events until the queue drains or Halt is called.
-func (e *Engine) Run() error {
-	for len(e.queue) > 0 {
-		if e.halted {
-			return ErrHalted
+// step executes the earliest of the heap's top and the plan's head, and
+// reports whether there was one.
+func (e *Engine) step() bool {
+	if e.unsorted {
+		slices.SortFunc(e.plan[e.next:], func(a, b plannedPing) int {
+			if c := cmp.Compare(a.at, b.at); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.seq, b.seq)
+		})
+		e.unsorted = false
+	}
+	if e.next < len(e.plan) {
+		p := &e.plan[e.next]
+		if len(e.queue) == 0 || earlier(p.at, p.seq, e.queue[0].at, e.queue[0].seq) {
+			e.next++
+			e.now = p.at
+			e.nodes[p.node].ping(p.dst, p.timeout, p.tag)
+			return true
 		}
-		e.step()
 	}
-	return nil
-}
-
-// RunUntil executes events with timestamps ≤ deadline, then advances the
-// clock to the deadline. Events beyond the deadline stay queued.
-func (e *Engine) RunUntil(deadline time.Duration) error {
-	for len(e.queue) > 0 && e.queue[0].at <= deadline {
-		if e.halted {
-			return ErrHalted
-		}
-		e.step()
+	if len(e.queue) == 0 {
+		return false
 	}
-	if !e.halted && e.now < deadline {
-		e.now = deadline
-	}
-	if e.halted {
-		return ErrHalted
-	}
-	return nil
-}
-
-// step pops and executes one event.
-func (e *Engine) step() {
 	ev := e.queue.pop()
 	e.now = ev.at
-	ev.fn()
+	switch ev.kind {
+	case evDeliver:
+		in := e.ifaces[ev.id]
+		in.Node.receive(in, ev.frame)
+	case evSend:
+		e.nodes[ev.id].send(ev.frame)
+	case evExpire:
+		e.nodes[ev.id].expire(ev.serial)
+	case evSetTTL:
+		e.nodes[ev.id].os.InitTTL = ev.frame.ttl
+	case evTrace:
+		e.traces[ev.id].step()
+	}
+	return true
 }
-
-// Halt stops Run/RunUntil before the next event.
-func (e *Engine) Halt() { e.halted = true }
-
-// Pending returns the number of queued events, which tests use to assert
-// quiescence.
-func (e *Engine) Pending() int { return len(e.queue) }

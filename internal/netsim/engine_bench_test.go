@@ -5,59 +5,53 @@ import (
 	"time"
 )
 
-// TestEventQueueOrdering pins the 4-ary heap to the (at, seq) total order
-// the container/heap implementation enforced: popping always yields the
-// earliest timestamp, with schedule order breaking ties.
+// TestEventQueueOrdering pins the 4-ary heap to the (at, seq) total order:
+// popping always yields the earliest timestamp, with schedule order
+// breaking ties. Every ping leaves at time 0 and completes as a timeout,
+// so the heap holds all the expiries at once.
 func TestEventQueueOrdering(t *testing.T) {
 	var e Engine
-	const n = 2000
-	var got []int
+	n := mute(&e)
+	const total = 2000
+	var got []int32
 	var gotAt []time.Duration
-	record := func(i int) { got = append(got, i); gotAt = append(gotAt, e.Now()) }
-	// An adversarial schedule: decreasing times, duplicate timestamps,
-	// and re-scheduling from inside handlers.
-	for i := 0; i < n; i++ {
-		i := i
-		at := time.Duration((n-i)%97) * time.Millisecond
-		e.Schedule(at, func() { record(i) })
-	}
-	e.Schedule(5*time.Millisecond, func() {
-		e.After(time.Millisecond, func() { record(-1) })
+	e.OnPing(func(r PingResult) {
+		got = append(got, r.Tag)
+		gotAt = append(gotAt, e.Now())
+		if r.Tag == total {
+			// Re-scheduling from inside a handler: an expiry pushed
+			// mid-run, the sift-up path the campaigns exercise.
+			n.Ping(e.Now(), ip("192.0.2.1"), time.Millisecond, -1)
+		}
 	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+	// An adversarial schedule: decreasing times and duplicate timestamps.
+	at := func(i int) time.Duration { return time.Duration((total-i)%97) * time.Millisecond }
+	for i := 0; i < total; i++ {
+		n.Ping(0, ip("192.0.2.1"), at(i), int32(i))
 	}
-	if len(got) != n+1 {
-		t.Fatalf("ran %d events, want %d", len(got), n+1)
+	n.Ping(0, ip("192.0.2.1"), 5*time.Millisecond, total)
+	e.Run()
+	if len(got) != total+2 {
+		t.Fatalf("ran %d events, want %d", len(got), total+2)
 	}
 	// Time never goes backwards — this also places the handler-scheduled
-	// event (pushed mid-run, the sift-up path the campaigns exercise)
-	// after every earlier timestamp and before every later one.
+	// event after every earlier timestamp and before every later one.
 	for i := 1; i < len(gotAt); i++ {
 		if gotAt[i] < gotAt[i-1] {
 			t.Fatalf("clock went backwards at event %d: %v after %v", i, gotAt[i], gotAt[i-1])
 		}
 	}
-	// Reconstruct the expected order: sort by (at, seq) where seq is the
-	// scheduling index. Events with equal at must run in schedule order.
-	type key struct {
-		at  time.Duration
-		seq int
-	}
-	keys := make([]key, 0, n)
-	for i := 0; i < n; i++ {
-		keys = append(keys, key{time.Duration((n-i)%97) * time.Millisecond, i})
-	}
+	// Events with equal times must run in schedule order.
 	nested := -1
 	for i, id := range got {
 		if id < 0 {
 			nested = i
 			continue
 		}
-		if i > 0 && got[i-1] >= 0 {
-			ka, kb := keys[got[i-1]], keys[id]
-			if ka.at > kb.at || (ka.at == kb.at && ka.seq > kb.seq) {
-				t.Fatalf("events out of order at %d: %v before %v", i, ka, kb)
+		if i > 0 && got[i-1] >= 0 && got[i-1] < total && id < total {
+			a, b := int(got[i-1]), int(id)
+			if at(a) > at(b) || (at(a) == at(b) && a > b) {
+				t.Fatalf("events out of order at %d: %d before %d", i, a, b)
 			}
 		}
 	}
@@ -80,25 +74,18 @@ func TestEventQueueOrdering(t *testing.T) {
 // access pattern the campaign simulations generate.
 func BenchmarkEngineSchedule(b *testing.B) {
 	const depth = 1024 // standing queue size
+	var e Engine
+	n := mute(&e)
+	// Pseudo-random-ish but deterministic offsets spread events so the
+	// heap actually sifts instead of degenerating to FIFO.
+	offset := func(k int) time.Duration { return time.Duration(1+(k*2654435761)%1000) * time.Microsecond }
+	for i := 0; i < depth; i++ {
+		e.schedule(offset(i), event{kind: evSetTTL, id: n.id, frame: frame{ttl: 64}})
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	var e Engine
-	remaining := b.N
-	var tick func()
-	tick = func() {
-		if remaining <= 0 {
-			return
-		}
-		remaining--
-		// Pseudo-random-ish but deterministic offsets spread events so
-		// the heap actually sifts instead of degenerating to FIFO.
-		d := time.Duration(1+(remaining*2654435761)%1000) * time.Microsecond
-		e.After(d, tick)
-	}
-	for i := 0; i < depth && remaining > 0; i++ {
-		tick()
-	}
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
+	for i := 0; i < b.N; i++ {
+		e.step()
+		e.schedule(e.now+offset(depth+i), event{kind: evSetTTL, id: n.id, frame: frame{ttl: 64}})
 	}
 }

@@ -16,24 +16,23 @@ func TestEngineExecutionOrderProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		src := stats.NewSource(seed)
 		var e Engine
+		node := mute(&e)
 		count := int(n)%64 + 1
 		type fired struct {
 			at  time.Duration
 			seq int
 		}
 		var log []fired
+		e.OnPing(func(r PingResult) {
+			log = append(log, fired{at: e.Now(), seq: int(r.Tag)})
+		})
 		times := make([]time.Duration, count)
 		for i := 0; i < count; i++ {
 			at := time.Duration(src.Intn(50)) * time.Second
 			times[i] = at
-			i := i
-			e.Schedule(at, func() {
-				log = append(log, fired{at: e.Now(), seq: i})
-			})
+			node.Ping(at, ip("192.0.2.1"), 0, int32(i))
 		}
-		if err := e.Run(); err != nil {
-			return false
-		}
+		e.Run()
 		if len(log) != count {
 			return false
 		}
@@ -59,19 +58,22 @@ func TestEngineNestedSchedulingProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		src := stats.NewSource(seed)
 		var e Engine
+		node := mute(&e)
 		count := int(n)%20 + 1
 		var log []time.Duration
+		extras := make([]time.Duration, count)
+		e.OnPing(func(r PingResult) {
+			log = append(log, e.Now())
+			if r.Tag >= 0 {
+				node.Ping(e.Now()+extras[r.Tag], ip("192.0.2.1"), 0, -1)
+			}
+		})
 		for i := 0; i < count; i++ {
 			at := time.Duration(src.Intn(20)) * time.Second
-			extra := time.Duration(1+src.Intn(10)) * time.Second
-			e.Schedule(at, func() {
-				log = append(log, e.Now())
-				e.After(extra, func() { log = append(log, e.Now()) })
-			})
+			extras[i] = time.Duration(1+src.Intn(10)) * time.Second
+			node.Ping(at, ip("192.0.2.1"), 0, int32(i))
 		}
-		if err := e.Run(); err != nil {
-			return false
-		}
+		e.Run()
 		if len(log) != 2*count {
 			return false
 		}

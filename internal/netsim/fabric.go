@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"net/netip"
 	"time"
-
-	"remotepeering/internal/packet"
 )
 
 // Fabric models a layer-2 switching domain: an IXP peering LAN. Frames are
@@ -26,11 +24,10 @@ type Fabric struct {
 
 	engine      *Engine
 	attachments []*Attachment
-	byMAC       map[packet.MAC]*Attachment
 	// interLoc[a][b] is the one-way delay between fabric locations a and b.
 	interLoc map[int]map[int]time.Duration
 
-	// byIP indexes attachments by owned address for ResolveMAC; ipIndexed
+	// byIP indexes attachments by owned address for resolve; ipIndexed
 	// counts how many attachments have been folded in, so the index
 	// lazily catches up after Attach calls. Interface address lists are
 	// immutable once created (AddIface is the only writer), which is what
@@ -70,7 +67,6 @@ func NewFabric(e *Engine, name string) *Fabric {
 	return &Fabric{
 		Name:     name,
 		engine:   e,
-		byMAC:    make(map[packet.MAC]*Attachment),
 		interLoc: make(map[int]map[int]time.Duration),
 	}
 }
@@ -109,24 +105,20 @@ func (f *Fabric) Attach(iface *Iface, access time.Duration) *Attachment {
 	}
 	a := &Attachment{Iface: iface, Access: access}
 	f.attachments = append(f.attachments, a)
-	f.byMAC[iface.MAC] = a
 	iface.fabric = f
 	iface.attachment = a
 	return a
 }
 
-// Attachments returns all attachments (read-only use).
-func (f *Fabric) Attachments() []*Attachment { return f.attachments }
-
-// ResolveMAC performs the fabric's address resolution: it returns the MAC
-// of the attachment owning ip, falling back to proxy claims. The boolean
-// reports success; an unresolvable address means the probe is silently
-// lost, like an unanswered ARP.
+// resolve performs the fabric's address resolution: it returns the
+// attachment owning ip, falling back to proxy claims. The boolean reports
+// success; an unresolvable address means the probe is silently lost, like
+// an unanswered ARP.
 //
 // Resolution is a map lookup over an incrementally maintained index —
 // the linear owner scan it replaces was the hottest line of the campaign
 // simulation at IXPs with hundreds of member ports.
-func (f *Fabric) ResolveMAC(ip netip.Addr) (packet.MAC, bool) {
+func (f *Fabric) resolve(ip netip.Addr) (*Attachment, bool) {
 	if f.ipIndexed < len(f.attachments) {
 		if f.byIP == nil {
 			f.byIP = make(map[netip.Addr]*Attachment, len(f.attachments)*2)
@@ -141,57 +133,24 @@ func (f *Fabric) ResolveMAC(ip netip.Addr) (packet.MAC, bool) {
 		f.ipIndexed = len(f.attachments)
 	}
 	if a, ok := f.byIP[ip]; ok {
-		return a.Iface.MAC, true
+		return a, true
 	}
 	for _, a := range f.attachments {
 		for _, p := range a.Proxy {
 			if p.Contains(ip) {
-				return a.Iface.MAC, true
+				return a, true
 			}
 		}
 	}
-	return packet.MAC{}, false
+	return nil, false
 }
 
-// send delivers frame from the attachment of src. Unicast frames go to the
-// owner of the destination MAC; unknown destinations are dropped (the
-// simulator does not flood, since nothing in the study depends on
-// flooding).
-func (f *Fabric) send(src *Iface, frame []byte) {
-	eth, _, err := packet.UnmarshalEthernet(frame)
-	if err != nil {
-		return
-	}
-	srcAtt := src.attachment
-	if srcAtt == nil {
-		return
-	}
-	if eth.Dst.IsBroadcast() {
-		for _, dst := range f.attachments {
-			if dst.Iface == src {
-				continue
-			}
-			f.deliver(srcAtt, dst, frame)
-		}
-		return
-	}
-	dst, ok := f.byMAC[eth.Dst]
-	if !ok {
-		return
-	}
-	f.deliver(srcAtt, dst, frame)
-}
-
-// deliver schedules the arrival of frame at dst.
-func (f *Fabric) deliver(src, dst *Attachment, frame []byte) {
-	now := f.engine.Now()
+// deliver schedules the arrival of f at dst, sent from src.
+func (f *Fabric) deliver(src, dst *Attachment, fr frame) {
+	now := f.engine.now
 	delay := src.Access + dst.Access + f.SwitchLatency +
 		f.interLocation(src.Location, dst.Location) +
 		f.Noise.Sample(now) +
 		dst.ExtraNoise.Sample(now)
-	// Copy the frame so in-place TTL rewrites downstream cannot alias.
-	buf := append([]byte(nil), frame...)
-	f.engine.Schedule(now+delay, func() {
-		dst.Iface.receive(buf)
-	})
+	f.engine.schedule(now+delay, event{kind: evDeliver, id: dst.Iface.id, frame: fr})
 }

@@ -44,16 +44,12 @@ func (l *Link) Peer(iface *Iface) *Iface {
 	}
 }
 
-// send schedules delivery of frame to the peer of src.
-func (l *Link) send(src *Iface, frame []byte) {
+// send schedules delivery of f to the peer of src.
+func (l *Link) send(src *Iface, f frame) {
 	dst := l.Peer(src)
 	if dst == nil {
 		return
 	}
-	now := l.engine.Now()
-	delay := l.Delay + l.Noise.Sample(now)
-	buf := append([]byte(nil), frame...)
-	l.engine.Schedule(now+delay, func() {
-		dst.receive(buf)
-	})
+	now := l.engine.now
+	l.engine.schedule(now+l.Delay+l.Noise.Sample(now), event{kind: evDeliver, id: dst.id, frame: f})
 }

@@ -29,15 +29,20 @@ func buildLAN(t *testing.T, e *Engine, memberAccess time.Duration, memberOS OSPr
 	return f, lg, member
 }
 
+// mute returns a node without routes: its pings never leave it, so each
+// completes as a timeout exactly its timeout after it is sent — a probe
+// of the engine's event order.
+func mute(e *Engine) *Node { return NewNode(e, "mute", DefaultOS, false, nil) }
+
 func TestEngineOrdering(t *testing.T) {
 	var e Engine
-	var order []int
-	e.Schedule(3*time.Second, func() { order = append(order, 3) })
-	e.Schedule(1*time.Second, func() { order = append(order, 1) })
-	e.Schedule(2*time.Second, func() { order = append(order, 2) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	n := mute(&e)
+	var order []int32
+	e.OnPing(func(r PingResult) { order = append(order, r.Tag) })
+	n.Ping(3*time.Second, ip("192.0.2.1"), 0, 3)
+	n.Ping(1*time.Second, ip("192.0.2.1"), 0, 1)
+	n.Ping(2*time.Second, ip("192.0.2.1"), 0, 2)
+	e.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Errorf("order = %v", order)
 	}
@@ -48,60 +53,36 @@ func TestEngineOrdering(t *testing.T) {
 
 func TestEngineFIFOAtEqualTimes(t *testing.T) {
 	var e Engine
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(time.Second, func() { order = append(order, i) })
+	n := mute(&e)
+	var order []int32
+	e.OnPing(func(r PingResult) { order = append(order, r.Tag) })
+	for i := int32(0); i < 10; i++ {
+		n.Ping(time.Second, ip("192.0.2.1"), 0, i)
 	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+	e.Run()
+	if len(order) != 10 {
+		t.Fatalf("ran %d pings, want 10", len(order))
 	}
 	for i, v := range order {
-		if v != i {
+		if v != int32(i) {
 			t.Fatalf("equal-time events reordered: %v", order)
 		}
 	}
 }
 
-func TestEngineRunUntil(t *testing.T) {
-	var e Engine
-	fired := 0
-	e.Schedule(time.Second, func() { fired++ })
-	e.Schedule(3*time.Second, func() { fired++ })
-	if err := e.RunUntil(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 {
-		t.Errorf("fired = %d, want 1", fired)
-	}
-	if e.Now() != 2*time.Second {
-		t.Errorf("Now = %v", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Errorf("Pending = %d", e.Pending())
-	}
-}
-
-func TestEngineHalt(t *testing.T) {
-	var e Engine
-	e.Schedule(time.Second, func() { e.Halt() })
-	e.Schedule(2*time.Second, func() { t.Error("event after halt fired") })
-	if err := e.Run(); err != ErrHalted {
-		t.Errorf("Run = %v, want ErrHalted", err)
-	}
-}
-
 func TestSchedulePastPanics(t *testing.T) {
 	var e Engine
-	e.Schedule(2*time.Second, func() {
+	n := mute(&e)
+	e.OnPing(func(PingResult) {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling into the past should panic")
 			}
 		}()
-		e.Schedule(time.Second, func() {})
+		n.Ping(time.Second, ip("192.0.2.1"), 0, 0)
 	})
-	_ = e.Run()
+	n.Ping(2*time.Second, ip("192.0.2.1"), 0, 0)
+	e.Run()
 }
 
 func TestPingOnLANDirectPeer(t *testing.T) {
@@ -109,10 +90,9 @@ func TestPingOnLANDirectPeer(t *testing.T) {
 	_, lg, _ := buildLAN(t, &e, 5*time.Microsecond, OSProfile{InitTTL: 255, ProcMean: 0})
 
 	var got PingResult
-	lg.Ping(ip("195.69.144.10"), time.Second, func(r PingResult) { got = r })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e.OnPing(func(r PingResult) { got = r })
+	lg.Ping(0, ip("195.69.144.10"), time.Second, 0)
+	e.Run()
 	if got.TimedOut {
 		t.Fatal("ping timed out on a directly connected LAN")
 	}
@@ -137,10 +117,9 @@ func TestPingRemotePeerCrossesThreshold(t *testing.T) {
 	_, lg, _ := buildLAN(t, &e, 9*time.Millisecond, OSProfile{InitTTL: 64, ProcMean: 0})
 
 	var got PingResult
-	lg.Ping(ip("195.69.144.10"), time.Second, func(r PingResult) { got = r })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e.OnPing(func(r PingResult) { got = r })
+	lg.Ping(0, ip("195.69.144.10"), time.Second, 0)
+	e.Run()
 	if got.TimedOut {
 		t.Fatal("timed out")
 	}
@@ -158,10 +137,9 @@ func TestPingTimeoutOnBlackhole(t *testing.T) {
 	member.Blackhole = true
 
 	var got PingResult
-	lg.Ping(ip("195.69.144.10"), 500*time.Millisecond, func(r PingResult) { got = r })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e.OnPing(func(r PingResult) { got = r })
+	lg.Ping(0, ip("195.69.144.10"), 500*time.Millisecond, 0)
+	e.Run()
 	if !got.TimedOut {
 		t.Error("blackholed member must not answer")
 	}
@@ -175,10 +153,9 @@ func TestPingTimeoutOnUnresolvableAddress(t *testing.T) {
 	_, lg, _ := buildLAN(t, &e, 5*time.Microsecond, DefaultOS)
 
 	var got PingResult
-	lg.Ping(ip("195.69.144.99"), 100*time.Millisecond, func(r PingResult) { got = r })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e.OnPing(func(r PingResult) { got = r })
+	lg.Ping(0, ip("195.69.144.99"), 100*time.Millisecond, 0)
+	e.Run()
 	if !got.TimedOut {
 		t.Error("nobody owns the address; the probe must time out")
 	}
@@ -221,10 +198,9 @@ func TestProxyARPIndirectionDecrementsTTL(t *testing.T) {
 	far.AddRoute(pfx("0.0.0.0/0"), ip("10.0.0.1"), farIf)
 
 	var got PingResult
-	lg.Ping(ip("195.69.144.77"), time.Second, func(r PingResult) { got = r })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e.OnPing(func(r PingResult) { got = r })
+	lg.Ping(0, ip("195.69.144.77"), time.Second, 0)
+	e.Run()
 	if got.TimedOut {
 		t.Fatal("probe should be proxy-delivered and answered")
 	}
@@ -243,14 +219,11 @@ func TestTTLSwitchMidCampaign(t *testing.T) {
 	_, lg, member := buildLAN(t, &e, 5*time.Microsecond, OSProfile{InitTTL: 64, ProcMean: 0})
 
 	var ttls []uint8
-	lg.Ping(ip("195.69.144.10"), time.Second, func(r PingResult) { ttls = append(ttls, r.TTL) })
-	e.Schedule(time.Hour, func() { member.SetInitTTL(255) })
-	e.Schedule(2*time.Hour, func() {
-		lg.Ping(ip("195.69.144.10"), time.Second, func(r PingResult) { ttls = append(ttls, r.TTL) })
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e.OnPing(func(r PingResult) { ttls = append(ttls, r.TTL) })
+	lg.Ping(0, ip("195.69.144.10"), time.Second, 0)
+	member.SetInitTTLAt(time.Hour, 255)
+	lg.Ping(2*time.Hour, ip("195.69.144.10"), time.Second, 0)
+	e.Run()
 	if len(ttls) != 2 || ttls[0] != 64 || ttls[1] != 255 {
 		t.Errorf("ttls = %v, want [64 255]", ttls)
 	}
@@ -273,19 +246,15 @@ func TestDropProbLosesSomePings(t *testing.T) {
 
 	const n = 200
 	timeouts := 0
+	e.OnPing(func(r PingResult) {
+		if r.TimedOut {
+			timeouts++
+		}
+	})
 	for i := 0; i < n; i++ {
-		at := time.Duration(i) * time.Minute
-		e.Schedule(at, func() {
-			lg.Ping(ip("195.69.144.10"), 10*time.Second, func(r PingResult) {
-				if r.TimedOut {
-					timeouts++
-				}
-			})
-		})
+		lg.Ping(time.Duration(i)*time.Minute, ip("195.69.144.10"), 10*time.Second, 0)
 	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e.Run()
 	if timeouts < n/4 || timeouts > 3*n/4 {
 		t.Errorf("timeouts = %d of %d, want ≈ half", timeouts, n)
 	}
@@ -311,14 +280,12 @@ func TestMultiLocationFabricDelay(t *testing.T) {
 	fa := f.Attach(farIf, time.Microsecond)
 	fa.Location = 1
 
-	var nearRTT, farRTT time.Duration
-	lg.Ping(ip("195.69.144.10"), time.Second, func(r PingResult) { nearRTT = r.RTT })
-	e.Schedule(time.Minute, func() {
-		lg.Ping(ip("195.69.144.11"), time.Second, func(r PingResult) { farRTT = r.RTT })
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	rtts := map[int32]time.Duration{}
+	e.OnPing(func(r PingResult) { rtts[r.Tag] = r.RTT })
+	lg.Ping(0, ip("195.69.144.10"), time.Second, 0)
+	lg.Ping(time.Minute, ip("195.69.144.11"), time.Second, 1)
+	e.Run()
+	nearRTT, farRTT := rtts[0], rtts[1]
 	if nearRTT > time.Millisecond {
 		t.Errorf("same-site RTT = %v", nearRTT)
 	}
@@ -343,19 +310,15 @@ func TestFabricNoiseRaisesButMinRTTSurvives(t *testing.T) {
 	f.Attach(mIf, time.Microsecond)
 
 	var rtts []time.Duration
+	e.OnPing(func(r PingResult) {
+		if !r.TimedOut {
+			rtts = append(rtts, r.RTT)
+		}
+	})
 	for h := 0; h < 24; h++ {
-		at := time.Duration(h) * time.Hour
-		e.Schedule(at, func() {
-			lg.Ping(ip("195.69.144.10"), 10*time.Second, func(r PingResult) {
-				if !r.TimedOut {
-					rtts = append(rtts, r.RTT)
-				}
-			})
-		})
+		lg.Ping(time.Duration(h)*time.Hour, ip("195.69.144.10"), 10*time.Second, 0)
 	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e.Run()
 	if len(rtts) != 24 {
 		t.Fatalf("got %d replies", len(rtts))
 	}
@@ -442,10 +405,9 @@ func TestRouterForwardingAcrossLinks(t *testing.T) {
 	b.AddRoute(pfx("0.0.0.0/0"), ip("10.0.2.1"), bIf)
 
 	var got PingResult
-	a.Ping(ip("10.0.2.2"), time.Second, func(r PingResult) { got = r })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e.OnPing(func(r PingResult) { got = r })
+	a.Ping(0, ip("10.0.2.2"), time.Second, 0)
+	e.Run()
 	if got.TimedOut {
 		t.Fatal("routed ping timed out")
 	}
@@ -474,10 +436,9 @@ func TestTTLExpiresInForwarding(t *testing.T) {
 	b.AddRoute(pfx("0.0.0.0/0"), ip("10.0.2.1"), bIf)
 
 	var got PingResult
-	a.Ping(ip("10.0.2.2"), 100*time.Millisecond, func(r PingResult) { got = r })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e.OnPing(func(r PingResult) { got = r })
+	a.Ping(0, ip("10.0.2.2"), 100*time.Millisecond, 0)
+	e.Run()
 	if !got.TimedOut {
 		t.Error("TTL-1 packet should die at the router")
 	}
@@ -500,10 +461,9 @@ func TestHostDoesNotForward(t *testing.T) {
 	b.AddRoute(pfx("0.0.0.0/0"), ip("10.0.2.1"), bIf)
 
 	var got PingResult
-	a.Ping(ip("10.0.2.2"), 100*time.Millisecond, func(r PingResult) { got = r })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e.OnPing(func(r PingResult) { got = r })
+	a.Ping(0, ip("10.0.2.2"), 100*time.Millisecond, 0)
+	e.Run()
 	if !got.TimedOut {
 		t.Error("host must not forward transit traffic")
 	}
@@ -538,15 +498,14 @@ func TestNoRouteDropsSilently(t *testing.T) {
 	n := NewNode(&e, "n", DefaultOS, false, nil)
 	n.AddIface("e0", pfx("10.0.0.1/24"))
 	done := false
-	n.Ping(ip("192.168.1.1"), 50*time.Millisecond, func(r PingResult) {
+	e.OnPing(func(r PingResult) {
 		done = true
 		if !r.TimedOut {
 			t.Error("unroutable ping must time out")
 		}
 	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	n.Ping(0, ip("192.168.1.1"), 50*time.Millisecond, 0)
+	e.Run()
 	if !done {
 		t.Error("callback never fired")
 	}
@@ -556,12 +515,9 @@ func TestPingResultSentAt(t *testing.T) {
 	var e Engine
 	_, lg, _ := buildLAN(t, &e, time.Microsecond, OSProfile{InitTTL: 64, ProcMean: 0})
 	var got PingResult
-	e.Schedule(42*time.Minute, func() {
-		lg.Ping(ip("195.69.144.10"), time.Second, func(r PingResult) { got = r })
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e.OnPing(func(r PingResult) { got = r })
+	lg.Ping(42*time.Minute, ip("195.69.144.10"), time.Second, 0)
+	e.Run()
 	if got.SentAt != 42*time.Minute {
 		t.Errorf("SentAt = %v", got.SentAt)
 	}

@@ -4,12 +4,27 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
-	"sync/atomic"
 	"time"
 
-	"remotepeering/internal/packet"
 	"remotepeering/internal/stats"
 )
+
+// ICMP message types the simulator exchanges.
+const (
+	icmpEchoReply   uint8 = 0
+	icmpEchoRequest uint8 = 8
+	icmpTimeExceed  uint8 = 11
+)
+
+// frame is one IPv4 packet carrying an ICMP message, reduced to the
+// fields the simulation reads. For a time-exceeded message, ident and seq
+// are those of the echo it quotes (zero when it quotes anything else).
+type frame struct {
+	src, dst   [4]byte
+	ident, seq uint16
+	ttl        uint8
+	typ        uint8
+}
 
 // OSProfile captures the ping-relevant behaviour of a device's operating
 // system. The paper's TTL-match filter accepts the two typical initial TTL
@@ -34,6 +49,7 @@ type Node struct {
 	Forwarding bool
 
 	engine *Engine
+	id     int32
 	os     OSProfile
 	ifaces []*Iface
 	routes []route
@@ -48,9 +64,10 @@ type Node struct {
 	lossSrc *stats.Source
 	procSrc *stats.Source
 
-	nextIdent uint16
-	pending   map[uint16]*pingState
-	traces    map[uint16]func(netip.Addr, bool)
+	// serial numbers the node's echo requests; the low 16 bits are the
+	// ICMP ident.
+	serial uint32
+	probes probeTable
 }
 
 type route struct {
@@ -67,9 +84,10 @@ func NewNode(e *Engine, name string, os OSProfile, forwarding bool, src *stats.S
 		Name:       name,
 		Forwarding: forwarding,
 		engine:     e,
+		id:         int32(len(e.nodes)),
 		os:         os,
-		pending:    make(map[uint16]*pingState),
 	}
+	e.nodes = append(e.nodes, n)
 	if src != nil {
 		n.lossSrc = src.Split("loss")
 		n.procSrc = src.Split("proc")
@@ -77,9 +95,11 @@ func NewNode(e *Engine, name string, os OSProfile, forwarding bool, src *stats.S
 	return n
 }
 
-// SetInitTTL changes the OS initial TTL (the TTL-switch hazard); callers
-// schedule this mid-campaign via the engine.
-func (n *Node) SetInitTTL(ttl uint8) { n.os.InitTTL = ttl }
+// SetInitTTLAt changes the OS initial TTL at simulation time at (the
+// TTL-switch hazard).
+func (n *Node) SetInitTTLAt(at time.Duration, ttl uint8) {
+	n.engine.schedule(at, event{kind: evSetTTL, id: n.id, frame: frame{ttl: ttl}})
+}
 
 // InitTTL returns the current OS initial TTL.
 func (n *Node) InitTTL() uint8 { return n.os.InitTTL }
@@ -88,7 +108,7 @@ func (n *Node) InitTTL() uint8 { return n.os.InitTTL }
 type Iface struct {
 	Node  *Node
 	Name  string
-	MAC   packet.MAC
+	id    int32
 	addrs []netip.Prefix
 
 	fabric     *Fabric
@@ -96,30 +116,19 @@ type Iface struct {
 	link       *Link
 }
 
-// macCounter is atomic because independent engines (one per simulated IXP
-// in a parallel campaign) build nodes concurrently. MAC values only need
-// global uniqueness — fabrics key attachments by MAC but never order by it
-// — so assignment order is free to vary across runs and worker counts.
-var macCounter atomic.Uint64
-
 // AddIface creates an interface with the given addresses (each address
 // carries its on-link prefix).
 func (n *Node) AddIface(name string, addrs ...netip.Prefix) *Iface {
 	iface := &Iface{
 		Node:  n,
 		Name:  fmt.Sprintf("%s/%s", n.Name, name),
-		MAC:   packet.MACFromUint64(macCounter.Add(1)),
+		id:    int32(len(n.engine.ifaces)),
 		addrs: addrs,
 	}
+	n.engine.ifaces = append(n.engine.ifaces, iface)
 	n.ifaces = append(n.ifaces, iface)
 	return iface
 }
-
-// Ifaces returns the node's interfaces.
-func (n *Node) Ifaces() []*Iface { return n.ifaces }
-
-// Addrs returns the interface's address list.
-func (i *Iface) Addrs() []netip.Prefix { return i.addrs }
 
 // Addr returns the interface's first address, or the zero Addr.
 func (i *Iface) Addr() netip.Addr {
@@ -129,21 +138,13 @@ func (i *Iface) Addr() netip.Addr {
 	return i.addrs[0].Addr()
 }
 
-// Owns reports whether ip is one of the interface's addresses.
-func (i *Iface) Owns(ip netip.Addr) bool {
-	for _, p := range i.addrs {
-		if p.Addr() == ip {
-			return true
-		}
-	}
-	return false
-}
-
-// OwnsIP reports whether ip is assigned to any interface of the node.
-func (n *Node) OwnsIP(ip netip.Addr) bool {
+// ownsIP reports whether ip is assigned to any interface of the node.
+func (n *Node) ownsIP(ip netip.Addr) bool {
 	for _, iface := range n.ifaces {
-		if iface.Owns(ip) {
-			return true
+		for _, p := range iface.addrs {
+			if p.Addr() == ip {
+				return true
+			}
 		}
 	}
 	return false
@@ -185,157 +186,85 @@ func (n *Node) lookupRoute(dst netip.Addr) (out *Iface, nextHop netip.Addr, ok b
 	return out, nextHop, ok
 }
 
-// sendIP routes and transmits a marshalled IPv4 packet originated or
-// forwarded by this node.
-func (n *Node) sendIP(ipPkt []byte) {
-	hdr, _, err := packet.UnmarshalIPv4(ipPkt)
-	if err != nil {
+// send routes and transmits a frame originated or forwarded by this node.
+// A frame without a route, or whose next hop does not resolve on the
+// output fabric (an unanswered ARP), is silently dropped.
+func (n *Node) send(f frame) {
+	out, nextHop, ok := n.lookupRoute(netip.AddrFrom4(f.dst))
+	if !ok {
 		return
 	}
-	out, nextHop, ok := n.lookupRoute(hdr.Dst)
-	if !ok {
-		return // no route: silently dropped
-	}
-	n.transmit(out, nextHop, ipPkt)
-}
-
-// transmit resolves the next hop on the output medium and sends the frame.
-func (n *Node) transmit(out *Iface, nextHop netip.Addr, ipPkt []byte) {
 	switch {
 	case out.fabric != nil:
-		dstMAC, ok := out.fabric.ResolveMAC(nextHop)
-		if !ok {
-			return // unanswered ARP
+		if dst, ok := out.fabric.resolve(nextHop); ok {
+			out.fabric.deliver(out.attachment, dst, f)
 		}
-		eth := packet.Ethernet{Dst: dstMAC, Src: out.MAC, Type: packet.EtherTypeIPv4}
-		out.fabric.send(out, eth.Marshal(ipPkt))
 	case out.link != nil:
-		peer := out.link.Peer(out)
-		if peer == nil {
-			return
+		out.link.send(out, f)
+	}
+}
+
+// receive processes a frame delivered to one of the node's interfaces:
+// local delivery if the node owns the destination, forwarding with a TTL
+// decrement otherwise.
+func (n *Node) receive(in *Iface, f frame) {
+	if n.ownsIP(netip.AddrFrom4(f.dst)) {
+		switch f.typ {
+		case icmpEchoRequest:
+			n.answerEcho(f)
+		case icmpEchoReply:
+			n.resolve(f, true)
+		case icmpTimeExceed:
+			n.resolve(f, false)
 		}
-		eth := packet.Ethernet{Dst: peer.MAC, Src: out.MAC, Type: packet.EtherTypeIPv4}
-		out.link.send(out, eth.Marshal(ipPkt))
-	}
-}
-
-// receive handles a frame arriving at the interface.
-func (i *Iface) receive(frame []byte) {
-	eth, payload, err := packet.UnmarshalEthernet(frame)
-	if err != nil {
 		return
 	}
-	if eth.Dst != i.MAC && !eth.Dst.IsBroadcast() {
-		return
-	}
-	if eth.Type != packet.EtherTypeIPv4 {
-		return
-	}
-	i.Node.receiveIP(i, payload)
-}
-
-// receiveIP processes an IPv4 packet delivered to one of the node's
-// interfaces: local delivery if we own the destination, forwarding with a
-// TTL decrement otherwise.
-func (n *Node) receiveIP(in *Iface, ipPkt []byte) {
-	hdr, body, err := packet.UnmarshalIPv4(ipPkt)
-	if err != nil {
-		return
-	}
-	if n.OwnsIP(hdr.Dst) {
-		n.deliverLocal(hdr, body)
-		return
-	}
-	if !n.Forwarding {
+	if !n.Forwarding || f.ttl == 0 {
 		return
 	}
 	// Forwarding path: the TTL decrement here is what the paper's
 	// TTL-match filter detects when a probe or reply strays off the IXP
 	// subnet onto a routed path.
-	fwd := append([]byte(nil), ipPkt...)
-	ttl, err := packet.DecrementTTL(fwd)
-	if err != nil {
+	f.ttl--
+	if f.ttl == 0 {
+		n.timeExceeded(in, f)
 		return
 	}
-	if ttl == 0 {
-		n.sendTimeExceeded(in, hdr, ipPkt)
-		return
-	}
-	n.sendIP(fwd)
+	n.send(f)
 }
 
-// sendTimeExceeded answers an expired packet with ICMP time exceeded, as a
+// timeExceeded answers an expired frame with ICMP time exceeded, as a
 // router on a routed path would — the mechanism traceroute exploits. The
-// error quotes the offending IP header plus its first 8 payload bytes
-// (RFC 792).
-func (n *Node) sendTimeExceeded(in *Iface, hdr packet.IPv4, orig []byte) {
+// message carries the quoted echo's ident and seq (RFC 792 quotes the
+// offending header and the first 8 payload bytes).
+func (n *Node) timeExceeded(in *Iface, orig frame) {
 	if n.Blackhole {
 		return
 	}
-	quote := orig
-	if len(quote) > 28 { // IP header + 8 bytes
-		quote = quote[:28]
-	}
-	msg := packet.ICMPError{Type: packet.ICMPTimeExceed, Original: append([]byte(nil), quote...)}
 	src := in.Addr()
-	if !src.IsValid() {
+	if !src.Is4() {
 		return
 	}
-	ip := packet.IPv4{TTL: n.os.InitTTL, Protocol: packet.ProtoICMP, Src: src, Dst: hdr.Src}
-	ipPkt, err := ip.Marshal(msg.Marshal())
-	if err != nil {
-		return
+	msg := frame{src: src.As4(), dst: orig.src, ttl: n.os.InitTTL, typ: icmpTimeExceed}
+	if orig.typ == icmpEchoRequest || orig.typ == icmpEchoReply {
+		msg.ident, msg.seq = orig.ident, orig.seq
 	}
-	n.engine.After(n.procDelay(), func() { n.sendIP(ipPkt) })
+	n.engine.schedule(n.engine.now+n.procDelay(), event{kind: evSend, id: n.id, frame: msg})
 }
 
-// deliverLocal handles packets addressed to this node.
-func (n *Node) deliverLocal(hdr packet.IPv4, body []byte) {
-	if hdr.Protocol != packet.ProtoICMP {
-		return
-	}
-	if msg, err := packet.UnmarshalICMPEcho(body); err == nil {
-		switch msg.Type {
-		case packet.ICMPEchoRequest:
-			n.handleEchoRequest(hdr, msg)
-		case packet.ICMPEchoReply:
-			n.handleEchoReply(hdr, msg)
-		}
-		return
-	}
-	if errMsg, err := packet.UnmarshalICMPError(body); err == nil {
-		n.handleICMPError(hdr, errMsg)
-	}
-}
-
-// handleEchoRequest answers a ping unless blackholed or dropped. The reply
-// is sourced from the pinged address with the node's current initial TTL
-// and is routed like any other packet — so if the return path crosses a
+// answerEcho answers a ping unless blackholed or dropped. The reply is
+// sourced from the pinged address with the node's current initial TTL and
+// is routed like any other packet — so if the return path crosses a
 // router, the observer sees a decremented TTL.
-func (n *Node) handleEchoRequest(hdr packet.IPv4, msg packet.ICMPEcho) {
+func (n *Node) answerEcho(req frame) {
 	if n.Blackhole {
 		return
 	}
 	if n.DropProb > 0 && n.lossSrc != nil && n.lossSrc.Float64() < n.DropProb {
 		return
 	}
-	reply := packet.ICMPEcho{
-		Type:    packet.ICMPEchoReply,
-		IDent:   msg.IDent,
-		Seq:     msg.Seq,
-		Payload: append([]byte(nil), msg.Payload...),
-	}
-	ip := packet.IPv4{
-		TTL:      n.os.InitTTL,
-		Protocol: packet.ProtoICMP,
-		Src:      hdr.Dst,
-		Dst:      hdr.Src,
-	}
-	ipPkt, err := ip.Marshal(reply.Marshal())
-	if err != nil {
-		return
-	}
-	n.engine.After(n.procDelay(), func() { n.sendIP(ipPkt) })
+	reply := frame{src: req.dst, dst: req.src, ident: req.ident, seq: req.seq, ttl: n.os.InitTTL, typ: icmpEchoReply}
+	n.engine.schedule(n.engine.now+n.procDelay(), event{kind: evSend, id: n.id, frame: reply})
 }
 
 // procDelay samples the ICMP processing delay.

@@ -3,8 +3,6 @@ package netsim
 import (
 	"net/netip"
 	"time"
-
-	"remotepeering/internal/packet"
 )
 
 // PingResult is the outcome of a single echo request: either a reply with
@@ -18,58 +16,37 @@ type PingResult struct {
 	TTL      uint8 // TTL as received by the prober
 	TimedOut bool
 	SentAt   time.Duration // simulation time the request left the prober
+	// Tag is the caller's label from Ping.
+	Tag int32
 }
 
-type pingState struct {
-	target netip.Addr
-	sentAt time.Duration
-	seq    uint16
-	cb     func(PingResult)
-	done   bool
+// Ping plans an ICMP echo request from the node to dst at simulation
+// time at. It completes into the engine's ping sink exactly once: with
+// the reply, or with TimedOut set after timeout. The request is routed
+// through the node's normal IP stack, so a probe launched by an LG server
+// into its IXP LAN stays on the fabric — the paper's "adherence to
+// straight routes" precondition. tag is handed back in the result.
+func (n *Node) Ping(at time.Duration, dst netip.Addr, timeout time.Duration, tag int32) {
+	n.engine.planPing(at, n, dst, timeout, tag)
 }
 
-// Ping sends an ICMP echo request from the node to dst and invokes cb
-// exactly once: with the reply, or with TimedOut set after timeout.
-// The request is routed through the node's normal IP stack, so a probe
-// launched by an LG server into its IXP LAN stays on the fabric — the
-// paper's "adherence to straight routes" precondition.
-func (n *Node) Ping(dst netip.Addr, timeout time.Duration, cb func(PingResult)) {
-	n.nextIdent++
-	ident := n.nextIdent
-	st := &pingState{
-		target: dst,
-		sentAt: n.engine.Now(),
-		seq:    1,
-		cb:     cb,
-	}
-	n.pending[ident] = st
+// ping sends a planned echo request now.
+func (n *Node) ping(dst netip.Addr, timeout time.Duration, tag int32) {
+	serial := n.sendProbe(dst, 1, n.os.InitTTL, probe{target: dst, tag: tag, trace: -1})
+	n.engine.schedule(n.engine.now+timeout, event{kind: evExpire, id: n.id, serial: serial})
+}
 
-	req := packet.ICMPEcho{Type: packet.ICMPEchoRequest, IDent: ident, Seq: st.seq}
-	srcAddr := n.sourceAddrFor(dst)
-	ip := packet.IPv4{
-		TTL:      n.os.InitTTL,
-		Protocol: packet.ProtoICMP,
-		Src:      srcAddr,
-		Dst:      dst,
+// sendProbe records p as the node's next outstanding probe and sends its
+// echo request to dst with the given ICMP seq and TTL. It returns the
+// probe's serial.
+func (n *Node) sendProbe(dst netip.Addr, seq uint16, ttl uint8, p probe) uint32 {
+	n.serial++
+	p.serial, p.sentAt, p.live = n.serial, n.engine.now, true
+	n.probes.insert(p)
+	if src := n.sourceAddrFor(dst); src.Is4() && dst.Is4() {
+		n.send(frame{src: src.As4(), dst: dst.As4(), ident: uint16(p.serial), seq: seq, ttl: ttl, typ: icmpEchoRequest})
 	}
-	ipPkt, err := ip.Marshal(req.Marshal())
-	if err == nil && srcAddr.IsValid() {
-		n.sendIP(ipPkt)
-	}
-
-	n.engine.After(timeout, func() {
-		if st.done {
-			return
-		}
-		st.done = true
-		delete(n.pending, ident)
-		st.cb(PingResult{
-			Target:   st.target,
-			Seq:      st.seq,
-			TimedOut: true,
-			SentAt:   st.sentAt,
-		})
-	})
+	return p.serial
 }
 
 // sourceAddrFor picks the source address for traffic to dst: the address of
@@ -82,24 +59,119 @@ func (n *Node) sourceAddrFor(dst netip.Addr) netip.Addr {
 	return out.Addr()
 }
 
-// handleEchoReply completes a pending ping or traceroute probe. Replies
-// for unknown idents (late duplicates after timeout) are dropped.
-func (n *Node) handleEchoReply(hdr packet.IPv4, msg packet.ICMPEcho) {
-	if n.resolveTraceEcho(hdr, msg) {
+// resolve matches an echo reply (reached) or a time-exceeded message to
+// the outstanding probe with its ident. A time-exceeded message resolves
+// only traceroute probes; answers to no outstanding probe (late
+// duplicates after a timeout) are dropped.
+func (n *Node) resolve(f frame, reached bool) {
+	p := n.probes.byIdent(f.ident)
+	if p == nil {
 		return
 	}
-	st, ok := n.pending[msg.IDent]
-	if !ok || st.done {
+	from := netip.AddrFrom4(f.src)
+	if p.trace >= 0 {
+		p.live = false
+		n.engine.traces[p.trace].answer(from, p.sentAt, reached)
 		return
 	}
-	st.done = true
-	delete(n.pending, msg.IDent)
-	st.cb(PingResult{
-		Target: st.target,
-		From:   hdr.Src,
-		Seq:    msg.Seq,
-		RTT:    n.engine.Now() - st.sentAt,
-		TTL:    hdr.TTL,
-		SentAt: st.sentAt,
+	if !reached {
+		return
+	}
+	p.live = false
+	n.complete(PingResult{
+		Target: p.target,
+		From:   from,
+		Seq:    f.seq,
+		RTT:    n.engine.now - p.sentAt,
+		TTL:    f.ttl,
+		SentAt: p.sentAt,
+		Tag:    p.tag,
 	})
+}
+
+// expire ends probe serial with a timeout if it is still outstanding.
+func (n *Node) expire(serial uint32) {
+	p := n.probes.bySerial(serial)
+	if p == nil {
+		return
+	}
+	p.live = false
+	if p.trace >= 0 {
+		n.engine.traces[p.trace].timeout()
+		return
+	}
+	n.complete(PingResult{Target: p.target, Seq: 1, TimedOut: true, SentAt: p.sentAt, Tag: p.tag})
+}
+
+func (n *Node) complete(r PingResult) {
+	if n.engine.onPing != nil {
+		n.engine.onPing(r)
+	}
+}
+
+// probe is one outstanding echo request of a node: a ping, or one hop of
+// a traceroute.
+type probe struct {
+	target netip.Addr
+	sentAt time.Duration
+	serial uint32
+	tag    int32
+	trace  int32 // index into the engine's traceroutes, -1 for a ping
+	live   bool
+}
+
+// probeTable is a node's outstanding probes, keyed by serial in a ring
+// whose size is a power of two: a probe's slot is its serial modulo the
+// size, which is also its ident modulo the size. The ring doubles when a
+// new probe lands on a live one, up to the 65,536 idents there are, so it
+// holds about as many probes as are ever outstanding at once — a handful
+// on a looking glass that sends one ping a second with a 5 s timeout.
+type probeTable struct {
+	slots []probe
+}
+
+const maxProbes = 1 << 16
+
+func (t *probeTable) insert(p probe) {
+	if t.slots == nil {
+		t.slots = make([]probe, 8)
+	}
+	for {
+		s := &t.slots[p.serial&uint32(len(t.slots)-1)]
+		if !s.live || len(t.slots) == maxProbes {
+			*s = p
+			return
+		}
+		old := t.slots
+		t.slots = make([]probe, 2*len(old))
+		for _, q := range old {
+			if q.live {
+				t.slots[q.serial&uint32(len(t.slots)-1)] = q
+			}
+		}
+	}
+}
+
+// byIdent returns the live probe with the given ident, or nil.
+func (t *probeTable) byIdent(ident uint16) *probe {
+	if t.slots == nil {
+		return nil
+	}
+	s := &t.slots[uint32(ident)&uint32(len(t.slots)-1)]
+	if !s.live || uint16(s.serial) != ident {
+		return nil
+	}
+	return s
+}
+
+// bySerial returns the live probe with the given serial, or nil.
+func (t *probeTable) bySerial(serial uint32) *probe {
+	if t.slots == nil {
+		return nil
+	}
+	s := &t.slots[serial&uint32(len(t.slots)-1)]
+	if !s.live || s.serial != serial {
+		return nil
+	}
+	return s
 }

@@ -3,8 +3,6 @@ package netsim
 import (
 	"net/netip"
 	"time"
-
-	"remotepeering/internal/packet"
 )
 
 // Hop is one step of a traceroute: the router (or destination) that
@@ -23,6 +21,8 @@ type TracerouteResult struct {
 	Hops   []Hop
 	// Reached reports whether the destination answered.
 	Reached bool
+	// Tag is the caller's label from Traceroute.
+	Tag int32
 }
 
 // HopCount returns the number of responding IP hops to the destination, or
@@ -37,116 +37,87 @@ func (r TracerouteResult) HopCount() int {
 	return len(r.Hops)
 }
 
+// traceState is one traceroute in progress; ttl is the hop its
+// outstanding probe is for.
 type traceState struct {
-	target   netip.Addr
+	node     *Node
+	id       int32
 	maxHops  int
 	perHop   time.Duration
-	hops     []Hop
-	cb       func(TracerouteResult)
+	ttl      int
 	finished bool
+	res      TracerouteResult
 }
 
-// Traceroute discovers the IP path from the node to dst by sending echo
-// requests with increasing TTLs and collecting the time-exceeded answers,
-// like the traceroute tool the paper contrasts its methodology against.
-// cb fires once with the full result.
-func (n *Node) Traceroute(dst netip.Addr, maxHops int, perHopTimeout time.Duration, cb func(TracerouteResult)) {
+// Traceroute plans a discovery of the IP path from the node to dst at
+// simulation time at: echo requests with increasing TTLs whose
+// time-exceeded answers name the routers on the way, like the traceroute
+// tool the paper contrasts its methodology against. It completes into the
+// engine's traceroute sink once, with the full result; tag is handed back
+// in it.
+func (n *Node) Traceroute(at time.Duration, dst netip.Addr, maxHops int, perHopTimeout time.Duration, tag int32) {
 	if maxHops <= 0 {
 		maxHops = 30
 	}
-	st := &traceState{target: dst, maxHops: maxHops, perHop: perHopTimeout, cb: cb}
-	n.traceStep(st, 1)
+	e := n.engine
+	st := &traceState{
+		node:    n,
+		id:      int32(len(e.traces)),
+		maxHops: maxHops,
+		perHop:  perHopTimeout,
+		res:     TracerouteResult{Target: dst, Tag: tag},
+	}
+	e.traces = append(e.traces, st)
+	e.schedule(at, event{kind: evTrace, id: st.id})
 }
 
-// traceStep launches the probe for one TTL.
-func (n *Node) traceStep(st *traceState, ttl int) {
+// step launches the probe for the next TTL, or finishes the trace past
+// maxHops.
+func (st *traceState) step() {
 	if st.finished {
 		return
 	}
-	if ttl > st.maxHops {
+	st.ttl++
+	if st.ttl > st.maxHops {
 		st.finish(false)
 		return
 	}
-	n.nextIdent++
-	ident := n.nextIdent
-	sentAt := n.engine.Now()
-	answered := false
-
-	n.pendingTrace(ident, func(from netip.Addr, reached bool) {
-		if answered || st.finished {
-			return
-		}
-		answered = true
-		st.hops = append(st.hops, Hop{
-			TTL:     ttl,
-			From:    from,
-			RTT:     n.engine.Now() - sentAt,
-			Reached: reached,
-		})
-		if reached {
-			st.finish(true)
-			return
-		}
-		n.traceStep(st, ttl+1)
-	})
-
-	req := packet.ICMPEcho{Type: packet.ICMPEchoRequest, IDent: ident, Seq: uint16(ttl)}
-	srcAddr := n.sourceAddrFor(st.target)
-	ip := packet.IPv4{TTL: uint8(ttl), Protocol: packet.ProtoICMP, Src: srcAddr, Dst: st.target}
-	if ipPkt, err := ip.Marshal(req.Marshal()); err == nil && srcAddr.IsValid() {
-		n.sendIP(ipPkt)
-	}
-
-	n.engine.After(st.perHop, func() {
-		if answered || st.finished {
-			return
-		}
-		answered = true
-		st.hops = append(st.hops, Hop{TTL: ttl, TimedOut: true})
-		n.traceStep(st, ttl+1)
-	})
+	n := st.node
+	serial := n.sendProbe(st.res.Target, uint16(st.ttl), uint8(st.ttl), probe{target: st.res.Target, trace: st.id})
+	n.engine.schedule(n.engine.now+st.perHop, event{kind: evExpire, id: n.id, serial: serial})
 }
 
-func (st *traceState) finish(reached bool) {
+// answer records the hop that answered the outstanding probe.
+func (st *traceState) answer(from netip.Addr, sentAt time.Duration, reached bool) {
 	if st.finished {
 		return
 	}
+	st.res.Hops = append(st.res.Hops, Hop{
+		TTL:     st.ttl,
+		From:    from,
+		RTT:     st.node.engine.now - sentAt,
+		Reached: reached,
+	})
+	if reached {
+		st.finish(true)
+		return
+	}
+	st.step()
+}
+
+// timeout records the outstanding probe as unanswered.
+func (st *traceState) timeout() {
+	if st.finished {
+		return
+	}
+	st.res.Hops = append(st.res.Hops, Hop{TTL: st.ttl, TimedOut: true})
+	st.step()
+}
+
+func (st *traceState) finish(reached bool) {
 	st.finished = true
-	st.cb(TracerouteResult{Target: st.target, Hops: st.hops, Reached: reached})
-}
-
-// pendingTrace registers a callback keyed on the probe ident; both echo
-// replies (destination reached) and ICMP errors (intermediate router)
-// resolve it.
-func (n *Node) pendingTrace(ident uint16, cb func(from netip.Addr, reached bool)) {
-	if n.traces == nil {
-		n.traces = make(map[uint16]func(netip.Addr, bool))
+	st.res.Reached = reached
+	if sink := st.node.engine.onTrace; sink != nil {
+		sink(st.res)
 	}
-	n.traces[ident] = cb
-}
-
-// handleICMPError resolves traceroute probes whose TTL expired en route.
-func (n *Node) handleICMPError(hdr packet.IPv4, msg packet.ICMPError) {
-	if msg.Type != packet.ICMPTimeExceed {
-		return
-	}
-	_, ident, _, err := msg.InnerEcho()
-	if err != nil {
-		return
-	}
-	if cb, ok := n.traces[ident]; ok {
-		delete(n.traces, ident)
-		cb(hdr.Src, false)
-	}
-}
-
-// resolveTraceEcho lets an echo reply complete a traceroute probe (the
-// destination hop).
-func (n *Node) resolveTraceEcho(hdr packet.IPv4, msg packet.ICMPEcho) bool {
-	if cb, ok := n.traces[msg.IDent]; ok {
-		delete(n.traces, msg.IDent)
-		cb(hdr.Src, true)
-		return true
-	}
-	return false
 }

@@ -36,10 +36,9 @@ func TestTracerouteDiscoversRoutedPath(t *testing.T) {
 	var e Engine
 	src, dst := buildChain(t, &e)
 	var got TracerouteResult
-	src.Traceroute(dst, 10, time.Second, func(r TracerouteResult) { got = r })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e.OnTraceroute(func(r TracerouteResult) { got = r })
+	src.Traceroute(0, dst, 10, time.Second, 0)
+	e.Run()
 	if !got.Reached {
 		t.Fatalf("destination not reached: %+v", got)
 	}
@@ -80,21 +79,17 @@ func TestTracerouteCannotSeeRemotePeering(t *testing.T) {
 	rIf := remote.AddIface("eth0", pfx("195.69.144.11/21"))
 	f.Attach(rIf, 12*time.Millisecond) // pseudowire from another country
 
-	var directTr, remoteTr TracerouteResult
-	var directPing, remotePing PingResult
-	lg.Traceroute(ip("195.69.144.10"), 10, time.Second, func(r TracerouteResult) { directTr = r })
-	e.Schedule(time.Minute, func() {
-		lg.Traceroute(ip("195.69.144.11"), 10, time.Second, func(r TracerouteResult) { remoteTr = r })
-	})
-	e.Schedule(2*time.Minute, func() {
-		lg.Ping(ip("195.69.144.10"), time.Second, func(r PingResult) { directPing = r })
-	})
-	e.Schedule(3*time.Minute, func() {
-		lg.Ping(ip("195.69.144.11"), time.Second, func(r PingResult) { remotePing = r })
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	traces := map[int32]TracerouteResult{}
+	pings := map[int32]PingResult{}
+	e.OnTraceroute(func(r TracerouteResult) { traces[r.Tag] = r })
+	e.OnPing(func(r PingResult) { pings[r.Tag] = r })
+	lg.Traceroute(0, ip("195.69.144.10"), 10, time.Second, 0)
+	lg.Traceroute(time.Minute, ip("195.69.144.11"), 10, time.Second, 1)
+	lg.Ping(2*time.Minute, ip("195.69.144.10"), time.Second, 0)
+	lg.Ping(3*time.Minute, ip("195.69.144.11"), time.Second, 1)
+	e.Run()
+	directTr, remoteTr := traces[0], traces[1]
+	directPing, remotePing := pings[0], pings[1]
 
 	if directTr.HopCount() != 1 || remoteTr.HopCount() != 1 {
 		t.Fatalf("hop counts %d vs %d: layer-3 path discovery must see both as on-link",
@@ -114,10 +109,9 @@ func TestTracerouteTimeoutOnBlackholeRouter(t *testing.T) {
 	// buildChain does not return routers; rebuild with direct access.
 	_ = r2
 	var got TracerouteResult
-	src.Traceroute(dst, 10, 200*time.Millisecond, func(r TracerouteResult) { got = r })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e.OnTraceroute(func(r TracerouteResult) { got = r })
+	src.Traceroute(0, dst, 10, 200*time.Millisecond, 0)
+	e.Run()
 	if !got.Reached {
 		t.Fatal("destination should be reached")
 	}
@@ -146,10 +140,9 @@ func TestTracerouteMaxHops(t *testing.T) {
 	b.AddRoute(pfx("10.0.1.0/30"), ip("10.0.2.1"), bIf)
 
 	var got TracerouteResult
-	src.Traceroute(ip("192.0.2.9"), 6, 300*time.Millisecond, func(r TracerouteResult) { got = r })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e.OnTraceroute(func(r TracerouteResult) { got = r })
+	src.Traceroute(0, ip("192.0.2.9"), 6, 300*time.Millisecond, 0)
+	e.Run()
 	if got.Reached {
 		t.Fatal("unreachable target marked reached")
 	}
@@ -172,10 +165,9 @@ func TestTimeExceededQuotesOriginal(t *testing.T) {
 	var e Engine
 	src, dst := buildChain(t, &e)
 	var got TracerouteResult
-	src.Traceroute(dst, 1, 200*time.Millisecond, func(r TracerouteResult) { got = r })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	e.OnTraceroute(func(r TracerouteResult) { got = r })
+	src.Traceroute(0, dst, 1, 200*time.Millisecond, 0)
+	e.Run()
 	if got.Reached || len(got.Hops) != 1 || got.Hops[0].TimedOut {
 		t.Fatalf("one-hop trace: %+v", got)
 	}

@@ -1,15 +1,13 @@
-// Package packet implements the wire formats the simulator exchanges:
-// Ethernet II frames, IPv4 headers, and ICMPv4 echo messages. The design
-// follows the layered decode/encode style popularised by gopacket — each
-// protocol is a Layer that can parse itself from bytes and serialize itself
-// in front of a payload — but is self-contained and stdlib-only.
+// Package packet implements Ethernet II frames, IPv4 headers, and ICMPv4
+// echo and error messages as wire bytes. The design follows the layered
+// decode/encode style popularised by gopacket — each protocol is a Layer
+// that can parse itself from bytes and serialize itself in front of a
+// payload — but is self-contained and stdlib-only.
 //
-// The detector in internal/core never sees these structures directly; it
-// sees ping replies. But building the real formats keeps the simulator
-// honest: TTL decrements happen on actual IPv4 headers, checksums are
-// verified on forwarding, and a reply that traverses an extra IP hop
-// arrives with a genuinely smaller TTL — which is exactly the signal the
-// paper's TTL-match filter keys on.
+// The simulator no longer uses it: internal/netsim exchanges frames as
+// small values (TTL, addresses, ICMP type, ident and seq), because nothing
+// the detector observes depends on wire bytes or checksums. No package in
+// the module imports this one; ROADMAP item 6 tracks its deletion.
 package packet
 
 import (

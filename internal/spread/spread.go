@@ -187,6 +187,9 @@ func RunCtx(ctx context.Context, w *worldgen.World, opts Options) (*Result, erro
 		}
 	}
 	campaignCfg := effectiveCampaign(w, opts.Campaign)
+	if err := campaignCfg.Validate(); err != nil {
+		return nil, fmt.Errorf("spread: %w", err)
+	}
 	var from *Result
 	clean := func(int) bool { return false }
 	if r := opts.Reuse; r != nil && r.From != nil {
@@ -222,9 +225,7 @@ func RunCtx(ctx context.Context, w *worldgen.World, opts Options) (*Result, erro
 		if err := camp.Schedule(&e, sim, src.Split(fmt.Sprintf("campaign-%d", idx))); err != nil {
 			return ixpRun{}, fmt.Errorf("spread: schedule IXP %d: %w", idx, err)
 		}
-		if err := e.Run(); err != nil {
-			return ixpRun{}, fmt.Errorf("spread: campaign IXP %d: %w", idx, err)
-		}
+		e.Run()
 		// Canonicalise each stream inside its own worker: the canonical
 		// order's leading key is the IXP index, so per-IXP sorts
 		// concatenated in ascending IXP order are exactly the sequence

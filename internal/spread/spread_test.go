@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"remotepeering/internal/lg"
+	"remotepeering/internal/parallel"
 	"remotepeering/internal/worldgen"
 )
 
@@ -197,4 +198,43 @@ func TestRejectsBadInput(t *testing.T) {
 	if _, err := Rehydrate(nil, 7, lg.Config{}, opts.Detector, nil, nil, nil); err == nil {
 		t.Error("Rehydrate accepted a nil world")
 	}
+}
+
+// TestRunRejectsBadCampaign pins that a campaign configuration the
+// simulator cannot run is a typed error from Run, never a panic in a
+// worker goroutine or a silently wrong campaign.
+func TestRunRejectsBadCampaign(t *testing.T) {
+	for name, c := range map[string]lg.Config{
+		"negative duration":     {Duration: -time.Hour},
+		"duration below rounds": {Duration: 5},
+		"negative timeout":      {PingTimeout: -time.Second},
+		"negative rounds":       {PCHRounds: -1},
+		"negative pings":        {PingsPerQueryRIPE: -3},
+		"negative spacing":      {QuerySpacing: -time.Minute},
+	} {
+		for _, workers := range []int{1, 2} {
+			opts := testOptions(workers)
+			opts.Campaign = c
+			if _, err := Run(testWorld(t), opts); !errors.Is(err, lg.ErrBadConfig) {
+				t.Errorf("%s at %d workers: err = %v, want lg.ErrBadConfig", name, workers, err)
+			}
+		}
+	}
+}
+
+// TestRunRepanicsShardPanicOnCaller pins that a panic inside a campaign
+// worker — here a panicking Reuse.Dirty — reaches Run's caller instead of
+// killing the process from a pool goroutine.
+func TestRunRepanicsShardPanicOnCaller(t *testing.T) {
+	from := run(t, testOptions(2))
+	opts := testOptions(2)
+	opts.Reuse = &Reuse{From: from, Dirty: func(int) bool { panic("dirty predicate") }}
+	defer func() {
+		p, ok := recover().(*parallel.ShardPanic)
+		if !ok || p.Value != "dirty predicate" {
+			t.Fatalf("recovered %v, want the Dirty predicate's panic as a *parallel.ShardPanic", p)
+		}
+	}()
+	_, _ = Run(testWorld(t), opts)
+	t.Fatal("Run returned after its Dirty predicate panicked")
 }

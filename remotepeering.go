@@ -637,37 +637,31 @@ func CompareLayer3Visibility(w *World, ixpIndex int, seed int64) ([]ProbeCompari
 	lgNode := sim.LGs[0].Node
 
 	results := make([]ProbeComparison, len(sim.Targets))
+	e.OnTraceroute(func(r netsim.TracerouteResult) {
+		results[r.Tag].HopCount = r.HopCount()
+		for _, h := range r.Hops {
+			if !h.TimedOut && !h.Reached {
+				results[r.Tag].SawRouter = true
+			}
+		}
+	})
+	// A burst of three pings per target; keep the minimum.
+	e.OnPing(func(r netsim.PingResult) {
+		if r.TimedOut {
+			return
+		}
+		if res := &results[r.Tag]; res.MinRTT == 0 || r.RTT < res.MinRTT {
+			res.MinRTT = r.RTT
+		}
+	})
 	for i, target := range sim.Targets {
-		i, target := i, target
 		results[i] = ProbeComparison{IP: target, HopCount: -1, TrueRemote: sim.IsRemote(target)}
 		at := time.Duration(i) * time.Minute
-		e.Schedule(at, func() {
-			lgNode.Traceroute(target, 8, 5*time.Second, func(r netsim.TracerouteResult) {
-				results[i].HopCount = r.HopCount()
-				for _, h := range r.Hops {
-					if !h.TimedOut && !h.Reached {
-						results[i].SawRouter = true
-					}
-				}
-			})
-		})
-		// A burst of three pings; keep the minimum.
+		lgNode.Traceroute(at, target, 8, 5*time.Second, int32(i))
 		for p := 0; p < 3; p++ {
-			p := p
-			e.Schedule(at+30*time.Second+time.Duration(p)*time.Second, func() {
-				lgNode.Ping(target, 5*time.Second, func(r netsim.PingResult) {
-					if r.TimedOut {
-						return
-					}
-					if results[i].MinRTT == 0 || r.RTT < results[i].MinRTT {
-						results[i].MinRTT = r.RTT
-					}
-				})
-			})
+			lgNode.Ping(at+30*time.Second+time.Duration(p)*time.Second, target, 5*time.Second, int32(i))
 		}
 	}
-	if err := e.Run(); err != nil {
-		return nil, err
-	}
+	e.Run()
 	return results, nil
 }
