@@ -28,6 +28,7 @@ import (
 
 	"remotepeering"
 	"remotepeering/internal/cli"
+	"remotepeering/internal/lg"
 	"remotepeering/internal/scenario"
 )
 
@@ -63,6 +64,9 @@ func main() {
 	}
 	defer stopProfiles()
 
+	if *days < 0 || *days > lg.MaxDays {
+		fatal(fmt.Errorf("-days %d: want 0 (world default) to %d", *days, lg.MaxDays))
+	}
 	grid, err := remotepeering.ParseScenarioGrid(*scenarios)
 	if err != nil {
 		fatal(err)

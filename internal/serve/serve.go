@@ -820,8 +820,12 @@ func (s *Server) handleSpread(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	days, err := intParam(q.Get("days"), 0)
-	if err == nil && days < 0 {
+	switch {
+	case err != nil:
+	case days < 0:
 		err = fmt.Errorf("negative %d (use 0 for the snapshot's campaign)", days)
+	case days > int64(lg.MaxDays):
+		err = fmt.Errorf("%d overflows the campaign duration (at most %d)", days, lg.MaxDays)
 	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad days: %v", err)
@@ -1046,7 +1050,7 @@ func (wr WhatifRequest) Canonical() string {
 }
 
 // validate rejects knobs below zero, where zero already means the
-// default.
+// default, and a campaign too long for its duration to be represented.
 func (wr WhatifRequest) validate() error {
 	for _, p := range []struct {
 		name string
@@ -1055,6 +1059,9 @@ func (wr WhatifRequest) validate() error {
 		if p.v < 0 {
 			return fmt.Errorf("bad %s: negative %d (use 0 for the default)", p.name, p.v)
 		}
+	}
+	if wr.Days > lg.MaxDays {
+		return fmt.Errorf("bad days: %d overflows the campaign duration (at most %d)", wr.Days, lg.MaxDays)
 	}
 	return nil
 }

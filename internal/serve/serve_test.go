@@ -469,3 +469,35 @@ func TestPostWhatifEquivalentToGet(t *testing.T) {
 		t.Error("POST and GET responses differ for the same canonical query")
 	}
 }
+
+// TestOverflowingDaysRejected pins that a campaign length whose duration
+// overflows is a 400 on both endpoints, on a server whose campaign runs
+// on pool goroutines: 106,752 days wraps to a negative duration and
+// 213,504 to a ~25-minute one.
+func TestOverflowingDaysRejected(t *testing.T) {
+	testServer(t)
+	s, err := New(Config{Snapshot: testSnapVal, MaxInflight: 2, CacheMB: 8, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, days := range []string{"106752", "213504"} {
+		for _, url := range []string{
+			"/v1/spread?seed=7&days=" + days,
+			"/v1/whatif?scenarios=x%3Dtraffic%3A1.5&days=" + days,
+		} {
+			if st, _, body := get(t, s.Handler(), url); st != http.StatusBadRequest {
+				t.Errorf("%s: status %d, want 400; body %s", url, st, body)
+			}
+		}
+		body := `{"scenarios":"x=traffic:1.5","days":` + days + `}`
+		req := httptest.NewRequest(http.MethodPost, "/v1/whatif", strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("POST %s: status %d, want 400; body %s", body, rec.Code, rec.Body)
+		}
+	}
+	if n := s.Evaluations(); n != 0 {
+		t.Errorf("%d evaluations ran for overflowing days", n)
+	}
+}
