@@ -24,7 +24,9 @@ package parallel
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -48,37 +50,48 @@ func Workers(n int) int {
 	return p
 }
 
+// ShardPanic is what a pool panics with on its caller's goroutine when a
+// shard panicked: the value and the stack of the lowest index that
+// panicked. A recover in the caller therefore sees the same value at any
+// worker count, and a shard's panic can never kill the process from a
+// goroutine no caller can recover on.
+type ShardPanic struct {
+	Value any
+	Stack []byte
+}
+
+func (p *ShardPanic) Error() string { return fmt.Sprintf("parallel: shard panicked: %v", p.Value) }
+
+// Unwrap exposes a panic value that is an error to errors.Is and As.
+func (p *ShardPanic) Unwrap() error {
+	err, _ := p.Value.(error)
+	return err
+}
+
+// shard runs fn(i) and returns its panic, if it panicked. A shard that
+// panics with a nested pool's ShardPanic keeps that pool's value and stack.
+func shard(fn func(int), i int) (p *ShardPanic) {
+	defer func() {
+		if r := recover(); r != nil {
+			if inner, ok := r.(*ShardPanic); ok {
+				p = inner
+				return
+			}
+			p = &ShardPanic{Value: r, Stack: debug.Stack()}
+		}
+	}()
+	fn(i)
+	return nil
+}
+
 // ForEach runs fn(i) for every i in [0,n) across at most workers
 // goroutines (0 = GOMAXPROCS). Indices are handed out dynamically, so fn
 // must write only to per-index storage for results to be deterministic.
-// With one worker (or n ≤ 1) it degenerates to the plain serial loop.
+// With one worker (or n ≤ 1) it degenerates to the plain serial loop. If
+// fn panics, no further index is handed out, the running ones finish,
+// and ForEach panics with a *ShardPanic on the caller's goroutine.
 func ForEach(workers, n int, fn func(i int)) {
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	run(nil, workers, n, fn)
 }
 
 // ForEachCtx is ForEach with cooperative cancellation: once ctx is done,
@@ -87,7 +100,7 @@ func ForEach(workers, n int, fn func(i int)) {
 // no fn still running when the caller resumes). A nil return still
 // guarantees every index ran exactly once; a non-nil return means the
 // results are partial and must be discarded — which is what MapErrCtx
-// does on the caller's behalf.
+// does on the caller's behalf. A panicking fn is handled as in ForEach.
 //
 // The long-lived query service is the motivating caller: an abandoned
 // HTTP request cancels its context and the grid cells it was burning stop
@@ -96,27 +109,43 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	run(ctx.Done(), workers, n, fn)
+	return ctx.Err()
+}
+
+// run is ForEach and ForEachCtx: it stops handing out indices once done
+// is closed (a nil done never is) or a shard has panicked.
+func run(done <-chan struct{}, workers, n int, fn func(i int)) {
 	w := Workers(workers)
 	if w > n {
 		w = n
 	}
 	if w <= 1 {
 		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
+			select {
+			case <-done:
+				return
+			default:
 			}
-			fn(i)
+			if p := shard(fn, i); p != nil {
+				panic(p)
+			}
 		}
-		return ctx.Err()
+		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
+	var (
+		next    atomic.Int64
+		stopped atomic.Bool
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		first   *ShardPanic
+		firstAt int
+	)
 	wg.Add(w)
-	done := ctx.Done()
 	for g := 0; g < w; g++ {
 		go func() {
 			defer wg.Done()
-			for {
+			for !stopped.Load() {
 				select {
 				case <-done:
 					return
@@ -126,12 +155,21 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int)) error {
 				if i >= n {
 					return
 				}
-				fn(i)
+				if p := shard(fn, i); p != nil {
+					stopped.Store(true)
+					mu.Lock()
+					if first == nil || i < firstAt {
+						first, firstAt = p, i
+					}
+					mu.Unlock()
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	return ctx.Err()
+	if first != nil {
+		panic(first)
+	}
 }
 
 // MapErrCtx is MapErr with cooperative cancellation. On cancellation it

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -266,5 +267,65 @@ func TestMapErrCtxCancelled(t *testing.T) {
 	_, err := MapErrCtx(ctx, 2, 64, func(i int) (int, error) { return i, nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestPoolsRepanicOnCaller pins the panic contract of every pool: a
+// shard's panic reaches the caller's goroutine as a *ShardPanic carrying
+// the same value and the shard's stack, at one worker and at several,
+// no further index is handed out once a shard panicked, and no worker
+// outlives the call.
+func TestPoolsRepanicOnCaller(t *testing.T) {
+	errBoom := errors.New("boom")
+	const n, bad = 400, 3
+	pools := map[string]func(workers int, fn func(i int)){
+		"ForEach": func(workers int, fn func(i int)) { ForEach(workers, n, fn) },
+		"ForEachCtx": func(workers int, fn func(i int)) {
+			_ = ForEachCtx(context.Background(), workers, n, fn)
+		},
+		"Map": func(workers int, fn func(i int)) {
+			Map(workers, n, func(i int) int { fn(i); return i })
+		},
+		"MapErrCtx": func(workers int, fn func(i int)) {
+			_, _ = MapErrCtx(context.Background(), workers, n, func(i int) (int, error) { fn(i); return i, nil })
+		},
+	}
+	for name, pool := range pools {
+		for _, workers := range []int{1, 4} {
+			baseline := runtime.NumGoroutine()
+			var ran atomic.Int64
+			recovered := func() (r any) {
+				defer func() { r = recover() }()
+				pool(workers, func(i int) {
+					ran.Add(1)
+					if i == bad {
+						panic(errBoom)
+					}
+					time.Sleep(100 * time.Microsecond)
+				})
+				return nil
+			}()
+			what := fmt.Sprintf("%s at %d workers", name, workers)
+			p, ok := recovered.(*ShardPanic)
+			if !ok {
+				t.Fatalf("%s: recovered %v (%T), want a *ShardPanic", what, recovered, recovered)
+			}
+			if p.Value != errBoom || !errors.Is(p, errBoom) {
+				t.Errorf("%s: recovered value %v, want %v", what, p.Value, errBoom)
+			}
+			if !strings.Contains(string(p.Stack), "TestPoolsRepanicOnCaller") {
+				t.Errorf("%s: stack does not name the panicking shard:\n%s", what, p.Stack)
+			}
+			if got := ran.Load(); got >= n {
+				t.Errorf("%s: all %d indices ran after index %d panicked", what, got, bad)
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if got := runtime.NumGoroutine(); got > baseline {
+				t.Errorf("%s: goroutines leaked: %d running, baseline %d", what, got, baseline)
+			}
+		}
 	}
 }
