@@ -333,18 +333,18 @@ func parse(data []byte) (c *Contents, good int64, err error) {
 	off := len(Magic)
 	for rec := 0; off < len(data); rec++ {
 		if len(data)-off < 5 {
-			return c, int64(off), fmt.Errorf("%w: %d trailing bytes at offset %d", ErrTruncated, len(data)-off, off)
+			return c, good, fmt.Errorf("%w: %d trailing bytes at offset %d", ErrTruncated, len(data)-off, off)
 		}
 		kind := data[off]
 		n := binary.LittleEndian.Uint32(data[off+1 : off+5])
 		if n > maxPayload {
 			// A length this large is either a torn write or damage; either
 			// way the declared frame extends past any plausible file.
-			return c, int64(off), fmt.Errorf("%w: record %d declares %d-byte payload at offset %d", ErrTruncated, rec, n, off)
+			return c, good, fmt.Errorf("%w: record %d declares %d-byte payload at offset %d", ErrTruncated, rec, n, off)
 		}
 		total := 5 + int(n) + 4
 		if len(data)-off < total {
-			return c, int64(off), fmt.Errorf("%w: record %d needs %d bytes, %d remain at offset %d", ErrTruncated, rec, total, len(data)-off, off)
+			return c, good, fmt.Errorf("%w: record %d needs %d bytes, %d remain at offset %d", ErrTruncated, rec, total, len(data)-off, off)
 		}
 		body := data[off : off+5+int(n)]
 		want := binary.LittleEndian.Uint32(data[off+5+int(n) : off+total])
