@@ -88,31 +88,18 @@ var ErrBadConfig = errors.New("lg: bad campaign configuration")
 const MaxDays = int(math.MaxInt64 / int64(24*time.Hour))
 
 // Validate reports whether the configuration, after defaults, is a
-// campaign Schedule can run: every count and duration positive, and each
-// LG family's rounds at least 2 ns apart so a round's start can be
-// jittered. Errors wrap ErrBadConfig.
+// campaign Schedule can run: no count or duration negative, and each LG
+// family's rounds at least 2 ns apart so a round's start can be jittered.
+// Errors wrap ErrBadConfig.
 func (c Config) Validate() error {
 	c = c.withDefaults()
-	for _, k := range []struct {
-		name string
-		v    int64
-	}{
-		{"Duration", int64(c.Duration)},
-		{"PCHRounds", int64(c.PCHRounds)},
-		{"RIPERounds", int64(c.RIPERounds)},
-		{"PingsPerQueryPCH", int64(c.PingsPerQueryPCH)},
-		{"PingsPerQueryRIPE", int64(c.PingsPerQueryRIPE)},
-		{"QuerySpacing", int64(c.QuerySpacing)},
-		{"PingTimeout", int64(c.PingTimeout)},
-	} {
-		if k.v < 0 {
-			return fmt.Errorf("%w: negative %s %d", ErrBadConfig, k.name, k.v)
-		}
+	if c.Duration < 0 || c.PCHRounds < 0 || c.RIPERounds < 0 || c.PingsPerQueryPCH < 0 ||
+		c.PingsPerQueryRIPE < 0 || c.QuerySpacing < 0 || c.PingTimeout < 0 {
+		return fmt.Errorf("%w: negative value in %+v", ErrBadConfig, c)
 	}
-	for _, rounds := range []int{c.PCHRounds, c.RIPERounds} {
-		if c.Duration/time.Duration(rounds)/2 == 0 {
-			return fmt.Errorf("%w: Duration %v too short for %d rounds", ErrBadConfig, c.Duration, rounds)
-		}
+	if d := c.Duration / 2; d/time.Duration(c.PCHRounds) == 0 || d/time.Duration(c.RIPERounds) == 0 {
+		return fmt.Errorf("%w: Duration %v too short for %d PCH and %d RIPE rounds",
+			ErrBadConfig, c.Duration, c.PCHRounds, c.RIPERounds)
 	}
 	return nil
 }

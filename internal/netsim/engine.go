@@ -9,18 +9,11 @@
 // systems that change their initial TTL mid-campaign, blackholing, and
 // multi-location IXP fabrics.
 //
-// Packets are values, not bytes. A frame carries exactly what the
-// simulation reads — TTL, IPv4 source and destination, ICMP type, ident
-// and seq — and is handed straight to the interface it reaches; a router
-// decrements its TTL in place. No wire format is built, checksummed or
-// parsed: nothing the detector observes depends on one.
-//
-// Events are typed records (a kind, node/interface/probe ids, and the
-// frame by value) in one 4-ary heap, and a campaign's pings are planned
-// before Run as one run sorted by (time, sequence) that the engine merges
-// with the heap. Ping results complete into one sink per engine. So the
-// simulator allocates per engine — tables sized by the topology and the
-// plan — not per packet.
+// Packets are values: a frame carries only the fields the simulation
+// reads, and no wire format is built, checksummed or parsed. Events are
+// typed records in one heap, a campaign's pings are planned before Run,
+// and ping results complete into one sink per engine, so the simulator
+// allocates per engine, not per packet.
 //
 // The simulator is single-threaded and deterministic: all randomness comes
 // from stats.Source streams seeded by the caller, and events at equal

@@ -24,8 +24,8 @@ type Fabric struct {
 
 	engine      *Engine
 	attachments []*Attachment
-	// interLoc[a][b] is the one-way delay between fabric locations a and b.
-	interLoc map[int]map[int]time.Duration
+	// interLoc[{a, b}] is the one-way delay between fabric locations a and b.
+	interLoc map[[2]int]time.Duration
 
 	// byIP indexes attachments by owned address for resolve; ipIndexed
 	// counts how many attachments have been folded in, so the index
@@ -67,21 +67,15 @@ func NewFabric(e *Engine, name string) *Fabric {
 	return &Fabric{
 		Name:     name,
 		engine:   e,
-		interLoc: make(map[int]map[int]time.Duration),
+		interLoc: make(map[[2]int]time.Duration),
 	}
 }
 
 // SetInterLocation records the one-way delay between two fabric locations
 // (symmetric).
 func (f *Fabric) SetInterLocation(a, b int, d time.Duration) {
-	if f.interLoc[a] == nil {
-		f.interLoc[a] = make(map[int]time.Duration)
-	}
-	if f.interLoc[b] == nil {
-		f.interLoc[b] = make(map[int]time.Duration)
-	}
-	f.interLoc[a][b] = d
-	f.interLoc[b][a] = d
+	f.interLoc[[2]int{a, b}] = d
+	f.interLoc[[2]int{b, a}] = d
 }
 
 // interLocation returns the one-way delay between locations a and b.
@@ -89,12 +83,7 @@ func (f *Fabric) interLocation(a, b int) time.Duration {
 	if a == b {
 		return 0
 	}
-	if m, ok := f.interLoc[a]; ok {
-		if d, ok := m[b]; ok {
-			return d
-		}
-	}
-	return 0
+	return f.interLoc[[2]int{a, b}]
 }
 
 // Attach connects iface to the fabric and returns the attachment for

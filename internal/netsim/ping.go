@@ -37,26 +37,16 @@ func (n *Node) ping(dst netip.Addr, timeout time.Duration, tag int32) {
 }
 
 // sendProbe records p as the node's next outstanding probe and sends its
-// echo request to dst with the given ICMP seq and TTL. It returns the
-// probe's serial.
+// echo request to dst with the given ICMP seq and TTL, from the address of
+// the interface routing picks. It returns the probe's serial.
 func (n *Node) sendProbe(dst netip.Addr, seq uint16, ttl uint8, p probe) uint32 {
 	n.serial++
 	p.serial, p.sentAt, p.live = n.serial, n.engine.now, true
 	n.probes.insert(p)
-	if src := n.sourceAddrFor(dst); src.Is4() && dst.Is4() {
-		n.send(frame{src: src.As4(), dst: dst.As4(), ident: uint16(p.serial), seq: seq, ttl: ttl, typ: icmpEchoRequest})
+	if out, _, ok := n.lookupRoute(dst); ok && out.Addr().Is4() && dst.Is4() {
+		n.send(frame{src: out.Addr().As4(), dst: dst.As4(), ident: uint16(p.serial), seq: seq, ttl: ttl, typ: icmpEchoRequest})
 	}
 	return p.serial
-}
-
-// sourceAddrFor picks the source address for traffic to dst: the address of
-// the output interface chosen by routing.
-func (n *Node) sourceAddrFor(dst netip.Addr) netip.Addr {
-	out, _, ok := n.lookupRoute(dst)
-	if !ok || out == nil {
-		return netip.Addr{}
-	}
-	return out.Addr()
 }
 
 // resolve matches an echo reply (reached) or a time-exceeded message to
@@ -64,14 +54,14 @@ func (n *Node) sourceAddrFor(dst netip.Addr) netip.Addr {
 // only traceroute probes; answers to no outstanding probe (late
 // duplicates after a timeout) are dropped.
 func (n *Node) resolve(f frame, reached bool) {
-	p := n.probes.byIdent(f.ident)
+	p := n.probes.lookup(f.ident)
 	if p == nil {
 		return
 	}
 	from := netip.AddrFrom4(f.src)
 	if p.trace >= 0 {
 		p.live = false
-		n.engine.traces[p.trace].answer(from, p.sentAt, reached)
+		n.engine.traces[p.trace].record(Hop{From: from, RTT: n.engine.now - p.sentAt, Reached: reached})
 		return
 	}
 	if !reached {
@@ -91,13 +81,13 @@ func (n *Node) resolve(f frame, reached bool) {
 
 // expire ends probe serial with a timeout if it is still outstanding.
 func (n *Node) expire(serial uint32) {
-	p := n.probes.bySerial(serial)
-	if p == nil {
+	p := n.probes.lookup(uint16(serial))
+	if p == nil || p.serial != serial {
 		return
 	}
 	p.live = false
 	if p.trace >= 0 {
-		n.engine.traces[p.trace].timeout()
+		n.engine.traces[p.trace].record(Hop{TimedOut: true})
 		return
 	}
 	n.complete(PingResult{Target: p.target, Seq: 1, TimedOut: true, SentAt: p.sentAt, Tag: p.tag})
@@ -120,58 +110,38 @@ type probe struct {
 	live   bool
 }
 
-// probeTable is a node's outstanding probes, keyed by serial in a ring
-// whose size is a power of two: a probe's slot is its serial modulo the
-// size, which is also its ident modulo the size. The ring doubles when a
-// new probe lands on a live one, up to the 65,536 idents there are, so it
-// holds about as many probes as are ever outstanding at once — a handful
-// on a looking glass that sends one ping a second with a 5 s timeout.
-type probeTable struct {
-	slots []probe
-}
-
-const maxProbes = 1 << 16
+// probeTable is a node's outstanding probes in a ring indexed by ICMP
+// ident modulo its size, a power of two. The ring doubles when a new
+// probe lands on a live one, up to one slot per ident, so it holds about
+// as many probes as are ever outstanding at once: a handful on a looking
+// glass that sends one ping a second with a 5 s timeout.
+type probeTable []probe
 
 func (t *probeTable) insert(p probe) {
-	if t.slots == nil {
-		t.slots = make([]probe, 8)
-	}
 	for {
-		s := &t.slots[p.serial&uint32(len(t.slots)-1)]
-		if !s.live || len(t.slots) == maxProbes {
-			*s = p
-			return
-		}
-		old := t.slots
-		t.slots = make([]probe, 2*len(old))
-		for _, q := range old {
-			if q.live {
-				t.slots[q.serial&uint32(len(t.slots)-1)] = q
+		if len(*t) > 0 {
+			if s := &(*t)[p.serial&uint32(len(*t)-1)]; !s.live || len(*t) == 1<<16 {
+				*s = p
+				return
 			}
 		}
+		grown := make(probeTable, max(8, 2*len(*t)))
+		for _, q := range *t {
+			if q.live {
+				grown[q.serial&uint32(len(grown)-1)] = q
+			}
+		}
+		*t = grown
 	}
 }
 
-// byIdent returns the live probe with the given ident, or nil.
-func (t *probeTable) byIdent(ident uint16) *probe {
-	if t.slots == nil {
+// lookup returns the live probe with the given ident, or nil.
+func (t probeTable) lookup(ident uint16) *probe {
+	if len(t) == 0 {
 		return nil
 	}
-	s := &t.slots[uint32(ident)&uint32(len(t.slots)-1)]
-	if !s.live || uint16(s.serial) != ident {
-		return nil
+	if s := &t[uint32(ident)&uint32(len(t)-1)]; s.live && uint16(s.serial) == ident {
+		return s
 	}
-	return s
-}
-
-// bySerial returns the live probe with the given serial, or nil.
-func (t *probeTable) bySerial(serial uint32) *probe {
-	if t.slots == nil {
-		return nil
-	}
-	s := &t.slots[serial&uint32(len(t.slots)-1)]
-	if !s.live || s.serial != serial {
-		return nil
-	}
-	return s
+	return nil
 }

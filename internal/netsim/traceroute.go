@@ -87,30 +87,18 @@ func (st *traceState) step() {
 	n.engine.schedule(n.engine.now+st.perHop, event{kind: evExpire, id: n.id, serial: serial})
 }
 
-// answer records the hop that answered the outstanding probe.
-func (st *traceState) answer(from netip.Addr, sentAt time.Duration, reached bool) {
+// record appends the outstanding probe's hop, then finishes the trace if
+// the destination answered and probes the next TTL otherwise.
+func (st *traceState) record(h Hop) {
 	if st.finished {
 		return
 	}
-	st.res.Hops = append(st.res.Hops, Hop{
-		TTL:     st.ttl,
-		From:    from,
-		RTT:     st.node.engine.now - sentAt,
-		Reached: reached,
-	})
-	if reached {
+	h.TTL = st.ttl
+	st.res.Hops = append(st.res.Hops, h)
+	if h.Reached {
 		st.finish(true)
 		return
 	}
-	st.step()
-}
-
-// timeout records the outstanding probe as unanswered.
-func (st *traceState) timeout() {
-	if st.finished {
-		return
-	}
-	st.res.Hops = append(st.res.Hops, Hop{TTL: st.ttl, TimedOut: true})
 	st.step()
 }
 
