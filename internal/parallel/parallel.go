@@ -68,20 +68,13 @@ func (p *ShardPanic) Unwrap() error {
 	return err
 }
 
-// shard runs fn(i) and returns its panic, if it panicked. A shard that
-// panics with a nested pool's ShardPanic keeps that pool's value and stack.
-func shard(fn func(int), i int) (p *ShardPanic) {
-	defer func() {
-		if r := recover(); r != nil {
-			if inner, ok := r.(*ShardPanic); ok {
-				p = inner
-				return
-			}
-			p = &ShardPanic{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	fn(i)
-	return nil
+// shardPanic wraps a recovered panic value with the stack of the
+// goroutine that raised it; a nested pool's ShardPanic passes through.
+func shardPanic(r any) *ShardPanic {
+	if p, ok := r.(*ShardPanic); ok {
+		return p
+	}
+	return &ShardPanic{Value: r, Stack: debug.Stack()}
 }
 
 // ForEach runs fn(i) for every i in [0,n) across at most workers
@@ -121,16 +114,7 @@ func run(done <-chan struct{}, workers, n int, fn func(i int)) {
 		w = n
 	}
 	if w <= 1 {
-		for i := 0; i < n; i++ {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			if p := shard(fn, i); p != nil {
-				panic(p)
-			}
-		}
+		serial(done, n, fn)
 		return
 	}
 	var (
@@ -145,30 +129,52 @@ func run(done <-chan struct{}, workers, n int, fn func(i int)) {
 	for g := 0; g < w; g++ {
 		go func() {
 			defer wg.Done()
+			i := 0
+			defer func() {
+				if r := recover(); r != nil {
+					stopped.Store(true)
+					mu.Lock()
+					if first == nil || i < firstAt {
+						first, firstAt = shardPanic(r), i
+					}
+					mu.Unlock()
+				}
+			}()
 			for !stopped.Load() {
 				select {
 				case <-done:
 					return
 				default:
 				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
+				if i = int(next.Add(1)) - 1; i >= n {
 					return
 				}
-				if p := shard(fn, i); p != nil {
-					stopped.Store(true)
-					mu.Lock()
-					if first == nil || i < firstAt {
-						first, firstAt = p, i
-					}
-					mu.Unlock()
-				}
+				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
 	if first != nil {
 		panic(first)
+	}
+}
+
+// serial is run on the caller's goroutine.
+func serial(done <-chan struct{}, n int, fn func(i int)) {
+	defer func() {
+		if r := recover(); r != nil {
+			panic(shardPanic(r))
+		}
+	}()
+	for i := 0; i < n; i++ {
+		if done != nil {
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+		fn(i)
 	}
 }
 

@@ -313,7 +313,7 @@ func TestPoolsRepanicOnCaller(t *testing.T) {
 			if p.Value != errBoom || !errors.Is(p, errBoom) {
 				t.Errorf("%s: recovered value %v, want %v", what, p.Value, errBoom)
 			}
-			if !strings.Contains(string(p.Stack), "TestPoolsRepanicOnCaller") {
+			if st := string(p.Stack); !strings.Contains(st, "panic(") || !strings.Contains(st, "TestPoolsRepanicOnCaller.func") {
 				t.Errorf("%s: stack does not name the panicking shard:\n%s", what, p.Stack)
 			}
 			if got := ran.Load(); got >= n {
