@@ -69,9 +69,9 @@ const (
 type event struct {
 	at     time.Duration
 	seq    uint64
-	frame  frame
 	id     int32
 	serial uint32
+	frame  frame
 	kind   eventKind
 }
 
