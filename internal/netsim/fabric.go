@@ -100,14 +100,14 @@ func (f *Fabric) Attach(iface *Iface, access time.Duration) *Attachment {
 }
 
 // resolve performs the fabric's address resolution: it returns the
-// attachment owning ip, falling back to proxy claims. The boolean reports
-// success; an unresolvable address means the probe is silently lost, like
-// an unanswered ARP.
+// attachment owning ip, falling back to proxy claims, or nil; an
+// unresolvable address means the probe is silently lost, like an
+// unanswered ARP.
 //
 // Resolution is a map lookup over an incrementally maintained index —
 // the linear owner scan it replaces was the hottest line of the campaign
 // simulation at IXPs with hundreds of member ports.
-func (f *Fabric) resolve(ip netip.Addr) (*Attachment, bool) {
+func (f *Fabric) resolve(ip netip.Addr) *Attachment {
 	if f.ipIndexed < len(f.attachments) {
 		if f.byIP == nil {
 			f.byIP = make(map[netip.Addr]*Attachment, len(f.attachments)*2)
@@ -122,16 +122,16 @@ func (f *Fabric) resolve(ip netip.Addr) (*Attachment, bool) {
 		f.ipIndexed = len(f.attachments)
 	}
 	if a, ok := f.byIP[ip]; ok {
-		return a, true
+		return a
 	}
 	for _, a := range f.attachments {
 		for _, p := range a.Proxy {
 			if p.Contains(ip) {
-				return a, true
+				return a
 			}
 		}
 	}
-	return nil, false
+	return nil
 }
 
 // deliver schedules the arrival of f at dst, sent from src.

@@ -196,7 +196,7 @@ func (n *Node) send(f frame) {
 	}
 	switch {
 	case out.fabric != nil:
-		if dst, ok := out.fabric.resolve(nextHop); ok {
+		if dst := out.fabric.resolve(nextHop); dst != nil {
 			out.fabric.deliver(out.attachment, dst, f)
 		}
 	case out.link != nil:
