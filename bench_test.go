@@ -167,11 +167,8 @@ func BenchmarkFigure5a(b *testing.B) {
 }
 
 // BenchmarkFigure5b regenerates one week of the transit and offload time
-// series (the full month is exercised by cmd/rpoffload). Every iteration
-// queries a fresh dataset so the number stays the cold synthesis cost at
-// any -benchtime, comparable across the BENCH_<n>.json trajectory — the
-// per-dataset memo the repeated-query regime hits is measured by
-// BenchmarkSeriesTotalCached instead.
+// series (the full month is exercised by cmd/rpoffload). Each iteration
+// collects a fresh dataset outside the timer and times its series query.
 func BenchmarkFigure5b(b *testing.B) {
 	w, _, _, study := fixtures(b)
 	covered := study.Covered(allIXPIndices(w), GroupAll)
@@ -509,25 +506,6 @@ func BenchmarkCollectTraffic(b *testing.B) {
 	}
 }
 
-// BenchmarkSeriesTotalCached measures the cached fast path of the series
-// queries: the first SeriesTotalSet call per selection synthesises the
-// month, every further identical query is served from the per-dataset
-// memo as a copy. This is the regime the offload relief loop and
-// repeated what-if queries actually run in.
-func BenchmarkSeriesTotalCached(b *testing.B) {
-	w, _, ds, study := fixtures(b)
-	covered := study.CoveredSet(allIXPIndices(w), GroupAll)
-	ds.SeriesTotalSet(covered) // warm the memo
-	b.ResetTimer()
-	var peak float64
-	for i := 0; i < b.N; i++ {
-		in, _ := ds.SeriesTotalSet(covered)
-		peak = in[0]
-	}
-	_ = peak
-	b.ReportMetric(float64(ds.Cfg.Intervals), "intervals")
-}
-
 // BenchmarkScenarioGrid measures the what-if engine end to end: a 4-cell
 // grid (baseline + outage + latency shift + churn/traffic combo) at
 // reduced scale, each cell cloning the world and re-running the full
@@ -679,7 +657,6 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 // materialization is timed separately and reported as a metric.
 func BenchmarkSnapshotAttach(b *testing.B) {
 	w, _, ds, _ := fixtures(b)
-	ds.SeriesTotal(nil) // warm the series cache so the flat file carries the month
 	path := filepath.Join(b.TempDir(), "bench.flat")
 	if _, err := SaveSnapshot(path, &Snapshot{World: w, Dataset: ds}); err != nil {
 		b.Fatal(err)
@@ -691,7 +668,7 @@ func BenchmarkSnapshotAttach(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(a.Sections()) < 4 { // world, asn.ids, dataset, series
+		if len(a.Sections()) < 3 { // world, asn.ids, dataset
 			b.Fatal("attached file is missing sections")
 		}
 		if err := a.Close(); err != nil {

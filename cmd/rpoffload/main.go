@@ -39,8 +39,8 @@ func main() {
 	}
 	var ds *remotepeering.TrafficDataset
 	if cli.DatasetMatches(snap, *trafficSeed, *intervals) {
-		// The snapshot carries this exact dataset (and possibly its
-		// synthesised series cache): skip the month of collection.
+		// The snapshot carries this exact dataset: skip the month of
+		// collection.
 		ds = snap.Dataset
 	} else {
 		ds, err = remotepeering.CollectTraffic(w, remotepeering.TrafficConfig{Seed: *trafficSeed, Intervals: *intervals, Workers: *common.Workers})

@@ -19,7 +19,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"remotepeering/internal/asindex"
@@ -156,24 +155,6 @@ type Dataset struct {
 	profOnce sync.Once
 	profIn   []float64
 	profOut  []float64
-	// transitIdxOnce/transitIdxCache hoist the all-transit selection of
-	// the Series* queries (entry indices, ascending) out of every call.
-	transitIdxOnce  sync.Once
-	transitIdxCache []int32
-	// allSeriesOnce/allInCache/allOutCache hold the full-transit series —
-	// synthesised at most once per dataset (the dataset is immutable, so
-	// the cache is never invalidated); Series* calls hand out copies.
-	// allSeriesReady flips (atomically, after the caches are filled) so
-	// the snapshot layer can ask "is the month cached?" without running
-	// the synthesis itself.
-	allSeriesOnce  sync.Once
-	allSeriesReady atomic.Bool
-	allInCache     []float64
-	allOutCache    []float64
-	// memoMu/seriesMemo is the bounded memo of set-query series, FIFO
-	// evicted; hits cost two copies instead of a month of synthesis.
-	memoMu     sync.Mutex
-	seriesMemo []seriesMemoEntry
 }
 
 // Collect builds the dataset from the world.
@@ -366,52 +347,6 @@ func Rehydrate(w *worldgen.World, cfg Config, entries []Entry) (*Dataset, error)
 	return ds, nil
 }
 
-// AllTransitSeriesCached returns copies of the all-transit series if this
-// dataset has already synthesised them, without triggering the synthesis
-// — the save-side hook of the snapshot layer (persist the month only when
-// it has been paid for).
-func (d *Dataset) AllTransitSeriesCached() (in, out []float64, ok bool) {
-	if !d.allSeriesReady.Load() {
-		return nil, nil, false
-	}
-	return copySeries(d.allInCache), copySeries(d.allOutCache), true
-}
-
-// PrimeAllTransitSeries installs a previously synthesised all-transit
-// series into the per-dataset cache — the load-side hook of the snapshot
-// layer. It is a no-op when the cache is already warm (the synthesised
-// series wins; the two are bit-identical by the snapshot's round-trip
-// guarantee). Series length must match the dataset's month.
-func (d *Dataset) PrimeAllTransitSeries(in, out []float64) error {
-	if len(in) != d.Cfg.Intervals || len(out) != d.Cfg.Intervals {
-		return fmt.Errorf("netflow: series length %d/%d does not match %d intervals", len(in), len(out), d.Cfg.Intervals)
-	}
-	d.allSeriesOnce.Do(func() {
-		d.allInCache = copySeries(in)
-		d.allOutCache = copySeries(out)
-		d.allSeriesReady.Store(true)
-	})
-	return nil
-}
-
-// AdoptAllTransitSeries is PrimeAllTransitSeries without the defensive
-// copies: the zero-copy hook of the mmap attach path, where in and out
-// are read-only views over a mapped snapshot. The adopted slices must
-// stay valid (mapping not unmapped) and unmutated for the dataset's
-// lifetime; the cache itself only ever hands out copies, so the views
-// never escape. No-op when the cache is already warm.
-func (d *Dataset) AdoptAllTransitSeries(in, out []float64) error {
-	if len(in) != d.Cfg.Intervals || len(out) != d.Cfg.Intervals {
-		return fmt.Errorf("netflow: series length %d/%d does not match %d intervals", len(in), len(out), d.Cfg.Intervals)
-	}
-	d.allSeriesOnce.Do(func() {
-		d.allInCache = in
-		d.allOutCache = out
-		d.allSeriesReady.Store(true)
-	})
-	return nil
-}
-
 // contributionWeight ranks networks for contribution assignment: content
 // and CDNs carry the most traffic toward an NREN, followed by transit
 // wholesale, with leaf networks weighted by their regional affinity to
@@ -519,18 +454,12 @@ func (d *Dataset) Transient(asn topo.ASN) (total, in, out float64) {
 	return d.transient[asn], d.transientIn[asn], d.transOut[asn]
 }
 
-// hash01 derives a deterministic uniform [0,1) value from the dataset
-// seed, an ASN, an interval index, and a direction tag, giving O(1) random
-// access into the synthetic time series without storing it. It is split
-// into hashBase (interval-independent, hoistable out of interval loops)
-// and vecmath.Hash01 (the splitmix64 finaliser); the XOR composition keeps
-// the input word — and therefore every sample — bit-identical to the
-// unsplit form.
-func (d *Dataset) hash01(asn topo.ASN, interval int, dir uint64) float64 {
-	return vecmath.Hash01(d.hashBase(asn, dir), interval)
-}
-
-// hashBase is the per-(entry, direction) constant of hash01.
+// hashBase is the per-(entry, direction) stream of the series jitter:
+// vecmath.Hash01(hashBase(asn, dir), interval) is a deterministic uniform
+// [0,1) value of the dataset seed, an ASN, a direction tag and an
+// interval, giving O(1) random access into the synthetic time series
+// without storing it. The base is interval-independent, so the kernels
+// hoist it out of their interval loops.
 func (d *Dataset) hashBase(asn topo.ASN, dir uint64) uint64 {
 	return uint64(d.seed)*0x9E3779B97F4A7C15 ^ uint64(asn)<<32 ^ dir<<61
 }
@@ -548,7 +477,7 @@ func diurnalFactor(interval int, intervalLen time.Duration, amplitude float64, p
 	const day = 24 * time.Hour
 	const week = 7 * day
 	hour := float64(at%day) / float64(time.Hour)
-	dow := int(at%week) / int(day)
+	dow := int(at % week / day)
 	// Busy early evening, quiet pre-dawn.
 	level := math.Cos(2 * math.Pi * (hour - 19) / 24)
 	weekend := 1.0
@@ -620,224 +549,55 @@ func (d *Dataset) diurnalAt(prof []float64, interval int, amplitude float64) flo
 // all transit entries.
 //
 // This is the heaviest synthesis in the pipeline (entries × intervals rate
-// evaluations for a month of 5-minute samples). Results are cached per
-// dataset — the all-transit series once under a sync.Once, set queries in
-// a small bounded memo keyed by the exact selection — so repeated queries
-// (the offload relief loop, benchmark reruns) cost a copy, and every
-// returned series is bit-identical to the serial entry-order fold.
+// evaluations for a month of 5-minute samples). Every call synthesises the
+// month afresh and returns slices the caller owns; nothing is cached.
 func (d *Dataset) SeriesTotal(set map[topo.ASN]bool) (in, out []float64) {
-	if set == nil {
-		return d.seriesAll()
-	}
-	active := make([]int32, 0, len(d.Entries))
-	for i := range d.Entries {
-		e := &d.Entries[i]
-		if e.Transit && set[e.ASN] {
-			active = append(active, int32(i))
-		}
-	}
-	return d.seriesFor(active)
+	return d.seriesOver(func(e *Entry) bool { return set == nil || set[e.ASN] })
 }
 
 // SeriesTotalSet is SeriesTotal with the selection given as a dense bitset
 // over the world's AS index — the allocation-light path the offload
 // analyses use. A nil set means all transit entries. Because the entry
 // iteration order is the same as SeriesTotal's (entry order, not set
-// order), the two overloads return bit-identical series for equal sets
-// and share the same per-dataset cache.
+// order), the two overloads return bit-identical series for equal sets.
 func (d *Dataset) SeriesTotalSet(set *asindex.BitSet) (in, out []float64) {
-	if set == nil {
-		return d.seriesAll()
-	}
-	active := make([]int32, 0, len(d.Entries))
-	for i := range d.Entries {
-		e := &d.Entries[i]
-		if !e.Transit {
-			continue
+	return d.seriesOver(func(e *Entry) bool {
+		if set == nil {
+			return true
 		}
 		id, ok := d.ix.ID(e.ASN)
-		if !ok || !set.Has(id) {
-			continue
-		}
-		active = append(active, int32(i))
-	}
-	return d.seriesFor(active)
-}
-
-// transitIdx returns the memoised entry-index list of the all-transit
-// selection — the hot nil-set case of the Series* queries, hoisted so it
-// is assembled once per dataset instead of on every call.
-func (d *Dataset) transitIdx() []int32 {
-	d.transitIdxOnce.Do(func() {
-		idx := make([]int32, 0, len(d.Entries))
-		for i := range d.Entries {
-			if d.Entries[i].Transit {
-				idx = append(idx, int32(i))
-			}
-		}
-		d.transitIdxCache = idx
+		return ok && set.Has(id)
 	})
-	return d.transitIdxCache
 }
 
-// seriesAll serves the all-transit series from the once-per-dataset cache.
-func (d *Dataset) seriesAll() (in, out []float64) {
-	d.allSeriesOnce.Do(func() {
-		d.allInCache, d.allOutCache = d.seriesOver(d.transitIdx())
-		d.allSeriesReady.Store(true)
-	})
-	return copySeries(d.allInCache), copySeries(d.allOutCache)
-}
-
-// seriesMemoMax bounds the per-dataset memo of set-query series. Each
-// slot holds two month-long series plus the selection key; eight slots
-// cover the repeated-query patterns of the offload analyses (the same
-// covered set probed for relief, residual, and plotting) in ~2 MB.
-const seriesMemoMax = 8
-
-// seriesMemoEntry is one cached set query: the exact selection (entry
-// indices, ascending) and its synthesized series.
-type seriesMemoEntry struct {
-	idx     []int32
-	in, out []float64
-}
-
-// seriesFor returns the series over the given entry indices (ascending),
-// consulting the caches first. A selection covering every transit entry is
-// the nil-set query under a different name — both are sorted ascending, so
-// equal length means equal sets — and shares its cache slot.
-func (d *Dataset) seriesFor(active []int32) (in, out []float64) {
-	if len(active) == len(d.transitIdx()) {
-		return d.seriesAll()
-	}
-	if in, out, ok := d.memoLookup(active); ok {
-		return in, out
-	}
-
-	in, out = d.seriesOver(active)
-
-	d.memoMu.Lock()
-	// Re-check under the lock: a concurrent equal query may have raced
-	// this synthesis to the insert; storing a duplicate would waste a
-	// slot and evict a distinct selection.
-	exists := false
-	for _, m := range d.seriesMemo {
-		if slicesEqualInt32(m.idx, active) {
-			exists = true
-			break
-		}
-	}
-	if !exists {
-		if len(d.seriesMemo) >= seriesMemoMax {
-			// FIFO eviction: shift down and clear the vacated tail so the
-			// evicted month-long series are not pinned by the backing
-			// array.
-			copy(d.seriesMemo, d.seriesMemo[1:])
-			d.seriesMemo[len(d.seriesMemo)-1] = seriesMemoEntry{}
-			d.seriesMemo = d.seriesMemo[:len(d.seriesMemo)-1]
-		}
-		d.seriesMemo = append(d.seriesMemo, seriesMemoEntry{
-			idx: append([]int32(nil), active...),
-			in:  copySeries(in),
-			out: copySeries(out),
-		})
-	}
-	d.memoMu.Unlock()
-	return in, out
-}
-
-// memoLookup serves a set query from the memo, if present.
-func (d *Dataset) memoLookup(active []int32) (in, out []float64, ok bool) {
-	d.memoMu.Lock()
-	defer d.memoMu.Unlock()
-	for _, m := range d.seriesMemo {
-		if slicesEqualInt32(m.idx, active) {
-			return copySeries(m.in), copySeries(m.out), true
-		}
-	}
-	return nil, nil, false
-}
-
-func copySeries(s []float64) []float64 {
-	return append([]float64(nil), s...)
-}
-
-func slicesEqualInt32(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// seriesBlockEntries is the fixed entry-block size of the entry-major
-// kernel. The block structure depends only on the selection — never on
-// the worker count — so the accumulation order is invariant.
-const seriesBlockEntries = 32
-
-// seriesOver synthesises the month of 5-minute series for the selected
-// entries (given as indices into d.Entries, ascending).
+// seriesOver synthesises the month of 5-minute series for the transit
+// entries that selected accepts.
 //
-// The kernel is entry-major: jitter rows are synthesised whole per entry
-// (vecmath.JitterRow — the SIMD path where the CPU allows), and folded
-// into the output accumulators entry-by-entry in selection order. With
-// workers, fixed blocks of entries pipeline through two phases — rows
-// computed in parallel across the block's entries, then folded in
-// parallel across disjoint interval ranges with entries iterated in order
-// inside every range — so each interval's floating-point addition chain
-// is exactly the serial fold, and the series is bit-identical for every
-// worker count (and to the pre-kernel interval-sharded implementation,
-// which summed the same terms in the same per-interval order).
-func (d *Dataset) seriesOver(active []int32) (in, out []float64) {
+// The intervals are split into one contiguous range per worker, and in
+// each range every selected entry is folded in entry order by the fused
+// jitter kernel (vecmath.JitterAccumRow — the SIMD path where the CPU
+// allows), which never materialises a jitter row. Each interval's
+// floating-point addition chain is therefore exactly the serial
+// entry-order fold, so the series is bit-identical for every worker count;
+// one worker is the one-range case.
+func (d *Dataset) seriesOver(selected func(e *Entry) bool) (in, out []float64) {
+	active := make([]int32, 0, len(d.Entries))
+	for i := range d.Entries {
+		if e := &d.Entries[i]; e.Transit && selected(e) {
+			active = append(active, int32(i))
+		}
+	}
 	n := d.Cfg.Intervals
 	in = make([]float64, n)
 	out = make([]float64, n)
-	if n == 0 || len(active) == 0 {
-		return in, out
-	}
 	profIn, profOut := d.profiles()
-
-	if parallel.Workers(d.Cfg.Workers) <= 1 || len(active) == 1 {
-		// Serial fast path: the fused kernel folds each entry's jitter
-		// straight into the accumulators — same fold order, no barriers,
-		// no materialised jitter rows.
+	parallel.ForEachRange(d.Cfg.Workers, n, func(lo, hi int) {
 		for _, ei := range active {
 			e := &d.Entries[ei]
-			vecmath.JitterAccumRow(in, profIn, e.AvgInBps, d.hashBase(e.ASN, 1), 0)
-			vecmath.JitterAccumRow(out, profOut, e.AvgOutBps, d.hashBase(e.ASN, 2), 0)
+			vecmath.JitterAccumRow(in[lo:hi], profIn[lo:hi], e.AvgInBps, d.hashBase(e.ASN, 1), lo)
+			vecmath.JitterAccumRow(out[lo:hi], profOut[lo:hi], e.AvgOutBps, d.hashBase(e.ASN, 2), lo)
 		}
-		return in, out
-	}
-
-	// Row buffers for one entry block, reused across blocks.
-	rows := make([][]float64, 2*seriesBlockEntries)
-	for i := range rows {
-		rows[i] = make([]float64, n)
-	}
-	for _, b := range parallel.Blocks(len(active), seriesBlockEntries) {
-		cnt := b.Hi - b.Lo
-		// Phase 1 — the parallel axis is entries: each worker synthesises
-		// whole per-entry jitter rows into its own buffers.
-		parallel.ForEach(d.Cfg.Workers, cnt, func(k int) {
-			e := &d.Entries[active[b.Lo+k]]
-			vecmath.JitterRow(rows[2*k], d.hashBase(e.ASN, 1), 0)
-			vecmath.JitterRow(rows[2*k+1], d.hashBase(e.ASN, 2), 0)
-		})
-		// Phase 2 — fold the block into the accumulators over disjoint
-		// interval ranges, entries in ascending order within each range:
-		// the per-interval addition order never depends on the workers.
-		parallel.ForEachRange(d.Cfg.Workers, n, func(lo, hi int) {
-			for k := 0; k < cnt; k++ {
-				e := &d.Entries[active[b.Lo+k]]
-				vecmath.AccumRow(in[lo:hi], profIn[lo:hi], rows[2*k][lo:hi], e.AvgInBps)
-				vecmath.AccumRow(out[lo:hi], profOut[lo:hi], rows[2*k+1][lo:hi], e.AvgOutBps)
-			}
-		})
-	}
+	})
 	return in, out
 }
 

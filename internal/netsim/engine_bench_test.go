@@ -78,7 +78,7 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	n := mute(&e)
 	// Pseudo-random-ish but deterministic offsets spread events so the
 	// heap actually sifts instead of degenerating to FIFO.
-	offset := func(k int) time.Duration { return time.Duration(1+(k*2654435761)%1000) * time.Microsecond }
+	offset := func(k int) time.Duration { return time.Duration(1+int64(k)*2654435761%1000) * time.Microsecond }
 	for i := 0; i < depth; i++ {
 		e.schedule(offset(i), event{kind: evSetTTL, id: n.id, frame: frame{ttl: 64}})
 	}

@@ -100,7 +100,7 @@ func diurnalExcess(now time.Duration, busyHour int, amplitude time.Duration) tim
 	const day = 24 * time.Hour
 	const week = 7 * day
 	hourOfDay := float64(now%day) / float64(time.Hour)
-	dayOfWeek := int(now%week) / int(day) // 0 = Monday
+	dayOfWeek := int(now % week / day) // 0 = Monday
 
 	phase := 2 * math.Pi * (hourOfDay - float64(busyHour)) / 24
 	level := math.Cos(phase) // 1 at the busy hour, -1 twelve hours away

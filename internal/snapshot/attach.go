@@ -4,9 +4,9 @@
 // size — so a serve-tier worker can hold thousands of catalogued worlds
 // "open" at negligible cost. The expensive part, materializing the
 // pointer-rich *World and rehydrating the analyses, happens lazily on the
-// first Snapshot() call, and the flat hot-path arrays (all-transit series,
-// cone rows, the dense AS-id plane) are adopted as views over the mapping
-// rather than copied. Scenario clones over an attached world stay
+// first Snapshot() call, and the flat hot-path arrays (cone rows, the
+// dense AS-id plane) are adopted as views over the mapping rather than
+// copied. Scenario clones over an attached world stay
 // copy-on-write: the ops' dirty-stage masks decide which sections a cell
 // rebuilds, exactly as they do over a freshly generated world.
 package snapshot
@@ -29,9 +29,9 @@ import (
 // Attached is a flat snapshot mapped (or held) in memory. The zero value
 // is not usable; obtain one from Attach or AttachBytes.
 //
-// Lifetime: the materialized Snapshot's series and cone tables alias the
-// mapping, so Close must not be called while the Snapshot (or anything
-// derived from it) is still in use. Long-lived processes (rpserve, the
+// Lifetime: the materialized Snapshot's cone tables alias the mapping,
+// so Close must not be called while the Snapshot (or anything derived
+// from it) is still in use. Long-lived processes (rpserve, the
 // CLI tools) simply never close; tests close in cleanup, after their last
 // use of the snapshot.
 type Attached struct {
@@ -182,7 +182,7 @@ func (a *Attached) Size() int { return len(a.data) }
 
 // Close releases the mapping. It must not be called while a Snapshot
 // materialized from this attachment is still in use — the snapshot's
-// series and cone tables alias the mapped memory.
+// cone tables alias the mapped memory.
 func (a *Attached) Close() error {
 	unmap := a.unmap
 	a.unmap = nil
@@ -234,8 +234,8 @@ func (a *Attached) has(name string) bool {
 // Snapshot materializes the attached file into a fully-rehydrated
 // *Snapshot, once; further calls return the same value. Reports computed
 // from it are byte-identical to reports computed from the live objects —
-// pinned by snapshot_equiv_test.go. The flat hot-path arrays (all-transit
-// series, cone rows) are adopted as views over the mapping, not copied.
+// pinned by snapshot_equiv_test.go. The cone rows are adopted as views
+// over the mapping, not copied.
 func (a *Attached) Snapshot() (*Snapshot, error) {
 	a.once.Do(func() { a.snap, a.err = a.materialize() })
 	return a.snap, a.err
@@ -289,31 +289,6 @@ func (a *Attached) materialize() (*Snapshot, error) {
 	} else if ok {
 		if s.Dataset, err = decodeDataset(payload, w); err != nil {
 			return nil, err
-		}
-	}
-
-	if a.has(flatSeriesIn) || a.has(flatSeriesOut) {
-		if s.Dataset == nil {
-			return nil, fmt.Errorf("%w: series sections without dataset section", ErrCorrupt)
-		}
-		inRaw, err := a.need(flatSeriesIn)
-		if err != nil {
-			return nil, err
-		}
-		outRaw, err := a.need(flatSeriesOut)
-		if err != nil {
-			return nil, err
-		}
-		in, err := viewF64(inRaw, flatSeriesIn)
-		if err != nil {
-			return nil, err
-		}
-		out, err := viewF64(outRaw, flatSeriesOut)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.Dataset.AdoptAllTransitSeries(in, out); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 	}
 

@@ -24,9 +24,13 @@
 // page-aligned mmap of the file yields correctly-aligned slices for free.
 // The pointer-rich structures (the world graph, the dataset entry table,
 // the campaign config) are varint payloads (codec.go), while the
-// artifacts the query hot paths touch (the dense AS-id plane, the
-// all-transit series caches, the cone tables, the spread observation and
-// ground-truth tables) get flat sections.
+// artifacts the query hot paths touch (the dense AS-id plane, the cone
+// tables, the spread observation and ground-truth tables) get flat
+// sections. Nothing a query computes is persisted: the traffic series are
+// synthesised per query, so a world's bytes, and hence its digest, never
+// depend on which queries ran before the save. A file from an older
+// writer may still carry series.in/series.out sections; Attach lists them
+// and ignores them, as it does every section it does not know.
 //
 // Attach (attach.go) validates only the header and directory up front;
 // each section's CRC is verified the first time the section is
@@ -41,7 +45,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -73,8 +76,6 @@ const (
 	flatWorld      = "world"       // varint world payload
 	flatDataset    = "dataset"     // varint dataset payload
 	flatASNs       = "asn.ids"     // u32[] dense-id → ASN plane, ascending
-	flatSeriesIn   = "series.in"   // f64[] all-transit inbound series
-	flatSeriesOut  = "series.out"  // f64[] all-transit outbound series
 	flatConeIDs    = "cones.ids"   // i32[] dense ids with persisted cone rows
 	flatConeOffs   = "cones.offs"  // u32[len(ids)+1] prefix offsets into cones.data
 	flatConeData   = "cones.data"  // i32[] concatenated cone rows
@@ -130,24 +131,6 @@ var hostLittle = func() bool {
 // zero allocations. Otherwise the elements are decoded into a fresh slice.
 // A payload whose length is not a multiple of the element size is corrupt.
 
-func viewF64(b []byte, section string) ([]float64, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("%w: section %q length %d is not a multiple of 8", ErrCorrupt, section, len(b))
-	}
-	n := len(b) / 8
-	if n == 0 {
-		return nil, nil
-	}
-	if hostLittle && uintptr(unsafe.Pointer(&b[0]))%8 == 0 {
-		return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), n), nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return out, nil
-}
-
 func viewU32(b []byte, section string) ([]uint32, error) {
 	if len(b)%4 != 0 {
 		return nil, fmt.Errorf("%w: section %q length %d is not a multiple of 4", ErrCorrupt, section, len(b))
@@ -175,13 +158,6 @@ func viewI32(b []byte, section string) ([]int32, error) {
 }
 
 // --- flat array encoders (writer side) ---
-
-func appendF64s(buf []byte, xs []float64) []byte {
-	for _, x := range xs {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-	}
-	return buf
-}
 
 func appendU32s(buf []byte, xs []uint32) []byte {
 	for _, x := range xs {
@@ -334,11 +310,6 @@ func flatSections(s *Snapshot) ([]flatSection, error) {
 
 	if s.Dataset != nil {
 		secs = append(secs, flatSection{flatDataset, encodeDataset(s.Dataset)})
-		if in, out, ok := s.Dataset.AllTransitSeriesCached(); ok {
-			secs = append(secs,
-				flatSection{flatSeriesIn, appendF64s(make([]byte, 0, 8*len(in)), in)},
-				flatSection{flatSeriesOut, appendF64s(make([]byte, 0, 8*len(out)), out)})
-		}
 	}
 
 	if s.Cones != nil {

@@ -27,7 +27,6 @@ var fuzzSeeds = sync.OnceValues(func() (full, world []byte) {
 	if err != nil {
 		panic(err)
 	}
-	ds.SeriesTotal(nil)
 	cones := offload.NewConeCache()
 	if _, err := offload.NewStudyOptions(w, ds, offload.Options{Cones: cones}); err != nil {
 		panic(err)

@@ -1,10 +1,9 @@
 // Package snapshot persists the reproduction's expensive artifacts — the
 // generated world, the collected traffic dataset, the measurement
-// campaign, the customer-cone tables, and the synthesised all-transit
-// series — in one versioned, CRC-protected, mmap-able container (the flat
-// format, flat.go), and rehydrates them so that every report computed
-// from an attached snapshot is byte-identical to the one computed from
-// the live objects.
+// campaign, and the customer-cone tables — in one versioned,
+// CRC-protected, mmap-able container (the flat format, flat.go), and
+// rehydrates them so that every report computed from an attached
+// snapshot is byte-identical to the one computed from the live objects.
 //
 // The guarantee rests on two facts the rest of the repo already enforces:
 // the analyses are deterministic pure functions of their inputs, and the

@@ -87,15 +87,15 @@ func TestWorldRoundTripPerturbed(t *testing.T) {
 }
 
 // TestDatasetRoundTrip pins dataset equivalence: entries round-trip
-// exactly, derived tables rebuild bit-identically, and a persisted series
-// cache serves the same bytes the live synthesis produced.
+// exactly, derived tables rebuild bit-identically, and the loaded dataset
+// synthesises the same series bytes as the live one.
 func TestDatasetRoundTrip(t *testing.T) {
 	w := testWorld(t)
 	ds, err := netflow.Collect(w, netflow.Config{Seed: 11, Intervals: 288})
 	if err != nil {
 		t.Fatal(err)
 	}
-	liveIn, liveOut := ds.SeriesTotal(nil) // warm the cache so Save persists it
+	liveIn, liveOut := ds.SeriesTotal(nil)
 
 	loaded := roundTrip(t, &Snapshot{World: w, Dataset: ds})
 	lds := loaded.Dataset
@@ -113,15 +113,6 @@ func TestDatasetRoundTrip(t *testing.T) {
 	if in1 != in2 || out1 != out2 {
 		t.Errorf("transit totals differ: (%v,%v) vs (%v,%v)", in1, out1, in2, out2)
 	}
-	// The primed cache must hand out the exact bytes without synthesis.
-	gotIn, gotOut, ok := lds.AllTransitSeriesCached()
-	if !ok {
-		t.Fatal("loaded dataset's series cache is cold despite the series section")
-	}
-	if !reflect.DeepEqual(liveIn, gotIn) || !reflect.DeepEqual(liveOut, gotOut) {
-		t.Error("persisted series differ from the live synthesis")
-	}
-	// And the query path must agree too.
 	qIn, qOut := lds.SeriesTotal(nil)
 	if !reflect.DeepEqual(liveIn, qIn) || !reflect.DeepEqual(liveOut, qOut) {
 		t.Error("SeriesTotal over the loaded dataset differs from live")

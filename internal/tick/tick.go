@@ -31,14 +31,18 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"strconv"
+	"strings"
 	"time"
 
 	"remotepeering/internal/econ"
 	"remotepeering/internal/fault"
 	"remotepeering/internal/journal"
+	"remotepeering/internal/lg"
 	"remotepeering/internal/netflow"
 	"remotepeering/internal/offload"
 	"remotepeering/internal/scenario"
@@ -144,52 +148,55 @@ func DefaultConfig() Config {
 //	price=0.01,outage=0.01,checkpoint=16,mseed=2,tseed=3,intervals=288,
 //	days=6,k=5,greedy=30,fsync=commit
 //
-// An empty spec is DefaultConfig.
+// An empty spec is DefaultConfig. Counts (checkpoint, intervals, days, k,
+// greedy) must be non-negative decimal integers, and days at most
+// lg.MaxDays; every value must parse whole.
 func ParseConfig(spec string) (Config, error) {
 	cfg := DefaultConfig()
-	if spec == "" {
-		return cfg, nil
-	}
-	for _, part := range splitSpec(spec) {
-		key, val, ok := cutEq(part)
+	for _, part := range strings.Split(spec, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		key, val, ok := strings.Cut(part, "=")
 		if !ok {
 			return Config{}, fmt.Errorf("tick: bad spec term %q (want key=value)", part)
 		}
+		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
 		var err error
 		switch key {
 		case "seed":
-			err = parseInt64(val, &cfg.Seed)
+			cfg.Seed, err = strconv.ParseInt(val, 10, 64)
 		case "joins":
-			err = parseInt(val, &cfg.ChurnJoins)
+			cfg.ChurnJoins, err = strconv.Atoi(val)
 		case "leaves":
-			err = parseInt(val, &cfg.ChurnLeaves)
+			cfg.ChurnLeaves, err = strconv.Atoi(val)
 		case "churn-ixps":
-			err = parseInt(val, &cfg.ChurnIXPs)
+			cfg.ChurnIXPs, err = strconv.Atoi(val)
 		case "traffic":
-			err = parseFloat(val, &cfg.TrafficDrift)
+			cfg.TrafficDrift, err = parseFinite(val)
 		case "diurnal":
-			err = parseFloat(val, &cfg.DiurnalDrift)
+			cfg.DiurnalDrift, err = parseFinite(val)
 		case "price":
-			err = parseFloat(val, &cfg.PriceDrift)
+			cfg.PriceDrift, err = parseFinite(val)
 		case "outage":
-			err = parseFloat(val, &cfg.OutageRate)
+			cfg.OutageRate, err = parseFinite(val)
 		case "checkpoint":
-			err = parseInt(val, &cfg.CheckpointEvery)
+			cfg.CheckpointEvery, err = parseCount(val, math.MaxInt)
 		case "mseed":
-			err = parseInt64(val, &cfg.Pipeline.MeasureSeed)
+			cfg.Pipeline.MeasureSeed, err = strconv.ParseInt(val, 10, 64)
 		case "tseed":
-			err = parseInt64(val, &cfg.Pipeline.TrafficSeed)
+			cfg.Pipeline.TrafficSeed, err = strconv.ParseInt(val, 10, 64)
 		case "intervals":
-			err = parseInt(val, &cfg.Pipeline.Intervals)
+			cfg.Pipeline.Intervals, err = parseCount(val, math.MaxInt)
 		case "days":
 			var days int
-			if err = parseInt(val, &days); err == nil {
-				cfg.Pipeline.Campaign.Duration = time.Duration(days) * 24 * time.Hour
-			}
+			days, err = parseCount(val, lg.MaxDays)
+			cfg.Pipeline.Campaign.Duration = time.Duration(days) * 24 * time.Hour
 		case "k":
-			err = parseInt(val, &cfg.Pipeline.CoverageIXPs)
+			cfg.Pipeline.CoverageIXPs, err = parseCount(val, math.MaxInt)
 		case "greedy":
-			err = parseInt(val, &cfg.Pipeline.GreedyIXPs)
+			cfg.Pipeline.GreedyIXPs, err = parseCount(val, math.MaxInt)
 		case "fsync":
 			cfg.Fsync, err = journal.ParseSyncPolicy(val)
 		default:
@@ -203,6 +210,25 @@ func ParseConfig(spec string) (Config, error) {
 		return Config{}, err
 	}
 	return cfg, nil
+}
+
+// parseCount parses a decimal integer in [0, hi].
+func parseCount(s string, hi int) (int, error) {
+	n, err := strconv.Atoi(s)
+	if err == nil && (n < 0 || n > hi) {
+		err = fmt.Errorf("out of range [0, %d]", hi)
+	}
+	return n, err
+}
+
+// parseFinite parses a finite float; NaN and the infinities would pass
+// validate's sign checks and poison every walk they drive.
+func parseFinite(s string) (float64, error) {
+	f, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+		err = errors.New("not a finite number")
+	}
+	return f, err
 }
 
 // validate rejects knob values the event generator cannot run with:
@@ -888,75 +914,5 @@ func (e *Engine) replay(ctx context.Context, recs []journal.Record, evalEach boo
 			e.hist = []Result{{Tick: e.tick, Stages: scenario.StageAll.String(), Metrics: art.Metrics}}
 		}
 	}
-	return nil
-}
-
-// --- spec parsing helpers ---
-
-func splitSpec(spec string) []string {
-	var parts []string
-	for _, p := range split(spec, ',') {
-		if p != "" {
-			parts = append(parts, p)
-		}
-	}
-	return parts
-}
-
-func split(s string, sep byte) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == sep {
-			out = append(out, trim(s[start:i]))
-			start = i + 1
-		}
-	}
-	return out
-}
-
-func trim(s string) string {
-	for len(s) > 0 && (s[0] == ' ' || s[0] == '\t') {
-		s = s[1:]
-	}
-	for len(s) > 0 && (s[len(s)-1] == ' ' || s[len(s)-1] == '\t') {
-		s = s[:len(s)-1]
-	}
-	return s
-}
-
-func cutEq(s string) (key, val string, ok bool) {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '=' {
-			return trim(s[:i]), trim(s[i+1:]), true
-		}
-	}
-	return s, "", false
-}
-
-func parseInt(s string, dst *int) error {
-	var v int
-	if _, err := fmt.Sscanf(s, "%d", &v); err != nil {
-		return err
-	}
-	*dst = v
-	return nil
-}
-
-func parseInt64(s string, dst *int64) error {
-	var v int64
-	if _, err := fmt.Sscanf(s, "%d", &v); err != nil {
-		return err
-	}
-	*dst = v
-	return nil
-}
-
-func parseFloat(s string, dst *float64) error {
-	var v float64
-	if _, err := fmt.Sscanf(s, "%g", &v); err != nil {
-		return err
-	}
-	*dst = v
 	return nil
 }

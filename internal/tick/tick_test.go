@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -11,9 +12,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"remotepeering/internal/fault"
 	"remotepeering/internal/journal"
+	"remotepeering/internal/lg"
 	"remotepeering/internal/scenario"
 	"remotepeering/internal/snapshot"
 	"remotepeering/internal/worldgen"
@@ -578,5 +581,57 @@ func TestParseConfig(t *testing.T) {
 	}
 	if _, err := newEngine(genesis(t), Config{ChurnIXPs: 1, ChurnJoins: -1}); err == nil {
 		t.Error("newEngine should reject a negative churn knob")
+	}
+}
+
+// TestParseConfigRejectsMalformed pins whole-value parsing and the count
+// bounds: a trailing byte, a second number, an exponent where a count
+// belongs, a day count whose campaign would overflow time.Duration, and a
+// negative count are each a "bad <key> value" error, never a silently
+// truncated or wrapped knob.
+func TestParseConfigRejectsMalformed(t *testing.T) {
+	for _, c := range []struct{ spec, key string }{
+		{"joins=3x", "joins"},
+		{"traffic=0.5.5", "traffic"},
+		{"seed=7 8", "seed"},
+		{"greedy=1e3", "greedy"},
+		{"days=213504", "days"},
+		{"days=106752", "days"},
+		{"days=-3", "days"},
+		{"checkpoint=-5", "checkpoint"},
+		{"k=-2", "k"},
+		{"intervals=-1", "intervals"},
+		{"greedy=-1", "greedy"},
+		{"outage=NaN", "outage"},
+		{"diurnal=Inf", "diurnal"},
+	} {
+		_, err := ParseConfig(c.spec)
+		if err == nil || !strings.Contains(err.Error(), "tick: bad "+c.key+" value") {
+			t.Errorf("ParseConfig(%q) = %v, want a bad %s value error", c.spec, err, c.key)
+		}
+	}
+
+	// The bounds themselves parse.
+	cfg, err := ParseConfig(fmt.Sprintf("days=%d,checkpoint=0,intervals=0,k=0,greedy=0", lg.MaxDays))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := time.Duration(lg.MaxDays) * 24 * time.Hour; cfg.Pipeline.Campaign.Duration != want {
+		t.Errorf("days=%d: duration %v, want %v", lg.MaxDays, cfg.Pipeline.Campaign.Duration, want)
+	}
+
+	// CI's tick-replay spec parses to the configuration it always has.
+	cfg, err = ParseConfig("seed=7,joins=3,leaves=2,traffic=0.03,outage=0.05,checkpoint=8,intervals=48,k=2,greedy=4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := DefaultConfig()
+	want.Seed = 7
+	want.ChurnJoins, want.ChurnLeaves = 3, 2
+	want.TrafficDrift, want.OutageRate = 0.03, 0.05
+	want.CheckpointEvery = 8
+	want.Pipeline.Intervals, want.Pipeline.CoverageIXPs, want.Pipeline.GreedyIXPs = 48, 2, 4
+	if !reflect.DeepEqual(cfg, want) {
+		t.Errorf("CI spec parsed to %+v, want %+v", cfg, want)
 	}
 }

@@ -2,8 +2,8 @@
 
 package vecmath
 
-// hasKernels reports whether the AVX2+FMA row kernels may run on this
-// CPU. FMA support is load-bearing twice over: the kernels replicate the
+// hasKernels reports whether the AVX2+FMA row kernel may run on this
+// CPU. FMA support is load-bearing twice over: the kernel replicates the
 // FMA instruction sequence of math.Exp's amd64 assembly, which that code
 // only takes when the CPU has AVX and FMA — so requiring both keeps the
 // vector and scalar paths on the *same* exp algorithm.
@@ -32,19 +32,8 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv0 reads extended control register XCR0.
 func xgetbv0() uint64
 
-// jitterRow4 computes j[i] = Jitter(base, t0+i) for i in [0, n) with
-// n a positive multiple of 4. Lanes whose uniform value falls outside
-// the Acklam central branch are zeroed and their indices appended to
-// spill (which must have room for n entries); the return value is the
-// number of spilled lanes.
-func jitterRow4(j *float64, n int, base uint64, t0 int, spill *int32) int
-
-// accumRow4 performs acc[i] += (avg*prof[i])*j[i] for i in [0, n) with
-// n a positive multiple of 4.
-func accumRow4(acc, prof, j *float64, n int, avg float64)
-
-// jitterAccumRow4 fuses jitterRow4 and accumRow4 for the serial fold:
-// acc[i] += (avg*prof[i])*Jitter(base, t0+i) for central lanes, +0.0 for
-// spilled lanes (recorded in spill for the caller to patch). n must be a
-// positive multiple of 4.
+// jitterAccumRow4 performs acc[i] += (avg*prof[i])*Jitter(base, t0+i)
+// for i in [0, n), n a positive multiple of 4. Tail-branch lanes add
+// +0.0 instead and land in spill (room for n entries) for the caller to
+// patch; the return value is their count.
 func jitterAccumRow4(acc, prof *float64, avg float64, n int, base uint64, t0 int, spill *int32) int

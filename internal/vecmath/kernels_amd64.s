@@ -1,4 +1,4 @@
-// AVX2+FMA row kernels for the traffic-jitter chain. Bit-exactness
+// AVX2+FMA row kernel for the traffic-jitter chain. Bit-exactness
 // contract: every packed instruction below rounds lane-wise exactly like
 // the scalar instruction the Go (or math.Exp assembly) reference
 // executes, and the instruction sequence mirrors the reference
@@ -13,14 +13,15 @@
 //     (exp_amd64.s), which the scalar path takes on every CPU this
 //     kernel is enabled on (it requires AVX+FMA, and the kernel gate
 //     requires AVX2+FMA);
-//   - lanes whose uniform falls outside the central branch are zeroed
-//     and their indices spilled for the scalar caller to patch — the
-//     tail branches need math.Log, which has no vector twin here.
+//   - lanes whose uniform falls outside the central branch contribute
+//     +0.0 and their indices are spilled for the scalar caller to
+//     patch — the tail branches need math.Log, which has no vector
+//     twin here.
 //
 // Garbage flowing through disabled lanes (huge norms from the central
 // polynomial applied to tail uniforms) is harmless: FP faults are
-// masked, VCVTPD2DQ yields the integer-indefinite value, and the final
-// VANDPD blends those lanes to zero before anything is stored.
+// masked, VCVTPD2DQ yields the integer-indefinite value, and the
+// VANDPD blends those lanes to zero before they reach the accumulator.
 
 //go:build amd64
 
@@ -256,169 +257,6 @@ GLOBL konst4<>(SB), RODATA, $1200
 #define K_magic 1136
 #define K_two32 1168
 
-// func jitterRow4(j *float64, n int, base uint64, t0 int, spill *int32) int
-// n must be a positive multiple of 4.
-TEXT ·jitterRow4(SB), NOSPLIT, $0-48
-	MOVQ j+0(FP), DI
-	MOVQ n+8(FP), SI
-	MOVQ base+16(FP), R8
-	MOVQ t0+24(FP), R9
-	MOVQ spill+32(FP), R10
-	XORQ R11, R11                   // spill count
-	XORQ R12, R12                   // i
-	MOVQ R9, X8
-	VPBROADCASTQ X8, Y8
-	VPADDQ konst4<>+K_iota(SB), Y8, Y8  // t lanes {t0, t0+1, t0+2, t0+3}
-	MOVQ R8, X10
-	VPBROADCASTQ X10, Y9                // per-stream hash base
-
-quad:
-	CMPQ R12, SI
-	JGE  done
-
-	// ---- four splitmix64 lanes, 4-wide (64x64 low multiply built from
-	// VPMULUDQ halves; uint64->double via the exact split conversion:
-	// double(hi)*2^32 + double(lo), both steps exact below 2^53) ----
-	VPAND konst4<>+K_mask32(SB), Y8, Y10 // uint64(uint32(t))
-	VPXOR Y9, Y10, Y10                   // x = base ^ t32
-	VPSRLQ $30, Y10, Y11
-	VPXOR Y11, Y10, Y10                  // x ^= x>>30
-	VPSRLQ $32, Y10, Y11
-	VPMULUDQ konst4<>+K_m1(SB), Y10, Y12 // lo(x)*lo(m1)
-	VPMULUDQ konst4<>+K_m1(SB), Y11, Y11 // hi(x)*lo(m1)
-	VPMULUDQ konst4<>+K_m1hi(SB), Y10, Y13 // lo(x)*hi(m1)
-	VPADDQ Y13, Y11, Y11
-	VPSLLQ $32, Y11, Y11
-	VPADDQ Y11, Y12, Y10                 // x *= m1
-	VPSRLQ $27, Y10, Y11
-	VPXOR Y11, Y10, Y10                  // x ^= x>>27
-	VPSRLQ $32, Y10, Y11
-	VPMULUDQ konst4<>+K_m2(SB), Y10, Y12
-	VPMULUDQ konst4<>+K_m2(SB), Y11, Y11
-	VPMULUDQ konst4<>+K_m2hi(SB), Y10, Y13
-	VPADDQ Y13, Y11, Y11
-	VPSLLQ $32, Y11, Y11
-	VPADDQ Y11, Y12, Y10                 // x *= m2
-	VPSRLQ $31, Y10, Y11
-	VPXOR Y11, Y10, Y10                  // x ^= x>>31
-	VPSRLQ $11, Y10, Y10                 // v = x>>11 (< 2^53)
-	VPAND konst4<>+K_mask32(SB), Y10, Y11
-	VPSRLQ $32, Y10, Y12
-	VPOR konst4<>+K_magic(SB), Y11, Y11
-	VPOR konst4<>+K_magic(SB), Y12, Y12
-	VSUBPD konst4<>+K_magic(SB), Y11, Y11 // double(lo), exact
-	VSUBPD konst4<>+K_magic(SB), Y12, Y12 // double(hi), exact
-	VMULPD konst4<>+K_two32(SB), Y12, Y12 // *2^32, exact (hi <= 2^21)
-	VADDPD Y11, Y12, Y0                   // double(v), exact
-	VPADDQ konst4<>+K_four(SB), Y8, Y8    // advance t lanes
-
-	// ---- u = conv * 2^-53 ----
-	VMULPD konst4<>+K_inv53(SB), Y0, Y0
-
-	// ---- central-branch mask: plow <= u <= 1-plow ----
-	VCMPPD $0x1D, konst4<>+K_plow(SB), Y0, Y3   // u >= plow (GE_OQ)
-	VCMPPD $0x12, konst4<>+K_phigh(SB), Y0, Y1  // u <= 1-plow (LE_OQ)
-	VANDPD Y1, Y3, Y3
-	VMOVMSKPD Y3, R13
-
-	// ---- Acklam central branch (mul/add, no fusion, one divide) ----
-	VSUBPD konst4<>+K_half(SB), Y0, Y1          // q = u - 0.5
-	VMULPD Y1, Y1, Y2                           // r = q*q
-	VMOVUPD konst4<>+K_a0(SB), Y4
-	VMULPD Y2, Y4, Y4
-	VADDPD konst4<>+K_a1(SB), Y4, Y4            // a0*r + a1
-	VMULPD Y2, Y4, Y4
-	VADDPD konst4<>+K_a2(SB), Y4, Y4
-	VMULPD Y2, Y4, Y4
-	VADDPD konst4<>+K_a3(SB), Y4, Y4
-	VMULPD Y2, Y4, Y4
-	VADDPD konst4<>+K_a4(SB), Y4, Y4
-	VMULPD Y2, Y4, Y4
-	VADDPD konst4<>+K_a5(SB), Y4, Y4
-	VMULPD Y1, Y4, Y4                           // numerator * q
-	VMOVUPD konst4<>+K_b0(SB), Y5
-	VMULPD Y2, Y5, Y5
-	VADDPD konst4<>+K_b1(SB), Y5, Y5            // b0*r + b1
-	VMULPD Y2, Y5, Y5
-	VADDPD konst4<>+K_b2(SB), Y5, Y5
-	VMULPD Y2, Y5, Y5
-	VADDPD konst4<>+K_b3(SB), Y5, Y5
-	VMULPD Y2, Y5, Y5
-	VADDPD konst4<>+K_b4(SB), Y5, Y5
-	VMULPD Y2, Y5, Y5
-	VADDPD konst4<>+K_one(SB), Y5, Y5           // denominator
-	VDIVPD Y5, Y4, Y4                           // norm = (num*q) / den
-
-	// ---- x = 0.3 * norm ----
-	VMULPD konst4<>+K_c03(SB), Y4, Y4
-
-	// ---- exp(x): the avxfma sequence of math.archExp ----
-	VMULPD konst4<>+K_log2e(SB), Y4, Y5         // x * log2(e)
-	VCVTPD2DQY Y5, X6                           // e (round to nearest int32)
-	VCVTDQ2PD X6, Y5                            // float64(e)
-	VFNMADD231PD konst4<>+K_ln2u(SB), Y5, Y4    // x -= e*ln2u (fused)
-	VFNMADD231PD konst4<>+K_ln2l(SB), Y5, Y4    // x -= e*ln2l (fused)
-	VMULPD konst4<>+K_sixt(SB), Y4, Y4          // x *= 0.0625
-	VMOVUPD konst4<>+K_c9(SB), Y7
-	VFMADD213PD konst4<>+K_c8(SB), Y4, Y7       // h = h*x + c (fused), Taylor chain
-	VFMADD213PD konst4<>+K_c7(SB), Y4, Y7
-	VFMADD213PD konst4<>+K_c6(SB), Y4, Y7
-	VFMADD213PD konst4<>+K_c5(SB), Y4, Y7
-	VFMADD213PD konst4<>+K_c4(SB), Y4, Y7
-	VFMADD213PD konst4<>+K_half(SB), Y4, Y7     // ... + 0.5
-	VFMADD213PD konst4<>+K_one(SB), Y4, Y7      // ... + 1.0
-	VMULPD Y7, Y4, Y4                           // x *= h
-	VADDPD konst4<>+K_two(SB), Y4, Y5           // w = x + 2
-	VMULPD Y5, Y4, Y4                           // x *= w (un-reduce, 4 rounds)
-	VADDPD konst4<>+K_two(SB), Y4, Y5
-	VMULPD Y5, Y4, Y4
-	VADDPD konst4<>+K_two(SB), Y4, Y5
-	VMULPD Y5, Y4, Y4
-	VADDPD konst4<>+K_two(SB), Y4, Y5
-	VFMADD213PD konst4<>+K_one(SB), Y5, Y4      // x = x*w + 1 (fused)
-	VPADDD konst4<>+K_bias(SB), X6, X6          // biased exponent
-	VPMOVSXDQ X6, Y5
-	VPSLLQ $52, Y5, Y5
-	VMULPD Y5, Y4, Y4                           // x *= 2^e
-
-	// ---- blend tail-branch lanes to zero, store, record spills ----
-	VANDPD Y3, Y4, Y4
-	VMOVUPD Y4, (DI)
-	XORL $0xF, R13
-	JZ   next
-	TESTL $1, R13
-	JZ   lane1
-	MOVL R12, AX
-	MOVL AX, (R10)(R11*4)
-	INCQ R11
-lane1:
-	TESTL $2, R13
-	JZ   lane2
-	LEAQ 1(R12), AX
-	MOVL AX, (R10)(R11*4)
-	INCQ R11
-lane2:
-	TESTL $4, R13
-	JZ   lane3
-	LEAQ 2(R12), AX
-	MOVL AX, (R10)(R11*4)
-	INCQ R11
-lane3:
-	TESTL $8, R13
-	JZ   next
-	LEAQ 3(R12), AX
-	MOVL AX, (R10)(R11*4)
-	INCQ R11
-next:
-	ADDQ $32, DI
-	ADDQ $4, R12
-	JMP  quad
-
-done:
-	MOVQ R11, ret+40(FP)
-	VZEROUPPER
-	RET
-
 // func jitterAccumRow4(acc, prof *float64, avg float64, n int, base uint64, t0 int, spill *int32) int
 // acc[i] += (avg*prof[i])*jitter(i) for central lanes (+0 for spilled
 // ones, which the caller patches); n must be a positive multiple of 4.
@@ -588,31 +426,6 @@ fnext:
 
 fdone:
 	MOVQ R11, ret+56(FP)
-	VZEROUPPER
-	RET
-
-// func accumRow4(acc, prof, j *float64, n int, avg float64)
-// acc[i] += (avg*prof[i])*j[i]; n must be a positive multiple of 4.
-TEXT ·accumRow4(SB), NOSPLIT, $0-40
-	MOVQ acc+0(FP), DI
-	MOVQ prof+8(FP), SI
-	MOVQ j+16(FP), DX
-	MOVQ n+24(FP), CX
-	VBROADCASTSD avg+32(FP), Y0
-	XORQ AX, AX
-accloop:
-	CMPQ AX, CX
-	JGE  accdone
-	VMOVUPD (SI)(AX*8), Y1
-	VMULPD Y0, Y1, Y1               // avg * prof[i]
-	VMOVUPD (DX)(AX*8), Y2
-	VMULPD Y2, Y1, Y1               // ... * j[i]
-	VMOVUPD (DI)(AX*8), Y2
-	VADDPD Y1, Y2, Y2               // acc[i] + val
-	VMOVUPD Y2, (DI)(AX*8)
-	ADDQ $4, AX
-	JMP  accloop
-accdone:
 	VZEROUPPER
 	RET
 

@@ -6,10 +6,6 @@ package vecmath
 // by construction, just without the 4-wide throughput.
 const hasKernels = false
 
-func jitterRow4(j *float64, n int, base uint64, t0 int, spill *int32) int { panic("unreachable") }
-
-func accumRow4(acc, prof, j *float64, n int, avg float64) { panic("unreachable") }
-
 func jitterAccumRow4(acc, prof *float64, avg float64, n int, base uint64, t0 int, spill *int32) int {
 	panic("unreachable")
 }

@@ -25,8 +25,9 @@
 //     implementation and patched into the row afterwards.
 //
 // The scalar helpers (Hash01, NormFromUniform, Jitter) are the single
-// source of truth the rest of the repo uses for one-off samples; the
-// row kernels (JitterRow, AccumRow) are the bulk path.
+// source of truth the rest of the repo uses for one-off samples;
+// JitterAccumRow, which folds one stream's jitter into an accumulator
+// row, is the one bulk path.
 package vecmath
 
 import (
@@ -35,15 +36,15 @@ import (
 	"sync/atomic"
 )
 
-// simdOff disables the assembly kernels when set; tests use it to pin
+// simdOff disables the assembly kernel when set; tests use it to pin
 // SIMD output against the pure-Go path on the same machine.
 var simdOff atomic.Bool
 
-// SIMDEnabled reports whether the AVX2+FMA row kernels are active.
+// SIMDEnabled reports whether the AVX2+FMA row kernel is active.
 func SIMDEnabled() bool { return hasKernels && !simdOff.Load() }
 
-// SetSIMD enables or disables the assembly kernels (no-op on machines
-// without them) and reports whether they are now active. Results are
+// SetSIMD enables or disables the assembly kernel (no-op on machines
+// without it) and reports whether it is now active. Results are
 // bit-identical either way; the switch exists so tests can prove it.
 func SetSIMD(on bool) bool {
 	simdOff.Store(!on)
@@ -125,63 +126,14 @@ var spillPool = sync.Pool{
 	New: func() any { s := make([]int32, 4096); return &s },
 }
 
-// JitterRow fills j[i] = Jitter(base, t0+i) for every i. The SIMD path
-// computes central-branch lanes four wide, then patches the spilled
-// tail-branch lanes with the scalar chain; the result is bit-identical
-// to the scalar loop for every input.
-func JitterRow(j []float64, base uint64, t0 int) {
-	if !SIMDEnabled() {
-		for i := range j {
-			j[i] = Jitter(base, t0+i)
-		}
-		return
-	}
-	n4 := len(j) &^ 3
-	if n4 > 0 {
-		sp := spillPool.Get().(*[]int32)
-		if cap(*sp) < n4 {
-			*sp = make([]int32, n4)
-		}
-		spill := (*sp)[:cap(*sp)]
-		ns := jitterRow4(&j[0], n4, base, t0, &spill[0])
-		for _, idx := range spill[:ns] {
-			j[idx] = Jitter(base, t0+int(idx))
-		}
-		spillPool.Put(sp)
-	}
-	for i := n4; i < len(j); i++ {
-		j[i] = Jitter(base, t0+i)
-	}
-}
-
-// AccumRow folds one entry's jitter row into an accumulator slice:
-// acc[i] += (avg * prof[i]) * j[i], the exact expression and evaluation
-// order of the scalar series loop. Slices must have equal length.
-func AccumRow(acc, prof, j []float64, avg float64) {
-	if len(prof) != len(acc) || len(j) != len(acc) {
-		panic("vecmath: AccumRow length mismatch")
-	}
-	if len(acc) == 0 {
-		return
-	}
-	n4 := 0
-	if SIMDEnabled() {
-		n4 = len(acc) &^ 3
-		if n4 > 0 {
-			accumRow4(&acc[0], &prof[0], &j[0], n4, avg)
-		}
-	}
-	for i := n4; i < len(acc); i++ {
-		acc[i] += (avg * prof[i]) * j[i]
-	}
-}
-
-// JitterAccumRow fuses JitterRow and AccumRow for the serial fold:
+// JitterAccumRow folds one stream's jitter into an accumulator row:
 // acc[i] += (avg * prof[i]) * Jitter(base, t0+i), without materialising
-// the jitter row. Exactly the scalar expression, exactly the scalar
-// order; the SIMD path adds +0.0 on tail-branch lanes and patches them
-// scalar afterwards (x + 0.0 = x exactly for the non-negative series
-// values, so the deferred patch leaves the accumulation chain intact).
+// the jitter. t0 is the interval of acc[0], so a caller may hand in any
+// sub-range of a month. Exactly the scalar expression, exactly the
+// scalar order; the SIMD path adds +0.0 on tail-branch lanes and patches
+// them scalar before returning (x + 0.0 = x exactly for the non-negative
+// series values, so the deferred patch leaves the accumulation chain
+// intact).
 func JitterAccumRow(acc, prof []float64, avg float64, base uint64, t0 int) {
 	if len(prof) != len(acc) {
 		panic("vecmath: JitterAccumRow length mismatch")

@@ -329,8 +329,8 @@ func CloneWorld(w *World) *World {
 // (internal/serve).
 type (
 	// Snapshot bundles the persistable artifacts: the world, and
-	// optionally the traffic dataset (plus its synthesised all-transit
-	// series), the measurement campaign, and the customer-cone tables.
+	// optionally the traffic dataset, the measurement campaign, and the
+	// customer-cone tables.
 	// Reports computed from an attached snapshot are byte-identical to
 	// reports computed from the live objects.
 	Snapshot = snapshot.Snapshot
@@ -394,7 +394,7 @@ func SaveSnapshot(path string, s *Snapshot) (digest string, err error) {
 // microseconds regardless of file size, and the world materializes lazily
 // on the first Snapshot() call, with the hot arrays viewed in place
 // rather than copied. Close only after the last use of the materialized
-// snapshot — its series and cone tables alias the mapping.
+// snapshot — its cone tables alias the mapping.
 type AttachedSnapshot = snapshot.Attached
 
 // AttachSnapshot maps the snapshot at path, validating only the header

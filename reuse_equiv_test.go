@@ -1,10 +1,9 @@
 package remotepeering
 
-// The reuse-equivalence suite pins the two cost layers this repo's perf
-// work leans on — the per-dataset series caches and the scenario grid's
-// stage-invalidation reuse — to the behaviour of the uncached/full-rerun
-// paths, bit for bit. The caches may only ever change *when* work runs,
-// never what it computes; these tests are the enforcement.
+// The reuse-equivalence suite pins the series queries and the scenario
+// grid's stage-invalidation reuse to the behaviour of the fresh/full-rerun
+// paths, bit for bit. Reuse may only ever change *when* work runs, never
+// what it computes; these tests are the enforcement.
 
 import (
 	"fmt"
@@ -31,9 +30,10 @@ func seriesEquivFixture(t *testing.T, workers int) (*World, *TrafficDataset, *Of
 }
 
 // TestSeriesCachedPathsEquivalent checks, at workers 1/2/8, that every
-// cached way of asking for a series — the memoised repeat query, the
-// map-set overload, the all-transit sync.Once cache — returns exactly
-// the series a fresh, cache-cold dataset synthesises.
+// way of asking for a series — a repeated query, the map-set overload,
+// the nil all-transit selection through either overload — returns
+// exactly the series a fresh dataset synthesises, in slices the caller
+// owns.
 func TestSeriesCachedPathsEquivalent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("series equivalence sweeps a month at three worker counts")
@@ -45,41 +45,41 @@ func TestSeriesCachedPathsEquivalent(t *testing.T) {
 			ixps := []int{0, 3, 12, 40}
 			covered := study.CoveredSet(ixps, GroupOpenSelective)
 
-			// Cold set query, then the memo-served repeat.
+			// A set query, then the same query again.
 			in1, out1 := ds.SeriesTotalSet(covered)
 			in2, out2 := ds.SeriesTotalSet(covered)
 			if !reflect.DeepEqual(in1, in2) || !reflect.DeepEqual(out1, out2) {
-				t.Fatal("memo-served series differs from its own cold synthesis")
+				t.Fatal("repeated series query differs from the first")
 			}
 			// The map overload must share the same bits.
 			inMap, outMap := ds.SeriesTotal(study.Covered(ixps, GroupOpenSelective))
 			if !reflect.DeepEqual(in1, inMap) || !reflect.DeepEqual(out1, outMap) {
 				t.Fatal("SeriesTotal(map) differs from SeriesTotalSet(bitset)")
 			}
-			// A fresh dataset (cold caches) must agree with everything.
+			// A fresh dataset must agree with everything.
 			_, dsFresh, _ := seriesEquivFixture(t, workers)
 			inF, outF := dsFresh.SeriesTotalSet(study.CoveredSet(ixps, GroupOpenSelective))
 			if !reflect.DeepEqual(in1, inF) || !reflect.DeepEqual(out1, outF) {
-				t.Fatal("cached-dataset series differs from a cache-cold dataset")
+				t.Fatal("queried-dataset series differs from a fresh dataset")
 			}
 
-			// All-transit path: once-cache vs repeat vs fresh.
+			// All-transit path: both overloads vs fresh.
 			allIn1, allOut1 := ds.SeriesTotal(nil)
 			allIn2, allOut2 := ds.SeriesTotalSet(nil)
 			if !reflect.DeepEqual(allIn1, allIn2) || !reflect.DeepEqual(allOut1, allOut2) {
-				t.Fatal("all-transit cache differs between overloads")
+				t.Fatal("all-transit series differs between overloads")
 			}
 			allInF, allOutF := dsFresh.SeriesTotal(nil)
 			if !reflect.DeepEqual(allIn1, allInF) || !reflect.DeepEqual(allOut1, allOutF) {
-				t.Fatal("all-transit cached series differs from cold synthesis")
+				t.Fatal("all-transit series differs from a fresh dataset")
 			}
 
-			// Returned slices are copies: mutating one must not leak into
-			// the cache.
+			// The caller owns the returned slices: mutating one must not
+			// leak into a later query.
 			in2[0] += 1e9
 			in3, _ := ds.SeriesTotalSet(covered)
 			if in3[0] != in1[0] {
-				t.Fatal("series cache leaked a caller's mutation")
+				t.Fatal("a caller's mutation leaked into a later series query")
 			}
 		})
 	}

@@ -64,7 +64,6 @@ func TestSnapshotOffloadEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds.SeriesTotal(nil) // warm the series cache so it rides the snapshot
 	cones := NewConeCache()
 	live, err := NewOffloadStudyOptions(w, ds, OffloadOptions{Cones: cones})
 	if err != nil {
