@@ -48,18 +48,13 @@ func main() {
 			fatal(err)
 		}
 	}
-	cones := remotepeering.NewConeCache()
-	if snap != nil && snap.Cones != nil {
-		cones = snap.Cones
-	}
-	study, err := remotepeering.NewOffloadStudyOptions(w, ds, remotepeering.OffloadOptions{Workers: *common.Workers, Cones: cones})
+	study, err := remotepeering.NewOffloadStudyOptions(w, ds, remotepeering.OffloadOptions{Workers: *common.Workers})
 	if err != nil {
 		fatal(err)
 	}
 	defer func() {
 		out := cli.MergeSnapshot(snap, w)
 		out.Dataset = ds
-		out.Cones = cones
 		if err := snapFlags.SaveSnapshot(out); err != nil {
 			fatal(err)
 		}

@@ -200,15 +200,16 @@ func main() {
 		slog.Info("catalog opened", "worlds", cat.Len(), "dir", *snapDir,
 			"elapsed", time.Since(start).Round(time.Millisecond), "resident_mb", *residentMB)
 	} else {
-		// Microseconds to map and validate the directory, then one lazy
-		// materialization. The mapping stays live for the whole process —
-		// the snapshot's hot arrays alias it.
+		// Microseconds to map and validate the directory, then one
+		// materialization, timed apart. The snapshot owns its memory, so
+		// the mapping goes as soon as it has decoded.
 		a, err := remotepeering.AttachSnapshot(*snapPath)
 		if err != nil {
 			fatal(err)
 		}
 		attached := time.Since(start)
 		snap, err := a.Snapshot()
+		a.Close()
 		if err != nil {
 			fatal(err)
 		}

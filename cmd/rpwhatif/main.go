@@ -67,6 +67,9 @@ func main() {
 	if *days < 0 || *days > lg.MaxDays {
 		fatal(fmt.Errorf("-days %d: want 0 (world default) to %d", *days, lg.MaxDays))
 	}
+	if *greedy == 1 {
+		fatal(fmt.Errorf("-greedy 1: the decay fit needs a depth of at least 2 (0 = default)"))
+	}
 	grid, err := remotepeering.ParseScenarioGrid(*scenarios)
 	if err != nil {
 		fatal(err)
@@ -94,7 +97,6 @@ func main() {
 	if snap != nil {
 		// Whatever the snapshot persisted serves as the baseline when its
 		// recorded inputs match this grid's.
-		opts.Cones = snap.Cones
 		opts.Baseline = scenario.NewBaseline(snap.Spread, snap.Dataset)
 	}
 	report, err := remotepeering.RunScenarios(w, grid, opts)

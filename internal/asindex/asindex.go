@@ -45,10 +45,9 @@ func New(asns []topo.ASN) *Index {
 // FromSorted builds an index over an already strictly-ascending ASN list
 // without re-sorting — the attach path of the snapshot layer, where the
 // persisted dense-id plane is the sorted universe by construction. The
-// input is adopted, not copied, so it must never be mutated afterwards
-// (mmap-backed planes are read-only anyway). An unsorted or duplicated
-// input is rejected: dense-id order is load-bearing for the determinism
-// suite's floating-point addition order.
+// input is adopted, not copied, so it must never be mutated afterwards.
+// An unsorted or duplicated input is rejected: dense-id order is
+// load-bearing for the determinism suite's floating-point addition order.
 func FromSorted(asns []topo.ASN) (*Index, error) {
 	for i := 1; i < len(asns); i++ {
 		if asns[i] <= asns[i-1] {

@@ -10,9 +10,10 @@
 //     result-cache hits never attach anything.
 //   - single-flight attach: N concurrent leases of a cold world trigger
 //     one attach; the rest wait on it.
-//   - refcounted residency: a world is never evicted — never unmapped —
-//     while a lease holds it. Eviction takes idle worlds only, least
-//     recently used first.
+//   - refcounted residency: a world is never evicted while a lease holds
+//     it. Eviction takes idle worlds only, least recently used first. A
+//     residency is charged at its file size; the file itself is mapped
+//     only while the world materializes.
 //   - quarantine: a snapshot that fails validation (CRC mismatch,
 //     truncation, wrong magic, a retired format version) is marked
 //     Quarantined and never retried;
@@ -117,7 +118,6 @@ type entry struct {
 	lastUse   uint64
 	attaching chan struct{} // non-nil iff state == Attaching
 	snap      *snapshot.Snapshot
-	att       *snapshot.Attached
 	held      any   // the attach hook's value for this residency
 	qerr      error // quarantine reason
 }
@@ -338,9 +338,9 @@ func (c *Catalog) StateCounts() map[string]int {
 	return out
 }
 
-// Lease is a refcounted pin on a resident world. The snapshot (and
-// everything aliasing its mapping) is valid until Release; the catalog
-// never evicts a world with outstanding leases.
+// Lease is a refcounted pin on a resident world. The catalog never
+// evicts a world with outstanding leases, so the snapshot and held value
+// stay the residency's until Release.
 type Lease struct {
 	c    *Catalog
 	e    *entry
@@ -456,13 +456,10 @@ func (c *Catalog) makeRoomLocked(size int64) bool {
 }
 
 // evictLocked returns a Ready, unreferenced world to Cold, dropping its
-// snapshot and held value and unmapping its file. Callers guarantee
-// refs == 0 — the invariant that makes the unmap safe.
+// snapshot and held value. Callers guarantee refs == 0.
 func (c *Catalog) evictLocked(e *entry) {
 	e.state = Cold
 	e.snap, e.held = nil, nil
-	e.att.Close()
-	e.att = nil
 	c.resident -= e.size
 	c.evictions.Add(1)
 }
@@ -510,7 +507,7 @@ func (c *Catalog) publish(e *entry, state Health, res residency, qerr error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e.state = state
-	e.snap, e.att, e.held = res.snap, res.att, res.held
+	e.snap, e.held = res.snap, res.held
 	e.qerr = qerr
 	if state != Ready {
 		c.resident -= e.size
@@ -522,7 +519,6 @@ func (c *Catalog) publish(e *entry, state Health, res residency, qerr error) {
 // residency is what one successful attach installs on its entry.
 type residency struct {
 	snap *snapshot.Snapshot
-	att  *snapshot.Attached
 	held any
 }
 
@@ -538,16 +534,11 @@ func (c *Catalog) attachOnce(e *entry) (residency, error) {
 	if err := p.Err(fault.AttachFail, e.digest); err != nil {
 		return residency{}, err
 	}
-	att, err := snapshot.Attach(e.path)
-	if err != nil {
-		return residency{}, err
-	}
 	// Materialize eagerly: Ready must mean "usable snapshot", and the
 	// per-section CRC sweep this triggers is what catches payload
 	// corruption an attach-time directory check cannot.
-	snap, err := att.Snapshot()
+	snap, err := snapshot.OpenFile(e.path)
 	if err != nil {
-		att.Close()
 		return residency{}, err
 	}
 	c.mu.Lock()
@@ -556,11 +547,10 @@ func (c *Catalog) attachOnce(e *entry) (residency, error) {
 	var held any
 	if hook != nil {
 		if held, err = hook(snap); err != nil {
-			att.Close()
 			return residency{}, fmt.Errorf("catalog: on-attach hook: %w", err)
 		}
 	}
-	return residency{snap: snap, att: att, held: held}, nil
+	return residency{snap: snap, held: held}, nil
 }
 
 // isCorruptErr classifies failures that quarantine (a damaged or

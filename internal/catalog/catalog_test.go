@@ -392,7 +392,7 @@ func TestTransientAttachFailureRetries(t *testing.T) {
 // TestChurnRace drives concurrent acquire/evaluate/release cycles over
 // all worlds through a one-world budget — constant eviction pressure
 // racing attach and evaluation. Run under -race this pins the pinning
-// discipline: no lease ever observes an unmapped world, refcounts return
+// discipline: no lease ever observes an evicted world, refcounts return
 // to zero, and every lease sees its world's exact network count.
 func TestChurnRace(t *testing.T) {
 	budget := worldSize(t, 0) // fits roughly one world at a time
@@ -419,7 +419,7 @@ func TestChurnRace(t *testing.T) {
 					return
 				}
 				// "Evaluate": touch the world through the lease. An eviction
-				// racing this read would be a use-after-unmap — the race
+				// racing this read would be a use-after-evict — the race
 				// detector and the length check both catch it.
 				if got := l.Snapshot().World.Graph.Len(); got != fixNets[i] {
 					t.Errorf("worker %d iter %d: world %d read %d networks, want %d", g, it, i, got, fixNets[i])

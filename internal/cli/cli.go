@@ -118,17 +118,17 @@ func SnapshotFlags() Snapshot {
 
 // ResolveWorld returns the tool's world: the snapshot's when -load was
 // given (alongside the full snapshot, so tools can reuse its dataset or
-// campaign), a freshly generated one otherwise. When loading, the
-// world-shape flags (-seed, -leaves) are ignored — the snapshot is the
-// source of truth — and a note goes to stderr if they were set to
-// non-defaults, so a surprising combination is at least visible.
+// campaign), a freshly generated one otherwise. A loaded snapshot owns
+// its memory; the file is unmapped before ResolveWorld returns. When
+// loading, the world-shape flags (-seed, -leaves) are ignored — the
+// snapshot is the source of truth — and a note goes to stderr if they
+// were set to non-defaults, so a surprising combination is at least
+// visible.
 func (s Snapshot) ResolveWorld(c Common) (*worldgen.World, *snapshot.Snapshot, error) {
 	if *s.Load == "" {
 		w, err := worldgen.Generate(c.WorldConfig())
 		return w, nil, err
 	}
-	// The mapping lives as long as the process, which is the snapshot's
-	// lifetime in every CLI tool.
 	snap, err := snapshot.OpenFile(*s.Load)
 	if err != nil {
 		return nil, nil, err
@@ -171,7 +171,6 @@ func MergeSnapshot(loaded *snapshot.Snapshot, w *worldgen.World) *snapshot.Snaps
 	if loaded != nil && loaded.World == w {
 		out.Dataset = loaded.Dataset
 		out.Spread = loaded.Spread
-		out.Cones = loaded.Cones
 	}
 	return out
 }

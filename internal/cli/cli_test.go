@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"remotepeering/internal/netflow"
-	"remotepeering/internal/offload"
 	"remotepeering/internal/snapshot"
 	"remotepeering/internal/worldgen"
 )
@@ -78,15 +77,14 @@ func TestMergeSnapshot(t *testing.T) {
 	loaded := &snapshot.Snapshot{
 		World:   w,
 		Dataset: &netflow.Dataset{},
-		Cones:   offload.NewConeCache(),
 	}
 	out := MergeSnapshot(loaded, w)
-	if out.Dataset != loaded.Dataset || out.Cones != loaded.Cones {
+	if out.Dataset != loaded.Dataset {
 		t.Error("merge over the loaded world must keep its layers")
 	}
 	other := &worldgen.World{}
 	out = MergeSnapshot(loaded, other)
-	if out.Dataset != nil || out.Cones != nil {
+	if out.Dataset != nil {
 		t.Error("merge over a different world must not carry foreign layers")
 	}
 	if out = MergeSnapshot(nil, w); out.World != w || out.Dataset != nil {

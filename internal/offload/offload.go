@@ -89,7 +89,9 @@ type Options struct {
 
 // ConeCache shares the dense customer adjacency and the per-AS customer
 // cones across Study constructions over the same immutable graph. Safe
-// for concurrent use; the first study binds it to its index.
+// for concurrent use; the first study binds it to its index. It lives in
+// memory only: cones are a pure function of the graph, and a snapshot
+// persists the world, not what queries derived from it.
 type ConeCache struct {
 	mu        sync.Mutex
 	ix        *asindex.Index
@@ -101,61 +103,17 @@ type ConeCache struct {
 // that receives it binds it to that study's graph and index.
 func NewConeCache() *ConeCache { return &ConeCache{} }
 
-// Export returns the filled cone rows in ascending-id order — the
-// persistence hook of the snapshot layer. ids[i]'s customer cone is
-// cones[i]; unfilled rows are skipped, and an unbound cache exports
-// nothing. The returned slices alias the cache's internal rows, which are
-// immutable once filled; callers must not mutate them.
-func (cc *ConeCache) Export() (ids []int32, cones [][]int32) {
+// Len returns how many customer cones the cache holds.
+func (cc *ConeCache) Len() int {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	for id, c := range cc.cones {
+	n := 0
+	for _, c := range cc.cones {
 		if c != nil {
-			ids = append(ids, int32(id))
-			cones = append(cones, c)
+			n++
 		}
 	}
-	return ids, cones
-}
-
-// Prime binds the cache to the world's graph and index and preloads cone
-// rows previously Exported from a cache over an identical graph — the
-// caller's assertion, exactly the one Options.Cones already demands
-// between studies. Ids out of the index's range are rejected; a cache
-// that is already bound refuses to be primed again.
-func (cc *ConeCache) Prime(w *worldgen.World, ids []int32, cones [][]int32) error {
-	if w == nil {
-		return fmt.Errorf("offload: nil world")
-	}
-	if len(ids) != len(cones) {
-		return fmt.Errorf("offload: cone table mismatch: %d ids, %d cones", len(ids), len(cones))
-	}
-	ix := w.Index
-	if ix == nil {
-		return fmt.Errorf("offload: world has no index")
-	}
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if cc.ix != nil {
-		return fmt.Errorf("offload: cone cache already bound")
-	}
-	n := ix.Len()
-	rows := make([][]int32, n)
-	for k, id := range ids {
-		if id < 0 || int(id) >= n {
-			return fmt.Errorf("offload: cone id %d out of range [0,%d)", id, n)
-		}
-		for _, c := range cones[k] {
-			if c < 0 || int(c) >= n {
-				return fmt.Errorf("offload: cone member id %d out of range [0,%d)", c, n)
-			}
-		}
-		rows[id] = cones[k]
-	}
-	cc.ix = ix
-	cc.customers = buildCustomers(w, ix, w.Graph.ASNs())
-	cc.cones = rows
-	return nil
+	return n
 }
 
 // bind attaches the cache to (w, ix) on first use and reports whether the

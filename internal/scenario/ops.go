@@ -17,7 +17,9 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -422,6 +424,25 @@ func parseBand(s string) (int, error) {
 
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
+// parseMagnitude parses an op's magnitude, which must be finite: NaN and
+// the infinities pass apply's sign checks and poison every number
+// downstream. A non-zero unit says the op converts the magnitude to a
+// time.Duration, so it must also fit one in nanoseconds — converting a
+// larger float is undefined.
+func parseMagnitude(s string, unit time.Duration) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, errors.New("not a finite number")
+	}
+	if ns := v * float64(unit); ns < math.MinInt64 || ns >= math.MaxInt64 {
+		return 0, fmt.Errorf("%s × %s overflows a duration", s, unit)
+	}
+	return v, nil
+}
+
 // ParseOp parses the textual form of an op, the exact format String
 // emits:
 //
@@ -432,6 +453,11 @@ func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) 
 //	diurnal:<hours>
 //	portprice:<factor>
 //	remoteprice:<factor>
+//
+// Magnitudes must be finite, latency deltas and diurnal hours must fit a
+// time.Duration, and churn counts must not be negative: a spec that
+// could only fail, or silently mis-evaluate, is refused here. Ops built
+// in Go are still checked when they apply.
 func ParseOp(s string) (Op, error) {
 	kind, rest, _ := strings.Cut(strings.TrimSpace(s), ":")
 	switch kind {
@@ -449,7 +475,7 @@ func ParseOp(s string) (Op, error) {
 		if err != nil {
 			return nil, err
 		}
-		ms, err := strconv.ParseFloat(msStr, 64)
+		ms, err := parseMagnitude(msStr, time.Millisecond)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: bad latency delta in %q: %v", s, err)
 		}
@@ -461,12 +487,16 @@ func ParseOp(s string) (Op, error) {
 		}
 		join, err1 := strconv.Atoi(parts[1])
 		leave, err2 := strconv.Atoi(parts[2])
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("scenario: bad churn counts in %q", s)
+		if err1 != nil || err2 != nil || join < 0 || leave < 0 {
+			return nil, fmt.Errorf("scenario: bad churn counts in %q (want non-negative integers)", s)
 		}
 		return MemberChurn{IXP: parts[0], Join: join, Leave: leave}, nil
 	case "traffic", "diurnal", "portprice", "remoteprice":
-		v, err := strconv.ParseFloat(rest, 64)
+		var unit time.Duration
+		if kind == "diurnal" {
+			unit = time.Hour
+		}
+		v, err := parseMagnitude(rest, unit)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: bad %s value in %q: %v", kind, s, err)
 		}

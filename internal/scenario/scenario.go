@@ -82,12 +82,13 @@ type Options struct {
 	// tests that prove it, and as an escape hatch.
 	NoReuse bool
 	// Cones, when set, shares customer-cone tables with the caller — the
-	// long-lived query service passes its snapshot-primed cache here so
-	// successive grid runs over the same world stop recomputing cones.
-	// When nil, the runner uses a private per-run cache as before. Cone
-	// contents are a pure function of the graph, so sharing changes only
-	// cost, never results; a cache bound to a different index is ignored
-	// by the offload layer.
+	// long-lived query service passes each world residency's in-memory
+	// cache here so successive grid runs over the same world stop
+	// recomputing cones. When nil, the runner uses a private per-run
+	// cache, which still serves every cell of the run. Cone contents are
+	// a pure function of the graph, so sharing changes only cost, never
+	// results; a cache bound to a different index is ignored by the
+	// offload layer.
 	Cones *offload.ConeCache
 	// Baseline, when set, holds the world view's baseline parts: the
 	// baseline cell takes its campaign and traffic dataset from it when

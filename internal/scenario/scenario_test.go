@@ -83,6 +83,52 @@ func TestParseOpErrors(t *testing.T) {
 	}
 }
 
+// TestParseOpMagnitudes pins the parse-time checks on op magnitudes: a
+// spec that could only fail, or would silently mis-evaluate, is refused —
+// non-finite magnitudes, latency deltas and diurnal hours whose
+// nanoseconds overflow a time.Duration, negative churn counts — while
+// values up to those bounds parse as they always have.
+func TestParseOpMagnitudes(t *testing.T) {
+	for _, c := range []struct {
+		spec string
+		want Op // nil: ParseOp must fail
+	}{
+		{"latency:city:NaN", nil},
+		{"latency:city:Inf", nil},
+		{"latency:all:-Inf", nil},
+		{"latency:city:1e13", nil},
+		{"latency:continent:-1e13", nil},
+		{"latency:city:9e12", LatencyShift{Band: BandIntercity, DeltaMs: 9e12}},
+		{"latency:city:-3", LatencyShift{Band: BandIntercity, DeltaMs: -3}},
+		{"diurnal:1e300", nil},
+		{"diurnal:-3e9", nil},
+		{"diurnal:nan", nil},
+		{"diurnal:2.5e6", DiurnalShift{Hours: 2.5e6}},
+		{"diurnal:-6", DiurnalShift{Hours: -6}},
+		{"traffic:NaN", nil},
+		{"traffic:+Inf", nil},
+		{"traffic:1.5", TrafficScale{Factor: 1.5}},
+		{"portprice:inf", nil},
+		{"portprice:0.5", PortPrice{Factor: 0.5}},
+		{"remoteprice:-Inf", nil},
+		{"remoteprice:0.8", RemotePrice{Factor: 0.8}},
+		{"churn:DE-CIX:-1:0", nil},
+		{"churn:DE-CIX:0:-1", nil},
+		{"churn:DE-CIX:20:0", MemberChurn{IXP: "DE-CIX", Join: 20}},
+	} {
+		got, err := ParseOp(c.spec)
+		if c.want == nil {
+			if err == nil {
+				t.Errorf("ParseOp(%q) = %#v, want an error", c.spec, got)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("ParseOp(%q) = %#v, %v; want %#v", c.spec, got, err, c.want)
+		}
+	}
+}
+
 func TestParseGrid(t *testing.T) {
 	g, err := ParseGrid("big-outage=outage:AMS-IX; combo=traffic:1.5,portprice:0.5")
 	if err != nil {

@@ -14,8 +14,8 @@
 //   - Advance runs under a per-world mutex (ticks serialise; queries
 //     never take it),
 //   - in catalog mode the engine pins its genesis world's lease for the
-//     engine's lifetime, so eviction cannot unmap memory a timeline
-//     grew from.
+//     engine's lifetime, so eviction cannot drop the residency a
+//     timeline grew from.
 package serve
 
 import (

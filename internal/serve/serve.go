@@ -90,9 +90,10 @@ func NewHTTPServer(addr string, h http.Handler) *http.Server {
 
 // Config parameterises a Server.
 type Config struct {
-	// Snapshot is the loaded world (and optional dataset/spread/cones)
-	// the server answers queries over. Exactly one of Snapshot and
-	// Catalog is required.
+	// Snapshot is the loaded world (and optional dataset and campaign)
+	// the server answers queries over. The server only reads it, so
+	// several servers may share one. Exactly one of Snapshot and Catalog
+	// is required.
 	Snapshot *snapshot.Snapshot
 	// Catalog serves a directory of snapshots instead of one loaded
 	// world: requests select a world with the world= parameter (digest
@@ -147,17 +148,19 @@ type Config struct {
 	Recorder *obs.FlightRecorder
 }
 
-// worldState is the per-world view a computation runs against: the
-// leased snapshot's layers, valid until the accompanying release.
+// worldState is the per-world view a computation runs against, valid
+// until the accompanying release: a snapshot's layers (a live world's
+// current tick artifacts), and what the view holds beside them — the
+// baseline its what-ifs compute and the cone cache its offload studies
+// fill. A static world's view is built once per residency and dropped
+// with it; a live world's is replaced with every tick.
 type worldState struct {
 	digest string
 	world  *worldgen.World
 	ds     *netflow.Dataset
 	spread *spread.Result
 	cones  *offload.ConeCache
-	// base is the view's held baseline: the residency's for a static
-	// world, the current tick's for a live one.
-	base *scenario.Baseline
+	base   *scenario.Baseline
 }
 
 // Server answers the /v1 API over one immutable snapshot or a catalog
@@ -217,9 +220,9 @@ type call struct {
 }
 
 // New builds a Server over a loaded snapshot or a catalog. In single-
-// snapshot mode the snapshot's lazy caches are materialised here, once,
-// so concurrent requests only ever read; in catalog mode the same
-// materialisation runs on every attach, before the world goes Ready.
+// snapshot mode the world's view is prepared here, once, so concurrent
+// requests only ever read; in catalog mode the same preparation runs on
+// every attach, before the world goes Ready.
 func New(cfg Config) (*Server, error) {
 	switch {
 	case cfg.Snapshot == nil && cfg.Catalog == nil:
@@ -277,53 +280,43 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.recorder = cfg.Recorder
 	if cfg.Snapshot != nil {
-		if err := materialize(cfg.Snapshot); err != nil {
+		// The server owns its single world's view: the snapshot may be
+		// shared with other servers, the view is not.
+		var err error
+		if s.single, err = prepare(cfg.Snapshot); err != nil {
 			return nil, err
 		}
-		// The server owns its single residency's holder: the snapshot may
-		// be shared with other servers, the holder is not.
-		s.single = stateOf(cfg.Snapshot, scenario.NewBaseline(cfg.Snapshot.Spread, cfg.Snapshot.Dataset))
 	} else {
-		// Each residency holds its own baseline, which the catalog drops
-		// with the snapshot at eviction and at Close.
-		s.cat.OnAttach(func(snap *snapshot.Snapshot) (any, error) {
-			if err := materialize(snap); err != nil {
-				return nil, err
-			}
-			return scenario.NewBaseline(snap.Spread, snap.Dataset), nil
-		})
+		// Each residency holds its own view, which the catalog drops with
+		// the snapshot at eviction and at Close.
+		s.cat.OnAttach(func(snap *snapshot.Snapshot) (any, error) { return prepare(snap) })
 	}
 	return s, nil
 }
 
-// materialize builds every lazily-initialised structure concurrent
-// readers would otherwise race to create, and gives a cone-less snapshot
-// a shared cone cache (the first evaluation fills it for every later
-// one). It runs once per residency — at New in single mode, on each
-// attach in catalog mode.
-func materialize(snap *snapshot.Snapshot) error {
+// prepare builds every lazily-initialised structure of the snapshot that
+// concurrent readers would otherwise race to create, and returns the
+// world's view: the snapshot's layers, a baseline holder seeded with its
+// campaign and dataset, and an empty cone cache the first evaluation
+// fills for every later one. It runs once per residency — at New in
+// single mode, on each attach in catalog mode — and only reads the
+// snapshot.
+func prepare(snap *snapshot.Snapshot) (*worldState, error) {
 	if snap.World == nil {
-		return fmt.Errorf("serve: snapshot %.12s has no world", snap.Digest)
-	}
-	if snap.Cones == nil {
-		snap.Cones = offload.NewConeCache()
+		return nil, fmt.Errorf("serve: snapshot %.12s has no world", snap.Digest)
 	}
 	snap.World.Graph.ASNs()
 	if snap.Dataset != nil {
 		snap.Dataset.TransitEntries()
 	}
-	return nil
-}
-
-func stateOf(snap *snapshot.Snapshot, base *scenario.Baseline) *worldState {
 	return &worldState{
 		digest: snap.Digest,
 		world:  snap.World,
 		ds:     snap.Dataset,
 		spread: snap.Spread,
-		cones:  snap.Cones,
-		base:   base,
-	}
+		cones:  offload.NewConeCache(),
+		base:   scenario.NewBaseline(snap.Spread, snap.Dataset),
+	}, nil
 }
 
 // resolve maps the world= request parameter to a digest without
@@ -356,8 +349,8 @@ func (s *Server) acquire(ctx context.Context, digest string) (*worldState, func(
 	if err != nil {
 		return nil, nil, err
 	}
-	base, _ := lease.Held().(*scenario.Baseline)
-	return stateOf(lease.Snapshot(), base), lease.Release, nil
+	ws, _ := lease.Held().(*worldState)
+	return ws, lease.Release, nil
 }
 
 // Handler returns the HTTP handler serving the /v1 API.
@@ -689,7 +682,6 @@ func (s *Server) handleWorld(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	coneIDs, _ := ws.cones.Export()
 	var tickNo uint64
 	if view != nil {
 		tickNo = view.tick
@@ -704,7 +696,7 @@ func (s *Server) handleWorld(w http.ResponseWriter, r *http.Request) {
 		ProbeTargets: len(ws.world.Ifaces),
 		HasDataset:   ws.ds != nil,
 		HasSpread:    ws.spread != nil,
-		HasCones:     len(coneIDs) > 0,
+		HasCones:     ws.cones.Len() > 0,
 		Evaluations:  s.evals.Load(),
 		CachedBodies: s.cache.Len(),
 	})
@@ -1050,7 +1042,8 @@ func (wr WhatifRequest) Canonical() string {
 }
 
 // validate rejects knobs below zero, where zero already means the
-// default, and a campaign too long for its duration to be represented.
+// default, a greedy depth too shallow to fit a decay to, and a campaign
+// too long for its duration to be represented.
 func (wr WhatifRequest) validate() error {
 	for _, p := range []struct {
 		name string
@@ -1059,6 +1052,9 @@ func (wr WhatifRequest) validate() error {
 		if p.v < 0 {
 			return fmt.Errorf("bad %s: negative %d (use 0 for the default)", p.name, p.v)
 		}
+	}
+	if wr.Greedy == 1 {
+		return fmt.Errorf("bad greedy: the decay fit needs a depth of at least 2 (use 0 for the default)")
 	}
 	if wr.Days > lg.MaxDays {
 		return fmt.Errorf("bad days: %d overflows the campaign duration (at most %d)", wr.Days, lg.MaxDays)

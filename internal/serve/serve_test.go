@@ -287,6 +287,38 @@ func TestWhatifBadRequests(t *testing.T) {
 	}
 }
 
+// TestUnrunnableWhatifsRejected pins that a what-if which could only
+// fail, or would silently evaluate something else, is a 400 before any
+// evaluation runs: a NaN latency delta, latency or diurnal magnitudes
+// whose nanoseconds overflow a time.Duration (the conversion is
+// undefined), a NaN traffic factor, a negative churn count, and a greedy
+// depth of 1, which leaves the decay fit a single point.
+func TestUnrunnableWhatifsRejected(t *testing.T) {
+	s := testServer(t)
+	for _, tc := range []struct {
+		method, url, body string
+	}{
+		{http.MethodGet, "/v1/whatif?scenarios=x%3Dlatency%3Acity%3ANaN", ""},
+		{http.MethodGet, "/v1/whatif?scenarios=x%3Dlatency%3Acity%3A1e13", ""},
+		{http.MethodGet, "/v1/whatif?scenarios=x%3Ddiurnal%3A1e300", ""},
+		{http.MethodGet, "/v1/whatif?scenarios=x%3Dtraffic%3ANaN", ""},
+		{http.MethodGet, "/v1/whatif?scenarios=x%3Dchurn%3ADE-CIX%3A-1%3A0", ""},
+		{http.MethodGet, "/v1/whatif?scenarios=x%3Dtraffic%3A1.5&greedy=1", ""},
+		{http.MethodPost, "/v1/whatif", `{"scenarios":"x=traffic:1.5","greedy":1}`},
+	} {
+		before := s.Evaluations()
+		req := httptest.NewRequest(tc.method, tc.url, strings.NewReader(tc.body))
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s %s %s: status %d, want 400; body %s", tc.method, tc.url, tc.body, rec.Code, rec.Body)
+		}
+		if s.Evaluations() != before {
+			t.Errorf("%s %s %s: evaluated an unrunnable what-if", tc.method, tc.url, tc.body)
+		}
+	}
+}
+
 // TestNegativeKnobsRejected pins that a knob below zero is a 400, not a
 // computation under its own cache key that silently ran the default.
 func TestNegativeKnobsRejected(t *testing.T) {

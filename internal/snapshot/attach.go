@@ -1,14 +1,14 @@
-// Attach: the zero-copy read side of the flat format. Attach maps a
-// flat snapshot into the address space and validates only the fixed-size
-// header and section directory — microseconds of work independent of file
-// size — so a serve-tier worker can hold thousands of catalogued worlds
-// "open" at negligible cost. The expensive part, materializing the
-// pointer-rich *World and rehydrating the analyses, happens lazily on the
-// first Snapshot() call, and the flat hot-path arrays (cone rows, the
-// dense AS-id plane) are adopted as views over the mapping rather than
-// copied. Scenario clones over an attached world stay
-// copy-on-write: the ops' dirty-stage masks decide which sections a cell
-// rebuilds, exactly as they do over a freshly generated world.
+// Attach: the read side of the flat format. Attach maps a flat snapshot
+// into the address space and validates only the fixed-size header and
+// section directory — microseconds of work independent of file size. The
+// expensive part, materializing the pointer-rich *World and rehydrating
+// the analyses, happens on the first Snapshot() call, and it decodes
+// every section by copy: the materialized Snapshot shares no memory with
+// the mapping, so a caller can Close the attachment as soon as it has
+// materialized (OpenFile does exactly that). Scenario clones over an
+// attached world stay copy-on-write: the ops' dirty-stage masks decide
+// which sections a cell rebuilds, exactly as they do over a freshly
+// generated world.
 package snapshot
 
 import (
@@ -21,7 +21,6 @@ import (
 	"sync"
 
 	"remotepeering/internal/asindex"
-	"remotepeering/internal/offload"
 	"remotepeering/internal/spread"
 	"remotepeering/internal/topo"
 )
@@ -29,11 +28,9 @@ import (
 // Attached is a flat snapshot mapped (or held) in memory. The zero value
 // is not usable; obtain one from Attach or AttachBytes.
 //
-// Lifetime: the materialized Snapshot's cone tables alias the mapping,
-// so Close must not be called while the Snapshot (or anything derived
-// from it) is still in use. Long-lived processes (rpserve, the
-// CLI tools) simply never close; tests close in cleanup, after their last
-// use of the snapshot.
+// Lifetime: a materialized Snapshot owns its memory, so Close may come
+// any time after Snapshot returns; only a later Snapshot call on a
+// closed, never-materialized attachment fails.
 type Attached struct {
 	data  []byte
 	unmap func() error
@@ -151,21 +148,15 @@ func attach(data []byte, unmap func() error) (*Attached, error) {
 	return &Attached{data: data, unmap: unmap, dir: dir}, nil
 }
 
-// OpenFile attaches the snapshot at path and materializes it. The mapping
-// is deliberately retained for the snapshot's lifetime (the materialized
-// artifacts alias it); callers that need to unmap eagerly should use
-// Attach directly and manage Close themselves.
+// OpenFile attaches the snapshot at path, materializes it, and releases
+// the mapping: the returned Snapshot owns its memory.
 func OpenFile(path string) (*Snapshot, error) {
 	a, err := Attach(path)
 	if err != nil {
 		return nil, err
 	}
-	s, err := a.Snapshot()
-	if err != nil {
-		a.Close()
-		return nil, err
-	}
-	return s, nil
+	defer a.Close()
+	return a.Snapshot()
 }
 
 // Sections lists the attached file's section names in directory order.
@@ -180,9 +171,8 @@ func (a *Attached) Sections() []string {
 // Size returns the mapped file size in bytes.
 func (a *Attached) Size() int { return len(a.data) }
 
-// Close releases the mapping. It must not be called while a Snapshot
-// materialized from this attachment is still in use — the snapshot's
-// cone tables alias the mapped memory.
+// Close releases the mapping. A Snapshot already materialized from the
+// attachment stays valid: it holds copies, not views.
 func (a *Attached) Close() error {
 	unmap := a.unmap
 	a.unmap = nil
@@ -234,8 +224,7 @@ func (a *Attached) has(name string) bool {
 // Snapshot materializes the attached file into a fully-rehydrated
 // *Snapshot, once; further calls return the same value. Reports computed
 // from it are byte-identical to reports computed from the live objects —
-// pinned by snapshot_equiv_test.go. The cone rows are adopted as views
-// over the mapping, not copied.
+// pinned by snapshot_equiv_test.go.
 func (a *Attached) Snapshot() (*Snapshot, error) {
 	a.once.Do(func() { a.snap, a.err = a.materialize() })
 	return a.snap, a.err
@@ -256,21 +245,17 @@ func (a *Attached) materialize() (*Snapshot, error) {
 
 	// The persisted dense-id plane must be exactly the restored universe in
 	// ascending order; the index is rebuilt from it without re-sorting.
-	planeRaw, err := a.need(flatASNs)
-	if err != nil {
-		return nil, err
-	}
-	plane, err := viewU32(planeRaw, flatASNs)
+	plane, err := a.need(flatASNs)
 	if err != nil {
 		return nil, err
 	}
 	asns := w.Graph.ASNs()
-	if len(plane) != len(asns) {
-		return nil, fmt.Errorf("%w: asn.ids has %d ids, world has %d networks", ErrCorrupt, len(plane), len(asns))
+	if len(plane) != 4*len(asns) {
+		return nil, fmt.Errorf("%w: asn.ids has %d bytes, world has %d networks", ErrCorrupt, len(plane), len(asns))
 	}
 	for i, asn := range asns {
-		if topo.ASN(plane[i]) != asn {
-			return nil, fmt.Errorf("%w: asn.ids[%d] = %d, world universe has %d", ErrCorrupt, i, plane[i], asn)
+		if id := topo.ASN(binary.LittleEndian.Uint32(plane[4*i:])); id != asn {
+			return nil, fmt.Errorf("%w: asn.ids[%d] = %d, world universe has %d", ErrCorrupt, i, id, asn)
 		}
 	}
 	ix, err := asindex.FromSorted(asns)
@@ -292,14 +277,6 @@ func (a *Attached) materialize() (*Snapshot, error) {
 		}
 	}
 
-	if a.has(flatConeIDs) || a.has(flatConeOffs) || a.has(flatConeData) {
-		cc, err := a.materializeCones(s)
-		if err != nil {
-			return nil, err
-		}
-		s.Cones = cc
-	}
-
 	if a.has(flatSpreadCfg) || a.has(flatObsRows) {
 		sp, err := a.materializeSpread(s)
 		if err != nil {
@@ -316,54 +293,6 @@ func (a *Attached) materialize() (*Snapshot, error) {
 		}
 	}
 	return s, nil
-}
-
-// materializeCones rebuilds the cone cache from the three flat cone
-// sections, with the rows aliasing the mapping.
-func (a *Attached) materializeCones(s *Snapshot) (*offload.ConeCache, error) {
-	idsRaw, err := a.need(flatConeIDs)
-	if err != nil {
-		return nil, err
-	}
-	offsRaw, err := a.need(flatConeOffs)
-	if err != nil {
-		return nil, err
-	}
-	dataRaw, err := a.need(flatConeData)
-	if err != nil {
-		return nil, err
-	}
-	ids, err := viewI32(idsRaw, flatConeIDs)
-	if err != nil {
-		return nil, err
-	}
-	offs, err := viewU32(offsRaw, flatConeOffs)
-	if err != nil {
-		return nil, err
-	}
-	data, err := viewI32(dataRaw, flatConeData)
-	if err != nil {
-		return nil, err
-	}
-	if len(offs) != len(ids)+1 {
-		return nil, fmt.Errorf("%w: cones.offs has %d offsets for %d ids", ErrCorrupt, len(offs), len(ids))
-	}
-	if len(ids) > 0 && offs[0] != 0 {
-		return nil, fmt.Errorf("%w: cones.offs does not start at 0", ErrCorrupt)
-	}
-	rows := make([][]int32, len(ids))
-	for k := range ids {
-		lo, hi := offs[k], offs[k+1]
-		if lo > hi || uint64(hi) > uint64(len(data)) {
-			return nil, fmt.Errorf("%w: cones.offs row %d spans [%d, %d) of %d entries", ErrCorrupt, k, lo, hi, len(data))
-		}
-		rows[k] = data[lo:hi:hi]
-	}
-	cc := offload.NewConeCache()
-	if err := cc.Prime(s.World, ids, rows); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return cc, nil
 }
 
 // materializeSpread rebuilds the measurement campaign from the flat
@@ -416,11 +345,11 @@ func (a *Attached) materializeSpread(s *Snapshot) (*spread.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	tixps, err := viewI32(ixpsRaw, flatTruthIXPs)
+	tixps, err := decodeU32s(ixpsRaw, flatTruthIXPs)
 	if err != nil {
 		return nil, err
 	}
-	toffs, err := viewU32(toffsRaw, flatTruthOffs)
+	toffs, err := decodeU32s(toffsRaw, flatTruthOffs)
 	if err != nil {
 		return nil, err
 	}
@@ -437,7 +366,7 @@ func (a *Attached) materializeSpread(s *Snapshot) (*spread.Result, error) {
 	ixps := make([]int, len(tixps))
 	remote := make([][]netip.Addr, len(tixps))
 	for k := range tixps {
-		ixps[k] = int(tixps[k])
+		ixps[k] = int(int32(tixps[k]))
 		lo, hi := toffs[k], toffs[k+1]
 		if lo > hi || hi > nRows {
 			return nil, fmt.Errorf("%w: truth.offs row %d spans [%d, %d) of %d rows", ErrCorrupt, k, lo, hi, nRows)

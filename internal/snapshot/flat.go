@@ -1,10 +1,9 @@
 // The flat snapshot format — the repo's one on-disk container: an
-// offset-indexed, page-aligned, little-endian section layout built to be
-// mmap'd and queried in place.
+// offset-indexed, page-aligned, little-endian section layout, mapped and
+// decoded section by section.
 //
-// A fixed-size directory sits at the front of the file, and every hot
-// read-side artifact is laid out as a fixed-width array the reader can
-// view through unsafe.Slice without copying:
+// A fixed-size directory sits at the front of the file, and the
+// row-shaped artifacts are laid out as fixed-width arrays:
 //
 //	offset 0      magic "RPSNAP2\n"
 //	offset 8      u16 version (=3), u16 reserved (=0)
@@ -20,17 +19,20 @@
 //	payloads      each starting on a 64-byte boundary, zero-padded between
 //
 // All integers are little-endian. Array sections carry raw fixed-width
-// elements (f64 bit images, u32/i32) with no per-element framing, so a
-// page-aligned mmap of the file yields correctly-aligned slices for free.
-// The pointer-rich structures (the world graph, the dataset entry table,
-// the campaign config) are varint payloads (codec.go), while the
-// artifacts the query hot paths touch (the dense AS-id plane, the cone
-// tables, the spread observation and ground-truth tables) get flat
-// sections. Nothing a query computes is persisted: the traffic series are
-// synthesised per query, so a world's bytes, and hence its digest, never
-// depend on which queries ran before the save. A file from an older
-// writer may still carry series.in/series.out sections; Attach lists them
-// and ignores them, as it does every section it does not know.
+// elements (u32/i32, fixed rows) with no per-element framing. The
+// pointer-rich structures (the world graph, the dataset entry table, the
+// campaign config) are varint payloads (codec.go); the dense AS-id plane
+// and the spread observation and ground-truth tables are arrays. Every
+// section is decoded by copy, so a materialized Snapshot shares no
+// memory with the file.
+//
+// A snapshot persists what a world is, never what a query computed from
+// it: traffic series and customer cones are pure functions of the world
+// and dataset, rebuilt on demand, so a world's bytes, and hence its
+// digest, never depend on which queries ran before the save. A file from
+// an older writer may still carry series.in/series.out or
+// cones.ids/cones.offs/cones.data sections; Attach lists them and
+// ignores them, as it does every section it does not know.
 //
 // Attach (attach.go) validates only the header and directory up front;
 // each section's CRC is verified the first time the section is
@@ -49,7 +51,6 @@ import (
 	"os"
 	"path/filepath"
 	"time"
-	"unsafe"
 
 	"remotepeering/internal/lg"
 	"remotepeering/internal/spread"
@@ -76,9 +77,6 @@ const (
 	flatWorld      = "world"       // varint world payload
 	flatDataset    = "dataset"     // varint dataset payload
 	flatASNs       = "asn.ids"     // u32[] dense-id → ASN plane, ascending
-	flatConeIDs    = "cones.ids"   // i32[] dense ids with persisted cone rows
-	flatConeOffs   = "cones.offs"  // u32[len(ids)+1] prefix offsets into cones.data
-	flatConeData   = "cones.data"  // i32[] concatenated cone rows
 	flatSpreadCfg  = "spread.cfg"  // varint seed+campaign+detector config
 	flatObsStrs    = "obs.strs"    // varint string table (acronyms, families)
 	flatObsRows    = "obs.rows"    // 48-byte fixed observation rows
@@ -114,50 +112,7 @@ const obsRowSize = 48
 // truth.addrs: [16]byte address, u8 ipLen, [3]byte pad.
 const truthRowSize = 20
 
-// hostLittle reports whether this host stores integers little-endian —
-// the precondition for viewing flat sections in place. Big-endian hosts
-// fall back to copying decodes; the file bytes are identical either way.
-var hostLittle = func() bool {
-	var x uint16 = 1
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
-
-// --- zero-copy array views ---
-//
-// Each view function interprets a section payload as a fixed-width array.
-// When the host is little-endian and the payload is suitably aligned
-// (guaranteed for mmap'd files: page-aligned base + 64-byte-aligned
-// offsets), the returned slice aliases the underlying bytes — zero copies,
-// zero allocations. Otherwise the elements are decoded into a fresh slice.
-// A payload whose length is not a multiple of the element size is corrupt.
-
-func viewU32(b []byte, section string) ([]uint32, error) {
-	if len(b)%4 != 0 {
-		return nil, fmt.Errorf("%w: section %q length %d is not a multiple of 4", ErrCorrupt, section, len(b))
-	}
-	n := len(b) / 4
-	if n == 0 {
-		return nil, nil
-	}
-	if hostLittle && uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
-		return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), n), nil
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[i*4:])
-	}
-	return out, nil
-}
-
-func viewI32(b []byte, section string) ([]int32, error) {
-	u, err := viewU32(b, section)
-	if err != nil || u == nil {
-		return nil, err
-	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(&u[0])), len(u)), nil
-}
-
-// --- flat array encoders (writer side) ---
+// --- flat array codecs ---
 
 func appendU32s(buf []byte, xs []uint32) []byte {
 	for _, x := range xs {
@@ -166,11 +121,17 @@ func appendU32s(buf []byte, xs []uint32) []byte {
 	return buf
 }
 
-func appendI32s(buf []byte, xs []int32) []byte {
-	for _, x := range xs {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(x))
+// decodeU32s copies a u32 array section out of the file. A payload whose
+// length is not a multiple of 4 is corrupt.
+func decodeU32s(b []byte, section string) ([]uint32, error) {
+	if len(b)%4 != 0 {
+		return nil, fmt.Errorf("%w: section %q length %d is not a multiple of 4", ErrCorrupt, section, len(b))
 	}
-	return buf
+	out := make([]uint32, len(b)/4)
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint32(b[i*4:])
+	}
+	return out, nil
 }
 
 // addrBytes returns a netip.Addr's canonical binary image (the same bytes
@@ -291,7 +252,7 @@ type flatSection struct {
 
 // flatSections assembles the section list for a snapshot, in the fixed
 // file order. The world and dataset payloads are varint encodings; the
-// hot artifacts are flattened.
+// row-shaped artifacts are flattened.
 func flatSections(s *Snapshot) ([]flatSection, error) {
 	if s == nil || s.World == nil {
 		return nil, fmt.Errorf("snapshot: nil snapshot or world")
@@ -310,25 +271,6 @@ func flatSections(s *Snapshot) ([]flatSection, error) {
 
 	if s.Dataset != nil {
 		secs = append(secs, flatSection{flatDataset, encodeDataset(s.Dataset)})
-	}
-
-	if s.Cones != nil {
-		if ids, cones := s.Cones.Export(); len(ids) > 0 {
-			offs := make([]uint32, 1, len(ids)+1)
-			total := 0
-			for _, row := range cones {
-				total += len(row)
-				offs = append(offs, uint32(total))
-			}
-			data := make([]byte, 0, 4*total)
-			for _, row := range cones {
-				data = appendI32s(data, row)
-			}
-			secs = append(secs,
-				flatSection{flatConeIDs, appendI32s(make([]byte, 0, 4*len(ids)), ids)},
-				flatSection{flatConeOffs, appendU32s(make([]byte, 0, 4*len(offs)), offs)},
-				flatSection{flatConeData, data})
-		}
 	}
 
 	if s.Spread != nil {

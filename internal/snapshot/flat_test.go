@@ -8,12 +8,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"remotepeering/internal/lg"
 	"remotepeering/internal/netflow"
-	"remotepeering/internal/offload"
 	"remotepeering/internal/spread"
 )
 
@@ -73,12 +73,6 @@ func TestFlatFullRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	liveIn, liveOut := ds.SeriesTotal(nil)
-	cones := offload.NewConeCache()
-	study, err := offload.NewStudyOptions(w, ds, offload.Options{Cones: cones})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantGreedy := study.Greedy(offload.GroupAll, 10)
 	res, err := spread.Run(w, spread.Options{
 		Seed: 5,
 		IXPs: []int{0, 2},
@@ -92,7 +86,7 @@ func TestFlatFullRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	loaded := flatRoundTrip(t, &Snapshot{World: w, Dataset: ds, Cones: cones, Spread: res})
+	loaded := flatRoundTrip(t, &Snapshot{World: w, Dataset: ds, Spread: res})
 
 	lds := loaded.Dataset
 	if lds == nil {
@@ -104,17 +98,6 @@ func TestFlatFullRoundTrip(t *testing.T) {
 	gotIn, gotOut := lds.SeriesTotal(nil)
 	if !reflect.DeepEqual(liveIn, gotIn) || !reflect.DeepEqual(liveOut, gotOut) {
 		t.Error("series over the attached dataset differ from the live synthesis")
-	}
-
-	if loaded.Cones == nil {
-		t.Fatal("attached snapshot has no cone cache")
-	}
-	study2, err := offload.NewStudyOptions(loaded.World, lds, offload.Options{Cones: loaded.Cones})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := study2.Greedy(offload.GroupAll, 10); !reflect.DeepEqual(wantGreedy, got) {
-		t.Error("greedy expansion differs when primed from flat cones")
 	}
 
 	lres := loaded.Spread
@@ -288,54 +271,62 @@ func TestFlatIntegrityFailures(t *testing.T) {
 	attachErr("payload cut", good[:len(good)-1], ErrTruncated)
 }
 
+// withSections returns img with extra sections appended after its
+// payloads, laid out the way a writer that knew them would have: the
+// count is bumped, one directory entry per section is spliced in, and
+// the existing payloads shift to the new payload base.
+func withSections(img []byte, extra ...flatSection) []byte {
+	count := int(binary.LittleEndian.Uint32(img[12:]))
+	oldDirEnd := flatHeaderSize + count*flatDirEntSize
+	newDirEnd := oldDirEnd + len(extra)*flatDirEntSize
+	oldBase := alignUp(oldDirEnd+4, flatPayloadBase)
+	newBase := alignUp(newDirEnd+4, flatPayloadBase)
+	shift := uint64(newBase - oldBase)
+
+	out := make([]byte, newBase, newBase+len(img))
+	copy(out, img[:oldDirEnd])
+	binary.LittleEndian.PutUint32(out[12:], uint32(count+len(extra)))
+	for i := 0; i < count; i++ {
+		at := flatHeaderSize + i*flatDirEntSize + flatNameSize
+		binary.LittleEndian.PutUint64(out[at:], binary.LittleEndian.Uint64(out[at:])+shift)
+	}
+	out = append(out, img[oldBase:]...)
+	for k, sec := range extra {
+		off := alignUp(len(out), flatAlign)
+		out = append(out, make([]byte, off-len(out))...)
+		ent := out[oldDirEnd+k*flatDirEntSize:]
+		copy(ent[:flatNameSize], sec.name)
+		binary.LittleEndian.PutUint64(ent[flatNameSize:], uint64(off))
+		binary.LittleEndian.PutUint64(ent[flatNameSize+8:], uint64(len(sec.payload)))
+		binary.LittleEndian.PutUint32(ent[flatNameSize+16:], crc32.ChecksumIEEE(sec.payload))
+		out = append(out, sec.payload...)
+	}
+	refixDirCRC(out)
+	return out
+}
+
+// coneSections are customer-cone tables in the layout files carried
+// while the format persisted them: dense ids, prefix offsets into the
+// concatenated rows, and the rows.
+func coneSections() []flatSection {
+	return []flatSection{
+		{"cones.ids", appendU32s(nil, []uint32{0, 3})},
+		{"cones.offs", appendU32s(nil, []uint32{0, 1, 3})},
+		{"cones.data", appendU32s(nil, []uint32{0, 3, 7})},
+	}
+}
+
 // TestFlatUnknownSectionSkipped pins forward tolerance: an extra section
 // a future writer might add is listed but ignored by materialize.
 func TestFlatUnknownSectionSkipped(t *testing.T) {
 	w := testWorld(t)
-	good := flatImage(t, &Snapshot{World: w})
-
-	// Rewrite the image with one extra unknown section appended: bump the
-	// count, splice a directory entry, shift payload offsets.
-	extra := []byte("future payload")
-	count := int(binary.LittleEndian.Uint32(good[12:]))
-	oldDirEnd := flatHeaderSize + count*flatDirEntSize
-	newDirEnd := oldDirEnd + flatDirEntSize
-	oldBase := alignUp(oldDirEnd+4, flatPayloadBase)
-	newBase := alignUp(newDirEnd+4, flatPayloadBase)
-	shift := newBase - oldBase
-
-	img := make([]byte, 0, len(good)+shift+flatAlign+len(extra))
-	img = append(img, good[:oldDirEnd]...)
-	var ent [flatDirEntSize]byte
-	copy(ent[:flatNameSize], "future.section")
-	extraOff := alignUp(len(good)+shift, flatAlign)
-	binary.LittleEndian.PutUint64(ent[flatNameSize:], uint64(extraOff))
-	binary.LittleEndian.PutUint64(ent[flatNameSize+8:], uint64(len(extra)))
-	binary.LittleEndian.PutUint32(ent[flatNameSize+16:], crc32.ChecksumIEEE(extra))
-	img = append(img, ent[:]...)
-	img = append(img, make([]byte, newBase-newDirEnd)...) // CRC slot + padding
-	img = append(img, good[oldBase:]...)
-	img = append(img, make([]byte, extraOff-(len(good)+shift))...)
-	img = append(img, extra...)
-	binary.LittleEndian.PutUint32(img[12:], uint32(count+1))
-	for i := 0; i < count; i++ {
-		entOff := flatHeaderSize + i*flatDirEntSize + flatNameSize
-		off := binary.LittleEndian.Uint64(img[entOff:])
-		binary.LittleEndian.PutUint64(img[entOff:], off+uint64(shift))
-	}
-	refixDirCRC(img)
+	img := withSections(flatImage(t, &Snapshot{World: w}), flatSection{"future.section", []byte("future payload")})
 
 	a, err := AttachBytes(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, name := range a.Sections() {
-		if name == "future.section" {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.Contains(a.Sections(), "future.section") {
 		t.Error("extra section not listed")
 	}
 	got, err := a.Snapshot()
@@ -345,6 +336,40 @@ func TestFlatUnknownSectionSkipped(t *testing.T) {
 	got.World.Graph.ASNs()
 	if !reflect.DeepEqual(w, got.World) {
 		t.Error("world differs when an unknown section is present")
+	}
+}
+
+// TestFlatConeSectionsIgnored pins that a file written while snapshots
+// persisted customer cones still attaches: its cones.ids, cones.offs and
+// cones.data sections are listed and ignored, and the world and dataset
+// materialize deeply equal to the saved ones.
+func TestFlatConeSectionsIgnored(t *testing.T) {
+	w := testWorld(t)
+	ds, err := netflow.Collect(w, netflow.Config{Seed: 11, Intervals: 96})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := withSections(flatImage(t, &Snapshot{World: w, Dataset: ds}), coneSections()...)
+
+	a, err := AttachBytes(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sec := range coneSections() {
+		if !slices.Contains(a.Sections(), sec.name) {
+			t.Errorf("section %q not listed", sec.name)
+		}
+	}
+	got, err := a.Snapshot()
+	if err != nil {
+		t.Fatalf("materialize with cone sections: %v", err)
+	}
+	got.World.Graph.ASNs()
+	if !reflect.DeepEqual(w, got.World) {
+		t.Error("world differs when cone sections are present")
+	}
+	if !reflect.DeepEqual(ds, got.Dataset) {
+		t.Error("dataset differs when cone sections are present")
 	}
 }
 

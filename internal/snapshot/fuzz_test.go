@@ -10,25 +10,21 @@ import (
 
 	"remotepeering/internal/lg"
 	"remotepeering/internal/netflow"
-	"remotepeering/internal/offload"
 	"remotepeering/internal/spread"
 	"remotepeering/internal/worldgen"
 )
 
-// fuzzSeeds builds one small-but-complete snapshot and a world-only one
-// and renders both as flat images, once per process — the corpus seeds
-// and the oracle images the fuzz body mutates.
-var fuzzSeeds = sync.OnceValues(func() (full, world []byte) {
+// fuzzSeeds builds one small-but-complete snapshot, a world-only one, and
+// a world+dataset one carrying the cone sections files held while the
+// format persisted cones, and renders them as flat images, once per
+// process — the corpus seeds and the oracle images the fuzz body mutates.
+var fuzzSeeds = sync.OnceValue(func() (seeds struct{ full, world, cones []byte }) {
 	w, err := worldgen.Generate(worldgen.Config{Seed: 13, LeafNetworks: 80})
 	if err != nil {
 		panic(err)
 	}
 	ds, err := netflow.Collect(w, netflow.Config{Seed: 17, Intervals: 24})
 	if err != nil {
-		panic(err)
-	}
-	cones := offload.NewConeCache()
-	if _, err := offload.NewStudyOptions(w, ds, offload.Options{Cones: cones}); err != nil {
 		panic(err)
 	}
 	res, err := spread.Run(w, spread.Options{
@@ -43,14 +39,17 @@ var fuzzSeeds = sync.OnceValues(func() (full, world []byte) {
 	if err != nil {
 		panic(err)
 	}
-	var b1, b2 bytes.Buffer
-	if _, err := WriteFlat(&b1, &Snapshot{World: w, Dataset: ds, Cones: cones, Spread: res}); err != nil {
-		panic(err)
+	image := func(s *Snapshot) []byte {
+		var b bytes.Buffer
+		if _, err := WriteFlat(&b, s); err != nil {
+			panic(err)
+		}
+		return b.Bytes()
 	}
-	if _, err := WriteFlat(&b2, &Snapshot{World: w}); err != nil {
-		panic(err)
-	}
-	return b1.Bytes(), b2.Bytes()
+	seeds.full = image(&Snapshot{World: w, Dataset: ds, Spread: res})
+	seeds.world = image(&Snapshot{World: w})
+	seeds.cones = withSections(image(&Snapshot{World: w, Dataset: ds}), coneSections()...)
+	return seeds
 })
 
 // FuzzReadSnapshot pins the decoder contract: arbitrary input produces
@@ -59,7 +58,8 @@ var fuzzSeeds = sync.OnceValues(func() (full, world []byte) {
 // hand-rolled bounds checks of the varint payloads inside it are exactly
 // the code this exercises.
 func FuzzReadSnapshot(f *testing.F) {
-	full, world := fuzzSeeds()
+	seeds := fuzzSeeds()
+	full, world := seeds.full, seeds.world
 	f.Add(full)
 	f.Add(world)
 	f.Add(full[:len(full)/2])
@@ -84,6 +84,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add([]byte("RPSNAP1\n"))
 	f.Add([]byte("RPSNAP2\n"))
 	f.Add([]byte{})
+	f.Add(seeds.cones)
 
 	typed := func(t *testing.T, err error) {
 		t.Helper()

@@ -1,18 +1,19 @@
-// Package snapshot persists the reproduction's expensive artifacts — the
-// generated world, the collected traffic dataset, the measurement
-// campaign, and the customer-cone tables — in one versioned,
-// CRC-protected, mmap-able container (the flat format, flat.go), and
-// rehydrates them so that every report computed from an attached
-// snapshot is byte-identical to the one computed from the live objects.
+// Package snapshot persists what a world is — the generated world, the
+// collected traffic dataset, the measurement campaign, and a living
+// world's tick state — in one versioned, CRC-protected, mmap-able
+// container (the flat format, flat.go), and rehydrates them so that every
+// report computed from an attached snapshot is byte-identical to the one
+// computed from the live objects.
 //
 // The guarantee rests on two facts the rest of the repo already enforces:
 // the analyses are deterministic pure functions of their inputs, and the
 // codec round-trips those inputs exactly (adjacency-list order, entry
-// order, observation order, IEEE-754 bit images). Derived state that is
-// cheap to recompute (registry views, transient accounting) is rebuilt on
-// attach through the owning packages' rehydration hooks rather than
-// persisted, so the file stays small and the derivations stay in one
-// place.
+// order, observation order, IEEE-754 bit images). Derived state
+// (registry views, transient accounting, traffic series, customer cones)
+// is rebuilt on attach or on demand through the owning packages rather
+// than persisted, so the file stays small, the derivations stay in one
+// place, and a materialized Snapshot owns its memory: nothing in it
+// aliases the file it came from.
 //
 // The file's bytes depend on content alone: runtime knobs such as the
 // worldgen and netflow Workers counts are never written (they never
@@ -30,7 +31,6 @@ import (
 	"remotepeering/internal/core"
 	"remotepeering/internal/lg"
 	"remotepeering/internal/netflow"
-	"remotepeering/internal/offload"
 	"remotepeering/internal/spread"
 	"remotepeering/internal/topo"
 	"remotepeering/internal/worldgen"
@@ -49,10 +49,6 @@ type Snapshot struct {
 	// configs, and ground truth; the detector report is recomputed on
 	// attach (deterministically, so byte-identically).
 	Spread *spread.Result
-	// Cones shares customer-cone tables across studies over the world's
-	// graph, if present. Saving persists the rows filled so far; attach
-	// returns a cache primed with them and bound to the attached world.
-	Cones *offload.ConeCache
 	// Tick is the evolution layer, if present: the world's position on a
 	// living-world timeline plus the regime state accumulated by its
 	// events. Tick-engine checkpoints carry it; frozen worlds omit it.

@@ -100,9 +100,8 @@ type Config struct {
 	Pipeline scenario.Options
 
 	// Cones shares a customer-cone cache with the caller (the serve tier
-	// passes its snapshot-primed cache); nil uses a private one. Tick
-	// events never touch the AS graph, so one cache serves the whole
-	// timeline.
+	// passes its residency's cache); nil uses a private one. Tick events
+	// never touch the AS graph, so one cache serves the whole timeline.
 	Cones *offload.ConeCache
 
 	// Metrics receives tick/checkpoint/recovery observations and is
@@ -149,8 +148,8 @@ func DefaultConfig() Config {
 //	days=6,k=5,greedy=30,fsync=commit
 //
 // An empty spec is DefaultConfig. Counts (checkpoint, intervals, days, k,
-// greedy) must be non-negative decimal integers, and days at most
-// lg.MaxDays; every value must parse whole.
+// greedy) must be non-negative decimal integers, days at most lg.MaxDays
+// and greedy other than 1; every value must parse whole.
 func ParseConfig(spec string) (Config, error) {
 	cfg := DefaultConfig()
 	for _, part := range strings.Split(spec, ",") {
@@ -231,10 +230,14 @@ func parseFinite(s string) (float64, error) {
 	return f, err
 }
 
-// validate rejects knob values the event generator cannot run with:
-// negative churn counts would hand Intn a non-positive bound and panic the
-// first Advance, and negative drifts or rates have no meaning.
+// validate rejects knob values the engine cannot run with: negative
+// churn counts would hand Intn a non-positive bound and panic the first
+// Advance, negative drifts or rates have no meaning, and a greedy depth of
+// 1 leaves every tick's decay fit a single point.
 func (c Config) validate() error {
+	if c.Pipeline.GreedyIXPs == 1 {
+		return fmt.Errorf("tick: greedy depth must be 0 (the default) or at least 2 for the decay fit")
+	}
 	for _, k := range []struct {
 		name string
 		bad  bool
@@ -811,21 +814,14 @@ func recoverDir(ctx context.Context, dir, path string, genesis *worldgen.World, 
 			dir, hdr.GenesisDigest, e.genesis)
 	}
 
-	// Attach the newest checkpoint whose snapshot still matches its
+	// Adopt the newest checkpoint whose snapshot still matches its
 	// recorded digest; damaged or missing checkpoints fall back to older
-	// ones, and ultimately to genesis replay. Probing uses Attach directly
-	// so a rejected candidate's mapping is released immediately — only the
-	// adopted checkpoint keeps its mapping (its world aliases it) for the
-	// engine's lifetime.
+	// ones, and ultimately to genesis replay. OpenFile releases each
+	// candidate's mapping once it has materialized.
 	for i := len(c.Checkpoints) - 1; i >= 0; i-- {
 		cp := c.Checkpoints[i]
-		a, err := snapshot.Attach(filepath.Join(dir, cp.File))
-		if err != nil {
-			continue
-		}
-		snap, err := a.Snapshot()
+		snap, err := snapshot.OpenFile(filepath.Join(dir, cp.File))
 		if err != nil || snap.Digest != cp.Digest || snap.Tick == nil || snap.Tick.Tick != cp.Tick {
-			a.Close()
 			continue
 		}
 		e.es = &scenario.EvolveState{World: snap.World, Traffic: snap.Tick.Traffic, Econ: snap.Tick.Econ}

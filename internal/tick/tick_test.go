@@ -582,6 +582,17 @@ func TestParseConfig(t *testing.T) {
 	if _, err := newEngine(genesis(t), Config{ChurnIXPs: 1, ChurnJoins: -1}); err == nil {
 		t.Error("newEngine should reject a negative churn knob")
 	}
+
+	// A greedy depth of 1 leaves every decay fit one point, so genesis
+	// could only fail: the parser and the engine refuse it up front.
+	if _, err := ParseConfig("greedy=1"); err == nil {
+		t.Error("spec greedy=1 should fail")
+	}
+	one := DefaultConfig()
+	one.Pipeline.GreedyIXPs = 1
+	if _, err := newEngine(genesis(t), one); err == nil {
+		t.Error("newEngine should reject a greedy depth of 1")
+	}
 }
 
 // TestParseConfigRejectsMalformed pins whole-value parsing and the count

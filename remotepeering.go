@@ -329,13 +329,15 @@ func CloneWorld(w *World) *World {
 // (internal/serve).
 type (
 	// Snapshot bundles the persistable artifacts: the world, and
-	// optionally the traffic dataset, the measurement campaign, and the
-	// customer-cone tables.
-	// Reports computed from an attached snapshot are byte-identical to
-	// reports computed from the live objects.
+	// optionally the traffic dataset and the measurement campaign. What
+	// queries derive from them (traffic series, customer cones) is
+	// recomputed, never persisted. Reports computed from an attached
+	// snapshot are byte-identical to reports computed from the live
+	// objects.
 	Snapshot = snapshot.Snapshot
 	// ConeCache shares customer-cone tables between offload studies (and
-	// scenario grid runs) over the same immutable AS graph.
+	// scenario grid runs) over the same immutable AS graph. It lives in
+	// memory only.
 	ConeCache = offload.ConeCache
 	// ServeConfig parameterises the query service: the snapshot (or
 	// catalog), the in-flight evaluation bound, admission and deadline
@@ -356,8 +358,8 @@ type (
 	// CatalogWorld is one catalogued world's public state — digest,
 	// path, size, health, outstanding leases.
 	CatalogWorld = catalog.WorldInfo
-	// WorldLease is a refcounted pin on a resident world: the snapshot
-	// stays mapped until Release.
+	// WorldLease is a refcounted pin on a resident world: the world
+	// stays resident, never evicted, until Release.
 	WorldLease = catalog.Lease
 	// FaultPlane is the injectable failure plane the serve tier threads
 	// through attaches, evaluations, and caches. A nil plane is the
@@ -392,9 +394,8 @@ func SaveSnapshot(path string, s *Snapshot) (digest string, err error) {
 
 // AttachedSnapshot is a snapshot file mapped into memory: attach costs
 // microseconds regardless of file size, and the world materializes lazily
-// on the first Snapshot() call, with the hot arrays viewed in place
-// rather than copied. Close only after the last use of the materialized
-// snapshot — its cone tables alias the mapping.
+// on the first Snapshot() call, decoded by copy. The materialized
+// snapshot owns its memory, so Close may follow Snapshot() at once.
 type AttachedSnapshot = snapshot.Attached
 
 // AttachSnapshot maps the snapshot at path, validating only the header
@@ -403,9 +404,9 @@ func AttachSnapshot(path string) (*AttachedSnapshot, error) {
 	return snapshot.Attach(path)
 }
 
-// OpenSnapshot attaches the snapshot at path and materializes it; the
-// mapping stays live for the snapshot's lifetime. Every artifact answers
-// queries byte-identically to the live objects it was saved from.
+// OpenSnapshot attaches the snapshot at path, materializes it, and
+// releases the mapping. Every artifact answers queries byte-identically
+// to the live objects it was saved from.
 func OpenSnapshot(path string) (*Snapshot, error) {
 	return snapshot.OpenFile(path)
 }

@@ -18,9 +18,9 @@ import (
 	"time"
 )
 
-// flatAttachRoundTrip saves s, attaches the file, and materializes. The
-// mapping stays open until test cleanup because the materialized
-// snapshot's series and cone tables alias it.
+// flatAttachRoundTrip saves s, attaches the file, materializes, and
+// closes the attachment: a materialized snapshot owns its memory, so
+// every comparison below runs after the file is unmapped.
 func flatAttachRoundTrip(t *testing.T, s *Snapshot) *Snapshot {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "equiv.flat")
@@ -32,9 +32,11 @@ func flatAttachRoundTrip(t *testing.T, s *Snapshot) *Snapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { a.Close() })
 	got, err := a.Snapshot()
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if got.Digest != digest {
@@ -64,14 +66,13 @@ func TestSnapshotOffloadEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cones := NewConeCache()
-	live, err := NewOffloadStudyOptions(w, ds, OffloadOptions{Cones: cones})
+	live, err := NewOffloadStudy(w, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	roundTrips(t, &Snapshot{World: w, Dataset: ds, Cones: cones}, func(t *testing.T, loaded *Snapshot) {
-		study, err := NewOffloadStudyOptions(loaded.World, loaded.Dataset, OffloadOptions{Cones: loaded.Cones})
+	roundTrips(t, &Snapshot{World: w, Dataset: ds}, func(t *testing.T, loaded *Snapshot) {
+		study, err := NewOffloadStudy(loaded.World, loaded.Dataset)
 		if err != nil {
 			t.Fatal(err)
 		}
