@@ -67,11 +67,6 @@ func ApplyOps(es *EvolveState, ops []Op, src *stats.Source) (Dirty, error) {
 			return Dirty{}, err
 		}
 	}
-	// Membership-level ops keep the ASN universe intact; an op that grew
-	// or shrank the graph needs the dense plane rebuilt (mirrors evalCell).
-	if st.World.Graph.Len() != st.World.Index.Len() {
-		st.World.RefreshIndex()
-	}
 	es.World = st.World
 	es.Traffic = st.Traffic
 	es.Econ = st.Econ
@@ -121,7 +116,7 @@ func EvalEvolved(ctx context.Context, es *EvolveState, d Dirty, prev *Artifacts,
 		mask = StageAll
 		dirtyAll = true
 	} else {
-		base = &cellArtifacts{world: es.World, spread: prev.Spread, ds: prev.Dataset, m: prev.Metrics}
+		base = &cellArtifacts{spread: prev.Spread, ds: prev.Dataset, m: prev.Metrics}
 	}
 
 	tr := es.Traffic

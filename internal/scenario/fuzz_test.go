@@ -46,6 +46,8 @@ func FuzzParseGrid(f *testing.F) {
 		"x=diurnal:1e300",
 		"x=traffic:NaN",
 		"x=churn:DE-CIX:-1:0",
+		"x=latency:city:9e12,latency:city:9e12",
+		"x=traffic:1e200,traffic:1e200",
 		// Malformed shapes.
 		"", " ; ", "name=", "=outage:A", "outage:A=B", "a,b", "churn::1:2",
 		"latency:orbit:3", "traffic:0x1p-2", "warp:9",

@@ -10,9 +10,10 @@
 // economic viability when the *world* changes — an IXP outage, a latency
 // regime shift, a membership surge, a traffic surge, a port-price drop.
 //
-// Every op applies to a deterministic copy-on-write clone of the world
-// (worldgen.World.Clone), so a grid run never mutates the caller's world,
-// and the runner inherits the repo-wide invariant: results are
+// An op that rewrites the world applies to a deterministic copy-on-write
+// clone of it (worldgen.World.Clone); every other cell reads the caller's
+// world, which no stage writes. A grid run never mutates the caller's
+// world, and the runner inherits the repo-wide invariant: results are
 // byte-identical for every worker count.
 package scenario
 
@@ -32,10 +33,11 @@ import (
 	"remotepeering/internal/worldgen"
 )
 
-// state is the mutable what-if cell an op perturbs: the cloned world plus
+// state is the mutable what-if cell an op perturbs: the cell's world plus
 // the per-cell pipeline configurations. Ops may rewrite any of it — world
 // structure (outage, churn), measurement physics (latency shift), traffic
-// regime (scale, diurnal phase), or the economic price vector.
+// regime (scale, diurnal phase), or the economic price vector. The world
+// is a private clone exactly when one of the cell's ops rewrites it.
 type state struct {
 	World   *worldgen.World
 	Traffic netflow.Config
@@ -59,7 +61,9 @@ const (
 	// StageWorld marks structural change to the AS graph or the ASN
 	// universe itself. No current op sets it (membership ops leave the
 	// graph untouched); an op that grows or rewires the graph must, and
-	// it implies every other stage.
+	// it implies every other stage. World clones share the frozen graph,
+	// so such an op must also give its cell a private copy of the graph
+	// and a dense index rebuilt from it.
 	StageWorld StageMask = 1 << iota
 	// StageSpread invalidates the Section 3 measurement campaign.
 	StageSpread
@@ -134,6 +138,15 @@ func closeStages(m StageMask) StageMask {
 	return m
 }
 
+// MaxLatencyShift bounds the one-way pseudowire delay shift a band may
+// accumulate, in either direction. A day is far past the lg campaign's
+// 5 s ping timeout, so every larger shift already reads as a lost reply.
+// Far beyond it the simulator's int64-nanosecond clock wraps: a frame's
+// delivery time (now plus the access delays it crosses) turns negative
+// and netsim panics with "scheduling into the past", and two shifts
+// whose int64 sum wraps evaluate a huge shift of the other sign.
+const MaxLatencyShift = 24 * time.Hour
+
 // Distance bands for LatencyShift, matching Figure 3's classes.
 const (
 	// BandAll applies a latency shift to every remote membership.
@@ -200,7 +213,20 @@ func (o LatencyShift) apply(st *state) error {
 	if o.Band < BandAll || o.Band > BandIntercontinental {
 		return fmt.Errorf("scenario: latency shift band %d out of range", o.Band)
 	}
-	d := time.Duration(o.DeltaMs * float64(time.Millisecond))
+	// The shift and the delay it accumulates to must each stay within the
+	// bound, checked in floating point before converting: a larger float
+	// has no defined time.Duration.
+	shift := o.DeltaMs * float64(time.Millisecond)
+	for b := 0; b < 3; b++ {
+		if o.Band != BandAll && o.Band != b {
+			continue
+		}
+		if sum := float64(st.World.PseudowireDelta[b]) + shift; !(math.Abs(shift) <= float64(MaxLatencyShift) && math.Abs(sum) <= float64(MaxLatencyShift)) {
+			return fmt.Errorf("scenario: latency shift of %s ms takes the %s band's one-way delay to %g ms, beyond ±%v",
+				formatFloat(o.DeltaMs), bandName(b), sum/float64(time.Millisecond), MaxLatencyShift)
+		}
+	}
+	d := time.Duration(shift)
 	for b := 0; b < 3; b++ {
 		if o.Band == BandAll || o.Band == b {
 			st.World.PseudowireDelta[b] += d
@@ -302,17 +328,23 @@ func (o TrafficScale) stages() StageMask { return StageTraffic }
 func (o TrafficScale) dirtySims() (bool, []string) { return false, nil }
 
 func (o TrafficScale) apply(st *state) error {
-	if o.Factor <= 0 {
+	if !(o.Factor > 0) {
 		return fmt.Errorf("scenario: non-positive traffic scale %v", o.Factor)
 	}
-	if st.Traffic.TotalInboundBps == 0 {
-		st.Traffic.TotalInboundBps = netflow.DefaultInboundBps
+	in, out := st.Traffic.TotalInboundBps, st.Traffic.TotalOutboundBps
+	if in == 0 {
+		in = netflow.DefaultInboundBps
 	}
-	if st.Traffic.TotalOutboundBps == 0 {
-		st.Traffic.TotalOutboundBps = netflow.DefaultOutboundBps
+	if out == 0 {
+		out = netflow.DefaultOutboundBps
 	}
-	st.Traffic.TotalInboundBps *= o.Factor
-	st.Traffic.TotalOutboundBps *= o.Factor
+	in, out = in*o.Factor, out*o.Factor
+	// An infinite total poisons every offload share; a total that
+	// underflows to zero would read as "use the default" downstream.
+	if in == 0 || out == 0 || math.IsInf(in, 0) || math.IsInf(out, 0) {
+		return fmt.Errorf("scenario: traffic scale %s takes the transit totals to %g/%g bps", formatFloat(o.Factor), in, out)
+	}
+	st.Traffic.TotalInboundBps, st.Traffic.TotalOutboundBps = in, out
 	return nil
 }
 
@@ -456,9 +488,25 @@ func parseMagnitude(s string, unit time.Duration) (float64, error) {
 //
 // Magnitudes must be finite, latency deltas and diurnal hours must fit a
 // time.Duration, and churn counts must not be negative: a spec that
-// could only fail, or silently mis-evaluate, is refused here. Ops built
-// in Go are still checked when they apply.
+// could only fail, or silently mis-evaluate, is refused here.
+// A latency delta past MaxLatencyShift, or a traffic factor that takes
+// the default transit totals to zero or infinity, is refused too, and
+// ParseScenario refuses a scenario whose ops add up past those limits.
+// Ops built in Go are still checked when they apply.
 func ParseOp(s string) (Op, error) {
+	op, err := parseOp(s)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkAccumulated([]Op{op}); err != nil {
+		return nil, err
+	}
+	return op, nil
+}
+
+// parseOp is ParseOp's syntax: the op a spec names, before any check on
+// what the op does to a cell.
+func parseOp(s string) (Op, error) {
 	kind, rest, _ := strings.Cut(strings.TrimSpace(s), ":")
 	switch kind {
 	case "outage":
@@ -516,7 +564,9 @@ func ParseOp(s string) (Op, error) {
 }
 
 // ParseScenario parses "name=op,op,..."; a spec without '=' names the
-// scenario after its op list.
+// scenario after its op list. It refuses a scenario whose latency shifts
+// add up past MaxLatencyShift in a band, or whose traffic scales take
+// the transit totals to zero or infinity.
 func ParseScenario(spec string) (Scenario, error) {
 	spec = strings.TrimSpace(spec)
 	name, opsSpec, ok := strings.Cut(spec, "=")
@@ -541,7 +591,35 @@ func ParseScenario(spec string) (Scenario, error) {
 	if len(ops) == 0 {
 		return Scenario{}, fmt.Errorf("scenario: no ops in %q", spec)
 	}
+	if err := checkAccumulated(ops); err != nil {
+		return Scenario{}, fmt.Errorf("%w (in %q)", err, spec)
+	}
 	return Scenario{Name: name, Ops: ops}, nil
+}
+
+// checkAccumulated folds a scenario's latency and traffic ops onto an
+// unperturbed cell state, the way a grid cell will apply them, so a
+// scenario whose ops are each in range but add up past what the
+// pipeline can evaluate is refused at parse time with apply's own error.
+// The other ops change nothing these two read. The serve tier parses
+// every what-if query, cache hits included, so the state stays on the
+// stack: the ops are applied through their concrete types.
+func checkAccumulated(ops []Op) error {
+	var w worldgen.World
+	st := state{World: &w}
+	for _, op := range ops {
+		var err error
+		switch o := op.(type) {
+		case LatencyShift:
+			err = o.apply(&st)
+		case TrafficScale:
+			err = o.apply(&st)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ParseGrid parses a ';'-separated list of scenario specs into a grid

@@ -20,7 +20,8 @@ import (
 )
 
 // Scenario is one named what-if: a composition of perturbation ops applied
-// in order to a fresh clone of the world.
+// in order to the cell's state (a fresh clone of the world when an op
+// rewrites it).
 type Scenario struct {
 	Name string
 	Ops  []Op
@@ -76,10 +77,10 @@ type Options struct {
 	// Econ is the base Section 5 price vector (zero value = the
 	// reference parameterisation); price ops rescale it per cell.
 	Econ econ.Params
-	// NoReuse forces every cell through the full clone-and-rerun
-	// pipeline, ignoring the ops' dirty-stage masks. The report is
-	// byte-identical either way — the flag exists for the equivalence
-	// tests that prove it, and as an escape hatch.
+	// NoReuse forces every cell through the full rerun pipeline, ignoring
+	// the ops' dirty-stage masks. The report is byte-identical either way
+	// — the flag exists for the equivalence tests that prove it, and as an
+	// escape hatch.
 	NoReuse bool
 	// Cones, when set, shares customer-cone tables with the caller — the
 	// long-lived query service passes each world residency's in-memory
@@ -223,9 +224,10 @@ type cellSpec struct {
 
 // Run evaluates the grid. Cells fan out across workers through
 // internal/parallel with the repo's hard invariant: the report is
-// byte-identical at every worker count, because each cell runs on its own
-// world clone with RNG streams derived from the scenario index and seed
-// offset alone, and the cell results merge in grid order.
+// byte-identical at every worker count, because a cell that rewrites the
+// world does so on its own clone, every cell's RNG streams derive from the
+// scenario index and seed offset alone, and the cell results merge in grid
+// order.
 func Run(w *worldgen.World, grid Grid, opts Options) (*Report, error) {
 	return RunCtx(context.Background(), w, grid, opts)
 }
@@ -283,15 +285,11 @@ func RunCtx(ctx context.Context, w *worldgen.World, grid Grid, opts Options) (*R
 		cells[i].newSrc = func() *stats.Source { return root.Split(label) }
 	}
 
-	// Materialise the parent graph's lazy ASN cache before the fan-out so
-	// concurrent Clone calls only ever read it.
-	w.Graph.ASNs()
-
 	// The baseline runs first, alone, with the grid's worker budget fanned
 	// into its inner stages (each stage is worker-count-invariant, so this
-	// changes wall time, never results). Its artifacts — the unperturbed
-	// clone, per-IXP verdicts, dataset, cone cache — are what the scenario
-	// cells reuse for every stage their ops leave clean.
+	// changes wall time, never results). Its artifacts — per-IXP verdicts,
+	// dataset, cone cache — are what the scenario cells reuse for every
+	// stage their ops leave clean.
 	cones := opts.Cones
 	if cones == nil {
 		cones = offload.NewConeCache()
@@ -422,7 +420,6 @@ func evalCellSafe(ctx context.Context, w *worldgen.World, spec cellSpec, opts Op
 // artifacts are retained by Run; for scenario cells the struct is just a
 // return vehicle for the metrics.
 type cellArtifacts struct {
-	world  *worldgen.World
 	spread *spread.Result
 	ds     *netflow.Dataset
 	m      Metrics
@@ -444,15 +441,18 @@ func evalCell(ctx context.Context, w *worldgen.World, spec cellSpec, opts Option
 	// world-dirtiness alone: it stays true for the baseline and for
 	// seed-offset cells (whose forced full reruns leave the AS graph
 	// untouched), which is what lets every cell of the grid share one
-	// customer-cone cache.
+	// customer-cone cache. writesWorld marks the ops that rewrite the
+	// world (outages, churn, latency shifts: the ones with dirty sims).
 	var direct StageMask
 	dirtyAllSims := false
+	writesWorld := false
 	var dirtySimList []string
 	for _, op := range spec.scn.Ops {
 		direct |= op.stages()
 		all, list := op.dirtySims()
 		dirtyAllSims = dirtyAllSims || all
 		dirtySimList = append(dirtySimList, list...)
+		writesWorld = writesWorld || all || len(list) > 0
 	}
 	graphClean := direct&StageWorld == 0
 	if spec.off != 0 {
@@ -466,9 +466,6 @@ func evalCell(ctx context.Context, w *worldgen.World, spec cellSpec, opts Option
 	}
 	mask := closeStages(direct)
 
-	// Ops that touch the world (structure, memberships, physics) need
-	// their own clone; config-only cells read the baseline's clone.
-	needClone := base == nil || direct&(StageWorld|StageSpread|StageOffload) != 0
 	st := &state{
 		Traffic: netflow.Config{
 			Seed:      opts.TrafficSeed + spec.off,
@@ -484,21 +481,17 @@ func evalCell(ctx context.Context, w *worldgen.World, spec cellSpec, opts Option
 		Econ: opts.Econ,
 		src:  spec.newSrc(),
 	}
-	if needClone {
+	// Only ops that rewrite the world get a clone. The baseline, seed-offset
+	// and config-only cells read the caller's world: every stage only
+	// reads it.
+	st.World = w
+	if writesWorld {
 		st.World = w.Clone()
-	} else {
-		st.World = base.world
 	}
 	for _, op := range spec.scn.Ops {
 		if err := op.apply(st); err != nil {
 			return nil, err
 		}
-	}
-	// Membership-level ops keep the ASN universe intact and share the
-	// parent's immutable index; an op that grew or shrank the graph needs
-	// the dense plane rebuilt before the analyses key on it.
-	if st.World.Graph.Len() != st.World.Index.Len() {
-		st.World.RefreshIndex()
 	}
 
 	var held *Baseline
@@ -544,7 +537,7 @@ type stageArgs struct {
 func runStages(ctx context.Context, a stageArgs) (*cellArtifacts, error) {
 	st, mask, base, opts := a.st, a.mask, a.base, a.opts
 
-	art := &cellArtifacts{world: st.World}
+	art := &cellArtifacts{}
 	m := &art.m
 
 	// --- Section 3: the spread campaign ---

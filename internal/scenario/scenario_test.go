@@ -16,6 +16,7 @@ import (
 
 	"remotepeering/internal/econ"
 	"remotepeering/internal/netflow"
+	"remotepeering/internal/snapshot"
 	"remotepeering/internal/stats"
 	"remotepeering/internal/worldgen"
 )
@@ -86,8 +87,11 @@ func TestParseOpErrors(t *testing.T) {
 // TestParseOpMagnitudes pins the parse-time checks on op magnitudes: a
 // spec that could only fail, or would silently mis-evaluate, is refused —
 // non-finite magnitudes, latency deltas and diurnal hours whose
-// nanoseconds overflow a time.Duration, negative churn counts — while
-// values up to those bounds parse as they always have.
+// nanoseconds overflow a time.Duration, latency deltas past
+// MaxLatencyShift (9e12 ms crashed the simulator), traffic factors that
+// take the transit totals to infinity, negative churn counts — while
+// values up to those bounds parse as they always have. A scenario whose
+// ops are each in range but add up past a bound is refused as a whole.
 func TestParseOpMagnitudes(t *testing.T) {
 	for _, c := range []struct {
 		spec string
@@ -98,7 +102,10 @@ func TestParseOpMagnitudes(t *testing.T) {
 		{"latency:all:-Inf", nil},
 		{"latency:city:1e13", nil},
 		{"latency:continent:-1e13", nil},
-		{"latency:city:9e12", LatencyShift{Band: BandIntercity, DeltaMs: 9e12}},
+		{"latency:city:9e12", nil},
+		{"latency:city:8.64e7", LatencyShift{Band: BandIntercity, DeltaMs: 8.64e7}},
+		{"latency:all:-8.64e7", LatencyShift{Band: BandAll, DeltaMs: -8.64e7}},
+		{"latency:country:8.6400001e7", nil},
 		{"latency:city:-3", LatencyShift{Band: BandIntercity, DeltaMs: -3}},
 		{"diurnal:1e300", nil},
 		{"diurnal:-3e9", nil},
@@ -108,6 +115,8 @@ func TestParseOpMagnitudes(t *testing.T) {
 		{"traffic:NaN", nil},
 		{"traffic:+Inf", nil},
 		{"traffic:1.5", TrafficScale{Factor: 1.5}},
+		{"traffic:1e300", nil},
+		{"traffic:1e298", TrafficScale{Factor: 1e298}},
 		{"portprice:inf", nil},
 		{"portprice:0.5", PortPrice{Factor: 0.5}},
 		{"remoteprice:-Inf", nil},
@@ -125,6 +134,23 @@ func TestParseOpMagnitudes(t *testing.T) {
 		}
 		if err != nil || !reflect.DeepEqual(got, c.want) {
 			t.Errorf("ParseOp(%q) = %#v, %v; want %#v", c.spec, got, err, c.want)
+		}
+	}
+	for _, c := range []struct {
+		spec string
+		ok   bool
+	}{
+		{"x=latency:city:9e12,latency:city:9e12", false},
+		{"x=latency:city:5e7,latency:all:5e7", false},
+		{"x=latency:city:5e7,latency:country:5e7", true},
+		{"x=latency:city:5e7,latency:city:-5e7,latency:city:5e7", true},
+		{"x=traffic:1e200,traffic:1e200", false},
+		{"x=traffic:1e-200,traffic:1e-200", false},
+		{"x=traffic:1e200,traffic:1e-200,traffic:1e200", true},
+		{"ok=traffic:1.5;x=traffic:1e200,diurnal:3,traffic:1e200", false},
+	} {
+		if _, err := ParseGrid(c.spec); (err == nil) != c.ok {
+			t.Errorf("ParseGrid(%q): %v, want ok=%v", c.spec, err, c.ok)
 		}
 	}
 }
@@ -183,6 +209,18 @@ func TestLatencyShiftApply(t *testing.T) {
 	if err := (LatencyShift{Band: 7, DeltaMs: 1}).apply(st); err == nil {
 		t.Fatal("out-of-range band should fail")
 	}
+	// Ops built in Go meet the parser's bound on the state they change:
+	// the city band already sits at -2 ms, so a full day more is past it,
+	// and the refused op changes no band.
+	if err := (LatencyShift{Band: BandAll, DeltaMs: -8.64e7}).apply(st); err == nil {
+		t.Fatal("a shift accumulating past MaxLatencyShift should fail")
+	}
+	if err := (LatencyShift{Band: BandIntercity, DeltaMs: 9e12}).apply(st); err == nil {
+		t.Fatal("a 9e12 ms shift should fail")
+	}
+	if st.World.PseudowireDelta != want {
+		t.Fatalf("a refused shift moved PseudowireDelta to %v", st.World.PseudowireDelta)
+	}
 }
 
 func TestMemberChurnApply(t *testing.T) {
@@ -235,8 +273,43 @@ func TestTrafficAndPriceOpsApply(t *testing.T) {
 	if err := (TrafficScale{Factor: 0}).apply(st); err == nil {
 		t.Fatal("zero traffic factor should fail")
 	}
+	if err := (TrafficScale{Factor: 1e300}).apply(st); err == nil {
+		t.Fatal("a traffic factor overflowing the totals should fail")
+	}
+	if st.Traffic.TotalInboundBps != 1.5*netflow.DefaultInboundBps {
+		t.Fatalf("a refused traffic scale moved the inbound total to %v", st.Traffic.TotalInboundBps)
+	}
 	if err := (PortPrice{Factor: -1}).apply(st); err == nil {
 		t.Fatal("negative port-price factor should fail")
+	}
+}
+
+// TestRunLeavesWorldUntouched pins that a grid run never writes the
+// caller's world. Cells whose ops rewrite the world (outage, churn,
+// latency) do so on clones that share its frozen graph; the baseline,
+// seed-offset and config-only cells (traffic, diurnal, prices) read the
+// world itself. Its snapshot bytes must not move at any worker count.
+func TestRunLeavesWorldUntouched(t *testing.T) {
+	w := testWorld(t)
+	flat := func() []byte {
+		var buf bytes.Buffer
+		if _, err := snapshot.WriteFlat(&buf, &snapshot.Snapshot{World: w}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want := flat()
+	g := mustGrid(t, "churn=churn:AMS-IX:3:2;dark=outage:LINX;fast=latency:city:-3,traffic:1.2;late=diurnal:6;cheap=portprice:0.5,remoteprice:0.8")
+	g.Seeds = []int64{0, 1}
+	for _, workers := range []int{1, 2} {
+		opts := heldOpts()
+		opts.Workers = workers
+		if _, err := Run(w, g, opts); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(flat(), want) {
+			t.Fatalf("workers=%d: the grid run changed the caller's world", workers)
+		}
 	}
 }
 

@@ -305,7 +305,6 @@ func prepare(snap *snapshot.Snapshot) (*worldState, error) {
 	if snap.World == nil {
 		return nil, fmt.Errorf("serve: snapshot %.12s has no world", snap.Digest)
 	}
-	snap.World.Graph.ASNs()
 	if snap.Dataset != nil {
 		snap.Dataset.TransitEntries()
 	}
@@ -918,6 +917,11 @@ func (s *Server) handleOffload(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad greedy")
 		return
 	}
+	if max(depth, k) < 2 {
+		// The curve has max(greedy, k) steps, and the decay fit needs two.
+		httpError(w, http.StatusBadRequest, "bad greedy: the decay fit needs a curve of at least 2 steps (greedy or k of 2 or more)")
+		return
+	}
 	trafficSeed, err := intParam(q.Get("traffic-seed"), s.datasetSeed())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad traffic-seed: %v", err)
@@ -1003,8 +1007,8 @@ func (s *Server) handleOffload(w http.ResponseWriter, r *http.Request) {
 		for i, st := range steps {
 			remaining[i] = st.Remaining()
 		}
-		if fit, err := fitB(remaining, in+out); err == nil {
-			resp.FittedB = fit
+		if resp.FittedB, err = fitB(remaining, in+out); err != nil {
+			return nil, fmt.Errorf("decay fit: %w", err)
 		}
 		return marshalBody(resp)
 	})

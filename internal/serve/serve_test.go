@@ -170,6 +170,33 @@ func TestOffloadEndpoint(t *testing.T) {
 	}
 }
 
+// TestOffloadDecayFitNeedsTwoSteps pins that /v1/offload never answers a
+// decay parameter it could not fit: a one-step curve (k=1&greedy=1) is a
+// 400 before any evaluation, where it used to answer 200 with a
+// plausible-looking "fitted_b": 0. greedy=1 with the default k=5 still
+// fits over five steps.
+func TestOffloadDecayFitNeedsTwoSteps(t *testing.T) {
+	s := testServer(t)
+	before := s.Evaluations()
+	if st, _, b := get(t, s.Handler(), "/v1/offload?k=1&greedy=1&intervals=96"); st != http.StatusBadRequest {
+		t.Errorf("k=1&greedy=1: status %d, want 400; body %s", st, b)
+	}
+	if s.Evaluations() != before {
+		t.Error("k=1&greedy=1 evaluated a curve it cannot fit")
+	}
+	st, _, body := get(t, s.Handler(), "/v1/offload?greedy=1&intervals=96")
+	if st != http.StatusOK {
+		t.Fatalf("greedy=1: status %d, body %s", st, body)
+	}
+	var resp offloadResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Steps) != 5 || resp.FittedB == 0 {
+		t.Errorf("greedy=1: %d steps, fitted_b %v; want 5 steps and a fitted b", len(resp.Steps), resp.FittedB)
+	}
+}
+
 const testGrid = "cheap-remote=remoteprice:0.5;surge=traffic:1.4"
 
 func whatifURL() string {
@@ -291,7 +318,10 @@ func TestWhatifBadRequests(t *testing.T) {
 // fail, or would silently evaluate something else, is a 400 before any
 // evaluation runs: a NaN latency delta, latency or diurnal magnitudes
 // whose nanoseconds overflow a time.Duration (the conversion is
-// undefined), a NaN traffic factor, a negative churn count, and a greedy
+// undefined), latency shifts past scenario.MaxLatencyShift alone or
+// added up (9e12 ms crashed the simulator; two of them wrapped the int64
+// sum), traffic factors that take the totals to infinity alone or
+// multiplied, a NaN traffic factor, a negative churn count, and a greedy
 // depth of 1, which leaves the decay fit a single point.
 func TestUnrunnableWhatifsRejected(t *testing.T) {
 	s := testServer(t)
@@ -300,6 +330,11 @@ func TestUnrunnableWhatifsRejected(t *testing.T) {
 	}{
 		{http.MethodGet, "/v1/whatif?scenarios=x%3Dlatency%3Acity%3ANaN", ""},
 		{http.MethodGet, "/v1/whatif?scenarios=x%3Dlatency%3Acity%3A1e13", ""},
+		{http.MethodGet, "/v1/whatif?scenarios=x%3Dlatency%3Acity%3A9e12", ""},
+		{http.MethodGet, "/v1/whatif?scenarios=x%3Dlatency%3Acity%3A9e12%2Clatency%3Acity%3A9e12", ""},
+		{http.MethodGet, "/v1/whatif?scenarios=x%3Dtraffic%3A1e300", ""},
+		{http.MethodGet, "/v1/whatif?scenarios=x%3Dtraffic%3A1e200%2Ctraffic%3A1e200", ""},
+		{http.MethodPost, "/v1/whatif", `{"scenarios":"x=latency:city:5e7,latency:all:5e7"}`},
 		{http.MethodGet, "/v1/whatif?scenarios=x%3Ddiurnal%3A1e300", ""},
 		{http.MethodGet, "/v1/whatif?scenarios=x%3Dtraffic%3ANaN", ""},
 		{http.MethodGet, "/v1/whatif?scenarios=x%3Dchurn%3ADE-CIX%3A-1%3A0", ""},

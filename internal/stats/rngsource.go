@@ -3,13 +3,18 @@
 // Profile background: the spread campaign and the scenario grid split
 // thousands of labelled child Sources per run, and rand.NewSource's
 // seeding — a ~1,900-step Lehmer recurrence feeding a 607-word lagged
-// Fibonacci state — showed up as ~25% of whole-grid CPU. Two facts make
+// Fibonacci state — showed up as ~25% of whole-grid CPU. Three facts make
 // that cost avoidable without changing a single emitted value:
 //
 //   - The seeded state is a pure function of the seed, so a bounded
-//     seed→state cache turns the recurrence into a 4.8 KB copy. The
-//     what-if engine re-derives the *same* labelled seeds in every cell
-//     that reuses a clean stage, so the hit rate in grid runs is high.
+//     seed→state cache turns the recurrence into a lookup. The what-if
+//     engine re-derives the *same* labelled seeds in every cell that
+//     reuses a clean stage, so the hit rate in grid runs is high.
+//   - Cached states are shared and immutable, and a cache hit is a
+//     pointer, not a 4.8 KB copy: a stream reads the shared state in
+//     place for its first 273 draws, which are the draws that read no
+//     word the stream wrote itself. Only a stream that draws more copies
+//     the state (see drawShared). Most streams draw far fewer.
 //   - The Lehmer step (48271·x mod 2³¹−1) over a Mersenne modulus
 //     reduces with a shift-add fold instead of Schrage division —
 //     bit-identical values, substantially cheaper cold seeding.
@@ -38,32 +43,81 @@ const (
 type rngState [rngLen]int64
 
 // lfsrSource replicates math/rand's additive lagged-Fibonacci source
-// (Mitchell & Reeds): Uint64 walks two taps through vec, adding.
+// (Mitchell & Reeds): each draw walks two taps through the state, adding,
+// and writes the sum back at the feed tap. It starts on a shared seeded
+// state (base) and takes its own copy (vec) only at its first draw that
+// reads a word it wrote itself.
 type lfsrSource struct {
 	tap, feed int
-	vec       rngState
+	vec       *rngState // the stream's own state; nil while it reads base
+	base      *rngState // the shared seeded state; never written
 }
 
 func (s *lfsrSource) Uint64() uint64 {
+	if vec := s.vec; vec != nil {
+		return s.draw(vec)
+	}
+	return s.drawShared()
+}
+
+// Int63 repeats Uint64's dispatch instead of calling it: Uint64 is too
+// large to inline, and a second call is a measurable share of a draw.
+func (s *lfsrSource) Int63() int64 {
+	if vec := s.vec; vec != nil {
+		return int64(s.draw(vec) & rngMask)
+	}
+	return int64(s.drawShared() & rngMask)
+}
+
+// draw is one step on the stream's own state, vec.
+func (s *lfsrSource) draw(vec *rngState) uint64 {
+	tap, feed := s.tap-1, s.feed-1
+	if tap < 0 {
+		tap += rngLen
+	}
+	if feed < 0 {
+		feed += rngLen
+	}
+	s.tap, s.feed = tap, feed
+	x := vec[feed] + vec[tap]
+	vec[feed] = x
+	return uint64(x)
+}
+
+// drawShared is one step on the shared seeded state. Draw k (from 1)
+// reads words 334−k (the feed) and 607−k (the tap) and writes the feed.
+// Up to draw 273 the tap lies above every feed written so far, so a draw
+// reads only seeded words and its write can be deferred: the stream reads
+// base in place and writes nothing. Draw 274's tap is word 333, which
+// draw 1 wrote, so that draw copies base, replays the 273 deferred writes
+// (word p = base[p] + base[p+273] for p = 61…333) and continues on the
+// copy.
+func (s *lfsrSource) drawShared() uint64 {
+	if s.feed == rngLen-2*rngTap {
+		vec := new(rngState)
+		*vec = *s.base
+		for p := rngLen - 2*rngTap; p < rngLen-rngTap; p++ {
+			vec[p] = s.base[p] + s.base[p+rngTap]
+		}
+		s.vec, s.base = vec, nil
+		return s.draw(vec)
+	}
 	s.tap--
 	if s.tap < 0 {
 		s.tap += rngLen
 	}
 	s.feed--
-	if s.feed < 0 {
-		s.feed += rngLen
-	}
-	x := s.vec[s.feed] + s.vec[s.tap]
-	s.vec[s.feed] = x
-	return uint64(x)
+	return uint64(s.base[s.feed] + s.base[s.tap])
 }
-
-func (s *lfsrSource) Int63() int64 { return int64(s.Uint64() & rngMask) }
 
 func (s *lfsrSource) Seed(seed int64) {
 	s.tap = 0
 	s.feed = rngLen - rngTap
-	seedState(&s.vec, seed)
+	if s.vec == nil {
+		s.vec = new(rngState)
+	}
+	s.base = nil
+	seedState(s.vec, seed)
 }
 
 // seedrand advances the Lehmer seeding recurrence: 48271·x mod 2³¹−1,
@@ -104,9 +158,9 @@ func seedState(vec *rngState, seed int64) {
 
 var (
 	// seedCache memoises seeded states. Entries are immutable once
-	// stored; FIFO eviction bounds it to ~80 MB (16k states of 4.8 KB —
-	// sized so a paper-scale 22-IXP campaign's per-member streams fit
-	// without thrashing).
+	// stored and shared by every source seeded from them; FIFO eviction
+	// bounds it to ~80 MB (16k states of 4.8 KB — sized so a paper-scale
+	// 22-IXP campaign's per-member streams fit without thrashing).
 	seedCacheMu    sync.Mutex
 	seedCache      = map[int64]*rngState{}
 	seedCacheOrder []int64
@@ -114,28 +168,28 @@ var (
 
 const seedCacheMax = 16384
 
-// newRandSource returns a rand.Source64 seeded like rand.NewSource(seed),
-// from the state cache when possible.
+// newRandSource returns a rand.Source64 seeded like rand.NewSource(seed).
+// It reads the cached state for seed in place, seeding and caching one on
+// a miss.
 func newRandSource(seed int64) rand.Source64 {
-	s := &lfsrSource{tap: 0, feed: rngLen - rngTap}
 	seedCacheMu.Lock()
 	st := seedCache[seed]
 	seedCacheMu.Unlock()
-	if st != nil {
-		s.vec = *st
-		return s
-	}
-	seedState(&s.vec, seed)
-	snap := s.vec
-	seedCacheMu.Lock()
-	if seedCache[seed] == nil {
-		if len(seedCacheOrder) >= seedCacheMax {
-			delete(seedCache, seedCacheOrder[0])
-			seedCacheOrder = seedCacheOrder[1:]
+	if st == nil {
+		st = new(rngState)
+		seedState(st, seed)
+		seedCacheMu.Lock()
+		if prev := seedCache[seed]; prev != nil {
+			st = prev
+		} else {
+			if len(seedCacheOrder) >= seedCacheMax {
+				delete(seedCache, seedCacheOrder[0])
+				seedCacheOrder = seedCacheOrder[1:]
+			}
+			seedCache[seed] = st
+			seedCacheOrder = append(seedCacheOrder, seed)
 		}
-		seedCache[seed] = &snap
-		seedCacheOrder = append(seedCacheOrder, seed)
+		seedCacheMu.Unlock()
 	}
-	seedCacheMu.Unlock()
-	return s
+	return &lfsrSource{feed: rngLen - rngTap, base: st}
 }

@@ -450,14 +450,18 @@ func TestFastSourceMatchesMathRand(t *testing.T) {
 }
 
 // TestFastSourceCacheHitIdentical re-requests a seed already in the state
-// cache and checks the stream is identical to a cold seeding.
+// cache and checks the stream is identical to a cold seeding and to
+// rand.NewSource, through draw 274 where both stop reading the shared
+// cached state in place and continue on their own copies.
 func TestFastSourceCacheHitIdentical(t *testing.T) {
 	const seed = 192837465
+	want := rand.NewSource(seed).(rand.Source64)
 	cold := newRandSource(seed) // populates cache
 	warm := newRandSource(seed) // cache hit
 	for i := 0; i < 2000; i++ {
-		if c, w := cold.Uint64(), warm.Uint64(); c != w {
-			t.Fatalf("step %d: cold %d != warm %d", i, c, w)
+		r, c, w := want.Uint64(), cold.Uint64(), warm.Uint64()
+		if c != r || w != r {
+			t.Fatalf("step %d: cold %d, warm %d, want %d", i, c, w, r)
 		}
 	}
 }

@@ -344,10 +344,6 @@ func newEngine(genesis *worldgen.World, cfg Config) (*Engine, error) {
 	if cones == nil {
 		cones = offload.NewConeCache()
 	}
-	// Prime the lazy ASN cache before the first Clone, mirroring the grid
-	// runner: clones (and the serve tier's concurrent readers) must only
-	// ever read it.
-	genesis.Graph.ASNs()
 	return &Engine{
 		cfg: cfg,
 		es: &scenario.EvolveState{

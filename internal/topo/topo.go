@@ -8,6 +8,7 @@
 package topo
 
 import (
+	"errors"
 	"fmt"
 	"net/netip"
 	"sort"
@@ -97,7 +98,12 @@ type Network struct {
 	IPInterfaces int64
 }
 
-// Graph is the AS-level relationship graph.
+// Graph is the AS-level relationship graph. A graph is built through
+// AddNetwork, AddTransit and AddPeering, then frozen: a generated or
+// restored world's graph is read-only from then on, so world clones and
+// concurrent analyses share one graph instead of copying it. Network
+// records are shared the same way; nothing may write through the
+// pointers Network returns once the graph is frozen.
 type Graph struct {
 	nets      map[ASN]*Network
 	providers map[ASN][]ASN // asn -> its transit providers
@@ -107,7 +113,11 @@ type Graph struct {
 	// an AddNetwork, not on every analysis pass over the graph. Callers
 	// receive the cached slice and must treat it as read-only.
 	asnCache []ASN
+	frozen   bool
 }
+
+// ErrFrozen is returned by the graph mutators once Freeze has run.
+var ErrFrozen = errors.New("topo: graph is frozen")
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
@@ -121,6 +131,9 @@ func NewGraph() *Graph {
 
 // AddNetwork registers a network. Re-adding an existing ASN is an error.
 func (g *Graph) AddNetwork(n *Network) error {
+	if g.frozen {
+		return ErrFrozen
+	}
 	if n == nil {
 		return fmt.Errorf("topo: nil network")
 	}
@@ -152,35 +165,12 @@ func (g *Graph) ASNs() []ASN {
 	return g.asnCache
 }
 
-// Clone returns a deep copy of the graph: network records, adjacency
-// lists, and the cached ASN universe are all independent of the receiver,
-// so a scenario can rewire the copy while analyses keep reading the
-// original. Adjacency slices are copied in order, which keeps every
-// traversal (customer-cone BFS, RIB computation) identical on both sides.
-func (g *Graph) Clone() *Graph {
-	ng := &Graph{
-		nets:      make(map[ASN]*Network, len(g.nets)),
-		providers: make(map[ASN][]ASN, len(g.providers)),
-		customers: make(map[ASN][]ASN, len(g.customers)),
-		peers:     make(map[ASN][]ASN, len(g.peers)),
-	}
-	for asn, n := range g.nets {
-		c := *n
-		ng.nets[asn] = &c
-	}
-	for asn, ps := range g.providers {
-		ng.providers[asn] = append([]ASN(nil), ps...)
-	}
-	for asn, cs := range g.customers {
-		ng.customers[asn] = append([]ASN(nil), cs...)
-	}
-	for asn, ps := range g.peers {
-		ng.peers[asn] = append([]ASN(nil), ps...)
-	}
-	if g.asnCache != nil {
-		ng.asnCache = append([]ASN(nil), g.asnCache...)
-	}
-	return ng
+// Freeze makes the graph read-only: it fills the ASN cache, and every
+// later AddNetwork, AddTransit or AddPeering returns ErrFrozen. After it
+// the graph is safe for concurrent readers, since no read fills a cache.
+func (g *Graph) Freeze() {
+	g.ASNs()
+	g.frozen = true
 }
 
 // Restore builds a graph directly from persisted parts: the network
@@ -190,6 +180,7 @@ func (g *Graph) Clone() *Graph {
 // AddPeering calls, whose interleaving the maps alone cannot recover — is
 // what makes a rehydrated graph traverse identically to the original.
 // Every ASN referenced by an adjacency list must be a registered network.
+// The restored graph is frozen.
 func Restore(nets []*Network, providers, customers, peers map[ASN][]ASN) (*Graph, error) {
 	g := NewGraph()
 	for _, n := range nets {
@@ -222,12 +213,15 @@ func Restore(nets []*Network, providers, customers, peers map[ASN][]ASN) (*Graph
 	g.providers = providers
 	g.customers = customers
 	g.peers = peers
-	g.asnCache = nil
+	g.Freeze()
 	return g, nil
 }
 
 // AddTransit records that customer buys transit from provider.
 func (g *Graph) AddTransit(customer, provider ASN) error {
+	if g.frozen {
+		return ErrFrozen
+	}
 	if _, ok := g.nets[customer]; !ok {
 		return fmt.Errorf("topo: unknown customer ASN %d", customer)
 	}
@@ -249,6 +243,9 @@ func (g *Graph) AddTransit(customer, provider ASN) error {
 
 // AddPeering records a settlement-free peering between a and b.
 func (g *Graph) AddPeering(a, b ASN) error {
+	if g.frozen {
+		return ErrFrozen
+	}
 	if _, ok := g.nets[a]; !ok {
 		return fmt.Errorf("topo: unknown ASN %d", a)
 	}

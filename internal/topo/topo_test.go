@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"errors"
 	"net/netip"
 	"testing"
 )
@@ -60,6 +61,41 @@ func TestGraphAccessors(t *testing.T) {
 	}
 	if got := g.Peers(4); len(got) != 1 || got[0] != 2 {
 		t.Errorf("Peers(4) = %v", got)
+	}
+}
+
+// TestFreeze pins the read-only contract clones and concurrent analyses
+// rely on: Freeze fills the ASN cache, so no later read writes the graph,
+// and every mutator then fails without changing it. Restore freezes the
+// graph it returns; a NewGraph graph mutates until Freeze.
+func TestFreeze(t *testing.T) {
+	g := chainGraph(t)
+	g.Freeze()
+	if len(g.asnCache) != 4 {
+		t.Fatalf("Freeze left the ASN cache %v, want the 4 ASNs filled", g.asnCache)
+	}
+	if err := g.AddNetwork(&Network{ASN: 5}); !errors.Is(err, ErrFrozen) {
+		t.Errorf("AddNetwork after Freeze: %v, want ErrFrozen", err)
+	}
+	if err := g.AddTransit(4, 3); !errors.Is(err, ErrFrozen) {
+		t.Errorf("AddTransit after Freeze: %v, want ErrFrozen", err)
+	}
+	if err := g.AddPeering(1, 4); !errors.Is(err, ErrFrozen) {
+		t.Errorf("AddPeering after Freeze: %v, want ErrFrozen", err)
+	}
+	if g.Len() != 4 || len(g.Providers(4)) != 0 || len(g.Peers(1)) != 0 {
+		t.Error("a refused mutator changed the graph")
+	}
+
+	r, err := Restore([]*Network{{ASN: 1}, {ASN: 2}}, map[ASN][]ASN{1: {2}}, map[ASN][]ASN{2: {1}}, map[ASN][]ASN{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.asnCache) != 2 {
+		t.Errorf("Restore left the ASN cache %v, want it filled", r.asnCache)
+	}
+	if err := r.AddPeering(1, 2); !errors.Is(err, ErrFrozen) {
+		t.Errorf("AddPeering on a restored graph: %v, want ErrFrozen", err)
 	}
 }
 

@@ -2,8 +2,8 @@ package worldgen
 
 // The scenario hooks: deterministic copy-on-write cloning of a generated
 // world plus the membership mutators the perturbation ops are built from.
-// A clone shares only immutable state with its parent (the IXP spec table
-// and — while the ASN universe is unchanged — the dense AS index), so a
+// A clone shares only immutable state with its parent (the frozen AS
+// graph, the dense AS index and the IXP spec table), so a
 // cloned-then-perturbed world never writes through to the original.
 
 import (
@@ -11,21 +11,20 @@ import (
 	"net/netip"
 	"time"
 
-	"remotepeering/internal/asindex"
 	"remotepeering/internal/stats"
 	"remotepeering/internal/topo"
 )
 
-// Clone returns a deep copy of the world sharing no mutable state with the
-// receiver: the relationship graph, the IXPs with their memberships, and
-// the probe-target interface table are all independent copies. The dense AS
-// index is shared — it is immutable and both worlds start from the same ASN
-// universe; a perturbation that grows or shrinks the graph must call
-// RefreshIndex afterwards so the dense data planes stay aligned (the
-// offload layer rejects misaligned worlds).
+// Clone returns a copy of the world that a perturbation can rewrite
+// without writing through to the receiver: the IXPs with their
+// memberships, the probe-target interface table, the ASN lists and the
+// pseudowire deltas are independent copies. The AS graph and the dense AS
+// index are shared. Both are immutable: Generate and topo.Restore freeze
+// the graph, so its mutators fail on either world, and no op rewires it.
+// An op that must rewire the graph needs a private copy, and a dense
+// index rebuilt from it.
 func (w *World) Clone() *World {
 	nw := *w
-	nw.Graph = w.Graph.Clone()
 	nw.IXPs = make([]*topo.IXP, len(w.IXPs))
 	for i, x := range w.IXPs {
 		nw.IXPs[i] = x.Clone()
@@ -34,16 +33,9 @@ func (w *World) Clone() *World {
 	nw.Tier1s = append([]topo.ASN(nil), w.Tier1s...)
 	nw.NRENs = append([]topo.ASN(nil), w.NRENs...)
 	nw.PeeredCDNs = append([]topo.ASN(nil), w.PeeredCDNs...)
-	// specs is the immutable generation-time spec table; Index stays shared
-	// until RefreshIndex.
+	// PseudowireDelta is an array and the spec table is immutable: the
+	// struct copy above covers both.
 	return &nw
-}
-
-// RefreshIndex rebuilds the dense AS index from the graph's current ASN
-// universe. Needed only after a perturbation added or removed networks;
-// membership-level changes (churn, outages) keep the universe intact.
-func (w *World) RefreshIndex() {
-	w.Index = asindex.New(w.Graph.ASNs())
 }
 
 // RestoreSpecTable reattaches the generation-time IXP spec table to a

@@ -1,6 +1,7 @@
 package worldgen
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -22,8 +23,9 @@ func cloneWorld(t *testing.T) *World {
 // TestCloneNoAliasing is the copy-on-write property test: a clone that is
 // perturbed through every mutation hook the scenario ops use must leave
 // the parent bit-identical. The parent is compared against an untouched
-// sibling clone, so the check covers unexported state (graph maps,
-// adjacency slices) too.
+// sibling clone, so the check covers unexported state too. The AS graph
+// is shared by all three worlds, so instead of graph surgery the test
+// pins that the shared graph refuses every mutator.
 func TestCloneNoAliasing(t *testing.T) {
 	w := cloneWorld(t)
 	pristine := w.Clone()
@@ -50,46 +52,37 @@ func TestCloneNoAliasing(t *testing.T) {
 		victim.Ifaces[0].Hazard = HazardBlackhole
 	}
 	victim.IXPs[1].Members[0].Remote = !victim.IXPs[1].Members[0].Remote
-
-	// Graph surgery: relationships and network records.
-	if err := victim.Graph.AddTransit(leaf, victim.Tier1s[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := victim.Graph.AddPeering(victim.RedIRIS, leaf); err != nil {
-		t.Fatal(err)
-	}
-	victim.Graph.Network(victim.RedIRIS).City = "Elsewhere"
 	victim.Tier1s[0] = 0
+
+	// The graph is shared and frozen: no clone can rewire it.
+	if victim.Graph != w.Graph {
+		t.Fatal("clone should share the parent's frozen graph")
+	}
+	if err := victim.Graph.AddNetwork(&topo.Network{ASN: 999999, Kind: topo.KindAccess, City: "Madrid"}); !errors.Is(err, topo.ErrFrozen) {
+		t.Errorf("AddNetwork on a shared graph: %v, want ErrFrozen", err)
+	}
+	if err := victim.Graph.AddTransit(leaf, w.Tier1s[0]); !errors.Is(err, topo.ErrFrozen) {
+		t.Errorf("AddTransit on a shared graph: %v, want ErrFrozen", err)
+	}
+	if err := victim.Graph.AddPeering(victim.RedIRIS, leaf); !errors.Is(err, topo.ErrFrozen) {
+		t.Errorf("AddPeering on a shared graph: %v, want ErrFrozen", err)
+	}
 
 	if !reflect.DeepEqual(w, pristine) {
 		t.Fatal("perturbing a clone changed the parent world")
 	}
 }
 
-// TestCloneSharesIndexUntilRefresh pins the copy-on-write contract for the
-// dense AS index: membership-level clones share the parent's immutable
-// index; RefreshIndex rebuilds an equivalent one after graph growth.
-func TestCloneSharesIndexUntilRefresh(t *testing.T) {
+// TestCloneSharesGraphAndIndex pins what a clone shares: the frozen AS
+// graph and the dense AS index built from it, both immutable.
+func TestCloneSharesGraphAndIndex(t *testing.T) {
 	w := cloneWorld(t)
 	c := w.Clone()
+	if c.Graph != w.Graph {
+		t.Error("clone should share the frozen graph")
+	}
 	if c.Index != w.Index {
-		t.Fatal("clone should share the immutable index")
-	}
-	if err := c.Graph.AddNetwork(&topo.Network{ASN: 999999, Name: "new", Kind: topo.KindAccess, City: "Madrid"}); err != nil {
-		t.Fatal(err)
-	}
-	c.RefreshIndex()
-	if c.Index == w.Index {
-		t.Fatal("RefreshIndex must build a new index")
-	}
-	if c.Index.Len() != w.Index.Len()+1 {
-		t.Fatalf("refreshed index has %d ids, want %d", c.Index.Len(), w.Index.Len()+1)
-	}
-	if _, ok := c.Index.ID(999999); !ok {
-		t.Fatal("refreshed index missing the new ASN")
-	}
-	if _, ok := w.Index.ID(999999); ok {
-		t.Fatal("parent index saw the clone's new ASN")
+		t.Error("clone should share the immutable index")
 	}
 }
 

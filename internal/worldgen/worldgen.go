@@ -260,6 +260,7 @@ func Generate(cfg Config) (*World, error) {
 	if err := w.assignAddressSpace(src.Split("addrspace")); err != nil {
 		return nil, fmt.Errorf("worldgen: address space: %w", err)
 	}
+	w.Graph.Freeze()
 	w.Index = asindex.New(w.Graph.ASNs())
 	return w, nil
 }

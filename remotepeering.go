@@ -316,10 +316,14 @@ func ParseScenarioOp(s string) (ScenarioOp, error) {
 	return scenario.ParseOp(s)
 }
 
-// CloneWorld returns a deep copy of the world sharing no mutable state
+// CloneWorld returns a copy of the world that shares no mutable state
 // with the original — the copy-on-write substrate the scenario engine
-// perturbs. Callers experimenting with manual world surgery get the same
-// guarantee: analyses over the clone never write through to the parent.
+// perturbs. Memberships, probe targets and pseudowire deltas are copied;
+// the AS graph and its dense index are shared, and the graph is frozen,
+// so its mutators fail on either world (and nothing may write through
+// the network records it hands out). Callers experimenting with manual
+// membership surgery get the scenario engine's guarantee: analyses over
+// the clone never write through to the parent.
 func CloneWorld(w *World) *World {
 	return w.Clone()
 }
