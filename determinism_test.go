@@ -222,7 +222,7 @@ func TestBitsetAdaptersAgreeAcrossWorkers(t *testing.T) {
 		}
 		var asns []uint32
 		set.ForEach(func(id int32) {
-			asn := w.Index.ASN(id)
+			asn := w.Graph.ASN(id)
 			if !covered[asn] {
 				t.Fatalf("workers=%d: CoveredSet contains AS%d missing from Covered map", workers, asn)
 			}

@@ -1,101 +1,14 @@
-// Package asindex is the dense data plane of the Section 4 analyses: it
-// assigns every ASN of a generated world a contiguous int32 id (in
-// ascending ASN order) and provides an allocation-free BitSet over those
-// ids. The id order is load-bearing — iterating a BitSet visits ids, and
+// Package asindex is the set algebra of the Section 4 analyses: an
+// allocation-free BitSet over the dense ids a frozen topo.Graph assigns
+// (see topo.Graph.ID). The graph assigns ids in ascending ASN order, and
+// that order is load-bearing — iterating a BitSet visits ids, and
 // therefore ASNs, in ascending order, which is exactly the fixed
 // floating-point addition order the determinism suite pins. Swapping a
 // map[topo.ASN]bool for a BitSet therefore changes the cost of the set
 // algebra (word-parallel unions, popcount scans) but never its result.
 package asindex
 
-import (
-	"fmt"
-	"math/bits"
-	"sort"
-
-	"remotepeering/internal/topo"
-)
-
-// Index is the bidirectional ASN ↔ dense-id mapping. It is immutable after
-// New, so concurrent readers need no locking.
-type Index struct {
-	asns []topo.ASN
-	ids  map[topo.ASN]int32
-}
-
-// New builds an index over the given ASNs. The input is copied, sorted,
-// and de-duplicated; ids are assigned in ascending ASN order.
-func New(asns []topo.ASN) *Index {
-	sorted := make([]topo.ASN, len(asns))
-	copy(sorted, asns)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	dedup := sorted[:0]
-	for i, a := range sorted {
-		if i == 0 || a != sorted[i-1] {
-			dedup = append(dedup, a)
-		}
-	}
-	ix := &Index{asns: dedup, ids: make(map[topo.ASN]int32, len(dedup))}
-	for i, a := range dedup {
-		ix.ids[a] = int32(i)
-	}
-	return ix
-}
-
-// FromSorted builds an index over an already strictly-ascending ASN list
-// without re-sorting — the attach path of the snapshot layer, where the
-// persisted dense-id plane is the sorted universe by construction. The
-// input is adopted, not copied, so it must never be mutated afterwards.
-// An unsorted or duplicated input is rejected: dense-id order is
-// load-bearing for the determinism suite's floating-point addition order.
-func FromSorted(asns []topo.ASN) (*Index, error) {
-	for i := 1; i < len(asns); i++ {
-		if asns[i] <= asns[i-1] {
-			return nil, fmt.Errorf("asindex: input not strictly ascending at %d (%d after %d)", i, asns[i], asns[i-1])
-		}
-	}
-	ix := &Index{asns: asns, ids: make(map[topo.ASN]int32, len(asns))}
-	for i, a := range asns {
-		ix.ids[a] = int32(i)
-	}
-	return ix, nil
-}
-
-// Len returns the number of indexed ASNs (the id universe size).
-func (ix *Index) Len() int { return len(ix.asns) }
-
-// ID returns the dense id of asn and whether it is indexed.
-func (ix *Index) ID(asn topo.ASN) (int32, bool) {
-	id, ok := ix.ids[asn]
-	return id, ok
-}
-
-// ASN returns the ASN behind a dense id. Ids come only from this index, so
-// out-of-range ids are a caller bug and panic via the bounds check.
-func (ix *Index) ASN(id int32) topo.ASN { return ix.asns[id] }
-
-// IDs maps a list of ASNs to their sorted dense ids, skipping unindexed
-// ASNs. Because ids are assigned in ascending ASN order, the result is the
-// id image of the sorted, de-duplicated input.
-func (ix *Index) IDs(asns []topo.ASN) []int32 {
-	out := make([]int32, 0, len(asns))
-	for _, a := range asns {
-		if id, ok := ix.ids[a]; ok {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	dedup := out[:0]
-	for i, id := range out {
-		if i == 0 || id != out[i-1] {
-			dedup = append(dedup, id)
-		}
-	}
-	return dedup
-}
-
-// NewBitSet returns an empty set sized for this index's id universe.
-func (ix *Index) NewBitSet() *BitSet { return NewBitSet(ix.Len()) }
+import "math/bits"
 
 // BitSet is a fixed-capacity set of dense ids backed by uint64 words. All
 // iteration orders are ascending-id (= ascending ASN), so floating-point

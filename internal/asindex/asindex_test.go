@@ -2,36 +2,8 @@ package asindex
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
-
-	"remotepeering/internal/topo"
 )
-
-func TestIndexRoundTrip(t *testing.T) {
-	asns := []topo.ASN{31, 10, 500, 10, 1000, 31, 42}
-	ix := New(asns)
-	if ix.Len() != 5 {
-		t.Fatalf("Len = %d, want 5 (dedup)", ix.Len())
-	}
-	want := []topo.ASN{10, 31, 42, 500, 1000}
-	for i, a := range want {
-		id, ok := ix.ID(a)
-		if !ok || id != int32(i) {
-			t.Errorf("ID(%d) = (%d,%v), want (%d,true)", a, id, ok, i)
-		}
-		if ix.ASN(int32(i)) != a {
-			t.Errorf("ASN(%d) = %d, want %d", i, ix.ASN(int32(i)), a)
-		}
-	}
-	if _, ok := ix.ID(999); ok {
-		t.Error("ID(999) reported indexed")
-	}
-	ids := ix.IDs([]topo.ASN{1000, 10, 999, 10})
-	if !reflect.DeepEqual(ids, []int32{0, 4}) {
-		t.Errorf("IDs = %v, want [0 4]", ids)
-	}
-}
 
 // TestBitSetAgainstMap cross-checks every BitSet operation against a naive
 // map implementation on randomised universes, including the float

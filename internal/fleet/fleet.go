@@ -323,8 +323,8 @@ func (r *Router) instrument() {
 	r.forwards = reg.Counter("rp_fleet_forwards_total", "Requests successfully forwarded to a worker.")
 	r.failovers = reg.Counter("rp_fleet_failovers_total", "Failover attempts after a tried owner failed.")
 	r.unroutable = reg.Counter("rp_fleet_unroutable_total", "Requests answered 503 because no routable member owns the world.")
-	r.lat = reg.HistogramVec("rp_fleet_forward_seconds", "Successful-forward latency by request class.", nil, "class")
-	r.requests = reg.HistogramVec("rp_fleet_request_seconds", "Router request latency by endpoint class.", nil, "class")
+	r.lat = reg.HistogramVec("rp_fleet_forward_seconds", "Successful-forward latency by request class.", "class")
+	r.requests = reg.HistogramVec("rp_fleet_request_seconds", "Router request latency by endpoint class.", "class")
 	for _, st := range []State{Up, Suspect, Down} {
 		st := st
 		reg.GaugeFunc("rp_fleet_members", "Fleet members by health state.",

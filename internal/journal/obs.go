@@ -25,7 +25,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		return nil
 	}
 	return &Metrics{
-		FsyncSeconds: reg.Histogram("rp_journal_fsync_seconds", "Latency of journal fsyncs at commit and checkpoint.", nil),
+		FsyncSeconds: reg.Histogram("rp_journal_fsync_seconds", "Latency of journal fsyncs at commit and checkpoint."),
 		Commits:      reg.Counter("rp_journal_commits_total", "Tick records committed to the journal."),
 	}
 }

@@ -141,9 +141,9 @@ type Dataset struct {
 	transOut    map[topo.ASN]float64
 	seed        int64
 
-	// ix is the world's dense ASN index, shared so set-valued queries
-	// (SeriesTotalSet) can take bitsets instead of maps.
-	ix *asindex.Index
+	// graph is the world's frozen AS graph, whose dense ids let set-valued
+	// queries (SeriesTotalSet) take bitsets instead of maps.
+	graph *topo.Graph
 	// transitOnce/transitCache memoise TransitEntries: the filtered slice
 	// is assembled once and shared (callers must not mutate it).
 	transitOnce  sync.Once
@@ -192,10 +192,6 @@ func Collect(w *worldgen.World, cfg Config) (*Dataset, error) {
 		return cands[i].asn < cands[j].asn
 	})
 
-	ix := w.Index
-	if ix == nil {
-		ix = asindex.New(w.Graph.ASNs())
-	}
 	ds := &Dataset{
 		Cfg:         cfg,
 		byASN:       make(map[topo.ASN]int),
@@ -203,7 +199,7 @@ func Collect(w *worldgen.World, cfg Config) (*Dataset, error) {
 		transientIn: make(map[topo.ASN]float64),
 		transOut:    make(map[topo.ASN]float64),
 		seed:        cfg.Seed,
-		ix:          ix,
+		graph:       w.Graph,
 	}
 
 	// Rank-based contribution with the Figure 5a bend near rank 20,000.
@@ -323,10 +319,6 @@ func Rehydrate(w *worldgen.World, cfg Config, entries []Entry) (*Dataset, error)
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	ix := w.Index
-	if ix == nil {
-		ix = asindex.New(w.Graph.ASNs())
-	}
 	ds := &Dataset{
 		Cfg:         cfg,
 		Entries:     entries,
@@ -335,11 +327,11 @@ func Rehydrate(w *worldgen.World, cfg Config, entries []Entry) (*Dataset, error)
 		transientIn: make(map[topo.ASN]float64),
 		transOut:    make(map[topo.ASN]float64),
 		seed:        cfg.Seed,
-		ix:          ix,
+		graph:       w.Graph,
 	}
 	for i, e := range entries {
-		if _, ok := ix.ID(e.ASN); !ok {
-			return nil, fmt.Errorf("netflow: entry ASN %d not in world index", e.ASN)
+		if _, ok := w.Graph.ID(e.ASN); !ok {
+			return nil, fmt.Errorf("netflow: entry ASN %d not in world graph", e.ASN)
 		}
 		ds.byASN[e.ASN] = i
 	}
@@ -556,7 +548,7 @@ func (d *Dataset) SeriesTotal(set map[topo.ASN]bool) (in, out []float64) {
 }
 
 // SeriesTotalSet is SeriesTotal with the selection given as a dense bitset
-// over the world's AS index — the allocation-light path the offload
+// over the world graph's ids — the allocation-light path the offload
 // analyses use. A nil set means all transit entries. Because the entry
 // iteration order is the same as SeriesTotal's (entry order, not set
 // order), the two overloads return bit-identical series for equal sets.
@@ -565,7 +557,7 @@ func (d *Dataset) SeriesTotalSet(set *asindex.BitSet) (in, out []float64) {
 		if set == nil {
 			return true
 		}
-		id, ok := d.ix.ID(e.ASN)
+		id, ok := d.graph.ID(e.ASN)
 		return ok && set.Has(id)
 	})
 }

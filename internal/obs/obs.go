@@ -31,7 +31,7 @@ import (
 	"time"
 )
 
-// DefBuckets are the default latency histogram bounds, in seconds: a
+// DefBuckets are the bounds of every latency histogram, in seconds: a
 // 1-2-5 ladder from 100µs to 60s. Exact request durations land on their
 // bucket's upper bound at exposition time, so the ladder is also the
 // resolution of every quantile a scraper derives from them.
@@ -95,9 +95,8 @@ func (g *Gauge) Value() int64 {
 // bucket plus atomic sum (nanoseconds) and count. Observe is a linear
 // scan over ~18 bounds and two atomic adds — no locks, no allocation.
 type Histogram struct {
-	bounds   []float64 // upper bounds in seconds, ascending
-	cells    []atomic.Int64
-	overflow atomic.Int64 // observations above the last bound (+Inf bucket)
+	cells    []atomic.Int64 // one per DefBuckets bound
+	overflow atomic.Int64   // observations above the last bound (+Inf bucket)
 	sumNanos atomic.Int64
 	count    atomic.Int64
 }
@@ -108,7 +107,7 @@ func (h *Histogram) Observe(d time.Duration) {
 		return
 	}
 	s := d.Seconds()
-	for i, b := range h.bounds {
+	for i, b := range DefBuckets {
 		if s <= b {
 			h.cells[i].Add(1)
 			h.sumNanos.Add(int64(d))
@@ -137,7 +136,6 @@ type HistogramVec struct {
 	name     string
 	help     string
 	labelKey string
-	bounds   []float64
 	cur      atomic.Pointer[map[string]*Histogram]
 	mu       sync.Mutex // serialises inserts (copy-on-write)
 }
@@ -161,7 +159,7 @@ func (v *HistogramVec) With(label string) *Histogram {
 			return h
 		}
 	}
-	h := v.reg.Histogram(v.name, v.help, v.bounds, v.labelKey, label)
+	h := v.reg.Histogram(v.name, v.help, v.labelKey, label)
 	next := make(map[string]*Histogram, 1)
 	if old != nil {
 		for k, hv := range *old {
@@ -317,34 +315,28 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...str
 	}
 }
 
-// Histogram registers (or returns) a histogram series with the given
-// bucket bounds (nil uses DefBuckets). Nil-safe.
-func (r *Registry) Histogram(name, help string, bounds []float64, labels ...string) *Histogram {
+// Histogram registers (or returns) a histogram series over DefBuckets.
+// Nil-safe.
+func (r *Registry) Histogram(name, help string, labels ...string) *Histogram {
 	if r == nil {
 		return nil
-	}
-	if bounds == nil {
-		bounds = DefBuckets
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	_, s, existed := r.lookup(name, help, "histogram", labels)
 	if !existed {
-		s.h = &Histogram{bounds: bounds, cells: make([]atomic.Int64, len(bounds))}
+		s.h = &Histogram{cells: make([]atomic.Int64, len(DefBuckets))}
 	}
 	return s.h
 }
 
 // HistogramVec registers a one-label histogram family whose members are
 // created on first With. Nil-safe: a nil registry returns a nil vec.
-func (r *Registry) HistogramVec(name, help string, bounds []float64, labelKey string) *HistogramVec {
+func (r *Registry) HistogramVec(name, help, labelKey string) *HistogramVec {
 	if r == nil {
 		return nil
 	}
-	if bounds == nil {
-		bounds = DefBuckets
-	}
-	return &HistogramVec{reg: r, name: name, help: help, labelKey: labelKey, bounds: bounds}
+	return &HistogramVec{reg: r, name: name, help: help, labelKey: labelKey}
 }
 
 // WritePrometheus writes every registered family in the text exposition
@@ -380,7 +372,7 @@ func writeSeries(b *strings.Builder, f *family, s *series) {
 	switch {
 	case s.h != nil:
 		var cum int64
-		for i, bound := range s.h.bounds {
+		for i, bound := range DefBuckets {
 			cum += s.h.cells[i].Load()
 			fmt.Fprintf(b, "%s_bucket%s %d\n", f.name, withLE(s.labels, formatFloat(bound)), cum)
 		}

@@ -20,8 +20,8 @@ func TestNilRegistryIsInert(t *testing.T) {
 	var reg *Registry
 	c := reg.Counter("x_total", "help")
 	g := reg.Gauge("x", "help")
-	h := reg.Histogram("x_seconds", "help", nil)
-	v := reg.HistogramVec("y_seconds", "help", nil, "class")
+	h := reg.Histogram("x_seconds", "help")
+	v := reg.HistogramVec("y_seconds", "help", "class")
 	reg.CounterFunc("f_total", "help", func() int64 { return 1 })
 	reg.GaugeFunc("f", "help", func() float64 { return 1 })
 	if c != nil || g != nil || h != nil || v != nil {
@@ -69,7 +69,7 @@ func TestPrometheusExposition(t *testing.T) {
 	var live int64 = 41
 	reg.CounterFunc("attaches_total", "attaches", func() int64 { return live })
 	reg.GaugeFunc("resident_bytes", "bytes", func() float64 { return 1.5e6 })
-	h := reg.Histogram("lat_seconds", "latency", []float64{0.001, 0.01}, "class", "whatif")
+	h := reg.Histogram("lat_seconds", "latency", "class", "whatif")
 	h.Observe(500 * time.Microsecond)
 	h.Observe(5 * time.Millisecond)
 	h.Observe(5 * time.Second)
@@ -117,7 +117,7 @@ func TestPrometheusExposition(t *testing.T) {
 
 func TestHistogramVecConcurrent(t *testing.T) {
 	reg := NewRegistry()
-	v := reg.HistogramVec("lat_seconds", "latency", nil, "class")
+	v := reg.HistogramVec("lat_seconds", "latency", "class")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -177,7 +177,7 @@ func TestFlightRecorderRingAndFilter(t *testing.T) {
 // the 5xx slog dump.
 func TestInstrumentMiddleware(t *testing.T) {
 	reg := NewRegistry()
-	vec := reg.HistogramVec("req_seconds", "latency", nil, "class")
+	vec := reg.HistogramVec("req_seconds", "latency", "class")
 	fr := NewFlightRecorder(8)
 	var logBuf bytes.Buffer
 	fr.SetLogger(slog.New(slog.NewTextHandler(&logBuf, nil)))
@@ -306,7 +306,7 @@ func TestAdminHandler(t *testing.T) {
 func BenchmarkHotPath(b *testing.B) {
 	reg := NewRegistry()
 	c := reg.Counter("x_total", "x")
-	h := reg.Histogram("x_seconds", "x", nil)
+	h := reg.Histogram("x_seconds", "x")
 	b.Run("counter", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -320,7 +320,7 @@ func BenchmarkHotPath(b *testing.B) {
 		}
 	})
 	b.Run("vec-with", func(b *testing.B) {
-		v := reg.HistogramVec("y_seconds", "y", nil, "class")
+		v := reg.HistogramVec("y_seconds", "y", "class")
 		v.With("hot")
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -9,13 +9,14 @@
 // expansion (Figure 9), and the RedIRIS-independent reachable-interfaces
 // variant (Figure 10).
 //
-// Internally the analysis runs on the world's dense AS index
-// (internal/asindex): customer cones are sorted []int32 id lists, per-IXP
-// coverage is a bitmask per peer group, and traffic/interface weights are
-// dense []float64 planes. Every reduction iterates ids in ascending order —
-// the same ascending-ASN order the original map-and-sort implementation
-// used — so results are bit-identical to it (the equivalence goldens in
-// the root package pin this).
+// Internally the analysis runs on the dense ids of the world's frozen AS
+// graph (topo.Graph.ID) and the bitsets of internal/asindex: customer
+// cones are sorted []int32 id lists, per-IXP coverage is a bitmask per
+// peer group, and traffic/interface weights are dense []float64 planes.
+// Every reduction iterates ids in ascending order — the same
+// ascending-ASN order the original map-and-sort implementation used — so
+// results are bit-identical to it (the equivalence goldens in the root
+// package pin this).
 package offload
 
 import (
@@ -79,28 +80,28 @@ type Options struct {
 	// result is byte-identical for every value.
 	Workers int
 	// Cones, when set, shares customer-cone computations between studies
-	// whose worlds carry the same immutable AS graph and index — the
-	// scenario grid's cells, whose ops perturb memberships and prices but
-	// never the graph. Cone contents are a pure function of the graph, so
-	// sharing changes only the cost of NewStudy, never its results; a
-	// cache bound to a different index is ignored.
+	// whose worlds carry the same frozen AS graph — the scenario grid's
+	// cells, whose ops perturb memberships and prices but never the graph.
+	// Cone contents are a pure function of the graph, so sharing changes
+	// only the cost of NewStudy, never its results. Without a cache, or
+	// with one bound to a different graph, the study fills a private one.
 	Cones *ConeCache
 }
 
 // ConeCache shares the dense customer adjacency and the per-AS customer
-// cones across Study constructions over the same immutable graph. Safe
-// for concurrent use; the first study binds it to its index. It lives in
+// cones across Study constructions over the same frozen graph. Safe for
+// concurrent use; the first study binds it to its graph. It lives in
 // memory only: cones are a pure function of the graph, and a snapshot
 // persists the world, not what queries derived from it.
 type ConeCache struct {
 	mu        sync.Mutex
-	ix        *asindex.Index
+	graph     *topo.Graph
 	customers [][]int32
 	cones     [][]int32
 }
 
 // NewConeCache returns an empty cache; the first NewStudyOptions call
-// that receives it binds it to that study's graph and index.
+// that receives it binds it to that study's graph.
 func NewConeCache() *ConeCache { return &ConeCache{} }
 
 // Len returns how many customer cones the cache holds.
@@ -116,18 +117,18 @@ func (cc *ConeCache) Len() int {
 	return n
 }
 
-// bind attaches the cache to (w, ix) on first use and reports whether the
-// cache serves this index. The dense customer adjacency is built once
+// bind attaches the cache to the frozen graph g on first use and reports
+// whether the cache serves g. The dense customer adjacency is built once
 // under the lock; cone rows fill lazily as studies request them.
-func (cc *ConeCache) bind(w *worldgen.World, ix *asindex.Index, asns []topo.ASN) bool {
+func (cc *ConeCache) bind(g *topo.Graph) bool {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	if cc.ix == nil {
-		cc.ix = ix
-		cc.customers = buildCustomers(w, ix, asns)
-		cc.cones = make([][]int32, ix.Len())
+	if cc.graph == nil {
+		cc.graph = g
+		cc.customers = buildCustomers(g)
+		cc.cones = make([][]int32, g.Len())
 	}
-	return cc.ix == ix
+	return cc.graph == g
 }
 
 // cone returns the cached cone of id, computing and storing it on first
@@ -150,16 +151,16 @@ func (cc *ConeCache) cone(id int32) []int32 {
 }
 
 // buildCustomers assembles the dense customer adjacency in id space.
-func buildCustomers(w *worldgen.World, ix *asindex.Index, asns []topo.ASN) [][]int32 {
-	customers := make([][]int32, ix.Len())
-	for id, asn := range asns {
-		cs := w.Graph.Customers(asn)
+func buildCustomers(g *topo.Graph) [][]int32 {
+	customers := make([][]int32, g.Len())
+	for id, asn := range g.ASNs() {
+		cs := g.Customers(asn)
 		if len(cs) == 0 {
 			continue
 		}
 		row := make([]int32, 0, len(cs))
 		for _, c := range cs {
-			if cid, ok := ix.ID(c); ok {
+			if cid, ok := g.ID(c); ok {
 				row = append(row, cid)
 			}
 		}
@@ -184,10 +185,10 @@ type Study struct {
 	Dataset *netflow.Dataset
 
 	workers int
-	// ix is the dense ASN index every set and weight plane below is
-	// expressed in. Ids ascend with ASNs, so ascending-id iteration is
-	// ascending-ASN iteration.
-	ix *asindex.Index
+	// graph is the world's frozen AS graph, whose dense ids every set and
+	// weight plane below is expressed in. Ids ascend with ASNs, so
+	// ascending-id iteration is ascending-ASN iteration.
+	graph *topo.Graph
 	// potential marks the potential remote peers after the Section 4.2
 	// exclusions (the paper arrives at 2,192 networks); peerIDs is the
 	// same set as a sorted id list.
@@ -234,16 +235,16 @@ func NewStudyOptions(w *worldgen.World, ds *netflow.Dataset, opts Options) (*Stu
 	if opts.Workers < 0 {
 		return nil, fmt.Errorf("offload: negative Workers %d (use 0 for one per CPU)", opts.Workers)
 	}
-	ix := w.Index
-	if ix == nil {
-		ix = asindex.New(w.Graph.ASNs())
+	g := w.Graph
+	if !g.Frozen() {
+		return nil, fmt.Errorf("offload: world graph is not frozen (world not from Generate or topo.Restore?)")
 	}
-	n := ix.Len()
+	n := g.Len()
 	s := &Study{
 		World:      w,
 		Dataset:    ds,
 		workers:    opts.Workers,
-		ix:         ix,
+		graph:      g,
 		potential:  asindex.NewBitSet(n),
 		trafficIn:  make([]float64, n),
 		trafficOut: make([]float64, n),
@@ -254,28 +255,17 @@ func NewStudyOptions(w *worldgen.World, ds *netflow.Dataset, opts Options) (*Stu
 	}
 
 	for _, e := range ds.TransitEntries() {
-		id, ok := ix.ID(e.ASN)
+		id, ok := g.ID(e.ASN)
 		if !ok {
-			return nil, fmt.Errorf("offload: dataset ASN %d not in world index", e.ASN)
+			return nil, fmt.Errorf("offload: dataset ASN %d not in world graph", e.ASN)
 		}
 		s.trafficIn[id] = e.AvgInBps
 		s.trafficOut[id] = e.AvgOutBps
 		s.hasTraffic.Set(id)
 	}
 
-	// The graph and the index are separate exported surfaces, so guard
-	// against a world whose graph grew after generation froze the index:
-	// every dense plane below keys on the index's ids, and a silent
-	// misalignment would attribute weights to the wrong ASNs.
-	asns := w.Graph.ASNs()
-	if len(asns) != n {
-		return nil, fmt.Errorf("offload: world graph has %d ASNs but index covers %d (graph modified after generation?)", len(asns), n)
-	}
-	for id, asn := range asns {
-		if got, ok := ix.ID(asn); !ok || got != int32(id) {
-			return nil, fmt.Errorf("offload: ASN %d not aligned with world index (graph modified after generation?)", asn)
-		}
-		net := w.Graph.Network(asn)
+	for id, asn := range g.ASNs() {
+		net := g.Network(asn)
 		s.policies[id] = net.Policy
 		s.interfaces[id] = float64(net.IPInterfaces)
 	}
@@ -283,7 +273,7 @@ func NewStudyOptions(w *worldgen.World, ds *netflow.Dataset, opts Options) (*Stu
 	// Section 4.2 exclusions.
 	excluded := asindex.NewBitSet(n)
 	setExcluded := func(asn topo.ASN) {
-		if id, ok := ix.ID(asn); ok {
+		if id, ok := g.ID(asn); ok {
 			excluded.Set(id)
 		}
 	}
@@ -307,7 +297,7 @@ func NewStudyOptions(w *worldgen.World, ds *netflow.Dataset, opts Options) (*Stu
 	s.ixpMembers = make([][]int32, len(w.IXPs))
 	for i, x := range w.IXPs {
 		for _, asn := range x.MemberASNs() {
-			id, ok := ix.ID(asn)
+			id, ok := g.ID(asn)
 			if !ok || excluded.Has(id) {
 				continue
 			}
@@ -325,22 +315,17 @@ func NewStudyOptions(w *worldgen.World, ds *netflow.Dataset, opts Options) (*Stu
 	// written again, which is what lets Covered, Greedy, and SingleIXP
 	// fan out over it. A shared ConeCache serves cones computed by prior
 	// studies over the same graph (and collects this study's for the
-	// next one); the fallback is the local computation.
-	if cc := opts.Cones; cc != nil && cc.bind(w, ix, asns) {
-		cones := parallel.Map(s.workers, len(s.peerIDs), func(k int) []int32 {
-			return cc.cone(s.peerIDs[k])
-		})
-		for k, id := range s.peerIDs {
-			s.cones[id] = cones[k]
-		}
-	} else {
-		customers := buildCustomers(w, ix, asns)
-		cones := parallel.Map(s.workers, len(s.peerIDs), func(k int) []int32 {
-			return coneOf(customers, s.peerIDs[k], n)
-		})
-		for k, id := range s.peerIDs {
-			s.cones[id] = cones[k]
-		}
+	// next one); any other study fills a private cache.
+	cc := opts.Cones
+	if cc == nil || !cc.bind(g) {
+		cc = NewConeCache()
+		cc.bind(g)
+	}
+	cones := parallel.Map(s.workers, len(s.peerIDs), func(k int) []int32 {
+		return cc.cone(s.peerIDs[k])
+	})
+	for k, id := range s.peerIDs {
+		s.cones[id] = cones[k]
 	}
 
 	s.computeTop10Selective()
@@ -420,7 +405,7 @@ func (s *Study) computeTop10Selective() {
 		}
 		return cands[i].id < cands[j].id
 	})
-	s.top10Selective = asindex.NewBitSet(s.ix.Len())
+	s.top10Selective = asindex.NewBitSet(s.graph.Len())
 	for i := 0; i < 10 && i < len(cands); i++ {
 		s.top10Selective.Set(cands[i].id)
 	}
@@ -437,7 +422,7 @@ func (s *Study) masks(g PeerGroup) *groupMasks {
 		gi = 0 // unknown groups share the "nothing covered" slot
 	}
 	s.masksOnce[gi].Do(func() {
-		n := s.ix.Len()
+		n := s.graph.Len()
 		type pair struct{ full, traffic *asindex.BitSet }
 		built := parallel.Map(s.workers, len(s.ixpMembers), func(i int) pair {
 			full := asindex.NewBitSet(n)
@@ -470,7 +455,7 @@ func (s *Study) masks(g PeerGroup) *groupMasks {
 // cones, intersected with the transit-traffic universe.
 func (s *Study) CoveredSet(ixps []int, g PeerGroup) *asindex.BitSet {
 	m := s.masks(g).traffic
-	out := asindex.NewBitSet(s.ix.Len())
+	out := asindex.NewBitSet(s.graph.Len())
 	for _, i := range ixps {
 		if i >= 0 && i < len(m) {
 			out.Or(m[i])
@@ -484,7 +469,7 @@ func (s *Study) CoveredSet(ixps []int, g PeerGroup) *asindex.BitSet {
 func (s *Study) Covered(ixps []int, g PeerGroup) map[topo.ASN]bool {
 	set := s.CoveredSet(ixps, g)
 	out := make(map[topo.ASN]bool, set.Count())
-	set.ForEach(func(id int32) { out[s.ix.ASN(id)] = true })
+	set.ForEach(func(id int32) { out[s.graph.ASN(id)] = true })
 	return out
 }
 
@@ -558,7 +543,7 @@ func (s *Study) Greedy(g PeerGroup, maxIXPs int) []GreedyStep {
 
 	// Per-IXP candidate bitmasks, cached per group.
 	perIXP := s.masks(g).traffic
-	covered := asindex.NewBitSet(s.ix.Len())
+	covered := asindex.NewBitSet(s.graph.Len())
 	chosen := make([]bool, len(perIXP))
 	var steps []GreedyStep
 	var cumIn, cumOut float64
@@ -632,7 +617,7 @@ func (s *Study) GreedyInterfaces(g PeerGroup, maxIXPs int) []InterfaceStep {
 	// The Figure 10 candidate masks are the un-intersected cones: the
 	// interface metric counts networks with no transit traffic too.
 	perIXP := s.masks(g).full
-	covered := asindex.NewBitSet(s.ix.Len())
+	covered := asindex.NewBitSet(s.graph.Len())
 	chosen := make([]bool, len(perIXP))
 	remaining := total
 	var steps []InterfaceStep
@@ -749,7 +734,7 @@ func (s *Study) TopContributors(n int) []Contributor {
 	covered := s.CoveredSet(all, GroupAll)
 	out := make([]Contributor, 0, covered.Count())
 	covered.ForEach(func(id int32) {
-		asn := s.ix.ASN(id)
+		asn := s.graph.ASN(id)
 		_, tin, tout := s.Dataset.Transient(asn)
 		out = append(out, Contributor{
 			ASN:             asn,

@@ -1,6 +1,7 @@
 package offload
 
 import (
+	"slices"
 	"testing"
 
 	"remotepeering/internal/netflow"
@@ -45,12 +46,83 @@ func TestNewStudyValidation(t *testing.T) {
 	if _, err := NewStudy(nil, nil); err == nil {
 		t.Error("want error for nil inputs")
 	}
+	// An unfrozen graph assigns no dense ids to key the study's planes on.
+	if _, err := NewStudy(&worldgen.World{Graph: topo.NewGraph()}, testStudy(t).Dataset); err == nil {
+		t.Error("want error for a world whose graph is not frozen")
+	}
 }
 
-// isPotential resolves an ASN through the dense index and reports whether
-// it survived the Section 4.2 exclusions.
+// TestConesMatchCustomerCone pins the dense cones against the reference
+// BFS, topo.Graph.CustomerCone: on two generated worlds, every potential
+// peer's cone, mapped back through Graph.ASN, is its customer cone. It
+// runs with a shared cache (twice, so the second study reads cached
+// rows), with no cache, and with a cache already bound to the other
+// world's graph, which the study must not read and fills a private cache
+// instead.
+func TestConesMatchCustomerCone(t *testing.T) {
+	var worlds [2]*worldgen.World
+	var datasets [2]*netflow.Dataset
+	for i := range worlds {
+		w, err := worldgen.Generate(worldgen.Config{Seed: int64(3 + i), LeafNetworks: 1200})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := netflow.Collect(w, netflow.Config{Seed: 7, Intervals: 24})
+		if err != nil {
+			t.Fatal(err)
+		}
+		worlds[i], datasets[i] = w, ds
+	}
+	check := func(name string, w *worldgen.World, s *Study) {
+		t.Helper()
+		if s.PotentialPeerCount() == 0 {
+			t.Fatalf("%s: no potential peers", name)
+		}
+		for _, id := range s.peerIDs {
+			asn := w.Graph.ASN(id)
+			want := w.Graph.CustomerCone(asn)
+			got := make([]topo.ASN, len(s.cones[id]))
+			for k, c := range s.cones[id] {
+				got[k] = w.Graph.ASN(c)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: cone of AS%d = %v, want %v", name, asn, got, want)
+			}
+		}
+	}
+	study := func(w *worldgen.World, ds *netflow.Dataset, cc *ConeCache) *Study {
+		t.Helper()
+		s, err := NewStudyOptions(w, ds, Options{Workers: 2, Cones: cc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for i, w := range worlds {
+		ds := datasets[i]
+		shared := NewConeCache()
+		check("shared cache", w, study(w, ds, shared))
+		if shared.Len() == 0 {
+			t.Fatal("the shared cache holds no cones after a study")
+		}
+		check("shared cache, second study", w, study(w, ds, shared))
+		check("no cache", w, study(w, ds, nil))
+
+		other := worlds[1-i]
+		foreign := NewConeCache()
+		study(other, datasets[1-i], foreign)
+		held := foreign.Len()
+		check("cache bound to another graph", w, study(w, ds, foreign))
+		if foreign.graph != other.Graph || foreign.Len() != held {
+			t.Error("a study over another graph wrote the foreign cache")
+		}
+	}
+}
+
+// isPotential resolves an ASN to its dense id and reports whether it
+// survived the Section 4.2 exclusions.
 func isPotential(s *Study, asn topo.ASN) bool {
-	id, ok := s.ix.ID(asn)
+	id, ok := s.graph.ID(asn)
 	return ok && s.potential.Has(id)
 }
 
@@ -125,7 +197,7 @@ func TestCoveredSubsetOfTransitUniverse(t *testing.T) {
 	s := testStudy(t)
 	cov := s.Covered(allIXPs(s), GroupAll)
 	for asn := range cov {
-		id, ok := s.ix.ID(asn)
+		id, ok := s.graph.ID(asn)
 		if !ok || !s.hasTraffic.Has(id) {
 			t.Fatalf("covered network %d has no transit traffic", asn)
 		}
@@ -347,7 +419,7 @@ func TestTop10SelectiveUsedByGroup2(t *testing.T) {
 		t.Fatalf("top10Selective size = %d", n)
 	}
 	s.top10Selective.ForEach(func(id int32) {
-		asn := s.ix.ASN(id)
+		asn := s.graph.ASN(id)
 		if s.World.Graph.Network(asn).Policy != topo.PolicySelective {
 			t.Errorf("non-selective network %d in top-10 selective", asn)
 		}

@@ -101,8 +101,8 @@ func EvalEvolved(ctx context.Context, es *EvolveState, d Dirty, prev *Artifacts,
 	if es == nil || es.World == nil {
 		return nil, fmt.Errorf("scenario: nil evolve state or world")
 	}
-	if es.World.Index == nil || es.World.Index.Len() != es.World.Graph.Len() {
-		return nil, fmt.Errorf("scenario: world index misaligned with graph")
+	if !es.World.Graph.Frozen() {
+		return nil, fmt.Errorf("scenario: world graph is not frozen (world not from Generate or topo.Restore?)")
 	}
 	if opts.Workers < 0 {
 		return nil, fmt.Errorf("scenario: negative Workers %d (use 0 for one per CPU)", opts.Workers)

@@ -62,8 +62,8 @@ const (
 	// universe itself. No current op sets it (membership ops leave the
 	// graph untouched); an op that grows or rewires the graph must, and
 	// it implies every other stage. World clones share the frozen graph,
-	// so such an op must also give its cell a private copy of the graph
-	// and a dense index rebuilt from it.
+	// so such an op must also give its cell a private copy of the graph,
+	// frozen again so it assigns the dense ids of its own universe.
 	StageWorld StageMask = 1 << iota
 	// StageSpread invalidates the Section 3 measurement campaign.
 	StageSpread

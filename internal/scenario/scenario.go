@@ -249,8 +249,8 @@ func RunCtx(ctx context.Context, w *worldgen.World, grid Grid, opts Options) (*R
 	if opts.Workers < 0 {
 		return nil, fmt.Errorf("scenario: negative Workers %d (use 0 for one per CPU)", opts.Workers)
 	}
-	if w.Index == nil || w.Index.Len() != w.Graph.Len() {
-		return nil, fmt.Errorf("scenario: world index misaligned with graph (world not from Generate?)")
+	if !w.Graph.Frozen() {
+		return nil, fmt.Errorf("scenario: world graph is not frozen (world not from Generate or topo.Restore?)")
 	}
 	opts = opts.withDefaults()
 

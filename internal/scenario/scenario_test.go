@@ -319,6 +319,16 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(nil, grid, Options{}); err == nil {
 		t.Fatal("nil world should fail")
 	}
+	// A world not built by Generate or topo.Restore has no frozen graph,
+	// so no dense ids to run the offload stage on.
+	if _, err := Run(&worldgen.World{}, grid, Options{}); err == nil ||
+		!strings.Contains(err.Error(), "not frozen") {
+		t.Fatalf("a world without a frozen graph should fail clearly, got %v", err)
+	}
+	if _, err := EvalEvolved(context.Background(), &EvolveState{World: &worldgen.World{}}, Dirty{}, nil, nil, Options{}); err == nil ||
+		!strings.Contains(err.Error(), "not frozen") {
+		t.Fatalf("an evolved world without a frozen graph should fail clearly, got %v", err)
+	}
 	if _, err := Run(w, grid, Options{Workers: -2}); err == nil ||
 		!strings.Contains(err.Error(), "negative Workers") {
 		t.Fatalf("negative workers should fail clearly, got %v", err)

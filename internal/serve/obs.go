@@ -56,7 +56,7 @@ func (s *Server) instrument(reg *obs.Registry) *serveMetrics {
 	reg.GaugeFunc("rp_serve_cache_bytes", "Bytes resident in the result cache.",
 		func() float64 { return float64(s.cache.Bytes()) })
 	m := &serveMetrics{
-		requests:       reg.HistogramVec("rp_serve_request_seconds", "Request latency by endpoint class.", nil, "class"),
+		requests:       reg.HistogramVec("rp_serve_request_seconds", "Request latency by endpoint class.", "class"),
 		cacheHits:      reg.Counter("rp_serve_cache_hits_total", "Queries answered from the result cache."),
 		cacheMisses:    reg.Counter("rp_serve_cache_misses_total", "Queries that ran (or joined) a computation."),
 		cacheHitBytes:  reg.Counter("rp_serve_cache_hit_bytes_total", "Bytes served from the result cache."),

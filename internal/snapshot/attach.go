@@ -20,7 +20,6 @@ import (
 	"os"
 	"sync"
 
-	"remotepeering/internal/asindex"
 	"remotepeering/internal/spread"
 	"remotepeering/internal/topo"
 )
@@ -243,8 +242,8 @@ func (a *Attached) materialize() (*Snapshot, error) {
 		return nil, err
 	}
 
-	// The persisted dense-id plane must be exactly the restored universe in
-	// ascending order; the index is rebuilt from it without re-sorting.
+	// The persisted dense-id plane must be exactly the restored graph's
+	// universe in ascending order: the ids the frozen graph assigns.
 	plane, err := a.need(flatASNs)
 	if err != nil {
 		return nil, err
@@ -258,11 +257,6 @@ func (a *Attached) materialize() (*Snapshot, error) {
 			return nil, fmt.Errorf("%w: asn.ids[%d] = %d, world universe has %d", ErrCorrupt, i, id, asn)
 		}
 	}
-	ix, err := asindex.FromSorted(asns)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	w.Index = ix
 	if err := w.RestoreSpecTable(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}

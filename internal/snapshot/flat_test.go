@@ -53,7 +53,7 @@ func refixDirCRC(img []byte) {
 
 // TestFlatWorldRoundTrip pins the strongest world guarantee over an
 // in-memory image: the materialized World is deeply equal to the saved
-// one — including the index rebuilt from the persisted dense-id plane.
+// one — including the dense ids the restored graph assigns.
 func TestFlatWorldRoundTrip(t *testing.T) {
 	w := testWorld(t)
 	got := flatRoundTrip(t, &Snapshot{World: w}).World

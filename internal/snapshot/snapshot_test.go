@@ -53,8 +53,8 @@ func roundTrip(t testing.TB, s *Snapshot) *Snapshot {
 
 // TestWorldRoundTrip pins the strongest world guarantee the format can
 // give over a mapped file: the attached World is deeply equal to the
-// saved one — graph, adjacency order, memberships, interface records,
-// derived index, and the restored spec table included.
+// saved one — graph, adjacency order, dense ids, memberships, interface
+// records, and the restored spec table included.
 func TestWorldRoundTrip(t *testing.T) {
 	w := testWorld(t)
 	loaded := roundTrip(t, &Snapshot{World: w}).World

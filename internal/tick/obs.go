@@ -40,9 +40,9 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		return nil
 	}
 	return &Metrics{
-		TickSeconds:       reg.Histogram("rp_tick_seconds", "Latency of committed tick advances.", nil),
+		TickSeconds:       reg.Histogram("rp_tick_seconds", "Latency of committed tick advances."),
 		Ticks:             reg.Counter("rp_tick_ticks_total", "Ticks committed by the tick engine."),
-		CheckpointSeconds: reg.Histogram("rp_tick_checkpoint_seconds", "Latency of flat-snapshot checkpoint writes.", nil),
+		CheckpointSeconds: reg.Histogram("rp_tick_checkpoint_seconds", "Latency of flat-snapshot checkpoint writes."),
 		CheckpointBytes:   reg.Gauge("rp_tick_checkpoint_bytes", "Size of the most recently written checkpoint."),
 		Checkpoints:       reg.Counter("rp_tick_checkpoints_total", "Checkpoints committed next to the journal."),
 		Recoveries:        reg.Counter("rp_tick_recoveries_total", "Engine opens that recovered an existing journal."),

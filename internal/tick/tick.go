@@ -230,10 +230,20 @@ func parseFinite(s string) (float64, error) {
 	return f, err
 }
 
+// maxDiurnalDrift bounds DiurnalDrift, in hours: one week, the period of
+// the diurnal/weekly profile the walk rotates, so a larger step moves the
+// peak nowhere a smaller one cannot. Unbounded, a step of about 2.56e6
+// hours draws a shift the journal cannot parse back (it overflows a
+// time.Duration), and the timeline could not be recovered.
+const maxDiurnalDrift = 168
+
 // validate rejects knob values the engine cannot run with: negative
 // churn counts would hand Intn a non-positive bound and panic the first
 // Advance, negative drifts or rates have no meaning, and a greedy depth of
-// 1 leaves every tick's decay fit a single point.
+// 1 leaves every tick's decay fit a single point. A traffic or price
+// drift of 1 or more can draw a step factor of zero or below, which the
+// op refuses; a retry draws the same op, so the timeline would stop at
+// that tick for good.
 func (c Config) validate() error {
 	if c.Pipeline.GreedyIXPs == 1 {
 		return fmt.Errorf("tick: greedy depth must be 0 (the default) or at least 2 for the decay fit")
@@ -241,17 +251,18 @@ func (c Config) validate() error {
 	for _, k := range []struct {
 		name string
 		bad  bool
+		want string
 	}{
-		{"churn-ixps", c.ChurnIXPs < 0},
-		{"joins", c.ChurnJoins < 0},
-		{"leaves", c.ChurnLeaves < 0},
-		{"traffic", c.TrafficDrift < 0},
-		{"diurnal", c.DiurnalDrift < 0},
-		{"price", c.PriceDrift < 0},
-		{"outage", c.OutageRate < 0},
+		{"churn-ixps", c.ChurnIXPs < 0, "not negative"},
+		{"joins", c.ChurnJoins < 0, "not negative"},
+		{"leaves", c.ChurnLeaves < 0, "not negative"},
+		{"traffic", c.TrafficDrift < 0 || c.TrafficDrift >= 1, "in [0, 1)"},
+		{"diurnal", c.DiurnalDrift < 0 || c.DiurnalDrift > maxDiurnalDrift, fmt.Sprintf("in [0, %d] hours", maxDiurnalDrift)},
+		{"price", c.PriceDrift < 0 || c.PriceDrift >= 1, "in [0, 1)"},
+		{"outage", c.OutageRate < 0, "not negative"},
 	} {
 		if k.bad {
-			return fmt.Errorf("tick: %s must not be negative", k.name)
+			return fmt.Errorf("tick: %s must be %s", k.name, k.want)
 		}
 	}
 	return nil

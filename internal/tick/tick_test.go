@@ -461,6 +461,23 @@ func TestOpenErrors(t *testing.T) {
 		t.Errorf("journal gap: err = %v, want ErrCorrupt", err)
 	}
 
+	// A header recording a regime the engine refuses is refused at Open:
+	// the timeline it defines could stop for good or fail to recover.
+	refusedDir := t.TempDir()
+	refused, err := json.Marshal(header{World: w.Cfg, GenesisDigest: digest, Seed: 3, TrafficDrift: 1.5,
+		MeasureSeed: 2, TrafficSeed: 3, Intervals: 24, CoverageIXPs: 2, GreedyIXPs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr, err = journal.Create(filepath.Join(refusedDir, JournalFile), refused)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr.Close()
+	if _, err := Open(ctx, refusedDir, w, cfg); err == nil || !strings.Contains(err.Error(), "traffic must be") {
+		t.Errorf("journal with a refused regime: err = %v, want a traffic range error", err)
+	}
+
 	// A record carrying an unparsable event is surfaced, not applied.
 	badDir := t.TempDir()
 	jr, err = journal.Create(filepath.Join(badDir, JournalFile), hb)
@@ -473,6 +490,45 @@ func TestOpenErrors(t *testing.T) {
 	jr.Close()
 	if _, err := Open(ctx, badDir, w, cfg); err == nil {
 		t.Error("unparsable journal event should fail recovery")
+	}
+}
+
+// TestDiurnalDriftBoundRecovers covers the diurnal bound from inside: a
+// journal opened with the largest diurnal drift validate accepts commits
+// phase shifts the journal parses back, so it reopens at the same tick
+// and regime.
+func TestDiurnalDriftBoundRecovers(t *testing.T) {
+	ctx := context.Background()
+	w, err := worldgen.Generate(worldgen.Config{Seed: 5, LeafNetworks: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Seed: 3, DiurnalDrift: maxDiurnalDrift, Pipeline: scenario.Options{
+		MeasureSeed: 2, TrafficSeed: 3, CoverageIXPs: 2, GreedyIXPs: 4, Intervals: 24,
+	}}
+	dir := t.TempDir()
+	e, err := Open(ctx, dir, w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.AdvanceTo(ctx, 3); err != nil {
+		t.Fatal(err)
+	}
+	tr, ec := e.Regime()
+	if tr.PhaseHours == 0 {
+		t.Fatal("three ticks of diurnal drift left the phase at 0")
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(ctx, dir, nil, cfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer r.Close()
+	rtr, rec := r.Regime()
+	if r.Tick() != 3 || !reflect.DeepEqual(rtr, tr) || !reflect.DeepEqual(rec, ec) {
+		t.Errorf("reopened at tick %d with regime %+v %+v, want tick 3 with %+v %+v", r.Tick(), rtr, rec, tr, ec)
 	}
 }
 
@@ -622,7 +678,34 @@ func TestParseConfigRejectsMalformed(t *testing.T) {
 		}
 	}
 
+	// A regime that parses but cannot run is refused whole, by the parser
+	// and by the engine: a traffic or price drift of 1 or more can draw a
+	// step factor of zero or below, which stops the timeline for good, and
+	// a diurnal drift past a week can draw a shift the journal cannot
+	// parse back.
+	for _, c := range []struct {
+		spec, key string
+		set       func(*Config)
+	}{
+		{"traffic=1", "traffic", func(c *Config) { c.TrafficDrift = 1 }},
+		{"traffic=1.5", "traffic", func(c *Config) { c.TrafficDrift = 1.5 }},
+		{"price=1", "price", func(c *Config) { c.PriceDrift = 1 }},
+		{"diurnal=169", "diurnal", func(c *Config) { c.DiurnalDrift = 169 }},
+	} {
+		if _, err := ParseConfig(c.spec); err == nil || !strings.Contains(err.Error(), "tick: "+c.key+" must be") {
+			t.Errorf("ParseConfig(%q) = %v, want a %s range error", c.spec, err, c.key)
+		}
+		cfg := DefaultConfig()
+		c.set(&cfg)
+		if _, err := newEngine(genesis(t), cfg); err == nil {
+			t.Errorf("newEngine accepted the regime %s", c.spec)
+		}
+	}
+
 	// The bounds themselves parse.
+	if _, err := ParseConfig(fmt.Sprintf("traffic=0.999,price=0.999,diurnal=%d", maxDiurnalDrift)); err != nil {
+		t.Errorf("drifts just inside their bounds: %v", err)
+	}
 	cfg, err := ParseConfig(fmt.Sprintf("days=%d,checkpoint=0,intervals=0,k=0,greedy=0", lg.MaxDays))
 	if err != nil {
 		t.Fatal(err)

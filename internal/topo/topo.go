@@ -104,6 +104,12 @@ type Network struct {
 // concurrent analyses share one graph instead of copying it. Network
 // records are shared the same way; nothing may write through the
 // pointers Network returns once the graph is frozen.
+//
+// A frozen graph is also the dense index of the Section 4 analyses: every
+// ASN has an int32 id, its position in ASNs(), so ids ascend with ASNs.
+// Iterating ids in ascending order is iterating ASNs in ascending order,
+// which is the fixed floating-point addition order the determinism suite
+// pins.
 type Graph struct {
 	nets      map[ASN]*Network
 	providers map[ASN][]ASN // asn -> its transit providers
@@ -111,9 +117,12 @@ type Graph struct {
 	peers     map[ASN][]ASN // settlement-free peers (layer-3 view)
 	// asnCache memoises ASNs(): the sorted universe is rebuilt only after
 	// an AddNetwork, not on every analysis pass over the graph. Callers
-	// receive the cached slice and must treat it as read-only.
+	// receive the cached slice and must treat it as read-only. Once the
+	// graph is frozen, asnCache[id] is the ASN with dense id id.
 	asnCache []ASN
-	frozen   bool
+	// ids is the inverse of asnCache, filled by Freeze.
+	ids    map[ASN]int32
+	frozen bool
 }
 
 // ErrFrozen is returned by the graph mutators once Freeze has run.
@@ -165,13 +174,38 @@ func (g *Graph) ASNs() []ASN {
 	return g.asnCache
 }
 
-// Freeze makes the graph read-only: it fills the ASN cache, and every
-// later AddNetwork, AddTransit or AddPeering returns ErrFrozen. After it
-// the graph is safe for concurrent readers, since no read fills a cache.
+// Freeze makes the graph read-only: it fills the ASN cache, assigns every
+// ASN its dense id (its position in ASNs()), and every later AddNetwork,
+// AddTransit or AddPeering returns ErrFrozen. After it the graph is safe
+// for concurrent readers, since no read fills a cache. Freezing a frozen
+// graph does nothing.
 func (g *Graph) Freeze() {
-	g.ASNs()
+	if g.frozen {
+		return
+	}
+	asns := g.ASNs()
+	g.ids = make(map[ASN]int32, len(asns))
+	for id, asn := range asns {
+		g.ids[asn] = int32(id)
+	}
 	g.frozen = true
 }
+
+// Frozen reports whether g is a graph Freeze has run on. It is false for
+// a nil graph.
+func (g *Graph) Frozen() bool { return g != nil && g.frozen }
+
+// ID returns the dense id of asn and whether the graph holds asn. Only a
+// frozen graph assigns ids; an unfrozen one reports every ASN absent.
+func (g *Graph) ID(asn ASN) (int32, bool) {
+	id, ok := g.ids[asn]
+	return id, ok
+}
+
+// ASN returns the ASN behind a dense id of the frozen graph. Ids come
+// from ID or from positions in ASNs(), so an out-of-range id is a caller
+// bug and panics via the bounds check.
+func (g *Graph) ASN(id int32) ASN { return g.asnCache[id] }
 
 // Restore builds a graph directly from persisted parts: the network
 // records and the three adjacency maps, adopted verbatim. Adjacency slice

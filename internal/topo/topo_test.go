@@ -99,6 +99,52 @@ func TestFreeze(t *testing.T) {
 	}
 }
 
+// TestFrozenGraphIDs pins the dense index a frozen graph is: every ASN's
+// id is its position in ascending ASN order whatever order the networks
+// were added in, ID and ASN invert each other, and an ASN the graph does
+// not hold has no id. An unfrozen graph assigns no ids; Restore assigns
+// them like Freeze.
+func TestFrozenGraphIDs(t *testing.T) {
+	g := NewGraph()
+	for _, asn := range []ASN{31, 10, 500, 1000, 42} {
+		if err := g.AddNetwork(&Network{ASN: asn}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := g.ID(10); ok || g.Frozen() {
+		t.Fatal("an unfrozen graph assigned an id")
+	}
+	g.Freeze()
+	if !g.Frozen() {
+		t.Fatal("Frozen() = false after Freeze")
+	}
+	want := []ASN{10, 31, 42, 500, 1000}
+	for i, a := range want {
+		id, ok := g.ID(a)
+		if !ok || id != int32(i) {
+			t.Errorf("ID(%d) = (%d,%v), want (%d,true)", a, id, ok, i)
+		}
+		if g.ASN(int32(i)) != a {
+			t.Errorf("ASN(%d) = %d, want %d", i, g.ASN(int32(i)), a)
+		}
+	}
+	if _, ok := g.ID(999); ok {
+		t.Error("ID(999) reported held")
+	}
+	var nilGraph *Graph
+	if nilGraph.Frozen() {
+		t.Error("a nil graph reports frozen")
+	}
+
+	r, err := Restore([]*Network{{ASN: 7}, {ASN: 3}}, map[ASN][]ASN{}, map[ASN][]ASN{}, map[ASN][]ASN{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, ok := r.ID(7); !ok || id != 1 || r.ASN(0) != 3 {
+		t.Errorf("restored graph: ID(7) = (%d,%v), ASN(0) = %d; want (1,true), 3", id, ok, r.ASN(0))
+	}
+}
+
 func TestTransitValidation(t *testing.T) {
 	g := chainGraph(t)
 	if err := g.AddTransit(1, 99); err == nil {

@@ -3,7 +3,7 @@ package worldgen
 // The scenario hooks: deterministic copy-on-write cloning of a generated
 // world plus the membership mutators the perturbation ops are built from.
 // A clone shares only immutable state with its parent (the frozen AS
-// graph, the dense AS index and the IXP spec table), so a
+// graph, which is also the dense AS index, and the IXP spec table), so a
 // cloned-then-perturbed world never writes through to the original.
 
 import (
@@ -18,11 +18,11 @@ import (
 // Clone returns a copy of the world that a perturbation can rewrite
 // without writing through to the receiver: the IXPs with their
 // memberships, the probe-target interface table, the ASN lists and the
-// pseudowire deltas are independent copies. The AS graph and the dense AS
-// index are shared. Both are immutable: Generate and topo.Restore freeze
-// the graph, so its mutators fail on either world, and no op rewires it.
-// An op that must rewire the graph needs a private copy, and a dense
-// index rebuilt from it.
+// pseudowire deltas are independent copies. The AS graph, and with it
+// the dense ids it assigns, is shared. It is immutable: Generate and
+// topo.Restore freeze it, so its mutators fail on either world, and no op
+// rewires it. An op that must rewire the graph needs a private copy,
+// frozen again so it assigns its own ids.
 func (w *World) Clone() *World {
 	nw := *w
 	nw.IXPs = make([]*topo.IXP, len(w.IXPs))

@@ -73,16 +73,16 @@ func TestCloneNoAliasing(t *testing.T) {
 	}
 }
 
-// TestCloneSharesGraphAndIndex pins what a clone shares: the frozen AS
-// graph and the dense AS index built from it, both immutable.
-func TestCloneSharesGraphAndIndex(t *testing.T) {
+// TestCloneSharesGraph pins what a clone shares: the frozen AS graph,
+// which assigns the dense ids, so the clone's ids are the parent's.
+func TestCloneSharesGraph(t *testing.T) {
 	w := cloneWorld(t)
 	c := w.Clone()
 	if c.Graph != w.Graph {
 		t.Error("clone should share the frozen graph")
 	}
-	if c.Index != w.Index {
-		t.Error("clone should share the immutable index")
+	if !c.Graph.Frozen() {
+		t.Error("a generated world's graph should be frozen")
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"net/netip"
 	"time"
 
-	"remotepeering/internal/asindex"
 	"remotepeering/internal/stats"
 	"remotepeering/internal/topo"
 )
@@ -184,10 +183,6 @@ type World struct {
 	IXPs []*topo.IXP
 	// Ifaces are the probe targets at studied IXPs.
 	Ifaces []IfaceRecord
-	// Index assigns every ASN of the graph a contiguous dense id (in
-	// ascending ASN order). It is built once at generation time and shared
-	// by the analysis layers as their common dense data plane.
-	Index *asindex.Index
 
 	// PseudowireDelta shifts the one-way access delay of every remote
 	// membership's layer-2 pseudowire, per distance band (intercity,
@@ -261,7 +256,6 @@ func Generate(cfg Config) (*World, error) {
 		return nil, fmt.Errorf("worldgen: address space: %w", err)
 	}
 	w.Graph.Freeze()
-	w.Index = asindex.New(w.Graph.ASNs())
 	return w, nil
 }
 

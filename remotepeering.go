@@ -94,11 +94,10 @@ type (
 	// IXPPotential is one IXP's standalone offload potential (Figure 7).
 	IXPPotential = offload.IXPPotential
 
-	// ASNIndex maps every ASN of a generated world to a contiguous dense
-	// id (World.Index carries the instance built at generation time).
-	ASNIndex = asindex.Index
-	// ASNBitSet is an allocation-free set over an ASNIndex's ids — the
-	// currency of the bitset-valued fast paths (OffloadStudy.CoveredSet,
+	// ASNBitSet is an allocation-free set over the dense ids a world's
+	// frozen AS graph assigns (World.Graph.ID and World.Graph.ASN map
+	// between ASNs and ids, which ascend with ASNs) — the currency of the
+	// bitset-valued fast paths (OffloadStudy.CoveredSet,
 	// TrafficDataset.SeriesTotalSet). The map-valued signatures
 	// (OffloadStudy.Covered, TrafficDataset.SeriesTotal) remain available
 	// as thin adapters over the same engine, so existing callers keep
@@ -319,9 +318,9 @@ func ParseScenarioOp(s string) (ScenarioOp, error) {
 // CloneWorld returns a copy of the world that shares no mutable state
 // with the original — the copy-on-write substrate the scenario engine
 // perturbs. Memberships, probe targets and pseudowire deltas are copied;
-// the AS graph and its dense index are shared, and the graph is frozen,
-// so its mutators fail on either world (and nothing may write through
-// the network records it hands out). Callers experimenting with manual
+// the AS graph, which also assigns the dense ids, is shared, and it is
+// frozen, so its mutators fail on either world (and nothing may write
+// through the network records it hands out). Callers experimenting with manual
 // membership surgery get the scenario engine's guarantee: analyses over
 // the clone never write through to the parent.
 func CloneWorld(w *World) *World {

@@ -65,7 +65,7 @@ func TestCloneWorldIndependent(t *testing.T) {
 	if len(w.IXPs[0].Members) != before {
 		t.Fatal("clone aliases the parent's memberships")
 	}
-	if c.Index != w.Index {
-		t.Fatal("clone should share the immutable AS index")
+	if c.Graph != w.Graph {
+		t.Fatal("clone should share the frozen AS graph")
 	}
 }
