@@ -17,8 +17,8 @@
 //   - quarantine: a snapshot that fails validation (CRC mismatch,
 //     truncation, wrong magic, a retired format version) is marked
 //     Quarantined and never retried;
-//     transient attach failures retry with capped, deterministically
-//     jittered backoff.
+//     transient attach failures retry in fault.Retry, with capped,
+//     deterministically jittered backoff.
 //   - injectable faults: a *fault.Plane threads through the attach path
 //     so chaos suites can prove the above under any failure schedule. A
 //     nil plane (production) costs one pointer comparison per site.
@@ -84,26 +84,14 @@ type Options struct {
 	// Faults is the injectable fault plane (nil in production).
 	Faults *fault.Plane
 	// AttachAttempts bounds attach tries per leader on transient
-	// failures (default 3). Corrupt files quarantine on the first try.
+	// failures; 0 takes fault.Retry's default of 3. Corrupt files
+	// quarantine on the first try.
 	AttachAttempts int
 	// BackoffBase and BackoffMax shape the capped exponential backoff
-	// between attach attempts (defaults 5ms / 250ms), jittered
-	// deterministically by digest + attempt.
+	// between attach attempts, jittered deterministically by digest +
+	// attempt; zero values take fault.Backoff's defaults (5ms / 250ms).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-}
-
-func (o Options) withDefaults() Options {
-	if o.AttachAttempts <= 0 {
-		o.AttachAttempts = 3
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 5 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 250 * time.Millisecond
-	}
-	return o
 }
 
 // entry is one catalogued world. All fields after the immutable identity
@@ -140,7 +128,7 @@ type Catalog struct {
 // New builds an empty catalog; Add registers files. Open is the
 // directory-scanning form rpserve uses.
 func New(opts Options) *Catalog {
-	return &Catalog{opts: opts.withDefaults(), byDigest: make(map[string]*entry)}
+	return &Catalog{opts: opts, byDigest: make(map[string]*entry)}
 }
 
 // Open scans dir (non-recursively) for snapshot files and catalogs them
@@ -469,36 +457,30 @@ func (c *Catalog) evictLocked(e *entry) {
 // Attaching state (and the reserved resident bytes) is the leader's
 // until it publishes Ready, Quarantined, or reverts to Cold.
 func (c *Catalog) attachEntry(ctx context.Context, e *entry) error {
-	var lastErr error
-	for attempt := 0; attempt < c.opts.AttachAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			c.publish(e, Cold, residency{}, nil)
+	var res residency
+	err := fault.Retry(ctx, c.opts.AttachAttempts, c.opts.BackoffBase, c.opts.BackoffMax, e.digest,
+		func(err error) bool { return !isCorruptErr(err) },
+		func(int) (err error) {
+			res, err = c.attachOnce(e)
+			return err
+		})
+	switch {
+	case err == nil:
+		c.attaches.Add(1)
+		c.publish(e, Ready, res, nil)
+		return nil
+	case isCorruptErr(err):
+		c.publish(e, Quarantined, residency{}, err)
+		return fmt.Errorf("%w: %s (%s): %v", ErrQuarantined, e.digest[:12], e.path, err)
+	default:
+		// A cancelled leader, or a transient failure that exhausted its
+		// retries: back to Cold so a later acquire gets a fresh chance.
+		c.publish(e, Cold, residency{}, nil)
+		if err == ctx.Err() {
 			return err
 		}
-		res, err := c.attachOnce(e)
-		if err == nil {
-			c.attaches.Add(1)
-			c.publish(e, Ready, res, nil)
-			return nil
-		}
-		lastErr = err
-		if isCorruptErr(err) {
-			c.publish(e, Quarantined, residency{}, err)
-			return fmt.Errorf("%w: %s (%s): %v", ErrQuarantined, e.digest[:12], e.path, err)
-		}
-		if attempt < c.opts.AttachAttempts-1 {
-			select {
-			case <-time.After(fault.Backoff(c.opts.BackoffBase, c.opts.BackoffMax, e.digest, attempt)):
-			case <-ctx.Done():
-				c.publish(e, Cold, residency{}, nil)
-				return ctx.Err()
-			}
-		}
+		return fmt.Errorf("catalog: attach %s (%s): %w", e.digest[:12], e.path, err)
 	}
-	// Transient failure exhausted its retries: back to Cold so a later
-	// acquire gets a fresh chance, and the leader's caller sees the error.
-	c.publish(e, Cold, residency{}, nil)
-	return fmt.Errorf("catalog: attach %s (%s): %w", e.digest[:12], e.path, lastErr)
 }
 
 // publish installs the attach outcome and wakes the waiters. Quarantined

@@ -5,7 +5,9 @@
 // transient result-cache failure. Production code passes a nil *Plane and
 // every check collapses to one nil comparison; chaos tests and the
 // `-chaos` rpserve flag pass a seeded plane and the same binary exercises
-// its failure paths.
+// its failure paths. The package also holds what survives those faults:
+// the one retry loop (Retry) and panic boundary (Contain) that grid
+// cells, ticks, catalog attaches and router failover share.
 //
 // The contract the chaos suites build on: a fault plane may change
 // *whether and when* work completes, but completed work is byte-identical
@@ -37,8 +39,8 @@ const (
 	// AttachCorrupt fails a snapshot attach the way a damaged file does:
 	// the catalog maps it to its quarantine path, not a retry.
 	AttachCorrupt
-	// EvalPanic panics inside an evaluation goroutine — the scheduler and
-	// the per-cell retry layer must contain it.
+	// EvalPanic panics inside an evaluation goroutine — serve's scheduler
+	// barrier and Contain (around grid cells and ticks) must contain it.
 	EvalPanic
 	// CacheFail makes a result-cache operation transiently fail; a lookup
 	// degrades to a miss, an insert is dropped.
@@ -300,7 +302,7 @@ func (p *Plane) Err(c Class, key string) error {
 }
 
 // PanicIf panics with an *Injected value if EvalPanic fires for the key.
-// The recovery layers (scenario's per-cell retry, serve's scheduler)
+// Contain (around grid cells and ticks) and serve's scheduler barrier
 // convert it back into an error.
 func (p *Plane) PanicIf(key string) {
 	if p.Should(EvalPanic, key) {

@@ -14,9 +14,10 @@
 //     and refreshes its world advertisements from /v1/worlds. The typed
 //     states are exposed at /v1/fleet.
 //   - a dead or partitioned owner triggers rehash-and-retry: the request
-//     fails over along the rendezvous ranking with capped exponential
-//     backoff and deterministic jitter (fault.Backoff), so retries never
-//     thunder and never perturb results.
+//     fails over along the rendezvous ranking inside fault.Retry, the
+//     repository's one retry loop, with capped exponential backoff and
+//     deterministic jitter, so retries never thunder and never perturb
+//     results.
 //   - a hung owner is cut loose when the heartbeat moves it to Down:
 //     every forward in flight to it is cancelled and fails over like a
 //     dropped connection. A slow but healthy owner is waited for — the
@@ -91,7 +92,9 @@ type Config struct {
 	// Up→Suspect and →Down transitions (defaults 1 and 3).
 	SuspectAfter int
 	DownAfter    int
-	// MaxAttempts caps rehash-and-retry failover per request (default 3).
+	// MaxAttempts caps rehash-and-retry failover per request: it is the
+	// attempt budget of the request's fault.Retry loop, whose default of 3
+	// a value ≤ 0 takes. POST /v1/tick always gets one attempt.
 	MaxAttempts int
 	// BackoffBase and BackoffMax parameterise fault.Backoff between
 	// failover attempts (zero values use fault.Backoff's defaults).
@@ -131,9 +134,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DownAfter <= 0 {
 		c.DownAfter = 3
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
 	}
 	return c
 }

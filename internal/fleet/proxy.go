@@ -190,23 +190,16 @@ func (r *Router) send(ctx context.Context, digest string, idempotent bool, metho
 	if !idempotent {
 		attempts = 1
 	}
-	var lastErr error
+	var resp *response
 	tried := make(map[string]bool)
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			d := fault.Backoff(r.cfg.BackoffBase, r.cfg.BackoffMax, "fleet|"+digest+"|"+class, attempt-1)
-			select {
-			case <-time.After(d):
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			// A failover is a retry after a member actually failed us. An
-			// orphaned world (no candidate was ever tried) is not one — it
-			// is counted once, as unroutable, when the 503 is written.
-			if len(tried) > 0 {
-				r.failovers.Add(1)
-				obs.TraceFromContext(ctx).Event("failover", "attempt "+strconv.Itoa(attempt))
-			}
+	retry := func(err error) bool { return ctx.Err() == nil && !errors.Is(err, catalog.ErrUnknownWorld) }
+	err := fault.Retry(ctx, attempts, r.cfg.BackoffBase, r.cfg.BackoffMax, "fleet|"+digest+"|"+class, retry, func(attempt int) error {
+		// A failover is a retry after a member actually failed us. An
+		// orphaned world (no candidate was ever tried) is not one — it is
+		// counted once, as unroutable, when the 503 is written.
+		if attempt > 0 && len(tried) > 0 {
+			r.failovers.Add(1)
+			obs.TraceFromContext(ctx).Event("failover", "attempt "+strconv.Itoa(attempt))
 		}
 		// Rehash on every attempt: membership may have shifted while we
 		// backed off, and a candidate that already failed this request is
@@ -214,10 +207,9 @@ func (r *Router) send(ctx context.Context, digest string, idempotent bool, metho
 		cands, known := r.candidates(digest)
 		if len(cands) == 0 {
 			if !known {
-				return nil, fmt.Errorf("%w: %.16s", catalog.ErrUnknownWorld, digest)
+				return fmt.Errorf("%w: %.16s", catalog.ErrUnknownWorld, digest)
 			}
-			lastErr = fmt.Errorf("no routable owner for %.16s", digest)
-			continue
+			return fmt.Errorf("no routable owner for %.16s", digest)
 		}
 		owner := cands[0]
 		for _, c := range cands {
@@ -229,22 +221,16 @@ func (r *Router) send(ctx context.Context, digest string, idempotent bool, metho
 		tried[owner.url] = true
 
 		start := time.Now()
-		resp, err := r.forward(ctx, owner, method, path, query, hdr, body)
+		rs, err := r.forward(ctx, owner, method, path, query, hdr, body)
 		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			lastErr = err
-			continue
+			return err
 		}
 		r.lat.With(class).Observe(time.Since(start))
 		r.forwards.Add(1)
-		return resp, nil
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("no routable owner for %.16s", digest)
-	}
-	return nil, lastErr
+		resp = rs
+		return nil
+	})
+	return resp, err
 }
 
 // handleRouted is the generic world-scoped proxy: resolve the world key

@@ -21,6 +21,7 @@ package offload
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -206,8 +207,9 @@ type Study struct {
 	// exclusions.
 	ixpMembers [][]int32
 	// cones holds the customer cone of every potential peer as a sorted
-	// id list, fully populated during construction and read-only
-	// afterwards, so the parallel coverage paths share it without locking.
+	// id list, cones[k] belonging to peerIDs[k]; fully populated during
+	// construction and read-only afterwards, so the parallel coverage
+	// paths share it without locking.
 	cones [][]int32
 	// top10Selective is peer group 2's selective complement.
 	top10Selective *asindex.BitSet
@@ -251,7 +253,6 @@ func NewStudyOptions(w *worldgen.World, ds *netflow.Dataset, opts Options) (*Stu
 		hasTraffic: asindex.NewBitSet(n),
 		policies:   make([]topo.PeeringPolicy, n),
 		interfaces: make([]float64, n),
-		cones:      make([][]int32, n),
 	}
 
 	for _, e := range ds.TransitEntries() {
@@ -321,12 +322,9 @@ func NewStudyOptions(w *worldgen.World, ds *netflow.Dataset, opts Options) (*Stu
 		cc = NewConeCache()
 		cc.bind(g)
 	}
-	cones := parallel.Map(s.workers, len(s.peerIDs), func(k int) []int32 {
+	s.cones = parallel.Map(s.workers, len(s.peerIDs), func(k int) []int32 {
 		return cc.cone(s.peerIDs[k])
 	})
-	for k, id := range s.peerIDs {
-		s.cones[id] = cones[k]
-	}
 
 	s.computeTop10Selective()
 	return s, nil
@@ -381,10 +379,10 @@ func (s *Study) inGroupID(id int32, g PeerGroup) bool {
 // computeTop10Selective ranks selective potential peers by their individual
 // offload potential (their cone's transit traffic) and keeps the top 10.
 func (s *Study) computeTop10Selective() {
-	var selective []int32
-	for _, id := range s.peerIDs {
+	var selective []int // positions in peerIDs
+	for k, id := range s.peerIDs {
 		if s.policies[id] == topo.PolicySelective {
-			selective = append(selective, id)
+			selective = append(selective, k)
 		}
 	}
 	type cand struct {
@@ -392,12 +390,12 @@ func (s *Study) computeTop10Selective() {
 		pot float64
 	}
 	cands := parallel.Map(s.workers, len(selective), func(i int) cand {
-		id := selective[i]
+		k := selective[i]
 		var pot float64
-		for _, c := range s.cones[id] {
+		for _, c := range s.cones[k] {
 			pot += s.trafficIn[c] + s.trafficOut[c]
 		}
-		return cand{id, pot}
+		return cand{s.peerIDs[k], pot}
 	})
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].pot != cands[j].pot {
@@ -430,7 +428,8 @@ func (s *Study) masks(g PeerGroup) *groupMasks {
 				if !s.inGroupID(m, g) {
 					continue
 				}
-				full.SetList(s.cones[m])
+				k, _ := slices.BinarySearch(s.peerIDs, m)
+				full.SetList(s.cones[k])
 			}
 			traffic := full.Clone()
 			traffic.And(s.hasTraffic)

@@ -53,8 +53,9 @@ func TestNewStudyValidation(t *testing.T) {
 }
 
 // TestConesMatchCustomerCone pins the dense cones against the reference
-// BFS, topo.Graph.CustomerCone: on two generated worlds, every potential
-// peer's cone, mapped back through Graph.ASN, is its customer cone. It
+// BFS, topo.Graph.CustomerCone: on two generated worlds, the study holds
+// one cone per potential peer, by position, and every potential peer's
+// cone, mapped back through Graph.ASN, is its customer cone. It
 // runs with a shared cache (twice, so the second study reads cached
 // rows), with no cache, and with a cache already bound to the other
 // world's graph, which the study must not read and fills a private cache
@@ -78,12 +79,15 @@ func TestConesMatchCustomerCone(t *testing.T) {
 		if s.PotentialPeerCount() == 0 {
 			t.Fatalf("%s: no potential peers", name)
 		}
-		for _, id := range s.peerIDs {
+		if len(s.cones) != len(s.peerIDs) {
+			t.Fatalf("%s: %d cones for %d potential peers", name, len(s.cones), len(s.peerIDs))
+		}
+		for k, id := range s.peerIDs {
 			asn := w.Graph.ASN(id)
 			want := w.Graph.CustomerCone(asn)
-			got := make([]topo.ASN, len(s.cones[id]))
-			for k, c := range s.cones[id] {
-				got[k] = w.Graph.ASN(c)
+			got := make([]topo.ASN, len(s.cones[k]))
+			for i, c := range s.cones[k] {
+				got[i] = w.Graph.ASN(c)
 			}
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s: cone of AS%d = %v, want %v", name, asn, got, want)

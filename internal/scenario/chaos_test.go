@@ -68,7 +68,7 @@ func TestChaosReportByteIdentical(t *testing.T) {
 }
 
 // TestCellRetryExhaustion pins the failure shape when retries run out: a
-// CellPanicError surfaces (wrapped with the cell's grid coordinates),
+// *fault.PanicError surfaces (wrapped with the cell's grid coordinates),
 // not a panic and not a partial report.
 func TestCellRetryExhaustion(t *testing.T) {
 	w := testWorld(t)
@@ -81,9 +81,9 @@ func TestCellRetryExhaustion(t *testing.T) {
 	if err == nil {
 		t.Fatal("rate-1 panic injection produced a report")
 	}
-	var cp *CellPanicError
+	var cp *fault.PanicError
 	if !errors.As(err, &cp) {
-		t.Errorf("error is %v, want a wrapped *CellPanicError", err)
+		t.Errorf("error is %v, want a wrapped *fault.PanicError", err)
 	}
 	if len(cp.Stack) == 0 {
 		t.Error("recovered panic carries no stack")
@@ -98,9 +98,9 @@ func TestRealPanicIsContained(t *testing.T) {
 	grid := Grid{Scenarios: []Scenario{{Name: "boom", Ops: []Op{panicOp{}}}}}
 	opts := Options{MeasureSeed: 2, TrafficSeed: 3, CoverageIXPs: 2, GreedyIXPs: 6, Intervals: 48, CellAttempts: 2}
 	_, err := Run(w, grid, opts)
-	var cp *CellPanicError
+	var cp *fault.PanicError
 	if !errors.As(err, &cp) {
-		t.Fatalf("error is %v, want a wrapped *CellPanicError", err)
+		t.Fatalf("error is %v, want a wrapped *fault.PanicError", err)
 	}
 }
 

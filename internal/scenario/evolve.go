@@ -6,7 +6,6 @@ import (
 
 	"remotepeering/internal/econ"
 	"remotepeering/internal/netflow"
-	"remotepeering/internal/offload"
 	"remotepeering/internal/spread"
 	"remotepeering/internal/stats"
 	"remotepeering/internal/worldgen"
@@ -45,6 +44,18 @@ type Dirty struct {
 // traffic ⇒ offload ⇒ econ).
 func (d Dirty) Stages() StageMask { return closeStages(d.Direct) }
 
+// dirtyOf summarises the invalidation of an op list.
+func dirtyOf(ops []Op) Dirty {
+	var d Dirty
+	for _, op := range ops {
+		d.Direct |= op.stages()
+		all, list := op.dirtySims()
+		d.AllSims = d.AllSims || all
+		d.Sims = append(d.Sims, list...)
+	}
+	return d
+}
+
 // ApplyOps applies ops in order to es, drawing any op randomness (churn
 // member selection) from src, and returns the combined dirty summary.
 // The world is mutated in place — callers wanting atomicity stage the
@@ -57,12 +68,7 @@ func ApplyOps(es *EvolveState, ops []Op, src *stats.Source) (Dirty, error) {
 		return Dirty{}, fmt.Errorf("scenario: nil evolve state or world")
 	}
 	st := &state{World: es.World, Traffic: es.Traffic, Econ: es.Econ, src: src}
-	var d Dirty
 	for _, op := range ops {
-		d.Direct |= op.stages()
-		all, list := op.dirtySims()
-		d.AllSims = d.AllSims || all
-		d.Sims = append(d.Sims, list...)
 		if err := op.apply(st); err != nil {
 			return Dirty{}, err
 		}
@@ -70,7 +76,7 @@ func ApplyOps(es *EvolveState, ops []Op, src *stats.Source) (Dirty, error) {
 	es.World = st.World
 	es.Traffic = st.Traffic
 	es.Econ = st.Econ
-	return d, nil
+	return dirtyOf(ops), nil
 }
 
 // Artifacts are the retained products of one full pipeline evaluation
@@ -91,10 +97,10 @@ type Artifacts struct {
 // count — is one implementation, pinned by one equivalence suite.
 //
 // opts supplies the pipeline knobs (seeds, campaign, detector, coverage
-// depths, workers, fault plane); es supplies the evolving world, traffic
+// depths, workers, cone cache); es supplies the evolving world, traffic
 // regime, and price vector. opts.Econ is ignored — the evolving vector in
 // es.Econ is authoritative.
-func EvalEvolved(ctx context.Context, es *EvolveState, d Dirty, prev *Artifacts, cones *offload.ConeCache, opts Options) (*Artifacts, error) {
+func EvalEvolved(ctx context.Context, es *EvolveState, d Dirty, prev *Artifacts, opts Options) (*Artifacts, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -109,13 +115,8 @@ func EvalEvolved(ctx context.Context, es *EvolveState, d Dirty, prev *Artifacts,
 	}
 	opts = opts.withDefaults()
 
-	mask := closeStages(d.Direct)
-	dirtyAll := d.AllSims
 	var base *cellArtifacts
-	if prev == nil || opts.NoReuse {
-		mask = StageAll
-		dirtyAll = true
-	} else {
+	if prev != nil {
 		base = &cellArtifacts{spread: prev.Spread, ds: prev.Dataset, m: prev.Metrics}
 	}
 
@@ -132,17 +133,7 @@ func EvalEvolved(ctx context.Context, es *EvolveState, d Dirty, prev *Artifacts,
 		},
 		Econ: es.Econ,
 	}
-	art, err := runStages(ctx, stageArgs{
-		st:           st,
-		mask:         mask,
-		graphClean:   d.Direct&StageWorld == 0,
-		dirtyAllSims: dirtyAll,
-		dirtySims:    d.Sims,
-		base:         base,
-		cones:        cones,
-		opts:         opts,
-		workers:      opts.Workers,
-	})
+	art, err := runStages(ctx, st, d, base, nil, opts, opts.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
-	"time"
 
 	"remotepeering/internal/core"
 	"remotepeering/internal/econ"
@@ -85,11 +83,12 @@ type Options struct {
 	// Cones, when set, shares customer-cone tables with the caller — the
 	// long-lived query service passes each world residency's in-memory
 	// cache here so successive grid runs over the same world stop
-	// recomputing cones. When nil, the runner uses a private per-run
-	// cache, which still serves every cell of the run. Cone contents are
-	// a pure function of the graph, so sharing changes only cost, never
-	// results; a cache bound to a different index is ignored by the
-	// offload layer.
+	// recomputing cones, and the tick engine passes its own to every
+	// EvalEvolved. When nil, Run uses a private per-run cache, which still
+	// serves every cell of the run. Cone contents are a pure function of
+	// the graph, so sharing changes only cost, never results; a cache
+	// bound to a different graph is ignored by the offload layer, and
+	// NoReuse ignores it.
 	Cones *offload.ConeCache
 	// Baseline, when set, holds the world view's baseline parts: the
 	// baseline cell takes its campaign and traffic dataset from it when
@@ -98,19 +97,20 @@ type Options struct {
 	// the report is byte-identical either way. NoReuse ignores it.
 	Baseline *Baseline
 	// Faults is the injectable fault plane (nil in production): it can
-	// panic an evaluation goroutine mid-cell, which the retry layer
-	// below must absorb.
+	// panic an evaluation goroutine mid-cell, which each cell's
+	// Faults.Contain turns into an error that fault.Retry retries.
 	Faults *fault.Plane
 	// FaultKey namespaces this run's fault draws and backoff jitter —
 	// the serve tier passes the query digest, so retry timing is a pure
 	// function of (query, cell, attempt) and never touches an RNG
 	// stream that feeds results.
 	FaultKey string
-	// CellAttempts bounds how many times a crashed cell (a recovered
-	// panic, an injected transient fault) is re-evaluated before the run
-	// fails (default 3). A cell is a pure function of its grid
-	// coordinates, so a retry reproduces the exact bytes the crashed
-	// attempt would have produced.
+	// CellAttempts is the attempt budget fault.Retry gives each cell (and,
+	// through tick.Config.Pipeline, each tick): a recovered panic or an
+	// injected transient fault (fault.Transient) is re-evaluated until the
+	// budget is spent; 0 means Retry's default of 3. A cell is a pure
+	// function of its grid coordinates, so a retry reproduces the exact
+	// bytes the crashed attempt would have produced.
 	CellAttempts int
 }
 
@@ -290,18 +290,17 @@ func RunCtx(ctx context.Context, w *worldgen.World, grid Grid, opts Options) (*R
 	// changes wall time, never results). Its artifacts — per-IXP verdicts,
 	// dataset, cone cache — are what the scenario cells reuse for every
 	// stage their ops leave clean.
-	cones := opts.Cones
-	if cones == nil {
-		cones = offload.NewConeCache()
+	if opts.Cones == nil {
+		opts.Cones = offload.NewConeCache()
 	}
-	base, err := runCell(ctx, w, cells[0], opts, nil, cones, opts.Workers)
+	base, err := runCell(ctx, w, cells[0], opts, nil, opts.Workers)
 	if err != nil {
 		return nil, wrapCellErr(ctx, cells[0], err)
 	}
 	results := make([]Metrics, len(cells))
 	results[0] = base.m
 	rest, err := parallel.MapErrCtx(ctx, opts.Workers, len(cells)-1, func(i int) (Metrics, error) {
-		art, err := runCell(ctx, w, cells[i+1], opts, base, cones, 1)
+		art, err := runCell(ctx, w, cells[i+1], opts, base, 1)
 		if err != nil {
 			return Metrics{}, wrapCellErr(ctx, cells[i+1], err)
 		}
@@ -339,32 +338,6 @@ func wrapCellErr(ctx context.Context, spec cellSpec, err error) error {
 	return fmt.Errorf("scenario %q (seed offset %d): %w", spec.scn.Name, spec.off, err)
 }
 
-// CellPanicError is an evaluation-goroutine panic recovered at the cell
-// boundary and converted into an error: the retry layer re-evaluates the
-// cell, and the serve tier maps an exhausted one to a stable JSON 500
-// without leaking the stack (which lives here, for the server log).
-type CellPanicError struct {
-	Cell  string
-	Value any
-	Stack []byte
-}
-
-func (e *CellPanicError) Error() string {
-	return fmt.Sprintf("scenario: panic evaluating cell %s: %v", e.Cell, e.Value)
-}
-
-// retryableCellErr classifies failures worth re-evaluating: recovered
-// panics and injected transient faults. Real evaluation errors (bad
-// grids, impossible selections) fail fast — retrying cannot fix them.
-func retryableCellErr(err error) bool {
-	var cp *CellPanicError
-	if errors.As(err, &cp) {
-		return true
-	}
-	cls, ok := fault.IsInjected(err)
-	return ok && cls != fault.AttachCorrupt
-}
-
 // runCell evaluates one cell with crash containment: a panic inside the
 // evaluation (injected by the fault plane, or real) is recovered and the
 // cell retried with capped exponential backoff, jittered
@@ -373,46 +346,19 @@ func retryableCellErr(err error) bool {
 // stream every attempt — a retried cell's metrics are byte-identical to
 // what the crashed attempt would have produced, so fault schedules
 // change wall time and nothing else.
-func runCell(ctx context.Context, w *worldgen.World, spec cellSpec, opts Options, base *cellArtifacts, cones *offload.ConeCache, innerWorkers int) (*cellArtifacts, error) {
+func runCell(ctx context.Context, w *worldgen.World, spec cellSpec, opts Options, base *cellArtifacts, innerWorkers int) (*cellArtifacts, error) {
 	key := fmt.Sprintf("%s|cell|%s|%d", opts.FaultKey, spec.scn.Name, spec.off)
-	attempts := opts.CellAttempts
-	if attempts <= 0 {
-		attempts = 3
+	var art *cellArtifacts
+	err := fault.Retry(ctx, opts.CellAttempts, 0, 0, key, fault.Transient, func(int) error {
+		return opts.Faults.Contain(key, func() (err error) {
+			art, err = evalCell(ctx, w, spec, opts, base, innerWorkers)
+			return err
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		art, err := evalCellSafe(ctx, w, spec, opts, base, cones, innerWorkers, key)
-		if err == nil {
-			return art, nil
-		}
-		lastErr = err
-		if !retryableCellErr(err) {
-			return nil, err
-		}
-		if attempt < attempts-1 {
-			select {
-			case <-time.After(fault.Backoff(0, 0, key, attempt)):
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-	}
-	return nil, fmt.Errorf("scenario: cell failed %d attempts: %w", attempts, lastErr)
-}
-
-// evalCellSafe is evalCell behind a panic boundary, with the fault
-// plane's EvalPanic site in front of it.
-func evalCellSafe(ctx context.Context, w *worldgen.World, spec cellSpec, opts Options, base *cellArtifacts, cones *offload.ConeCache, innerWorkers int, key string) (art *cellArtifacts, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &CellPanicError{Cell: key, Value: r, Stack: debug.Stack()}
-		}
-	}()
-	opts.Faults.PanicIf(key)
-	return evalCell(ctx, w, spec, opts, base, cones, innerWorkers)
+	return art, nil
 }
 
 // cellArtifacts is one evaluated cell plus the immutable artifacts a
@@ -426,47 +372,12 @@ type cellArtifacts struct {
 	held   HeldParts
 }
 
-// evalCell evaluates one cell. With base == nil (the baseline, or
-// NoReuse) every stage runs; otherwise the cell's ops' dirty-stage masks
-// (plus seed offsets, which dirty both seeded stages) decide which stages
-// re-run and which reuse the baseline's artifacts. Stage determinism
-// makes the two paths byte-identical — pinned by the reuse-equivalence
-// suite — and innerWorkers only re-shards work inside stages, never
-// changing results.
-func evalCell(ctx context.Context, w *worldgen.World, spec cellSpec, opts Options, base *cellArtifacts, cones *offload.ConeCache, innerWorkers int) (*cellArtifacts, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// Combined dirty mask of the cell. graphClean tracks the ops' direct
-	// world-dirtiness alone: it stays true for the baseline and for
-	// seed-offset cells (whose forced full reruns leave the AS graph
-	// untouched), which is what lets every cell of the grid share one
-	// customer-cone cache. writesWorld marks the ops that rewrite the
-	// world (outages, churn, latency shifts: the ones with dirty sims).
-	var direct StageMask
-	dirtyAllSims := false
-	writesWorld := false
-	var dirtySimList []string
-	for _, op := range spec.scn.Ops {
-		direct |= op.stages()
-		all, list := op.dirtySims()
-		dirtyAllSims = dirtyAllSims || all
-		dirtySimList = append(dirtySimList, list...)
-		writesWorld = writesWorld || all || len(list) > 0
-	}
-	graphClean := direct&StageWorld == 0
-	if spec.off != 0 {
-		// Seed offsets re-seed both measured stages.
-		direct |= StageSpread | StageTraffic
-		dirtyAllSims = true
-	}
-	if base == nil || opts.NoReuse {
-		direct = StageAll
-		dirtyAllSims = true
-	}
-	mask := closeStages(direct)
-
+// evalCell applies one cell's ops and hands their dirty summary to
+// runStages.
+func evalCell(ctx context.Context, w *worldgen.World, spec cellSpec, opts Options, base *cellArtifacts, innerWorkers int) (*cellArtifacts, error) {
+	d := dirtyOf(spec.scn.Ops)
 	st := &state{
+		World: w,
 		Traffic: netflow.Config{
 			Seed:      opts.TrafficSeed + spec.off,
 			Intervals: opts.Intervals,
@@ -481,11 +392,10 @@ func evalCell(ctx context.Context, w *worldgen.World, spec cellSpec, opts Option
 		Econ: opts.Econ,
 		src:  spec.newSrc(),
 	}
-	// Only ops that rewrite the world get a clone. The baseline, seed-offset
-	// and config-only cells read the caller's world: every stage only
-	// reads it.
-	st.World = w
-	if writesWorld {
+	// Only ops with dirty simulations (outage, churn, latency) write the
+	// world. The baseline, seed-offset and config-only cells read the
+	// caller's world, which no stage writes.
+	if d.AllSims || len(d.Sims) > 0 {
 		st.World = w.Clone()
 	}
 	for _, op := range spec.scn.Ops {
@@ -493,49 +403,35 @@ func evalCell(ctx context.Context, w *worldgen.World, spec cellSpec, opts Option
 			return nil, err
 		}
 	}
-
+	if spec.off != 0 {
+		// Seed offsets re-seed both measured stages.
+		d.Direct |= StageSpread | StageTraffic
+		d.AllSims = true
+	}
 	var held *Baseline
-	if spec.base && !opts.NoReuse {
+	if spec.base {
 		held = opts.Baseline
 	}
-	return runStages(ctx, stageArgs{
-		st:           st,
-		mask:         mask,
-		graphClean:   graphClean,
-		dirtyAllSims: dirtyAllSims,
-		dirtySims:    dirtySimList,
-		base:         base,
-		held:         held,
-		cones:        cones,
-		opts:         opts,
-		workers:      innerWorkers,
-	})
-}
-
-// stageArgs bundles one stage-pipeline invocation: the post-op state, the
-// closed dirty mask, and the artifacts reusable for the clean stages. Both
-// entry points into the pipeline — evalCell (the grid) and EvalEvolved
-// (the tick engine) — feed the same runStages, so there is exactly one
-// implementation of the stage-reuse contract.
-type stageArgs struct {
-	st           *state
-	mask         StageMask
-	graphClean   bool
-	dirtyAllSims bool
-	dirtySims    []string
-	base         *cellArtifacts
-	held         *Baseline // the baseline cell's holder (nil elsewhere)
-	cones        *offload.ConeCache
-	opts         Options
-	workers      int
+	return runStages(ctx, st, d, base, held, opts, innerWorkers)
 }
 
 // runStages evaluates the paper pipeline over a perturbed state, re-running
-// exactly the dirty stages and reusing base's immutable artifacts for the
-// clean ones. Stage determinism makes the reuse path byte-identical to a
-// full rerun — pinned by the reuse-equivalence suite.
-func runStages(ctx context.Context, a stageArgs) (*cellArtifacts, error) {
-	st, mask, base, opts := a.st, a.mask, a.base, a.opts
+// exactly the stages d marks dirty and reusing base's immutable artifacts
+// for the clean ones. Both entry points into the pipeline — evalCell (the
+// grid) and EvalEvolved (the tick engine) — feed it, so there is exactly
+// one implementation of the stage-reuse contract: a reusing evaluation is
+// byte-identical to a full rerun, pinned by the reuse-equivalence suite.
+// With base == nil, or NoReuse, every stage runs; NoReuse also keeps the
+// run off the holder and the shared cone cache, so the full-rerun
+// reference stays independent of every shared artifact.
+func runStages(ctx context.Context, st *state, d Dirty, base *cellArtifacts, held *Baseline, opts Options, workers int) (*cellArtifacts, error) {
+	if base == nil || opts.NoReuse {
+		d = Dirty{Direct: StageAll, AllSims: true}
+	}
+	if opts.NoReuse {
+		held, opts.Cones = nil, nil
+	}
+	mask := d.Stages()
 
 	art := &cellArtifacts{}
 	m := &art.m
@@ -561,15 +457,15 @@ func runStages(ctx context.Context, a stageArgs) (*cellArtifacts, error) {
 		if err != nil {
 			return nil, err
 		}
-		sp, held := a.held.Campaign(key)
-		if !held {
+		sp, ok := held.Campaign(key)
+		if !ok {
 			st.Spread.IXPs = key.IXPs
-			if base != nil && !a.dirtyAllSims {
+			if base != nil && !d.AllSims {
 				// Membership ops name the exchanges they touched; every
 				// other IXP's inputs are identical to the baseline's, so
 				// its verdicts are spliced instead of re-measured.
-				dirty := make(map[int]bool, len(a.dirtySims))
-				for _, acr := range a.dirtySims {
+				dirty := make(map[int]bool, len(d.Sims))
+				for _, acr := range d.Sims {
 					if _, xi, err := st.World.IXPByAcronym(acr); err == nil {
 						dirty[xi] = true
 					}
@@ -582,9 +478,9 @@ func runStages(ctx context.Context, a stageArgs) (*cellArtifacts, error) {
 			if sp, err = spread.RunCtx(ctx, st.World, st.Spread); err != nil {
 				return nil, err
 			}
-			a.held.StoreCampaign(sp)
+			held.StoreCampaign(sp)
 		}
-		art.spread, art.held.Campaign = sp, held
+		art.spread, art.held.Campaign = sp, ok
 		spreadMetrics(m, sp)
 	}
 
@@ -595,15 +491,15 @@ func runStages(ctx context.Context, a stageArgs) (*cellArtifacts, error) {
 	if mask&StageTraffic == 0 {
 		art.ds = base.ds
 	} else {
-		ds, held := a.held.Traffic(st.Traffic)
-		if !held {
+		ds, ok := held.Traffic(st.Traffic)
+		if !ok {
 			var err error
 			if ds, err = netflow.Collect(st.World, st.Traffic); err != nil {
 				return nil, err
 			}
-			a.held.StoreTraffic(ds)
+			held.StoreTraffic(ds)
 		}
-		art.ds, art.held.Traffic = ds, held
+		art.ds, art.held.Traffic = ds, ok
 	}
 
 	// --- Section 4: the offload analysis ---
@@ -616,16 +512,10 @@ func runStages(ctx context.Context, a stageArgs) (*cellArtifacts, error) {
 		m.OffloadedFrac = base.m.OffloadedFrac
 		m.FittedB = base.m.FittedB
 	} else {
-		offOpts := offload.Options{Workers: a.workers}
-		if a.graphClean && !opts.NoReuse {
-			// Membership ops leave the AS graph untouched, so every
-			// cell's customer cones are identical — the baseline seeds
-			// the shared cache with the grid's full worker budget and
-			// scenario cells hit it. NoReuse bypasses the cache so the
-			// full-rerun reference stays entirely independent of it.
-			offOpts.Cones = a.cones
-		}
-		study, err := offload.NewStudyOptions(st.World, art.ds, offOpts)
+		// No op rewires the AS graph, so every cell's customer cones are
+		// identical: the baseline seeds the shared cache with the grid's
+		// full worker budget and scenario cells hit it.
+		study, err := offload.NewStudyOptions(st.World, art.ds, offload.Options{Workers: workers, Cones: opts.Cones})
 		if err != nil {
 			return nil, err
 		}

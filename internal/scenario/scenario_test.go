@@ -325,7 +325,7 @@ func TestRunValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "not frozen") {
 		t.Fatalf("a world without a frozen graph should fail clearly, got %v", err)
 	}
-	if _, err := EvalEvolved(context.Background(), &EvolveState{World: &worldgen.World{}}, Dirty{}, nil, nil, Options{}); err == nil ||
+	if _, err := EvalEvolved(context.Background(), &EvolveState{World: &worldgen.World{}}, Dirty{}, nil, Options{}); err == nil ||
 		!strings.Contains(err.Error(), "not frozen") {
 		t.Fatalf("an evolved world without a frozen graph should fail clearly, got %v", err)
 	}

@@ -971,11 +971,10 @@ func (s *Server) handleOffload(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		g := offload.PeerGroup(group)
-		d := int(depth)
-		if d < int(k) {
-			d = int(k)
-		}
-		steps := study.Greedy(g, d)
+		// The curve has at most one step per IXP. Clamp in int64 before
+		// converting: a raw k sized a slice, and int(k) wraps on 32-bit.
+		n := int64(len(ws.world.IXPs))
+		steps := study.Greedy(g, int(min(max(depth, k), n)))
 		if len(steps) == 0 {
 			return nil, fmt.Errorf("empty greedy expansion")
 		}
@@ -994,13 +993,14 @@ func (s *Server) handleOffload(w http.ResponseWriter, r *http.Request) {
 				Remaining: st.Remaining(),
 			})
 		}
-		at := steps[min(int(k), len(steps))-1]
+		kn := min(int(min(k, n)), len(steps))
+		at := steps[kn-1]
 		if total := in + out; total > 0 {
 			resp.OffloadedFrac = (at.OffloadedInBps + at.OffloadedOutBps) / total
 		}
-		chosen := make([]int, 0, k)
-		for i := 0; i < int(k) && i < len(steps); i++ {
-			chosen = append(chosen, steps[i].IXPIndex)
+		chosen := make([]int, kn)
+		for i := range chosen {
+			chosen[i] = steps[i].IXPIndex
 		}
 		resp.CoveredNets = study.CoveredSet(chosen, g).Count()
 		remaining := make([]float64, len(steps))

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -194,6 +195,37 @@ func TestOffloadDecayFitNeedsTwoSteps(t *testing.T) {
 	}
 	if len(resp.Steps) != 5 || resp.FittedB == 0 {
 		t.Errorf("greedy=1: %d steps, fitted_b %v; want 5 steps and a fitted b", len(resp.Steps), resp.FittedB)
+	}
+}
+
+// TestOffloadHugeKClamped pins that a k past the IXP count answers what
+// k=65 answers (the body equal except its id) instead of sizing a slice
+// by the raw k. Only these two values: a k between about 1e8 and 2^45
+// would ask an unclamped server for gigabytes to terabytes at once.
+func TestOffloadHugeKClamped(t *testing.T) {
+	s := testServer(t)
+	decode := func(k string) map[string]any {
+		t.Helper()
+		st, _, body := get(t, s.Handler(), "/v1/offload?intervals=96&greedy=8&k="+k)
+		if st != http.StatusOK {
+			t.Fatalf("k=%s: status %d, body %s", k, st, body)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(body, &m); err != nil {
+			t.Fatal(err)
+		}
+		delete(m, "id")
+		return m
+	}
+	want := decode("65")
+	panics := s.Panics()
+	for _, k := range []string{"4611686018427387904", "9223372036854775807"} {
+		if got := decode(k); !reflect.DeepEqual(got, want) {
+			t.Errorf("k=%s: body differs from k=65's", k)
+		}
+	}
+	if s.Panics() != panics {
+		t.Errorf("a huge k panicked %d evaluations", s.Panics()-panics)
 	}
 }
 

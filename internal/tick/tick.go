@@ -34,7 +34,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime/debug"
 	"strconv"
 	"strings"
 	"time"
@@ -99,9 +98,11 @@ type Config struct {
 	// parameterisation); price walks rescale it from there.
 	Pipeline scenario.Options
 
-	// Cones shares a customer-cone cache with the caller (the serve tier
-	// passes its residency's cache); nil uses a private one. Tick events
-	// never touch the AS graph, so one cache serves the whole timeline.
+	// Cones is the engine's customer-cone cache: the serve tier passes its
+	// residency's cache, and nil gives the engine a private one. The engine
+	// installs it as Pipeline.Cones, overwriting whatever that held. Tick
+	// events never touch the AS graph, so one cache serves the whole
+	// timeline.
 	Cones *offload.ConeCache
 
 	// Metrics receives tick/checkpoint/recovery observations and is
@@ -278,31 +279,6 @@ type Result struct {
 	Metrics scenario.Metrics `json:"metrics"`
 }
 
-// PanicError is a panic recovered at the tick boundary: the tick rolled
-// back atomically (engine state and journal untouched), the stack lives
-// here for the caller's log, and a retry reproduces the exact bytes the
-// crashed attempt would have produced.
-type PanicError struct {
-	Tick  uint64
-	Value any
-	Stack []byte
-}
-
-func (e *PanicError) Error() string {
-	return fmt.Sprintf("tick: panic advancing to tick %d: %v", e.Tick, e.Value)
-}
-
-// retryable classifies failures worth re-attempting: recovered panics and
-// injected transient faults. Real evaluation errors fail fast.
-func retryable(err error) bool {
-	var pe *PanicError
-	if errors.As(err, &pe) {
-		return true
-	}
-	cls, ok := fault.IsInjected(err)
-	return ok && cls != fault.AttachCorrupt
-}
-
 // Engine is one evolving world: the current (world, regime) state, the
 // previous tick's pipeline artifacts (the stage-reuse source), the
 // in-memory history, and optionally an attached journal. An Engine is not
@@ -312,7 +288,6 @@ type Engine struct {
 	cfg      Config
 	es       *scenario.EvolveState
 	art      *scenario.Artifacts
-	cones    *offload.ConeCache
 	tick     uint64
 	hist     []Result
 	jr       *journal.Journal
@@ -351,9 +326,9 @@ func newEngine(genesis *worldgen.World, cfg Config) (*Engine, error) {
 	if ec.P == 0 {
 		ec = econ.DefaultParams(0)
 	}
-	cones := cfg.Cones
-	if cones == nil {
-		cones = offload.NewConeCache()
+	cfg.Pipeline.Cones = cfg.Cones
+	if cfg.Pipeline.Cones == nil {
+		cfg.Pipeline.Cones = offload.NewConeCache()
 	}
 	return &Engine{
 		cfg: cfg,
@@ -362,14 +337,13 @@ func newEngine(genesis *worldgen.World, cfg Config) (*Engine, error) {
 			Traffic: netflow.Config{Seed: cfg.Pipeline.TrafficSeed, Intervals: cfg.Pipeline.Intervals},
 			Econ:    ec,
 		},
-		cones:    cones,
 		genesis:  digest,
 		worldCfg: genesis.Cfg,
 	}, nil
 }
 
 func (e *Engine) evalGenesis(ctx context.Context) error {
-	art, err := scenario.EvalEvolved(ctx, e.es, scenario.Dirty{}, nil, e.cones, e.cfg.Pipeline)
+	art, err := scenario.EvalEvolved(ctx, e.es, scenario.Dirty{}, nil, e.cfg.Pipeline)
 	if err != nil {
 		return err
 	}
@@ -412,7 +386,7 @@ func (e *Engine) State() *snapshot.TickState {
 }
 
 // Cones returns the engine's shared customer-cone cache.
-func (e *Engine) Cones() *offload.ConeCache { return e.cones }
+func (e *Engine) Cones() *offload.ConeCache { return e.cfg.Pipeline.Cones }
 
 // Close closes the attached journal, if any.
 func (e *Engine) Close() error {
@@ -532,37 +506,19 @@ func (e *Engine) Advance(ctx context.Context) (Result, error) {
 	ops, events := e.genEvents(t)
 	key := streamKey(t)
 	faultKey := fmt.Sprintf("%s|tick|%d", e.cfg.Pipeline.FaultKey, t)
-	attempts := e.cfg.Pipeline.CellAttempts
-	if attempts <= 0 {
-		attempts = 3
-	}
 	var (
-		res     Result
-		staged  *scenario.EvolveState
-		art     *scenario.Artifacts
-		lastErr error
+		res    Result
+		staged *scenario.EvolveState
+		art    *scenario.Artifacts
 	)
-	for attempt := 0; attempt < attempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		res, staged, art, lastErr = e.applyEval(ctx, t, ops, events, key, faultKey)
-		if lastErr == nil {
-			break
-		}
-		if !retryable(lastErr) {
-			return Result{}, lastErr
-		}
-		if attempt < attempts-1 {
-			select {
-			case <-time.After(fault.Backoff(0, 0, faultKey, attempt)):
-			case <-ctx.Done():
-				return Result{}, ctx.Err()
-			}
-		}
-	}
-	if lastErr != nil {
-		return Result{}, fmt.Errorf("tick: advance to %d failed %d attempts: %w", t, attempts, lastErr)
+	err := fault.Retry(ctx, e.cfg.Pipeline.CellAttempts, 0, 0, faultKey, fault.Transient, func(int) error {
+		return e.cfg.Pipeline.Faults.Contain(faultKey, func() (err error) {
+			res, staged, art, err = e.applyEval(ctx, t, ops, events, key)
+			return err
+		})
+	})
+	if err != nil {
+		return Result{}, fmt.Errorf("tick: advance to %d: %w", t, err)
 	}
 	// Commit order: journal record first — synced per the journal's
 	// policy before the tick is acked — then the in-memory swap. A crash
@@ -604,22 +560,15 @@ func (e *Engine) AdvanceTo(ctx context.Context, target uint64) ([]Result, error)
 	return out, nil
 }
 
-// applyEval is one staged apply+evaluate attempt behind a panic barrier,
-// with the fault plane's tick-time panic site in front of it.
-func (e *Engine) applyEval(ctx context.Context, t uint64, ops []scenario.Op, events []string, key, faultKey string) (res Result, staged *scenario.EvolveState, art *scenario.Artifacts, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, staged, art = Result{}, nil, nil
-			err = &PanicError{Tick: t, Value: r, Stack: debug.Stack()}
-		}
-	}()
-	e.cfg.Pipeline.Faults.PanicIf(faultKey)
-	staged = &scenario.EvolveState{World: e.es.World.Clone(), Traffic: e.es.Traffic, Econ: e.es.Econ}
+// applyEval is one staged apply+evaluate attempt: it works on a clone and
+// leaves the engine untouched.
+func (e *Engine) applyEval(ctx context.Context, t uint64, ops []scenario.Op, events []string, key string) (Result, *scenario.EvolveState, *scenario.Artifacts, error) {
+	staged := &scenario.EvolveState{World: e.es.World.Clone(), Traffic: e.es.Traffic, Econ: e.es.Econ}
 	d, err := scenario.ApplyOps(staged, ops, e.src(key))
 	if err != nil {
 		return Result{}, nil, nil, err
 	}
-	art, err = scenario.EvalEvolved(ctx, staged, d, e.art, e.cones, e.cfg.Pipeline)
+	art, err := scenario.EvalEvolved(ctx, staged, d, e.art, e.cfg.Pipeline)
 	if err != nil {
 		return Result{}, nil, nil, err
 	}
@@ -895,7 +844,7 @@ func (e *Engine) replay(ctx context.Context, recs []journal.Record, evalEach boo
 		}
 		res := Result{Tick: r.Tick, Events: r.Events, Stages: d.Stages().String()}
 		if evalEach {
-			art, err := scenario.EvalEvolved(ctx, staged, d, e.art, e.cones, e.cfg.Pipeline)
+			art, err := scenario.EvalEvolved(ctx, staged, d, e.art, e.cfg.Pipeline)
 			if err != nil {
 				return err
 			}
@@ -906,7 +855,7 @@ func (e *Engine) replay(ctx context.Context, recs []journal.Record, evalEach boo
 		e.hist = append(e.hist, res)
 	}
 	if !evalEach {
-		art, err := scenario.EvalEvolved(ctx, e.es, scenario.Dirty{}, nil, e.cones, e.cfg.Pipeline)
+		art, err := scenario.EvalEvolved(ctx, e.es, scenario.Dirty{}, nil, e.cfg.Pipeline)
 		if err != nil {
 			return err
 		}

@@ -380,9 +380,9 @@ func TestAtomicRollbackUnderChaos(t *testing.T) {
 		before := e2.Tick()
 		if _, err := e2.Advance(ctx); err != nil {
 			fails++
-			var pe *PanicError
+			var pe *fault.PanicError
 			if !errors.As(err, &pe) {
-				t.Fatalf("expected a wrapped PanicError, got %v", err)
+				t.Fatalf("expected a wrapped *fault.PanicError, got %v", err)
 			}
 			if e2.Tick() != before {
 				t.Fatalf("failed tick moved the engine: %d -> %d", before, e2.Tick())

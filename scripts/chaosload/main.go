@@ -36,7 +36,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -69,7 +68,6 @@ func main() {
 	clients := flag.Int("clients", 8, "concurrent client goroutines")
 	ticker := flag.Bool("ticker", false, "advance every world's clock concurrently with the query load (POST /v1/tick)")
 	tickEvery := flag.Duration("tick-every", 2*time.Second, "interval between tick advances in -ticker mode")
-	benchJSON := flag.String("bench-json", "", "also write per-class latency percentiles to this file in the BENCH_<n>.json schema")
 	flag.Parse()
 
 	resp, err := http.Get(*addr + "/v1/worlds")
@@ -231,14 +229,7 @@ func main() {
 			b.class, b.code, len(ds), pct(ds, 50), pct(ds, 95), pct(ds, 99))
 	}
 
-	serverQ := crossCheckServerTruth(*addr, samples)
-
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, buckets, byBucket, duration.Seconds(), serverQ); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("  wrote %s\n", *benchJSON)
-	}
+	crossCheckServerTruth(*addr, samples)
 }
 
 // --- server-truth cross-check ---
@@ -295,21 +286,18 @@ func (h *serverHist) bucketIndex(v float64) int {
 }
 
 // crossCheckServerTruth scrapes the server's request histograms and
-// fails the run on disagreement beyond bucket resolution. It returns
-// the server-side quantile bounds (class -> percentile -> seconds) for
-// the bench-json columns; a failed scrape skips gracefully — not every
-// target serves /metrics.
-func crossCheckServerTruth(addr string, samples []sample) map[string]map[int]float64 {
+// fails the run on disagreement beyond bucket resolution; a failed
+// scrape skips gracefully — not every target serves /metrics.
+func crossCheckServerTruth(addr string, samples []sample) {
 	hists, family, err := scrapeHists(addr)
 	if err != nil {
 		fmt.Printf("  server-truth: skipped (%v)\n", err)
-		return nil
+		return
 	}
 	merged := map[string][]time.Duration{}
 	for _, s := range samples {
 		merged[s.class] = append(merged[s.class], s.d)
 	}
-	out := map[string]map[int]float64{}
 	for _, class := range []string{"whatif", "world", "tick"} {
 		ds := merged[class]
 		h := hists[clientToServerClass[class]]
@@ -317,21 +305,19 @@ func crossCheckServerTruth(addr string, samples []sample) map[string]map[int]flo
 			continue
 		}
 		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-		q := map[int]float64{}
-		for _, p := range []int{50, 95, 99} {
+		var q [3]float64
+		for i, p := range []int{50, 95, 99} {
 			si, bound := h.quantileBucket(float64(p) / 100)
-			q[p] = bound
+			q[i] = bound
 			ci := h.bucketIndex(pct(ds, p).Seconds())
 			if diff := si - ci; diff < -1 || diff > 1 {
 				fatal(fmt.Errorf("server-truth mismatch for %s p%d: client %v is bucket %d, server reports bucket %d (≤%gs) — beyond bucket resolution",
 					clientToServerClass[class], p, pct(ds, p), ci, si, bound))
 			}
 		}
-		out[class] = q
 		fmt.Printf("  server-truth %-15s p50≤%gs p95≤%gs p99≤%gs (%s, agrees with client within bucket resolution)\n",
-			clientToServerClass[class], q[50], q[95], q[99], family)
+			clientToServerClass[class], q[0], q[1], q[2], family)
 	}
-	return out
 }
 
 // scrapeHists pulls the per-class request histograms from /metrics,
@@ -428,61 +414,6 @@ func labelValue(line, key string) string {
 		return ""
 	}
 	return rest[:j]
-}
-
-// writeBenchJSON emits the per-class percentiles in the same schema as
-// scripts/benchjson, so chaosload runs land next to the Go benchmark
-// records in BENCH_<n>.json and CI's artifact trail without a second
-// format. One "benchmark" per (class, status) bucket; metric names carry
-// units the way testing.B metrics do.
-func writeBenchJSON(path string, buckets []bucket, byBucket map[bucket][]time.Duration, seconds float64, serverQ map[string]map[int]float64) error {
-	type record struct {
-		Name       string             `json:"name"`
-		Iterations int64              `json:"iterations"`
-		Metrics    map[string]float64 `json:"metrics"`
-	}
-	out := struct {
-		GoVersion  string   `json:"go_version"`
-		GOOS       string   `json:"goos"`
-		GOARCH     string   `json:"goarch"`
-		CPU        int      `json:"cpu"`
-		GOMAXPROCS int      `json:"gomaxprocs"`
-		Benches    []record `json:"benchmarks"`
-	}{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		CPU:        runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	for _, b := range buckets {
-		ds := byBucket[b] // already sorted by the caller's report pass
-		metrics := map[string]float64{
-			"p50-ms": ms(pct(ds, 50)),
-			"p95-ms": ms(pct(ds, 95)),
-			"p99-ms": ms(pct(ds, 99)),
-			"qps":    float64(len(ds)) / seconds,
-		}
-		// Server-truth columns: the server's own histogram quantiles for
-		// the class (bucket upper bounds, all statuses merged), scraped
-		// from /metrics and cross-checked against the client columns.
-		if sq := serverQ[b.class]; sq != nil {
-			metrics["server-p50-ms"] = sq[50] * 1000
-			metrics["server-p95-ms"] = sq[95] * 1000
-			metrics["server-p99-ms"] = sq[99] * 1000
-		}
-		out.Benches = append(out.Benches, record{
-			Name:       fmt.Sprintf("Chaosload/%s/status=%d", b.class, b.code),
-			Iterations: int64(len(ds)),
-			Metrics:    metrics,
-		})
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 func pct(sorted []time.Duration, p int) time.Duration {
