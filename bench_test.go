@@ -946,6 +946,38 @@ func BenchmarkTickAdvance(b *testing.B) {
 	}
 }
 
+// BenchmarkTickAdvanceDefault measures a tick of the default regime on a
+// paper-scale world: DefaultTickConfig's traffic, diurnal and price
+// drifts, churn and outages, with the default pipeline. Unlike
+// BenchmarkTickAdvance, whose regime is churn-only, nearly every tick
+// here draws a traffic scale or a diurnal shift, so it re-prices the
+// previous tick's traffic ranking — the path a live world takes on every
+// tick. Each iteration advances several ticks, because a single tick's
+// cost swings with the ops it draws.
+func BenchmarkTickAdvanceDefault(b *testing.B) {
+	w, err := GenerateWorld(WorldConfig{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	eng, err := NewTickEngine(ctx, w, DefaultTickConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	const ticksPerOp = 4
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < ticksPerOp; k++ {
+			if _, err := eng.Advance(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	perTick := b.Elapsed() / time.Duration(b.N*ticksPerOp)
+	b.ReportMetric(perTick.Seconds()*1e3, "tick_ms")
+}
+
 // BenchmarkJournalReplay measures recovery speed: rebuilding an evolved
 // world from its genesis recipe and journalled event records alone
 // (world-only replay, one closing evaluation), the path Open takes for

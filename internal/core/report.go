@@ -81,7 +81,10 @@ type Figure3Row struct {
 // x-axis.
 func (r *Report) Figure3() []Figure3Row {
 	byIXP := map[int]*Figure3Row{}
-	for _, i := range r.Analyzed() {
+	for _, i := range r.Interfaces {
+		if i.Discard != FilterNone {
+			continue
+		}
 		row, ok := byIXP[i.IXPIndex]
 		if !ok {
 			row = &Figure3Row{IXPIndex: i.IXPIndex, Acronym: i.Acronym}
@@ -252,7 +255,10 @@ func (v Validation) Recall() float64 {
 // Validate scores the analyzed interfaces against ground truth.
 func (r *Report) Validate(truth func(ixpIndex int, ip netip.Addr) bool) Validation {
 	var v Validation
-	for _, i := range r.Analyzed() {
+	for _, i := range r.Interfaces {
+		if i.Discard != FilterNone {
+			continue
+		}
 		actual := truth(i.IXPIndex, i.IP)
 		switch {
 		case i.Remote && actual:

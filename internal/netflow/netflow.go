@@ -12,6 +12,17 @@
 //     as origin, destination, or transient (Figure 6), and marking which
 //     flows ride the two tier-1 transit providers;
 //   - content-heavy top contributors (the Microsoft/Yahoo/CDN analogues).
+//
+// A dataset is built in two steps. Ranking computes what depends only on
+// the frozen AS graph, RedIRIS, the two transit providers and the traffic
+// seed: the BGP paths toward RedIRIS, a contribution weight per network,
+// the entry order, the transit flags, and each rank's share and inbound
+// fraction. Pricing turns a ranking into rates under one Config: the
+// totals, the transit normalisation. A dataset keeps its ranking, so a
+// demand surge or a shifted daily peak (the scenario engine's traffic
+// ops, a tick's traffic drift) prices the ranking it already has through
+// Price instead of ranking again; the flows and their paths are the same,
+// only their volumes move.
 package netflow
 
 import (
@@ -69,13 +80,27 @@ const (
 const DefaultIntervals = 8064
 
 // validate rejects the knobs that have no meaning below zero, before
-// they can reach an allocation size.
+// they can reach an allocation size, and the values no dataset can be
+// computed from: a total that is NaN, infinite or negative poisons every
+// rate, and a phase whose time.Duration overflows has no defined
+// conversion (Go leaves it to the architecture).
 func (c Config) validate() error {
 	if c.Intervals < 0 {
 		return fmt.Errorf("netflow: negative Intervals %d (use 0 for the full month)", c.Intervals)
 	}
+	if c.IntervalLength < 0 {
+		return fmt.Errorf("netflow: negative IntervalLength %v (use 0 for 5 minutes)", c.IntervalLength)
+	}
 	if c.Workers < 0 {
 		return fmt.Errorf("netflow: negative Workers %d (use 0 for one per CPU)", c.Workers)
+	}
+	if !(c.TotalInboundBps >= 0 && c.TotalInboundBps <= math.MaxFloat64) ||
+		!(c.TotalOutboundBps >= 0 && c.TotalOutboundBps <= math.MaxFloat64) {
+		return fmt.Errorf("netflow: transit totals %g/%g bps (want finite and non-negative; 0 for the default)",
+			c.TotalInboundBps, c.TotalOutboundBps)
+	}
+	if ns := c.PhaseHours * float64(time.Hour); !(ns >= math.MinInt64 && ns < math.MaxInt64) {
+		return fmt.Errorf("netflow: PhaseHours %g does not fit a time.Duration", c.PhaseHours)
 	}
 	return nil
 }
@@ -124,26 +149,30 @@ type Entry struct {
 	// arrive via GÉANT, an existing CDN peering, or a home-IXP peering.
 	Transit bool
 	// Path is the AS path from the network to RedIRIS (inbound
-	// direction); outbound is assumed symmetric.
+	// direction); outbound is assumed symmetric. Every dataset priced
+	// from one ranking shares the same path slices: they are read-only.
 	Path []topo.ASN
 }
 
-// Dataset is the collected month of border traffic.
+// Dataset is the collected month of border traffic. Entries is
+// read-only: its paths are shared with every dataset priced from the same
+// ranking. Every lazily built table sits behind a sync.Once, so
+// concurrent readers are safe.
 type Dataset struct {
 	Cfg     Config
 	Entries []Entry
 
-	byASN map[topo.ASN]int
-	// transient[a] accumulates the in+out average rates of flows whose
-	// path crosses a as an intermediary.
-	transient   map[topo.ASN]float64
-	transientIn map[topo.ASN]float64
-	transOut    map[topo.ASN]float64
-	seed        int64
+	// rank is the ranking Entries were priced from, shared with every
+	// dataset priced from it: Entries[i] is rank i.
+	rank *ranking
 
-	// graph is the world's frozen AS graph, whose dense ids let set-valued
-	// queries (SeriesTotalSet) take bitsets instead of maps.
-	graph *topo.Graph
+	// transient[a] accumulates the in+out average rates of flows whose
+	// path crosses a as an intermediary (Figure 6), built on the first
+	// Transient call.
+	transientOnce sync.Once
+	transient     map[topo.ASN]float64
+	transientIn   map[topo.ASN]float64
+	transOut      map[topo.ASN]float64
 	// transitOnce/transitCache memoise TransitEntries: the filtered slice
 	// is assembled once and shared (callers must not mutate it).
 	transitOnce  sync.Once
@@ -157,13 +186,106 @@ type Dataset struct {
 	profOut  []float64
 }
 
-// Collect builds the dataset from the world.
+// ranking is the part of a dataset that does not depend on the totals or
+// the phase a Config sets: it is a function of the frozen AS graph,
+// RedIRIS, the two transit providers and the traffic seed alone. It holds
+// no RIB and no per-AS table, is immutable once built, and is shared by
+// every dataset priced from it.
+type ranking struct {
+	graph                       *topo.Graph
+	redIRIS, transit1, transit2 topo.ASN
+	seed                        int64
+	// entries lists the ranked networks in rank order; only ASN, Path and
+	// Transit are read. It is the Entries of the dataset the ranking was
+	// built for, so a priced dataset copies no path.
+	entries []Entry
+	// share[i] is rank i's share of the Figure 5a rank law (the vector
+	// depends on the entry count alone); inFrac[i] is the inbound
+	// fraction of entry i's network kind.
+	share  []float64
+	inFrac []float64
+	// byASN maps an ASN to its rank, built on the first lookup. It
+	// depends on the entry order only, so every priced dataset shares it.
+	byASNOnce sync.Once
+	byASN     map[topo.ASN]int
+}
+
+// Collect builds the dataset from the world: Price with nothing to price
+// from, so it ranks afresh.
 func Collect(w *worldgen.World, cfg Config) (*Dataset, error) {
+	return Price(nil, w, cfg)
+}
+
+// Price builds the dataset of cfg over w, byte-identical to a fresh
+// collection. When from's ranking was built over w's frozen graph,
+// RedIRIS and transit providers under cfg's seed, Price computes the
+// rates and nothing else, and the new dataset shares that ranking
+// (entry order, paths, transit flags). Any other from, nil included, is
+// ranked afresh: the RIB toward RedIRIS, a LogNormal weight per network,
+// the candidate sort and every AS path.
+func Price(from *Dataset, w *worldgen.World, cfg Config) (*Dataset, error) {
+	if w == nil {
+		return nil, fmt.Errorf("netflow: nil world")
+	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	src := stats.NewSource(cfg.Seed).Split("netflow")
+	if from != nil && from.rank.over(w, cfg.Seed) {
+		return from.rank.price(cfg, make([]Entry, len(from.rank.entries)))
+	}
+	r, err := rank(w, cfg.Seed, cfg.Workers)
+	if err != nil {
+		return nil, err
+	}
+	return r.price(cfg, r.entries)
+}
+
+// over reports whether r was ranked over w's graph and transit endpoints
+// under seed. Only a frozen graph qualifies: nothing can rewire it after
+// the ranking was built.
+func (r *ranking) over(w *worldgen.World, seed int64) bool {
+	return r != nil && w.Graph.Frozen() && r.graph == w.Graph && r.seed == seed &&
+		r.redIRIS == w.RedIRIS && r.transit1 == w.Transit1 && r.transit2 == w.Transit2
+}
+
+// newRanking is the empty ranking of n networks over w under seed, with
+// the rank shares filled.
+func newRanking(w *worldgen.World, seed int64, n int) *ranking {
+	// Rank-based contribution with the Figure 5a bend near rank 20,000.
+	const bend = 20000
+	rawRate := func(rank int) float64 {
+		r := float64(rank + 6)
+		v := math.Pow(r, -1.4)
+		if rank > bend {
+			v *= math.Pow(float64(rank)/bend, -5)
+		}
+		return v
+	}
+	var totalRaw float64
+	for i := 0; i < n; i++ {
+		totalRaw += rawRate(i + 1)
+	}
+	r := &ranking{
+		graph:    w.Graph,
+		redIRIS:  w.RedIRIS,
+		transit1: w.Transit1,
+		transit2: w.Transit2,
+		seed:     seed,
+		share:    make([]float64, n),
+		inFrac:   make([]float64, n),
+	}
+	for i := range r.share {
+		r.share[i] = rawRate(i+1) / totalRaw
+	}
+	return r
+}
+
+// rank orders w's networks by contribution under the traffic seed and
+// extracts their AS paths. It is the one place the RIB toward RedIRIS is
+// computed.
+func rank(w *worldgen.World, seed int64, workers int) (*ranking, error) {
+	src := stats.NewSource(seed).Split("netflow")
 
 	rib, err := bgp.ComputeRIB(w.Graph, w.RedIRIS)
 	if err != nil {
@@ -192,62 +314,44 @@ func Collect(w *worldgen.World, cfg Config) (*Dataset, error) {
 		return cands[i].asn < cands[j].asn
 	})
 
-	ds := &Dataset{
-		Cfg:         cfg,
-		byASN:       make(map[topo.ASN]int),
-		transient:   make(map[topo.ASN]float64),
-		transientIn: make(map[topo.ASN]float64),
-		transOut:    make(map[topo.ASN]float64),
-		seed:        cfg.Seed,
-		graph:       w.Graph,
-	}
-
-	// Rank-based contribution with the Figure 5a bend near rank 20,000.
-	const bend = 20000
-	rawRate := func(rank int) float64 {
-		r := float64(rank + 6)
-		v := math.Pow(r, -1.4)
-		if rank > bend {
-			v *= math.Pow(float64(rank)/bend, -5)
-		}
-		return v
-	}
-	var totalRaw float64
-	for i := range cands {
-		totalRaw += rawRate(i + 1)
-	}
-
 	// Per-candidate entry construction — dominated by AS-path extraction
 	// from the RIB — is pure per index (the RIB and graph are read-only by
 	// now), so it fans out with an order-stable merge.
-	ds.Entries = parallel.Map(cfg.Workers, len(cands), func(i int) Entry {
+	r := newRanking(w, seed, len(cands))
+	r.entries = parallel.Map(workers, len(cands), func(i int) Entry {
 		c := cands[i]
-		n := w.Graph.Network(c.asn)
-		share := rawRate(i+1) / totalRaw
-		inFrac := inboundFraction(n.Kind)
+		r.inFrac[i] = inboundFraction(w.Graph.Network(c.asn).Kind)
 		path := rib.Path(c.asn)
-		entry := Entry{
-			ASN:       c.asn,
-			AvgInBps:  share * cfg.TotalInboundBps * inFrac / 0.64,
-			AvgOutBps: share * cfg.TotalOutboundBps * (1 - inFrac) / 0.36,
-			Path:      path,
-		}
+		entry := Entry{ASN: c.asn, Path: path}
 		if len(path) >= 2 {
 			gateway := path[len(path)-2]
 			entry.Transit = gateway == w.Transit1 || gateway == w.Transit2
 		}
 		return entry
 	})
-	for i, e := range ds.Entries {
-		ds.byASN[e.ASN] = i
-	}
+	return r, nil
+}
 
-	// Normalise so transit totals hit the configured levels exactly.
+// price computes cfg's rates over r into entries (len(r.entries) long; it
+// may be r.entries itself while the ranking is being built) and returns
+// the dataset. This is the one rate loop: each rank's share of the
+// configured totals, split by its inbound fraction, then normalised so
+// the transit totals hit the configured levels.
+func (r *ranking) price(cfg Config, entries []Entry) (*Dataset, error) {
 	var sumIn, sumOut float64
-	for _, e := range ds.Entries {
-		if e.Transit {
-			sumIn += e.AvgInBps
-			sumOut += e.AvgOutBps
+	for i := range entries {
+		e := &r.entries[i]
+		share, inFrac := r.share[i], r.inFrac[i]
+		entries[i] = Entry{
+			ASN:       e.ASN,
+			AvgInBps:  share * cfg.TotalInboundBps * inFrac / 0.64,
+			AvgOutBps: share * cfg.TotalOutboundBps * (1 - inFrac) / 0.36,
+			Transit:   e.Transit,
+			Path:      e.Path,
+		}
+		if entries[i].Transit {
+			sumIn += entries[i].AvgInBps
+			sumOut += entries[i].AvgOutBps
 		}
 	}
 	if sumIn <= 0 || sumOut <= 0 {
@@ -255,13 +359,27 @@ func Collect(w *worldgen.World, cfg Config) (*Dataset, error) {
 	}
 	inScale := cfg.TotalInboundBps / sumIn
 	outScale := cfg.TotalOutboundBps / sumOut
-	for i := range ds.Entries {
-		ds.Entries[i].AvgInBps *= inScale
-		ds.Entries[i].AvgOutBps *= outScale
+	for i := range entries {
+		entries[i].AvgInBps *= inScale
+		entries[i].AvgOutBps *= outScale
 	}
+	return &Dataset{Cfg: cfg, Entries: entries, rank: r}, nil
+}
 
-	ds.buildTransient(cfg.Workers)
-	return ds, nil
+// lookup returns asn's rank, if r ranked it. A Dataset built by hand
+// has no ranking and finds nothing.
+func (r *ranking) lookup(asn topo.ASN) (int, bool) {
+	if r == nil {
+		return 0, false
+	}
+	r.byASNOnce.Do(func() {
+		r.byASN = make(map[topo.ASN]int, len(r.entries))
+		for i, e := range r.entries {
+			r.byASN[e.ASN] = i
+		}
+	})
+	i, ok := r.byASN[asn]
+	return i, ok
 }
 
 // buildTransient fills the Figure 6 transient accounting from the entry
@@ -269,13 +387,13 @@ func Collect(w *worldgen.World, cfg Config) (*Dataset, error) {
 // intermediary. The accumulation merges per-block partial maps in fixed
 // block order, so the floating-point sums are bit-identical for every
 // worker count — and for a rehydrated dataset, bit-identical to the ones
-// Collect computed before the snapshot was written.
-func (ds *Dataset) buildTransient(workers int) {
+// of the dataset the snapshot was written from.
+func (ds *Dataset) buildTransient() {
 	type transientMaps struct {
 		total, in, out map[topo.ASN]float64
 	}
 	blocks := parallel.Blocks(len(ds.Entries), 512)
-	parts := parallel.Map(workers, len(blocks), func(bi int) transientMaps {
+	parts := parallel.Map(ds.Cfg.Workers, len(blocks), func(bi int) transientMaps {
 		r := blocks[bi]
 		p := transientMaps{
 			total: make(map[topo.ASN]float64),
@@ -291,6 +409,9 @@ func (ds *Dataset) buildTransient(workers int) {
 		}
 		return p
 	})
+	ds.transient = make(map[topo.ASN]float64)
+	ds.transientIn = make(map[topo.ASN]float64)
+	ds.transOut = make(map[topo.ASN]float64)
 	for _, p := range parts {
 		for a, v := range p.total {
 			ds.transient[a] += v
@@ -305,12 +426,13 @@ func (ds *Dataset) buildTransient(workers int) {
 }
 
 // Rehydrate rebuilds a Dataset around its persisted core — the effective
-// collection config and the entry table — without re-running Collect's
-// candidate ranking or RIB computation. The derived tables (ASN lookup,
-// transient accounting) are recomputed with the same fold order Collect
-// uses, so every query over the rehydrated dataset is byte-identical to
-// the same query over the original. The entry slice is adopted, not
-// copied; the caller must not mutate it afterwards.
+// collection config and the entry table — without re-running the RIB or
+// the candidate ranking. The ranking is derived from the persisted entry
+// order: each rank's share from its position and the entry count, each
+// inbound fraction from the graph's network kind. So the rehydrated
+// dataset answers every query byte-identically to the one the snapshot
+// was written from, and prices exactly as Collect would. The entry slice
+// is adopted, not copied; the caller must not mutate it afterwards.
 func Rehydrate(w *worldgen.World, cfg Config, entries []Entry) (*Dataset, error) {
 	if w == nil {
 		return nil, fmt.Errorf("netflow: nil world")
@@ -319,24 +441,15 @@ func Rehydrate(w *worldgen.World, cfg Config, entries []Entry) (*Dataset, error)
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	ds := &Dataset{
-		Cfg:         cfg,
-		Entries:     entries,
-		byASN:       make(map[topo.ASN]int, len(entries)),
-		transient:   make(map[topo.ASN]float64),
-		transientIn: make(map[topo.ASN]float64),
-		transOut:    make(map[topo.ASN]float64),
-		seed:        cfg.Seed,
-		graph:       w.Graph,
-	}
+	r := newRanking(w, cfg.Seed, len(entries))
+	r.entries = entries
 	for i, e := range entries {
 		if _, ok := w.Graph.ID(e.ASN); !ok {
 			return nil, fmt.Errorf("netflow: entry ASN %d not in world graph", e.ASN)
 		}
-		ds.byASN[e.ASN] = i
+		r.inFrac[i] = inboundFraction(w.Graph.Network(e.ASN).Kind)
 	}
-	ds.buildTransient(cfg.Workers)
-	return ds, nil
+	return &Dataset{Cfg: cfg, Entries: entries, rank: r}, nil
 }
 
 // contributionWeight ranks networks for contribution assignment: content
@@ -403,7 +516,7 @@ func inboundFraction(k topo.NetworkKind) float64 {
 
 // Entry returns the record for asn, if present.
 func (d *Dataset) Entry(asn topo.ASN) (Entry, bool) {
-	i, ok := d.byASN[asn]
+	i, ok := d.rank.lookup(asn)
 	if !ok {
 		return Entry{}, false
 	}
@@ -428,21 +541,24 @@ func (d *Dataset) TransitEntries() []Entry {
 }
 
 // TransitTotals returns the average transit-provider traffic in each
-// direction. The sum runs in entry order (the same order TransitEntries
-// preserves), so the totals are bit-identical to the seed implementation.
+// direction. The sum reads the transit entries in place, in entry order
+// (the order TransitEntries preserves), so the totals are bit-identical
+// to the seed implementation.
 func (d *Dataset) TransitTotals() (inBps, outBps float64) {
-	for i := range d.TransitEntries() {
-		e := &d.transitCache[i]
-		inBps += e.AvgInBps
-		outBps += e.AvgOutBps
+	for i := range d.Entries {
+		if e := &d.Entries[i]; e.Transit {
+			inBps += e.AvgInBps
+			outBps += e.AvgOutBps
+		}
 	}
 	return inBps, outBps
 }
 
 // Transient returns the combined in+out average rate crossing asn as an
 // intermediary, plus the directional splits (Figure 6's "transient
-// traffic").
+// traffic"). The tables are built on the first call.
 func (d *Dataset) Transient(asn topo.ASN) (total, in, out float64) {
+	d.transientOnce.Do(d.buildTransient)
 	return d.transient[asn], d.transientIn[asn], d.transOut[asn]
 }
 
@@ -453,7 +569,7 @@ func (d *Dataset) Transient(asn topo.ASN) (total, in, out float64) {
 // without storing it. The base is interval-independent, so the kernels
 // hoist it out of their interval loops.
 func (d *Dataset) hashBase(asn topo.ASN, dir uint64) uint64 {
-	return uint64(d.seed)*0x9E3779B97F4A7C15 ^ uint64(asn)<<32 ^ dir<<61
+	return uint64(d.Cfg.Seed)*0x9E3779B97F4A7C15 ^ uint64(asn)<<32 ^ dir<<61
 }
 
 // diurnalFactor is the multiplicative time-of-day/day-of-week profile. The
@@ -483,7 +599,7 @@ func diurnalFactor(interval int, intervalLen time.Duration, amplitude float64, p
 // interval (bps), inbound and outbound. Deterministic in (seed, asn,
 // interval).
 func (d *Dataset) Rate(asn topo.ASN, interval int) (inBps, outBps float64) {
-	i, ok := d.byASN[asn]
+	i, ok := d.rank.lookup(asn)
 	if !ok {
 		return 0, 0
 	}
@@ -557,7 +673,7 @@ func (d *Dataset) SeriesTotalSet(set *asindex.BitSet) (in, out []float64) {
 		if set == nil {
 			return true
 		}
-		id, ok := d.graph.ID(e.ASN)
+		id, ok := d.rank.graph.ID(e.ASN)
 		return ok && set.Has(id)
 	})
 }

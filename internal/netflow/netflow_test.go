@@ -1,8 +1,11 @@
 package netflow
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -253,6 +256,9 @@ func TestEntryLookup(t *testing.T) {
 	if _, ok := ds.Entry(topo.ASN(42424242)); ok {
 		t.Error("unknown ASN should not resolve")
 	}
+	if _, ok := (&Dataset{}).Entry(e.ASN); ok {
+		t.Error("a dataset built by hand should resolve nothing")
+	}
 }
 
 func TestInboundFractionBounds(t *testing.T) {
@@ -320,4 +326,227 @@ func TestRejectsNegativeKnobs(t *testing.T) {
 			t.Errorf("Rehydrate accepted %+v", cfg)
 		}
 	}
+}
+
+// TestRejectsUncomputableConfig pins that a config no dataset can be
+// computed from is a typed error from both constructors: a NaN, infinite
+// or negative total (each poisoned every rate, the transit totals and
+// the p95 with NaN), a phase that is not finite or whose time.Duration
+// overflows (Go leaves that conversion to the architecture), and a
+// negative interval length.
+func TestRejectsUncomputableConfig(t *testing.T) {
+	w, ds := priceWorld(t, 600)
+	for _, cfg := range []Config{
+		{Seed: 7, TotalInboundBps: math.NaN()},
+		{Seed: 7, TotalInboundBps: math.Inf(1)},
+		{Seed: 7, TotalInboundBps: -1},
+		{Seed: 7, TotalOutboundBps: math.NaN()},
+		{Seed: 7, TotalOutboundBps: math.Inf(-1)},
+		{Seed: 7, TotalOutboundBps: -4.5e9},
+		{Seed: 7, PhaseHours: math.NaN()},
+		{Seed: 7, PhaseHours: math.Inf(1)},
+		{Seed: 7, PhaseHours: 1e300},
+		{Seed: 7, PhaseHours: -3e6},
+		{Seed: 7, IntervalLength: -time.Minute},
+	} {
+		if _, err := Collect(w, cfg); err == nil {
+			t.Errorf("Collect accepted %+v", cfg)
+		}
+		if _, err := Price(ds, w, cfg); err == nil {
+			t.Errorf("Price accepted %+v", cfg)
+		}
+		if _, err := Rehydrate(w, cfg, ds.Entries); err == nil {
+			t.Errorf("Rehydrate accepted %+v", cfg)
+		}
+	}
+	// The largest phase that fits a duration still collects.
+	if _, err := Collect(w, Config{Seed: 7, Intervals: 12, PhaseHours: 2.5e6}); err != nil {
+		t.Errorf("Collect refused a 2.5e6 h phase: %v", err)
+	}
+}
+
+// priceWorld generates a world of the given leaf count (0: paper scale)
+// and collects a short dataset over it.
+func priceWorld(t *testing.T, leaves int) (*worldgen.World, *Dataset) {
+	t.Helper()
+	w, err := worldgen.Generate(worldgen.Config{Seed: 1, LeafNetworks: leaves})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := Collect(w, Config{Seed: 7, Intervals: 96})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, ds
+}
+
+// pricedConfig is the traffic config a cell reaches from the default
+// regime through traffic:factor and diurnal:phase.
+func pricedConfig(factor, phase float64) Config {
+	return Config{
+		Seed:             7,
+		Intervals:        96,
+		TotalInboundBps:  DefaultInboundBps * factor,
+		TotalOutboundBps: DefaultOutboundBps * factor,
+		PhaseHours:       phase,
+	}
+}
+
+// samePriced fails t unless got is bit-for-bit the dataset want is:
+// every entry, the transit totals, the all-transit series and the
+// transient accounting over every AS inside a path.
+func samePriced(t *testing.T, got, want *Dataset) {
+	t.Helper()
+	if got.Cfg != want.Cfg || len(got.Entries) != len(want.Entries) {
+		t.Fatalf("config %+v with %d entries, want %+v with %d", got.Cfg, len(got.Entries), want.Cfg, len(want.Entries))
+	}
+	bits := math.Float64bits
+	mids := map[topo.ASN]bool{}
+	for i := range want.Entries {
+		g, e := &got.Entries[i], &want.Entries[i]
+		if g.ASN != e.ASN || g.Transit != e.Transit || !slices.Equal(g.Path, e.Path) ||
+			bits(g.AvgInBps) != bits(e.AvgInBps) || bits(g.AvgOutBps) != bits(e.AvgOutBps) {
+			t.Fatalf("entry %d = %+v, want %+v", i, *g, *e)
+		}
+		for _, a := range e.Path[1:max(1, len(e.Path)-1)] {
+			mids[a] = true
+		}
+	}
+	gi, gout := got.TransitTotals()
+	wi, wout := want.TransitTotals()
+	if bits(gi) != bits(wi) || bits(gout) != bits(wout) {
+		t.Fatalf("transit totals %v/%v, want %v/%v", gi, gout, wi, wout)
+	}
+	gsIn, gsOut := got.SeriesTotal(nil)
+	wsIn, wsOut := want.SeriesTotal(nil)
+	for k := range wsIn {
+		if bits(gsIn[k]) != bits(wsIn[k]) || bits(gsOut[k]) != bits(wsOut[k]) {
+			t.Fatalf("series interval %d = %v/%v, want %v/%v", k, gsIn[k], gsOut[k], wsIn[k], wsOut[k])
+		}
+	}
+	for a := range mids {
+		g1, g2, g3 := got.Transient(a)
+		w1, w2, w3 := want.Transient(a)
+		if bits(g1) != bits(w1) || bits(g2) != bits(w2) || bits(g3) != bits(w3) {
+			t.Fatalf("transient of %d = %v/%v/%v, want %v/%v/%v", a, g1, g2, g3, w1, w2, w3)
+		}
+	}
+}
+
+// TestPriceMatchesCollect pins that pricing a ranking is a fresh
+// collection, bit for bit, over the demand factors and phases a what-if
+// or a tick drift reaches, whether the ranking came from Collect or from
+// a snapshot's entry order through Rehydrate — and that the priced
+// dataset shares the source's ranking instead of ranking again.
+func TestPriceMatchesCollect(t *testing.T) {
+	scales := []int{1200}
+	if !testing.Short() {
+		scales = append(scales, 0) // paper scale
+	}
+	for _, leaves := range scales {
+		t.Run(fmt.Sprintf("leaves=%d", leaves), func(t *testing.T) {
+			w, collected := priceWorld(t, leaves)
+			entries := slices.Clone(collected.Entries)
+			rehydrated, err := Rehydrate(w, collected.Cfg, entries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sources := map[string]*Dataset{"collected": collected, "rehydrated": rehydrated}
+			for _, factor := range []float64{1.001, 1.05, 0.5, 3.7, 1e-3} {
+				for _, phase := range []float64{0, 5.5} {
+					cfg := pricedConfig(factor, phase)
+					want, err := Collect(w, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for name, src := range sources {
+						got, err := Price(src, w, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got.rank != src.rank {
+							t.Errorf("factor %v phase %v from %s: priced dataset ranked afresh", factor, phase, name)
+						}
+						samePriced(t, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestPriceRefusesForeignRanking pins that a ranking built under another
+// traffic seed, or over another graph (a second Generate of the same
+// config, equal in content but not the same frozen graph), is not
+// adopted: Price ranks afresh and still equals Collect.
+func TestPriceRefusesForeignRanking(t *testing.T) {
+	w, _ := priceWorld(t, 1200)
+	_, regenerated := priceWorld(t, 1200)
+	cfg := pricedConfig(1.05, 5.5)
+	want, err := Collect(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reseeded, err := Collect(w, Config{Seed: 8, Intervals: 96})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]*Dataset{"another seed": reseeded, "another graph": regenerated} {
+		got, err := Price(src, w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.rank == src.rank {
+			t.Errorf("%s: adopted the foreign ranking", name)
+		}
+		samePriced(t, got, want)
+	}
+}
+
+// TestPriceConcurrentReaders prices one source from several goroutines
+// while they all read the lazily built tables — the shared ranking's ASN
+// lookup and the source's transient accounting. Run under -race: every
+// goroutine must see what a fresh collection answers.
+func TestPriceConcurrentReaders(t *testing.T) {
+	w, src := priceWorld(t, 600)
+	cfg := pricedConfig(1.3, 2)
+	want, err := Collect(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := src.Entries[:40]
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := Price(src, w, cfg)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, e := range probe {
+				ge, ok := got.Entry(e.ASN)
+				we, _ := want.Entry(e.ASN)
+				if !ok || ge.AvgInBps != we.AvgInBps || ge.AvgOutBps != we.AvgOutBps {
+					t.Errorf("Entry(%d) = %+v, %v; want %+v", e.ASN, ge, ok, we)
+					return
+				}
+				if s, _ := src.Entry(e.ASN); s.ASN != e.ASN {
+					t.Errorf("source Entry(%d) = %+v", e.ASN, s)
+					return
+				}
+				for _, a := range e.Path {
+					gt, _, _ := got.Transient(a)
+					st, _, _ := src.Transient(a)
+					wt, _, _ := want.Transient(a)
+					if gt != wt || (st == 0) != (wt == 0) {
+						t.Errorf("Transient(%d) = %v (source %v), want %v", a, gt, st, wt)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

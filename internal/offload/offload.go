@@ -255,7 +255,11 @@ func NewStudyOptions(w *worldgen.World, ds *netflow.Dataset, opts Options) (*Stu
 		interfaces: make([]float64, n),
 	}
 
-	for _, e := range ds.TransitEntries() {
+	for i := range ds.Entries {
+		e := &ds.Entries[i]
+		if !e.Transit {
+			continue
+		}
 		id, ok := g.ID(e.ASN)
 		if !ok {
 			return nil, fmt.Errorf("offload: dataset ASN %d not in world graph", e.ASN)

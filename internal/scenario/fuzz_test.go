@@ -48,6 +48,7 @@ func FuzzParseGrid(f *testing.F) {
 		"x=churn:DE-CIX:-1:0",
 		"x=latency:city:9e12,latency:city:9e12",
 		"x=traffic:1e200,traffic:1e200",
+		"x=diurnal:2.5e6,diurnal:2.5e6",
 		// Malformed shapes.
 		"", " ; ", "name=", "=outage:A", "outage:A=B", "a,b", "churn::1:2",
 		"latency:orbit:3", "traffic:0x1p-2", "warp:9",

@@ -365,7 +365,14 @@ func (o DiurnalShift) stages() StageMask { return StageTraffic }
 func (o DiurnalShift) dirtySims() (bool, []string) { return false, nil }
 
 func (o DiurnalShift) apply(st *state) error {
-	st.Traffic.PhaseHours += o.Hours
+	// The phase becomes a time.Duration, so the sum must fit one in
+	// nanoseconds, checked in floating point: converting a larger float
+	// is undefined.
+	h := st.Traffic.PhaseHours + o.Hours
+	if ns := h * float64(time.Hour); !(ns >= math.MinInt64 && ns < math.MaxInt64) {
+		return fmt.Errorf("scenario: diurnal shift of %s h takes the phase to %g h, past a duration", formatFloat(o.Hours), h)
+	}
+	st.Traffic.PhaseHours = h
 	return nil
 }
 
@@ -491,7 +498,8 @@ func parseMagnitude(s string, unit time.Duration) (float64, error) {
 // could only fail, or silently mis-evaluate, is refused here.
 // A latency delta past MaxLatencyShift, or a traffic factor that takes
 // the default transit totals to zero or infinity, is refused too, and
-// ParseScenario refuses a scenario whose ops add up past those limits.
+// ParseScenario refuses a scenario whose ops add up past those limits
+// or whose diurnal shifts add up past a time.Duration.
 // Ops built in Go are still checked when they apply.
 func ParseOp(s string) (Op, error) {
 	op, err := parseOp(s)
@@ -565,8 +573,9 @@ func parseOp(s string) (Op, error) {
 
 // ParseScenario parses "name=op,op,..."; a spec without '=' names the
 // scenario after its op list. It refuses a scenario whose latency shifts
-// add up past MaxLatencyShift in a band, or whose traffic scales take
-// the transit totals to zero or infinity.
+// add up past MaxLatencyShift in a band, whose traffic scales take the
+// transit totals to zero or infinity, or whose diurnal shifts add up past
+// a time.Duration.
 func ParseScenario(spec string) (Scenario, error) {
 	spec = strings.TrimSpace(spec)
 	name, opsSpec, ok := strings.Cut(spec, "=")
@@ -597,11 +606,11 @@ func ParseScenario(spec string) (Scenario, error) {
 	return Scenario{Name: name, Ops: ops}, nil
 }
 
-// checkAccumulated folds a scenario's latency and traffic ops onto an
-// unperturbed cell state, the way a grid cell will apply them, so a
-// scenario whose ops are each in range but add up past what the
+// checkAccumulated folds a scenario's latency, traffic and diurnal ops
+// onto an unperturbed cell state, the way a grid cell will apply them, so
+// a scenario whose ops are each in range but add up past what the
 // pipeline can evaluate is refused at parse time with apply's own error.
-// The other ops change nothing these two read. The serve tier parses
+// The other ops change nothing these three read. The serve tier parses
 // every what-if query, cache hits included, so the state stays on the
 // stack: the ops are applied through their concrete types.
 func checkAccumulated(ops []Op) error {
@@ -613,6 +622,8 @@ func checkAccumulated(ops []Op) error {
 		case LatencyShift:
 			err = o.apply(&st)
 		case TrafficScale:
+			err = o.apply(&st)
+		case DiurnalShift:
 			err = o.apply(&st)
 		}
 		if err != nil {

@@ -493,8 +493,16 @@ func runStages(ctx context.Context, st *state, d Dirty, base *cellArtifacts, hel
 	} else {
 		ds, ok := held.Traffic(st.Traffic)
 		if !ok {
+			// A traffic op moves the rates, not the flows: Price re-prices
+			// base's ranking, which every cell and tick of a view shares
+			// because no op rewires the graph. A reseeded cell ranks
+			// afresh, and so does the full-rerun reference.
+			var from *netflow.Dataset
+			if base != nil && !opts.NoReuse {
+				from = base.ds
+			}
 			var err error
-			if ds, err = netflow.Collect(st.World, st.Traffic); err != nil {
+			if ds, err = netflow.Price(from, st.World, st.Traffic); err != nil {
 				return nil, err
 			}
 			held.StoreTraffic(ds)
@@ -578,8 +586,8 @@ func runStages(ctx context.Context, st *state, d Dirty, base *cellArtifacts, hel
 // whether the cell ran it or took it from a holder.
 func spreadMetrics(m *Metrics, sp *spread.Result) {
 	m.Observations = sp.Observations
-	m.AnalyzedIfaces = len(sp.Report.Analyzed())
 	for _, row := range sp.Report.Table1() {
+		m.AnalyzedIfaces += row.Analyzed
 		m.DetectedRemote += row.Remote
 	}
 	for _, row := range sp.Report.Figure3() {

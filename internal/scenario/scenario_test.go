@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"math"
 	"os"
 	"reflect"
 	"runtime"
@@ -91,7 +92,9 @@ func TestParseOpErrors(t *testing.T) {
 // MaxLatencyShift (9e12 ms crashed the simulator), traffic factors that
 // take the transit totals to infinity, negative churn counts — while
 // values up to those bounds parse as they always have. A scenario whose
-// ops are each in range but add up past a bound is refused as a whole.
+// ops are each in range but add up past a bound is refused as a whole:
+// two diurnal:2.5e6 shifts sum to 5e6 h, whose time.Duration conversion
+// Go leaves to the architecture (−9223372036854775808 on amd64).
 func TestParseOpMagnitudes(t *testing.T) {
 	for _, c := range []struct {
 		spec string
@@ -148,6 +151,9 @@ func TestParseOpMagnitudes(t *testing.T) {
 		{"x=traffic:1e-200,traffic:1e-200", false},
 		{"x=traffic:1e200,traffic:1e-200,traffic:1e200", true},
 		{"ok=traffic:1.5;x=traffic:1e200,diurnal:3,traffic:1e200", false},
+		{"x=diurnal:2.5e6,diurnal:2.5e6", false},
+		{"x=diurnal:-2.5e6,diurnal:-2.5e6", false},
+		{"x=diurnal:2.5e6,diurnal:-2.5e6,diurnal:2.5e6", true},
 	} {
 		if _, err := ParseGrid(c.spec); (err == nil) != c.ok {
 			t.Errorf("ParseGrid(%q): %v, want ok=%v", c.spec, err, c.ok)
@@ -220,6 +226,29 @@ func TestLatencyShiftApply(t *testing.T) {
 	}
 	if st.World.PseudowireDelta != want {
 		t.Fatalf("a refused shift moved PseudowireDelta to %v", st.World.PseudowireDelta)
+	}
+}
+
+// TestDiurnalShiftApply pins that a phase accumulates across shifts and
+// that an op built in Go meets the parser's bound on the sum: the refused
+// shift leaves the phase where it was.
+func TestDiurnalShiftApply(t *testing.T) {
+	st := newState(t)
+	for _, h := range []float64{2.5e6, -6} {
+		if err := (DiurnalShift{Hours: h}).apply(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st.Traffic.PhaseHours != 2.5e6-6 {
+		t.Fatalf("PhaseHours = %v, want %v", st.Traffic.PhaseHours, 2.5e6-6)
+	}
+	for _, h := range []float64{2.5e6, math.NaN(), math.Inf(-1)} {
+		if err := (DiurnalShift{Hours: h}).apply(st); err == nil {
+			t.Errorf("a %v h shift from %v h should fail", h, 2.5e6-6)
+		}
+	}
+	if st.Traffic.PhaseHours != 2.5e6-6 {
+		t.Fatalf("a refused shift moved PhaseHours to %v", st.Traffic.PhaseHours)
 	}
 }
 

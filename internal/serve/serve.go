@@ -294,19 +294,15 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// prepare builds every lazily-initialised structure of the snapshot that
-// concurrent readers would otherwise race to create, and returns the
-// world's view: the snapshot's layers, a baseline holder seeded with its
-// campaign and dataset, and an empty cone cache the first evaluation
-// fills for every later one. It runs once per residency — at New in
-// single mode, on each attach in catalog mode — and only reads the
-// snapshot.
+// prepare returns the world's view: the snapshot's layers, a baseline
+// holder seeded with its campaign and dataset, and an empty cone cache
+// the first evaluation fills for every later one. It runs once per
+// residency — at New in single mode, on each attach in catalog mode —
+// and only reads the snapshot. Every lazy table of the snapshot's layers
+// is built behind a sync.Once, so concurrent readers need no prewarm.
 func prepare(snap *snapshot.Snapshot) (*worldState, error) {
 	if snap.World == nil {
 		return nil, fmt.Errorf("serve: snapshot %.12s has no world", snap.Digest)
-	}
-	if snap.Dataset != nil {
-		snap.Dataset.TransitEntries()
 	}
 	return &worldState{
 		digest: snap.Digest,
@@ -850,15 +846,16 @@ func (s *Server) handleSpread(w http.ResponseWriter, r *http.Request) {
 			ws.base.StoreCampaign(res)
 		}
 		s.noteBaseline(ctx, partOutcome{partCampaign, held})
-		detected := 0
+		detected, analyzed := 0, 0
 		for _, row := range res.Report.Table1() {
 			detected += row.Remote
+			analyzed += row.Analyzed
 		}
 		v := res.Validation
 		return marshalBody(spreadResponse{
 			ID: id, Digest: digest, Seed: seed,
 			Observations:   res.Observations,
-			AnalyzedIfaces: len(res.Report.Analyzed()),
+			AnalyzedIfaces: analyzed,
 			DetectedRemote: detected,
 			TruePositives:  v.TruePositives,
 			FalsePositives: v.FalsePositives,
@@ -957,7 +954,9 @@ func (s *Server) handleOffload(w http.ResponseWriter, r *http.Request) {
 		}
 		ds, held := ws.base.Traffic(key)
 		if !held {
-			if ds, err = netflow.Collect(ws.world, key); err != nil {
+			// Another length of the view's own traffic seed prices the
+			// view dataset's ranking; another seed ranks afresh.
+			if ds, err = netflow.Price(ws.ds, ws.world, key); err != nil {
 				return nil, err
 			}
 			ws.base.StoreTraffic(ds)

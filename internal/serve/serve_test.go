@@ -352,9 +352,10 @@ func TestWhatifBadRequests(t *testing.T) {
 // whose nanoseconds overflow a time.Duration (the conversion is
 // undefined), latency shifts past scenario.MaxLatencyShift alone or
 // added up (9e12 ms crashed the simulator; two of them wrapped the int64
-// sum), traffic factors that take the totals to infinity alone or
-// multiplied, a NaN traffic factor, a negative churn count, and a greedy
-// depth of 1, which leaves the decay fit a single point.
+// sum), diurnal shifts whose sum overflows a time.Duration, traffic
+// factors that take the totals to infinity alone or multiplied, a NaN
+// traffic factor, a negative churn count, and a greedy depth of 1, which
+// leaves the decay fit a single point.
 func TestUnrunnableWhatifsRejected(t *testing.T) {
 	s := testServer(t)
 	for _, tc := range []struct {
@@ -368,6 +369,8 @@ func TestUnrunnableWhatifsRejected(t *testing.T) {
 		{http.MethodGet, "/v1/whatif?scenarios=x%3Dtraffic%3A1e200%2Ctraffic%3A1e200", ""},
 		{http.MethodPost, "/v1/whatif", `{"scenarios":"x=latency:city:5e7,latency:all:5e7"}`},
 		{http.MethodGet, "/v1/whatif?scenarios=x%3Ddiurnal%3A1e300", ""},
+		{http.MethodGet, "/v1/whatif?scenarios=x%3Ddiurnal%3A2.5e6%2Cdiurnal%3A2.5e6", ""},
+		{http.MethodPost, "/v1/whatif", `{"scenarios":"x=diurnal:2.5e6,diurnal:2.5e6"}`},
 		{http.MethodGet, "/v1/whatif?scenarios=x%3Dtraffic%3ANaN", ""},
 		{http.MethodGet, "/v1/whatif?scenarios=x%3Dchurn%3ADE-CIX%3A-1%3A0", ""},
 		{http.MethodGet, "/v1/whatif?scenarios=x%3Dtraffic%3A1.5&greedy=1", ""},

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -419,5 +420,34 @@ func TestFlatRefusesPartialRaw(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := WriteFlat(&buf, &Snapshot{World: w, Spread: spliced}); !errors.Is(err, spread.ErrPartialRaw) {
 		t.Fatalf("WriteFlat of a spliced campaign: %v, want ErrPartialRaw", err)
+	}
+}
+
+// TestFlatUncomputableDatasetCorrupt pins that a well-formed image whose
+// dataset section carries a config no dataset can be computed from — a
+// NaN or infinite total, a phase past a time.Duration, a negative
+// interval length — fails to materialize with ErrCorrupt instead of
+// yielding a dataset whose totals, series and p95 are NaN.
+func TestFlatUncomputableDatasetCorrupt(t *testing.T) {
+	w := testWorld(t)
+	for _, mutate := range []func(*netflow.Config){
+		func(c *netflow.Config) { c.TotalInboundBps = math.NaN() },
+		func(c *netflow.Config) { c.TotalOutboundBps = math.Inf(1) },
+		func(c *netflow.Config) { c.PhaseHours = math.NaN() },
+		func(c *netflow.Config) { c.PhaseHours = 1e300 },
+		func(c *netflow.Config) { c.IntervalLength = -time.Minute },
+	} {
+		ds, err := netflow.Collect(w, netflow.Config{Seed: 11, Intervals: 24})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate(&ds.Cfg)
+		a, err := AttachBytes(flatImage(t, &Snapshot{World: w, Dataset: ds}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Snapshot(); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("config %+v: materialize err = %v, want ErrCorrupt", ds.Cfg, err)
+		}
 	}
 }

@@ -117,16 +117,23 @@ func reuseOpts(workers int, noReuse bool) ScenarioOptions {
 	return o
 }
 
-// TestScenarioReuseEquivalence runs the shared 7-cell what-if matrix with
-// stage reuse on and off at workers 1/2/8: the reports must be
-// deep-equal. Together with TestRunScenariosIdenticalAcrossWorkers this
-// pins the reuse machinery from both axes.
+// TestScenarioReuseEquivalence runs the shared 7-cell what-if matrix,
+// plus a scenario whose ops only re-price the baseline's traffic ranking
+// (a demand scale and a diurnal shift), with stage reuse on and off at
+// workers 1/2/8: the reports must be deep-equal. Together with
+// TestRunScenariosIdenticalAcrossWorkers this pins the reuse machinery
+// from both axes.
 func TestScenarioReuseEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reuse equivalence re-runs the grid six times")
 	}
 	w := detWorld(t)
 	grid := scenarioTestGrid(t)
+	repriced, err := ParseScenarioGrid("peak-shift=traffic:0.8,diurnal:5.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid.Scenarios = append(grid.Scenarios, repriced.Scenarios...)
 	for _, workers := range []int{1, 2, 8} {
 		reused, err := RunScenarios(w, grid, reuseOpts(workers, false))
 		if err != nil {
