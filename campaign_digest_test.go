@@ -17,6 +17,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"remotepeering/internal/core"
 	"remotepeering/internal/lg"
@@ -40,6 +41,7 @@ type campaignDigest struct {
 	Leaves       int               `json:"leaves"`
 	MeasureSeed  int64             `json:"measure_seed"`
 	Ops          string            `json:"ops,omitempty"`
+	Days         int               `json:"days,omitempty"`
 	Stream       string            `json:"stream"`
 	IXPs         map[string]string `json:"ixps"`
 	Observations int               `json:"observations"`
@@ -161,6 +163,28 @@ func computeCampaignDigests(t *testing.T) campaignDigestFile {
 				Ops:         spec,
 			}, es.World, er))
 		}
+	}
+
+	// A one-day campaign: an LG server's rounds overlap, so its planned
+	// pings form many ascending runs (195 over this world's 22 IXPs, two
+	// per dual-LG IXP at the default length) that the engine merges.
+	{
+		const seed, leaves, days = 3, 2600, 1
+		measure := int64(10 + seed)
+		r, err := spread.Run(worlds[seed], spread.Options{
+			Seed:     measure,
+			Campaign: lg.Config{Duration: days * 24 * time.Hour},
+		})
+		if err != nil {
+			t.Fatalf("world seed %d, %d-day campaign: %v", seed, days, err)
+		}
+		out.Campaigns = append(out.Campaigns, digestCampaign(t, campaignDigest{
+			Case:        fmt.Sprintf("world seed %d, %d leaves, %d-day campaign", seed, leaves, days),
+			WorldSeed:   seed,
+			Leaves:      leaves,
+			MeasureSeed: measure,
+			Days:        days,
+		}, worlds[seed], r))
 	}
 
 	// Traceroute and ping bursts from one looking glass.
