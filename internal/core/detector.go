@@ -207,11 +207,11 @@ func Analyze(obs []lg.Observation, reg *registry.Registry, campaign time.Duratio
 
 // NewReport assembles a Report from verdicts judged under cfg, given as
 // consecutive segments already in canonical order (IXP, then address) —
-// the splice point of a campaign that reuses some IXPs' verdicts from an
-// earlier run. A verdict reads only its own interface's observations and
-// its (IXP, address) registry entry, so verdicts judged in separate
-// passes assemble into exactly the Report one pass over all their
-// observations would produce.
+// how a campaign assembles its per-IXP verdicts, each IXP judged in its
+// own pass or spliced from an earlier run. A verdict reads only its own
+// interface's observations and its (IXP, address) registry entry, so
+// verdicts judged in separate passes assemble into exactly the Report
+// one pass over all their observations would produce.
 func NewReport(cfg Config, segments ...[]InterfaceResult) *Report {
 	n := 0
 	for _, seg := range segments {

@@ -187,7 +187,7 @@ func TestCSVRoundTripGeneratedWorld(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng.Run()
-		obs = append(obs, camp.Raw()...)
+		obs = append(obs, camp.Observations()...)
 	}
 	Sort(obs)
 	var buf bytes.Buffer

@@ -5,6 +5,11 @@
 // per minute per server, with the rounds spread over the four-month
 // campaign at different times of day and days of the week (the defence
 // against transient congestion).
+//
+// A campaign is born in canonical order (Compare). Schedule fixes each
+// planned ping's slot in the observation buffer, and the engine's ping
+// sink writes the result into it, so no stream is sorted, merged or
+// copied on the way to the detector.
 package lg
 
 import (
@@ -83,14 +88,30 @@ func (c Config) withDefaults() Config {
 // ErrBadConfig rejects a campaign configuration Schedule cannot run.
 var ErrBadConfig = errors.New("lg: bad campaign configuration")
 
+// Typed failures of Schedule besides ErrBadConfig: inputs for which
+// some ping would have no canonical slot of its own.
+var (
+	// ErrDuplicateTarget rejects an IXP listing one address twice.
+	ErrDuplicateTarget = errors.New("lg: probe target listed twice")
+	// ErrDuplicateFamily rejects an IXP with two LG servers of one family.
+	ErrDuplicateFamily = errors.New("lg: two LG servers of one family")
+	// ErrIXPOrder rejects an IXP index not above the one scheduled before.
+	ErrIXPOrder = errors.New("lg: IXPs scheduled out of order")
+	// ErrTooManyPings rejects a campaign past math.MaxInt32 pings, the
+	// range of a ping's tag.
+	ErrTooManyPings = errors.New("lg: more than math.MaxInt32 pings")
+)
+
 // MaxDays is the longest campaign, in whole days, whose Duration a
 // time.Duration can hold.
 const MaxDays = int(math.MaxInt64 / int64(24*time.Hour))
 
 // Validate reports whether the configuration, after defaults, is a
-// campaign Schedule can run: no count or duration negative, and each LG
-// family's rounds at least 2 ns apart so a round's start can be jittered.
-// Errors wrap ErrBadConfig.
+// campaign Schedule can run: no count or duration negative, each LG
+// family's rounds at least 2 ns apart so a round's start can be jittered,
+// and half a round's span at least a query's (pings−1)·1 s, so one
+// target's consecutive rounds never interleave (a regime that would also
+// break the one query per minute per server). Errors wrap ErrBadConfig.
 func (c Config) Validate() error {
 	c = c.withDefaults()
 	if c.Duration < 0 || c.PCHRounds < 0 || c.RIPERounds < 0 || c.PingsPerQueryPCH < 0 ||
@@ -100,6 +121,13 @@ func (c Config) Validate() error {
 	if d := c.Duration / 2; d/time.Duration(c.PCHRounds) == 0 || d/time.Duration(c.RIPERounds) == 0 {
 		return fmt.Errorf("%w: Duration %v too short for %d PCH and %d RIPE rounds",
 			ErrBadConfig, c.Duration, c.PCHRounds, c.RIPERounds)
+	}
+	for _, family := range []string{ixpsim.FamilyPCH, ixpsim.FamilyRIPE} {
+		rounds, pings := c.budget(family)
+		if half := c.Duration / time.Duration(rounds) / 2; int64(half/time.Second) < int64(pings-1) {
+			return fmt.Errorf("%w: %s rounds %v apart interleave queries of %d pings 1 s apart",
+				ErrBadConfig, family, 2*half, pings)
+		}
 	}
 	return nil
 }
@@ -114,67 +142,117 @@ func (c Config) budget(family string) (rounds, pings int) {
 }
 
 // Campaign schedules and collects a measurement campaign across a set of
-// simulated IXPs sharing one engine.
+// simulated IXPs sharing one engine. Its observation buffer is in
+// canonical order from the start: Schedule assigns every planned ping its
+// slot and fills in what the slot records besides the result, and the
+// engine's ping sink writes the result into the slot.
 type Campaign struct {
 	cfg Config
 	obs []Observation
-	// scheduled counts the pings Schedule has planned, collected or not.
-	scheduled int
-	// sources labels the LG servers Schedule has planned pings from; a
-	// ping's tag indexes it.
-	sources []source
-}
-
-// source is one LG server's share of the campaign: what its observations
-// record besides the ping result.
-type source struct {
-	ixp             int
-	acronym, family string
+	// lastIXP is the IXP index Schedule planned last, -1 before the first.
+	lastIXP int
 }
 
 // NewCampaign creates a campaign with the given configuration.
 func NewCampaign(cfg Config) *Campaign {
-	return &Campaign{cfg: cfg.withDefaults()}
+	return &Campaign{cfg: cfg.withDefaults(), lastIXP: -1}
 }
 
 // Schedule plans all probes for the given simulated IXP on the engine and
-// registers the campaign as the engine's ping sink. Call once per IXP,
-// then run the engine, then read Observations.
+// registers the campaign as the engine's ping sink. Call once per IXP, in
+// ascending IXP index, then run the engine, then read Observations.
+//
+// Each ping's tag is its canonical slot: the IXP's block offset, plus its
+// target's rank by address × the IXP's stride (Σ rounds × pings over its
+// LG servers), plus its server's offset among the servers ordered by
+// family, plus round × pings, plus the ping's index in its query. Slot
+// order is exactly Compare's: a (target, family) pair's pings are planned
+// in (round, ping) order, and since Validate keeps half a round's span at
+// least a query's length and a round's start jitter is under half its
+// span, their send times strictly ascend.
+//
+// Schedule refuses, with a typed error, an invalid configuration
+// (ErrBadConfig), an IXP without targets, a target listed twice
+// (ErrDuplicateTarget), two LG servers of one family (ErrDuplicateFamily),
+// an IXP index not above the previous call's (ErrIXPOrder) and a campaign
+// past math.MaxInt32 pings (ErrTooManyPings).
 func (c *Campaign) Schedule(e *netsim.Engine, sim *ixpsim.SimIXP, src *stats.Source) error {
+	if err := c.cfg.Validate(); err != nil {
+		return err
+	}
 	if len(sim.Targets) == 0 {
 		return fmt.Errorf("lg: IXP %s has no probe targets", sim.Acronym)
 	}
-	// Every planned ping completes exactly once, reply or timeout, so
-	// the schedule fixes how many observations the engine will deliver:
-	// size the plan and the buffer for all of them now rather than
-	// growing them by doubling.
-	planned := 0
-	for _, server := range sim.LGs {
-		rounds, pings := c.cfg.budget(server.Family)
-		planned += rounds * len(sim.Targets) * pings
+	if sim.IXPIndex <= c.lastIXP {
+		return fmt.Errorf("%w: IXP %d after IXP %d", ErrIXPOrder, sim.IXPIndex, c.lastIXP)
 	}
-	c.scheduled += planned
-	if c.scheduled > cap(c.obs) {
-		c.obs = append(make([]Observation, 0, c.scheduled), c.obs...)
+	byAddr := make([]int, len(sim.Targets))
+	for i := range byAddr {
+		byAddr[i] = i
+	}
+	slices.SortFunc(byAddr, func(a, b int) int { return sim.Targets[a].Compare(sim.Targets[b]) })
+	rank := make([]int, len(sim.Targets))
+	for k, ti := range byAddr {
+		if k > 0 && sim.Targets[ti] == sim.Targets[byAddr[k-1]] {
+			return fmt.Errorf("%w: %v at IXP %s", ErrDuplicateTarget, sim.Targets[ti], sim.Acronym)
+		}
+		rank[ti] = k
+	}
+	byFamily := make([]int, len(sim.LGs))
+	for i := range byFamily {
+		byFamily[i] = i
+	}
+	slices.SortFunc(byFamily, func(a, b int) int { return cmp.Compare(sim.LGs[a].Family, sim.LGs[b].Family) })
+	// A slot is a ping's tag, an int32. Validate keeps rounds × pings
+	// under 2^62 + 2^33, so one family's share cannot overflow stride.
+	limit := int64(math.MaxInt32) - int64(len(c.obs))
+	offset := make([]int, len(sim.LGs))
+	stride := int64(0)
+	for k, i := range byFamily {
+		family := sim.LGs[i].Family
+		if k > 0 && family == sim.LGs[byFamily[k-1]].Family {
+			return fmt.Errorf("%w: %s at IXP %s", ErrDuplicateFamily, family, sim.Acronym)
+		}
+		rounds, pings := c.cfg.budget(family)
+		offset[i] = int(stride)
+		if stride += int64(rounds) * int64(pings); stride > limit {
+			return fmt.Errorf("%w: %d pings per target at IXP %s", ErrTooManyPings, stride, sim.Acronym)
+		}
+	}
+	if stride > limit/int64(len(sim.Targets)) {
+		return fmt.Errorf("%w: %d targets × %d pings at IXP %s", ErrTooManyPings, len(sim.Targets), stride, sim.Acronym)
+	}
+	c.lastIXP = sim.IXPIndex
+	// Every planned ping completes exactly once, reply or timeout, so the
+	// schedule fixes the buffer's size: grow it once, exactly, and fill in
+	// what each slot records besides the result, in slot order.
+	base, planned := len(c.obs), int(stride)*len(sim.Targets)
+	c.obs = append(make([]Observation, 0, base+planned), c.obs...)
+	for _, ti := range byAddr {
+		for _, i := range byFamily {
+			rounds, pings := c.cfg.budget(sim.LGs[i].Family)
+			o := Observation{IXPIndex: sim.IXPIndex, Acronym: sim.Acronym, Family: sim.LGs[i].Family, Target: sim.Targets[ti]}
+			for range rounds * pings {
+				c.obs = append(c.obs, o)
+			}
+		}
 	}
 	e.ReservePings(planned)
 	e.OnPing(c.collect)
-	for _, server := range sim.LGs {
-		tag := int32(len(c.sources))
-		c.sources = append(c.sources, source{ixp: sim.IXPIndex, acronym: sim.Acronym, family: server.Family})
+	for i, server := range sim.LGs {
 		rounds, pings := c.cfg.budget(server.Family)
 		roundSpan := c.cfg.Duration / time.Duration(rounds)
 		for r := 0; r < rounds; r++ {
 			// Each round starts at a different time of day and day of
-			// week: base + jitter inside the first half of the span.
-			base := time.Duration(r) * roundSpan
+			// week: its span's start + jitter inside the span's first half.
 			jitter := time.Duration(src.Int63n(int64(roundSpan / 2)))
-			roundStart := base + jitter
+			roundStart := time.Duration(r)*roundSpan + jitter
 			for ti, target := range sim.Targets {
 				// One LG query: `pings` echo requests one second apart.
 				qAt := roundStart + time.Duration(ti)*c.cfg.QuerySpacing
+				slot := base + rank[ti]*int(stride) + offset[i] + r*pings
 				for p := 0; p < pings; p++ {
-					server.Node.Ping(qAt+time.Duration(p)*time.Second, target, c.cfg.PingTimeout, tag)
+					server.Node.Ping(qAt+time.Duration(p)*time.Second, target, c.cfg.PingTimeout, int32(slot+p))
 				}
 			}
 		}
@@ -182,32 +260,17 @@ func (c *Campaign) Schedule(e *netsim.Engine, sim *ixpsim.SimIXP, src *stats.Sou
 	return nil
 }
 
-// collect is the engine's ping sink.
+// collect is the engine's ping sink: it writes the result into the
+// ping's slot.
 func (c *Campaign) collect(r netsim.PingResult) {
-	s := &c.sources[r.Tag]
-	c.obs = append(c.obs, Observation{
-		IXPIndex: s.ixp,
-		Acronym:  s.acronym,
-		Family:   s.family,
-		Target:   r.Target,
-		SentAt:   r.SentAt,
-		RTT:      r.RTT,
-		TTL:      r.TTL,
-		TimedOut: r.TimedOut,
-	})
+	o := &c.obs[r.Tag]
+	o.SentAt, o.RTT, o.TTL, o.TimedOut = r.SentAt, r.RTT, r.TTL, r.TimedOut
 }
 
-// Observations returns everything collected so far, sorted by IXP, target,
-// family, and send time so downstream processing is deterministic.
-func (c *Campaign) Observations() []Observation {
-	Sort(c.obs)
-	return c.obs
-}
-
-// Raw returns the collected observations in engine execution order,
-// unsorted — for callers that merge several campaigns' streams and sort
-// the concatenation once instead of paying a sort per campaign.
-func (c *Campaign) Raw() []Observation { return c.obs }
+// Observations returns the campaign's observation buffer, in canonical
+// order (Compare) by construction. After the engine has run, every slot
+// holds its ping's outcome.
+func (c *Campaign) Observations() []Observation { return c.obs }
 
 // Compare orders observations canonically: by IXP index, then target
 // address, then LG family, then send time. It is the one definition of
@@ -228,10 +291,9 @@ func Compare(a, b *Observation) int {
 }
 
 // Sort puts observations in canonical order (Compare), keeping ties in
-// their input order. All four-way key ties originate from a single IXP's
-// engine, whose execution order is deterministic; this is what lets a
-// parallel campaign merge per-IXP observation streams into a
-// byte-identical result for any worker count.
+// their input order. A Campaign's buffer is canonical by construction;
+// Sort is for foreign input, such as a hand-built stream or one read
+// back out of order, which core.Analyze sorts a copy of.
 //
 // Sort orders 4-byte indices rather than moving 88-byte observations
 // through a stable merge sort. The index is the last key, which makes the

@@ -229,7 +229,7 @@ func TestScheduleSizesObservationsExactly(t *testing.T) {
 		}
 	}
 	e.Run()
-	raw := camp.Raw()
+	raw := camp.Observations()
 	if len(raw) != want || cap(raw) != want {
 		t.Errorf("len %d, cap %d after the run; the schedule implies exactly %d observations", len(raw), cap(raw), want)
 	}

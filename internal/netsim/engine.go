@@ -11,9 +11,15 @@
 //
 // Packets are values: a frame carries only the fields the simulation
 // reads, and no wire format is built, checksummed or parsed. Events are
-// typed records in one heap, a campaign's pings are planned before Run,
-// and ping results complete into one sink per engine, so the simulator
-// allocates per engine, not per packet.
+// typed records in one heap, and ping results complete into one sink per
+// engine, so the simulator allocates per engine, not per packet.
+//
+// A campaign's pings are planned before Run into one array, which the
+// engine never sorts. Planned pings fall into ascending runs — a looking
+// glass plans its queries in time order — and the engine merges the runs
+// with the event heap through a second, small heap holding each run's
+// earliest unsent ping. The merge is exact for any plan, including pings
+// planned out of order or from a sink during Run.
 //
 // The simulator is single-threaded and deterministic: all randomness comes
 // from stats.Source streams seeded by the caller, and events at equal
@@ -21,7 +27,6 @@
 package netsim
 
 import (
-	"cmp"
 	"net/netip"
 	"slices"
 	"time"
@@ -33,11 +38,14 @@ type Engine struct {
 	seq   uint64
 	queue eventQueue
 
-	// plan holds the planned pings; plan[next:] have not been sent yet
-	// and are in (at, seq) order unless unsorted is set.
+	// plan holds the planned pings in planning order, as consecutive
+	// runs ascending in (at, seq). A ping continues the run of the one
+	// planned before it unless it is earlier, or that one was already
+	// sent (tailSent). heads holds each run's earliest unsent ping, its
+	// id the ping's plan index.
 	plan     []plannedPing
-	next     int
-	unsorted bool
+	heads    eventQueue
+	tailSent bool
 
 	nodes  []*Node
 	ifaces []*Iface
@@ -75,7 +83,8 @@ type event struct {
 	kind   eventKind
 }
 
-// plannedPing is one echo request planned before Run.
+// plannedPing is one planned echo request, sent when the merge of the
+// plan's runs reaches it.
 type plannedPing struct {
 	at      time.Duration
 	seq     uint64
@@ -87,7 +96,7 @@ type plannedPing struct {
 
 // earlier is the total event order: time, then schedule sequence. (at,
 // seq) pairs are unique, so the execution order of the heap merged with
-// the plan is fully determined — neither one's layout leaks into results.
+// the plan's runs is fully determined — no layout leaks into results.
 func earlier(at time.Duration, seq uint64, oat time.Duration, oseq uint64) bool {
 	if at != oat {
 		return at < oat
@@ -121,8 +130,13 @@ func (q *eventQueue) pop() event {
 	root := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
-	h = h[:last]
-	*q = h
+	*q = h[:last]
+	q.down()
+	return root
+}
+
+// down restores the heap order after the root's key grew.
+func (h eventQueue) down() {
 	i := 0
 	for {
 		first := i<<2 + 1
@@ -145,7 +159,6 @@ func (q *eventQueue) pop() event {
 		h[i], h[m] = h[m], h[i]
 		i = m
 	}
-	return root
 }
 
 // Now returns the current simulation time (offset from the simulation
@@ -162,7 +175,7 @@ func (e *Engine) OnPing(sink func(PingResult)) { e.onPing = sink }
 func (e *Engine) OnTraceroute(sink func(TracerouteResult)) { e.onTrace = sink }
 
 // ReservePings grows the plan's capacity for n more pings, so a caller
-// that knows its whole schedule plans it into one exact-size run.
+// that knows its whole schedule plans it into one exact-size array.
 func (e *Engine) ReservePings(n int) { e.plan = slices.Grow(e.plan, n) }
 
 // schedule queues ev at the absolute simulation time at. Scheduling in
@@ -177,13 +190,17 @@ func (e *Engine) schedule(at time.Duration, ev event) {
 	e.queue.push(ev)
 }
 
-// planPing adds one echo request to the plan.
+// planPing adds one echo request to the plan, starting a new run unless
+// it continues the last planned ping's.
 func (e *Engine) planPing(at time.Duration, n *Node, dst netip.Addr, timeout time.Duration, tag int32) {
 	if at < e.now {
 		panic("netsim: scheduling into the past")
 	}
 	e.seq++
-	e.unsorted = e.unsorted || e.next < len(e.plan) && at < e.plan[len(e.plan)-1].at
+	if len(e.plan) == 0 || at < e.plan[len(e.plan)-1].at || e.tailSent {
+		e.heads.push(event{at: at, seq: e.seq, id: int32(len(e.plan))})
+	}
+	e.tailSent = false
 	e.plan = append(e.plan, plannedPing{at: at, seq: e.seq, timeout: timeout, dst: dst, node: n.id, tag: tag})
 }
 
@@ -191,29 +208,32 @@ func (e *Engine) planPing(at time.Duration, n *Node, dst netip.Addr, timeout tim
 func (e *Engine) Run() {
 	for e.step() {
 	}
-	e.plan, e.next = nil, 0
+	e.plan = nil
 }
 
-// step executes the earliest of the heap's top and the plan's head, and
-// reports whether there was one.
+// step executes the earliest of the event heap's top and the earliest run
+// head, and reports whether there was one.
 func (e *Engine) step() bool {
-	if e.unsorted {
-		slices.SortFunc(e.plan[e.next:], func(a, b plannedPing) int {
-			if c := cmp.Compare(a.at, b.at); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.seq, b.seq)
-		})
-		e.unsorted = false
-	}
-	if e.next < len(e.plan) {
-		p := &e.plan[e.next]
-		if len(e.queue) == 0 || earlier(p.at, p.seq, e.queue[0].at, e.queue[0].seq) {
-			e.next++
-			e.now = p.at
-			e.nodes[p.node].ping(p.dst, p.timeout, p.tag)
-			return true
+	if len(e.heads) > 0 && (len(e.queue) == 0 || e.heads[0].before(e.queue[0])) {
+		head := &e.heads[0]
+		i := int(head.id)
+		p := e.plan[i]
+		// The ping planned next continues this run if it is not earlier:
+		// had it started a run of its own, it would be earlier, or it
+		// would have been planned after this one was sent. It replaces
+		// this one as the run's head.
+		if next := i + 1; next < len(e.plan) && e.plan[next].at >= p.at {
+			head.at, head.seq, head.id = e.plan[next].at, e.plan[next].seq, int32(next)
+			e.heads.down()
+		} else {
+			e.heads.pop()
 		}
+		if i == len(e.plan)-1 {
+			e.tailSent = true
+		}
+		e.now = p.at
+		e.nodes[p.node].ping(p.dst, p.timeout, p.tag)
+		return true
 	}
 	if len(e.queue) == 0 {
 		return false

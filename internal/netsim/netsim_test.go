@@ -522,3 +522,67 @@ func TestPingResultSentAt(t *testing.T) {
 		t.Errorf("SentAt = %v", got.SentAt)
 	}
 }
+
+// TestPingCompletesOnceWhenProbesOverflow pins Ping's exactly-once
+// contract past the 1<<16 probes one node can hold outstanding: a probe
+// the full table evicts times out at once instead of going missing.
+func TestPingCompletesOnceWhenProbesOverflow(t *testing.T) {
+	var e Engine
+	n := mute(&e)
+	const total = 70_000
+	done := make([]int, total)
+	var timedOut, early int
+	e.OnPing(func(r PingResult) {
+		done[r.Tag]++
+		if r.TimedOut {
+			timedOut++
+		}
+		if e.Now() < r.SentAt+time.Hour {
+			early++
+		}
+		if want := time.Duration(r.Tag) * time.Millisecond; r.SentAt != want {
+			t.Errorf("ping %d: SentAt %v, want %v", r.Tag, r.SentAt, want)
+		}
+	})
+	for i := 0; i < total; i++ {
+		n.Ping(time.Duration(i)*time.Millisecond, ip("192.0.2.1"), time.Hour, int32(i))
+	}
+	e.Run()
+	for tag, c := range done {
+		if c != 1 {
+			t.Fatalf("ping %d completed %d times, want exactly once", tag, c)
+		}
+	}
+	if timedOut != total {
+		t.Errorf("%d of %d pings timed out; an unanswered ping must", timedOut, total)
+	}
+	if want := total - 1<<16; early != want {
+		t.Errorf("%d pings timed out before their hour, want the %d evicted", early, want)
+	}
+}
+
+// TestTracerouteHopTimesOutWhenEvicted pins that a traceroute probe the
+// full table evicts records a timed-out hop, so the trace still finishes.
+func TestTracerouteHopTimesOutWhenEvicted(t *testing.T) {
+	var e Engine
+	n := mute(&e)
+	var got []TracerouteResult
+	var at time.Duration
+	e.OnTraceroute(func(r TracerouteResult) { got, at = append(got, r), e.Now() })
+	n.Traceroute(0, ip("192.0.2.1"), 1, time.Hour, 7)
+	// The trace's probe holds serial 1; ping serial 1+1<<16 takes its slot.
+	for i := 1; i <= 1<<16; i++ {
+		n.Ping(time.Duration(i)*time.Millisecond, ip("192.0.2.1"), time.Hour, int32(i))
+	}
+	e.Run()
+	if len(got) != 1 {
+		t.Fatalf("traceroute completed %d times, want once", len(got))
+	}
+	r := got[0]
+	if r.Tag != 7 || r.Reached || len(r.Hops) != 1 || !r.Hops[0].TimedOut || r.Hops[0].TTL != 1 {
+		t.Errorf("traceroute result %+v, want one timed-out hop at TTL 1", r)
+	}
+	if want := time.Duration(1<<16) * time.Millisecond; at != want {
+		t.Errorf("traceroute finished at %v, want %v when its probe was evicted", at, want)
+	}
+}

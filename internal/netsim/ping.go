@@ -38,13 +38,17 @@ func (n *Node) ping(dst netip.Addr, timeout time.Duration, tag int32) {
 
 // sendProbe records p as the node's next outstanding probe and sends its
 // echo request to dst with the given ICMP seq and TTL, from the address of
-// the interface routing picks. It returns the probe's serial.
+// the interface routing picks. It returns the probe's serial. A probe the
+// full table evicts to make room times out at once.
 func (n *Node) sendProbe(dst netip.Addr, seq uint16, ttl uint8, p probe) uint32 {
 	n.serial++
 	p.serial, p.sentAt, p.live = n.serial, n.engine.now, true
-	n.probes.insert(p)
+	evicted, full := n.probes.insert(p)
 	if out, _, ok := n.lookupRoute(dst); ok && out.Addr().Is4() && dst.Is4() {
 		n.send(frame{src: out.Addr().As4(), dst: dst.As4(), ident: uint16(p.serial), seq: seq, ttl: ttl, typ: icmpEchoRequest})
+	}
+	if full {
+		n.timeOut(evicted)
 	}
 	return p.serial
 }
@@ -86,6 +90,12 @@ func (n *Node) expire(serial uint32) {
 		return
 	}
 	p.live = false
+	n.timeOut(*p)
+}
+
+// timeOut completes an ended probe as timed out: a ping into the sink, a
+// traceroute hop into its trace.
+func (n *Node) timeOut(p probe) {
 	if p.trace >= 0 {
 		n.engine.traces[p.trace].record(Hop{TimedOut: true})
 		return
@@ -117,12 +127,16 @@ type probe struct {
 // glass that sends one ping a second with a 5 s timeout.
 type probeTable []probe
 
-func (t *probeTable) insert(p probe) {
+// insert stores p. Past 1<<16 outstanding probes p takes the slot of the
+// live probe with its ident, which insert returns with ok set for the
+// caller to time out.
+func (t *probeTable) insert(p probe) (evicted probe, ok bool) {
 	for {
 		if len(*t) > 0 {
 			if s := &(*t)[p.serial&uint32(len(*t)-1)]; !s.live || len(*t) == 1<<16 {
+				evicted, ok = *s, s.live
 				*s = p
-				return
+				return evicted, ok
 			}
 		}
 		grown := make(probeTable, max(8, 2*len(*t)))

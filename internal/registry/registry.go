@@ -42,12 +42,24 @@ type key struct {
 
 // FromWorld derives the published registry view from the generated world's
 // ground truth and hazard assignments.
-func FromWorld(w *worldgen.World) *Registry {
+func FromWorld(w *worldgen.World) *Registry { return fromWorld(w, true, 0) }
+
+// ForIXP is FromWorld restricted to the studied IXP with index ixp: its
+// entries are exactly FromWorld's for that IXP, and it holds no other.
+// A detector judging one IXP's interfaces reads nothing else.
+func ForIXP(w *worldgen.World, ixp int) *Registry { return fromWorld(w, false, ixp) }
+
+// fromWorld derives the registry view of every interface record, or of
+// the IXP ixp's alone.
+func fromWorld(w *worldgen.World, all bool, ixp int) *Registry {
 	r := &Registry{
 		byIXP: make(map[int][]Entry),
 		byKey: make(map[key]*Entry),
 	}
 	for _, rec := range w.Ifaces {
+		if !all && rec.IXPIndex != ixp {
+			continue
+		}
 		e := Entry{
 			IXPIndex:   rec.IXPIndex,
 			IP:         rec.IP,

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 
@@ -101,5 +102,37 @@ func TestGeneratedWorldCoverage(t *testing.T) {
 	// The paper resolved 3,242 of 4,451 ≈ 73%.
 	if frac < 0.65 || frac > 0.82 {
 		t.Errorf("identification rate = %.2f, want ≈ 0.73", frac)
+	}
+}
+
+// TestForIXPIsFromWorldRestricted pins ForIXP to FromWorld's entries for
+// one IXP, and to no other IXP's.
+func TestForIXPIsFromWorldRestricted(t *testing.T) {
+	w := testWorld()
+	full := FromWorld(w)
+	for _, ixp := range []int{0, 1, 5} {
+		r := ForIXP(w, ixp)
+		var want []int
+		if len(full.Targets(ixp)) > 0 {
+			want = []int{ixp}
+		}
+		if got := r.IXPIndices(); !slices.Equal(got, want) {
+			t.Errorf("ForIXP(%d) holds IXPs %v, want %v", ixp, got, want)
+		}
+		if r.Len() != len(full.Targets(ixp)) {
+			t.Errorf("ForIXP(%d) has %d entries, FromWorld %d", ixp, r.Len(), len(full.Targets(ixp)))
+		}
+		for _, rec := range w.Ifaces {
+			for _, frac := range []float64{0, 1} {
+				asn, ok := r.LookupASN(rec.IXPIndex, rec.IP, frac)
+				wantASN, wantOK := full.LookupASN(rec.IXPIndex, rec.IP, frac)
+				if rec.IXPIndex != ixp {
+					wantASN, wantOK = 0, false
+				}
+				if asn != wantASN || ok != wantOK {
+					t.Errorf("ForIXP(%d).LookupASN(%d, %v, %v) = %d %t, want %d %t", ixp, rec.IXPIndex, rec.IP, frac, asn, ok, wantASN, wantOK)
+				}
+			}
+		}
 	}
 }

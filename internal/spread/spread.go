@@ -14,6 +14,7 @@ import (
 	"net/netip"
 	"slices"
 	"sort"
+	"time"
 
 	"remotepeering/internal/core"
 	"remotepeering/internal/ixpsim"
@@ -104,6 +105,9 @@ type Result struct {
 	// campaign. A run without Reuse simulates every IXP, so its Raw holds
 	// all Observations; a run through Reuse holds only the re-simulated
 	// IXPs' (Reanalyze and the snapshot encoder refuse it, ErrPartialRaw).
+	// When the run simulated one IXP, Raw is that IXP's campaign buffer
+	// itself; when it simulated more, their streams concatenated once in
+	// IXP order; when it simulated none, nil.
 	Raw []lg.Observation
 	// Truth reports the ground-truth remoteness of a probed interface.
 	Truth func(ixpIndex int, ip netip.Addr) bool
@@ -122,11 +126,11 @@ type Result struct {
 	ixps map[int]ixpRecord
 }
 
-// ixpRecord is one IXP's share of a campaign: its verdicts (a cap == len
-// sub-slice of Report.Interfaces, contiguous because the IXP index leads
-// the canonical order), its observation count, and its ground-truth table
-// (target IP → remoteness) — the one piece of the discrete-event
-// simulation that outlives it.
+// ixpRecord is one IXP's share of a campaign: its verdicts, its
+// observation count, and its ground-truth table (target IP → remoteness)
+// — the one piece of the discrete-event simulation that outlives it. The
+// worker that simulated the IXP judges it; newResult then makes verdicts
+// the IXP's range of Report.Interfaces, a cap == len sub-slice.
 type ixpRecord struct {
 	verdicts []core.InterfaceResult
 	obs      int
@@ -204,17 +208,18 @@ func RunCtx(ctx context.Context, w *worldgen.World, opts Options) (*Result, erro
 	// nodes, and event queues — so each runs in its own engine. Its RNG
 	// streams are split from the seed by labels naming the IXP index
 	// (Split is pure), so every IXP sees the same streams regardless of
-	// worker count, scheduling, or which other IXPs are spliced.
+	// worker count, scheduling, or which other IXPs are spliced. Each
+	// worker judges the stream it simulated: a verdict reads only its own
+	// interface's observations and its (IXP, address) registry entry.
 	src := stats.NewSource(opts.Seed)
 	type ixpRun struct {
-		rec     ixpRecord
-		obs     []lg.Observation
-		spliced bool
+		rec ixpRecord
+		obs []lg.Observation
 	}
 	runs, err := parallel.MapErrCtx(ctx, opts.Workers, len(ixps), func(k int) (ixpRun, error) {
 		idx := ixps[k]
 		if rec, ok := from.record(idx); ok && clean(idx) {
-			return ixpRun{rec: rec, spliced: true}, nil
+			return ixpRun{rec: rec}, nil
 		}
 		var e netsim.Engine
 		camp := lg.NewCampaign(campaignCfg)
@@ -226,86 +231,73 @@ func RunCtx(ctx context.Context, w *worldgen.World, opts Options) (*Result, erro
 			return ixpRun{}, fmt.Errorf("spread: schedule IXP %d: %w", idx, err)
 		}
 		e.Run()
-		// Canonicalise each stream inside its own worker: the canonical
-		// order's leading key is the IXP index, so per-IXP sorts
-		// concatenated in ascending IXP order are exactly the sequence
-		// one global sort would produce.
-		obs := camp.Raw()
-		lg.Sort(obs)
-		return ixpRun{rec: ixpRecord{obs: len(obs), truth: sim.TruthMap()}, obs: obs}, nil
+		obs := camp.Observations()
+		verdicts, err := judge(w, idx, obs, campaignCfg.Duration, opts.Detector)
+		if err != nil {
+			return ixpRun{}, fmt.Errorf("spread: detector: IXP %d: %w", idx, err)
+		}
+		return ixpRun{rec: ixpRecord{verdicts: verdicts, obs: len(obs), truth: sim.TruthMap()}, obs: obs}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	// Merge and judge only the simulated streams. Build the registry
-	// between allocating the merged stream and filling it: at paper scale
-	// a full merge is ~27 MB, about the GC's whole trigger-to-goal runway,
-	// so it can start a cycle with the heap at its goal; allocating the
-	// registry's maps here makes this goroutine help mark first, before
-	// the long copy, which shortens the stall on concurrent requests.
-	total, observations := 0, 0
-	for _, r := range runs {
-		total += len(r.obs)
-		observations += r.rec.obs
-	}
-	if observations == 0 {
-		return nil, fmt.Errorf("spread: detector: core: no observations")
-	}
-	raw := make([]lg.Observation, 0, total)
-	var fresh map[int][]core.InterfaceResult
-	if total > 0 {
-		reg := registry.FromWorld(w)
-		for _, r := range runs {
-			raw = append(raw, r.obs...)
-		}
-		rep, err := core.Analyze(raw, reg, campaignCfg.Duration, opts.Detector)
-		if err != nil {
-			return nil, fmt.Errorf("spread: detector: %w", err)
-		}
-		fresh = byIXP(rep.Interfaces)
-	}
-	segments := make([][]core.InterfaceResult, len(runs))
-	for k, r := range runs {
-		segments[k] = fresh[ixps[k]]
-		if r.spliced {
-			segments[k] = r.rec.verdicts
-		}
-	}
-	report := core.NewReport(opts.Detector, segments...)
-	ranges := byIXP(report.Interfaces)
+	// Raw is the simulated streams in IXP order: the one stream itself
+	// when one IXP was simulated, one concatenation when more were.
 	recs := make(map[int]ixpRecord, len(ixps))
+	var streams [][]lg.Observation
 	for k, r := range runs {
-		r.rec.verdicts = ranges[ixps[k]]
 		recs[ixps[k]] = r.rec
+		if len(r.obs) > 0 {
+			streams = append(streams, r.obs)
+		}
 	}
-	truth := truthFunc(recs)
-	return &Result{
-		Report:       report,
-		Observations: observations,
-		Validation:   report.Validate(truth),
-		Raw:          raw,
-		Truth:        truth,
-		Campaign:     campaignCfg,
-		Detector:     opts.Detector,
-		Seed:         opts.Seed,
-		ixps:         recs,
-	}, nil
+	var raw []lg.Observation
+	if len(streams) == 1 {
+		raw = streams[0]
+	} else {
+		raw = slices.Concat(streams...)
+	}
+	return newResult(recs, raw, opts.Seed, campaignCfg, opts.Detector)
 }
 
-// byIXP splits verdicts in canonical order into per-IXP ranges, each a
+// judge runs the detector over one IXP's observations against that IXP's
+// registry entries.
+func judge(w *worldgen.World, idx int, obs []lg.Observation, campaign time.Duration, detector core.Config) ([]core.InterfaceResult, error) {
+	rep, err := core.Analyze(obs, registry.ForIXP(w, idx), campaign, detector)
+	if err != nil {
+		return nil, err
+	}
+	return rep.Interfaces, nil
+}
+
+// newResult builds the Result of a fresh, spliced or rehydrated campaign
+// from its per-IXP records. The Report holds their verdicts in ascending
+// IXP order, and each record's verdicts become its range of the Report, a
 // cap == len sub-slice so an append cannot overwrite the next IXP's.
-func byIXP(verdicts []core.InterfaceResult) map[int][]core.InterfaceResult {
-	out := make(map[int][]core.InterfaceResult)
-	for lo := 0; lo < len(verdicts); {
-		hi := lo + 1
-		for hi < len(verdicts) && verdicts[hi].IXPIndex == verdicts[lo].IXPIndex {
-			hi++
-		}
-		out[verdicts[lo].IXPIndex] = verdicts[lo:hi:hi]
+func newResult(recs map[int]ixpRecord, raw []lg.Observation, seed int64, campaign lg.Config, detector core.Config) (*Result, error) {
+	r := &Result{Raw: raw, Campaign: campaign, Detector: detector, Seed: seed, ixps: recs}
+	order := r.measured()
+	segments := make([][]core.InterfaceResult, len(order))
+	for k, idx := range order {
+		segments[k] = recs[idx].verdicts
+		r.Observations += recs[idx].obs
+	}
+	if r.Observations == 0 {
+		return nil, fmt.Errorf("spread: detector: core: no observations")
+	}
+	r.Report = core.NewReport(detector, segments...)
+	lo := 0
+	for _, idx := range order {
+		rec := recs[idx]
+		hi := lo + len(rec.verdicts)
+		rec.verdicts = r.Report.Interfaces[lo:hi:hi]
+		recs[idx] = rec
 		lo = hi
 	}
-	return out
+	r.Truth = truthFunc(recs)
+	r.Validation = r.Report.Validate(r.Truth)
+	return r, nil
 }
 
 // record returns the IXP's record, if r (which may be nil) measured it.
@@ -348,11 +340,12 @@ func (r *Result) RemoteTruth() (ixps []int, remote [][]netip.Addr) {
 // Rehydrate reconstructs a campaign Result from its persisted parts: the
 // canonical raw observation stream, the effective campaign and detector
 // configurations, and the per-IXP remote-truth sets from RemoteTruth.
-// The detector re-runs over the raw stream against the world's registry
-// view — both pure functions of their inputs — so the rehydrated Report,
-// Validation, and Observations are byte-identical to the live Result's,
-// and the per-IXP records it derives make it a valid splice source for
-// Options.Reuse.
+// The detector re-runs over each IXP's segment of the raw stream against
+// that IXP's registry view — both pure functions of their inputs — so the
+// rehydrated Report, Validation, and Observations are byte-identical to
+// the live Result's, and the per-IXP records it derives make it a valid
+// splice source for Options.Reuse. Segments out of ascending IXP order
+// are an error.
 func Rehydrate(w *worldgen.World, seed int64, campaign lg.Config, detector core.Config, raw []lg.Observation, ixps []int, remote [][]netip.Addr) (*Result, error) {
 	if w == nil {
 		return nil, fmt.Errorf("spread: nil world")
@@ -368,41 +361,23 @@ func Rehydrate(w *worldgen.World, seed int64, campaign lg.Config, detector core.
 		}
 		recs[idx] = ixpRecord{truth: m}
 	}
-	seen := make(map[int]bool, len(ixps))
 	for lo := 0; lo < len(raw); {
 		idx := raw[lo].IXPIndex
 		hi := lo + 1
 		for hi < len(raw) && raw[hi].IXPIndex == idx {
 			hi++
 		}
-		if seen[idx] {
-			return nil, fmt.Errorf("spread: raw stream not in canonical order (IXP %d segments split)", idx)
+		if lo > 0 && idx < raw[lo-1].IXPIndex {
+			return nil, fmt.Errorf("spread: raw stream not in canonical order (IXP %d after IXP %d)", idx, raw[lo-1].IXPIndex)
 		}
-		seen[idx] = true
+		verdicts, err := judge(w, idx, raw[lo:hi], campaign.Duration, detector)
+		if err != nil {
+			return nil, fmt.Errorf("spread: rehydrate detector: IXP %d: %w", idx, err)
+		}
 		rec := recs[idx]
-		rec.obs = hi - lo
+		rec.verdicts, rec.obs = verdicts, hi-lo
 		recs[idx] = rec
 		lo = hi
 	}
-	report, err := core.Analyze(raw, registry.FromWorld(w), campaign.Duration, detector)
-	if err != nil {
-		return nil, fmt.Errorf("spread: rehydrate detector: %w", err)
-	}
-	for idx, verdicts := range byIXP(report.Interfaces) {
-		rec := recs[idx]
-		rec.verdicts = verdicts
-		recs[idx] = rec
-	}
-	truth := truthFunc(recs)
-	return &Result{
-		Report:       report,
-		Observations: len(raw),
-		Validation:   report.Validate(truth),
-		Raw:          raw,
-		Truth:        truth,
-		Campaign:     campaign,
-		Detector:     detector,
-		Seed:         seed,
-		ixps:         recs,
-	}, nil
+	return newResult(recs, raw, seed, campaign, detector)
 }

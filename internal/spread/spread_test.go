@@ -211,6 +211,7 @@ func TestRunRejectsBadCampaign(t *testing.T) {
 		"negative rounds":       {PCHRounds: -1},
 		"negative pings":        {PingsPerQueryRIPE: -3},
 		"negative spacing":      {QuerySpacing: -time.Minute},
+		"interleaving rounds":   {Duration: time.Minute},
 	} {
 		for _, workers := range []int{1, 2} {
 			opts := testOptions(workers)
