@@ -493,6 +493,41 @@ func TestLongestPrefixMatchPrefersSpecific(t *testing.T) {
 	}
 }
 
+// TestStaticRoutesLongestMatchAnyOrder pins static-route selection
+// without any ordering of the table: the longest matching prefix wins
+// whatever order routes were installed in, and among routes of one
+// length the first installed wins.
+func TestStaticRoutesLongestMatchAnyOrder(t *testing.T) {
+	var e Engine
+	n := NewNode(&e, "r", DefaultOS, true, nil)
+	a := n.AddIface("a", pfx("192.0.2.1/30"))
+	b := n.AddIface("b", pfx("192.0.2.5/30"))
+	n.AddRoute(pfx("0.0.0.0/0"), ip("192.0.2.2"), a)
+	n.AddRoute(pfx("10.0.0.0/8"), ip("192.0.2.2"), a)
+	n.AddRoute(pfx("10.1.0.0/16"), ip("192.0.2.6"), b)
+	n.AddRoute(pfx("10.1.0.0/16"), ip("192.0.2.2"), a)
+	n.AddRoute(pfx("10.0.0.0/12"), ip("192.0.2.6"), b)
+	for _, tc := range []struct {
+		dst string
+		out *Iface
+		nh  string
+	}{
+		{"10.1.2.3", b, "192.0.2.6"},     // the /16 installed first
+		{"10.2.0.1", b, "192.0.2.6"},     // the /12 installed after the /8
+		{"10.200.0.1", a, "192.0.2.2"},   // the /8
+		{"198.51.100.1", a, "192.0.2.2"}, // the default route
+	} {
+		out, nh, ok := n.lookupRoute(ip(tc.dst))
+		if !ok || out != tc.out || nh != ip(tc.nh) {
+			name := "no interface"
+			if out != nil {
+				name = out.Name
+			}
+			t.Errorf("lookup %s = %s via %v (ok %t), want %s via %s", tc.dst, name, nh, ok, tc.out.Name, tc.nh)
+		}
+	}
+}
+
 func TestNoRouteDropsSilently(t *testing.T) {
 	var e Engine
 	n := NewNode(&e, "n", DefaultOS, false, nil)

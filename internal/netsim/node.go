@@ -3,7 +3,6 @@ package netsim
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"time"
 
 	"remotepeering/internal/stats"
@@ -154,14 +153,12 @@ func (n *Node) ownsIP(ip netip.Addr) bool {
 // through out.
 func (n *Node) AddRoute(prefix netip.Prefix, nextHop netip.Addr, out *Iface) {
 	n.routes = append(n.routes, route{prefix: prefix, nextHop: nextHop, out: out})
-	// Keep longest prefixes first so lookup is a simple scan.
-	sort.SliceStable(n.routes, func(a, b int) bool {
-		return n.routes[a].prefix.Bits() > n.routes[b].prefix.Bits()
-	})
 }
 
-// lookupRoute picks the forwarding decision for dst: connected prefixes
-// win over static routes of equal or shorter length.
+// lookupRoute picks the forwarding decision for dst: the longest matching
+// prefix, where connected prefixes win over static routes of equal or
+// shorter length and, among static routes of one length, the first
+// installed wins.
 func (n *Node) lookupRoute(dst netip.Addr) (out *Iface, nextHop netip.Addr, ok bool) {
 	bestBits := -1
 	for _, iface := range n.ifaces {
