@@ -302,8 +302,8 @@ func (p *Plane) Err(c Class, key string) error {
 }
 
 // PanicIf panics with an *Injected value if EvalPanic fires for the key.
-// Contain (around grid cells and ticks) and serve's scheduler barrier
-// convert it back into an error.
+// Contain, the panic boundary of grid cells, ticks and serve's
+// evaluations, converts it back into an error.
 func (p *Plane) PanicIf(key string) {
 	if p.Should(EvalPanic, key) {
 		panic(&Injected{Class: EvalPanic, Key: key})

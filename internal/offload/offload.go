@@ -26,8 +26,10 @@ import (
 	"sync"
 
 	"remotepeering/internal/asindex"
+	"remotepeering/internal/econ"
 	"remotepeering/internal/netflow"
 	"remotepeering/internal/parallel"
+	"remotepeering/internal/stats"
 	"remotepeering/internal/topo"
 	"remotepeering/internal/worldgen"
 )
@@ -595,6 +597,64 @@ func (s *Study) Greedy(g PeerGroup, maxIXPs int) []GreedyStep {
 		})
 	}
 	return steps
+}
+
+// Expansion is a greedy Figure 9 curve read the way Sections 4–5 read it:
+// the offload coverage at k exchanges and the decay b fitted to the curve.
+type Expansion struct {
+	// Steps is the curve, max(k, fit) steps deep (fewer when the world has
+	// fewer IXPs).
+	Steps []GreedyStep
+	// OffloadedFrac is the offloaded share of the transit traffic after
+	// min(k, len(Steps)) steps, and CoveredNets the networks covered there.
+	OffloadedFrac float64
+	CoveredNets   int
+	// FittedB is the decay parameter fitted over the first min(fit,
+	// len(Steps)) steps.
+	FittedB float64
+}
+
+// Expand runs one greedy expansion under group g deep enough for both
+// read-outs — the step sequence is prefix-stable in the depth — and reads
+// the coverage at k exchanges and the decay over fit steps. k and fit
+// must be positive, and a fit over fewer than two steps is an error.
+func (s *Study) Expand(g PeerGroup, k, fit int) (Expansion, error) {
+	if k < 1 || fit < 1 {
+		return Expansion{}, fmt.Errorf("offload: greedy read-out at k=%d over %d steps (both must be positive)", k, fit)
+	}
+	steps := s.Greedy(g, max(k, fit))
+	if len(steps) == 0 {
+		return Expansion{}, fmt.Errorf("offload: empty greedy expansion")
+	}
+	x := Expansion{Steps: steps}
+	in, out := s.Dataset.TransitTotals()
+	total := in + out
+	chosen := make([]int, min(k, len(steps)))
+	for i := range chosen {
+		chosen[i] = steps[i].IXPIndex
+	}
+	if at := steps[len(chosen)-1]; total > 0 {
+		x.OffloadedFrac = (at.OffloadedInBps + at.OffloadedOutBps) / total
+	}
+	x.CoveredNets = s.CoveredSet(chosen, g).Count()
+	decay, err := FitDecay(steps[:min(fit, len(steps))], total)
+	if err != nil {
+		return Expansion{}, fmt.Errorf("decay fit: %w", err)
+	}
+	x.FittedB = decay.B
+	return x, nil
+}
+
+// FitDecay fits Section 5's decay parameter b to a greedy curve's
+// remaining transit traffic against its full level totalBps (in + out).
+// A fixed share of the traffic is not offloadable at any IXP, so the fit
+// isolates the decaying component (econ.FitBFromRemaining).
+func FitDecay(steps []GreedyStep, totalBps float64) (stats.ExpFit, error) {
+	remaining := make([]float64, len(steps))
+	for i, st := range steps {
+		remaining[i] = st.Remaining()
+	}
+	return econ.FitBFromRemaining(remaining, totalBps)
 }
 
 // InterfaceStep is one step of the Figure 10 greedy expansion.

@@ -2,6 +2,7 @@ package offload
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"remotepeering/internal/netflow"
@@ -346,6 +347,55 @@ func TestGreedyMaxIXPs(t *testing.T) {
 	steps := s.Greedy(GroupAll, 3)
 	if len(steps) != 3 {
 		t.Errorf("steps = %d, want 3", len(steps))
+	}
+}
+
+// TestExpandReadsTheCurve pins Expand against its parts: the curve is
+// Greedy at max(k, fit), the coverage is read at min(k, len) steps and
+// the decay is FitDecay over the first min(fit, len) steps — for k below
+// fit, above it, and past the IXP count. A one-step fit and a
+// non-positive depth are errors.
+func TestExpandReadsTheCurve(t *testing.T) {
+	s := testStudy(t)
+	in, out := s.Dataset.TransitTotals()
+	n := len(s.World.IXPs)
+	for _, c := range []struct {
+		g      PeerGroup
+		k, fit int
+	}{{GroupAll, 3, 10}, {GroupOpen, 12, 4}, {GroupOpenSelective, n + 5, 8}, {GroupAll, 2, n + 9}} {
+		x, err := s.Expand(c.g, c.k, c.fit)
+		if err != nil {
+			t.Fatalf("Expand(%v, %d, %d): %v", c.g, c.k, c.fit, err)
+		}
+		steps := s.Greedy(c.g, max(c.k, c.fit))
+		if !slices.Equal(x.Steps, steps) {
+			t.Fatalf("Expand(%v, %d, %d): %d steps differ from Greedy's %d", c.g, c.k, c.fit, len(x.Steps), len(steps))
+		}
+		kn := min(c.k, len(steps))
+		chosen := make([]int, kn)
+		for i := range chosen {
+			chosen[i] = steps[i].IXPIndex
+		}
+		at := steps[kn-1]
+		if want := (at.OffloadedInBps + at.OffloadedOutBps) / (in + out); x.OffloadedFrac != want {
+			t.Errorf("Expand(%v, %d, %d): offloaded %v, want %v", c.g, c.k, c.fit, x.OffloadedFrac, want)
+		}
+		if want := s.CoveredSet(chosen, c.g).Count(); x.CoveredNets != want {
+			t.Errorf("Expand(%v, %d, %d): %d networks covered, want %d", c.g, c.k, c.fit, x.CoveredNets, want)
+		}
+		fit, err := FitDecay(steps[:min(c.fit, len(steps))], in+out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if x.FittedB != fit.B {
+			t.Errorf("Expand(%v, %d, %d): b = %v, want %v", c.g, c.k, c.fit, x.FittedB, fit.B)
+		}
+	}
+	if _, err := s.Expand(GroupAll, 1, 1); err == nil || !strings.HasPrefix(err.Error(), "decay fit: ") {
+		t.Errorf("a one-step fit: error %v, want a decay fit error", err)
+	}
+	if _, err := s.Expand(GroupAll, 0, 5); err == nil {
+		t.Error("k = 0 should fail")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"remotepeering/internal/fault"
+	"remotepeering/internal/stats"
 )
 
 func chaosGrid(t *testing.T) (Grid, Options) {
@@ -107,7 +108,7 @@ func TestRealPanicIsContained(t *testing.T) {
 // panicOp is a test-only op that panics on apply.
 type panicOp struct{}
 
-func (panicOp) String() string              { return "panic-op" }
-func (panicOp) apply(*state) error          { panic("panic-op fired") }
-func (panicOp) stages() StageMask           { return StageAll }
-func (panicOp) dirtySims() (bool, []string) { return true, nil }
+func (panicOp) String() string                          { return "panic-op" }
+func (panicOp) apply(*EvolveState, *stats.Source) error { panic("panic-op fired") }
+func (panicOp) stages() StageMask                       { return StageAll }
+func (panicOp) dirtySims() (bool, []string)             { return true, nil }

@@ -11,19 +11,20 @@ import (
 	"remotepeering/internal/worldgen"
 )
 
-// EvolveState is the mutable (world, regime) a tick engine advances in
-// place over time — the counterpart of the grid's copy-on-write per-cell
-// state. Unlike a grid cell, whose perturbation is discarded after its
-// metrics are read, an evolved state carries op effects forward: a
-// TrafficScale at tick 3 is still in force at tick 40.
+// EvolveState is the (world, regime) that ops perturb and the pipeline
+// evaluates: a grid cell's state, discarded once its metrics are read, and
+// a tick engine's, which carries op effects forward — a TrafficScale at
+// tick 3 is still in force at tick 40. Ops may rewrite any of it: world
+// structure (outage, churn), measurement physics (latency shift), the
+// traffic regime (scale, diurnal phase) or the price vector.
 type EvolveState struct {
 	World *worldgen.World
 	// Traffic is the evolving traffic regime: scale and diurnal-phase ops
 	// mutate it cumulatively. The caller seeds it (Seed, Intervals); the
 	// Workers field is overridden per evaluation and never part of state.
 	Traffic netflow.Config
-	// Econ is the evolving Section 5 price vector; price-walk ops rescale
-	// it cumulatively.
+	// Econ is the evolving Section 5 price vector; price ops rescale it
+	// cumulatively.
 	Econ econ.Params
 }
 
@@ -56,37 +57,36 @@ func dirtyOf(ops []Op) Dirty {
 	return d
 }
 
-// ApplyOps applies ops in order to es, drawing any op randomness (churn
-// member selection) from src, and returns the combined dirty summary.
-// The world is mutated in place — callers wanting atomicity stage the
-// application on a clone and swap on success, which is exactly what the
-// tick engine does. Op randomness is a pure function of src's stream, so
-// replaying the same ops against the same state with an identically-keyed
-// source reproduces the same world byte-for-byte.
+// ApplyOps applies ops in order to es, in place, drawing any op
+// randomness (churn member selection) from src, and returns the combined
+// dirty summary. A failed batch leaves es partly applied: callers wanting
+// atomicity stage the application on a clone and drop it on error, which
+// is exactly what the tick engine does. Op randomness is a pure function
+// of src's stream, so replaying the same ops against the same state with
+// an identically-keyed source reproduces the same world byte-for-byte.
 func ApplyOps(es *EvolveState, ops []Op, src *stats.Source) (Dirty, error) {
 	if es == nil || es.World == nil {
 		return Dirty{}, fmt.Errorf("scenario: nil evolve state or world")
 	}
-	st := &state{World: es.World, Traffic: es.Traffic, Econ: es.Econ, src: src}
 	for _, op := range ops {
-		if err := op.apply(st); err != nil {
+		if err := op.apply(es, src); err != nil {
 			return Dirty{}, err
 		}
 	}
-	es.World = st.World
-	es.Traffic = st.Traffic
-	es.Econ = st.Econ
 	return dirtyOf(ops), nil
 }
 
-// Artifacts are the retained products of one full pipeline evaluation
-// over an evolved state: the exported mirror of the grid's internal
-// cellArtifacts. The spread result records its per-IXP verdicts, so the
-// next tick can splice clean exchanges through the spread reuse path.
+// Artifacts are the products of one pipeline evaluation, a grid cell's or
+// a tick's: the metrics and the immutable parts a later evaluation reuses
+// for its clean stages. The spread result records its per-IXP verdicts,
+// so the next cell or tick can splice clean exchanges through the spread
+// reuse path.
 type Artifacts struct {
 	Spread  *spread.Result
 	Dataset *netflow.Dataset
 	Metrics Metrics
+	// held reports which parts came from the run's Baseline holder.
+	held HeldParts
 }
 
 // EvalEvolved runs the paper pipeline over an evolved state, re-running
@@ -101,41 +101,12 @@ type Artifacts struct {
 // regime, and price vector. opts.Econ is ignored — the evolving vector in
 // es.Econ is authoritative.
 func EvalEvolved(ctx context.Context, es *EvolveState, d Dirty, prev *Artifacts, opts Options) (*Artifacts, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	if es == nil {
+		return nil, fmt.Errorf("scenario: nil evolve state")
 	}
-	if es == nil || es.World == nil {
-		return nil, fmt.Errorf("scenario: nil evolve state or world")
-	}
-	if !es.World.Graph.Frozen() {
-		return nil, fmt.Errorf("scenario: world graph is not frozen (world not from Generate or topo.Restore?)")
-	}
-	if opts.Workers < 0 {
-		return nil, fmt.Errorf("scenario: negative Workers %d (use 0 for one per CPU)", opts.Workers)
-	}
-	opts = opts.withDefaults()
-
-	var base *cellArtifacts
-	if prev != nil {
-		base = &cellArtifacts{spread: prev.Spread, ds: prev.Dataset, m: prev.Metrics}
-	}
-
-	tr := es.Traffic
-	tr.Workers = opts.Workers
-	st := &state{
-		World:   es.World,
-		Traffic: tr,
-		Spread: spread.Options{
-			Seed:     opts.MeasureSeed,
-			Workers:  opts.Workers,
-			Campaign: opts.Campaign,
-			Detector: opts.Detector,
-		},
-		Econ: es.Econ,
-	}
-	art, err := runStages(ctx, st, d, base, nil, opts, opts.Workers)
+	ctx, opts, err := enter(ctx, es.World, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Artifacts{Spread: art.spread, Dataset: art.ds, Metrics: art.m}, nil
+	return runStages(ctx, es, d, prev, nil, opts, opts.Workers)
 }

@@ -25,29 +25,11 @@ import (
 	"strings"
 	"time"
 
-	"remotepeering/internal/econ"
 	"remotepeering/internal/netflow"
-	"remotepeering/internal/spread"
 	"remotepeering/internal/stats"
 	"remotepeering/internal/topo"
 	"remotepeering/internal/worldgen"
 )
-
-// state is the mutable what-if cell an op perturbs: the cell's world plus
-// the per-cell pipeline configurations. Ops may rewrite any of it — world
-// structure (outage, churn), measurement physics (latency shift), traffic
-// regime (scale, diurnal phase), or the economic price vector. The world
-// is a private clone exactly when one of the cell's ops rewrites it.
-type state struct {
-	World   *worldgen.World
-	Traffic netflow.Config
-	Spread  spread.Options
-	Econ    econ.Params
-	// src drives any randomness an op needs (e.g. churn member
-	// selection); it is split serially per cell, keyed by the scenario
-	// index, before the grid fans out.
-	src *stats.Source
-}
 
 // StageMask marks pipeline stages an op invalidates. The grid runner
 // re-runs exactly the dirty stages of a cell (plus their downstream
@@ -105,7 +87,8 @@ func (m StageMask) String() string {
 // dirty-stage mask.
 type Op interface {
 	fmt.Stringer
-	apply(st *state) error
+	// apply perturbs es in place; only MemberChurn draws from src.
+	apply(es *EvolveState, src *stats.Source) error
 	// stages reports which pipeline stages the op directly invalidates;
 	// the runner adds the downstream closure (world ⇒ everything,
 	// traffic ⇒ offload ⇒ econ).
@@ -176,12 +159,12 @@ func (o IXPOutage) stages() StageMask { return StageSpread | StageOffload }
 
 func (o IXPOutage) dirtySims() (bool, []string) { return false, []string{o.IXP} }
 
-func (o IXPOutage) apply(st *state) error {
-	_, xi, err := st.World.IXPByAcronym(o.IXP)
+func (o IXPOutage) apply(es *EvolveState, _ *stats.Source) error {
+	_, xi, err := es.World.IXPByAcronym(o.IXP)
 	if err != nil {
 		return err
 	}
-	return st.World.RemoveIXPMembers(xi)
+	return es.World.RemoveIXPMembers(xi)
 }
 
 // LatencyShift moves the one-way pseudowire delay of remote memberships in
@@ -209,7 +192,7 @@ func (o LatencyShift) stages() StageMask { return StageSpread }
 
 func (o LatencyShift) dirtySims() (bool, []string) { return true, nil }
 
-func (o LatencyShift) apply(st *state) error {
+func (o LatencyShift) apply(es *EvolveState, _ *stats.Source) error {
 	if o.Band < BandAll || o.Band > BandIntercontinental {
 		return fmt.Errorf("scenario: latency shift band %d out of range", o.Band)
 	}
@@ -221,7 +204,7 @@ func (o LatencyShift) apply(st *state) error {
 		if o.Band != BandAll && o.Band != b {
 			continue
 		}
-		if sum := float64(st.World.PseudowireDelta[b]) + shift; !(math.Abs(shift) <= float64(MaxLatencyShift) && math.Abs(sum) <= float64(MaxLatencyShift)) {
+		if sum := float64(es.World.PseudowireDelta[b]) + shift; !(math.Abs(shift) <= float64(MaxLatencyShift) && math.Abs(sum) <= float64(MaxLatencyShift)) {
 			return fmt.Errorf("scenario: latency shift of %s ms takes the %s band's one-way delay to %g ms, beyond ±%v",
 				formatFloat(o.DeltaMs), bandName(b), sum/float64(time.Millisecond), MaxLatencyShift)
 		}
@@ -229,7 +212,7 @@ func (o LatencyShift) apply(st *state) error {
 	d := time.Duration(shift)
 	for b := 0; b < 3; b++ {
 		if o.Band == BandAll || o.Band == b {
-			st.World.PseudowireDelta[b] += d
+			es.World.PseudowireDelta[b] += d
 		}
 	}
 	return nil
@@ -257,11 +240,11 @@ func (o MemberChurn) stages() StageMask { return StageSpread | StageOffload }
 
 func (o MemberChurn) dirtySims() (bool, []string) { return false, []string{o.IXP} }
 
-func (o MemberChurn) apply(st *state) error {
+func (o MemberChurn) apply(es *EvolveState, src *stats.Source) error {
 	if o.Join < 0 || o.Leave < 0 {
 		return fmt.Errorf("scenario: negative churn counts join=%d leave=%d", o.Join, o.Leave)
 	}
-	w := st.World
+	w := es.World
 	x, xi, err := w.IXPByAcronym(o.IXP)
 	if err != nil {
 		return err
@@ -280,7 +263,7 @@ func (o MemberChurn) apply(st *state) error {
 			seen[m.ASN] = true
 			cands = append(cands, m.ASN)
 		}
-		st.src.Shuffle(len(cands), func(a, b int) { cands[a], cands[b] = cands[b], cands[a] })
+		src.Shuffle(len(cands), func(a, b int) { cands[a], cands[b] = cands[b], cands[a] })
 		n := o.Leave
 		if n > len(cands) {
 			n = len(cands)
@@ -296,11 +279,11 @@ func (o MemberChurn) apply(st *state) error {
 	// leaf universe like the generator's own remote-member placement.
 	joined := 0
 	for tries := 0; joined < o.Join && tries < 64*(o.Join+1); tries++ {
-		asn := worldgen.ASNLeafBase + topo.ASN(st.src.Intn(w.Cfg.LeafNetworks))
+		asn := worldgen.ASNLeafBase + topo.ASN(src.Intn(w.Cfg.LeafNetworks))
 		if x.HasMember(asn) {
 			continue
 		}
-		if err := w.AddDirectMembership(xi, asn, st.src); err != nil {
+		if err := w.AddDirectMembership(xi, asn, src); err != nil {
 			return err
 		}
 		joined++
@@ -327,11 +310,11 @@ func (o TrafficScale) stages() StageMask { return StageTraffic }
 
 func (o TrafficScale) dirtySims() (bool, []string) { return false, nil }
 
-func (o TrafficScale) apply(st *state) error {
+func (o TrafficScale) apply(es *EvolveState, _ *stats.Source) error {
 	if !(o.Factor > 0) {
 		return fmt.Errorf("scenario: non-positive traffic scale %v", o.Factor)
 	}
-	in, out := st.Traffic.TotalInboundBps, st.Traffic.TotalOutboundBps
+	in, out := es.Traffic.TotalInboundBps, es.Traffic.TotalOutboundBps
 	if in == 0 {
 		in = netflow.DefaultInboundBps
 	}
@@ -344,7 +327,7 @@ func (o TrafficScale) apply(st *state) error {
 	if in == 0 || out == 0 || math.IsInf(in, 0) || math.IsInf(out, 0) {
 		return fmt.Errorf("scenario: traffic scale %s takes the transit totals to %g/%g bps", formatFloat(o.Factor), in, out)
 	}
-	st.Traffic.TotalInboundBps, st.Traffic.TotalOutboundBps = in, out
+	es.Traffic.TotalInboundBps, es.Traffic.TotalOutboundBps = in, out
 	return nil
 }
 
@@ -364,15 +347,15 @@ func (o DiurnalShift) stages() StageMask { return StageTraffic }
 
 func (o DiurnalShift) dirtySims() (bool, []string) { return false, nil }
 
-func (o DiurnalShift) apply(st *state) error {
+func (o DiurnalShift) apply(es *EvolveState, _ *stats.Source) error {
 	// The phase becomes a time.Duration, so the sum must fit one in
 	// nanoseconds, checked in floating point: converting a larger float
 	// is undefined.
-	h := st.Traffic.PhaseHours + o.Hours
+	h := es.Traffic.PhaseHours + o.Hours
 	if ns := h * float64(time.Hour); !(ns >= math.MinInt64 && ns < math.MaxInt64) {
 		return fmt.Errorf("scenario: diurnal shift of %s h takes the phase to %g h, past a duration", formatFloat(o.Hours), h)
 	}
-	st.Traffic.PhaseHours = h
+	es.Traffic.PhaseHours = h
 	return nil
 }
 
@@ -395,12 +378,12 @@ func (o PortPrice) stages() StageMask { return StageEcon }
 
 func (o PortPrice) dirtySims() (bool, []string) { return false, nil }
 
-func (o PortPrice) apply(st *state) error {
+func (o PortPrice) apply(es *EvolveState, _ *stats.Source) error {
 	if o.Factor <= 0 {
 		return fmt.Errorf("scenario: non-positive port-price factor %v", o.Factor)
 	}
-	st.Econ.G *= o.Factor
-	st.Econ.H *= o.Factor
+	es.Econ.G *= o.Factor
+	es.Econ.H *= o.Factor
 	return nil
 }
 
@@ -420,12 +403,12 @@ func (o RemotePrice) stages() StageMask { return StageEcon }
 
 func (o RemotePrice) dirtySims() (bool, []string) { return false, nil }
 
-func (o RemotePrice) apply(st *state) error {
+func (o RemotePrice) apply(es *EvolveState, _ *stats.Source) error {
 	if o.Factor <= 0 {
 		return fmt.Errorf("scenario: non-positive remote-price factor %v", o.Factor)
 	}
-	st.Econ.H *= o.Factor
-	st.Econ.V *= o.Factor
+	es.Econ.H *= o.Factor
+	es.Econ.V *= o.Factor
 	return nil
 }
 
@@ -607,24 +590,25 @@ func ParseScenario(spec string) (Scenario, error) {
 }
 
 // checkAccumulated folds a scenario's latency, traffic and diurnal ops
-// onto an unperturbed cell state, the way a grid cell will apply them, so
-// a scenario whose ops are each in range but add up past what the
-// pipeline can evaluate is refused at parse time with apply's own error.
-// The other ops change nothing these three read. The serve tier parses
-// every what-if query, cache hits included, so the state stays on the
-// stack: the ops are applied through their concrete types.
+// onto an unperturbed state, the way a grid cell will apply them, so a
+// scenario whose ops are each in range but add up past what the pipeline
+// can evaluate is refused at parse time with apply's own error. The other
+// ops change nothing these three read, and none of the three draws. The
+// serve tier parses every what-if query, cache hits included, so the
+// state stays on the stack: the ops are applied through their concrete
+// types.
 func checkAccumulated(ops []Op) error {
 	var w worldgen.World
-	st := state{World: &w}
+	es := EvolveState{World: &w}
 	for _, op := range ops {
 		var err error
 		switch o := op.(type) {
 		case LatencyShift:
-			err = o.apply(&st)
+			err = o.apply(&es, nil)
 		case TrafficScale:
-			err = o.apply(&st)
+			err = o.apply(&es, nil)
 		case DiurnalShift:
-			err = o.apply(&st)
+			err = o.apply(&es, nil)
 		}
 		if err != nil {
 			return err

@@ -240,19 +240,10 @@ func Run(w *worldgen.World, grid Grid, opts Options) (*Report, error) {
 // error still means every cell ran — cancellation never yields a partial
 // report.
 func RunCtx(ctx context.Context, w *worldgen.World, grid Grid, opts Options) (*Report, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	ctx, opts, err := enter(ctx, w, opts)
+	if err != nil {
+		return nil, err
 	}
-	if w == nil {
-		return nil, fmt.Errorf("scenario: nil world")
-	}
-	if opts.Workers < 0 {
-		return nil, fmt.Errorf("scenario: negative Workers %d (use 0 for one per CPU)", opts.Workers)
-	}
-	if !w.Graph.Frozen() {
-		return nil, fmt.Errorf("scenario: world graph is not frozen (world not from Generate or topo.Restore?)")
-	}
-	opts = opts.withDefaults()
 
 	seeds := grid.Seeds
 	if len(seeds) == 0 {
@@ -298,13 +289,13 @@ func RunCtx(ctx context.Context, w *worldgen.World, grid Grid, opts Options) (*R
 		return nil, wrapCellErr(ctx, cells[0], err)
 	}
 	results := make([]Metrics, len(cells))
-	results[0] = base.m
+	results[0] = base.Metrics
 	rest, err := parallel.MapErrCtx(ctx, opts.Workers, len(cells)-1, func(i int) (Metrics, error) {
 		art, err := runCell(ctx, w, cells[i+1], opts, base, 1)
 		if err != nil {
 			return Metrics{}, wrapCellErr(ctx, cells[i+1], err)
 		}
-		return art.m, nil
+		return art.Metrics, nil
 	})
 	if err != nil {
 		return nil, err
@@ -328,6 +319,24 @@ func RunCtx(ctx context.Context, w *worldgen.World, grid Grid, opts Options) (*R
 	return rep, nil
 }
 
+// enter is the pipeline's entry check, shared by RunCtx and EvalEvolved:
+// it refuses a nil or unfrozen world and a negative worker count, and
+// returns the context (Background for nil) and the defaulted options.
+func enter(ctx context.Context, w *worldgen.World, opts Options) (context.Context, Options, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	switch {
+	case w == nil:
+		return nil, opts, fmt.Errorf("scenario: nil world")
+	case opts.Workers < 0:
+		return nil, opts, fmt.Errorf("scenario: negative Workers %d (use 0 for one per CPU)", opts.Workers)
+	case !w.Graph.Frozen():
+		return nil, opts, fmt.Errorf("scenario: world graph is not frozen (world not from Generate or topo.Restore?)")
+	}
+	return ctx, opts.withDefaults(), nil
+}
+
 // wrapCellErr labels a cell failure with its grid coordinates; the
 // context's own cancellation error passes through bare so callers match
 // it directly with errors.Is.
@@ -346,9 +355,9 @@ func wrapCellErr(ctx context.Context, spec cellSpec, err error) error {
 // stream every attempt — a retried cell's metrics are byte-identical to
 // what the crashed attempt would have produced, so fault schedules
 // change wall time and nothing else.
-func runCell(ctx context.Context, w *worldgen.World, spec cellSpec, opts Options, base *cellArtifacts, innerWorkers int) (*cellArtifacts, error) {
+func runCell(ctx context.Context, w *worldgen.World, spec cellSpec, opts Options, base *Artifacts, innerWorkers int) (*Artifacts, error) {
 	key := fmt.Sprintf("%s|cell|%s|%d", opts.FaultKey, spec.scn.Name, spec.off)
-	var art *cellArtifacts
+	var art *Artifacts
 	err := fault.Retry(ctx, opts.CellAttempts, 0, 0, key, fault.Transient, func(int) error {
 		return opts.Faults.Contain(key, func() (err error) {
 			art, err = evalCell(ctx, w, spec, opts, base, innerWorkers)
@@ -361,50 +370,30 @@ func runCell(ctx context.Context, w *worldgen.World, spec cellSpec, opts Options
 	return art, nil
 }
 
-// cellArtifacts is one evaluated cell plus the immutable artifacts a
-// later cell can reuse for clean stages. Only the baseline cell's
-// artifacts are retained by Run; for scenario cells the struct is just a
-// return vehicle for the metrics.
-type cellArtifacts struct {
-	spread *spread.Result
-	ds     *netflow.Dataset
-	m      Metrics
-	held   HeldParts
-}
-
-// evalCell applies one cell's ops and hands their dirty summary to
-// runStages.
-func evalCell(ctx context.Context, w *worldgen.World, spec cellSpec, opts Options, base *cellArtifacts, innerWorkers int) (*cellArtifacts, error) {
+// evalCell applies one cell's ops to its state and hands their dirty
+// summary to runStages.
+func evalCell(ctx context.Context, w *worldgen.World, spec cellSpec, opts Options, base *Artifacts, innerWorkers int) (*Artifacts, error) {
 	d := dirtyOf(spec.scn.Ops)
-	st := &state{
-		World: w,
-		Traffic: netflow.Config{
-			Seed:      opts.TrafficSeed + spec.off,
-			Intervals: opts.Intervals,
-			Workers:   innerWorkers,
-		},
-		Spread: spread.Options{
-			Seed:     opts.MeasureSeed + spec.off,
-			Workers:  innerWorkers,
-			Campaign: opts.Campaign,
-			Detector: opts.Detector,
-		},
-		Econ: opts.Econ,
-		src:  spec.newSrc(),
+	es := &EvolveState{
+		World:   w,
+		Traffic: netflow.Config{Seed: opts.TrafficSeed + spec.off, Intervals: opts.Intervals},
+		Econ:    opts.Econ,
 	}
 	// Only ops with dirty simulations (outage, churn, latency) write the
 	// world. The baseline, seed-offset and config-only cells read the
 	// caller's world, which no stage writes.
 	if d.AllSims || len(d.Sims) > 0 {
-		st.World = w.Clone()
+		es.World = w.Clone()
 	}
+	src := spec.newSrc()
 	for _, op := range spec.scn.Ops {
-		if err := op.apply(st); err != nil {
+		if err := op.apply(es, src); err != nil {
 			return nil, err
 		}
 	}
 	if spec.off != 0 {
 		// Seed offsets re-seed both measured stages.
+		opts.MeasureSeed += spec.off
 		d.Direct |= StageSpread | StageTraffic
 		d.AllSims = true
 	}
@@ -412,7 +401,7 @@ func evalCell(ctx context.Context, w *worldgen.World, spec cellSpec, opts Option
 	if spec.base {
 		held = opts.Baseline
 	}
-	return runStages(ctx, st, d, base, held, opts, innerWorkers)
+	return runStages(ctx, es, d, base, held, opts, innerWorkers)
 }
 
 // runStages evaluates the paper pipeline over a perturbed state, re-running
@@ -423,8 +412,10 @@ func evalCell(ctx context.Context, w *worldgen.World, spec cellSpec, opts Option
 // byte-identical to a full rerun, pinned by the reuse-equivalence suite.
 // With base == nil, or NoReuse, every stage runs; NoReuse also keeps the
 // run off the holder and the shared cone cache, so the full-rerun
-// reference stays independent of every shared artifact.
-func runStages(ctx context.Context, st *state, d Dirty, base *cellArtifacts, held *Baseline, opts Options, workers int) (*cellArtifacts, error) {
+// reference stays independent of every shared artifact. The campaign runs
+// under opts' measurement seed, regime and IXPs, and every stage fans out
+// to workers; es is only read.
+func runStages(ctx context.Context, es *EvolveState, d Dirty, base *Artifacts, held *Baseline, opts Options, workers int) (*Artifacts, error) {
 	if base == nil || opts.NoReuse {
 		d = Dirty{Direct: StageAll, AllSims: true}
 	}
@@ -433,8 +424,8 @@ func runStages(ctx context.Context, st *state, d Dirty, base *cellArtifacts, hel
 	}
 	mask := d.Stages()
 
-	art := &cellArtifacts{}
-	m := &art.m
+	art := &Artifacts{}
+	m := &art.Metrics
 
 	// --- Section 3: the spread campaign ---
 	// Stage boundaries are the cell's cancellation points: each stage is
@@ -444,43 +435,49 @@ func runStages(ctx context.Context, st *state, d Dirty, base *cellArtifacts, hel
 		return nil, err
 	}
 	if mask&StageSpread == 0 {
-		art.spread = base.spread
-		m.Observations = base.m.Observations
-		m.AnalyzedIfaces = base.m.AnalyzedIfaces
-		m.DetectedRemote = base.m.DetectedRemote
-		m.BandCounts = base.m.BandCounts
+		art.Spread = base.Spread
+		m.Observations = base.Metrics.Observations
+		m.AnalyzedIfaces = base.Metrics.AnalyzedIfaces
+		m.DetectedRemote = base.Metrics.DetectedRemote
+		m.BandCounts = base.Metrics.BandCounts
 	} else {
 		// A dark IXP has nothing to probe: the key's selection holds only
 		// the (possibly opts-restricted) studied IXPs that still expose
 		// registry-listed targets.
-		key, err := spread.NewCampaignKey(st.World, st.Spread.Seed, st.Spread.Campaign, st.Spread.Detector, opts.IXPs)
+		key, err := spread.NewCampaignKey(es.World, opts.MeasureSeed, opts.Campaign, opts.Detector, opts.IXPs)
 		if err != nil {
 			return nil, err
 		}
 		sp, ok := held.Campaign(key)
 		if !ok {
-			st.Spread.IXPs = key.IXPs
+			so := spread.Options{
+				Seed:     opts.MeasureSeed,
+				Workers:  workers,
+				Campaign: opts.Campaign,
+				Detector: opts.Detector,
+				IXPs:     key.IXPs,
+			}
 			if base != nil && !d.AllSims {
 				// Membership ops name the exchanges they touched; every
 				// other IXP's inputs are identical to the baseline's, so
 				// its verdicts are spliced instead of re-measured.
 				dirty := make(map[int]bool, len(d.Sims))
 				for _, acr := range d.Sims {
-					if _, xi, err := st.World.IXPByAcronym(acr); err == nil {
+					if _, xi, err := es.World.IXPByAcronym(acr); err == nil {
 						dirty[xi] = true
 					}
 				}
-				st.Spread.Reuse = &spread.Reuse{
-					From:  base.spread,
+				so.Reuse = &spread.Reuse{
+					From:  base.Spread,
 					Dirty: func(idx int) bool { return dirty[idx] },
 				}
 			}
-			if sp, err = spread.RunCtx(ctx, st.World, st.Spread); err != nil {
+			if sp, err = spread.RunCtx(ctx, es.World, so); err != nil {
 				return nil, err
 			}
 			held.StoreCampaign(sp)
 		}
-		art.spread, art.held.Campaign = sp, ok
+		art.Spread, art.held.Campaign = sp, ok
 		spreadMetrics(m, sp)
 	}
 
@@ -489,9 +486,11 @@ func runStages(ctx context.Context, st *state, d Dirty, base *cellArtifacts, hel
 		return nil, err
 	}
 	if mask&StageTraffic == 0 {
-		art.ds = base.ds
+		art.Dataset = base.Dataset
 	} else {
-		ds, ok := held.Traffic(st.Traffic)
+		tcfg := es.Traffic
+		tcfg.Workers = workers
+		ds, ok := held.Traffic(tcfg)
 		if !ok {
 			// A traffic op moves the rates, not the flows: Price re-prices
 			// base's ranking, which every cell and tick of a view shares
@@ -499,15 +498,15 @@ func runStages(ctx context.Context, st *state, d Dirty, base *cellArtifacts, hel
 			// afresh, and so does the full-rerun reference.
 			var from *netflow.Dataset
 			if base != nil && !opts.NoReuse {
-				from = base.ds
+				from = base.Dataset
 			}
 			var err error
-			if ds, err = netflow.Price(from, st.World, st.Traffic); err != nil {
+			if ds, err = netflow.Price(from, es.World, tcfg); err != nil {
 				return nil, err
 			}
 			held.StoreTraffic(ds)
 		}
-		art.ds, art.held.Traffic = ds, ok
+		art.Dataset, art.held.Traffic = ds, ok
 	}
 
 	// --- Section 4: the offload analysis ---
@@ -515,67 +514,31 @@ func runStages(ctx context.Context, st *state, d Dirty, base *cellArtifacts, hel
 		return nil, err
 	}
 	if mask&StageOffload == 0 {
-		m.PotentialPeers = base.m.PotentialPeers
-		m.CoveredNets = base.m.CoveredNets
-		m.OffloadedFrac = base.m.OffloadedFrac
-		m.FittedB = base.m.FittedB
+		m.PotentialPeers = base.Metrics.PotentialPeers
+		m.CoveredNets = base.Metrics.CoveredNets
+		m.OffloadedFrac = base.Metrics.OffloadedFrac
+		m.FittedB = base.Metrics.FittedB
 	} else {
 		// No op rewires the AS graph, so every cell's customer cones are
 		// identical: the baseline seeds the shared cache with the grid's
 		// full worker budget and scenario cells hit it.
-		study, err := offload.NewStudyOptions(st.World, art.ds, offload.Options{Workers: workers, Cones: opts.Cones})
+		study, err := offload.NewStudyOptions(es.World, art.Dataset, offload.Options{Workers: workers, Cones: opts.Cones})
 		if err != nil {
 			return nil, err
 		}
 		m.PotentialPeers = study.PotentialPeerCount()
-
-		in, out := art.ds.TransitTotals()
-		total := in + out
-		depth := opts.GreedyIXPs
-		if depth < opts.CoverageIXPs {
-			depth = opts.CoverageIXPs
-		}
-		// One greedy expansion serves both metrics: the step sequence is
-		// prefix-stable in the depth, so step k is the coverage point and
-		// the full curve feeds the decay fit.
-		steps := study.Greedy(offload.GroupAll, depth)
-		if len(steps) == 0 {
-			return nil, fmt.Errorf("scenario: empty greedy expansion")
-		}
-		k := opts.CoverageIXPs
-		if k > len(steps) {
-			k = len(steps)
-		}
-		at := steps[k-1]
-		if total > 0 {
-			m.OffloadedFrac = (at.OffloadedInBps + at.OffloadedOutBps) / total
-		}
-		chosen := make([]int, k)
-		for i := 0; i < k; i++ {
-			chosen[i] = steps[i].IXPIndex
-		}
-		m.CoveredNets = study.CoveredSet(chosen, offload.GroupAll).Count()
-
-		fitSteps := steps
-		if opts.GreedyIXPs < len(fitSteps) {
-			fitSteps = fitSteps[:opts.GreedyIXPs]
-		}
-		remaining := make([]float64, len(fitSteps))
-		for i, s := range fitSteps {
-			remaining[i] = s.Remaining()
-		}
-		fit, err := econ.FitBFromRemaining(remaining, total)
+		x, err := study.Expand(offload.GroupAll, opts.CoverageIXPs, opts.GreedyIXPs)
 		if err != nil {
-			return nil, fmt.Errorf("decay fit: %w", err)
+			return nil, err
 		}
-		m.FittedB = fit.B
+		m.CoveredNets, m.OffloadedFrac, m.FittedB = x.CoveredNets, x.OffloadedFrac, x.FittedB
 	}
 
 	// --- Section 5: the economic verdict ---
 	if mask&StageEcon == 0 {
-		m.Viable = base.m.Viable
+		m.Viable = base.Metrics.Viable
 	} else {
-		params := st.Econ
+		params := es.Econ
 		params.B = m.FittedB
 		m.Viable = params.RemoteViable()
 	}

@@ -42,13 +42,14 @@ func testWorld(t *testing.T) *worldgen.World {
 	return testWorldVal
 }
 
-// newState builds a fresh cell state over a clone of the test world.
-func newState(t *testing.T) *state {
-	return &state{
+// newState builds a fresh cell state over a clone of the test world, and
+// the RNG stream its ops draw from.
+func newState(t *testing.T) (*EvolveState, *stats.Source) {
+	es := &EvolveState{
 		World: testWorld(t).Clone(),
 		Econ:  econ.DefaultParams(0),
-		src:   stats.NewSource(3).Split("test-cell"),
 	}
+	return es, stats.NewSource(3).Split("test-cell")
 }
 
 func TestOpCodecRoundTrip(t *testing.T) {
@@ -184,8 +185,8 @@ func TestParseGrid(t *testing.T) {
 }
 
 func TestIXPOutageApply(t *testing.T) {
-	st := newState(t)
-	if err := (IXPOutage{IXP: "DE-CIX"}).apply(st); err != nil {
+	st, src := newState(t)
+	if err := (IXPOutage{IXP: "DE-CIX"}).apply(st, src); err != nil {
 		t.Fatal(err)
 	}
 	_, xi, err := st.World.IXPByAcronym("DE-CIX")
@@ -195,33 +196,33 @@ func TestIXPOutageApply(t *testing.T) {
 	if n := len(st.World.IXPs[xi].Members); n != 0 {
 		t.Fatalf("DE-CIX still has %d members", n)
 	}
-	if err := (IXPOutage{IXP: "NO-SUCH"}).apply(st); err == nil {
+	if err := (IXPOutage{IXP: "NO-SUCH"}).apply(st, src); err == nil {
 		t.Fatal("unknown IXP should fail")
 	}
 }
 
 func TestLatencyShiftApply(t *testing.T) {
-	st := newState(t)
-	if err := (LatencyShift{Band: BandIntercity, DeltaMs: -3}).apply(st); err != nil {
+	st, src := newState(t)
+	if err := (LatencyShift{Band: BandIntercity, DeltaMs: -3}).apply(st, src); err != nil {
 		t.Fatal(err)
 	}
-	if err := (LatencyShift{Band: BandAll, DeltaMs: 1}).apply(st); err != nil {
+	if err := (LatencyShift{Band: BandAll, DeltaMs: 1}).apply(st, src); err != nil {
 		t.Fatal(err)
 	}
 	want := [3]time.Duration{-2 * time.Millisecond, time.Millisecond, time.Millisecond}
 	if st.World.PseudowireDelta != want {
 		t.Fatalf("PseudowireDelta = %v, want %v", st.World.PseudowireDelta, want)
 	}
-	if err := (LatencyShift{Band: 7, DeltaMs: 1}).apply(st); err == nil {
+	if err := (LatencyShift{Band: 7, DeltaMs: 1}).apply(st, src); err == nil {
 		t.Fatal("out-of-range band should fail")
 	}
 	// Ops built in Go meet the parser's bound on the state they change:
 	// the city band already sits at -2 ms, so a full day more is past it,
 	// and the refused op changes no band.
-	if err := (LatencyShift{Band: BandAll, DeltaMs: -8.64e7}).apply(st); err == nil {
+	if err := (LatencyShift{Band: BandAll, DeltaMs: -8.64e7}).apply(st, src); err == nil {
 		t.Fatal("a shift accumulating past MaxLatencyShift should fail")
 	}
-	if err := (LatencyShift{Band: BandIntercity, DeltaMs: 9e12}).apply(st); err == nil {
+	if err := (LatencyShift{Band: BandIntercity, DeltaMs: 9e12}).apply(st, src); err == nil {
 		t.Fatal("a 9e12 ms shift should fail")
 	}
 	if st.World.PseudowireDelta != want {
@@ -233,9 +234,9 @@ func TestLatencyShiftApply(t *testing.T) {
 // that an op built in Go meets the parser's bound on the sum: the refused
 // shift leaves the phase where it was.
 func TestDiurnalShiftApply(t *testing.T) {
-	st := newState(t)
+	st, src := newState(t)
 	for _, h := range []float64{2.5e6, -6} {
-		if err := (DiurnalShift{Hours: h}).apply(st); err != nil {
+		if err := (DiurnalShift{Hours: h}).apply(st, src); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -243,7 +244,7 @@ func TestDiurnalShiftApply(t *testing.T) {
 		t.Fatalf("PhaseHours = %v, want %v", st.Traffic.PhaseHours, 2.5e6-6)
 	}
 	for _, h := range []float64{2.5e6, math.NaN(), math.Inf(-1)} {
-		if err := (DiurnalShift{Hours: h}).apply(st); err == nil {
+		if err := (DiurnalShift{Hours: h}).apply(st, src); err == nil {
 			t.Errorf("a %v h shift from %v h should fail", h, 2.5e6-6)
 		}
 	}
@@ -253,62 +254,62 @@ func TestDiurnalShiftApply(t *testing.T) {
 }
 
 func TestMemberChurnApply(t *testing.T) {
-	st := newState(t)
+	st, src := newState(t)
 	_, xi, err := st.World.IXPByAcronym("LINX")
 	if err != nil {
 		t.Fatal(err)
 	}
 	distinctBefore := len(st.World.IXPs[xi].MemberASNs())
-	if err := (MemberChurn{IXP: "LINX", Join: 15, Leave: 5}).apply(st); err != nil {
+	if err := (MemberChurn{IXP: "LINX", Join: 15, Leave: 5}).apply(st, src); err != nil {
 		t.Fatal(err)
 	}
 	distinctAfter := len(st.World.IXPs[xi].MemberASNs())
 	if distinctAfter != distinctBefore+10 {
 		t.Fatalf("distinct members %d → %d, want net +10", distinctBefore, distinctAfter)
 	}
-	if err := (MemberChurn{IXP: "LINX", Join: -1}).apply(st); err == nil {
+	if err := (MemberChurn{IXP: "LINX", Join: -1}).apply(st, src); err == nil {
 		t.Fatal("negative churn should fail")
 	}
 }
 
 func TestTrafficAndPriceOpsApply(t *testing.T) {
-	st := newState(t)
-	if err := (TrafficScale{Factor: 1.5}).apply(st); err != nil {
+	st, src := newState(t)
+	if err := (TrafficScale{Factor: 1.5}).apply(st, src); err != nil {
 		t.Fatal(err)
 	}
 	if st.Traffic.TotalInboundBps != 1.5*netflow.DefaultInboundBps ||
 		st.Traffic.TotalOutboundBps != 1.5*netflow.DefaultOutboundBps {
 		t.Fatalf("traffic scale resolved to (%v, %v)", st.Traffic.TotalInboundBps, st.Traffic.TotalOutboundBps)
 	}
-	if err := (DiurnalShift{Hours: 6}).apply(st); err != nil {
+	if err := (DiurnalShift{Hours: 6}).apply(st, src); err != nil {
 		t.Fatal(err)
 	}
 	if st.Traffic.PhaseHours != 6 {
 		t.Fatalf("PhaseHours = %v, want 6", st.Traffic.PhaseHours)
 	}
 	base := econ.DefaultParams(0)
-	if err := (PortPrice{Factor: 0.5}).apply(st); err != nil {
+	if err := (PortPrice{Factor: 0.5}).apply(st, src); err != nil {
 		t.Fatal(err)
 	}
 	if st.Econ.G != base.G*0.5 || st.Econ.H != base.H*0.5 {
 		t.Fatalf("port price scaled to g=%v h=%v", st.Econ.G, st.Econ.H)
 	}
-	if err := (RemotePrice{Factor: 2}).apply(st); err != nil {
+	if err := (RemotePrice{Factor: 2}).apply(st, src); err != nil {
 		t.Fatal(err)
 	}
 	if st.Econ.H != base.H*0.5*2 || st.Econ.V != base.V*2 {
 		t.Fatalf("remote price scaled to h=%v v=%v", st.Econ.H, st.Econ.V)
 	}
-	if err := (TrafficScale{Factor: 0}).apply(st); err == nil {
+	if err := (TrafficScale{Factor: 0}).apply(st, src); err == nil {
 		t.Fatal("zero traffic factor should fail")
 	}
-	if err := (TrafficScale{Factor: 1e300}).apply(st); err == nil {
+	if err := (TrafficScale{Factor: 1e300}).apply(st, src); err == nil {
 		t.Fatal("a traffic factor overflowing the totals should fail")
 	}
 	if st.Traffic.TotalInboundBps != 1.5*netflow.DefaultInboundBps {
 		t.Fatalf("a refused traffic scale moved the inbound total to %v", st.Traffic.TotalInboundBps)
 	}
-	if err := (PortPrice{Factor: -1}).apply(st); err == nil {
+	if err := (PortPrice{Factor: -1}).apply(st, src); err == nil {
 		t.Fatal("negative port-price factor should fail")
 	}
 }

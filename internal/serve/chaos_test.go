@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -272,6 +273,31 @@ func TestPanicStable500(t *testing.T) {
 	// The process survived; an unaffected endpoint still works.
 	if st, _, _ := get(t, h, "/v1/healthz"); st != http.StatusOK {
 		t.Errorf("healthz after a recovered panic: status %d", st)
+	}
+}
+
+// TestEvalPanicBoundary pins eval's boundary directly: a panic in the
+// evaluation itself becomes errInternal and moves the panic counter, while
+// an error that merely carries an inner boundary's contained panic — a
+// cell or tick that exhausted its retries — answers as itself.
+func TestEvalPanicBoundary(t *testing.T) {
+	s := testServer(t)
+	ctx := context.Background()
+	before := s.Panics()
+	val, err := s.eval(ctx, "boom", func(context.Context) ([]byte, error) { panic("boom") })
+	if err != errInternal || val != nil {
+		t.Fatalf("a panicking evaluation: (%q, %v), want errInternal", val, err)
+	}
+	if got := s.Panics() - before; got != 1 {
+		t.Fatalf("a panicking evaluation moved the panic counter by %d, want 1", got)
+	}
+
+	inner := fmt.Errorf("failed 3 attempts: %w", &fault.PanicError{Key: "q|cell|x|0", Value: "cell boom"})
+	if _, err := s.eval(ctx, "cell", func(context.Context) ([]byte, error) { return nil, inner }); err != inner {
+		t.Fatalf("an evaluation failing with a contained cell panic: %v, want its error unchanged", err)
+	}
+	if got := s.Panics() - before; got != 1 {
+		t.Fatalf("a contained cell panic moved the panic counter to +%d, want +1", got)
 	}
 }
 

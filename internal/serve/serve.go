@@ -43,7 +43,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -52,7 +51,6 @@ import (
 
 	"remotepeering/internal/catalog"
 	"remotepeering/internal/core"
-	"remotepeering/internal/econ"
 	"remotepeering/internal/fault"
 	"remotepeering/internal/lg"
 	"remotepeering/internal/netflow"
@@ -588,21 +586,25 @@ func (s *Server) lead(ctx context.Context, id string, c *call, fn func(context.C
 	}
 }
 
-// eval runs one evaluation with a panic barrier. The handlers run fn in
-// this goroutine — not an http one — so without the recover a single
-// crashing evaluation would kill the whole process. The recovered stack
-// is logged exactly once, server-side; the waiters see only errInternal.
+// eval runs one evaluation behind the fault plane's panic boundary. The
+// handlers run fn in this goroutine — not an http one — so without it a
+// single crashing evaluation would kill the whole process. A panic at
+// this boundary is logged exactly once, server-side, with its stack; the
+// waiters see only errInternal. Every other error, a cell's contained
+// panic that exhausted its retries included, answers as itself.
 func (s *Server) eval(ctx context.Context, id string, fn func(context.Context) ([]byte, error)) (val []byte, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.panics.Add(1)
-			slog.Error("evaluation panic recovered",
-				"query", id, "panic", fmt.Sprint(r), "stack", string(debug.Stack()))
-			val, err = nil, errInternal
-		}
-	}()
-	s.faults.PanicIf("serve|" + id)
-	return fn(ctx)
+	key := "serve|" + id
+	err = s.faults.Contain(key, func() (err error) {
+		val, err = fn(ctx)
+		return err
+	})
+	if pe, ok := err.(*fault.PanicError); ok && pe.Key == key {
+		s.panics.Add(1)
+		slog.Error("evaluation panic recovered",
+			"query", id, "panic", fmt.Sprint(pe.Value), "stack", string(pe.Stack))
+		return nil, errInternal
+	}
+	return val, err
 }
 
 // leave drops one waiter; the last one out cancels the computation's
@@ -969,13 +971,13 @@ func (s *Server) handleOffload(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		g := offload.PeerGroup(group)
 		// The curve has at most one step per IXP. Clamp in int64 before
 		// converting: a raw k sized a slice, and int(k) wraps on 32-bit.
+		// The decay is fitted over all max(greedy, k) steps.
 		n := int64(len(ws.world.IXPs))
-		steps := study.Greedy(g, int(min(max(depth, k), n)))
-		if len(steps) == 0 {
-			return nil, fmt.Errorf("empty greedy expansion")
+		x, err := study.Expand(offload.PeerGroup(group), int(min(k, n)), int(min(max(depth, k), n)))
+		if err != nil {
+			return nil, err
 		}
 		in, out := ds.TransitTotals()
 		resp := offloadResponse{
@@ -984,30 +986,16 @@ func (s *Server) handleOffload(w http.ResponseWriter, r *http.Request) {
 			PotentialPeers: study.PotentialPeerCount(),
 			TransitInBps:   in,
 			TransitOutBps:  out,
+			CoveredNets:    x.CoveredNets,
+			OffloadedFrac:  x.OffloadedFrac,
+			FittedB:        x.FittedB,
 		}
-		for _, st := range steps {
+		for _, st := range x.Steps {
 			resp.Steps = append(resp.Steps, offloadStep{
 				IXP:       st.Acronym,
 				Offloaded: st.OffloadedInBps + st.OffloadedOutBps,
 				Remaining: st.Remaining(),
 			})
-		}
-		kn := min(int(min(k, n)), len(steps))
-		at := steps[kn-1]
-		if total := in + out; total > 0 {
-			resp.OffloadedFrac = (at.OffloadedInBps + at.OffloadedOutBps) / total
-		}
-		chosen := make([]int, kn)
-		for i := range chosen {
-			chosen[i] = steps[i].IXPIndex
-		}
-		resp.CoveredNets = study.CoveredSet(chosen, g).Count()
-		remaining := make([]float64, len(steps))
-		for i, st := range steps {
-			remaining[i] = st.Remaining()
-		}
-		if resp.FittedB, err = fitB(remaining, in+out); err != nil {
-			return nil, fmt.Errorf("decay fit: %w", err)
 		}
 		return marshalBody(resp)
 	})
@@ -1315,15 +1303,4 @@ func finish(w http.ResponseWriter, r *http.Request, body []byte, hit bool, err e
 	default:
 		httpError(w, http.StatusInternalServerError, "%v", err)
 	}
-}
-
-// fitB isolates the decaying component of a greedy remaining curve —
-// the same bridge from Section 4's measurements to Section 5's model the
-// facade's FitDecayFromGreedy uses.
-func fitB(remaining []float64, totalBps float64) (float64, error) {
-	fit, err := econ.FitBFromRemaining(remaining, totalBps)
-	if err != nil {
-		return 0, err
-	}
-	return fit.B, nil
 }

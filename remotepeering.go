@@ -213,11 +213,7 @@ func DefaultEconParams(b float64) EconParams {
 // floor just under the curve's asymptote. totalBps is the full
 // transit-provider traffic (in + out).
 func FitDecayFromGreedy(steps []GreedyStep, totalBps float64) (DecayFit, error) {
-	remaining := make([]float64, len(steps))
-	for i, s := range steps {
-		remaining[i] = s.Remaining()
-	}
-	return econ.FitBFromRemaining(remaining, totalBps)
+	return offload.FitDecay(steps, totalBps)
 }
 
 // Scenario-engine re-exports: the typed what-if perturbation algebra over
