@@ -617,11 +617,8 @@ type Expansion struct {
 // Expand runs one greedy expansion under group g deep enough for both
 // read-outs — the step sequence is prefix-stable in the depth — and reads
 // the coverage at k exchanges and the decay over fit steps. k and fit
-// must be positive, and a fit over fewer than two steps is an error.
+// must be positive; a fit over fewer than two steps is an error.
 func (s *Study) Expand(g PeerGroup, k, fit int) (Expansion, error) {
-	if k < 1 || fit < 1 {
-		return Expansion{}, fmt.Errorf("offload: greedy read-out at k=%d over %d steps (both must be positive)", k, fit)
-	}
 	steps := s.Greedy(g, max(k, fit))
 	if len(steps) == 0 {
 		return Expansion{}, fmt.Errorf("offload: empty greedy expansion")

@@ -353,8 +353,7 @@ func TestGreedyMaxIXPs(t *testing.T) {
 // TestExpandReadsTheCurve pins Expand against its parts: the curve is
 // Greedy at max(k, fit), the coverage is read at min(k, len) steps and
 // the decay is FitDecay over the first min(fit, len) steps — for k below
-// fit, above it, and past the IXP count. A one-step fit and a
-// non-positive depth are errors.
+// fit, above it, and past the IXP count. A one-step fit is an error.
 func TestExpandReadsTheCurve(t *testing.T) {
 	s := testStudy(t)
 	in, out := s.Dataset.TransitTotals()
@@ -393,9 +392,6 @@ func TestExpandReadsTheCurve(t *testing.T) {
 	}
 	if _, err := s.Expand(GroupAll, 1, 1); err == nil || !strings.HasPrefix(err.Error(), "decay fit: ") {
 		t.Errorf("a one-step fit: error %v, want a decay fit error", err)
-	}
-	if _, err := s.Expand(GroupAll, 0, 5); err == nil {
-		t.Error("k = 0 should fail")
 	}
 }
 
