@@ -7,16 +7,19 @@
 # headline numbers). Snapshots are append-only — perf PRs add a new file
 # and compare against the previous one rather than rewriting history.
 #
+# Each benchmark runs COUNT times and benchjson keeps its fastest run, so
+# a row is the best of five passes rather than one noisy pass.
+#
 # Environment knobs:
 #   BENCHTIME  -benchtime value (default 1x — one full pipeline pass)
 #   BENCH      -bench regexp   (default . — everything)
-#   COUNT      -count value    (default 1)
+#   COUNT      -count value    (default 5)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-1x}"
 BENCH="${BENCH:-.}"
-COUNT="${COUNT:-1}"
+COUNT="${COUNT:-5}"
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
