@@ -23,6 +23,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"remotepeering/internal/offload"
 )
 
 // fixtures are shared across benchmarks and built on first use.
@@ -288,6 +290,40 @@ func BenchmarkFigure10(b *testing.B) {
 	}
 	b.ReportMetric(study.TotalInterfaces()/1e9, "total-B")
 	b.ReportMetric(after1, "after-first-IXP-B")
+}
+
+// BenchmarkOffloadStudy measures one pipeline offload stage at paper
+// scale: a study over a 96-interval dataset from a warm shared cone cache
+// (the cache a world view keeps), read at the scenario defaults — the
+// greedy curve at 5 exchanges and its decay over 30 steps.
+func BenchmarkOffloadStudy(b *testing.B) {
+	w, err := GenerateWorld(WorldConfig{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds, err := CollectTraffic(w, TrafficConfig{Seed: 3, Intervals: 96})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := OffloadOptions{Cones: offload.NewConeCache()}
+	if _, err := NewOffloadStudyOptions(w, ds, opts); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var frac float64
+	for i := 0; i < b.N; i++ {
+		study, err := NewOffloadStudyOptions(w, ds, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		x, err := study.Expand(GroupAll, 5, 30)
+		if err != nil {
+			b.Fatal(err)
+		}
+		frac = x.OffloadedFrac
+	}
+	b.ReportMetric(100*frac, "offload-at-5-%")
 }
 
 // BenchmarkEconModel fits b from the Figure 9 curve and evaluates
