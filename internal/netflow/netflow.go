@@ -189,8 +189,9 @@ type Dataset struct {
 // ranking is the part of a dataset that does not depend on the totals or
 // the phase a Config sets: it is a function of the frozen AS graph,
 // RedIRIS, the two transit providers and the traffic seed alone. It holds
-// no RIB and no per-AS table, is immutable once built, and is shared by
-// every dataset priced from it.
+// no RIB, is immutable once built apart from its two lookup tables (the
+// ASN map and the dense ids, each built once on first use), and is shared
+// by every dataset priced from it.
 type ranking struct {
 	graph                       *topo.Graph
 	redIRIS, transit1, transit2 topo.ASN
@@ -208,6 +209,10 @@ type ranking struct {
 	// depends on the entry order only, so every priced dataset shares it.
 	byASNOnce sync.Once
 	byASN     map[topo.ASN]int
+	// ids[i] is entry i's dense id in graph, built on the first EntryIDs
+	// call over that graph and shared the same way.
+	idsOnce sync.Once
+	ids     []int32
 }
 
 // Collect builds the dataset from the world: Price with nothing to price
@@ -380,6 +385,33 @@ func (r *ranking) lookup(asn topo.ASN) (int, bool) {
 	})
 	i, ok := r.byASN[asn]
 	return i, ok
+}
+
+// EntryIDs returns each entry's dense id in the frozen graph g, in entry
+// order, with -1 for a network g does not hold. When the dataset was
+// ranked over g the ids are computed on the first call and shared by every
+// dataset priced from that ranking; callers must not mutate them. For
+// another graph, or a dataset built by hand, they are computed on each
+// call.
+func (d *Dataset) EntryIDs(g *topo.Graph) []int32 {
+	if r := d.rank; r != nil && r.graph == g && g.Frozen() {
+		r.idsOnce.Do(func() { r.ids = entryIDs(g, r.entries) })
+		return r.ids
+	}
+	return entryIDs(g, d.Entries)
+}
+
+// entryIDs maps entries to their dense ids in g (-1 when absent).
+func entryIDs(g *topo.Graph, entries []Entry) []int32 {
+	ids := make([]int32, len(entries))
+	for i := range entries {
+		id, ok := g.ID(entries[i].ASN)
+		if !ok {
+			id = -1
+		}
+		ids[i] = id
+	}
+	return ids
 }
 
 // buildTransient fills the Figure 6 transient accounting from the entry

@@ -515,6 +515,7 @@ func TestPriceConcurrentReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := src.Entries[:40]
+	wantIDs := entryIDs(w.Graph, want.Entries)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -523,6 +524,16 @@ func TestPriceConcurrentReaders(t *testing.T) {
 			got, err := Price(src, w, cfg)
 			if err != nil {
 				t.Error(err)
+				return
+			}
+			// The priced dataset and its source share one ranking, so
+			// these calls race to fill one id table.
+			if ids := got.EntryIDs(w.Graph); !slices.Equal(ids, wantIDs) {
+				t.Error("EntryIDs of the priced dataset differ from the fresh collection's")
+				return
+			}
+			if ids := src.EntryIDs(w.Graph); !slices.Equal(ids, wantIDs) {
+				t.Error("EntryIDs of the source dataset differ from the fresh collection's")
 				return
 			}
 			for _, e := range probe {
@@ -549,4 +560,53 @@ func TestPriceConcurrentReaders(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestEntryIDs pins the dense-id accessor: over the ranking's own graph
+// the ids are each entry's Graph.ID, built once and shared by every
+// dataset priced from that ranking; over another graph, or for a dataset
+// built by hand, they are computed on the spot, -1 where the graph lacks
+// the network.
+func TestEntryIDs(t *testing.T) {
+	w, ds := priceWorld(t, 600)
+	ids := ds.EntryIDs(w.Graph)
+	if len(ids) != len(ds.Entries) {
+		t.Fatalf("%d ids for %d entries", len(ids), len(ds.Entries))
+	}
+	for i, e := range ds.Entries {
+		if id, ok := w.Graph.ID(e.ASN); !ok || ids[i] != id {
+			t.Fatalf("entry %d (AS %d): id %d, want %d", i, e.ASN, ids[i], id)
+		}
+	}
+	priced, err := Price(ds, w, pricedConfig(1.2, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := priced.EntryIDs(w.Graph); &again[0] != &ids[0] {
+		t.Error("a dataset priced from the ranking rebuilt its ids instead of sharing them")
+	}
+
+	other, err := worldgen.Generate(worldgen.Config{Seed: 2, LeafNetworks: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	absent := 0
+	for i, id := range ds.EntryIDs(other.Graph) {
+		want, ok := other.Graph.ID(ds.Entries[i].ASN)
+		if !ok {
+			want = -1
+			absent++
+		}
+		if id != want {
+			t.Fatalf("entry %d over another graph: id %d, want %d", i, id, want)
+		}
+	}
+	if absent == 0 {
+		t.Error("the smaller graph holds every network; the -1 path is untested")
+	}
+
+	byHand := &Dataset{Cfg: ds.Cfg, Entries: ds.Entries[:5]}
+	if got := byHand.EntryIDs(w.Graph); !slices.Equal(got, ids[:5]) {
+		t.Errorf("hand-built dataset: ids %v, want %v", got, ids[:5])
+	}
 }

@@ -79,8 +79,9 @@ const numGroupSlots = int(GroupAll) + 1
 // Options tunes the analysis machinery without touching its semantics.
 type Options struct {
 	// Workers bounds the parallelism of cone precomputation, coverage
-	// evaluation, and the greedy expansions (0 = one per CPU). Every
-	// result is byte-identical for every value.
+	// evaluation, and each greedy expansion's first step, which scores
+	// every IXP (0 = one per CPU); later steps re-score one IXP at a time
+	// and run serially. Every result is byte-identical for every value.
 	Workers int
 	// Cones, when set, shares customer-cone computations between studies
 	// whose worlds carry the same frozen AS graph — the scenario grid's
@@ -182,7 +183,11 @@ type groupMasks struct {
 	full []*asindex.BitSet
 }
 
-// Study is the prepared offload analysis.
+// Study is the prepared offload analysis. Construction reads the dataset
+// through its dense entry ids and the world's IXPs through one graph id per
+// membership; peering policies are read from the frozen graph where a peer
+// group needs them, and peer group 2's top 10 and the Figure 10 interface
+// weights are built on first use.
 type Study struct {
 	World   *worldgen.World
 	Dataset *netflow.Dataset
@@ -203,8 +208,6 @@ type Study struct {
 	trafficIn  []float64
 	trafficOut []float64
 	hasTraffic *asindex.BitSet
-	// policies caches each id's peering policy for the group predicate.
-	policies []topo.PeeringPolicy
 	// ixpMembers lists, per IXP, the sorted member ids surviving the
 	// exclusions.
 	ixpMembers [][]int32
@@ -213,10 +216,14 @@ type Study struct {
 	// construction and read-only afterwards, so the parallel coverage
 	// paths share it without locking.
 	cones [][]int32
-	// top10Selective is peer group 2's selective complement.
+	// top10Selective is peer group 2's selective complement, computed on
+	// the first top10 call.
+	top10Once      sync.Once
 	top10Selective *asindex.BitSet
-	// interfaces weights networks for the Figure 10 metric.
-	interfaces []float64
+	// interfaces weights networks for the Figure 10 metric, built on the
+	// first interfaceWeights call.
+	interfacesOnce sync.Once
+	interfaces     []float64
 
 	// masksByGroup lazily caches each group's per-IXP coverage bitmasks:
 	// built once (in parallel, deterministically) on the group's first
@@ -253,28 +260,21 @@ func NewStudyOptions(w *worldgen.World, ds *netflow.Dataset, opts Options) (*Stu
 		trafficIn:  make([]float64, n),
 		trafficOut: make([]float64, n),
 		hasTraffic: asindex.NewBitSet(n),
-		policies:   make([]topo.PeeringPolicy, n),
-		interfaces: make([]float64, n),
 	}
 
+	ids := ds.EntryIDs(g)
 	for i := range ds.Entries {
 		e := &ds.Entries[i]
 		if !e.Transit {
 			continue
 		}
-		id, ok := g.ID(e.ASN)
-		if !ok {
+		id := ids[i]
+		if id < 0 {
 			return nil, fmt.Errorf("offload: dataset ASN %d not in world graph", e.ASN)
 		}
 		s.trafficIn[id] = e.AvgInBps
 		s.trafficOut[id] = e.AvgOutBps
 		s.hasTraffic.Set(id)
-	}
-
-	for id, asn := range g.ASNs() {
-		net := g.Network(asn)
-		s.policies[id] = net.Policy
-		s.interfaces[id] = float64(net.IPInterfaces)
 	}
 
 	// Section 4.2 exclusions.
@@ -296,21 +296,27 @@ func NewStudyOptions(w *worldgen.World, ds *netflow.Dataset, opts Options) (*Stu
 		if err != nil {
 			return nil, err
 		}
-		for _, m := range x.MemberASNs() {
-			setExcluded(m) // co-members of the home IXPs
+		for _, m := range x.Members {
+			setExcluded(m.ASN) // co-members of the home IXPs
 		}
 	}
 
+	// Each IXP's surviving members as sorted distinct ids: ids ascend with
+	// ASNs, so this is the sorted member-ASN list mapped through the graph.
 	s.ixpMembers = make([][]int32, len(w.IXPs))
 	for i, x := range w.IXPs {
-		for _, asn := range x.MemberASNs() {
-			id, ok := g.ID(asn)
-			if !ok || excluded.Has(id) {
-				continue
+		var members []int32
+		for _, m := range x.Members {
+			if id, ok := g.ID(m.ASN); ok && !excluded.Has(id) {
+				members = append(members, id)
 			}
-			s.ixpMembers[i] = append(s.ixpMembers[i], id)
+		}
+		slices.Sort(members)
+		members = slices.Compact(members)
+		for _, id := range members {
 			s.potential.Set(id)
 		}
+		s.ixpMembers[i] = members
 	}
 	s.peerIDs = make([]int32, 0, s.potential.Count())
 	s.potential.ForEach(func(id int32) { s.peerIDs = append(s.peerIDs, id) })
@@ -331,8 +337,6 @@ func NewStudyOptions(w *worldgen.World, ds *netflow.Dataset, opts Options) (*Stu
 	s.cones = parallel.Map(s.workers, len(s.peerIDs), func(k int) []int32 {
 		return cc.cone(s.peerIDs[k])
 	})
-
-	s.computeTop10Selective()
 	return s, nil
 }
 
@@ -362,18 +366,23 @@ func coneOf(customers [][]int32, root int32, n int) []int32 {
 // exclusions (the paper: 2,192).
 func (s *Study) PotentialPeerCount() int { return len(s.peerIDs) }
 
+// policy returns id's peering policy, read from the frozen graph.
+func (s *Study) policy(id int32) topo.PeeringPolicy {
+	return s.graph.Network(s.graph.ASN(id)).Policy
+}
+
 // inGroupID reports whether a potential peer belongs to the peer group.
 func (s *Study) inGroupID(id int32, g PeerGroup) bool {
 	if !s.potential.Has(id) {
 		return false
 	}
-	pol := s.policies[id]
 	switch g {
 	case GroupOpen:
-		return pol == topo.PolicyOpen
+		return s.policy(id) == topo.PolicyOpen
 	case GroupOpenTop10Selective:
-		return pol == topo.PolicyOpen || s.top10Selective.Has(id)
+		return s.policy(id) == topo.PolicyOpen || s.top10().Has(id)
 	case GroupOpenSelective:
+		pol := s.policy(id)
 		return pol == topo.PolicyOpen || pol == topo.PolicySelective
 	case GroupAll:
 		return true
@@ -382,12 +391,19 @@ func (s *Study) inGroupID(id int32, g PeerGroup) bool {
 	}
 }
 
+// top10 returns peer group 2's top 10 selective networks, ranking them on
+// first use.
+func (s *Study) top10() *asindex.BitSet {
+	s.top10Once.Do(s.computeTop10Selective)
+	return s.top10Selective
+}
+
 // computeTop10Selective ranks selective potential peers by their individual
 // offload potential (their cone's transit traffic) and keeps the top 10.
 func (s *Study) computeTop10Selective() {
 	var selective []int // positions in peerIDs
 	for k, id := range s.peerIDs {
-		if s.policies[id] == topo.PolicySelective {
+		if s.policy(id) == topo.PolicySelective {
 			selective = append(selective, k)
 		}
 	}
@@ -542,61 +558,83 @@ func (st GreedyStep) Remaining() float64 { return st.RemainingInBps + st.Remaini
 // to maxIXPs (≤ 0 means all). This regenerates Figure 9's decay curves.
 func (s *Study) Greedy(g PeerGroup, maxIXPs int) []GreedyStep {
 	totalIn, totalOut := s.Dataset.TransitTotals()
-	if maxIXPs <= 0 || maxIXPs > len(s.World.IXPs) {
-		maxIXPs = len(s.World.IXPs)
-	}
-
-	// Per-IXP candidate bitmasks, cached per group.
-	perIXP := s.masks(g).traffic
-	covered := asindex.NewBitSet(s.graph.Len())
-	chosen := make([]bool, len(perIXP))
-	var steps []GreedyStep
+	picks := s.greedy(s.masks(g).traffic, maxIXPs, func(m, covered *asindex.BitSet) (float64, float64) {
+		return m.AndNotSum2(covered, s.trafficIn, s.trafficOut)
+	})
+	steps := make([]GreedyStep, len(picks))
 	var cumIn, cumOut float64
-
-	type gain struct {
-		in, out float64
+	for i, p := range picks {
+		cumIn += p.a
+		cumOut += p.b
+		steps[i] = GreedyStep{
+			IXPIndex:        p.ixp,
+			Acronym:         s.World.IXPs[p.ixp].Acronym,
+			OffloadedInBps:  cumIn,
+			OffloadedOutBps: cumOut,
+			RemainingInBps:  totalIn - cumIn,
+			RemainingOutBps: totalOut - cumOut,
+		}
 	}
-	for step := 0; step < maxIXPs; step++ {
-		// Evaluate every candidate IXP's marginal gain in parallel; each
-		// gain is a popcount-guided scan over that IXP's mask minus the
-		// covered set, in ascending id order, so it does not depend on
-		// scheduling. The argmax scan runs serially in IXP order — ties
-		// resolve to the smallest index, as before.
-		gains := parallel.Map(s.workers, len(perIXP), func(i int) gain {
-			if chosen[i] {
-				return gain{}
-			}
-			in, out := perIXP[i].AndNotSum2(covered, s.trafficIn, s.trafficOut)
-			return gain{in, out}
-		})
-		best, bestGain := -1, -1.0
-		var bestIn, bestOut float64
-		for i, gn := range gains {
-			if chosen[i] {
-				continue
-			}
-			if total := gn.in + gn.out; total > bestGain {
-				best, bestGain = i, total
-				bestIn, bestOut = gn.in, gn.out
+	return steps
+}
+
+// greedyPick is one step of a greedy expansion: the IXP added and the two
+// components of its marginal gain.
+type greedyPick struct {
+	ixp  int
+	a, b float64
+}
+
+// greedy is the one greedy loop of Figures 9 and 10. Up to maxIXPs times
+// (≤ 0 or past the IXP count means every IXP) it adds the IXP whose mask
+// has the largest marginal gain a+b over the covered set, ties going to
+// the smallest index — the picks of scoring every IXP at every step.
+//
+// It is lazy (Minoux's accelerated greedy). The first step scores every
+// IXP, fanned out over the workers. After that a score is a bound: gain
+// sums non-negative weights over the mask minus the covered set in
+// ascending id order, so a score can only shrink as the covered set grows.
+// Each step re-scores only the best IXP in (score descending, index
+// ascending) order until that one was scored against the current covered
+// set; every other IXP's true gain is then at most its bound, which ranks
+// behind. The picked gain is that fresh score, bit for bit.
+func (s *Study) greedy(perIXP []*asindex.BitSet, maxIXPs int, gain func(m, covered *asindex.BitSet) (a, b float64)) []greedyPick {
+	if maxIXPs <= 0 || maxIXPs > len(perIXP) {
+		maxIXPs = len(perIXP)
+	}
+	type score struct {
+		a, b, total float64
+		step        int // the step whose covered set a and b were summed over
+		chosen      bool
+	}
+	covered := asindex.NewBitSet(s.graph.Len())
+	scores := parallel.Map(s.workers, len(perIXP), func(i int) score {
+		a, b := gain(perIXP[i], covered)
+		return score{a: a, b: b, total: a + b}
+	})
+	picks := make([]greedyPick, 0, maxIXPs)
+	for step := 0; step < maxIXPs; {
+		best, bestTotal := -1, -1.0
+		for i := range scores {
+			if sc := &scores[i]; !sc.chosen && sc.total > bestTotal {
+				best, bestTotal = i, sc.total
 			}
 		}
 		if best < 0 {
 			break
 		}
-		chosen[best] = true
+		sc := &scores[best]
+		if sc.step != step {
+			sc.a, sc.b = gain(perIXP[best], covered)
+			sc.total, sc.step = sc.a+sc.b, step
+			continue
+		}
+		sc.chosen = true
 		covered.Or(perIXP[best])
-		cumIn += bestIn
-		cumOut += bestOut
-		steps = append(steps, GreedyStep{
-			IXPIndex:        best,
-			Acronym:         s.World.IXPs[best].Acronym,
-			OffloadedInBps:  cumIn,
-			OffloadedOutBps: cumOut,
-			RemainingInBps:  totalIn - cumIn,
-			RemainingOutBps: totalOut - cumOut,
-		})
+		picks = append(picks, greedyPick{best, sc.a, sc.b})
+		step++
 	}
-	return steps
+	return picks
 }
 
 // Expansion is a greedy Figure 9 curve read the way Sections 4–5 read it:
@@ -669,47 +707,35 @@ type InterfaceStep struct {
 // result does not depend on the NREN's traffic particulars — the paper's
 // argument that diminishing marginal utility holds in general.
 func (s *Study) GreedyInterfaces(g PeerGroup, maxIXPs int) []InterfaceStep {
-	if maxIXPs <= 0 || maxIXPs > len(s.World.IXPs) {
-		maxIXPs = len(s.World.IXPs)
-	}
-	total := s.TotalInterfaces()
-
+	weights := s.interfaceWeights()
 	// The Figure 10 candidate masks are the un-intersected cones: the
 	// interface metric counts networks with no transit traffic too.
-	perIXP := s.masks(g).full
-	covered := asindex.NewBitSet(s.graph.Len())
-	chosen := make([]bool, len(perIXP))
-	remaining := total
-	var steps []InterfaceStep
-	for step := 0; step < maxIXPs; step++ {
-		gains := parallel.Map(s.workers, len(perIXP), func(i int) float64 {
-			if chosen[i] {
-				return 0
-			}
-			return perIXP[i].AndNotSum(covered, s.interfaces)
-		})
-		best, bestGain := -1, -1.0
-		for i, gain := range gains {
-			if chosen[i] {
-				continue
-			}
-			if gain > bestGain {
-				best, bestGain = i, gain
-			}
-		}
-		if best < 0 {
-			break
-		}
-		chosen[best] = true
-		covered.Or(perIXP[best])
-		remaining -= bestGain
-		steps = append(steps, InterfaceStep{
-			IXPIndex:  best,
-			Acronym:   s.World.IXPs[best].Acronym,
+	picks := s.greedy(s.masks(g).full, maxIXPs, func(m, covered *asindex.BitSet) (float64, float64) {
+		return m.AndNotSum(covered, weights), 0
+	})
+	remaining := s.TotalInterfaces()
+	steps := make([]InterfaceStep, len(picks))
+	for i, p := range picks {
+		remaining -= p.a
+		steps[i] = InterfaceStep{
+			IXPIndex:  p.ixp,
+			Acronym:   s.World.IXPs[p.ixp].Acronym,
 			Remaining: remaining,
-		})
+		}
 	}
 	return steps
+}
+
+// interfaceWeights returns the Figure 10 weight plane — each id's IP
+// interface count — building it on first use.
+func (s *Study) interfaceWeights() []float64 {
+	s.interfacesOnce.Do(func() {
+		s.interfaces = make([]float64, s.graph.Len())
+		for id, asn := range s.graph.ASNs() {
+			s.interfaces[id] = float64(s.graph.Network(asn).IPInterfaces)
+		}
+	})
+	return s.interfaces
 }
 
 // TotalInterfaces returns the Figure 10 starting point: all IP interfaces
@@ -717,7 +743,7 @@ func (s *Study) GreedyInterfaces(g PeerGroup, maxIXPs int) []InterfaceStep {
 // order so the floating-point total is identical across runs.
 func (s *Study) TotalInterfaces() float64 {
 	var total float64
-	for _, v := range s.interfaces {
+	for _, v := range s.interfaceWeights() {
 		total += v
 	}
 	return total

@@ -465,10 +465,10 @@ func TestTopContributors(t *testing.T) {
 
 func TestTop10SelectiveUsedByGroup2(t *testing.T) {
 	s := testStudy(t)
-	if n := s.top10Selective.Count(); n == 0 || n > 10 {
+	if n := s.top10().Count(); n == 0 || n > 10 {
 		t.Fatalf("top10Selective size = %d", n)
 	}
-	s.top10Selective.ForEach(func(id int32) {
+	s.top10().ForEach(func(id int32) {
 		asn := s.graph.ASN(id)
 		if s.World.Graph.Network(asn).Policy != topo.PolicySelective {
 			t.Errorf("non-selective network %d in top-10 selective", asn)
