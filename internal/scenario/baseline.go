@@ -7,15 +7,18 @@ import (
 	"remotepeering/internal/spread"
 )
 
-// Baseline holds one world view's baseline parts — a campaign and a
-// traffic dataset — for every run over that view to reuse. It starts
-// from the parts the view already carries (a snapshot's persisted
-// sections, or a live world's current artifacts) and keeps, beside them,
-// the most recently computed part of each kind — one slot each, so runs
-// that interleave different keys evict each other and compute again. A
-// part stands in for a computation only when its recorded inputs equal
-// the request's key exactly. A computed campaign is held as its per-IXP verdicts and truth
-// tables, never its raw observations.
+// Baseline holds one world view's baseline parts — a campaign, a traffic
+// dataset, and the baseline cell's offload read-out — for every run over
+// that view to reuse. It starts from the parts the view already carries
+// (a snapshot's persisted sections, or a live world's current artifacts)
+// and keeps, beside them, the most recently computed part of each kind —
+// one slot each, so runs that interleave different keys evict each other
+// and compute again. A part stands in for a computation only when its
+// recorded inputs equal the request's key exactly. A computed campaign is
+// held as its per-IXP verdicts and truth tables, never its raw
+// observations. The offload read-out is keyed by the exact dataset it was
+// computed over and the coverage and fit depths; only the grid's baseline
+// cell reads or stores it, since it is a function of the view's own world.
 //
 // A Baseline is safe for concurrent use. Concurrent first uses may each
 // compute a part; they compute the same bytes, and the last store wins.
@@ -24,9 +27,23 @@ type Baseline struct {
 	spread *spread.Result
 	ds     *netflow.Dataset
 
-	mu         sync.Mutex
-	heldSpread *spread.Result
-	heldDS     *netflow.Dataset
+	mu          sync.Mutex
+	heldSpread  *spread.Result
+	heldDS      *netflow.Dataset
+	heldOffload *heldReadout
+}
+
+// heldReadout is an offload read-out with the inputs it was computed from.
+type heldReadout struct {
+	ds     *netflow.Dataset
+	k, fit int
+	r      readout
+}
+
+// readout is the offload stage's part of a cell's metrics.
+type readout struct {
+	potentialPeers, coveredNets int
+	offloadedFrac, fittedB      float64
 }
 
 // NewBaseline returns a holder over a view's own parts (either may be
@@ -92,12 +109,37 @@ func (b *Baseline) StoreTraffic(ds *netflow.Dataset) {
 	b.mu.Unlock()
 }
 
+// offload returns the held read-out of a study over exactly ds, read at
+// k exchanges with the decay fitted over fit steps.
+func (b *Baseline) offload(ds *netflow.Dataset, k, fit int) (readout, bool) {
+	if b == nil {
+		return readout{}, false
+	}
+	b.mu.Lock()
+	h := b.heldOffload
+	b.mu.Unlock()
+	if h == nil || h.ds != ds || h.k != k || h.fit != fit {
+		return readout{}, false
+	}
+	return h.r, true
+}
+
+// storeOffload holds r as the read-out of a study over ds at (k, fit).
+func (b *Baseline) storeOffload(ds *netflow.Dataset, k, fit int, r readout) {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	b.heldOffload = &heldReadout{ds: ds, k: k, fit: fit, r: r}
+	b.mu.Unlock()
+}
+
 // Reset drops the computed parts, keeping the view's own.
 func (b *Baseline) Reset() {
 	if b == nil {
 		return
 	}
 	b.mu.Lock()
-	b.heldSpread, b.heldDS = nil, nil
+	b.heldSpread, b.heldDS, b.heldOffload = nil, nil, nil
 	b.mu.Unlock()
 }

@@ -2,13 +2,16 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 	"time"
 
+	"remotepeering/internal/econ"
 	"remotepeering/internal/lg"
 	"remotepeering/internal/netflow"
 	"remotepeering/internal/spread"
+	"remotepeering/internal/stats"
 )
 
 // heldOpts is a short pipeline over three IXPs, cheap enough for the
@@ -59,10 +62,10 @@ func TestBaselineHeldByteIdentical(t *testing.T) {
 		want HeldParts
 	}{
 		{"first", "a=churn:AMS-IX:3:1,traffic:1.2", nil, HeldParts{}},
-		{"second", "b=churn:LINX:2:2;c=remoteprice:0.5", nil, HeldParts{Campaign: true, Traffic: true}},
+		{"second", "b=churn:LINX:2:2;c=remoteprice:0.5", nil, HeldParts{Campaign: true, Traffic: true, Offload: true}},
 		{"traffic-seed", "b=churn:LINX:2:2", func(o *Options) { o.TrafficSeed = 4 }, HeldParts{Campaign: true}},
-		{"detector", "d=outage:AMS-IX", func(o *Options) { o.TrafficSeed = 4; o.Detector.RemoteThreshold = 20 * time.Millisecond }, HeldParts{Traffic: true}},
-		{"selection", "d=outage:AMS-IX", func(o *Options) { o.TrafficSeed = 4; o.IXPs = []int{0, 1, 2} }, HeldParts{Traffic: true}},
+		{"detector", "d=outage:AMS-IX", func(o *Options) { o.TrafficSeed = 4; o.Detector.RemoteThreshold = 20 * time.Millisecond }, HeldParts{Traffic: true, Offload: true}},
+		{"selection", "d=outage:AMS-IX", func(o *Options) { o.TrafficSeed = 4; o.IXPs = []int{0, 1, 2} }, HeldParts{Traffic: true, Offload: true}},
 	}
 	for _, st := range steps {
 		opts := heldOpts()
@@ -152,4 +155,115 @@ func TestBaselineConcurrentFirstUse(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// TestBaselineHeldOffload pins the held offload read-out. A second run
+// over one holder reports Held.Offload and renders the bytes of a
+// holder-less run and of a NoReuse run. Each step below differs from the
+// slot's key in one input — the coverage depth, the fit depth, the
+// traffic seed, the month's length — and misses; repeating a key holds;
+// after Reset the same key misses again.
+func TestBaselineHeldOffload(t *testing.T) {
+	g := mustGrid(t, "a=churn:AMS-IX:3:1;b=traffic:1.2")
+	b := NewBaseline(nil, nil)
+	steps := []struct {
+		name  string
+		edit  func(*Options)
+		reset bool
+		want  bool
+	}{
+		{"first", nil, false, false},
+		{"second", nil, false, true},
+		{"coverage", func(o *Options) { o.CoverageIXPs = 3 }, false, false},
+		{"fit", func(o *Options) { o.CoverageIXPs, o.GreedyIXPs = 3, 5 }, false, false},
+		{"traffic-seed", func(o *Options) { o.CoverageIXPs, o.GreedyIXPs, o.TrafficSeed = 3, 5, 4 }, false, false},
+		{"intervals", func(o *Options) { o.CoverageIXPs, o.GreedyIXPs, o.TrafficSeed, o.Intervals = 3, 5, 4, 24 }, false, false},
+		{"repeat", func(o *Options) { o.CoverageIXPs, o.GreedyIXPs, o.TrafficSeed, o.Intervals = 3, 5, 4, 24 }, false, true},
+		{"after-reset", func(o *Options) { o.CoverageIXPs, o.GreedyIXPs, o.TrafficSeed, o.Intervals = 3, 5, 4, 24 }, true, false},
+	}
+	for _, st := range steps {
+		opts := heldOpts()
+		if st.edit != nil {
+			st.edit(&opts)
+		}
+		want, _ := runJSON(t, g, opts)
+		if st.reset {
+			b.Reset()
+		}
+		opts.Baseline = b
+		got, held := runJSON(t, g, opts)
+		if held.Offload != st.want {
+			t.Errorf("%s: held %+v, want Offload %v", st.name, held, st.want)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: report with a holder differs from the holder-less one", st.name)
+		}
+		if st.want {
+			opts.Baseline, opts.NoReuse = nil, true
+			if ref, _ := runJSON(t, g, opts); !bytes.Equal(got, ref) {
+				t.Errorf("%s: report on a held read-out differs from the NoReuse one", st.name)
+			}
+		}
+	}
+}
+
+// TestHeldOffloadOnlyForTheBaselineCell plants a read-out in a holder
+// under the exact key a run's baseline cell looks up. The baseline cell
+// must take it; the churn and outage cells, whose offload stage runs over
+// the baseline's own dataset and so meets the same key, must compute
+// theirs; and EvalEvolved, handed the holder in its options, never reads
+// it either.
+func TestHeldOffloadOnlyForTheBaselineCell(t *testing.T) {
+	w := testWorld(t)
+	opts := heldOpts()
+	ds, err := netflow.Collect(w, netflow.Config{Seed: opts.TrafficSeed, Intervals: opts.Intervals})
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := readout{potentialPeers: -1, coveredNets: -2, offloadedFrac: -3, fittedB: -4}
+	g := mustGrid(t, "a=churn:AMS-IX:3:1;b=outage:LINX")
+
+	ref, err := Run(w, g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBaseline(nil, ds)
+	b.storeOffload(ds, opts.CoverageIXPs, opts.GreedyIXPs, planted)
+	opts.Baseline = b
+	rep, err := Run(w, g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Held.Offload || rep.Baseline.PotentialPeers != planted.potentialPeers || rep.Baseline.FittedB != planted.fittedB {
+		t.Fatalf("baseline cell did not take the planted read-out: held %+v, metrics %+v", rep.Held, rep.Baseline)
+	}
+	for i, c := range rep.Cells[1:] {
+		if c.Metrics != ref.Cells[i+1].Metrics {
+			t.Errorf("cell %s read the held part: %+v, want %+v", c.Scenario, c.Metrics, ref.Cells[i+1].Metrics)
+		}
+	}
+
+	// A tick whose churn leaves the traffic clean runs its offload stage
+	// over prev's dataset: the planted key again.
+	prev, err := EvalEvolved(context.Background(), &EvolveState{World: w, Traffic: netflow.Config{Seed: opts.TrafficSeed, Intervals: opts.Intervals}, Econ: econ.DefaultParams(0)}, Dirty{}, nil, heldOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	es := &EvolveState{World: w.Clone(), Traffic: netflow.Config{Seed: opts.TrafficSeed, Intervals: opts.Intervals}, Econ: econ.DefaultParams(0)}
+	d, err := ApplyOps(es, []Op{MemberChurn{IXP: "AMS-IX", Join: 3, Leave: 1}}, stats.NewSource(5).Split("tick"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.storeOffload(prev.Dataset, opts.CoverageIXPs, opts.GreedyIXPs, planted)
+	want, err := EvalEvolved(context.Background(), es, d, prev, heldOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := EvalEvolved(context.Background(), es, d, prev, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Metrics != want.Metrics || got.held != (HeldParts{}) {
+		t.Errorf("EvalEvolved read the holder: %+v (held %+v), want %+v", got.Metrics, got.held, want.Metrics)
+	}
 }

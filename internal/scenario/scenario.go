@@ -91,10 +91,11 @@ type Options struct {
 	// NoReuse ignores it.
 	Cones *offload.ConeCache
 	// Baseline, when set, holds the world view's baseline parts: the
-	// baseline cell takes its campaign and traffic dataset from it when
-	// their recorded inputs equal this run's exactly, and stores the parts
-	// it had to compute. Like Cones it carries artifacts, not a setting —
-	// the report is byte-identical either way. NoReuse ignores it.
+	// baseline cell takes its campaign, traffic dataset and offload
+	// read-out from it when their recorded inputs equal this run's
+	// exactly, and stores the parts it had to compute. Like Cones it
+	// carries artifacts, not a setting — the report is byte-identical
+	// either way. NoReuse ignores it.
 	Baseline *Baseline
 	// Faults is the injectable fault plane (nil in production): it can
 	// panic an evaluation goroutine mid-cell, which each cell's
@@ -206,9 +207,11 @@ type Report struct {
 	Held HeldParts
 }
 
-// HeldParts names the baseline parts a run took from its holder.
+// HeldParts names the baseline parts a run took from its holder: the
+// campaign, the traffic dataset, and the offload read-out (potential
+// peers, covered networks, offloaded share and fitted b).
 type HeldParts struct {
-	Campaign, Traffic bool
+	Campaign, Traffic, Offload bool
 }
 
 // cellSpec pairs a scenario with one seed offset and its RNG stream.
@@ -519,19 +522,25 @@ func runStages(ctx context.Context, es *EvolveState, d Dirty, base *Artifacts, h
 		m.OffloadedFrac = base.Metrics.OffloadedFrac
 		m.FittedB = base.Metrics.FittedB
 	} else {
-		// No op rewires the AS graph, so every cell's customer cones are
-		// identical: the baseline seeds the shared cache with the grid's
-		// full worker budget and scenario cells hit it.
-		study, err := offload.NewStudyOptions(es.World, art.Dataset, offload.Options{Workers: workers, Cones: opts.Cones})
-		if err != nil {
-			return nil, err
+		r, ok := held.offload(art.Dataset, opts.CoverageIXPs, opts.GreedyIXPs)
+		if !ok {
+			// No op rewires the AS graph, so every cell's customer cones
+			// are identical: the baseline seeds the shared cache with the
+			// grid's full worker budget and scenario cells hit it.
+			study, err := offload.NewStudyOptions(es.World, art.Dataset, offload.Options{Workers: workers, Cones: opts.Cones})
+			if err != nil {
+				return nil, err
+			}
+			x, err := study.Expand(offload.GroupAll, opts.CoverageIXPs, opts.GreedyIXPs)
+			if err != nil {
+				return nil, err
+			}
+			r = readout{study.PotentialPeerCount(), x.CoveredNets, x.OffloadedFrac, x.FittedB}
+			held.storeOffload(art.Dataset, opts.CoverageIXPs, opts.GreedyIXPs, r)
 		}
-		m.PotentialPeers = study.PotentialPeerCount()
-		x, err := study.Expand(offload.GroupAll, opts.CoverageIXPs, opts.GreedyIXPs)
-		if err != nil {
-			return nil, err
-		}
-		m.CoveredNets, m.OffloadedFrac, m.FittedB = x.CoveredNets, x.OffloadedFrac, x.FittedB
+		art.held.Offload = ok
+		m.PotentialPeers, m.CoveredNets = r.potentialPeers, r.coveredNets
+		m.OffloadedFrac, m.FittedB = r.offloadedFrac, r.fittedB
 	}
 
 	// --- Section 5: the economic verdict ---

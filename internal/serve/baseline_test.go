@@ -185,10 +185,12 @@ func whatifQuery(scenarios, extra string) string {
 }
 
 // TestBaselineCounters pins rp_serve_baseline_total and the trace's
-// baseline event over a fixed sequence: the first what-if computes both
-// parts, a different one holds both, a different traffic seed holds the
-// campaign and computes the traffic, and a snapshot carrying matching
-// sections holds both from its first request.
+// baseline event over a fixed sequence: the first what-if computes all
+// three parts, a different one holds all three (one held offload read-out
+// for the second cold what-if on the view), a different traffic seed
+// holds the campaign and computes the traffic and the read-out over it,
+// and a snapshot carrying matching sections holds the campaign and the
+// traffic from its first request.
 func TestBaselineCounters(t *testing.T) {
 	w := fixtureWorld(t)
 	observed := func(snap *snapshot.Snapshot) (http.Handler, *obs.FlightRecorder) {
@@ -205,11 +207,13 @@ func TestBaselineCounters(t *testing.T) {
 		want map[string]int
 	}{
 		{whatifQuery("a%3Dchurn%3AAMS-IX%3A3%3A1", ""),
-			map[string]int{"campaign/computed": 1, "traffic/computed": 1}},
+			map[string]int{"campaign/computed": 1, "traffic/computed": 1, "offload/computed": 1, "offload/held": 0}},
 		{whatifQuery("b%3Dtraffic%3A1.2", ""),
-			map[string]int{"campaign/computed": 1, "traffic/computed": 1, "campaign/held": 1, "traffic/held": 1}},
+			map[string]int{"campaign/computed": 1, "traffic/computed": 1, "campaign/held": 1, "traffic/held": 1,
+				"offload/computed": 1, "offload/held": 1}},
 		{whatifQuery("b%3Dtraffic%3A1.2", "&traffic-seed=4"),
-			map[string]int{"campaign/computed": 1, "traffic/computed": 2, "campaign/held": 2, "traffic/held": 1}},
+			map[string]int{"campaign/computed": 1, "traffic/computed": 2, "campaign/held": 2, "traffic/held": 1,
+				"offload/computed": 2, "offload/held": 1}},
 	}
 	for i, st := range steps {
 		if status, hdr, body := get(t, h, st.url); status != http.StatusOK || hdr.Get("X-Cache") != "miss" {
@@ -230,7 +234,11 @@ func TestBaselineCounters(t *testing.T) {
 			}
 		}
 	}
-	wantNotes := []string{"campaign=computed traffic=computed", "campaign=held traffic=held", "campaign=held traffic=computed"}
+	wantNotes := []string{
+		"campaign=computed traffic=computed offload=computed",
+		"campaign=held traffic=held offload=held",
+		"campaign=held traffic=computed offload=computed",
+	}
 	if fmt.Sprint(notes) != fmt.Sprint(wantNotes) {
 		t.Errorf("baseline events %q, want %q", notes, wantNotes)
 	}

@@ -19,18 +19,19 @@ type serveMetrics struct {
 	cacheHitBytes  *obs.Counter
 	cacheMissBytes *obs.Counter
 	// baseline counts baseline parts by [part][held]:
-	// rp_serve_baseline_total{part="campaign|traffic",outcome="computed|held"}.
-	baseline [2][2]*obs.Counter
+	// rp_serve_baseline_total{part="campaign|traffic|offload",outcome="computed|held"}.
+	baseline [3][2]*obs.Counter
 }
 
 // Baseline parts, indexing serveMetrics.baseline.
 const (
 	partCampaign = iota
 	partTraffic
+	partOffload
 )
 
 var (
-	partNames    = [2]string{"campaign", "traffic"}
+	partNames    = [3]string{"campaign", "traffic", "offload"}
 	outcomeNames = [2]string{"computed", "held"}
 )
 

@@ -1186,7 +1186,8 @@ func (s *Server) handleWhatif(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		s.noteBaseline(ctx, partOutcome{partCampaign, rep.Held.Campaign}, partOutcome{partTraffic, rep.Held.Traffic})
+		s.noteBaseline(ctx, partOutcome{partCampaign, rep.Held.Campaign}, partOutcome{partTraffic, rep.Held.Traffic},
+			partOutcome{partOffload, rep.Held.Offload})
 		return marshalBody(WhatifResponse{ID: id, Digest: digest, Report: rep.JSONReport()})
 	})
 	finish(w, r, body, hit, err)
