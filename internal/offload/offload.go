@@ -603,21 +603,21 @@ func (s *Study) greedy(perIXP []*asindex.BitSet, maxIXPs int, gain func(m, cover
 		maxIXPs = len(perIXP)
 	}
 	type score struct {
-		a, b, total float64
-		step        int // the step whose covered set a and b were summed over
-		chosen      bool
+		a, b   float64
+		step   int // the step whose covered set a and b were summed over
+		chosen bool
 	}
 	covered := asindex.NewBitSet(s.graph.Len())
 	scores := parallel.Map(s.workers, len(perIXP), func(i int) score {
 		a, b := gain(perIXP[i], covered)
-		return score{a: a, b: b, total: a + b}
+		return score{a: a, b: b}
 	})
 	picks := make([]greedyPick, 0, maxIXPs)
 	for step := 0; step < maxIXPs; {
 		best, bestTotal := -1, -1.0
-		for i := range scores {
-			if sc := &scores[i]; !sc.chosen && sc.total > bestTotal {
-				best, bestTotal = i, sc.total
+		for i, sc := range scores {
+			if total := sc.a + sc.b; !sc.chosen && total > bestTotal {
+				best, bestTotal = i, total
 			}
 		}
 		if best < 0 {
@@ -626,7 +626,7 @@ func (s *Study) greedy(perIXP []*asindex.BitSet, maxIXPs int, gain func(m, cover
 		sc := &scores[best]
 		if sc.step != step {
 			sc.a, sc.b = gain(perIXP[best], covered)
-			sc.total, sc.step = sc.a+sc.b, step
+			sc.step = step
 			continue
 		}
 		sc.chosen = true

@@ -33,17 +33,13 @@ type Baseline struct {
 	heldOffload *heldReadout
 }
 
-// heldReadout is an offload read-out with the inputs it was computed from.
+// heldReadout is a baseline cell's metrics, of which the offload read-out
+// (the fields setOffload copies) is read, with the inputs the read-out was
+// computed from.
 type heldReadout struct {
 	ds     *netflow.Dataset
 	k, fit int
-	r      readout
-}
-
-// readout is the offload stage's part of a cell's metrics.
-type readout struct {
-	potentialPeers, coveredNets int
-	offloadedFrac, fittedB      float64
+	m      Metrics
 }
 
 // NewBaseline returns a holder over a view's own parts (either may be
@@ -109,28 +105,30 @@ func (b *Baseline) StoreTraffic(ds *netflow.Dataset) {
 	b.mu.Unlock()
 }
 
-// offload returns the held read-out of a study over exactly ds, read at
-// k exchanges with the decay fitted over fit steps.
-func (b *Baseline) offload(ds *netflow.Dataset, k, fit int) (readout, bool) {
+// offload returns held metrics whose offload read-out comes from a study
+// over exactly ds, read at k exchanges with the decay fitted over fit
+// steps.
+func (b *Baseline) offload(ds *netflow.Dataset, k, fit int) (Metrics, bool) {
 	if b == nil {
-		return readout{}, false
+		return Metrics{}, false
 	}
 	b.mu.Lock()
 	h := b.heldOffload
 	b.mu.Unlock()
 	if h == nil || h.ds != ds || h.k != k || h.fit != fit {
-		return readout{}, false
+		return Metrics{}, false
 	}
-	return h.r, true
+	return h.m, true
 }
 
-// storeOffload holds r as the read-out of a study over ds at (k, fit).
-func (b *Baseline) storeOffload(ds *netflow.Dataset, k, fit int, r readout) {
+// storeOffload holds m's offload read-out as that of a study over ds at
+// (k, fit).
+func (b *Baseline) storeOffload(ds *netflow.Dataset, k, fit int, m Metrics) {
 	if b == nil {
 		return
 	}
 	b.mu.Lock()
-	b.heldOffload = &heldReadout{ds: ds, k: k, fit: fit, r: r}
+	b.heldOffload = &heldReadout{ds: ds, k: k, fit: fit, m: m}
 	b.mu.Unlock()
 }
 

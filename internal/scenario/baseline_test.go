@@ -220,7 +220,7 @@ func TestHeldOffloadOnlyForTheBaselineCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	planted := readout{potentialPeers: -1, coveredNets: -2, offloadedFrac: -3, fittedB: -4}
+	planted := Metrics{PotentialPeers: -1, CoveredNets: -2, OffloadedFrac: -3, FittedB: -4}
 	g := mustGrid(t, "a=churn:AMS-IX:3:1;b=outage:LINX")
 
 	ref, err := Run(w, g, opts)
@@ -234,7 +234,7 @@ func TestHeldOffloadOnlyForTheBaselineCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Held.Offload || rep.Baseline.PotentialPeers != planted.potentialPeers || rep.Baseline.FittedB != planted.fittedB {
+	if !rep.Held.Offload || rep.Baseline.PotentialPeers != planted.PotentialPeers || rep.Baseline.FittedB != planted.FittedB {
 		t.Fatalf("baseline cell did not take the planted read-out: held %+v, metrics %+v", rep.Held, rep.Baseline)
 	}
 	for i, c := range rep.Cells[1:] {

@@ -517,30 +517,25 @@ func runStages(ctx context.Context, es *EvolveState, d Dirty, base *Artifacts, h
 		return nil, err
 	}
 	if mask&StageOffload == 0 {
-		m.PotentialPeers = base.Metrics.PotentialPeers
-		m.CoveredNets = base.Metrics.CoveredNets
-		m.OffloadedFrac = base.Metrics.OffloadedFrac
-		m.FittedB = base.Metrics.FittedB
+		setOffload(m, base.Metrics)
+	} else if hm, ok := held.offload(art.Dataset, opts.CoverageIXPs, opts.GreedyIXPs); ok {
+		setOffload(m, hm)
+		art.held.Offload = true
 	} else {
-		r, ok := held.offload(art.Dataset, opts.CoverageIXPs, opts.GreedyIXPs)
-		if !ok {
-			// No op rewires the AS graph, so every cell's customer cones
-			// are identical: the baseline seeds the shared cache with the
-			// grid's full worker budget and scenario cells hit it.
-			study, err := offload.NewStudyOptions(es.World, art.Dataset, offload.Options{Workers: workers, Cones: opts.Cones})
-			if err != nil {
-				return nil, err
-			}
-			x, err := study.Expand(offload.GroupAll, opts.CoverageIXPs, opts.GreedyIXPs)
-			if err != nil {
-				return nil, err
-			}
-			r = readout{study.PotentialPeerCount(), x.CoveredNets, x.OffloadedFrac, x.FittedB}
-			held.storeOffload(art.Dataset, opts.CoverageIXPs, opts.GreedyIXPs, r)
+		// No op rewires the AS graph, so every cell's customer cones are
+		// identical: the baseline seeds the shared cache with the grid's
+		// full worker budget and scenario cells hit it.
+		study, err := offload.NewStudyOptions(es.World, art.Dataset, offload.Options{Workers: workers, Cones: opts.Cones})
+		if err != nil {
+			return nil, err
 		}
-		art.held.Offload = ok
-		m.PotentialPeers, m.CoveredNets = r.potentialPeers, r.coveredNets
-		m.OffloadedFrac, m.FittedB = r.offloadedFrac, r.fittedB
+		m.PotentialPeers = study.PotentialPeerCount()
+		x, err := study.Expand(offload.GroupAll, opts.CoverageIXPs, opts.GreedyIXPs)
+		if err != nil {
+			return nil, err
+		}
+		m.CoveredNets, m.OffloadedFrac, m.FittedB = x.CoveredNets, x.OffloadedFrac, x.FittedB
+		held.storeOffload(art.Dataset, opts.CoverageIXPs, opts.GreedyIXPs, *m)
 	}
 
 	// --- Section 5: the economic verdict ---
@@ -552,6 +547,13 @@ func runStages(ctx context.Context, es *EvolveState, d Dirty, base *Artifacts, h
 		m.Viable = params.RemoteViable()
 	}
 	return art, nil
+}
+
+// setOffload copies the offload stage's metrics — the Section 4 read-out —
+// from another evaluation's.
+func setOffload(m *Metrics, from Metrics) {
+	m.PotentialPeers, m.CoveredNets = from.PotentialPeers, from.CoveredNets
+	m.OffloadedFrac, m.FittedB = from.OffloadedFrac, from.FittedB
 }
 
 // spreadMetrics derives a cell's Section 3 metrics from its campaign,
