@@ -38,16 +38,16 @@ func FuzzWhatifCanonical(f *testing.F) {
 
 		want := req
 		want.ApplyDefaults()
-		for _, via := range []func(*testing.T, WhatifRequest) (WhatifRequest, bool){viaGET, viaPOST} {
-			got, ok := via(t, req)
-			if !ok {
-				continue
-			}
+		sameKey := func(via string, got WhatifRequest) {
 			_ = got.validate()
 			got.ApplyDefaults()
 			if got.Canonical() != want.Canonical() {
-				t.Fatalf("parsed %+v: Canonical %q, want %q", got, got.Canonical(), want.Canonical())
+				t.Fatalf("%s parsed %+v: Canonical %q, want %q", via, got, got.Canonical(), want.Canonical())
 			}
+		}
+		sameKey("GET", viaGET(t, req))
+		if got, ok := viaPOST(t, req); ok {
+			sameKey("POST", got)
 		}
 
 		other := req
@@ -95,7 +95,7 @@ func seedsDefaulted(r WhatifRequest) WhatifRequest {
 }
 
 // viaGET renders r as /v1/whatif query parameters and parses it back.
-func viaGET(t *testing.T, r WhatifRequest) (WhatifRequest, bool) {
+func viaGET(t *testing.T, r WhatifRequest) WhatifRequest {
 	t.Helper()
 	q := url.Values{}
 	q.Set("scenarios", r.Scenarios)
@@ -115,7 +115,7 @@ func viaGET(t *testing.T, r WhatifRequest) (WhatifRequest, bool) {
 	if err != nil {
 		t.Fatalf("GET %q: %v", q.Encode(), err)
 	}
-	return got, true
+	return got
 }
 
 // viaPOST renders r as a /v1/whatif JSON body and parses it back; a body
