@@ -28,6 +28,7 @@ package netsim
 
 import (
 	"net/netip"
+	"runtime"
 	"slices"
 	"time"
 )
@@ -204,9 +205,25 @@ func (e *Engine) planPing(at time.Duration, n *Node, dst netip.Addr, timeout tim
 	e.plan = append(e.plan, plannedPing{at: at, seq: e.seq, timeout: timeout, dst: dst, node: n.id, tag: tag})
 }
 
+// yieldEvery is how many events Run executes between yields of the
+// processor: about a millisecond of simulation at a few hundred
+// nanoseconds an event.
+const yieldEvery = 4096
+
 // Run executes events until the heap and the plan are both drained.
+//
+// One IXP's campaign runs for up to tens of milliseconds, so Run yields
+// the processor every yieldEvery events. Until a goroutine yields, a
+// timer parked on its processor fires only when the runtime preempts it,
+// up to 10 ms late, whenever no other processor runs it — as during a GC
+// mark phase, when an idle processor runs the mark worker instead. In a
+// server that ticks a live world beside its reads, those late timers made
+// the read tail. Yielding changes nothing the simulation computes.
 func (e *Engine) Run() {
-	for e.step() {
+	for n := 1; e.step(); n++ {
+		if n%yieldEvery == 0 {
+			runtime.Gosched()
+		}
 	}
 	e.plan = nil
 }
