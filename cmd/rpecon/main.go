@@ -40,14 +40,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var ds *remotepeering.TrafficDataset
-	if cli.DatasetMatches(snap, *trafficSeed, 288) {
-		ds = snap.Dataset
-	} else {
-		ds, err = remotepeering.CollectTraffic(w, remotepeering.TrafficConfig{Seed: *trafficSeed, Intervals: 288, Workers: *common.Workers})
-		if err != nil {
-			fatal(err)
-		}
+	ds, _, err := cli.Baseline(snap).Traffic(w, remotepeering.TrafficConfig{Seed: *trafficSeed, Intervals: 288, Workers: *common.Workers}, nil)
+	if err != nil {
+		fatal(err)
 	}
 	study, err := remotepeering.NewOffloadStudyOptions(w, ds, remotepeering.OffloadOptions{Workers: *common.Workers})
 	if err != nil {

@@ -37,16 +37,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var ds *remotepeering.TrafficDataset
-	if cli.DatasetMatches(snap, *trafficSeed, *intervals) {
-		// The snapshot carries this exact dataset: skip the month of
-		// collection.
-		ds = snap.Dataset
-	} else {
-		ds, err = remotepeering.CollectTraffic(w, remotepeering.TrafficConfig{Seed: *trafficSeed, Intervals: *intervals, Workers: *common.Workers})
-		if err != nil {
-			fatal(err)
-		}
+	// A snapshot carrying this exact dataset answers without the month of
+	// collection.
+	ds, _, err := cli.Baseline(snap).Traffic(w, remotepeering.TrafficConfig{Seed: *trafficSeed, Intervals: *intervals, Workers: *common.Workers}, nil)
+	if err != nil {
+		fatal(err)
 	}
 	study, err := remotepeering.NewOffloadStudyOptions(w, ds, remotepeering.OffloadOptions{Workers: *common.Workers})
 	if err != nil {

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"sort"
@@ -17,6 +18,7 @@ import (
 
 	"remotepeering"
 	"remotepeering/internal/cli"
+	"remotepeering/internal/spread"
 )
 
 var fatal = cli.Fataler("rpspread")
@@ -39,16 +41,16 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var res *remotepeering.SpreadResult
-	if cli.SpreadMatches(snap, *measureSeed) {
-		// The snapshot carries this exact campaign: the rehydrated report
-		// is byte-identical to a re-run, minus the four-month simulation.
-		res = snap.Spread
-	} else {
-		res, err = remotepeering.RunSpreadStudy(w, remotepeering.SpreadOptions{Seed: *measureSeed, Workers: *common.Workers})
-		if err != nil {
-			fatal(err)
-		}
+	// A snapshot carrying this exact campaign answers without the
+	// four-month simulation: its rehydrated report is byte-identical to a
+	// re-run. Dark IXPs (an evolved world's outages) are not measured.
+	key, err := spread.NewCampaignKey(w, *measureSeed, remotepeering.CampaignConfig{}, remotepeering.DetectorConfig{}, nil)
+	if err != nil {
+		fatal(err)
+	}
+	res, _, err := cli.Baseline(snap).Campaign(context.Background(), w, key, *common.Workers, nil)
+	if err != nil {
+		fatal(err)
 	}
 	out := cli.MergeSnapshot(snap, w)
 	out.Spread = res

@@ -29,7 +29,6 @@ import (
 	"remotepeering"
 	"remotepeering/internal/cli"
 	"remotepeering/internal/lg"
-	"remotepeering/internal/scenario"
 )
 
 var fatal = cli.Fataler("rpwhatif")
@@ -94,11 +93,9 @@ func main() {
 	if *days > 0 {
 		opts.Campaign.Duration = time.Duration(*days) * 24 * time.Hour
 	}
-	if snap != nil {
-		// Whatever the snapshot persisted serves as the baseline when its
-		// recorded inputs match this grid's.
-		opts.Baseline = scenario.NewBaseline(snap.Spread, snap.Dataset)
-	}
+	// Whatever a loaded snapshot persisted serves as the baseline when its
+	// recorded inputs match this grid's.
+	opts.Baseline = cli.Baseline(snap)
 	report, err := remotepeering.RunScenarios(w, grid, opts)
 	if err != nil {
 		fatal(err)

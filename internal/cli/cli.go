@@ -13,11 +13,8 @@ import (
 	"strconv"
 	"strings"
 
-	"remotepeering/internal/core"
-	"remotepeering/internal/lg"
-	"remotepeering/internal/netflow"
+	"remotepeering/internal/scenario"
 	"remotepeering/internal/snapshot"
-	"remotepeering/internal/spread"
 	"remotepeering/internal/worldgen"
 )
 
@@ -140,25 +137,18 @@ func (s Snapshot) ResolveWorld(c Common) (*worldgen.World, *snapshot.Snapshot, e
 	return snap.World, snap, nil
 }
 
-// DatasetMatches reports whether a loaded snapshot carries the dataset a
-// tool would collect for (trafficSeed, intervals) in the paper's traffic
-// regime — with intervals 0 meaning the full paper month, exactly as the
-// tools' -intervals flags document. It is the one traffic predicate,
-// netflow.Config.Matches, so the tools, the server and the what-if engine
-// agree on when a persisted dataset stands in for a collection.
-func DatasetMatches(snap *snapshot.Snapshot, trafficSeed int64, intervals int) bool {
-	return snap != nil && netflow.Config{Seed: trafficSeed, Intervals: intervals}.Matches(snap.Dataset)
-}
-
-// SpreadMatches reports whether a loaded snapshot carries the campaign
-// rpspread would measure at measureSeed: the paper's campaign and
-// detector over every studied IXP.
-func SpreadMatches(snap *snapshot.Snapshot, measureSeed int64) bool {
-	if snap == nil || snap.Spread == nil {
-		return false
+// Baseline returns the holder of a loaded snapshot's campaign and
+// dataset, through which a tool asks for the part it prints: the
+// snapshot's own answers when its recorded inputs equal the request's
+// exactly (spread.CampaignKey.Matches, netflow.Config.Matches), the
+// predicate the server and the what-if engine use too, and anything else
+// is computed. Without a snapshot it returns nil, which computes every
+// part.
+func Baseline(snap *snapshot.Snapshot) *scenario.Baseline {
+	if snap == nil {
+		return nil
 	}
-	key, err := spread.NewCampaignKey(snap.World, measureSeed, lg.Config{}, core.Config{}, nil)
-	return err == nil && key.Matches(snap.Spread)
+	return scenario.NewBaseline(snap.Spread, snap.Dataset)
 }
 
 // MergeSnapshot starts a -save payload from the loaded snapshot's layers

@@ -45,30 +45,6 @@ func TestWorldConfig(t *testing.T) {
 	}
 }
 
-// TestDatasetMatches pins the "-intervals 0 means the full paper month"
-// semantics of snapshot reuse: a short-run dataset must never satisfy a
-// full-month request, and vice versa.
-func TestDatasetMatches(t *testing.T) {
-	mk := func(seed int64, intervals int) *snapshot.Snapshot {
-		return &snapshot.Snapshot{Dataset: &netflow.Dataset{Cfg: netflow.Config{Seed: seed, Intervals: intervals}}}
-	}
-	if DatasetMatches(nil, 2, 0) || DatasetMatches(&snapshot.Snapshot{}, 2, 0) {
-		t.Error("empty snapshots must not match")
-	}
-	if DatasetMatches(mk(2, 288), 2, 0) {
-		t.Error("a 288-interval dataset must not satisfy the full-month default")
-	}
-	if !DatasetMatches(mk(2, netflow.DefaultIntervals), 2, 0) {
-		t.Error("a full-month dataset must satisfy the full-month default")
-	}
-	if !DatasetMatches(mk(2, 288), 2, 288) {
-		t.Error("an exact intervals match must succeed")
-	}
-	if DatasetMatches(mk(3, 288), 2, 288) {
-		t.Error("a seed mismatch must fail")
-	}
-}
-
 // TestMergeSnapshot pins that -load x -save x keeps the loaded layers
 // (for the same world) instead of silently stripping them, and drops
 // them when the world being saved is not the loaded one.

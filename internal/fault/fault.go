@@ -195,11 +195,12 @@ func Parse(spec string) (*Plane, error) {
 	return New(cfg), nil
 }
 
-// mix64 is a murmur3-style finalizer. FNV alone is not enough here:
-// inputs differing only in a trailing counter digit leave its top bits
-// nearly unchanged (one multiply of avalanche), which would make every
-// draw of a key collapse to the same value.
-func mix64(x uint64) uint64 {
+// Mix64 is a murmur3-style finalizer. FNV alone is not enough for the
+// fault plane's draws or the fleet's rendezvous scores: inputs differing
+// only in a trailing counter digit leave its top bits nearly unchanged
+// (one multiply of avalanche), which would make every draw of a key
+// collapse to the same value.
+func Mix64(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33
@@ -220,7 +221,7 @@ func (p *Plane) draw(c Class, key string) float64 {
 	p.mu.Unlock()
 	h2 := fnv.New64a()
 	fmt.Fprintf(h2, "%d|%d", kh, n)
-	return float64(mix64(h2.Sum64())>>11) / (1 << 53)
+	return float64(Mix64(h2.Sum64())>>11) / (1 << 53)
 }
 
 // Should reports whether the class fires for the key's next draw. On a
@@ -354,7 +355,7 @@ func IsInjected(err error) (Class, bool) {
 func Jitter(key string, attempt int) float64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "jitter|%s|%d", key, attempt)
-	return float64(mix64(h.Sum64())>>11) / (1 << 53)
+	return float64(Mix64(h.Sum64())>>11) / (1 << 53)
 }
 
 // Backoff returns the capped exponential backoff delay for an attempt

@@ -454,18 +454,7 @@ func (r *Router) fetchWorlds(ctx context.Context, m *member) []string {
 func score(memberURL, digest string) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%s", memberURL, digest)
-	return mix64(h.Sum64())
-}
-
-// mix64 is the same murmur3-style finalizer the fault plane uses: FNV
-// alone leaves near-identical inputs with near-identical top bits.
-func mix64(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
+	return fault.Mix64(h.Sum64())
 }
 
 // candidates returns the members that advertise the digest, routable

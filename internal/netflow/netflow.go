@@ -692,26 +692,30 @@ func (d *Dataset) diurnalAt(prof []float64, interval int, amplitude float64) flo
 // evaluations for a month of 5-minute samples). Every call synthesises the
 // month afresh and returns slices the caller owns; nothing is cached.
 func (d *Dataset) SeriesTotal(set map[topo.ASN]bool) (in, out []float64) {
-	return d.seriesOver(func(e *Entry) bool { return set == nil || set[e.ASN] })
+	return d.seriesOver(func(i int) bool { return set == nil || set[d.Entries[i].ASN] })
 }
 
 // SeriesTotalSet is SeriesTotal with the selection given as a dense bitset
 // over the world graph's ids — the allocation-light path the offload
-// analyses use. A nil set means all transit entries. Because the entry
-// iteration order is the same as SeriesTotal's (entry order, not set
-// order), the two overloads return bit-identical series for equal sets.
+// analyses use. A nil set means all transit entries. Entries resolve to
+// ids through the ranking's EntryIDs, so a dataset without a ranking (one
+// built by hand) selects nothing for a non-nil set, the way Entry and
+// Rate resolve nothing for it. Because the entry iteration order is the
+// same as SeriesTotal's (entry order, not set order), the two overloads
+// return bit-identical series for equal sets.
 func (d *Dataset) SeriesTotalSet(set *asindex.BitSet) (in, out []float64) {
-	return d.seriesOver(func(e *Entry) bool {
-		if set == nil {
-			return true
-		}
-		id, ok := d.rank.graph.ID(e.ASN)
-		return ok && set.Has(id)
-	})
+	if set == nil {
+		return d.seriesOver(func(int) bool { return true })
+	}
+	var ids []int32
+	if d.rank != nil {
+		ids = d.EntryIDs(d.rank.graph)
+	}
+	return d.seriesOver(func(i int) bool { return ids != nil && ids[i] >= 0 && set.Has(ids[i]) })
 }
 
 // seriesOver synthesises the month of 5-minute series for the transit
-// entries that selected accepts.
+// entries whose index selected accepts.
 //
 // The intervals are split into one contiguous range per worker, and in
 // each range every selected entry is folded in entry order by the fused
@@ -720,10 +724,10 @@ func (d *Dataset) SeriesTotalSet(set *asindex.BitSet) (in, out []float64) {
 // floating-point addition chain is therefore exactly the serial
 // entry-order fold, so the series is bit-identical for every worker count;
 // one worker is the one-range case.
-func (d *Dataset) seriesOver(selected func(e *Entry) bool) (in, out []float64) {
+func (d *Dataset) seriesOver(selected func(i int) bool) (in, out []float64) {
 	active := make([]int32, 0, len(d.Entries))
 	for i := range d.Entries {
-		if e := &d.Entries[i]; e.Transit && selected(e) {
+		if d.Entries[i].Transit && selected(i) {
 			active = append(active, int32(i))
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"remotepeering/internal/asindex"
 	"remotepeering/internal/stats"
 	"remotepeering/internal/topo"
 	"remotepeering/internal/vecmath"
@@ -222,6 +223,48 @@ func TestSeriesTotalAndP95(t *testing.T) {
 	max, _ := stats.Max(in)
 	if p95 > max {
 		t.Error("p95 cannot exceed the maximum")
+	}
+}
+
+// TestSeriesTotalSetWithoutRanking pins that a dataset built by hand (no
+// ranking to resolve ids through) selects nothing for a non-nil set and
+// every transit entry for a nil one, instead of dereferencing the missing
+// ranking's graph.
+func TestSeriesTotalSetWithoutRanking(t *testing.T) {
+	_, ds := testData(t)
+	byHand := &Dataset{Cfg: ds.Cfg, Entries: ds.TransitEntries()[:2]}
+	in, out := byHand.SeriesTotalSet(asindex.NewBitSet(64))
+	if len(in) != ds.Cfg.Intervals || stats.Sum(in) != 0 || stats.Sum(out) != 0 {
+		t.Errorf("a non-nil set over a dataset without a ranking selected traffic: %d intervals, in %v, out %v", len(in), stats.Sum(in), stats.Sum(out))
+	}
+	all, _ := byHand.SeriesTotalSet(nil)
+	if want, _ := byHand.SeriesTotal(nil); !slices.Equal(all, want) || stats.Sum(all) == 0 {
+		t.Error("a nil set does not select every transit entry")
+	}
+}
+
+// TestConfigMatches pins the "Intervals 0 means the full paper month"
+// semantics of dataset reuse: a short-run dataset never satisfies a
+// full-month request, and vice versa; a nil dataset or a seed mismatch
+// never matches.
+func TestConfigMatches(t *testing.T) {
+	mk := func(seed int64, intervals int) *Dataset {
+		return &Dataset{Cfg: Config{Seed: seed, Intervals: intervals}}
+	}
+	if (Config{Seed: 2}).Matches(nil) {
+		t.Error("a nil dataset must not match")
+	}
+	if (Config{Seed: 2}).Matches(mk(2, 288)) {
+		t.Error("a 288-interval dataset must not satisfy the full-month default")
+	}
+	if !(Config{Seed: 2}).Matches(mk(2, DefaultIntervals)) {
+		t.Error("a full-month dataset must satisfy the full-month default")
+	}
+	if !(Config{Seed: 2, Intervals: 288}).Matches(mk(2, 288)) {
+		t.Error("an exact intervals match must succeed")
+	}
+	if (Config{Seed: 2, Intervals: 288}).Matches(mk(3, 288)) {
+		t.Error("a seed mismatch must fail")
 	}
 }
 

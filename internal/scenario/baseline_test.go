@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -120,6 +121,78 @@ func TestBaselineHeldByteIdentical(t *testing.T) {
 	}
 }
 
+// TestBaselineGetOrCompute pins the holder's get-or-compute contract part
+// by part. A hit returns the view's own or the held part and runs
+// nothing, so it answers even under a cancelled context, where a miss
+// returns ctx.Err(). A miss returns the part whole, holds it (a campaign
+// without its raw observations), and makes the next request a hit. A nil
+// holder computes every time.
+func TestBaselineGetOrCompute(t *testing.T) {
+	w := testWorld(t)
+	opts := heldOpts()
+	key, err := spread.NewCampaignKey(w, opts.MeasureSeed, opts.Campaign, opts.Detector, opts.IXPs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+
+	b := NewBaseline(nil, nil)
+	if _, held, err := b.Campaign(cancelled, w, key, 0, nil); held || !errors.Is(err, context.Canceled) {
+		t.Errorf("campaign miss under a cancelled context: held %v, err %v", held, err)
+	}
+	sp, held, err := b.Campaign(ctx, w, key, 0, nil)
+	if err != nil || held || len(sp.Raw) != sp.Observations {
+		t.Fatalf("campaign miss: held %v, err %v, or not whole", held, err)
+	}
+	got, held, err := b.Campaign(cancelled, w, key, 0, nil)
+	if err != nil || !held || got == sp || got.Raw != nil || got.Report != sp.Report {
+		t.Errorf("campaign after a miss: held %v, err %v; want the held copy without Raw", held, err)
+	}
+	if got, held, err := NewBaseline(sp, nil).Campaign(cancelled, w, key, 0, nil); err != nil || !held || got != sp {
+		t.Errorf("the view's own campaign: held %v, err %v", held, err)
+	}
+
+	tcfg := netflow.Config{Seed: opts.TrafficSeed, Intervals: opts.Intervals}
+	ds, held, err := b.Traffic(w, tcfg, nil)
+	if err != nil || held {
+		t.Fatalf("traffic miss: held %v, err %v", held, err)
+	}
+	if got, held, err := b.Traffic(w, tcfg, nil); err != nil || !held || got != ds {
+		t.Errorf("traffic after a miss: held %v, err %v, same dataset %v", held, err, got == ds)
+	}
+	if got, held, err := NewBaseline(nil, ds).Traffic(w, tcfg, nil); err != nil || !held || got != ds {
+		t.Errorf("the view's own dataset: held %v, err %v", held, err)
+	}
+
+	computed := 0
+	compute := func() (Metrics, error) {
+		computed++
+		return Metrics{FittedB: float64(computed)}, nil
+	}
+	for i, want := range []bool{false, true} {
+		if m, held, err := b.offload(ds, 2, 4, compute); err != nil || held != want || m.FittedB != 1 {
+			t.Errorf("offload request %d: held %v (want %v), err %v, read-out of computation %v", i, held, want, err, m.FittedB)
+		}
+	}
+
+	var none *Baseline
+	if _, held, err := none.Campaign(cancelled, w, key, 0, nil); held || !errors.Is(err, context.Canceled) {
+		t.Errorf("nil holder campaign: held %v, err %v; want a computation", held, err)
+	}
+	a, heldA, errA := none.Traffic(w, tcfg, nil)
+	c, heldC, errC := none.Traffic(w, tcfg, nil)
+	if errA != nil || errC != nil || heldA || heldC || a == c {
+		t.Error("a nil holder did not compute each dataset")
+	}
+	none.offload(ds, 2, 4, compute)
+	none.offload(ds, 2, 4, compute)
+	if computed != 3 {
+		t.Errorf("offload computed %d times, want 1 through the holder and 2 through nil", computed)
+	}
+}
+
 // TestBaselineConcurrentFirstUse races first uses of one holder: every
 // run must render the reference bytes, whichever store wins. Run it under
 // -race.
@@ -207,12 +280,12 @@ func TestBaselineHeldOffload(t *testing.T) {
 	}
 }
 
-// TestHeldOffloadOnlyForTheBaselineCell plants a read-out in a holder
-// under the exact key a run's baseline cell looks up. The baseline cell
-// must take it; the churn and outage cells, whose offload stage runs over
-// the baseline's own dataset and so meets the same key, must compute
-// theirs; and EvalEvolved, handed the holder in its options, never reads
-// it either.
+// TestHeldOffloadOnlyForTheBaselineCell plants a read-out in a holder,
+// through its get-or-compute, under the exact key a run's baseline cell
+// looks up. The baseline cell must take it; the churn and outage cells,
+// whose offload stage runs over the baseline's own dataset and so meets
+// the same key, must compute theirs; and EvalEvolved, handed the holder
+// in its options, never reads it either.
 func TestHeldOffloadOnlyForTheBaselineCell(t *testing.T) {
 	w := testWorld(t)
 	opts := heldOpts()
@@ -228,7 +301,13 @@ func TestHeldOffloadOnlyForTheBaselineCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := NewBaseline(nil, ds)
-	b.storeOffload(ds, opts.CoverageIXPs, opts.GreedyIXPs, planted)
+	plant := func(ds *netflow.Dataset) {
+		t.Helper()
+		if _, held, err := b.offload(ds, opts.CoverageIXPs, opts.GreedyIXPs, func() (Metrics, error) { return planted, nil }); held || err != nil {
+			t.Fatalf("planting the read-out: held %v, err %v", held, err)
+		}
+	}
+	plant(ds)
 	opts.Baseline = b
 	rep, err := Run(w, g, opts)
 	if err != nil {
@@ -254,7 +333,7 @@ func TestHeldOffloadOnlyForTheBaselineCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.storeOffload(prev.Dataset, opts.CoverageIXPs, opts.GreedyIXPs, planted)
+	plant(prev.Dataset)
 	want, err := EvalEvolved(context.Background(), es, d, prev, heldOpts())
 	if err != nil {
 		t.Fatal(err)

@@ -90,12 +90,12 @@ type Options struct {
 	// bound to a different graph is ignored by the offload layer, and
 	// NoReuse ignores it.
 	Cones *offload.ConeCache
-	// Baseline, when set, holds the world view's baseline parts: the
-	// baseline cell takes its campaign, traffic dataset and offload
-	// read-out from it when their recorded inputs equal this run's
-	// exactly, and stores the parts it had to compute. Like Cones it
-	// carries artifacts, not a setting — the report is byte-identical
-	// either way. NoReuse ignores it.
+	// Baseline is the world view's holder, through which the baseline
+	// cell gets its campaign, traffic dataset and offload read-out: the
+	// held ones when their recorded inputs equal this run's exactly, and
+	// otherwise computed and held. Scenario cells and ticks do not use
+	// it. Like Cones it carries artifacts, not a setting — the report is
+	// byte-identical either way, nil included. NoReuse ignores it.
 	Baseline *Baseline
 	// Faults is the injectable fault plane (nil in production): it can
 	// panic an evaluation goroutine mid-cell, which each cell's
@@ -388,11 +388,8 @@ func evalCell(ctx context.Context, w *worldgen.World, spec cellSpec, opts Option
 	if d.AllSims || len(d.Sims) > 0 {
 		es.World = w.Clone()
 	}
-	src := spec.newSrc()
-	for _, op := range spec.scn.Ops {
-		if err := op.apply(es, src); err != nil {
-			return nil, err
-		}
+	if _, err := ApplyOps(es, spec.scn.Ops, spec.newSrc()); err != nil {
+		return nil, err
 	}
 	if spec.off != 0 {
 		// Seed offsets re-seed both measured stages.
@@ -451,34 +448,25 @@ func runStages(ctx context.Context, es *EvolveState, d Dirty, base *Artifacts, h
 		if err != nil {
 			return nil, err
 		}
-		sp, ok := held.Campaign(key)
-		if !ok {
-			so := spread.Options{
-				Seed:     opts.MeasureSeed,
-				Workers:  workers,
-				Campaign: opts.Campaign,
-				Detector: opts.Detector,
-				IXPs:     key.IXPs,
-			}
-			if base != nil && !d.AllSims {
-				// Membership ops name the exchanges they touched; every
-				// other IXP's inputs are identical to the baseline's, so
-				// its verdicts are spliced instead of re-measured.
-				dirty := make(map[int]bool, len(d.Sims))
-				for _, acr := range d.Sims {
-					if _, xi, err := es.World.IXPByAcronym(acr); err == nil {
-						dirty[xi] = true
-					}
-				}
-				so.Reuse = &spread.Reuse{
-					From:  base.Spread,
-					Dirty: func(idx int) bool { return dirty[idx] },
+		var reuse *spread.Reuse
+		if base != nil && !d.AllSims {
+			// Membership ops name the exchanges they touched; every other
+			// IXP's inputs are identical to the baseline's, so its
+			// verdicts are spliced instead of re-measured.
+			dirty := make(map[int]bool, len(d.Sims))
+			for _, acr := range d.Sims {
+				if _, xi, err := es.World.IXPByAcronym(acr); err == nil {
+					dirty[xi] = true
 				}
 			}
-			if sp, err = spread.RunCtx(ctx, es.World, so); err != nil {
-				return nil, err
+			reuse = &spread.Reuse{
+				From:  base.Spread,
+				Dirty: func(idx int) bool { return dirty[idx] },
 			}
-			held.StoreCampaign(sp)
+		}
+		sp, ok, err := held.Campaign(ctx, es.World, key, workers, reuse)
+		if err != nil {
+			return nil, err
 		}
 		art.Spread, art.held.Campaign = sp, ok
 		spreadMetrics(m, sp)
@@ -491,23 +479,19 @@ func runStages(ctx context.Context, es *EvolveState, d Dirty, base *Artifacts, h
 	if mask&StageTraffic == 0 {
 		art.Dataset = base.Dataset
 	} else {
+		// A traffic op moves the rates, not the flows: the dataset prices
+		// base's ranking, which every cell and tick of a view shares
+		// because no op rewires the graph. A reseeded cell ranks afresh,
+		// and so does the full-rerun reference.
 		tcfg := es.Traffic
 		tcfg.Workers = workers
-		ds, ok := held.Traffic(tcfg)
-		if !ok {
-			// A traffic op moves the rates, not the flows: Price re-prices
-			// base's ranking, which every cell and tick of a view shares
-			// because no op rewires the graph. A reseeded cell ranks
-			// afresh, and so does the full-rerun reference.
-			var from *netflow.Dataset
-			if base != nil && !opts.NoReuse {
-				from = base.Dataset
-			}
-			var err error
-			if ds, err = netflow.Price(from, es.World, tcfg); err != nil {
-				return nil, err
-			}
-			held.StoreTraffic(ds)
+		var from *netflow.Dataset
+		if base != nil && !opts.NoReuse {
+			from = base.Dataset
+		}
+		ds, ok, err := held.Traffic(es.World, tcfg, from)
+		if err != nil {
+			return nil, err
 		}
 		art.Dataset, art.held.Traffic = ds, ok
 	}
@@ -518,24 +502,26 @@ func runStages(ctx context.Context, es *EvolveState, d Dirty, base *Artifacts, h
 	}
 	if mask&StageOffload == 0 {
 		setOffload(m, base.Metrics)
-	} else if hm, ok := held.offload(art.Dataset, opts.CoverageIXPs, opts.GreedyIXPs); ok {
-		setOffload(m, hm)
-		art.held.Offload = true
 	} else {
-		// No op rewires the AS graph, so every cell's customer cones are
-		// identical: the baseline seeds the shared cache with the grid's
-		// full worker budget and scenario cells hit it.
-		study, err := offload.NewStudyOptions(es.World, art.Dataset, offload.Options{Workers: workers, Cones: opts.Cones})
+		readout, ok, err := held.offload(art.Dataset, opts.CoverageIXPs, opts.GreedyIXPs, func() (Metrics, error) {
+			// No op rewires the AS graph, so every cell's customer cones
+			// are identical: the baseline seeds the shared cache with the
+			// grid's full worker budget and scenario cells hit it.
+			study, err := offload.NewStudyOptions(es.World, art.Dataset, offload.Options{Workers: workers, Cones: opts.Cones})
+			if err != nil {
+				return Metrics{}, err
+			}
+			x, err := study.Expand(offload.GroupAll, opts.CoverageIXPs, opts.GreedyIXPs)
+			if err != nil {
+				return Metrics{}, err
+			}
+			return Metrics{PotentialPeers: study.PotentialPeerCount(), CoveredNets: x.CoveredNets, OffloadedFrac: x.OffloadedFrac, FittedB: x.FittedB}, nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		m.PotentialPeers = study.PotentialPeerCount()
-		x, err := study.Expand(offload.GroupAll, opts.CoverageIXPs, opts.GreedyIXPs)
-		if err != nil {
-			return nil, err
-		}
-		m.CoveredNets, m.OffloadedFrac, m.FittedB = x.CoveredNets, x.OffloadedFrac, x.FittedB
-		held.storeOffload(art.Dataset, opts.CoverageIXPs, opts.GreedyIXPs, *m)
+		setOffload(m, readout)
+		art.held.Offload = ok
 	}
 
 	// --- Section 5: the economic verdict ---

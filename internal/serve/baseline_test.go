@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"reflect"
@@ -91,6 +92,48 @@ func TestSpreadSectionAnswersOnlyItsQuery(t *testing.T) {
 		} else if !bytes.Equal(got, want) {
 			t.Errorf("%s: /v1/spread answered %s, want %s", tc.name, got, want)
 		}
+	}
+}
+
+// TestSpreadSkipsDarkIXPs pins /v1/spread over a world whose studied
+// IXP 1 an outage emptied: it answers 200, measuring the IXPs that still
+// have probe targets, and its observation, analyzed and detected counts
+// equal those of /v1/whatif's baseline cell over the same days, which
+// skips the dark IXP by the same rule.
+func TestSpreadSkipsDarkIXPs(t *testing.T) {
+	w := fixtureWorld(t).Clone()
+	if err := w.RemoveIXPMembers(1); err != nil {
+		t.Fatal(err)
+	}
+	// Two servers, so neither answer comes from the other's held campaign.
+	snap := attached(t, &snapshot.Snapshot{World: w})
+	fresh := func() http.Handler {
+		s, err := New(Config{Snapshot: snap, CacheMB: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.Handler()
+	}
+	status, _, body := get(t, fresh(), "/v1/spread?days=6")
+	if status != http.StatusOK {
+		t.Fatalf("/v1/spread: status %d, body %s", status, body)
+	}
+	var sp spreadResponse
+	if err := json.Unmarshal(body, &sp); err != nil {
+		t.Fatal(err)
+	}
+	status, _, body = get(t, fresh(), whatifQuery("a%3Dtraffic%3A1.2", ""))
+	if status != http.StatusOK {
+		t.Fatalf("/v1/whatif: status %d, body %s", status, body)
+	}
+	var wr WhatifResponse
+	if err := json.Unmarshal(body, &wr); err != nil {
+		t.Fatal(err)
+	}
+	base := wr.Report.Baseline
+	if sp.Observations != base.Observations || sp.AnalyzedIfaces != base.AnalyzedIfaces || sp.DetectedRemote != base.DetectedRemote {
+		t.Errorf("/v1/spread counts %d/%d/%d, /v1/whatif baseline %d/%d/%d (observations/analyzed/detected)",
+			sp.Observations, sp.AnalyzedIfaces, sp.DetectedRemote, base.Observations, base.AnalyzedIfaces, base.DetectedRemote)
 	}
 }
 
@@ -296,8 +339,13 @@ func TestWhatifHeldBaselineByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, held := v.ws().base.Campaign(key); held != v.held {
-			t.Errorf("%s: campaign held from the view's own parts = %v, want %v", v.name, held, v.held)
+		// A cancelled context lets only a held campaign answer: a miss
+		// would have to measure it.
+		cancelled, cancel := context.WithCancel(context.Background())
+		cancel()
+		_, held, err := v.ws().base.Campaign(cancelled, v.ws().world, key, 1, nil)
+		if held != v.held || (held && err != nil) || (!held && !errors.Is(err, context.Canceled)) {
+			t.Errorf("%s: campaign held from the view's own parts = %v (err %v), want %v", v.name, held, err, v.held)
 		}
 		for _, scn := range []string{"a=churn:AMS-IX:3:1,traffic:1.2", "b=outage:LINX;c=portprice:0.7"} {
 			url := fmt.Sprintf("/v1/whatif?scenarios=%s&days=%d&intervals=96&k=3&greedy=8", urlEscape(scn), v.days)

@@ -829,7 +829,8 @@ func (s *Server) handleSpread(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		defer release()
-		// The query wants the paper's detector over every studied IXP;
+		// The query wants the paper's detector over every studied IXP
+		// that still has probe targets (the key skips dark ones);
 		// days=0 asks for the view's own campaign length when the view
 		// carries a campaign of this seed, the world's otherwise.
 		campaign := lg.Config{Duration: time.Duration(days) * 24 * time.Hour}
@@ -840,12 +841,9 @@ func (s *Server) handleSpread(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		res, held := ws.base.Campaign(key)
-		if !held {
-			if res, err = spread.RunCtx(ctx, ws.world, spread.Options{Seed: seed, Campaign: campaign, Workers: s.workers}); err != nil {
-				return nil, err
-			}
-			ws.base.StoreCampaign(res)
+		res, held, err := ws.base.Campaign(ctx, ws.world, key, s.workers, nil)
+		if err != nil {
+			return nil, err
 		}
 		s.noteBaseline(ctx, partOutcome{partCampaign, held})
 		detected, analyzed := 0, 0
@@ -954,14 +952,11 @@ func (s *Server) handleOffload(w http.ResponseWriter, r *http.Request) {
 			key = ws.ds.Cfg
 			key.Workers = s.workers
 		}
-		ds, held := ws.base.Traffic(key)
-		if !held {
-			// Another length of the view's own traffic seed prices the
-			// view dataset's ranking; another seed ranks afresh.
-			if ds, err = netflow.Price(ws.ds, ws.world, key); err != nil {
-				return nil, err
-			}
-			ws.base.StoreTraffic(ds)
+		// Another length of the view's own traffic seed prices the view
+		// dataset's ranking; another seed ranks afresh.
+		ds, held, err := ws.base.Traffic(ws.world, key, ws.ds)
+		if err != nil {
+			return nil, err
 		}
 		s.noteBaseline(ctx, partOutcome{partTraffic, held})
 		if err := ctx.Err(); err != nil {

@@ -368,19 +368,14 @@ func WriteFlat(w io.Writer, s *Snapshot) (digest string, err error) {
 // crash mid-save never leaves a truncated snapshot under the target path,
 // and returns its content digest.
 func SaveFlatFile(path string, s *Snapshot) (digest string, err error) {
-	out, err := encodeFlat(s)
-	if err != nil {
-		return "", err
-	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".snapshot-flat-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".snapshot-flat-*")
 	if err != nil {
 		return "", fmt.Errorf("snapshot: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(out); err != nil {
+	if digest, err = WriteFlat(tmp, s); err != nil {
 		tmp.Close()
-		return "", fmt.Errorf("snapshot: %w", err)
+		return "", err
 	}
 	if err := tmp.Close(); err != nil {
 		return "", fmt.Errorf("snapshot: %w", err)
@@ -388,7 +383,7 @@ func SaveFlatFile(path string, s *Snapshot) (digest string, err error) {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return "", err
 	}
-	return digestOf(out), nil
+	return digest, nil
 }
 
 // Sniff reports whether the file at path is a snapshot at all: it starts

@@ -28,36 +28,38 @@ type CampaignKey struct {
 
 // NewCampaignKey returns the key of the campaign measured over w with
 // the given seed, campaign and detector configuration, and IXP selection
-// (nil = every studied IXP). It fails on an index that is not a studied
-// IXP and on a selection whose every IXP is dark.
+// (nil = every studied IXP). It is the one rule for which IXPs a campaign
+// measures: Run measures exactly the key's IXPs. It fails on an index
+// that is not a studied IXP, on one selected twice (ErrDuplicateIXP) and
+// on a selection whose every IXP is dark.
 func NewCampaignKey(w *worldgen.World, seed int64, campaign lg.Config, detector core.Config, ixps []int) (CampaignKey, error) {
 	k := CampaignKey{
 		Seed:     seed,
 		Campaign: effectiveCampaign(w, campaign),
 		Detector: detector,
 	}
-	lit := make([]bool, w.NumStudied())
+	sel := make([]bool, w.NumStudied())
+	for _, i := range ixps {
+		switch {
+		case i < 0 || i >= len(sel):
+			return CampaignKey{}, fmt.Errorf("spread: IXP index %d is not a studied IXP", i)
+		case sel[i]:
+			return CampaignKey{}, fmt.Errorf("%w: %d", ErrDuplicateIXP, i)
+		}
+		sel[i] = true
+	}
+	lit := make([]bool, len(sel))
 	for _, rec := range w.Ifaces {
 		lit[rec.IXPIndex] = true
 	}
-	if len(ixps) == 0 {
-		ixps = make([]int, w.NumStudied())
-		for i := range ixps {
-			ixps[i] = i
-		}
-	}
-	for _, i := range ixps {
-		if i < 0 || i >= len(lit) {
-			return CampaignKey{}, fmt.Errorf("spread: IXP index %d is not a studied IXP", i)
-		}
-		if lit[i] {
+	for i := range sel {
+		if lit[i] && (sel[i] || len(ixps) == 0) {
 			k.IXPs = append(k.IXPs, i)
 		}
 	}
 	if len(k.IXPs) == 0 {
 		return CampaignKey{}, fmt.Errorf("spread: every selected studied IXP is dark")
 	}
-	slices.Sort(k.IXPs)
 	return k, nil
 }
 

@@ -43,7 +43,10 @@ type Options struct {
 	// it is independent of the world's seed.
 	Seed int64
 	// IXPs selects studied-IXP indices to measure, each at most once;
-	// nil means all 22.
+	// nil means every studied IXP. A dark IXP (no registry-listed probe
+	// targets left, as after an outage) is skipped, and a selection whose
+	// every IXP is dark is an error: Run measures exactly the IXPs of
+	// NewCampaignKey over its options.
 	IXPs []int
 	// Workers bounds the number of IXP simulations run concurrently
 	// (0 = one per CPU). Results are byte-identical for every value: each
@@ -177,20 +180,11 @@ func RunCtx(ctx context.Context, w *worldgen.World, opts Options) (*Result, erro
 	if opts.Workers < 0 {
 		return nil, fmt.Errorf("spread: negative Workers %d (use 0 for one per CPU)", opts.Workers)
 	}
-	ixps := slices.Clone(opts.IXPs)
-	if len(ixps) == 0 {
-		ixps = make([]int, w.NumStudied())
-		for i := range ixps {
-			ixps[i] = i
-		}
+	key, err := NewCampaignKey(w, opts.Seed, opts.Campaign, opts.Detector, opts.IXPs)
+	if err != nil {
+		return nil, err
 	}
-	slices.Sort(ixps)
-	for i := 1; i < len(ixps); i++ {
-		if ixps[i] == ixps[i-1] {
-			return nil, fmt.Errorf("%w: %d", ErrDuplicateIXP, ixps[i])
-		}
-	}
-	campaignCfg := effectiveCampaign(w, opts.Campaign)
+	ixps, campaignCfg := key.IXPs, key.Campaign
 	if err := campaignCfg.Validate(); err != nil {
 		return nil, fmt.Errorf("spread: %w", err)
 	}
@@ -198,7 +192,7 @@ func RunCtx(ctx context.Context, w *worldgen.World, opts Options) (*Result, erro
 	clean := func(int) bool { return false }
 	if r := opts.Reuse; r != nil && r.From != nil {
 		from = r.From
-		if !(CampaignKey{Seed: opts.Seed, Campaign: campaignCfg, Detector: opts.Detector}).sameRun(from) {
+		if !key.sameRun(from) {
 			return nil, fmt.Errorf("spread: Reuse.From ran under a different seed, campaign or detector")
 		}
 		clean = func(idx int) bool { return r.Dirty == nil || !r.Dirty(idx) }

@@ -149,6 +149,48 @@ func TestDuplicatedSelectionIsTypedError(t *testing.T) {
 	}
 }
 
+// TestRunSkipsDarkIXPs pins NewCampaignKey as the one rule for which IXPs
+// a campaign measures. Over a world whose studied IXP 1 was emptied (an
+// outage), Run with no selection measures exactly the key's IXPs, and
+// the key matches the result; a selection naming the dark IXP measures
+// the rest; an all-dark selection is an error; and a duplicated dark IXP
+// is still ErrDuplicateIXP.
+func TestRunSkipsDarkIXPs(t *testing.T) {
+	dark := testWorld(t).Clone()
+	if err := dark.RemoveIXPMembers(1); err != nil {
+		t.Fatal(err)
+	}
+	opts := testOptions(0)
+	opts.IXPs = nil
+	res, err := Run(dark, opts)
+	if err != nil {
+		t.Fatalf("a campaign over every studied IXP, one dark: %v", err)
+	}
+	key, err := NewCampaignKey(dark, opts.Seed, opts.Campaign, opts.Detector, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.measured(); !slices.Equal(got, key.IXPs) || slices.Contains(got, 1) || len(got) != dark.NumStudied()-1 {
+		t.Errorf("measured %v, want the key's %v", got, key.IXPs)
+	}
+	if !key.Matches(res) {
+		t.Error("the key of the run's own inputs does not match it")
+	}
+
+	opts.IXPs = []int{2, 1, 0}
+	if res, err := Run(dark, opts); err != nil || !slices.Equal(res.measured(), []int{0, 2}) {
+		t.Errorf("a selection naming the dark IXP: %v, want IXPs [0 2] measured", err)
+	}
+	opts.IXPs = []int{1}
+	if _, err := Run(dark, opts); err == nil {
+		t.Error("an all-dark selection was accepted")
+	}
+	opts.IXPs = []int{1, 0, 1}
+	if _, err := Run(dark, opts); !errors.Is(err, ErrDuplicateIXP) {
+		t.Errorf("a duplicated dark IXP: %v, want ErrDuplicateIXP", err)
+	}
+}
+
 func TestReuseRejectsOtherInputs(t *testing.T) {
 	from := run(t, testOptions(1))
 	for name, edit := range map[string]func(*Options){

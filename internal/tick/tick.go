@@ -370,9 +370,6 @@ func (e *Engine) Metrics() scenario.Metrics { return e.art.Metrics }
 // vector.
 func (e *Engine) Regime() (netflow.Config, econ.Params) { return e.es.Traffic, e.es.Econ }
 
-// GenesisDigest returns the genesis world's content digest.
-func (e *Engine) GenesisDigest() string { return e.genesis }
-
 // State returns the engine's persistable tick state — the Tick section a
 // snapshot of the current world carries, from which a later process can
 // place the saved world on its timeline.
@@ -560,11 +557,18 @@ func (e *Engine) AdvanceTo(ctx context.Context, target uint64) ([]Result, error)
 	return out, nil
 }
 
+// stage applies ops, drawing from the stream key's source, to a clone of
+// the engine's state, and leaves the engine untouched.
+func (e *Engine) stage(ops []scenario.Op, key string) (*scenario.EvolveState, scenario.Dirty, error) {
+	staged := &scenario.EvolveState{World: e.es.World.Clone(), Traffic: e.es.Traffic, Econ: e.es.Econ}
+	d, err := scenario.ApplyOps(staged, ops, e.src(key))
+	return staged, d, err
+}
+
 // applyEval is one staged apply+evaluate attempt: it works on a clone and
 // leaves the engine untouched.
 func (e *Engine) applyEval(ctx context.Context, t uint64, ops []scenario.Op, events []string, key string) (Result, *scenario.EvolveState, *scenario.Artifacts, error) {
-	staged := &scenario.EvolveState{World: e.es.World.Clone(), Traffic: e.es.Traffic, Econ: e.es.Econ}
-	d, err := scenario.ApplyOps(staged, ops, e.src(key))
+	staged, d, err := e.stage(ops, key)
 	if err != nil {
 		return Result{}, nil, nil, err
 	}
@@ -593,17 +597,6 @@ func (e *Engine) Since(t uint64) []Result {
 		}
 	}
 	return out
-}
-
-// MetricsAt returns the metrics recorded at tick t, if the in-memory
-// history holds it.
-func (e *Engine) MetricsAt(t uint64) (scenario.Metrics, bool) {
-	for _, r := range e.hist {
-		if r.Tick == t {
-			return r.Metrics, true
-		}
-	}
-	return scenario.Metrics{}, false
 }
 
 // Checkpoint persists the engine's current state as a flat snapshot next
@@ -837,8 +830,7 @@ func (e *Engine) replay(ctx context.Context, recs []journal.Record, evalEach boo
 			}
 			ops = append(ops, op)
 		}
-		staged := &scenario.EvolveState{World: e.es.World.Clone(), Traffic: e.es.Traffic, Econ: e.es.Econ}
-		d, err := scenario.ApplyOps(staged, ops, e.src(r.StreamKey))
+		staged, d, err := e.stage(ops, r.StreamKey)
 		if err != nil {
 			return fmt.Errorf("tick %d: %w", r.Tick, err)
 		}
