@@ -7,9 +7,12 @@
 // against transient congestion).
 //
 // A campaign is born in canonical order (Compare). Schedule fixes each
-// planned ping's slot in the observation buffer, and the engine's ping
-// sink writes the result into it, so no stream is sorted, merged or
-// copied on the way to the detector.
+// ping's slot in the observation buffer, and the engine's ping sink
+// writes the result into it, so no stream is sorted, merged or copied on
+// the way to the detector. Nor is a per-ping plan written: each LG
+// server's rounds are one netsim.Sweep, which computes a ping's send
+// time, target and slot from its round's start and its target's position
+// when the engine reaches it.
 package lg
 
 import (
@@ -162,14 +165,16 @@ func NewCampaign(cfg Config) *Campaign {
 // registers the campaign as the engine's ping sink. Call once per IXP, in
 // ascending IXP index, then run the engine, then read Observations.
 //
-// Each ping's tag is its canonical slot: the IXP's block offset, plus its
-// target's rank by address × the IXP's stride (Σ rounds × pings over its
-// LG servers), plus its server's offset among the servers ordered by
-// family, plus round × pings, plus the ping's index in its query. Slot
-// order is exactly Compare's: a (target, family) pair's pings are planned
-// in (round, ping) order, and since Validate keeps half a round's span at
-// least a query's length and a round's start jitter is under half its
-// span, their send times strictly ascend.
+// Schedule draws every round's start, server by server, and plans each LG
+// server's rounds as one sweep: ping p of round r's query to target ti is
+// sent at the round's start + ti × QuerySpacing + p seconds. Its tag is
+// its canonical slot: the IXP's block offset, plus its target's rank by
+// address × the IXP's stride (Σ rounds × pings over its LG servers), plus
+// its server's offset among the servers ordered by family, plus round ×
+// pings, plus p. Slot order is exactly Compare's: a (target, family)
+// pair's pings are planned in (round, ping) order, and since Validate
+// keeps half a round's span at least a query's length and a round's start
+// jitter is under half its span, their send times strictly ascend.
 //
 // Schedule refuses, with a typed error, an invalid configuration
 // (ErrBadConfig), an IXP without targets, a target listed twice
@@ -237,27 +242,50 @@ func (c *Campaign) Schedule(e *netsim.Engine, sim *ixpsim.SimIXP, src *stats.Sou
 			}
 		}
 	}
-	e.ReservePings(planned)
 	e.OnPing(c.collect)
 	for i, server := range sim.LGs {
 		rounds, pings := c.cfg.budget(server.Family)
 		roundSpan := c.cfg.Duration / time.Duration(rounds)
-		for r := 0; r < rounds; r++ {
+		s := &sweep{
+			starts:  make([]time.Duration, rounds),
+			slot0:   make([]int32, len(sim.Targets)),
+			targets: sim.Targets,
+			pings:   pings,
+			spacing: c.cfg.QuerySpacing,
+		}
+		for r := range s.starts {
 			// Each round starts at a different time of day and day of
 			// week: its span's start + jitter inside the span's first half.
-			jitter := time.Duration(src.Int63n(int64(roundSpan / 2)))
-			roundStart := time.Duration(r)*roundSpan + jitter
-			for ti, target := range sim.Targets {
-				// One LG query: `pings` echo requests one second apart.
-				qAt := roundStart + time.Duration(ti)*c.cfg.QuerySpacing
-				slot := base + rank[ti]*int(stride) + offset[i] + r*pings
-				for p := 0; p < pings; p++ {
-					server.Node.Ping(qAt+time.Duration(p)*time.Second, target, c.cfg.PingTimeout, int32(slot+p))
-				}
-			}
+			s.starts[r] = time.Duration(r)*roundSpan + time.Duration(src.Int63n(int64(roundSpan/2)))
 		}
+		for ti := range s.slot0 {
+			s.slot0[ti] = int32(base + rank[ti]*int(stride) + offset[i])
+		}
+		e.PlanSweep(server.Node, c.cfg.PingTimeout, s)
 	}
 	return nil
+}
+
+// sweep is one LG server's rounds as a netsim.Sweep. Ping k is ping p of
+// round r's query to target ti, k = (r × len(targets) + ti) × pings + p:
+// the server's planning order, round by round. One LG query is
+// `pings` echo requests one second apart, and the server queries its
+// targets QuerySpacing apart.
+type sweep struct {
+	starts  []time.Duration // round r's start
+	slot0   []int32         // target ti's slot for round 0, ping 0
+	targets []netip.Addr
+	pings   int
+	spacing time.Duration
+}
+
+func (s *sweep) Len() int { return len(s.starts) * len(s.targets) * s.pings }
+
+func (s *sweep) Ping(k int) (time.Duration, netip.Addr, int32) {
+	q, p := k/s.pings, k%s.pings
+	r, ti := q/len(s.targets), q%len(s.targets)
+	at := s.starts[r] + time.Duration(ti)*s.spacing + time.Duration(p)*time.Second
+	return at, s.targets[ti], s.slot0[ti] + int32(r*s.pings+p)
 }
 
 // collect is the engine's ping sink: it writes the result into the

@@ -4,9 +4,11 @@ import (
 	"cmp"
 	"fmt"
 	"net/netip"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"remotepeering/internal/ixpsim"
 	"remotepeering/internal/netsim"
@@ -289,5 +291,45 @@ func TestSortMatchesStableSortProperty(t *testing.T) {
 				t.Fatalf("seed %d: position %d of %d holds %+v, stable order wants %+v", seed, i, len(obs), obs[i], want[i])
 			}
 		}
+	}
+}
+
+// TestScheduleAllocatesNoPerPingPlan pins the campaign's allocation:
+// scheduling one IXP allocates its observation buffer and O(targets +
+// rounds) besides — ranks, round starts, one slot per target and server
+// — never a record per planned ping.
+func TestScheduleAllocatesNoPerPingPlan(t *testing.T) {
+	w := smallWorld(t)
+	_, idx, err := w.IXPByAcronym("DIX-IE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e netsim.Engine
+	src := stats.NewSource(7)
+	sim, err := ixpsim.Build(&e, w, idx, 120*24*time.Hour, src.Split("sim"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	camp := NewCampaign(Config{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := camp.Schedule(&e, sim, src.Split("camp")); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	cfg := camp.Config()
+	rounds := 0
+	for _, server := range sim.LGs {
+		r, _ := cfg.budget(server.Family)
+		rounds += r
+	}
+	planned := len(camp.Observations())
+	buffer := uint64(planned) * uint64(unsafe.Sizeof(Observation{}))
+	// 64 bytes per target and per round, and 16 KiB for the page
+	// rounding of the buffer and the engine's first run heads.
+	bound := buffer + 64*uint64(len(sim.Targets)+rounds) + 16<<10
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Errorf("Schedule of %d targets, %d rounds, %d pings allocated %d bytes: %d past its %d-byte buffer, bound %d",
+			len(sim.Targets), rounds, planned, got, got-buffer, buffer, bound)
 	}
 }

@@ -14,12 +14,14 @@
 // typed records in one heap, and ping results complete into one sink per
 // engine, so the simulator allocates per engine, not per packet.
 //
-// A campaign's pings are planned before Run into one array, which the
-// engine never sorts. Planned pings fall into ascending runs — a looking
-// glass plans its queries in time order — and the engine merges the runs
-// with the event heap through a second, small heap holding each run's
-// earliest unsent ping. The merge is exact for any plan, including pings
-// planned out of order or from a sink during Run.
+// A campaign's pings are planned as sweeps, which the engine never
+// materializes or sorts: a Sweep generates ping k's send time, target and
+// tag when asked, and the engine asks when the merge reaches it. A
+// sweep's pings fall into ascending runs — a looking glass queries its
+// targets in time order, round after round — and the engine merges the
+// runs with the event heap through a second, small heap holding each
+// run's earliest unsent ping. The merge is exact for any plan, including
+// pings planned out of order or from a sink during Run.
 //
 // The simulator is single-threaded and deterministic: all randomness comes
 // from stats.Source streams seeded by the caller, and events at equal
@@ -29,7 +31,6 @@ package netsim
 import (
 	"net/netip"
 	"runtime"
-	"slices"
 	"time"
 )
 
@@ -39,14 +40,12 @@ type Engine struct {
 	seq   uint64
 	queue eventQueue
 
-	// plan holds the planned pings in planning order, as consecutive
-	// runs ascending in (at, seq). A ping continues the run of the one
-	// planned before it unless it is earlier, or that one was already
-	// sent (tailSent). heads holds each run's earliest unsent ping, its
-	// id the ping's plan index.
-	plan     []plannedPing
-	heads    eventQueue
-	tailSent bool
+	// sweeps holds the planned sweeps in planning order. A sweep's pings
+	// fall into consecutive runs ascending in (at, seq): a ping continues
+	// the run of the one before it unless it is earlier. heads holds
+	// each run's earliest unsent ping, its id the sweep's index.
+	sweeps []plannedSweep
+	heads  eventQueue
 
 	nodes  []*Node
 	ifaces []*Iface
@@ -84,20 +83,42 @@ type event struct {
 	kind   eventKind
 }
 
-// plannedPing is one planned echo request, sent when the merge of the
-// plan's runs reaches it.
-type plannedPing struct {
-	at      time.Duration
-	seq     uint64
+// Sweep is a batch of echo requests from one node, generated on demand:
+// the engine asks for a ping only when the merge reaches it, and stores
+// no per-ping record. Ping must return the same ping for k every time it
+// is asked while the engine runs the sweep.
+type Sweep interface {
+	// Len is the number of pings in the sweep.
+	Len() int
+	// Ping returns ping k's send time, destination and tag, for k in
+	// [0, Len()).
+	Ping(k int) (at time.Duration, dst netip.Addr, tag int32)
+}
+
+// plannedSweep is a sweep as planned: its sending node, its pings'
+// timeout, and the seq before its first ping's. Ping k's seq is
+// seq0+k+1.
+type plannedSweep struct {
+	Sweep
+	len     int
+	seq0    uint64
 	timeout time.Duration
-	dst     netip.Addr
 	node    int32
-	tag     int32
+}
+
+// next returns the send time of ping k+1, and whether that ping continues
+// the run of ping k, sent at at: whether it exists and is not earlier.
+func (s *plannedSweep) next(k int, at time.Duration) (time.Duration, bool) {
+	if k+1 == s.len {
+		return 0, false
+	}
+	next, _, _ := s.Ping(k + 1)
+	return next, next >= at
 }
 
 // earlier is the total event order: time, then schedule sequence. (at,
 // seq) pairs are unique, so the execution order of the heap merged with
-// the plan's runs is fully determined — no layout leaks into results.
+// the sweeps' runs is fully determined — no layout leaks into results.
 func earlier(at time.Duration, seq uint64, oat time.Duration, oseq uint64) bool {
 	if at != oat {
 		return at < oat
@@ -175,10 +196,6 @@ func (e *Engine) OnPing(sink func(PingResult)) { e.onPing = sink }
 // completes into, once per traceroute.
 func (e *Engine) OnTraceroute(sink func(TracerouteResult)) { e.onTrace = sink }
 
-// ReservePings grows the plan's capacity for n more pings, so a caller
-// that knows its whole schedule plans it into one exact-size array.
-func (e *Engine) ReservePings(n int) { e.plan = slices.Grow(e.plan, n) }
-
 // schedule queues ev at the absolute simulation time at. Scheduling in
 // the past panics: it always indicates a bug in a model component, and
 // silently reordering events would destroy determinism.
@@ -191,18 +208,34 @@ func (e *Engine) schedule(at time.Duration, ev event) {
 	e.queue.push(ev)
 }
 
-// planPing adds one echo request to the plan, starting a new run unless
-// it continues the last planned ping's.
-func (e *Engine) planPing(at time.Duration, n *Node, dst netip.Addr, timeout time.Duration, tag int32) {
-	if at < e.now {
-		panic("netsim: scheduling into the past")
+// PlanSweep plans the sweep's pings from node n. Each completes into the
+// engine's ping sink exactly once, as a Ping does: with the reply, or
+// with TimedOut set after timeout. The pings take the sweep's Len()
+// schedule sequence numbers in index order, the ones planning them one
+// at a time would take, so the engine sends them exactly as it would
+// have. PlanSweep scans the sweep once, pushing the first ping of each
+// ascending run into the run heads; step asks for every later ping when
+// it sends the one before it. Planning a ping in the past panics, as
+// scheduling an event there does.
+func (e *Engine) PlanSweep(n *Node, timeout time.Duration, s Sweep) {
+	count := s.Len()
+	if count == 0 {
+		return
 	}
-	e.seq++
-	if len(e.plan) == 0 || at < e.plan[len(e.plan)-1].at || e.tailSent {
-		e.heads.push(event{at: at, seq: e.seq, id: int32(len(e.plan))})
+	e.sweeps = append(e.sweeps, plannedSweep{Sweep: s, len: count, seq0: e.seq, timeout: timeout, node: n.id})
+	id := int32(len(e.sweeps) - 1)
+	var last time.Duration
+	for k := range count {
+		at, _, _ := s.Ping(k)
+		if at < e.now {
+			panic("netsim: scheduling into the past")
+		}
+		if k == 0 || at < last {
+			e.heads.push(event{at: at, seq: e.seq + uint64(k) + 1, id: id})
+		}
+		last = at
 	}
-	e.tailSent = false
-	e.plan = append(e.plan, plannedPing{at: at, seq: e.seq, timeout: timeout, dst: dst, node: n.id, tag: tag})
+	e.seq += uint64(count)
 }
 
 // yieldEvery is how many events Run executes between yields of the
@@ -210,7 +243,7 @@ func (e *Engine) planPing(at time.Duration, n *Node, dst netip.Addr, timeout tim
 // nanoseconds an event.
 const yieldEvery = 4096
 
-// Run executes events until the heap and the plan are both drained.
+// Run executes events until the heap and the sweeps are both drained.
 //
 // One IXP's campaign runs for up to tens of milliseconds, so Run yields
 // the processor every yieldEvery events. Until a goroutine yields, a
@@ -225,7 +258,7 @@ func (e *Engine) Run() {
 			runtime.Gosched()
 		}
 	}
-	e.plan = nil
+	e.sweeps = nil
 }
 
 // step executes the earliest of the event heap's top and the earliest run
@@ -233,23 +266,21 @@ func (e *Engine) Run() {
 func (e *Engine) step() bool {
 	if len(e.heads) > 0 && (len(e.queue) == 0 || e.heads[0].before(e.queue[0])) {
 		head := &e.heads[0]
-		i := int(head.id)
-		p := e.plan[i]
-		// The ping planned next continues this run if it is not earlier:
-		// had it started a run of its own, it would be earlier, or it
-		// would have been planned after this one was sent. It replaces
-		// this one as the run's head.
-		if next := i + 1; next < len(e.plan) && e.plan[next].at >= p.at {
-			head.at, head.seq, head.id = e.plan[next].at, e.plan[next].seq, int32(next)
+		s := &e.sweeps[head.id]
+		at, k := head.at, int(head.seq-s.seq0-1)
+		_, dst, tag := s.Ping(k)
+		node, timeout := s.node, s.timeout
+		// The sweep's next ping continues this run if it is not earlier
+		// (PlanSweep made it a run's head otherwise), and replaces this
+		// one as the run's head.
+		if next, ok := s.next(k, at); ok {
+			head.at, head.seq = next, head.seq+1
 			e.heads.down()
 		} else {
 			e.heads.pop()
 		}
-		if i == len(e.plan)-1 {
-			e.tailSent = true
-		}
-		e.now = p.at
-		e.nodes[p.node].ping(p.dst, p.timeout, p.tag)
+		e.now = at
+		e.nodes[node].ping(dst, timeout, tag)
 		return true
 	}
 	if len(e.queue) == 0 {

@@ -25,10 +25,21 @@ type PingResult struct {
 // the reply, or with TimedOut set after timeout. The request is routed
 // through the node's normal IP stack, so a probe launched by an LG server
 // into its IXP LAN stays on the fabric — the paper's "adherence to
-// straight routes" precondition. tag is handed back in the result.
+// straight routes" precondition. tag is handed back in the result. Ping
+// plans a sweep of one ping (PlanSweep).
 func (n *Node) Ping(at time.Duration, dst netip.Addr, timeout time.Duration, tag int32) {
-	n.engine.planPing(at, n, dst, timeout, tag)
+	n.engine.PlanSweep(n, timeout, onePing{at, dst, tag})
 }
+
+// onePing is a sweep of one ping.
+type onePing struct {
+	at  time.Duration
+	dst netip.Addr
+	tag int32
+}
+
+func (p onePing) Len() int                                    { return 1 }
+func (p onePing) Ping(int) (time.Duration, netip.Addr, int32) { return p.at, p.dst, p.tag }
 
 // ping sends a planned echo request now.
 func (n *Node) ping(dst netip.Addr, timeout time.Duration, tag int32) {

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"net/netip"
 )
 
@@ -50,32 +51,44 @@ func (e *enc) boolv(v bool) {
 		e.u8(0)
 	}
 }
-func (e *enc) f64(v float64)  { e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v)) }
-func (e *enc) bytes(b []byte) { e.uvarint(uint64(len(b))); e.buf = append(e.buf, b...) }
-func (e *enc) str(s string)   { e.bytes([]byte(s)) }
-func (e *enc) intv(v int)     { e.varint(int64(v)) }
+func (e *enc) f64(v float64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v)) }
+func (e *enc) str(s string)  { e.uvarint(uint64(len(s))); e.buf = append(e.buf, s...) }
+func (e *enc) intv(v int)    { e.varint(int64(v)) }
 
-// addr encodes a netip.Addr via its canonical binary form, which
-// round-trips exactly for both families (every address in the generated
-// world is v4, but the codec does not rely on that).
+// addr encodes a netip.Addr via its canonical binary form (the bytes of
+// MarshalBinary, appended in place), which round-trips exactly for both
+// families (every address in the generated world is v4, but the codec
+// does not rely on that). The invalid zero Addr encodes as empty and
+// decodes back to zero.
 func (e *enc) addr(a netip.Addr) {
-	b, err := a.MarshalBinary()
-	if err != nil {
-		// netip.Addr.MarshalBinary cannot fail for valid addresses; an
-		// invalid zero Addr encodes as empty and decodes back to zero.
-		b = nil
-	}
-	e.bytes(b)
+	e.uvarint(uint64(addrLen(a)))
+	e.buf, _ = a.AppendBinary(e.buf)
 }
 
 // prefix encodes a netip.Prefix the same way.
 func (e *enc) prefix(p netip.Prefix) {
-	b, err := p.MarshalBinary()
-	if err != nil {
-		b = nil
-	}
-	e.bytes(b)
+	e.uvarint(uint64(prefixLen(p)))
+	e.buf, _ = p.AppendBinary(e.buf)
 }
+
+// addrLen is the length of a's canonical binary form: 0, 4, or 16 bytes
+// plus the zone.
+func addrLen(a netip.Addr) int { return a.BitLen()/8 + len(a.Zone()) }
+
+// prefixLen is the length of p's canonical binary form: its address's
+// without the zone, and the bit count.
+func prefixLen(p netip.Prefix) int { return p.Addr().BitLen()/8 + 1 }
+
+// uvarintLen is the length of v's uvarint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// varintLen is the length of v's varint: the uvarint of its zig-zag
+// encoding.
+func varintLen(v int64) int { return uvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
+
+// prefixedLen is the encoded length of an n-byte string: its uvarint
+// length prefix and the bytes.
+func prefixedLen(n int) int { return uvarintLen(uint64(n)) + n }
 
 // dec is the payload decoder. The first failure latches into err; every
 // subsequent read returns zero values, so decode paths read linearly and

@@ -134,15 +134,14 @@ func decodeU32s(b []byte, section string) ([]uint32, error) {
 	return out, nil
 }
 
-// addrBytes returns a netip.Addr's canonical binary image (the same bytes
+// putRowAddr packs a netip.Addr's canonical binary image (the bytes
 // netip.Addr.MarshalBinary yields: empty for the zero Addr, 4 for v4, 16
-// for v6) for packing into fixed-width rows.
-func addrBytes(a netip.Addr) []byte {
-	b, err := a.MarshalBinary()
-	if err != nil {
-		return nil
-	}
-	return b
+// for v6) into a fixed-width row's 16-byte address field, in place, and
+// returns the image's length.
+func putRowAddr(field []byte, a netip.Addr) uint8 {
+	ip, _ := a.AppendBinary(field[:0:16])
+	copy(field[:16], ip)
+	return uint8(len(ip))
 }
 
 // decodeRowAddr rebuilds a netip.Addr from a fixed-width row's address
@@ -171,8 +170,7 @@ func encodeObsRows(raw []lg.Observation, table *stringTable) []byte {
 		row := buf[i*obsRowSize:]
 		binary.LittleEndian.PutUint64(row[0:], uint64(o.SentAt))
 		binary.LittleEndian.PutUint64(row[8:], uint64(o.RTT))
-		ip := addrBytes(o.Target)
-		copy(row[16:32], ip)
+		row[46] = putRowAddr(row[16:32], o.Target)
 		binary.LittleEndian.PutUint32(row[32:], uint32(int32(o.IXPIndex)))
 		binary.LittleEndian.PutUint32(row[36:], uint32(table.ref(o.Acronym)))
 		binary.LittleEndian.PutUint32(row[40:], uint32(table.ref(o.Family)))
@@ -180,7 +178,6 @@ func encodeObsRows(raw []lg.Observation, table *stringTable) []byte {
 		if o.TimedOut {
 			row[45] = 1
 		}
-		row[46] = uint8(len(ip))
 	}
 	return buf
 }
@@ -217,14 +214,13 @@ func decodeObsRows(b []byte, table []string) ([]lg.Observation, error) {
 	return raw, nil
 }
 
-// encodeTruthAddrs packs one IXP's remote-address list into fixed rows.
+// encodeTruthAddrs appends one IXP's remote-address list as fixed rows,
+// each packed in place.
 func encodeTruthAddrs(buf []byte, ips []netip.Addr) []byte {
 	for _, a := range ips {
-		row := make([]byte, truthRowSize)
-		ip := addrBytes(a)
-		copy(row[:16], ip)
-		row[16] = uint8(len(ip))
-		buf = append(buf, row...)
+		buf = append(buf, make([]byte, truthRowSize)...)
+		row := buf[len(buf)-truthRowSize:]
+		row[16] = putRowAddr(row[:16], a)
 	}
 	return buf
 }
@@ -245,32 +241,44 @@ func decodeTruthAddrs(b []byte, lo, hi uint32) ([]netip.Addr, error) {
 
 // --- writer ---
 
+// flatSection is one section of the file: put appends its payload, size
+// bytes, to the file image.
 type flatSection struct {
-	name    string
-	payload []byte
+	name string
+	size int
+	put  func(out []byte) []byte
+}
+
+// payloadSection is a section whose payload is already encoded.
+func payloadSection(name string, payload []byte) flatSection {
+	return flatSection{name, len(payload), func(out []byte) []byte { return append(out, payload...) }}
 }
 
 // flatSections assembles the section list for a snapshot, in the fixed
 // file order. The world and dataset payloads are varint encodings; the
-// row-shaped artifacts are flattened.
+// row-shaped artifacts are flattened. The world, the AS-id plane and the
+// dataset are encoded straight into the file image.
 func flatSections(s *Snapshot) ([]flatSection, error) {
 	if s == nil || s.World == nil {
 		return nil, fmt.Errorf("snapshot: nil snapshot or world")
 	}
-	secs := []flatSection{{flatWorld, encodeWorld(s.World)}}
-
+	w := s.World
 	// The dense AS-id plane, u32 per id in ascending-id (= ascending ASN)
 	// order — the attach path restores the index from this instead of
 	// re-sorting the universe.
-	asns := s.World.Graph.ASNs()
-	plane := make([]byte, 0, 4*len(asns))
-	for _, a := range asns {
-		plane = binary.LittleEndian.AppendUint32(plane, uint32(a))
+	asns := w.Graph.ASNs()
+	secs := []flatSection{
+		{flatWorld, worldSize(w), func(out []byte) []byte { return appendWorld(out, w) }},
+		{flatASNs, 4 * len(asns), func(out []byte) []byte {
+			for _, a := range asns {
+				out = binary.LittleEndian.AppendUint32(out, uint32(a))
+			}
+			return out
+		}},
 	}
-	secs = append(secs, flatSection{flatASNs, plane})
 
-	if s.Dataset != nil {
-		secs = append(secs, flatSection{flatDataset, encodeDataset(s.Dataset)})
+	if ds := s.Dataset; ds != nil {
+		secs = append(secs, flatSection{flatDataset, datasetSize(ds), func(out []byte) []byte { return appendDataset(out, ds) }})
 	}
 
 	if s.Spread != nil {
@@ -287,25 +295,27 @@ func flatSections(s *Snapshot) ([]flatSection, error) {
 		ixps, remote := s.Spread.RemoteTruth()
 		tixps := make([]byte, 0, 4*len(ixps))
 		toffs := make([]uint32, 1, len(ixps)+1)
-		var taddrs []byte
 		total := 0
 		for k, idx := range ixps {
 			tixps = binary.LittleEndian.AppendUint32(tixps, uint32(int32(idx)))
 			total += len(remote[k])
 			toffs = append(toffs, uint32(total))
-			taddrs = encodeTruthAddrs(taddrs, remote[k])
+		}
+		taddrs := make([]byte, 0, truthRowSize*total)
+		for _, ips := range remote {
+			taddrs = encodeTruthAddrs(taddrs, ips)
 		}
 		secs = append(secs,
-			flatSection{flatSpreadCfg, cfg.buf},
-			flatSection{flatObsStrs, strs.buf},
-			flatSection{flatObsRows, rows},
-			flatSection{flatTruthIXPs, tixps},
-			flatSection{flatTruthOffs, appendU32s(make([]byte, 0, 4*len(toffs)), toffs)},
-			flatSection{flatTruthAddrs, taddrs})
+			payloadSection(flatSpreadCfg, cfg.buf),
+			payloadSection(flatObsStrs, strs.buf),
+			payloadSection(flatObsRows, rows),
+			payloadSection(flatTruthIXPs, tixps),
+			payloadSection(flatTruthOffs, appendU32s(make([]byte, 0, 4*len(toffs)), toffs)),
+			payloadSection(flatTruthAddrs, taddrs))
 	}
 
 	if s.Tick != nil {
-		secs = append(secs, flatSection{flatTick, encodeTick(s.Tick)})
+		secs = append(secs, payloadSection(flatTick, encodeTick(s.Tick)))
 	}
 	return secs, nil
 }
@@ -313,7 +323,8 @@ func flatSections(s *Snapshot) ([]flatSection, error) {
 // alignUp rounds n up to the next multiple of a (a power of two).
 func alignUp(n, a int) int { return (n + a - 1) &^ (a - 1) }
 
-// encodeFlat renders the complete file image.
+// encodeFlat renders the complete file image. It allocates the image
+// once, at its size, and each section appends its payload in place.
 func encodeFlat(s *Snapshot) ([]byte, error) {
 	secs, err := flatSections(s)
 	if err != nil {
@@ -322,28 +333,27 @@ func encodeFlat(s *Snapshot) ([]byte, error) {
 	dirEnd := flatHeaderSize + len(secs)*flatDirEntSize
 	// Payloads start at the first page boundary past the directory (and
 	// its trailing CRC), each aligned to 64 bytes.
-	off := alignUp(dirEnd+4, flatPayloadBase)
-	offs := make([]int, len(secs))
-	for i, sec := range secs {
-		offs[i] = off
-		off = alignUp(off+len(sec.payload), flatAlign)
+	base := alignUp(dirEnd+4, flatPayloadBase)
+	size := base
+	for _, sec := range secs {
+		size = alignUp(size, flatAlign) + sec.size
 	}
-	total := offs[len(offs)-1] + len(secs[len(secs)-1].payload)
 
-	out := make([]byte, total)
+	out := make([]byte, base, size)
 	copy(out, magic)
 	binary.LittleEndian.PutUint16(out[8:], FlatVersion)
 	binary.LittleEndian.PutUint32(out[12:], uint32(len(secs)))
 	for i, sec := range secs {
-		ent := out[flatHeaderSize+i*flatDirEntSize:]
 		if len(sec.name) > flatNameSize {
 			return nil, fmt.Errorf("snapshot: flat section name %q too long", sec.name)
 		}
+		off := alignUp(len(out), flatAlign)
+		out = sec.put(append(out, make([]byte, off-len(out))...))
+		ent := out[flatHeaderSize+i*flatDirEntSize:]
 		copy(ent[:flatNameSize], sec.name)
-		binary.LittleEndian.PutUint64(ent[flatNameSize:], uint64(offs[i]))
-		binary.LittleEndian.PutUint64(ent[flatNameSize+8:], uint64(len(sec.payload)))
-		binary.LittleEndian.PutUint32(ent[flatNameSize+16:], crc32.ChecksumIEEE(sec.payload))
-		copy(out[offs[i]:], sec.payload)
+		binary.LittleEndian.PutUint64(ent[flatNameSize:], uint64(off))
+		binary.LittleEndian.PutUint64(ent[flatNameSize+8:], uint64(len(out)-off))
+		binary.LittleEndian.PutUint32(ent[flatNameSize+16:], crc32.ChecksumIEEE(out[off:]))
 	}
 	binary.LittleEndian.PutUint32(out[dirEnd:], crc32.ChecksumIEEE(out[:dirEnd]))
 	return out, nil

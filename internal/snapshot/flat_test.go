@@ -16,6 +16,9 @@ import (
 	"remotepeering/internal/lg"
 	"remotepeering/internal/netflow"
 	"remotepeering/internal/spread"
+	"remotepeering/internal/stats"
+	"remotepeering/internal/topo"
+	"remotepeering/internal/worldgen"
 )
 
 // flatImage renders s as an in-memory flat image.
@@ -294,13 +297,12 @@ func withSections(img []byte, extra ...flatSection) []byte {
 	out = append(out, img[oldBase:]...)
 	for k, sec := range extra {
 		off := alignUp(len(out), flatAlign)
-		out = append(out, make([]byte, off-len(out))...)
+		out = sec.put(append(out, make([]byte, off-len(out))...))
 		ent := out[oldDirEnd+k*flatDirEntSize:]
 		copy(ent[:flatNameSize], sec.name)
 		binary.LittleEndian.PutUint64(ent[flatNameSize:], uint64(off))
-		binary.LittleEndian.PutUint64(ent[flatNameSize+8:], uint64(len(sec.payload)))
-		binary.LittleEndian.PutUint32(ent[flatNameSize+16:], crc32.ChecksumIEEE(sec.payload))
-		out = append(out, sec.payload...)
+		binary.LittleEndian.PutUint64(ent[flatNameSize+8:], uint64(len(out)-off))
+		binary.LittleEndian.PutUint32(ent[flatNameSize+16:], crc32.ChecksumIEEE(out[off:]))
 	}
 	refixDirCRC(out)
 	return out
@@ -311,9 +313,9 @@ func withSections(img []byte, extra ...flatSection) []byte {
 // concatenated rows, and the rows.
 func coneSections() []flatSection {
 	return []flatSection{
-		{"cones.ids", appendU32s(nil, []uint32{0, 3})},
-		{"cones.offs", appendU32s(nil, []uint32{0, 1, 3})},
-		{"cones.data", appendU32s(nil, []uint32{0, 3, 7})},
+		payloadSection("cones.ids", appendU32s(nil, []uint32{0, 3})),
+		payloadSection("cones.offs", appendU32s(nil, []uint32{0, 1, 3})),
+		payloadSection("cones.data", appendU32s(nil, []uint32{0, 3, 7})),
 	}
 }
 
@@ -321,7 +323,7 @@ func coneSections() []flatSection {
 // a future writer might add is listed but ignored by materialize.
 func TestFlatUnknownSectionSkipped(t *testing.T) {
 	w := testWorld(t)
-	img := withSections(flatImage(t, &Snapshot{World: w}), flatSection{"future.section", []byte("future payload")})
+	img := withSections(flatImage(t, &Snapshot{World: w}), payloadSection("future.section", []byte("future payload")))
 
 	a, err := AttachBytes(img)
 	if err != nil {
@@ -448,6 +450,62 @@ func TestFlatUncomputableDatasetCorrupt(t *testing.T) {
 		}
 		if _, err := a.Snapshot(); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("config %+v: materialize err = %v, want ErrCorrupt", ds.Cfg, err)
+		}
+	}
+}
+
+// TestWorldEncoderNeverRegrows pins a checkpoint's allocation: the world
+// payload's size is computed from the world without encoding it, so
+// neither encoding the world alone nor encoding a file image, into which
+// the world, the AS-id plane and the dataset append in place, ever
+// regrows its buffer; the image is allocated once, at the file's size.
+// Addresses append in place too, so a save allocates per section, not
+// per address. It holds for a generated world and for a churned clone,
+// whose member lists and interface table changed.
+func TestWorldEncoderNeverRegrows(t *testing.T) {
+	w := testWorld(t)
+	churned := w.Clone()
+	x := churned.IXPs[1]
+	churned.RemoveMemberships(1, map[topo.ASN]bool{x.Members[0].ASN: true, x.Members[3].ASN: true})
+	member := map[topo.ASN]bool{}
+	for _, m := range x.Members {
+		member[m.ASN] = true
+	}
+	src := stats.NewSource(9)
+	joins := 0
+	for _, asn := range churned.Graph.ASNs() {
+		if joins == 3 {
+			break
+		}
+		if !member[asn] {
+			if err := churned.AddDirectMembership(1, asn, src); err != nil {
+				t.Fatal(err)
+			}
+			joins++
+		}
+	}
+	for name, w := range map[string]*worldgen.World{"generated": w, "churned": churned} {
+		payload := encodeWorld(w)
+		if size := worldSize(w); len(payload) != size || cap(payload) != size {
+			t.Errorf("%s: world payload of %d bytes in a %d-byte buffer; worldSize says %d", name, len(payload), cap(payload), size)
+		}
+		ds, err := netflow.Collect(w, netflow.Config{Seed: 11, Intervals: 24})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := &Snapshot{World: w, Dataset: ds, Tick: &TickState{Tick: 8, Seed: 7}}
+		img, err := encodeFlat(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(img) != len(img) {
+			t.Errorf("%s: file image of %d bytes in a %d-byte buffer", name, len(img), cap(img))
+		}
+		if got := img[flatPayloadBase : flatPayloadBase+len(payload)]; !bytes.Equal(got, payload) {
+			t.Errorf("%s: the image's world section differs from the world payload", name)
+		}
+		if allocs := testing.AllocsPerRun(3, func() { encodeFlat(s) }); allocs > 40 {
+			t.Errorf("%s: encoding the file image made %.0f allocations, want at most 40", name, allocs)
 		}
 	}
 }

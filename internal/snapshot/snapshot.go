@@ -82,8 +82,79 @@ func WorldDigest(w *worldgen.World) (string, error) {
 
 // --- world ---
 
+// encodeWorld returns the world payload, encoded into a buffer of
+// exactly its size.
 func encodeWorld(w *worldgen.World) []byte {
-	var e enc
+	return appendWorld(make([]byte, 0, worldSize(w)), w)
+}
+
+// worldSize is the world payload's exact length, computed from the
+// world's counts, string lengths and values without encoding them, so
+// appending the payload to a buffer with that much room left never
+// regrows it. It mirrors appendWorld field by field.
+func worldSize(w *worldgen.World) int {
+	asnLen := func(a topo.ASN) int { return uvarintLen(uint64(a)) }
+	n := varintLen(w.Cfg.Seed) + varintLen(int64(w.Cfg.LeafNetworks)) + 8 + varintLen(int64(w.Cfg.CampaignDays))
+
+	asns := w.Graph.ASNs()
+	n += uvarintLen(uint64(len(asns)))
+	for _, a := range asns {
+		net := w.Graph.Network(a)
+		n += asnLen(net.ASN) + prefixedLen(len(net.Name)) + 1 + prefixedLen(len(net.City)) + 1 +
+			varintLen(int64(net.SizeRank)) + varintLen(net.IPInterfaces)
+	}
+	for _, of := range []func(topo.ASN) []topo.ASN{w.Graph.Providers, w.Graph.Customers, w.Graph.Peers} {
+		count := 0
+		for _, a := range asns {
+			list := of(a)
+			if len(list) == 0 {
+				continue
+			}
+			count++
+			n += asnLen(a) + uvarintLen(uint64(len(list)))
+			for _, other := range list {
+				n += asnLen(other)
+			}
+		}
+		n += uvarintLen(uint64(count))
+	}
+
+	n += uvarintLen(uint64(len(w.IXPs)))
+	for _, x := range w.IXPs {
+		n += prefixedLen(len(x.Acronym)) + prefixedLen(len(x.FullName)) + uvarintLen(uint64(len(x.Cities))) +
+			prefixedLen(len(x.Country)) + 8 + prefixedLen(prefixLen(x.Subnet)) + 2 + uvarintLen(uint64(len(x.Members)))
+		for _, c := range x.Cities {
+			n += prefixedLen(len(c))
+		}
+		for _, m := range x.Members {
+			n += asnLen(m.ASN) + 1 + prefixedLen(len(m.Provider)) + prefixedLen(len(m.AccessCity)) +
+				varintLen(int64(m.Location)) + prefixedLen(addrLen(m.IP))
+		}
+	}
+
+	n += uvarintLen(uint64(len(w.Ifaces)))
+	for i := range w.Ifaces {
+		rec := &w.Ifaces[i]
+		n += varintLen(int64(rec.IXPIndex)) + prefixedLen(addrLen(rec.IP)) + asnLen(rec.ASN) + 1 +
+			prefixedLen(len(rec.AccessCity)) + varintLen(int64(rec.Location)) + 2 + 8 + asnLen(rec.ChurnASN) + 2
+	}
+
+	for _, d := range w.PseudowireDelta {
+		n += varintLen(int64(d))
+	}
+	n += asnLen(w.RedIRIS) + asnLen(w.Geant) + asnLen(w.Transit1) + asnLen(w.Transit2)
+	for _, list := range [][]topo.ASN{w.Tier1s, w.NRENs, w.PeeredCDNs} {
+		n += uvarintLen(uint64(len(list)))
+		for _, a := range list {
+			n += asnLen(a)
+		}
+	}
+	return n
+}
+
+// appendWorld appends the world payload to buf.
+func appendWorld(buf []byte, w *worldgen.World) []byte {
+	e := enc{buf: buf}
 
 	// Config.
 	e.varint(w.Cfg.Seed)
@@ -357,8 +428,24 @@ func decodeWorld(payload []byte) (*worldgen.World, error) {
 
 // --- dataset ---
 
-func encodeDataset(ds *netflow.Dataset) []byte {
-	var e enc
+// datasetSize is the dataset payload's exact length, computed the way
+// worldSize is; it mirrors appendDataset field by field.
+func datasetSize(ds *netflow.Dataset) int {
+	n := varintLen(ds.Cfg.Seed) + varintLen(int64(ds.Cfg.Intervals)) + varintLen(int64(ds.Cfg.IntervalLength)) + 3*8 +
+		uvarintLen(uint64(len(ds.Entries)))
+	for i := range ds.Entries {
+		en := &ds.Entries[i]
+		n += uvarintLen(uint64(en.ASN)) + 8 + 8 + 1 + uvarintLen(uint64(len(en.Path)))
+		for _, hop := range en.Path {
+			n += uvarintLen(uint64(hop))
+		}
+	}
+	return n
+}
+
+// appendDataset appends the dataset payload to buf.
+func appendDataset(buf []byte, ds *netflow.Dataset) []byte {
+	e := enc{buf: buf}
 	e.varint(ds.Cfg.Seed)
 	e.intv(ds.Cfg.Intervals)
 	e.varint(int64(ds.Cfg.IntervalLength))
