@@ -684,6 +684,34 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 	b.ReportMetric(float64(size), "snapshot_bytes")
 }
 
+// BenchmarkSnapshotMaterialize measures what a fleet pays each time a
+// query lands on a cold world, in catalog-churn's file shape: a
+// paper-scale world with a 288-interval traffic dataset. Each iteration
+// is one OpenSnapshot: attach, decode the world into its dense graph,
+// rehydrate the dataset, and unmap.
+func BenchmarkSnapshotMaterialize(b *testing.B) {
+	w, _, _, _ := fixtures(b)
+	ds, err := CollectTraffic(w, TrafficConfig{Seed: 3, Intervals: 288})
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "bench.flat")
+	if _, err := SaveSnapshot(path, &Snapshot{World: w, Dataset: ds}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snap, err := OpenSnapshot(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if snap.World.Graph.Len() != w.Graph.Len() || len(snap.Dataset.Entries) != len(ds.Entries) {
+			b.Fatal("materialized snapshot lost networks or entries")
+		}
+	}
+}
+
 // BenchmarkSnapshotAttach measures the flat format's core claim: a
 // paper-scale world+dataset attaches in microseconds — header and
 // directory validation only, O(sections) not O(file) — where the

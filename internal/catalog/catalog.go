@@ -15,7 +15,8 @@
 //     residency is charged at its file size; the file itself is mapped
 //     only while the world materializes.
 //   - quarantine: a snapshot that fails validation (CRC mismatch,
-//     truncation, wrong magic, a retired format version) is marked
+//     truncation, wrong magic, a retired format version, or content that
+//     no longer hashes to the digest it was catalogued under) is marked
 //     Quarantined and never retried;
 //     transient attach failures retry in fault.Retry, with capped,
 //     deterministically jittered backoff.
@@ -523,6 +524,13 @@ func (c *Catalog) attachOnce(e *entry) (residency, error) {
 	if err != nil {
 		return residency{}, err
 	}
+	// The file is catalogued under the digest of the bytes Add read; a
+	// file rewritten since then is another world, which must not answer
+	// for this one.
+	if snap.Digest != e.digest {
+		return residency{}, fmt.Errorf("%w: %s holds world %s, catalogued as %s",
+			errDigestMismatch, e.path, snap.Digest, e.digest)
+	}
 	c.mu.Lock()
 	hook := c.onAttach
 	c.mu.Unlock()
@@ -535,14 +543,19 @@ func (c *Catalog) attachOnce(e *entry) (residency, error) {
 	return residency{snap: snap, held: held}, nil
 }
 
+// errDigestMismatch marks a file whose content no longer hashes to the
+// digest it was catalogued under.
+var errDigestMismatch = errors.New("catalog: snapshot file changed under its digest")
+
 // isCorruptErr classifies failures that quarantine (a damaged or
-// foreign file, or an injected corrupt read) versus transient ones that
-// retry.
+// foreign file, a file that changed under its digest, or an injected
+// corrupt read) versus transient ones that retry.
 func isCorruptErr(err error) bool {
 	if cls, ok := fault.IsInjected(err); ok {
 		return cls == fault.AttachCorrupt
 	}
-	return errors.Is(err, snapshot.ErrCorrupt) ||
+	return errors.Is(err, errDigestMismatch) ||
+		errors.Is(err, snapshot.ErrCorrupt) ||
 		errors.Is(err, snapshot.ErrTruncated) ||
 		errors.Is(err, snapshot.ErrBadMagic) ||
 		errors.Is(err, snapshot.ErrVersion)

@@ -338,6 +338,57 @@ func TestQuarantineOnCorrupt(t *testing.T) {
 	}
 }
 
+// TestQuarantineOnDigestChange pins that a file overwritten after it was
+// catalogued quarantines instead of answering for the world it replaced:
+// a copy of w1 is catalogued, then rewritten with w2's bytes, and an
+// acquire of w1's digest is refused with an error naming both digests,
+// never a lease on w2's world.
+func TestQuarantineOnDigestChange(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "w.flat")
+	w1, err := os.ReadFile(fixPaths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	w2, err := os.ReadFile(fixPaths[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, w1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := New(Options{})
+	digest, err := c.Add(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if digest != fixDigests[0] {
+		t.Fatalf("copy of w1 catalogued as %s, want %s", digest[:12], fixDigests[0][:12])
+	}
+	if err := os.WriteFile(path, w2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lease, err := c.Acquire(context.Background(), digest)
+	if err == nil {
+		defer lease.Release()
+		t.Fatalf("acquire of w1 leased a world of %d networks from a file now holding w2 (w1 has %d)",
+			lease.Snapshot().World.Graph.Len(), fixNets[0])
+	}
+	if !errors.Is(err, ErrQuarantined) || !strings.Contains(err.Error(), errDigestMismatch.Error()) {
+		t.Fatalf("acquire of a rewritten file: %v, want ErrQuarantined for %q", err, errDigestMismatch)
+	}
+	for _, d := range []string{fixDigests[0], fixDigests[1]} {
+		if !strings.Contains(err.Error(), d) {
+			t.Errorf("quarantine error %q does not name digest %s", err, d[:12])
+		}
+	}
+	if wi, _ := c.Lookup(digest); wi.State != "quarantined" {
+		t.Errorf("rewritten world is %q, want quarantined", wi.State)
+	}
+	if c.Attaches() != 0 || c.ResidentBytes() != 0 {
+		t.Errorf("rewritten world counted %d attaches and %d resident bytes, want 0 and 0", c.Attaches(), c.ResidentBytes())
+	}
+}
+
 // TestTransientAttachFailureRetries pins the retry path: a plane that
 // always fails attach surfaces the injected error and leaves the world
 // Cold (not quarantined); a plane whose schedule clears within the

@@ -1,14 +1,22 @@
 // Attach: the read side of the flat format. Attach maps a flat snapshot
 // into the address space and validates only the fixed-size header and
 // section directory — microseconds of work independent of file size. The
-// expensive part, materializing the pointer-rich *World and rehydrating
-// the analyses, happens on the first Snapshot() call, and it decodes
-// every section by copy: the materialized Snapshot shares no memory with
-// the mapping, so a caller can Close the attachment as soon as it has
-// materialized (OpenFile does exactly that). Scenario clones over an
-// attached world stay copy-on-write: the ops' dirty-stage masks decide
-// which sections a cell rebuilds, exactly as they do over a freshly
-// generated world.
+// expensive part, materializing the *World and rehydrating the analyses,
+// happens on the first Snapshot() call, and it decodes every section by
+// copy: the materialized Snapshot shares no memory with the mapping, so a
+// caller can Close the attachment as soon as it has materialized
+// (OpenFile does exactly that). Scenario clones over an attached world
+// stay copy-on-write: the ops' dirty-stage masks decide which sections a
+// cell rebuilds, exactly as they do over a freshly generated world.
+//
+// Materializing builds, per section: the world's frozen AS graph in its
+// dense form (one network slice, one offset plane and one ASN list per
+// relation, one id index; no map, per-network record or sort), its IXPs
+// and probe-target records, and the IXP spec table; the dataset's entries,
+// whose AS paths are windows of one array, with the traffic ranking
+// netflow.Rehydrate derives from them; the campaign's observation stream
+// in one slice, its ground truth and the detector report; and the tick
+// state.
 package snapshot
 
 import (

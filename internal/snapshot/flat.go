@@ -50,6 +50,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"remotepeering/internal/lg"
@@ -161,13 +162,26 @@ func decodeRowAddr(ip []byte, ipLen uint8) (netip.Addr, error) {
 	}
 }
 
-// encodeObsRows packs the raw observation stream into fixed-width rows,
-// interning acronym/family strings into table (first-appearance order).
-func encodeObsRows(raw []lg.Observation, table *stringTable) []byte {
-	buf := make([]byte, len(raw)*obsRowSize)
+// internObs interns every observation's acronym and family into table,
+// in first-appearance order, so the obs.strs table that precedes the rows
+// in the file is complete before they are written.
+func internObs(raw []lg.Observation, table *stringTable) {
+	for i := range raw {
+		table.ref(raw[i].Acronym)
+		table.ref(raw[i].Family)
+	}
+}
+
+// appendObsRows appends the raw observation stream to out as fixed-width
+// rows, packed in place. Every acronym and family must already be
+// interned in table (internObs).
+func appendObsRows(out []byte, raw []lg.Observation, table *stringTable) []byte {
+	base := len(out)
+	out = slices.Grow(out, len(raw)*obsRowSize)[:base+len(raw)*obsRowSize]
 	for i := range raw {
 		o := &raw[i]
-		row := buf[i*obsRowSize:]
+		row := out[base+i*obsRowSize : base+(i+1)*obsRowSize]
+		clear(row)
 		binary.LittleEndian.PutUint64(row[0:], uint64(o.SentAt))
 		binary.LittleEndian.PutUint64(row[8:], uint64(o.RTT))
 		row[46] = putRowAddr(row[16:32], o.Target)
@@ -179,10 +193,10 @@ func encodeObsRows(raw []lg.Observation, table *stringTable) []byte {
 			row[45] = 1
 		}
 	}
-	return buf
+	return out
 }
 
-// decodeObsRows is encodeObsRows' inverse: one slice allocation for the
+// decodeObsRows is appendObsRows' inverse: one slice allocation for the
 // whole stream, strings shared from the decoded table.
 func decodeObsRows(b []byte, table []string) ([]lg.Observation, error) {
 	if len(b)%obsRowSize != 0 {
@@ -256,8 +270,9 @@ func payloadSection(name string, payload []byte) flatSection {
 
 // flatSections assembles the section list for a snapshot, in the fixed
 // file order. The world and dataset payloads are varint encodings; the
-// row-shaped artifacts are flattened. The world, the AS-id plane and the
-// dataset are encoded straight into the file image.
+// row-shaped artifacts are flattened. The world, the AS-id plane, the
+// dataset and the observation rows are encoded straight into the file
+// image.
 func flatSections(s *Snapshot) ([]flatSection, error) {
 	if s == nil || s.World == nil {
 		return nil, fmt.Errorf("snapshot: nil snapshot or world")
@@ -287,8 +302,9 @@ func flatSections(s *Snapshot) ([]flatSection, error) {
 		}
 		var cfg enc
 		encodeSpreadCfg(&cfg, s.Spread)
+		raw := s.Spread.Raw
 		var table stringTable
-		rows := encodeObsRows(s.Spread.Raw, &table)
+		internObs(raw, &table)
 		var strs enc
 		table.encode(&strs)
 
@@ -308,7 +324,7 @@ func flatSections(s *Snapshot) ([]flatSection, error) {
 		secs = append(secs,
 			payloadSection(flatSpreadCfg, cfg.buf),
 			payloadSection(flatObsStrs, strs.buf),
-			payloadSection(flatObsRows, rows),
+			flatSection{flatObsRows, obsRowSize * len(raw), func(out []byte) []byte { return appendObsRows(out, raw, &table) }},
 			payloadSection(flatTruthIXPs, tixps),
 			payloadSection(flatTruthOffs, appendU32s(make([]byte, 0, 4*len(toffs)), toffs)),
 			payloadSection(flatTruthAddrs, taddrs))
@@ -323,13 +339,18 @@ func flatSections(s *Snapshot) ([]flatSection, error) {
 // alignUp rounds n up to the next multiple of a (a power of two).
 func alignUp(n, a int) int { return (n + a - 1) &^ (a - 1) }
 
-// encodeFlat renders the complete file image. It allocates the image
-// once, at its size, and each section appends its payload in place.
+// encodeFlat renders the complete file image.
 func encodeFlat(s *Snapshot) ([]byte, error) {
 	secs, err := flatSections(s)
 	if err != nil {
 		return nil, err
 	}
+	return layoutFlat(secs)
+}
+
+// layoutFlat lays the sections out as a file image. It allocates the
+// image once, at its size, and each section appends its payload in place.
+func layoutFlat(secs []flatSection) ([]byte, error) {
 	dirEnd := flatHeaderSize + len(secs)*flatDirEntSize
 	// Payloads start at the first page boundary past the directory (and
 	// its trailing CRC), each aligned to 64 bytes.

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -461,7 +462,9 @@ func TestFlatUncomputableDatasetCorrupt(t *testing.T) {
 // regrows its buffer; the image is allocated once, at the file's size.
 // Addresses append in place too, so a save allocates per section, not
 // per address. It holds for a generated world and for a churned clone,
-// whose member lists and interface table changed.
+// whose member lists and interface table changed. A campaign's
+// observation rows are written into the image as well: a save with a
+// campaign allocates no second buffer the size of its rows.
 func TestWorldEncoderNeverRegrows(t *testing.T) {
 	w := testWorld(t)
 	churned := w.Clone()
@@ -507,5 +510,35 @@ func TestWorldEncoderNeverRegrows(t *testing.T) {
 		if allocs := testing.AllocsPerRun(3, func() { encodeFlat(s) }); allocs > 40 {
 			t.Errorf("%s: encoding the file image made %.0f allocations, want at most 40", name, allocs)
 		}
+	}
+
+	res, err := spread.Run(w, spread.Options{
+		Seed:     5,
+		IXPs:     []int{0},
+		Campaign: lg.Config{Duration: 2 * 24 * time.Hour, PCHRounds: 1, RIPERounds: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &Snapshot{World: w, Spread: res}
+	img, err := encodeFlat(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(img) != len(img) {
+		t.Errorf("campaign: file image of %d bytes in a %d-byte buffer", len(img), cap(img))
+	}
+	rows := obsRowSize * len(res.Raw)
+	extra := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		encodeFlat(s)
+		runtime.ReadMemStats(&after)
+		extra = min(extra, after.TotalAlloc-before.TotalAlloc-uint64(len(img)))
+	}
+	if extra >= uint64(rows) {
+		t.Errorf("campaign: encoding a %d-byte image allocated %d bytes beside it, at least its %d bytes of observation rows",
+			len(img), extra, rows)
 	}
 }

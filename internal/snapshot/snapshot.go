@@ -13,7 +13,10 @@
 // is rebuilt on attach or on demand through the owning packages rather
 // than persisted, so the file stays small, the derivations stay in one
 // place, and a materialized Snapshot owns its memory: nothing in it
-// aliases the file it came from.
+// aliases the file it came from. The world section stores the AS graph in
+// the order its frozen form holds it (networks and adjacency keys by
+// ascending ASN), so attach decodes it straight into that dense form
+// (attach.go) and refuses a section that breaks the order.
 //
 // The file's bytes depend on content alone: runtime knobs such as the
 // worldgen and netflow Workers counts are never written (they never
@@ -267,8 +270,12 @@ func appendWorld(buf []byte, w *worldgen.World) []byte {
 }
 
 // decodeWorld decodes the world payload without building the derived
-// state (dense index, spec table): attach restores the index from the
-// persisted dense-id plane instead of re-deriving it.
+// state (spec table): attach checks the persisted dense-id plane against
+// the restored graph instead of re-deriving it. The graph is decoded
+// straight into its frozen dense form: the networks into one slice, each
+// relation's lists into one exact-size slice, and no map, per-network
+// record or sort is built. The networks and each relation's keys must
+// ascend, the order appendWorld writes them in.
 func decodeWorld(payload []byte) (*worldgen.World, error) {
 	d := &dec{buf: payload}
 	w := &worldgen.World{}
@@ -282,9 +289,9 @@ func decodeWorld(payload []byte) (*worldgen.World, error) {
 	if d.err != nil || !d.fits(nNets, 7) {
 		return nil, d.err
 	}
-	nets := make([]*topo.Network, nNets)
+	nets := make([]topo.Network, nNets)
 	for i := range nets {
-		n := &topo.Network{}
+		n := &nets[i]
 		n.ASN = topo.ASN(d.uvarint())
 		n.Name = d.str()
 		n.Kind = topo.NetworkKind(d.u8())
@@ -292,32 +299,11 @@ func decodeWorld(payload []byte) (*worldgen.World, error) {
 		n.Policy = topo.PeeringPolicy(d.u8())
 		n.SizeRank = d.intv()
 		n.IPInterfaces = d.varint()
-		nets[i] = n
 	}
 
-	decodeAdj := func() map[topo.ASN][]topo.ASN {
-		count := d.uvarint()
-		if d.err != nil || !d.fits(count, 3) {
-			return nil
-		}
-		adj := make(map[topo.ASN][]topo.ASN, count)
-		for i := uint64(0); i < count; i++ {
-			asn := topo.ASN(d.uvarint())
-			n := d.uvarint()
-			if d.err != nil || !d.fits(n, 1) {
-				return nil
-			}
-			list := make([]topo.ASN, n)
-			for k := range list {
-				list[k] = topo.ASN(d.uvarint())
-			}
-			adj[asn] = list
-		}
-		return adj
-	}
-	providers := decodeAdj()
-	customers := decodeAdj()
-	peers := decodeAdj()
+	providers := decodeRelation(d)
+	customers := decodeRelation(d)
+	peers := decodeRelation(d)
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -467,6 +453,48 @@ func appendDataset(buf []byte, ds *netflow.Dataset) []byte {
 	return e.buf
 }
 
+// decodeRelation decodes one adjacency relation as appendWorld wrote it:
+// a key count, then per key its ASN, its list length and the list. A
+// first pass over the varints counts the entries, so the lists land in
+// one exact-size slice.
+func decodeRelation(d *dec) topo.Relation {
+	count := d.uvarint()
+	if d.err != nil || !d.fits(count, 3) {
+		return topo.Relation{}
+	}
+	rel := topo.Relation{Keys: make([]topo.ASN, count), Lens: make([]uint32, count)}
+	start, total := d.off, uint64(0)
+	for i := range rel.Keys {
+		rel.Keys[i] = topo.ASN(d.uvarint())
+		n := d.uvarint()
+		if d.err != nil || !d.fits(n, 1) {
+			return topo.Relation{}
+		}
+		rel.Lens[i] = uint32(n)
+		total += n
+		for ; n > 0; n-- {
+			d.uvarint()
+		}
+	}
+	if d.err != nil {
+		return topo.Relation{}
+	}
+	rel.List = make([]topo.ASN, total)
+	d.off = start
+	k := 0
+	for range rel.Keys {
+		d.uvarint()
+		for n := d.uvarint(); n > 0; n-- {
+			rel.List[k] = topo.ASN(d.uvarint())
+			k++
+		}
+	}
+	return rel
+}
+
+// decodeDataset decodes the dataset payload. Every entry's AS path is a
+// capped window of one backing array, sized by a first pass over the
+// entries.
 func decodeDataset(payload []byte, w *worldgen.World) (*netflow.Dataset, error) {
 	d := &dec{buf: payload}
 	var cfg netflow.Config
@@ -481,25 +509,40 @@ func decodeDataset(payload []byte, w *worldgen.World) (*netflow.Dataset, error) 
 		return nil, d.err
 	}
 	entries := make([]netflow.Entry, n)
+	start, total := d.off, uint64(0)
+	for range entries {
+		d.uvarint()
+		d.f64()
+		d.f64()
+		d.boolv()
+		hops := d.uvarint()
+		if d.err != nil || !d.fits(hops, 1) {
+			return nil, d.err
+		}
+		total += hops
+		for ; hops > 0; hops-- {
+			d.uvarint()
+		}
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	paths := make([]topo.ASN, total)
+	d.off = start
 	for i := range entries {
 		en := &entries[i]
 		en.ASN = topo.ASN(d.uvarint())
 		en.AvgInBps = d.f64()
 		en.AvgOutBps = d.f64()
 		en.Transit = d.boolv()
-		hops := d.uvarint()
-		if d.err != nil || !d.fits(hops, 1) {
-			return nil, d.err
-		}
+		hops := int(d.uvarint())
 		if hops > 0 {
-			en.Path = make([]topo.ASN, hops)
+			en.Path = paths[:hops:hops]
+			paths = paths[hops:]
 		}
 		for k := range en.Path {
 			en.Path[k] = topo.ASN(d.uvarint())
 		}
-	}
-	if d.err != nil {
-		return nil, d.err
 	}
 	if d.off != len(d.buf) {
 		return nil, fmt.Errorf("%w: %d trailing bytes in dataset section", ErrCorrupt, len(d.buf)-d.off)

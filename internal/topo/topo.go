@@ -5,12 +5,21 @@
 // an IXP membership records whether the member reaches the fabric directly
 // or through a remote-peering provider — the distinction that, as the paper
 // argues, pure layer-3 (AS-level) topologies cannot express.
+//
+// The AS graph is built through its mutators and then frozen into a dense
+// form: networks in one slice by ascending ASN, each relation in one
+// compressed-sparse-row plane, and one id index (Graph). Only Network,
+// ASNs and Len are meant to be read before Freeze, by the generator that
+// builds the graph; the analyses read frozen graphs.
 package topo
 
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"net/netip"
+	"slices"
 	"sort"
 )
 
@@ -101,28 +110,72 @@ type Network struct {
 // Graph is the AS-level relationship graph. A graph is built through
 // AddNetwork, AddTransit and AddPeering, then frozen: a generated or
 // restored world's graph is read-only from then on, so world clones and
-// concurrent analyses share one graph instead of copying it. Network
-// records are shared the same way; nothing may write through the
-// pointers Network returns once the graph is frozen.
+// concurrent analyses share one graph instead of copying it. Nothing may
+// write through the pointers Network returns once the graph is frozen.
 //
-// A frozen graph is also the dense index of the Section 4 analyses: every
-// ASN has an int32 id, its position in ASNs(), so ids ascend with ASNs.
-// Iterating ids in ascending order is iterating ASNs in ascending order,
-// which is the fixed floating-point addition order the determinism suite
-// pins.
+// A frozen graph is dense and is the dense index of the Section 4
+// analyses. Every ASN has an int32 id, its position in ASNs(), so ids
+// ascend with ASNs. Its networks are one slice in id order; each relation
+// (providers, customers, peers) is one compressed-sparse-row plane, one
+// offset per id into one ASN list; and one open-addressing table maps an
+// ASN to its id. It holds no map and no per-network record. Iterating ids
+// in ascending order is iterating ASNs in ascending order, which is the
+// fixed floating-point addition order the determinism suite pins.
+//
+// A graph under construction keeps the maps its mutators fill, and
+// Freeze compacts them once into the dense form. Only Network, ASNs and
+// Len are meant to be read before Freeze, by the generator, which reads
+// and writes networks while it builds. The adjacency reads answer from the
+// maps too, through the one lookup the frozen form answers through, so a
+// graph under construction can still be traversed; ID and ASN answer only
+// once it is frozen. Freeze copies the records, so a pointer Network
+// returned before Freeze does not point into the frozen graph.
 type Graph struct {
-	nets      map[ASN]*Network
-	providers map[ASN][]ASN // asn -> its transit providers
-	customers map[ASN][]ASN // asn -> its transit customers
-	peers     map[ASN][]ASN // settlement-free peers (layer-3 view)
-	// asnCache memoises ASNs(): the sorted universe is rebuilt only after
-	// an AddNetwork, not on every analysis pass over the graph. Callers
-	// receive the cached slice and must treat it as read-only. Once the
-	// graph is frozen, asnCache[id] is the ASN with dense id id.
-	asnCache []ASN
-	// ids is the inverse of asnCache, filled by Freeze.
-	ids    map[ASN]int32
+	// asns[id] is the ASN with dense id id. Before Freeze it memoises
+	// ASNs(), rebuilt only after an AddNetwork. Callers receive it and
+	// must treat it as read-only.
+	asns []ASN
+	// nets[id] is the network with dense id id.
+	nets []Network
+	// slots is the id index: a table of a power-of-two size at least twice
+	// the network count. The slot an ASN's probe reaches, starting at
+	// slot(asn) and stepping linearly, holds its id plus one; 0 marks a
+	// free slot.
+	slots []int32
+	// rels holds the provider, customer and peer planes.
+	rels   [numRels]plane
 	frozen bool
+
+	// b is the graph under construction, dropped by Freeze.
+	b *builder
+}
+
+// rel names one adjacency relation.
+type rel int
+
+const (
+	relProviders rel = iota // asn -> its transit providers
+	relCustomers            // asn -> its transit customers
+	relPeers                // settlement-free peers (layer-3 view)
+	numRels
+)
+
+var relNames = [numRels]string{"provider", "customer", "peer"}
+
+// plane is one relation in compressed sparse rows: the list of the
+// network with id id is list[offs[id]:offs[id+1]], in the order its edges
+// were added. Adjacency order is load-bearing: customer-cone BFS and RIB
+// computation iterate it.
+type plane struct {
+	offs []int32
+	list []ASN
+}
+
+// builder holds what the mutators fill: the registered records and each
+// relation's lists.
+type builder struct {
+	nets map[ASN]*Network
+	adj  [numRels]map[ASN][]ASN
 }
 
 // ErrFrozen is returned by the graph mutators once Freeze has run.
@@ -130,12 +183,11 @@ var ErrFrozen = errors.New("topo: graph is frozen")
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
-	return &Graph{
-		nets:      make(map[ASN]*Network),
-		providers: make(map[ASN][]ASN),
-		customers: make(map[ASN][]ASN),
-		peers:     make(map[ASN][]ASN),
+	b := &builder{nets: make(map[ASN]*Network)}
+	for r := range b.adj {
+		b.adj[r] = make(map[ASN][]ASN)
 	}
+	return &Graph{b: b}
 }
 
 // AddNetwork registers a network. Re-adding an existing ASN is an error.
@@ -146,48 +198,79 @@ func (g *Graph) AddNetwork(n *Network) error {
 	if n == nil {
 		return fmt.Errorf("topo: nil network")
 	}
-	if _, dup := g.nets[n.ASN]; dup {
+	if _, dup := g.b.nets[n.ASN]; dup {
 		return fmt.Errorf("topo: duplicate ASN %d", n.ASN)
 	}
-	g.nets[n.ASN] = n
-	g.asnCache = nil
+	g.b.nets[n.ASN] = n
+	g.asns = nil
 	return nil
 }
 
 // Network returns the record for asn, or nil.
-func (g *Graph) Network(asn ASN) *Network { return g.nets[asn] }
+func (g *Graph) Network(asn ASN) *Network {
+	if !g.frozen {
+		return g.b.nets[asn]
+	}
+	if id, ok := g.ID(asn); ok {
+		return &g.nets[id]
+	}
+	return nil
+}
 
 // Len returns the number of registered networks.
-func (g *Graph) Len() int { return len(g.nets) }
+func (g *Graph) Len() int {
+	if !g.frozen {
+		return len(g.b.nets)
+	}
+	return len(g.nets)
+}
 
 // ASNs returns all registered ASNs in ascending order. The slice is cached
 // until the next AddNetwork and shared between callers: do not mutate it.
 func (g *Graph) ASNs() []ASN {
-	if g.asnCache == nil {
-		out := make([]ASN, 0, len(g.nets))
-		for a := range g.nets {
+	if g.asns == nil && !g.frozen {
+		out := make([]ASN, 0, len(g.b.nets))
+		for a := range g.b.nets {
 			out = append(out, a)
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		g.asnCache = out
+		slices.Sort(out)
+		g.asns = out
 	}
-	return g.asnCache
+	return g.asns
 }
 
-// Freeze makes the graph read-only: it fills the ASN cache, assigns every
-// ASN its dense id (its position in ASNs()), and every later AddNetwork,
-// AddTransit or AddPeering returns ErrFrozen. After it the graph is safe
-// for concurrent readers, since no read fills a cache. Freezing a frozen
-// graph does nothing.
+// Freeze makes the graph read-only and dense: it lays the networks out in
+// ascending ASN order, so every ASN's dense id is its position in ASNs(),
+// compacts each relation into its plane, indexes the ids and drops the
+// maps. Every later AddNetwork, AddTransit or AddPeering returns
+// ErrFrozen. After it the graph is safe for concurrent readers, since no
+// read fills a cache. Freezing a frozen graph does nothing.
 func (g *Graph) Freeze() {
 	if g.frozen {
 		return
 	}
 	asns := g.ASNs()
-	g.ids = make(map[ASN]int32, len(asns))
-	for id, asn := range asns {
-		g.ids[asn] = int32(id)
+	nets := make([]Network, len(asns))
+	for id, a := range asns {
+		nets[id] = *g.b.nets[a]
 	}
+	for r, adj := range g.b.adj {
+		total := 0
+		for _, list := range adj {
+			total += len(list)
+		}
+		p := plane{offs: make([]int32, len(asns)+1)}
+		if total > 0 {
+			p.list = make([]ASN, 0, total)
+		}
+		for id, a := range asns {
+			p.list = append(p.list, adj[a]...)
+			p.offs[id+1] = int32(len(p.list))
+		}
+		g.rels[r] = p
+	}
+	g.nets, g.slots = nets, indexIDs(asns)
+	g.b = nil
 	g.frozen = true
 }
 
@@ -195,60 +278,136 @@ func (g *Graph) Freeze() {
 // a nil graph.
 func (g *Graph) Frozen() bool { return g != nil && g.frozen }
 
+// indexIDs builds the id index over asns, which ascend without repeats.
+func indexIDs(asns []ASN) []int32 {
+	if len(asns) == 0 {
+		return nil
+	}
+	slots := make([]int32, 1<<bits.Len(uint(2*len(asns)-1)))
+	mask := uint32(len(slots) - 1)
+	for id, a := range asns {
+		i := slot(a, mask)
+		for slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		slots[i] = int32(id) + 1
+	}
+	return slots
+}
+
+// slot is where asn's probe starts in a table of mask+1 slots: the top
+// bits of its Fibonacci hash, which spread runs of consecutive ASNs.
+func slot(asn ASN, mask uint32) uint32 {
+	return uint32(asn) * 0x9E3779B9 >> bits.LeadingZeros32(mask)
+}
+
 // ID returns the dense id of asn and whether the graph holds asn. Only a
 // frozen graph assigns ids; an unfrozen one reports every ASN absent.
 func (g *Graph) ID(asn ASN) (int32, bool) {
-	id, ok := g.ids[asn]
-	return id, ok
+	if len(g.slots) == 0 {
+		return 0, false
+	}
+	mask := uint32(len(g.slots) - 1)
+	for i := slot(asn, mask); ; i = (i + 1) & mask {
+		s := g.slots[i]
+		if s == 0 {
+			return 0, false
+		}
+		if g.asns[s-1] == asn {
+			return s - 1, true
+		}
+	}
 }
 
 // ASN returns the ASN behind a dense id of the frozen graph. Ids come
 // from ID or from positions in ASNs(), so an out-of-range id is a caller
 // bug and panics via the bounds check.
-func (g *Graph) ASN(id int32) ASN { return g.asnCache[id] }
+func (g *Graph) ASN(id int32) ASN { return g.asns[id] }
 
-// Restore builds a graph directly from persisted parts: the network
-// records and the three adjacency maps, adopted verbatim. Adjacency slice
-// order is load-bearing (customer-cone BFS and RIB computation iterate it),
-// so restoring the exact slices — rather than replaying AddTransit and
-// AddPeering calls, whose interleaving the maps alone cannot recover — is
-// what makes a rehydrated graph traverse identically to the original.
-// Every ASN referenced by an adjacency list must be a registered network.
-// The restored graph is frozen.
-func Restore(nets []*Network, providers, customers, peers map[ASN][]ASN) (*Graph, error) {
-	g := NewGraph()
-	for _, n := range nets {
-		if err := g.AddNetwork(n); err != nil {
-			return nil, err
+// Relation is one adjacency relation's persisted parts: the ASNs whose
+// list is not empty, in ascending order (Keys), each one's list length
+// (Lens), and the lists back to back in key order (List).
+type Relation struct {
+	Keys []ASN
+	Lens []uint32
+	List []ASN
+}
+
+// Restore builds a frozen graph directly from its dense parts: the
+// network records in ascending ASN order, and the provider, customer and
+// peer relations. It adopts nets and each relation's List, which the
+// caller must not touch afterwards, and reads Keys and Lens. Restoring
+// the exact lists, rather than replaying AddTransit and AddPeering calls
+// whose interleaving the lists alone cannot recover, is what makes a
+// restored graph traverse identically to the original.
+//
+// Restore refuses networks or keys that are out of ascending order or
+// repeated, keys and list entries that name an ASN with no network, and
+// lengths that do not add up to the list.
+func Restore(nets []Network, providers, customers, peers Relation) (*Graph, error) {
+	if len(nets) >= math.MaxInt32 {
+		return nil, fmt.Errorf("topo: %d networks overflow the int32 ids", len(nets))
+	}
+	asns := make([]ASN, len(nets))
+	for i := range nets {
+		asns[i] = nets[i].ASN
+		if i > 0 && asns[i] <= asns[i-1] {
+			return nil, fmt.Errorf("topo: network ASN %d follows ASN %d; networks must ascend without repeats", asns[i], asns[i-1])
 		}
 	}
-	check := func(kind string, adj map[ASN][]ASN) error {
-		for asn, list := range adj {
-			if _, ok := g.nets[asn]; !ok {
-				return fmt.Errorf("topo: %s adjacency references unknown ASN %d", kind, asn)
-			}
-			for _, other := range list {
-				if _, ok := g.nets[other]; !ok {
-					return fmt.Errorf("topo: %s adjacency of ASN %d references unknown ASN %d", kind, asn, other)
-				}
-			}
+	g := &Graph{asns: asns, nets: nets, slots: indexIDs(asns)}
+	for r, parts := range [numRels]Relation{providers, customers, peers} {
+		p, err := g.restorePlane(parts)
+		if err != nil {
+			return nil, fmt.Errorf("topo: %s relation: %w", relNames[r], err)
 		}
-		return nil
+		g.rels[r] = p
 	}
-	if err := check("provider", providers); err != nil {
-		return nil, err
-	}
-	if err := check("customer", customers); err != nil {
-		return nil, err
-	}
-	if err := check("peer", peers); err != nil {
-		return nil, err
-	}
-	g.providers = providers
-	g.customers = customers
-	g.peers = peers
-	g.Freeze()
+	g.frozen = true
 	return g, nil
+}
+
+// restorePlane checks one relation's parts against the graph's networks
+// and lays them out as its plane.
+func (g *Graph) restorePlane(parts Relation) (plane, error) {
+	if len(parts.Keys) != len(parts.Lens) {
+		return plane{}, fmt.Errorf("%d keys but %d lengths", len(parts.Keys), len(parts.Lens))
+	}
+	if len(parts.List) > math.MaxInt32 {
+		return plane{}, fmt.Errorf("%d entries overflow the int32 offsets", len(parts.List))
+	}
+	for i, key := range parts.Keys {
+		if i > 0 && key <= parts.Keys[i-1] {
+			return plane{}, fmt.Errorf("key ASN %d follows key ASN %d; keys must ascend without repeats", key, parts.Keys[i-1])
+		}
+	}
+	offs := make([]int32, len(g.asns)+1)
+	pos, k := uint64(0), 0
+	for id, asn := range g.asns {
+		if k < len(parts.Keys) && parts.Keys[k] == asn {
+			if pos += uint64(parts.Lens[k]); pos > uint64(len(parts.List)) {
+				return plane{}, fmt.Errorf("lengths pass the %d entries of the list", len(parts.List))
+			}
+			k++
+		}
+		offs[id+1] = int32(pos)
+	}
+	if k < len(parts.Keys) {
+		return plane{}, fmt.Errorf("key ASN %d has no network", parts.Keys[k])
+	}
+	if pos != uint64(len(parts.List)) {
+		return plane{}, fmt.Errorf("lengths add up to %d, the list has %d entries", pos, len(parts.List))
+	}
+	for _, asn := range parts.List {
+		if _, ok := g.ID(asn); !ok {
+			return plane{}, fmt.Errorf("list entry ASN %d has no network", asn)
+		}
+	}
+	p := plane{offs: offs}
+	if len(parts.List) > 0 {
+		p.list = parts.List
+	}
+	return p, nil
 }
 
 // AddTransit records that customer buys transit from provider.
@@ -256,22 +415,23 @@ func (g *Graph) AddTransit(customer, provider ASN) error {
 	if g.frozen {
 		return ErrFrozen
 	}
-	if _, ok := g.nets[customer]; !ok {
+	if _, ok := g.b.nets[customer]; !ok {
 		return fmt.Errorf("topo: unknown customer ASN %d", customer)
 	}
-	if _, ok := g.nets[provider]; !ok {
+	if _, ok := g.b.nets[provider]; !ok {
 		return fmt.Errorf("topo: unknown provider ASN %d", provider)
 	}
 	if customer == provider {
 		return fmt.Errorf("topo: self transit for ASN %d", customer)
 	}
-	for _, p := range g.providers[customer] {
+	providers, customers := g.b.adj[relProviders], g.b.adj[relCustomers]
+	for _, p := range providers[customer] {
 		if p == provider {
 			return nil // idempotent
 		}
 	}
-	g.providers[customer] = append(g.providers[customer], provider)
-	g.customers[provider] = append(g.customers[provider], customer)
+	providers[customer] = append(providers[customer], provider)
+	customers[provider] = append(customers[provider], customer)
 	return nil
 }
 
@@ -280,33 +440,54 @@ func (g *Graph) AddPeering(a, b ASN) error {
 	if g.frozen {
 		return ErrFrozen
 	}
-	if _, ok := g.nets[a]; !ok {
+	if _, ok := g.b.nets[a]; !ok {
 		return fmt.Errorf("topo: unknown ASN %d", a)
 	}
-	if _, ok := g.nets[b]; !ok {
+	if _, ok := g.b.nets[b]; !ok {
 		return fmt.Errorf("topo: unknown ASN %d", b)
 	}
 	if a == b {
 		return fmt.Errorf("topo: self peering for ASN %d", a)
 	}
-	for _, p := range g.peers[a] {
+	peers := g.b.adj[relPeers]
+	for _, p := range peers[a] {
 		if p == b {
 			return nil
 		}
 	}
-	g.peers[a] = append(g.peers[a], b)
-	g.peers[b] = append(g.peers[b], a)
+	peers[a] = append(peers[a], b)
+	peers[b] = append(peers[b], a)
 	return nil
 }
 
+// adj is the one adjacency lookup: asn's list in relation r, read from
+// the builder's maps before Freeze and from the plane after. A frozen
+// list is capped, so a caller's append cannot write into the next
+// network's list.
+func (g *Graph) adj(r rel, asn ASN) []ASN {
+	if !g.frozen {
+		return g.b.adj[r][asn]
+	}
+	id, ok := g.ID(asn)
+	if !ok {
+		return nil
+	}
+	p := &g.rels[r]
+	lo, hi := p.offs[id], p.offs[id+1]
+	if lo == hi {
+		return nil
+	}
+	return p.list[lo:hi:hi]
+}
+
 // Providers returns the transit providers of asn.
-func (g *Graph) Providers(asn ASN) []ASN { return g.providers[asn] }
+func (g *Graph) Providers(asn ASN) []ASN { return g.adj(relProviders, asn) }
 
 // Customers returns the direct transit customers of asn.
-func (g *Graph) Customers(asn ASN) []ASN { return g.customers[asn] }
+func (g *Graph) Customers(asn ASN) []ASN { return g.adj(relCustomers, asn) }
 
 // Peers returns the settlement-free peers of asn.
-func (g *Graph) Peers(asn ASN) []ASN { return g.peers[asn] }
+func (g *Graph) Peers(asn ASN) []ASN { return g.adj(relPeers, asn) }
 
 // CustomerCone returns asn plus its direct and indirect transit customers —
 // the set whose traffic a network may exchange over a peering link
@@ -317,7 +498,7 @@ func (g *Graph) CustomerCone(asn ASN) []ASN {
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, c := range g.customers[cur] {
+		for _, c := range g.Customers(cur) {
 			if !seen[c] {
 				seen[c] = true
 				queue = append(queue, c)
@@ -340,7 +521,7 @@ func (g *Graph) ConeSize(asn ASN) int {
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, c := range g.customers[cur] {
+		for _, c := range g.Customers(cur) {
 			if !seen[c] {
 				seen[c] = true
 				queue = append(queue, c)
@@ -352,7 +533,7 @@ func (g *Graph) ConeSize(asn ASN) int {
 
 // IsProviderFree reports whether asn has no transit providers (a tier-1
 // property).
-func (g *Graph) IsProviderFree(asn ASN) bool { return len(g.providers[asn]) == 0 }
+func (g *Graph) IsProviderFree(asn ASN) bool { return len(g.Providers(asn)) == 0 }
 
 // Membership describes one network's presence at one IXP. Remote is the
 // simulation's ground truth — the fact the paper's detector tries to infer

@@ -65,14 +65,15 @@ func TestGraphAccessors(t *testing.T) {
 }
 
 // TestFreeze pins the read-only contract clones and concurrent analyses
-// rely on: Freeze fills the ASN cache, so no later read writes the graph,
-// and every mutator then fails without changing it. Restore freezes the
-// graph it returns; a NewGraph graph mutates until Freeze.
+// rely on: Freeze lays the graph out densely, so no later read writes the
+// graph, and every mutator then fails without changing it. Restore freezes
+// the graph it returns; a NewGraph graph mutates until Freeze.
 func TestFreeze(t *testing.T) {
 	g := chainGraph(t)
 	g.Freeze()
-	if len(g.asnCache) != 4 {
-		t.Fatalf("Freeze left the ASN cache %v, want the 4 ASNs filled", g.asnCache)
+	if len(g.asns) != 4 || len(g.nets) != 4 || g.b != nil {
+		t.Fatalf("Freeze left %d ASNs and %d records (builder dropped: %v), want 4 and 4 with the builder dropped",
+			len(g.asns), len(g.nets), g.b == nil)
 	}
 	if err := g.AddNetwork(&Network{ASN: 5}); !errors.Is(err, ErrFrozen) {
 		t.Errorf("AddNetwork after Freeze: %v, want ErrFrozen", err)
@@ -87,12 +88,15 @@ func TestFreeze(t *testing.T) {
 		t.Error("a refused mutator changed the graph")
 	}
 
-	r, err := Restore([]*Network{{ASN: 1}, {ASN: 2}}, map[ASN][]ASN{1: {2}}, map[ASN][]ASN{2: {1}}, map[ASN][]ASN{})
+	r, err := Restore([]Network{{ASN: 1}, {ASN: 2}},
+		Relation{Keys: []ASN{1}, Lens: []uint32{1}, List: []ASN{2}},
+		Relation{Keys: []ASN{2}, Lens: []uint32{1}, List: []ASN{1}},
+		Relation{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.asnCache) != 2 {
-		t.Errorf("Restore left the ASN cache %v, want it filled", r.asnCache)
+	if len(r.asns) != 2 || !r.Frozen() {
+		t.Errorf("Restore left the ASNs %v (frozen %v), want 2 and frozen", r.asns, r.Frozen())
 	}
 	if err := r.AddPeering(1, 2); !errors.Is(err, ErrFrozen) {
 		t.Errorf("AddPeering on a restored graph: %v, want ErrFrozen", err)
@@ -103,7 +107,7 @@ func TestFreeze(t *testing.T) {
 // id is its position in ascending ASN order whatever order the networks
 // were added in, ID and ASN invert each other, and an ASN the graph does
 // not hold has no id. An unfrozen graph assigns no ids; Restore assigns
-// them like Freeze.
+// them like Freeze and refuses networks that are not already in id order.
 func TestFrozenGraphIDs(t *testing.T) {
 	g := NewGraph()
 	for _, asn := range []ASN{31, 10, 500, 1000, 42} {
@@ -136,12 +140,16 @@ func TestFrozenGraphIDs(t *testing.T) {
 		t.Error("a nil graph reports frozen")
 	}
 
-	r, err := Restore([]*Network{{ASN: 7}, {ASN: 3}}, map[ASN][]ASN{}, map[ASN][]ASN{}, map[ASN][]ASN{})
+	r, err := Restore([]Network{{ASN: 3}, {ASN: 7}}, Relation{}, Relation{}, Relation{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id, ok := r.ID(7); !ok || id != 1 || r.ASN(0) != 3 {
 		t.Errorf("restored graph: ID(7) = (%d,%v), ASN(0) = %d; want (1,true), 3", id, ok, r.ASN(0))
+	}
+	// Restore takes the networks in id order: out of order is refused.
+	if _, err := Restore([]Network{{ASN: 7}, {ASN: 3}}, Relation{}, Relation{}, Relation{}); err == nil {
+		t.Error("Restore accepted networks out of ascending order")
 	}
 }
 
