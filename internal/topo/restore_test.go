@@ -113,9 +113,9 @@ func (r *fuzzReader) relation() Relation {
 	return rel
 }
 
-// valid reports whether parts satisfy Restore's contract over the
+// validParts reports whether rel satisfies Restore's contract over the
 // network set held, and returns each key's list.
-func (rel Relation) valid(held map[ASN]bool) (map[ASN][]ASN, bool) {
+func validParts(rel Relation, held map[ASN]bool) (map[ASN][]ASN, bool) {
 	if len(rel.Keys) != len(rel.Lens) {
 		return nil, false
 	}
@@ -175,7 +175,7 @@ func FuzzRestore(f *testing.F) {
 		var lists [numRels]map[ASN][]ASN
 		for k, rel := range rels {
 			var valid bool
-			lists[k], valid = rel.valid(held)
+			lists[k], valid = validParts(rel, held)
 			ok = ok && valid
 		}
 
